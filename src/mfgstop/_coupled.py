@@ -33,6 +33,7 @@ import scipy.sparse as sp
 from .costs import CostOperator
 from .density import FaceVelocities, drift_divergence_matrix
 from .grid import FieldTrajectory, Grid, ScalarField, TimeGrid, elliptic_matrix
+from .obstacle import semismooth_newton
 from .stationary import CoupledConfig, CoupledNonConvergence, _ramp
 
 __all__ = ["FBSolution", "forward_backward_solve", "forward_backward_continuation"]
@@ -53,16 +54,19 @@ class FBSolution:
     converged: bool = True
 
 
+def _pad_axis(a: np.ndarray, axis: int, mode: str) -> np.ndarray:
+    """a with one more layer at both ends of axis: zeros (the Dirichlet
+    closure) for mode="constant", copies of the end layers for "edge"."""
+    return np.pad(a, [(1, 1) if d == axis else (0, 0) for d in range(a.ndim)], mode=mode)
+
+
 def _node_gradients(grid: Grid, u: np.ndarray):
     """Per-axis forward and backward differences with Dirichlet closure."""
     shaped = u.reshape(grid.shape)
     fwd, bwd = [], []
     for axis in range(grid.dim):
         h = grid.spacing[axis]
-        padded = np.concatenate(
-            [np.zeros_like(np.take(shaped, [0], axis=axis)),
-             shaped,
-             np.zeros_like(np.take(shaped, [0], axis=axis))], axis=axis)
+        padded = _pad_axis(shaped, axis, "constant")
         n = grid.shape[axis]
         centre = np.take(padded, range(1, n + 1), axis=axis)
         right = np.take(padded, range(2, n + 2), axis=axis)
@@ -97,10 +101,7 @@ def _face_drift(grid: Grid, hamiltonian, u: np.ndarray) -> FaceVelocities:
     comps = []
     for axis in range(grid.dim):
         h = grid.spacing[axis]
-        padded = np.concatenate(
-            [np.zeros_like(np.take(shaped, [0], axis=axis)),
-             shaped,
-             np.zeros_like(np.take(shaped, [0], axis=axis))], axis=axis)
+        padded = _pad_axis(shaped, axis, "constant")
         n = grid.shape[axis]
         upper = np.take(padded, range(1, n + 2), axis=axis)
         lower = np.take(padded, range(0, n + 1), axis=axis)
@@ -110,16 +111,11 @@ def _face_drift(grid: Grid, hamiltonian, u: np.ndarray) -> FaceVelocities:
             if other == axis:
                 continue
             ho = grid.spacing[other]
-            pad_o = np.concatenate(
-                [np.zeros_like(np.take(shaped, [0], axis=other)),
-                 shaped,
-                 np.zeros_like(np.take(shaped, [0], axis=other))], axis=other)
+            pad_o = _pad_axis(shaped, other, "constant")
             no = grid.shape[other]
             central = (np.take(pad_o, range(2, no + 2), axis=other)
                        - np.take(pad_o, range(0, no), axis=other)) / (2 * ho)
-            pad_c = np.concatenate(
-                [np.take(central, [0], axis=axis), central,
-                 np.take(central, [-1], axis=axis)], axis=axis)
+            pad_c = _pad_axis(central, axis, "edge")
             p_face[other] = 0.5 * (np.take(pad_c, range(0, n + 1), axis=axis)
                                    + np.take(pad_c, range(1, n + 2), axis=axis))
         beta_face = hamiltonian.face_weight(grid, axis)
@@ -264,38 +260,33 @@ def _newton_frozen(cost, m0_vals, u_arr, m_arr, psi_arr, f_arr, h_vals, div_ops,
     """
     n = grid.n_total
     k_steps = steps
-    u = np.array(u_arr[:steps], dtype=float)
-    m = np.array(m_arr[1:], dtype=float)
     u_terminal = u_arr[steps]
     eye_dt = sp.identity(n, format="csr") / dt
     b_op = (a0 + eye_dt).tocsr()
+    ops = [b_op if d is None else b_op + d for d in div_ops]
 
-    def m_at(k):
-        # m slice k as data (k = 0) or unknown (k >= 1)
-        return m0_vals if k == 0 else m[k - 1]
+    def unstack(x):
+        # value slices u_0..u_K and density slices m_0..m_K, the
+        # terminal value and the initial density being data
+        u = x[: k_steps * n].reshape(k_steps, n)
+        m = x[k_steps * n:].reshape(k_steps, n)
+        return np.vstack([u, u_terminal[None, :]]), np.vstack([m0_vals[None, :], m])
 
-    def residual(u_loc, m_loc):
-        def m_of(k):
-            return m0_vals if k == 0 else m_loc[k - 1]
+    def residual(x):
+        u, m = unstack(x)
         r_u = np.empty((k_steps, n))
         r_m = np.empty((k_steps, n))
         for k in range(k_steps):
-            u_next = u_terminal if k == k_steps - 1 else u_loc[k + 1]
-            v_k = u_loc[k] - psi_arr[k]
-            r_u[k] = (b_op @ u_loc[k] - u_next / dt
+            v_k = u[k] - psi_arr[k]
+            r_u[k] = (b_op @ u[k] - u[k + 1] / dt
                       + np.maximum(v_k, 0.0) / epsilon + h_vals[k]
-                      - cost.evaluate(m_of(k)))
-            op = b_op if div_ops[k] is None else b_op + div_ops[k]
+                      - cost.evaluate(m[k]))
             rate = _ramp(v_k / band) / epsilon
-            r_m[k] = op @ m_of(k + 1) - m_of(k) / dt + rate * m_of(k + 1)
-        return r_u, r_m
+            r_m[k] = ops[k] @ m[k + 1] - m[k] / dt + rate * m[k + 1]
+        return np.concatenate([r_u.ravel(), r_m.ravel()])
 
-    r_u, r_m = residual(u, m)
-    norm = max(float(np.max(np.abs(r_u))), float(np.max(np.abs(r_m))))
-    target = min(cfg.tol_pde, 1e-10) * (1.0 + float(np.max(np.abs(f_arr))))
-    for _ in range(60):
-        if norm <= target:
-            break
+    def jacobian(x):
+        u, m = unstack(x)
         blocks_u = [[None] * (2 * k_steps) for _ in range(k_steps)]
         blocks_m = [[None] * (2 * k_steps) for _ in range(k_steps)]
         for k in range(k_steps):
@@ -304,34 +295,20 @@ def _newton_frozen(cost, m0_vals, u_arr, m_arr, psi_arr, f_arr, h_vals, div_ops,
             if k + 1 < k_steps:
                 blocks_u[k][k + 1] = -eye_dt
             if k >= 1:
-                blocks_u[k][k_steps + k - 1] = sp.diags(-cost.derivative(m_at(k)))
-            op = b_op if div_ops[k] is None else b_op + div_ops[k]
+                blocks_u[k][k_steps + k - 1] = sp.diags(-cost.derivative(m[k]))
             sigma = _ramp(v_k / band)
             dsigma = np.where(np.abs(v_k) < band, 0.5 / band, 0.0)
-            blocks_m[k][k_steps + k] = op + sp.diags(sigma / epsilon)
+            blocks_m[k][k_steps + k] = ops[k] + sp.diags(sigma / epsilon)
             if k >= 1:
                 blocks_m[k][k_steps + k - 1] = -eye_dt
-            blocks_m[k][k] = sp.diags(dsigma * m_at(k + 1) / epsilon)
-        jac = sp.bmat(blocks_u + blocks_m, format="csc")
-        rhs = -np.concatenate([r_u.ravel(), r_m.ravel()])
-        step = sp.linalg.spsolve(jac, rhs)
-        du = step[: k_steps * n].reshape(k_steps, n)
-        dm = step[k_steps * n:].reshape(k_steps, n)
-        tau = 1.0
-        for _ls in range(50):
-            u_try = u + tau * du
-            m_try = m + tau * dm
-            r_u_try, r_m_try = residual(u_try, m_try)
-            norm_try = max(float(np.max(np.abs(r_u_try))), float(np.max(np.abs(r_m_try))))
-            if norm_try <= (1.0 - 1e-4 * tau) * norm or norm_try <= target:
-                break
-            tau *= 0.5
-        u, m, r_u, r_m, norm = u_try, m_try, r_u_try, r_m_try, norm_try
-        if tau < 1e-12:
-            break
-    u_out = np.vstack([u, u_terminal[None, :]])
-    m_out = np.vstack([m0_vals[None, :], m])
-    return u_out, m_out, norm
+            blocks_m[k][k] = sp.diags(dsigma * m[k + 1] / epsilon)
+        return sp.bmat(blocks_u + blocks_m, format="csc")
+
+    x0 = np.concatenate([u_arr[:steps].ravel(), m_arr[1:].ravel()])
+    target = min(cfg.tol_pde, 1e-10) * (1.0 + float(np.max(np.abs(f_arr))))
+    x, norms, _ = semismooth_newton(residual, jacobian, x0, target, 60)
+    u_out, m_out = unstack(x)
+    return u_out, m_out, norms[-1]
 
 
 def forward_backward_continuation(

@@ -13,6 +13,7 @@ artifacts (no timestamps; canonical JSON; fixed float formatting).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -21,9 +22,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .control import Hamiltonian, cosmfg_coupled_solve, verify_cosmfg
-from .costs import CostOperator
-from .evolutive import ObstacleOperator, osmfg_continuation, verify_mixed_evolutive
+from .control import ControlMixedReport, Hamiltonian, cosmfg_coupled_solve, verify_cosmfg
+from .costs import ANTI_MONOTONE, STRICT_MONOTONE, CostOperator
+from .evolutive import (
+    EvolutiveMixedReport,
+    ObstacleOperator,
+    osmfg_continuation,
+    verify_mixed_evolutive,
+)
 from .grid import (
     FieldTrajectory,
     ScalarField,
@@ -34,6 +40,7 @@ from .grid import (
     write_field_csv,
     write_trajectory_csv,
 )
+from .obstacle import ObstacleConvergenceError, solve_obstacle_stationary
 from .scenarios import (
     STANDARD_NAMES,
     gaussian_density,
@@ -47,6 +54,7 @@ from .scenarios import (
 from .stationary import (
     CoupledConfig,
     CoupledNonConvergence,
+    MixedSolutionReport,
     continuation_solve,
     monotone_iteration_solve,
     variational_minimize,
@@ -59,7 +67,11 @@ EXIT_BAD_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 
 _METHODS = {"continuation", "monotone_iteration", "variational"}
-_PROBLEMS = {"sosmfg", "osmfg", "cosmfg"}
+# the report each problem writes; its fields other than delta_c and
+# grid are the residuals an acceptance threshold may name
+_REPORTS = {"sosmfg": MixedSolutionReport, "osmfg": EvolutiveMixedReport,
+            "cosmfg": ControlMixedReport}
+_PROBLEMS = set(_REPORTS)
 
 
 class ConfigError(ValueError):
@@ -128,12 +140,21 @@ class RunConfig:
             self.timegrid = build_timegrid(float(_require(tspec, "horizon", "timegrid")),
                                            int(_require(tspec, "n_steps", "timegrid")))
         self.cost = _build_cost(self.grid, _require(raw, "cost"))
-        self.rho = None
-        self.m0 = None
-        if self.problem == "sosmfg":
-            self.rho = _build_field(self.grid, _require(raw, "rho"), "rho")
-        else:
-            self.m0 = _build_field(self.grid, _require(raw, "m0"), "m0")
+        if self.problem != "sosmfg" and not self.cost.is_local:
+            raise ConfigError(f"problem {self.problem!r} needs a local cost, "
+                              f"got {self.cost.kind!r}")
+        if self.method == "monotone_iteration" and self.cost.monotonicity != ANTI_MONOTONE:
+            raise ConfigError("method 'monotone_iteration' needs an anti-monotone cost, "
+                              f"got {self.cost.monotonicity!r}")
+        if self.method == "variational" and (self.cost.monotonicity != STRICT_MONOTONE
+                                             or not self.cost.is_local):
+            raise ConfigError("method 'variational' needs a strictly monotone local cost")
+        what = "rho" if self.problem == "sosmfg" else "m0"
+        source = _build_field(self.grid, _require(raw, what), what)
+        if np.any(source.values < -1e-12):
+            raise ConfigError(f"{what} must be nonnegative")
+        self.rho = source if what == "rho" else None
+        self.m0 = source if what == "m0" else None
         self.obstacle_op = None
         if self.problem == "osmfg":
             ospec = raw.get("obstacle", {"kind": "zero"})
@@ -167,12 +188,20 @@ class RunConfig:
                                  for j in range(int(es.get("stages", 8)))]
         else:
             self.eps_schedule = [float(e) for e in es]
+        sched = self.eps_schedule
+        if not sched or sched[-1] <= 0 or any(e2 >= e1 for e1, e2 in zip(sched, sched[1:])):
+            raise ConfigError("eps_schedule must be a nonempty, strictly decreasing "
+                              "sequence of positive penalties")
         tols = _require(raw, "tolerances")
         self.acceptance = _require(tols, "acceptance", "tolerances")
         if not isinstance(self.acceptance, dict) or not self.acceptance:
             raise ConfigError("tolerances.acceptance must map residual names to thresholds")
+        residuals = {f.name for f in dataclasses.fields(_REPORTS[self.problem])} - {"delta_c", "grid"}
         for key, val in self.acceptance.items():
-            if float(val) <= 0:
+            if key not in residuals:
+                raise ConfigError(f"tolerances.acceptance: {key!r} is not a residual of problem "
+                                  f"{self.problem!r}; choose from {sorted(residuals)}")
+            if not float(val) > 0:
                 raise ConfigError(f"tolerances.acceptance[{key!r}] must be positive")
         self.coupled = CoupledConfig(
             tol_outer=float(tols.get("outer", 1e-9)),
@@ -194,7 +223,10 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: invalid JSON: {err.msg}")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    return RunConfig(raw)
+    try:
+        return RunConfig(raw)
+    except TypeError as err:  # a value of the wrong JSON type, such as null for a number
+        raise ConfigError(f"{path}: {err}")
 
 
 def _json_dump(obj, path):
@@ -230,12 +262,11 @@ def _write_convergence_table(rows, path):
 
 
 def _check_acceptance(report_dict: dict, acceptance: dict):
+    """Thresholds not met; a missing or non-finite residual fails."""
     failures = {}
     for key, threshold in acceptance.items():
-        value = report_dict.get(key)
-        if value is None:
-            continue
-        if abs(value) > float(threshold):
+        value = report_dict.get(key, float("nan"))
+        if not abs(value) <= float(threshold):
             failures[key] = (value, float(threshold))
     return failures
 
@@ -265,8 +296,6 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
                                              if k.startswith("r_")}}]
             else:
                 m = variational_minimize(cfg.cost.potential(), cfg.rho)
-                from .obstacle import solve_obstacle_stationary
-
                 u = solve_obstacle_stationary(cfg.cost(m), ScalarField.zeros(cfg.grid))
                 report = verify_mixed(u, m, cfg.cost, cfg.rho)
                 stage_rows = [{"stage": 0, "epsilon": 0.0, "iterations": 1,
@@ -294,9 +323,12 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
                                          if k.startswith("r_")}}]
             write_trajectory_csv(sol.u, out, "u")
             write_trajectory_csv(sol.m, out, "m")
-    except CoupledNonConvergence as err:
-        _json_dump({"error": str(err), "residual_history": err.residual_history},
-                   os.path.join(out, "failure.json"))
+    except (CoupledNonConvergence, ObstacleConvergenceError) as err:
+        if isinstance(err, CoupledNonConvergence):
+            failure = {"error": str(err), "residual_history": err.residual_history}
+        else:
+            failure = {"error": str(err), "residual": err.residual, "iterations": err.iterations}
+        _json_dump(failure, os.path.join(out, "failure.json"))
         print(f"solver did not converge: {err}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 
@@ -406,7 +438,7 @@ def cmd_scenario(name: str, out_dir: str | None) -> int:
                   f"{', '.join(list(STANDARD_NAMES) + ['nonuniqueness', 'nonexistence', 'nonexistence_ball', 'obstacle_nonuniqueness'])}",
                   file=sys.stderr)
             return EXIT_BAD_CONFIG
-    except CoupledNonConvergence as err:
+    except (CoupledNonConvergence, ObstacleConvergenceError) as err:
         print(f"scenario solver did not converge: {err}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     bundle["confirmed"] = bool(ok)

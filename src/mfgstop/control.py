@@ -14,13 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from ._coupled import (
-    FBSolution,
-    _face_drift,
-    _upwind_hamiltonian,
-    forward_backward_continuation,
-    forward_backward_solve,
-)
+from ._coupled import _face_drift, _pad_axis, _upwind_hamiltonian, forward_backward_continuation
 from .costs import CostOperator, PotentialOperator
 from .density import FaceVelocities, drift_divergence_matrix
 from .grid import (
@@ -110,9 +104,7 @@ class Hamiltonian:
         if self.kind != "smoothed_norm":
             return None
         shaped = self.beta.values.reshape(grid.shape)
-        padded = np.concatenate(
-            [np.take(shaped, [0], axis=axis), shaped, np.take(shaped, [-1], axis=axis)],
-            axis=axis)
+        padded = _pad_axis(shaped, axis, "edge")
         n = grid.shape[axis]
         return 0.5 * (np.take(padded, range(0, n + 1), axis=axis)
                       + np.take(padded, range(1, n + 2), axis=axis))
@@ -224,22 +216,6 @@ def cosmfg_coupled_solve(
     )
     report = verify_cosmfg(sol.u, sol.m, cost, hamiltonian, m0, delta_c=sol.delta_band)
     return sol, report
-
-
-def cosmfg_single_solve(
-    cost: CostOperator,
-    hamiltonian: Hamiltonian,
-    m0: ScalarField,
-    timegrid: TimeGrid,
-    epsilon: float,
-    config: CoupledConfig | None = None,
-    m_traj_init: np.ndarray | None = None,
-) -> FBSolution:
-    """One penalized solve of the controlled system at a fixed penalty."""
-    return forward_backward_solve(
-        cost, m0, timegrid, epsilon, config,
-        hamiltonian=hamiltonian, m_traj_init=m_traj_init,
-    )
 
 
 def verify_cosmfg(

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FieldTrajectory, Grid, ScalarField
+from .grid import Grid, ScalarField
 
-__all__ = ["CostOperator", "PotentialOperator", "combine_local_costs"]
+__all__ = ["CostOperator", "PotentialOperator"]
 
 STRICT_MONOTONE = "strict_monotone"
 ANTI_MONOTONE = "anti_monotone"
@@ -96,9 +96,6 @@ class CostOperator:
         if m.grid != self.grid:
             raise ValueError("field must live on the cost's grid")
         return ScalarField(self.grid, self.evaluate(m.values))
-
-    def on_trajectory(self, m: FieldTrajectory) -> FieldTrajectory:
-        return FieldTrajectory(m.timegrid, tuple(self(s) for s in m.slices))
 
     def level_set(self, c: np.ndarray) -> np.ndarray | None:
         """Per-node tau >= 0 with f(x, tau) = c(x), for local kinds.
@@ -187,58 +184,3 @@ class PotentialOperator:
     def total(self, m: ScalarField) -> float:
         """Integral of F(x, m(x)) over the domain."""
         return float(np.sum(self.evaluate(m.values)) * self.grid.cell_volume)
-
-
-class _CombinedLocalCost:
-    """Sum of local costs plus an optional fixed nodal shift.
-
-    Internal helper for the evolutive and controlled systems, where the
-    contact condition involves f(m) + g(m) or f(m) - H(x, 0).
-    """
-
-    def __init__(self, costs, shift: np.ndarray | None = None):
-        self.costs = [c for c in costs if c is not None]
-        if not self.costs:
-            raise ValueError("need at least one cost")
-        self.grid = self.costs[0].grid
-        self.shift = np.zeros(self.grid.n_total) if shift is None else np.asarray(shift, dtype=float)
-        self.is_local = all(c.is_local for c in self.costs)
-
-    def evaluate(self, m_values: np.ndarray) -> np.ndarray:
-        out = self.shift.copy()
-        for c in self.costs:
-            out = out + c.evaluate(m_values)
-        return out
-
-    def zero_crossing(self) -> np.ndarray | None:
-        if not self.is_local:
-            return None
-        value_at_zero = self.evaluate(np.zeros(self.grid.n_total))
-        out = np.zeros(self.grid.n_total)
-        pending = value_at_zero < 0
-        if not pending.any():
-            return out
-        # bracket the crossing nodewise, then bisect (all local costs here
-        # are nondecreasing in m when used on mixed bands)
-        hi = np.ones(self.grid.n_total)
-        for _ in range(60):
-            vals = self.evaluate(hi)
-            need = pending & (vals < 0)
-            if not need.any():
-                break
-            hi[need] *= 2.0
-        still_neg = pending & (self.evaluate(hi) < 0)
-        lo = np.zeros_like(hi)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            vmid = self.evaluate(mid)
-            take_hi = vmid >= 0
-            hi = np.where(take_hi, mid, hi)
-            lo = np.where(take_hi, lo, mid)
-        out[pending] = 0.5 * (lo + hi)[pending]
-        out[still_neg] = np.inf
-        return out
-
-
-def combine_local_costs(*costs, shift: np.ndarray | None = None) -> _CombinedLocalCost:
-    return _CombinedLocalCost(costs, shift)

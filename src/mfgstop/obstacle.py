@@ -1,7 +1,8 @@
 """Obstacle problems for the value function: projected SOR for the
 stationary complementarity system, a brute-force active-set oracle,
-a penalized variant solved by semismooth Newton, and the backward
-parabolic problem by implicit Euler.
+a penalized variant, the semismooth Newton driver shared by every
+penalized solve of the package, and the backward parabolic problem by
+implicit Euler.
 
 Sign convention throughout: solve max(L u - f, u - psi) = 0, i.e.
 u <= psi, L u - f <= 0, with equality in at least one branch per node.
@@ -34,6 +35,7 @@ __all__ = [
     "obstacle_oracle",
     "solve_obstacle_penalized",
     "solve_obstacle_parabolic",
+    "semismooth_newton",
     "complementarity_residual",
 ]
 
@@ -183,40 +185,58 @@ def obstacle_oracle(
     return ScalarField(grid, found)
 
 
+def semismooth_newton(residual, jacobian, x0, target, max_iter):
+    """Semismooth Newton with Armijo backtracking in the max norm.
+
+    jacobian(x) returns a generalized Jacobian of residual at x as a
+    sparse matrix (the active-set linearization of the max terms, in the
+    primal-dual active-set view of Hintermueller-Ito-Kunisch). A step
+    is accepted on a (1 - 1e-4 tau) decrease of |residual|_inf or on
+    reaching target, halving tau up to 50 times; the iteration stops at
+    target, after max_iter steps, or once tau falls below 1e-12.
+
+    Returns (x, norms, iterations): norms holds the residual norm of the
+    start and after every step; iterations counts the passes of the
+    loop, that is the steps taken plus one if a pass found target met.
+    """
+    x = np.array(x0, dtype=float, copy=True)
+    res = residual(x)
+    norm = float(np.max(np.abs(res)))
+    norms = [norm]
+    it = 0
+    for it in range(1, max_iter + 1):
+        if norm <= target:
+            break
+        step = spla.spsolve(jacobian(x), -res)
+        tau = 1.0
+        for _ls in range(50):
+            x_new = x + tau * step
+            res_new = residual(x_new)
+            norm_new = float(np.max(np.abs(res_new)))
+            if norm_new <= (1.0 - 1e-4 * tau) * norm or norm_new <= target:
+                break
+            tau *= 0.5
+        x, res, norm = x_new, res_new, norm_new
+        norms.append(norm)
+        if tau < 1e-12:
+            break
+    return x, norms, it
+
+
 def _penalized_newton(matrix, f, psi, eps, grid, config, u0=None) -> np.ndarray:
     """Semismooth Newton on M u + (u - psi)^+ / eps = f.
 
     The active-set linearization converges in finitely many steps for
-    M-matrices; a damped fixed-point fallback guards stagnation.
+    M-matrices.
     """
-    n = len(f)
-    u = _linsolve(matrix, f, grid) if u0 is None else np.array(u0, dtype=float, copy=True)
-
-    def residual(v):
-        return float(np.max(np.abs(matrix @ v + np.maximum(v - psi, 0.0) / eps - f)))
-
-    res = residual(u)
-    best = res
-    stall = 0
-    for _ in range(200):
-        if res <= config.tol:
-            return u
-        active = u - psi > 0
-        jac = (matrix + sp.diags(active.astype(float) / eps)).tocsr()
-        u_new = _linsolve(jac, f + (psi / eps) * active, grid)
-        res_new = residual(u_new)
-        if res_new < best:
-            best, stall = res_new, 0
-            u, res = u_new, res_new
-        else:
-            stall += 1
-            u = 0.5 * (u + u_new)
-            res = residual(u)
-            if stall > 25:
-                break
-    if res <= config.tol:
+    u = _linsolve(matrix, f, grid) if u0 is None else u0
+    u, norms, it = semismooth_newton(
+        lambda v: matrix @ v + np.maximum(v - psi, 0.0) / eps - f,
+        lambda v: (matrix + sp.diags((v > psi).astype(float) / eps)).tocsc(),
+        u, config.tol, 200)
+    if norms[-1] <= config.tol:
         return u
-    raise ObstacleConvergenceError("penalized Newton did not converge", res, 200)
+    raise ObstacleConvergenceError("penalized Newton did not converge", norms[-1], it)
 
 
 def solve_obstacle_penalized(

@@ -297,14 +297,12 @@ def scenario_nonexistence(n: int = 31, ball_radius: float = 0.0,
 
     floor = np.inf
     m_init = None
-    alpha_init = None
     stage_rows: list[NonexistenceStage] = []
     triple = None
-    for j, eps in enumerate(schedule):
+    for eps in schedule:
         if triple is not None:
-            alpha_init = ScalarField(grid, np.clip(triple.alpha.values * (eps / schedule[j - 1]), 0.0, 1.0))
             m_init = triple.m
-        triple = penalized_coupled_solve(cost, rho, eps, cfg, m_init=m_init, alpha_init=alpha_init)
+        triple = penalized_coupled_solve(cost, rho, eps, cfg, m_init=m_init)
         report = verify_mixed(triple.u, triple.m, cost, rho, delta_c=triple.delta_band)
         contact = triple.u.values >= -triple.delta_band
         contact_mass = float(np.sum(triple.m.values[contact])) * grid.cell_volume

@@ -31,7 +31,7 @@ from .grid import (
 from .obstacle import (
     ObstacleSolveConfig,
     _linsolve,
-    _penalized_newton,
+    semismooth_newton,
     solve_obstacle_stationary,
 )
 
@@ -49,35 +49,34 @@ __all__ = [
     "verify_mixed",
     "uniqueness_probe",
     "euler_lagrange_certificate",
-    "ascent_exit_rate",
 ]
 
 
 @dataclass
 class CoupledConfig:
-    """Controls for the coupled fixed-point solvers.
+    """Controls for the coupled penalized solvers.
 
-    The classification band around u = psi is adaptive,
-    max(delta_floor, band_factor * eps * |ftilde|_inf), unless
+    tol_pde bounds the penalized residuals of a converged solve, and
+    max_outer caps the Newton steps of a stationary solve and the lagged
+    outer passes of a time-dependent one; tol_outer bounds the change
+    between outer passes. The classification band around u = psi is
+    adaptive, max(delta_floor, band_factor * eps * |ftilde|_inf), unless
     band_override pins it; the band actually used is recorded on the
-    result and fed to the verifier as its contact threshold.
+    result and fed to the verifier as its contact threshold. inner
+    controls the penalized obstacle solves of the HJB equation.
     """
 
     tol_outer: float = 1e-9
     tol_pde: float = 1e-8
     max_outer: int = 3000
-    damping: float = 0.5
     band_factor: float = 0.5
     delta_floor: float = DELTA_C_FLOOR
     band_override: float | None = None
-    eta: float | None = None  # nonlocal mixed-band ascent step; default 0.1 * eps
     inner: ObstacleSolveConfig = field(default_factory=lambda: ObstacleSolveConfig(tol=1e-11))
 
     def __post_init__(self):
         if self.tol_outer <= 0 or self.tol_pde <= 0:
             raise ValueError("tolerances must be positive")
-        if not 0 < self.damping <= 1:
-            raise ValueError("damping must lie in (0, 1]")
 
 
 class CoupledNonConvergence(RuntimeError):
@@ -149,31 +148,12 @@ class StageReport:
                 "iterations": self.iterations, **self.report.to_dict()}
 
 
-def ascent_exit_rate(alpha, v, ftilde, epsilon, band, eta):
-    """Clamped ascent update of the exit rate for nonlocal costs.
-
-    Hard contact (v above the band) slams alpha to 1, continuation
-    resets it to 0, band nodes take a small step along the effective
-    cost. Returns (alpha_new, active_mask).
-    """
-    new = np.array(alpha, dtype=float, copy=True)
-    contact = v > band
-    continuation = v < -band
-    mixed = ~contact & ~continuation
-    new[contact] = 1.0
-    new[continuation] = 0.0
-    if mixed.any():
-        new[mixed] = np.clip(alpha[mixed] + eta * ftilde[mixed], 0.0, 1.0)
-    return new, ~continuation
-
-
 def penalized_coupled_solve(
     cost: CostOperator,
     rho: ScalarField,
     epsilon: float,
     config: CoupledConfig | None = None,
     m_init: ScalarField | None = None,
-    alpha_init: ScalarField | None = None,
     with_zero_order: bool = True,
     strict: bool = True,
     u_init: ScalarField | None = None,
@@ -184,15 +164,24 @@ def penalized_coupled_solve(
     The exit rate is realized as a continuous ramp across the
     classification band |u| <= band around the obstacle, a concrete
     choice of the free interior alpha (alpha = 1 above the band, 0
-    below, linear inside). For local costs the value/density pair is
-    then solved jointly by a damped semismooth Newton method, which is
-    what keeps contact plateaus stable; split sweeps flap on the
-    free-boundary classification. Nonlocal costs, whose coupling has no
-    nodal derivative, fall back to damped Picard sweeps with the ramp
-    (weak-penalty regime) or the clamped dual ascent on the band.
+    below, linear inside). The value/density pair is then solved
+    jointly by semismooth Newton, which is what keeps contact plateaus
+    stable; split sweeps flap on the free-boundary classification.
 
-    strict=False returns the best iterate instead of raising when the
-    iteration stalls (used for warm-up continuation stages).
+    Unknowns (u, m) jointly solve
+        A u + u^+ / eps          = f(m)
+        A m + ramp(u/band)/eps m = rho
+    with band = max(delta_floor, band_factor * eps * |f|_inf) unless
+    band_override pins it. A nonlocal cost f = c0 + c1 <w, m> has no
+    nodal derivative; it enters through one bordered scalar unknown
+    s = <w, m>, so f = c0 + c1 s and the system gains the row
+    s - <w, m> = 0 and the column -c1.
+
+    A warm start u_init keeps the ramp position (hence the exit rate)
+    continuous across penalty stages by rescaling band nodes from
+    band_init to the new band. strict=False returns the last iterate
+    with converged=False instead of raising (used for warm-up
+    continuation stages).
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -201,134 +190,50 @@ def penalized_coupled_solve(
     if np.any(rho.values < -1e-12):
         raise ValueError("rho must be nonnegative")
     a = elliptic_matrix(grid, with_zero_order)
-    a_diag = a.diagonal()
-    zero = ScalarField.zeros(grid)
-    m = _linsolve(a, rho.values, grid) if m_init is None else np.array(m_init.values, copy=True)
-    alpha = np.zeros(grid.n_total) if alpha_init is None else np.array(alpha_init.values, copy=True)
-    eta = cfg.eta if cfg.eta is not None else 0.1 * epsilon
-    if cost.is_local:
-        u0 = None if u_init is None else u_init.values
-        return _coupled_newton(cost, rho, epsilon, cfg, a, m, grid, strict,
-                               u0=u0, band_prev=band_init)
-    history: list[float] = []
-    u_prev = None
-    band = cfg.delta_floor
-    best = None
-    best_incr = np.inf
-    soft_regime = epsilon * float(a_diag.max()) > 1.0
-    for it in range(1, cfg.max_outer + 1):
-        f_m = cost.evaluate(m)
-        u = _penalized_newton(a, f_m, zero.values, epsilon, grid, cfg.inner, u_prev)
-        u_prev = u
-        if cfg.band_override is not None:
-            band = cfg.band_override
-        else:
-            scale = float(np.max(np.abs(f_m))) if f_m.size else 0.0
-            band = max(cfg.delta_floor, cfg.band_factor * epsilon * scale)
-        if soft_regime:
-            alpha = np.clip(0.5 * (u / band + 1.0), 0.0, 1.0)
-            rate = alpha / epsilon
-        else:
-            alpha, active = ascent_exit_rate(alpha, u, f_m, epsilon, band, eta)
-            rate = np.where(active, alpha / epsilon, 0.0)
-        m_tilde = _linsolve((a + sp.diags(rate)).tocsr(), rho.values, grid)
-        incr = float(np.max(np.abs(m_tilde - m)))
-        history.append(incr)
-
-        def triple(converged):
-            return PenalizedTriple(
-                u=ScalarField(grid, u), m=ScalarField(grid, m_tilde),
-                alpha=ScalarField(grid, alpha), epsilon=epsilon,
-                iterations=it, residual_history=history,
-                delta_band=band, converged=converged,
-            )
-
-        if incr <= cfg.tol_outer:
-            f_new = cost.evaluate(m_tilde)
-            r_u = float(np.max(np.abs(a @ u + np.maximum(u, 0.0) / epsilon - f_new)))
-            r_m = float(np.max(np.abs((a + sp.diags(rate)) @ m_tilde - rho.values)))
-            if max(r_u, r_m) <= cfg.tol_pde:
-                return triple(True)
-        if incr < best_incr:
-            best_incr = incr
-            best = triple(False)
-        m = (1 - cfg.damping) * m + cfg.damping * m_tilde
-    if strict:
-        raise CoupledNonConvergence("penalized coupled solve did not converge", history)
-    return best
-
-
-def _ramp(s):
-    """Piecewise-linear exit-rate profile across the classification band."""
-    return np.clip(0.5 * (s + 1.0), 0.0, 1.0)
-
-
-def _coupled_newton(cost, rho, epsilon, cfg, a, m0_vals, grid, strict,
-                    u0=None, band_prev=None):
-    """Damped semismooth Newton on the penalized coupled system.
-
-    Unknowns (u, m) jointly solve
-        A u + u^+ / eps         = f(m)
-        A m + ramp(u/band)/eps m = rho
-    where ramp realizes the free interior exit rate as a continuous
-    profile across the classification band (width band_factor * eps *
-    |f|_inf, floored). Solving the pair jointly is what keeps contact
-    plateaus stable; split fixed-point iterations flap on the
-    free-boundary classification.
-    """
     n = grid.n_total
     rho_v = rho.values
-    m = np.array(m0_vals, dtype=float, copy=True)
+    m = _linsolve(a, rho_v, grid) if m_init is None else np.array(m_init.values, copy=True)
     scale = float(np.max(np.abs(cost.evaluate(m))))
     if cfg.band_override is not None:
         band = cfg.band_override
     else:
         band = max(cfg.delta_floor, cfg.band_factor * epsilon * scale)
-    if u0 is None:
+    if u_init is None:
         # cold start from the unconstrained value equation
         u = _linsolve(a, cost.evaluate(m), grid)
     else:
-        # warm start keeping the ramp position (hence the exit rate)
-        # continuous across penalty stages
-        u = np.array(u0, dtype=float, copy=True)
-        if band_prev is not None and band_prev > 0:
-            inside = np.abs(u) <= band_prev
-            u[inside] *= band / band_prev
+        u = np.array(u_init.values, dtype=float, copy=True)
+        if band_init is not None and band_init > 0:
+            inside = np.abs(u) <= band_init
+            u[inside] *= band / band_init
+    # quadrature weights of the pairing <w, m> for the bordered unknown
+    w = None if cost.is_local else cost.weight.values * grid.cell_volume
 
-    def residual(uv, mv):
-        f_m = cost.evaluate(mv)
-        r1 = a @ uv + np.maximum(uv, 0.0) / epsilon - f_m
-        r2 = a @ mv + _ramp(uv / band) / epsilon * mv - rho_v
-        return np.concatenate([r1, r2])
+    def residual(x):
+        uv, mv = x[:n], x[n:2 * n]
+        f = cost.evaluate(mv) if w is None else cost.c0 + cost.c1 * x[-1]
+        r = [a @ uv + np.maximum(uv, 0.0) / epsilon - f,
+             a @ mv + _ramp(uv / band) / epsilon * mv - rho_v]
+        if w is not None:
+            r.append([x[-1] - w @ mv])
+        return np.concatenate(r)
 
-    res = residual(u, m)
-    norm = float(np.max(np.abs(res)))
-    history = [norm]
-    it = 0
-    for it in range(1, cfg.max_outer + 1):
-        if norm <= min(cfg.tol_pde, 1e-10) * (1.0 + scale):
-            break
-        sigma = _ramp(u / band)
-        dsigma = np.where(np.abs(u) < band, 0.5 / band, 0.0)
-        j11 = a + sp.diags((u > 0).astype(float) / epsilon)
-        j12 = sp.diags(-cost.derivative(m))
-        j21 = sp.diags(dsigma * m / epsilon)
-        j22 = a + sp.diags(sigma / epsilon)
-        jac = sp.bmat([[j11, j12], [j21, j22]], format="csc")
-        step = sp.linalg.spsolve(jac, -res)
-        tau = 1.0
-        for _ls in range(50):
-            u_new = u + tau * step[:n]
-            m_new = m + tau * step[n:]
-            res_new = residual(u_new, m_new)
-            norm_new = float(np.max(np.abs(res_new)))
-            if norm_new <= (1.0 - 1e-4 * tau) * norm or norm_new <= min(cfg.tol_pde, 1e-10):
-                break
-            tau *= 0.5
-        u, m, res, norm = u_new, m_new, res_new, norm_new
-        history.append(norm)
-        if tau < 1e-12:
-            break
+    def jacobian(x):
+        uv, mv = x[:n], x[n:2 * n]
+        dsigma = np.where(np.abs(uv) < band, 0.5 / band, 0.0)
+        j11 = a + sp.diags((uv > 0).astype(float) / epsilon)
+        j21 = sp.diags(dsigma * mv / epsilon)
+        j22 = a + sp.diags(_ramp(uv / band) / epsilon)
+        if w is None:
+            return sp.bmat([[j11, sp.diags(-cost.derivative(mv))], [j21, j22]], format="csc")
+        return sp.bmat([[j11, None, sp.csr_matrix(np.full((n, 1), -cost.c1))],
+                        [j21, j22, None],
+                        [None, sp.csr_matrix(-w[None, :]), sp.identity(1)]], format="csc")
+
+    x0 = np.concatenate([u, m] if w is None else [u, m, [w @ m]])
+    target = min(cfg.tol_pde, 1e-10) * (1.0 + scale)
+    x, history, it = semismooth_newton(residual, jacobian, x0, target, cfg.max_outer)
+    u = x[:n]
     # final exact density solve for the converged rate (restores exact
     # nonnegativity through the M-matrix structure)
     sigma = _ramp(u / band)
@@ -345,6 +250,11 @@ def _coupled_newton(cost, rho, epsilon, cfg, a, m0_vals, grid, strict,
     )
 
 
+def _ramp(s):
+    """Piecewise-linear exit-rate profile across the classification band."""
+    return np.clip(0.5 * (s + 1.0), 0.0, 1.0)
+
+
 def default_eps_schedule(start: float = 0.1, factor: float = 4.0, stages: int = 8) -> list[float]:
     return [start / factor**j for j in range(stages)]
 
@@ -359,10 +269,10 @@ def continuation_solve(
 ):
     """Warm-started penalized solves along a decreasing penalty schedule.
 
-    Across stages the killing rate alpha/eps is kept continuous (alpha
-    is rescaled by the penalty ratio), which is what makes warm starts
-    effective: the equilibrium rate does not depend on eps. Returns
-    (u, m, stage_reports) with a verification report per stage.
+    Each stage starts from the previous stage's (u, m), with the ramp
+    position of u (hence the exit rate) kept continuous across the
+    change of band. Returns (u, m, stage_reports) with a verification
+    report per stage.
     """
     cfg = config or CoupledConfig()
     schedule = list(eps_schedule) if eps_schedule is not None else default_eps_schedule()
@@ -371,18 +281,15 @@ def continuation_solve(
     if not schedule:
         raise ValueError("eps schedule must not be empty")
     m_cur = m_init
-    alpha_cur = None
     reports: list[StageReport] = []
     triple = None
     for j, eps in enumerate(schedule):
         if triple is not None:
-            # rate continuity across stages: alpha_new / eps_new = alpha_old / eps_old
-            alpha_cur = ScalarField(rho.grid, np.clip(triple.alpha.values * (eps / schedule[j - 1]), 0.0, 1.0))
             m_cur = triple.m
         final = j == len(schedule) - 1
         try:
             triple = penalized_coupled_solve(
-                cost, rho, eps, cfg, m_init=m_cur, alpha_init=alpha_cur,
+                cost, rho, eps, cfg, m_init=m_cur,
                 with_zero_order=with_zero_order, strict=final,
                 u_init=None if triple is None else triple.u,
                 band_init=None if triple is None else triple.delta_band,

@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from mfgstop import cli
 from mfgstop.cli import main
+from mfgstop.obstacle import ObstacleConvergenceError
 
 BASE_CONFIG = {
     "problem": "sosmfg",
@@ -160,3 +162,75 @@ def test_osmfg_run_and_verify(tmp_path):
     assert (out / "u_manifest.json").exists()
     assert main(["verify", "--u", str(out / "u_manifest.json"),
                  "--m", str(out / "m_manifest.json"), "--config", str(cfg)]) == 0
+
+
+def tolerances(**acceptance):
+    return {"outer": 1e-9, "pde": 1e-8, "acceptance": acceptance}
+
+
+TIME_DEPENDENT = {"timegrid": {"horizon": 0.5, "n_steps": 4}, "rho": None,
+                  "m0": {"kind": "gaussian", "sigma": 0.1, "mass": 1.0}}
+OSMFG = {"problem": "osmfg", **TIME_DEPENDENT}
+COSMFG = {"problem": "cosmfg", **TIME_DEPENDENT,
+          "hamiltonian": {"kind": "smoothed_norm", "beta": {"kind": "constant", "value": 1.0}}}
+NONLOCAL_COST = {"kind": "nonlocal_affine", "c0": -0.5, "c1": 1.0,
+                 "weight": {"kind": "constant", "value": 1.0}}
+ANTI_MONOTONE_COST = {"kind": "local_power", "a": -1.0, "p": 1.0,
+                      "f0": {"kind": "constant", "value": 0.5}}
+
+
+@pytest.mark.parametrize("overrides, reason", [
+    ({"tolerances": tolerances(r_dualty=1e-6)}, "r_dualty"),
+    ({**COSMFG, "tolerances": tolerances(r_hjb=1e-30, r_duality=1e-30)}, "r_duality"),
+    ({"tolerances": tolerances(r_duality=None)}, "NoneType"),
+    ({**OSMFG, "cost": NONLOCAL_COST}, "local cost"),
+    ({**COSMFG, "cost": NONLOCAL_COST, "tolerances": tolerances(r_hjb=1e-6)}, "local cost"),
+    ({"eps_schedule": []}, "eps_schedule"),
+    ({"eps_schedule": [1e-2, 1e-2]}, "eps_schedule"),
+    ({"eps_schedule": {"start": 0.1, "factor": 0.5, "stages": 3}}, "eps_schedule"),
+    ({"rho": {"kind": "constant", "value": -1.0}}, "rho"),
+    ({**OSMFG, "m0": {"kind": "constant", "value": -1.0}}, "m0"),
+    ({"method": "monotone_iteration"}, "anti-monotone"),
+    ({"method": "variational", "cost": ANTI_MONOTONE_COST}, "strictly monotone"),
+    ({"method": "variational", "cost": NONLOCAL_COST}, "strictly monotone"),
+], ids=["acceptance-typo", "acceptance-not-in-report", "acceptance-null",
+        "nonlocal-osmfg", "nonlocal-cosmfg", "empty-schedule", "flat-schedule",
+        "increasing-schedule", "negative-rho", "negative-m0",
+        "monotone-iteration-on-monotone-cost", "variational-on-anti-monotone-cost",
+        "variational-on-nonlocal-cost"])
+def test_invalid_input_rejected_before_solving(tmp_path, capsys, overrides, reason):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {**overrides, "output_dir": str(out)})
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert reason in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_residual_fails_acceptance(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"output_dir": str(out)})
+    assert main(["run", "--config", str(cfg)]) == 0
+    lines = (out / "m.csv").read_text().splitlines()
+    lines[16] = lines[16].split(",")[0] + ",nan"
+    bad = tmp_path / "m_nan.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--u", str(out / "u.csv"), "--m", str(bad),
+                 "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "scenario"])
+def test_obstacle_nonconvergence_exits_3(tmp_path, monkeypatch, command):
+    def stall(*args, **kwargs):
+        raise ObstacleConvergenceError("projected SOR did not converge", 0.5, 7)
+
+    out = tmp_path / "out"
+    if command == "run":
+        monkeypatch.setattr(cli, "monotone_iteration_solve", stall)
+        cfg = write_config(tmp_path, {"method": "monotone_iteration",
+                                      "cost": ANTI_MONOTONE_COST, "output_dir": str(out)})
+        assert main(["run", "--config", str(cfg)]) == 3
+        failure = json.loads((out / "failure.json").read_text())
+        assert failure["residual"] == 0.5 and failure["iterations"] == 7
+    else:
+        monkeypatch.setattr(cli, "scenario_nonuniqueness", stall)
+        assert main(["scenario", "nonuniqueness", "--out", str(out)]) == 3

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfgstop.costs import CostOperator, combine_local_costs
+from mfgstop.costs import CostOperator
 from mfgstop.grid import ScalarField, build_grid
 
 
@@ -90,16 +90,6 @@ def test_potential_finite_difference_consistency(grid):
 def test_nonlocal_has_no_potential(grid):
     w = ScalarField.constant(grid, 1.0)
     assert CostOperator.nonlocal_affine(grid, 0.0, 1.0, w).potential() is None
-
-
-def test_combined_local_costs_bisection(grid):
-    f = CostOperator.local_power(grid, 1.0, 1.0, ScalarField.constant(grid, -0.5))
-    g2 = CostOperator.local_power(grid, 0.5, 1.0, ScalarField.zeros(grid))
-    combined = combine_local_costs(f, g2)
-    m0 = combined.zero_crossing()
-    assert np.allclose(m0, 0.5 / 1.5, atol=1e-12)
-    shifted = combine_local_costs(f, shift=np.full(9, 0.25))
-    assert np.allclose(shifted.zero_crossing(), 0.25, atol=1e-12)
 
 
 def test_exponent_below_one_rejected(grid):

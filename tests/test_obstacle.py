@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from mfgstop.grid import (
@@ -14,6 +15,7 @@ from mfgstop.obstacle import (
     ObstacleSolveConfig,
     complementarity_residual,
     obstacle_oracle,
+    semismooth_newton,
     solve_obstacle_parabolic,
     solve_obstacle_penalized,
     solve_obstacle_stationary,
@@ -120,6 +122,30 @@ def test_penalized_positive_source_order_eps():
         expected = np.linalg.solve(a + np.eye(3) / eps, np.ones(3))
         assert np.allclose(u.values, expected, atol=1e-12)
         assert np.max(np.abs(u.values)) <= eps
+
+
+def test_semismooth_newton_on_penalized_obstacle():
+    # A u + u^+ / eps = f: the driver lands within the penalty error
+    # eps * max f^+ of the obstacle solution
+    g = build_grid(1, (0.0, 1.0), 12)
+    a = elliptic_matrix(g)
+    f = 10.0 * np.sin(4 * np.pi * g.coordinates()[:, 0])
+    eps = 1e-6
+
+    def residual(v):
+        return a @ v + np.maximum(v, 0.0) / eps - f
+
+    def jacobian(v):
+        return (a + sp.diags((v > 0) / eps)).tocsc()
+
+    x0 = spla.spsolve(a.tocsc(), f)
+    u, norms, iterations = semismooth_newton(residual, jacobian, x0, 1e-9, 50)
+    assert norms[-1] <= 1e-9 and len(norms) >= 3
+    assert iterations == len(norms)
+    exact = solve_obstacle_stationary(ScalarField(g, f), ScalarField.zeros(g)).values
+    assert np.max(np.abs(u - exact)) <= eps * np.max(f)
+    _, norms1, iterations1 = semismooth_newton(residual, jacobian, x0, 1e-9, 1)
+    assert iterations1 == 1 and len(norms1) == 2 and norms1[-1] > 1e-9
 
 
 def test_comparison_principle():

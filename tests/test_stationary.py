@@ -53,19 +53,43 @@ def test_constant_positive_cost_kills_density(grid, rho):
                   np.any(triple.u.values > triple.delta_band) else np.array([1.0])) == 1.0
 
 
+def penalized_residuals(triple, cost, rho):
+    """Max-norm residuals of the value and density equations at eps."""
+    eps = triple.epsilon
+    a = elliptic_matrix(rho.grid)
+    u, m = triple.u.values, triple.m.values
+    r_u = np.max(np.abs(a @ u + np.maximum(u, 0) / eps - cost.evaluate(m)))
+    r_m = np.max(np.abs(a @ m + triple.alpha.values / eps * m - rho.values))
+    return r_u, r_m
+
+
 def test_coupled_self_consistency_residuals(grid, rho):
     # mixed-zone instance: killing pins the density inside the bump
     cost = local_cost(grid, -0.005)
-    eps = 1e-5
-    triple = penalized_coupled_solve(cost, rho, eps)
-    a = elliptic_matrix(grid)
-    r_u = np.max(np.abs(a @ triple.u.values + np.maximum(triple.u.values, 0) / eps
-                        - cost.evaluate(triple.m.values)))
-    rate = triple.alpha.values / eps
-    r_m = np.max(np.abs(a @ triple.m.values + rate * triple.m.values - rho.values))
-    assert max(r_u, r_m) <= 1e-8
+    triple = penalized_coupled_solve(cost, rho, 1e-5)
+    assert max(penalized_residuals(triple, cost, rho)) <= 1e-8
     assert np.all(triple.alpha.values >= 0) and np.all(triple.alpha.values <= 1)
     assert np.all(triple.alpha.values[triple.u.values > triple.delta_band] == 1.0)
+
+
+@pytest.mark.parametrize("case", ["anti_monotone_1d", "strict_monotone"])
+def test_nonlocal_self_consistency_residuals(grid, rho, case):
+    # f = c0 + c1 <w, m> enters the Newton system through the bordered
+    # unknown s = <w, m>; the residuals use the cost itself
+    if case == "anti_monotone_1d":
+        cost = scenario_standard(case).cost
+    else:
+        w = raised_cosine_bump(grid)
+        free = ScalarField(grid, spla.spsolve(elliptic_matrix(grid).tocsc(), rho.values))
+        cost = CostOperator.nonlocal_affine(grid, -0.5, 1.0 / inner(w, free), w)
+        assert cost.monotonicity == "strict_monotone"
+    triple = penalized_coupled_solve(cost, rho, 1e-3)
+    assert triple.converged
+    assert max(penalized_residuals(triple, cost, rho)) <= 1e-8
+    if case == "strict_monotone":
+        # f(0) = -0.5 < 0 < 0.5 = f(A^-1 rho): neither no killing nor full
+        # killing is an equilibrium, so the exit rate takes interior values
+        assert np.any((triple.alpha.values > 0) & (triple.alpha.values < 1))
 
 
 def test_continuation_zero_source(grid):
@@ -173,6 +197,23 @@ def test_variational_matches_qp_oracle(grid, rho):
     sol = cvxopt.solvers.qp(p_mat, q_vec, g_mat, h_vec)
     m_qp = np.array(sol["x"]).ravel()
     assert np.max(np.abs(m.values - m_qp)) <= 1e-6
+
+
+def test_variational_matches_scipy_qp_oracle(grid, rho):
+    # the QP of test_variational_matches_qp_oracle, solved by SLSQP
+    from scipy.optimize import Bounds, LinearConstraint, minimize
+
+    cost = local_cost(grid, -0.01)
+    m = variational_minimize(cost.potential(), rho)
+    n = grid.n_total
+    h = grid.cell_volume
+    a = elliptic_matrix(grid).toarray()
+    res = minimize(lambda x: h * (0.5 * x @ x - 0.01 * x.sum()), np.zeros(n),
+                   jac=lambda x: h * (x - 0.01), method="SLSQP",
+                   constraints=[LinearConstraint(a, -np.inf, rho.values)],
+                   bounds=Bounds(0.0, np.inf), options={"ftol": 1e-12})
+    assert res.success
+    assert np.max(np.abs(m.values - res.x)) <= 1e-6
 
 
 def test_variational_requires_strict_monotone(grid, rho):
