@@ -33,7 +33,7 @@ import scipy.sparse as sp
 from .costs import CostOperator
 from .density import FaceVelocities, drift_divergence_matrix
 from .grid import FieldTrajectory, Grid, ScalarField, TimeGrid, elliptic_matrix
-from .obstacle import semismooth_newton
+from .obstacle import diagonal_update, semismooth_newton
 from .stationary import CoupledConfig, CoupledNonConvergence, _ramp
 
 __all__ = ["FBSolution", "forward_backward_solve", "forward_backward_continuation"]
@@ -186,8 +186,10 @@ def forward_backward_solve(
 
     for outer in range(1, cfg.max_outer + 1):
         outer_iters = outer
-        # freeze nonlocal / nonsmooth data from the current iterate
-        psi_arr, g_arr = _apply_obstacle(obstacle_op, grid, timegrid, m_arr)
+        # freeze nonlocal / nonsmooth data from the current iterate (the
+        # first pass reuses the obstacle computed above from the same m)
+        if outer > 1:
+            psi_arr, g_arr = _apply_obstacle(obstacle_op, grid, timegrid, m_arr)
         u_arr[steps] = psi_arr[steps]
         f_arr = np.stack([cost.evaluate(m_arr[k]) for k in range(steps + 1)])
         h_shift = hamiltonian.at_zero() if hamiltonian is not None else None
@@ -219,7 +221,7 @@ def forward_backward_solve(
 
         u_new, m_new, newton_res = _newton_frozen(
             cost, m0.values, u_arr, m_arr, psi_arr, f_arr, h_vals, div_ops,
-            a0, dt, steps, epsilon, band, grid, cfg)
+            a0, dt, steps, epsilon, band, cfg)
         gap = max(float(np.max(np.abs(m_new - m_arr))), float(np.max(np.abs(u_new - u_arr))))
         history.append(gap)
         u_arr = u_new
@@ -251,16 +253,32 @@ def forward_backward_solve(
 
 
 def _newton_frozen(cost, m0_vals, u_arr, m_arr, psi_arr, f_arr, h_vals, div_ops,
-                   a0, dt, steps, epsilon, band, grid, cfg):
-    """Joint semismooth Newton on the frozen forward-backward system.
+                   a0, dt, steps, epsilon, band, cfg):
+    """Joint semismooth Newton on the frozen forward-backward system
+    (see _frozen_system), from the current iterate."""
+    residual, jacobian, unstack = _frozen_system(
+        cost, m0_vals, u_arr[steps], psi_arr, h_vals, div_ops, a0, dt, epsilon, band)
+    x0 = np.concatenate([u_arr[:steps].ravel(), m_arr[1:].ravel()])
+    target = min(cfg.tol_pde, 1e-10) * (1.0 + float(np.max(np.abs(f_arr))))
+    x, norms, _ = semismooth_newton(residual, jacobian, x0, target, 60)
+    u_out, m_out = unstack(x)
+    return u_out, m_out, norms[-1]
+
+
+def _frozen_system(cost, m0_vals, u_terminal, psi_arr, h_vals, div_ops, a0, dt, epsilon, band):
+    """Residual, Jacobian and unstacking of one frozen outer pass.
 
     Unknowns x = [u_0..u_{K-1}, m_1..m_K]. The value equations carry
     the penalty (u - psi)^+/eps and frozen Hamiltonian values; the
     density equations carry the ramped exit rate and frozen drift.
+
+    The Jacobian is a static part, built once here (the diagonal blocks
+    B = A0 + I/dt and B + div_k, and the -I/dt couplings), plus four
+    value-dependent diagonal families: the penalty indicator, the
+    ramped exit rate, the ramp slope times m, and -f'(m).
     """
-    n = grid.n_total
-    k_steps = steps
-    u_terminal = u_arr[steps]
+    n = a0.shape[0]
+    k_steps = len(div_ops)
     eye_dt = sp.identity(n, format="csr") / dt
     b_op = (a0 + eye_dt).tocsr()
     ops = [b_op if d is None else b_op + d for d in div_ops]
@@ -285,30 +303,36 @@ def _newton_frozen(cost, m0_vals, u_arr, m_arr, psi_arr, f_arr, h_vals, div_ops,
             r_m[k] = ops[k] @ m[k + 1] - m[k] / dt + rate * m[k + 1]
         return np.concatenate([r_u.ravel(), r_m.ravel()])
 
+    blocks_u = [[None] * (2 * k_steps) for _ in range(k_steps)]
+    blocks_m = [[None] * (2 * k_steps) for _ in range(k_steps)]
+    for k in range(k_steps):
+        blocks_u[k][k] = b_op
+        if k + 1 < k_steps:
+            blocks_u[k][k + 1] = -eye_dt
+        blocks_m[k][k_steps + k] = ops[k]
+        if k >= 1:
+            blocks_m[k][k_steps + k - 1] = -eye_dt
+    n_u = k_steps * n
+    diag = np.arange(n_u)
+    # rows and columns of: the penalty indicator (u_k, u_k), -f'(m_k)
+    # (u_k, m_k) for k >= 1, the ramp slope times m (m_{k+1}, u_k) and
+    # the exit rate (m_{k+1}, m_{k+1})
+    assemble = diagonal_update(
+        sp.bmat(blocks_u + blocks_m),
+        np.concatenate([diag, diag[n:], n_u + diag, n_u + diag]),
+        np.concatenate([diag, n_u + diag[:-n], diag, n_u + diag]))
+
     def jacobian(x):
         u, m = unstack(x)
-        blocks_u = [[None] * (2 * k_steps) for _ in range(k_steps)]
-        blocks_m = [[None] * (2 * k_steps) for _ in range(k_steps)]
-        for k in range(k_steps):
-            v_k = u[k] - psi_arr[k]
-            blocks_u[k][k] = b_op + sp.diags((v_k > 0).astype(float) / epsilon)
-            if k + 1 < k_steps:
-                blocks_u[k][k + 1] = -eye_dt
-            if k >= 1:
-                blocks_u[k][k_steps + k - 1] = sp.diags(-cost.derivative(m[k]))
-            sigma = _ramp(v_k / band)
-            dsigma = np.where(np.abs(v_k) < band, 0.5 / band, 0.0)
-            blocks_m[k][k_steps + k] = ops[k] + sp.diags(sigma / epsilon)
-            if k >= 1:
-                blocks_m[k][k_steps + k - 1] = -eye_dt
-            blocks_m[k][k] = sp.diags(dsigma * m[k + 1] / epsilon)
-        return sp.bmat(blocks_u + blocks_m, format="csc")
+        v = u[:k_steps] - psi_arr[:k_steps]
+        dsigma = np.where(np.abs(v) < band, 0.5 / band, 0.0)
+        return assemble(np.concatenate([
+            ((v > 0).astype(float) / epsilon).ravel(),
+            *[-cost.derivative(m[k]) for k in range(1, k_steps)],
+            (dsigma * m[1:] / epsilon).ravel(),
+            (_ramp(v / band) / epsilon).ravel()]))
 
-    x0 = np.concatenate([u_arr[:steps].ravel(), m_arr[1:].ravel()])
-    target = min(cfg.tol_pde, 1e-10) * (1.0 + float(np.max(np.abs(f_arr))))
-    x, norms, _ = semismooth_newton(residual, jacobian, x0, target, 60)
-    u_out, m_out = unstack(x)
-    return u_out, m_out, norms[-1]
+    return residual, jacobian, unstack
 
 
 def forward_backward_continuation(

@@ -36,6 +36,7 @@ __all__ = [
     "solve_obstacle_penalized",
     "solve_obstacle_parabolic",
     "semismooth_newton",
+    "diagonal_update",
     "complementarity_residual",
 ]
 
@@ -193,7 +194,9 @@ def semismooth_newton(residual, jacobian, x0, target, max_iter):
     primal-dual active-set view of Hintermueller-Ito-Kunisch). A step
     is accepted on a (1 - 1e-4 tau) decrease of |residual|_inf or on
     reaching target, halving tau up to 50 times; the iteration stops at
-    target, after max_iter steps, or once tau falls below 1e-12.
+    target, after max_iter steps, once tau falls below 1e-12, or once
+    the norm has not halved over the last 20 steps (a stalled solve
+    does not spend its whole step cap).
 
     Returns (x, norms, iterations): norms holds the residual norm of the
     start and after every step; iterations counts the passes of the
@@ -218,9 +221,28 @@ def semismooth_newton(residual, jacobian, x0, target, max_iter):
             tau *= 0.5
         x, res, norm = x_new, res_new, norm_new
         norms.append(norm)
-        if tau < 1e-12:
+        if tau < 1e-12 or (it > 20 and norm > 0.5 * norms[-21]):
             break
     return x, norms, it
+
+
+def diagonal_update(static, rows, cols):
+    """Assembler for a sparse matrix whose values change only at fixed
+    positions, such as a Newton Jacobian with value-dependent diagonals.
+
+    static, the iterate-independent part, is converted once; rows and
+    cols name the value-dependent positions, none of them twice. The
+    returned assemble(vals) gives static + sparse(vals at (rows, cols))
+    in canonical CSC form. The sparse sum stores no entry that comes out
+    exactly 0, the same pattern as sp.diags/sp.bmat assembly; this
+    matters because SuperLU's column ordering reads stored zeros.
+    """
+    static = sp.csc_matrix(static)
+
+    def assemble(vals):
+        return static + sp.csc_matrix((vals, (rows, cols)), shape=static.shape)
+
+    return assemble
 
 
 def _penalized_newton(matrix, f, psi, eps, grid, config, u0=None) -> np.ndarray:
@@ -230,9 +252,11 @@ def _penalized_newton(matrix, f, psi, eps, grid, config, u0=None) -> np.ndarray:
     M-matrices.
     """
     u = _linsolve(matrix, f, grid) if u0 is None else u0
+    diag = np.arange(matrix.shape[0])
+    assemble = diagonal_update(matrix, diag, diag)
     u, norms, it = semismooth_newton(
         lambda v: matrix @ v + np.maximum(v - psi, 0.0) / eps - f,
-        lambda v: (matrix + sp.diags((v > psi).astype(float) / eps)).tocsc(),
+        lambda v: assemble((v > psi).astype(float) / eps),
         u, config.tol, 200)
     if norms[-1] <= config.tol:
         return u

@@ -31,6 +31,7 @@ from .grid import (
 from .obstacle import (
     ObstacleSolveConfig,
     _linsolve,
+    diagonal_update,
     semismooth_newton,
     solve_obstacle_stationary,
 )
@@ -208,28 +209,7 @@ def penalized_coupled_solve(
             u[inside] *= band / band_init
     # quadrature weights of the pairing <w, m> for the bordered unknown
     w = None if cost.is_local else cost.weight.values * grid.cell_volume
-
-    def residual(x):
-        uv, mv = x[:n], x[n:2 * n]
-        f = cost.evaluate(mv) if w is None else cost.c0 + cost.c1 * x[-1]
-        r = [a @ uv + np.maximum(uv, 0.0) / epsilon - f,
-             a @ mv + _ramp(uv / band) / epsilon * mv - rho_v]
-        if w is not None:
-            r.append([x[-1] - w @ mv])
-        return np.concatenate(r)
-
-    def jacobian(x):
-        uv, mv = x[:n], x[n:2 * n]
-        dsigma = np.where(np.abs(uv) < band, 0.5 / band, 0.0)
-        j11 = a + sp.diags((uv > 0).astype(float) / epsilon)
-        j21 = sp.diags(dsigma * mv / epsilon)
-        j22 = a + sp.diags(_ramp(uv / band) / epsilon)
-        if w is None:
-            return sp.bmat([[j11, sp.diags(-cost.derivative(mv))], [j21, j22]], format="csc")
-        return sp.bmat([[j11, None, sp.csr_matrix(np.full((n, 1), -cost.c1))],
-                        [j21, j22, None],
-                        [None, sp.csr_matrix(-w[None, :]), sp.identity(1)]], format="csc")
-
+    residual, jacobian = _penalized_system(cost, a, rho_v, epsilon, band, w)
     x0 = np.concatenate([u, m] if w is None else [u, m, [w @ m]])
     target = min(cfg.tol_pde, 1e-10) * (1.0 + scale)
     x, history, it = semismooth_newton(residual, jacobian, x0, target, cfg.max_outer)
@@ -248,6 +228,54 @@ def penalized_coupled_solve(
         iterations=it, residual_history=history,
         delta_band=band, converged=converged,
     )
+
+
+def _penalized_system(cost, a, rho_v, epsilon, band, w):
+    """Residual and Jacobian of the penalized coupled system in the
+    stacked unknown x = [u, m] (local cost) or [u, m, s] (nonlocal cost
+    with pairing weights w, s = <w, m>).
+
+    The Jacobian is a static part, built once here (A on both diagonal
+    blocks, and for a nonlocal cost the bordered row and column), plus
+    value-dependent diagonals: the penalty indicator, the ramp slope
+    times m, the exit rate and, for a local cost, -f'(m).
+    """
+    n = a.shape[0]
+
+    def residual(x):
+        uv, mv = x[:n], x[n:2 * n]
+        f = cost.evaluate(mv) if w is None else cost.c0 + cost.c1 * x[-1]
+        r = [a @ uv + np.maximum(uv, 0.0) / epsilon - f,
+             a @ mv + _ramp(uv / band) / epsilon * mv - rho_v]
+        if w is not None:
+            r.append([x[-1] - w @ mv])
+        return np.concatenate(r)
+
+    diag = np.arange(n)
+    # rows and columns of: the penalty indicator (u, u), the ramp slope
+    # times m (m, u), the exit rate (m, m) and -f'(m) (u, m)
+    rows = [diag, n + diag, n + diag]
+    cols = [diag, diag, n + diag]
+    if w is None:
+        static = sp.bmat([[a, None], [None, a]])
+        rows.append(diag)
+        cols.append(n + diag)
+    else:
+        static = sp.bmat([[a, None, sp.csr_matrix(np.full((n, 1), -cost.c1))],
+                          [None, a, None],
+                          [None, sp.csr_matrix(-w[None, :]), sp.identity(1)]])
+    assemble = diagonal_update(static, np.concatenate(rows), np.concatenate(cols))
+
+    def jacobian(x):
+        uv, mv = x[:n], x[n:2 * n]
+        dsigma = np.where(np.abs(uv) < band, 0.5 / band, 0.0)
+        vals = [(uv > 0).astype(float) / epsilon, dsigma * mv / epsilon,
+                _ramp(uv / band) / epsilon]
+        if w is None:
+            vals.append(-cost.derivative(mv))
+        return assemble(np.concatenate(vals))
+
+    return residual, jacobian
 
 
 def _ramp(s):

@@ -3,6 +3,10 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from mfgstop._coupled import _face_drift, _frozen_system
+from mfgstop.control import Hamiltonian
+from mfgstop.costs import CostOperator
+from mfgstop.density import drift_divergence_matrix
 from mfgstop.grid import (
     FieldTrajectory,
     ScalarField,
@@ -20,6 +24,8 @@ from mfgstop.obstacle import (
     solve_obstacle_penalized,
     solve_obstacle_stationary,
 )
+from mfgstop.scenarios import raised_cosine_bump
+from mfgstop.stationary import _penalized_system, _ramp
 
 
 def cosh_profile(x):
@@ -146,6 +152,98 @@ def test_semismooth_newton_on_penalized_obstacle():
     assert np.max(np.abs(u - exact)) <= eps * np.max(f)
     _, norms1, iterations1 = semismooth_newton(residual, jacobian, x0, 1e-9, 1)
     assert iterations1 == 1 and len(norms1) == 2 and norms1[-1] > 1e-9
+
+
+def assert_same_csc(new, old):
+    # the same stored pattern, in the same order, and the same bits
+    assert new.format == "csc" and old.format == "csc"
+    assert np.array_equal(new.indptr, old.indptr)
+    assert np.array_equal(new.indices, old.indices)
+    assert new.data.tobytes() == old.data.tobytes()
+
+
+def band_offsets(rng, shape, band):
+    # nodes above, inside (both sides of 0, and at 0) and below the band
+    return band * rng.choice([-3.0, -0.5, 0.0, 0.25, 0.5, 3.0], size=shape)
+
+
+@pytest.mark.parametrize("drift", [False, True])
+def test_frozen_jacobian_matches_block_assembly(drift):
+    # oracle: the whole block grid built with sp.bmat and sp.diags at
+    # every step; f = m^2 + f0 gives -f'(m) = 0 where m <= 0
+    g = build_grid(1, (0.0, 1.0), 7)
+    n, k_steps, dt, eps, band = 7, 3, 0.1, 1e-3, 0.05
+    rng = np.random.default_rng(11)
+    cost = CostOperator.local_power(g, 1.0, 2.0, ScalarField.constant(g, -0.3))
+    a0 = elliptic_matrix(g, with_zero_order=False)
+    psi_arr = rng.normal(size=(k_steps + 1, n))
+    u = psi_arr + band_offsets(rng, (k_steps + 1, n), band)
+    m = rng.choice([-0.2, 0.0, 0.3, 1.1], size=(k_steps + 1, n))
+    div_ops = [None] * k_steps
+    if drift:
+        ham = Hamiltonian.smoothed_norm(ScalarField.constant(g, 1.0))
+        div_ops = [drift_divergence_matrix(g, _face_drift(g, ham, u[k])) for k in range(k_steps)]
+    _, jacobian, unstack = _frozen_system(cost, m[0], u[k_steps], psi_arr,
+                                          np.zeros((k_steps, n)), div_ops, a0, dt, eps, band)
+    x = np.concatenate([u[:k_steps].ravel(), m[1:].ravel()])
+    u_x, m_x = unstack(x)
+    assert np.array_equal(u_x, u) and np.array_equal(m_x, m)
+
+    eye_dt = sp.identity(n, format="csr") / dt
+    b_op = (a0 + eye_dt).tocsr()
+    ops = [b_op if d is None else b_op + d for d in div_ops]
+    blocks_u = [[None] * (2 * k_steps) for _ in range(k_steps)]
+    blocks_m = [[None] * (2 * k_steps) for _ in range(k_steps)]
+    for k in range(k_steps):
+        v_k = u[k] - psi_arr[k]
+        blocks_u[k][k] = b_op + sp.diags((v_k > 0).astype(float) / eps)
+        if k + 1 < k_steps:
+            blocks_u[k][k + 1] = -eye_dt
+        if k >= 1:
+            blocks_u[k][k_steps + k - 1] = sp.diags(-cost.derivative(m[k]))
+        dsigma = np.where(np.abs(v_k) < band, 0.5 / band, 0.0)
+        blocks_m[k][k_steps + k] = ops[k] + sp.diags(_ramp(v_k / band) / eps)
+        if k >= 1:
+            blocks_m[k][k_steps + k - 1] = -eye_dt
+        blocks_m[k][k] = sp.diags(dsigma * m[k + 1] / eps)
+    oracle = sp.bmat(blocks_u + blocks_m, format="csc")
+    # the zero entries are really there, and really not stored
+    assert np.any(cost.derivative(m[1:k_steps]) == 0.0)
+    assert np.any((np.abs(u[:k_steps] - psi_arr[:k_steps]) < band) & (m[1:] == 0.0))
+    assert_same_csc(jacobian(x), oracle)
+
+
+@pytest.mark.parametrize("local", [True, False])
+def test_stationary_jacobian_matches_block_assembly(local):
+    g = build_grid(1, (0.0, 1.0), 9)
+    n, eps, band = 9, 1e-4, 0.02
+    rng = np.random.default_rng(5)
+    a = elliptic_matrix(g)
+    bump = raised_cosine_bump(g)
+    if local:
+        cost, w = CostOperator.local_power(g, 1.0, 2.0, ScalarField.constant(g, -0.3)), None
+    else:
+        cost = CostOperator.nonlocal_affine(g, -0.5, 2.0, bump)
+        w = bump.values * g.cell_volume
+        assert np.any(w == 0.0)
+    uv = band_offsets(rng, n, band)
+    mv = rng.choice([-0.2, 0.0, 0.3, 1.1], size=n)
+    x = np.concatenate([uv, mv] if local else [uv, mv, [w @ mv]])
+    _, jacobian = _penalized_system(cost, a, bump.values, eps, band, w)
+
+    dsigma = np.where(np.abs(uv) < band, 0.5 / band, 0.0)
+    j11 = a + sp.diags((uv > 0).astype(float) / eps)
+    j21 = sp.diags(dsigma * mv / eps)
+    j22 = a + sp.diags(_ramp(uv / band) / eps)
+    if local:
+        oracle = sp.bmat([[j11, sp.diags(-cost.derivative(mv))], [j21, j22]], format="csc")
+        assert np.any(cost.derivative(mv) == 0.0)
+    else:
+        oracle = sp.bmat([[j11, None, sp.csr_matrix(np.full((n, 1), -cost.c1))],
+                          [j21, j22, None],
+                          [None, sp.csr_matrix(-w[None, :]), sp.identity(1)]], format="csc")
+    assert np.any((np.abs(uv) < band) & (mv == 0.0))
+    assert_same_csc(jacobian(x), oracle)
 
 
 def test_comparison_principle():

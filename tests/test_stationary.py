@@ -72,6 +72,15 @@ def test_coupled_self_consistency_residuals(grid, rho):
     assert np.all(triple.alpha.values[triple.u.values > triple.delta_band] == 1.0)
 
 
+def strictly_monotone_nonlocal(grid, rho):
+    # f = -0.5 + <w, m> / <w, A^-1 rho>: f(0) < 0 < f(A^-1 rho)
+    w = raised_cosine_bump(grid)
+    free = ScalarField(grid, spla.spsolve(elliptic_matrix(grid).tocsc(), rho.values))
+    cost = CostOperator.nonlocal_affine(grid, -0.5, 1.0 / inner(w, free), w)
+    assert cost.monotonicity == "strict_monotone"
+    return cost
+
+
 @pytest.mark.parametrize("case", ["anti_monotone_1d", "strict_monotone"])
 def test_nonlocal_self_consistency_residuals(grid, rho, case):
     # f = c0 + c1 <w, m> enters the Newton system through the bordered
@@ -79,10 +88,7 @@ def test_nonlocal_self_consistency_residuals(grid, rho, case):
     if case == "anti_monotone_1d":
         cost = scenario_standard(case).cost
     else:
-        w = raised_cosine_bump(grid)
-        free = ScalarField(grid, spla.spsolve(elliptic_matrix(grid).tocsc(), rho.values))
-        cost = CostOperator.nonlocal_affine(grid, -0.5, 1.0 / inner(w, free), w)
-        assert cost.monotonicity == "strict_monotone"
+        cost = strictly_monotone_nonlocal(grid, rho)
     triple = penalized_coupled_solve(cost, rho, 1e-3)
     assert triple.converged
     assert max(penalized_residuals(triple, cost, rho)) <= 1e-8
@@ -265,6 +271,18 @@ def test_nonconvergence_reports_history(grid, rho):
     with pytest.raises(CoupledNonConvergence) as err:
         penalized_coupled_solve(cost, rho, 1e-5, cfg)
     assert len(err.value.residual_history) >= 1
+
+
+def test_stalled_newton_stops_early(grid, rho):
+    # cold-started at a small eps this cost stalls (continuation from
+    # eps = 0.1 converges); the driver gives up once the residual norm
+    # has not halved over 20 steps instead of running to max_outer
+    cost = strictly_monotone_nonlocal(grid, rho)
+    with pytest.raises(CoupledNonConvergence) as err:
+        penalized_coupled_solve(cost, rho, 1e-5)
+    norms = err.value.residual_history
+    assert len(norms) - 1 <= 40 < CoupledConfig().max_outer
+    assert norms[-1] > 0.5 * norms[-21]
 
 
 def test_every_density_passes_subsolution(grid, rho):
