@@ -22,7 +22,7 @@ from .grid import (
     TimeGrid,
     elliptic_matrix,
 )
-from .obstacle import _linsolve
+from .obstacle import _linsolve, _lu_solve
 
 __all__ = [
     "KillingData",
@@ -111,8 +111,7 @@ def solve_density_on_set(omega: NodeMask, source: ScalarField, with_zero_order: 
     idx = np.flatnonzero(omega.mask)
     if idx.size:
         a = elliptic_matrix(grid, with_zero_order).tocsc()
-        sub = a[np.ix_(idx, idx)].tocsc()
-        m[idx] = np.atleast_1d(sp.linalg.spsolve(sub, source.values[idx]))
+        m[idx] = _lu_solve(a[np.ix_(idx, idx)], source.values[idx])
     return ScalarField(grid, m)
 
 
@@ -123,7 +122,7 @@ def solve_density_penalized(killing: KillingData, source: ScalarField, with_zero
         raise ValueError("killing data and source must share one grid")
     _require_nonnegative(source.values, "rho")
     a = elliptic_matrix(grid, with_zero_order) + sp.diags(killing.rate())
-    return ScalarField(grid, _linsolve(a.tocsr(), source.values, grid))
+    return ScalarField(grid, _linsolve(a, source.values, grid))
 
 
 def check_subsolution(m: ScalarField, source: ScalarField, with_zero_order: bool = True) -> ScalarField:
@@ -225,6 +224,6 @@ def solve_density_parabolic(
         dv = _step_drift(drift_traj, k)
         if dv is not None:
             mat = mat + drift_divergence_matrix(grid, dv)
-        m = _linsolve(mat.tocsr(), m / dt, grid)
+        m = _linsolve(mat, m / dt, grid)
         slices.append(ScalarField(grid, m))
     return FieldTrajectory(timegrid, tuple(slices))

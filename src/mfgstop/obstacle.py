@@ -106,8 +106,27 @@ def _psor(matrix, f, psi, u0, grid, config) -> np.ndarray:
     raise ObstacleConvergenceError("projected SOR did not converge", res, config.max_iter)
 
 
+def _lu_solve(matrix, rhs) -> np.ndarray:
+    """Sparse LU solve: the one factorization of the package.
+
+    SuperLU with minimum-degree ordering on the pattern of A^T + A and
+    diagonal pivots preferred: the Newton Jacobians have a symmetric or
+    nearly symmetric pattern, on which this ordering makes about half
+    the fill of the default COLAMD. An exactly singular matrix gives
+    NaNs, so a Newton solve ends in non-convergence rather than an
+    exception.
+    """
+    try:
+        lu = spla.splu(sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A",
+                       options={"SymmetricMode": True})
+    except RuntimeError:
+        return np.full(matrix.shape[0], np.nan)
+    return lu.solve(rhs)
+
+
 def _linsolve(matrix, rhs, grid: Grid) -> np.ndarray:
-    """Direct solve; banded fast path for 1D tridiagonal systems."""
+    """Direct solve: a banded solve for 1D tridiagonal systems, the
+    sparse LU of _lu_solve otherwise."""
     if grid.dim == 1:
         n = grid.n_total
         ab = np.zeros((3, n))
@@ -115,7 +134,7 @@ def _linsolve(matrix, rhs, grid: Grid) -> np.ndarray:
         ab[1, :] = matrix.diagonal(0)
         ab[2, :-1] = matrix.diagonal(-1)
         return solve_banded((1, 1), ab, rhs)
-    return spla.spsolve(matrix.tocsc(), rhs)
+    return _lu_solve(matrix, rhs)
 
 
 def solve_obstacle_stationary(
@@ -191,9 +210,11 @@ def semismooth_newton(residual, jacobian, x0, target, max_iter):
 
     jacobian(x) returns a generalized Jacobian of residual at x as a
     sparse matrix (the active-set linearization of the max terms, in the
-    primal-dual active-set view of Hintermueller-Ito-Kunisch). A step
-    is accepted on a (1 - 1e-4 tau) decrease of |residual|_inf or on
-    reaching target, halving tau up to 50 times; the iteration stops at
+    primal-dual active-set view of Hintermueller-Ito-Kunisch); each step
+    factors it afresh by _lu_solve, and a singular Jacobian gives a NaN
+    norm that ends the loop short of target. A step is accepted on a
+    (1 - 1e-4 tau) decrease of |residual|_inf or on reaching target,
+    halving tau up to 50 times; the iteration stops at
     target, after max_iter steps, once tau falls below 1e-12, or once
     the norm has not halved over the last 20 steps (a stalled solve
     does not spend its whole step cap).
@@ -210,7 +231,7 @@ def semismooth_newton(residual, jacobian, x0, target, max_iter):
     for it in range(1, max_iter + 1):
         if norm <= target:
             break
-        step = spla.spsolve(jacobian(x), -res)
+        step = _lu_solve(jacobian(x), -res)
         tau = 1.0
         for _ls in range(50):
             x_new = x + tau * step

@@ -31,6 +31,7 @@ from .grid import (
 from .obstacle import (
     ObstacleSolveConfig,
     _linsolve,
+    _lu_solve,
     diagonal_update,
     semismooth_newton,
     solve_obstacle_stationary,
@@ -217,7 +218,7 @@ def penalized_coupled_solve(
     # final exact density solve for the converged rate (restores exact
     # nonnegativity through the M-matrix structure)
     sigma = _ramp(u / band)
-    m = _linsolve((a + sp.diags(sigma / epsilon)).tocsr(), rho_v, grid)
+    m = _linsolve(a + sp.diags(sigma / epsilon), rho_v, grid)
     r_u = float(np.max(np.abs(a @ u + np.maximum(u, 0.0) / epsilon - cost.evaluate(m))))
     converged = r_u <= cfg.tol_pde
     if strict and not converged:
@@ -440,9 +441,8 @@ def _al_inner(potential, a, at, rho, m0, lam, mu, h, max_iter=120):
         if not free.any():
             break
         idx = np.flatnonzero(free)
-        sub = hess[np.ix_(idx, idx)]
         step = np.zeros_like(m)
-        step[idx] = sp.linalg.spsolve(sub.tocsc(), -g[idx])
+        step[idx] = _lu_solve(hess[np.ix_(idx, idx)], -g[idx])
         # Armijo backtracking with projection onto m >= 0
         t = 1.0
         base = value(m)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfgstop.density import (
     FaceVelocities,
@@ -50,6 +52,31 @@ def test_restricted_solve_matches_dense_oracle():
     assert np.max(np.abs(m.values - expected)) <= 1e-12
     assert np.all(m.values >= -1e-12)
     assert np.all(m.values[~mask.mask] == 0.0)
+
+
+GRID_5X5 = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (5, 5))
+node_masks = st.lists(st.booleans(), min_size=25, max_size=25).map(np.array)
+densities = st.lists(st.floats(0.0, 10.0), min_size=25, max_size=25).map(np.array)
+deterministic = settings(derandomize=True, deadline=None, max_examples=50, database=None)
+
+
+@deterministic
+@given(node_masks, densities)
+def test_exclusion_solve_is_a_nonnegative_subsolution(mask, rho_vals):
+    rho = ScalarField(GRID_5X5, rho_vals)
+    m = solve_density_on_set(NodeMask(GRID_5X5, mask), rho).values
+    assert np.all(m >= -1e-12)
+    assert np.all(m[~mask] == 0.0)
+    assert np.all(elliptic_matrix(GRID_5X5) @ m <= rho_vals + 1e-12)
+
+
+@deterministic
+@given(node_masks, node_masks, densities)
+def test_exclusion_solve_grows_with_the_set(mask, extra, rho_vals):
+    rho = ScalarField(GRID_5X5, rho_vals)
+    m_small = solve_density_on_set(NodeMask(GRID_5X5, mask), rho).values
+    m_big = solve_density_on_set(NodeMask(GRID_5X5, mask | extra), rho).values
+    assert np.all(m_big >= m_small - 1e-12)
 
 
 def test_rejects_negative_source():

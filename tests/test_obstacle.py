@@ -3,10 +3,11 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from mfgstop._coupled import _face_drift, _frozen_system
+from mfgstop._coupled import _face_drift, _frozen_system, forward_backward_solve
 from mfgstop.control import Hamiltonian
 from mfgstop.costs import CostOperator
 from mfgstop.density import drift_divergence_matrix
+from mfgstop.evolutive import ObstacleOperator
 from mfgstop.grid import (
     FieldTrajectory,
     ScalarField,
@@ -17,6 +18,7 @@ from mfgstop.grid import (
 from mfgstop.obstacle import (
     ObstacleConvergenceError,
     ObstacleSolveConfig,
+    _lu_solve,
     complementarity_residual,
     obstacle_oracle,
     semismooth_newton,
@@ -24,8 +26,8 @@ from mfgstop.obstacle import (
     solve_obstacle_penalized,
     solve_obstacle_stationary,
 )
-from mfgstop.scenarios import raised_cosine_bump
-from mfgstop.stationary import _penalized_system, _ramp
+from mfgstop.scenarios import gaussian_density, raised_cosine_bump
+from mfgstop.stationary import _penalized_system, _ramp, continuation_solve
 
 
 def cosh_profile(x):
@@ -152,6 +154,67 @@ def test_semismooth_newton_on_penalized_obstacle():
     assert np.max(np.abs(u - exact)) <= eps * np.max(f)
     _, norms1, iterations1 = semismooth_newton(residual, jacobian, x0, 1e-9, 1)
     assert iterations1 == 1 and len(norms1) == 2 and norms1[-1] > 1e-9
+
+
+def test_singular_jacobian_ends_newton_without_raising():
+    # an exactly singular Jacobian gives a NaN step: the driver returns,
+    # short of target, instead of letting the LU's exception escape
+    mat = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    b = np.array([1.0, 0.0])
+    _, norms, _ = semismooth_newton(lambda x: mat @ x - b, lambda x: mat,
+                                    np.zeros(2), 1e-10, 10)
+    assert norms[0] == 1.0 and np.isnan(norms[-1])
+
+
+def test_singular_matrix_in_2d_obstacle_raises_convergence_error():
+    g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (3, 3))
+    singular = sp.csr_matrix(np.ones((9, 9)))
+    with pytest.raises(ObstacleConvergenceError, match="residual nan"):
+        solve_obstacle_penalized(ScalarField.constant(g, 1.0), ScalarField.zeros(g), 1e-3,
+                                 u0=ScalarField.constant(g, -1.0), matrix=singular)
+
+
+def test_every_factorization_uses_the_symmetric_ordering(monkeypatch):
+    orderings = []
+    splu = spla.splu
+
+    def recording_splu(matrix, permc_spec=None, **kwargs):
+        orderings.append(permc_spec)
+        return splu(matrix, permc_spec=permc_spec, **kwargs)
+
+    def no_spsolve(*args, **kwargs):
+        raise AssertionError("spsolve called")
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    monkeypatch.setattr(spla, "spsolve", no_spsolve)
+    g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (9, 9))
+    cost = CostOperator.local_power(g, 1.0, 1.0, ScalarField.constant(g, -0.5))
+    continuation_solve(cost, raised_cosine_bump(g), [1e-1, 1e-2, 1e-3])
+    n_stationary = len(orderings)
+    tg = build_timegrid(0.3, 2)
+    forward_backward_solve(cost, gaussian_density(g, sigma=0.15), tg, 1e-3,
+                           obstacle_op=ObstacleOperator.zero(g, tg))
+    assert 0 < n_stationary < len(orderings)
+    assert set(orderings) == {"MMD_AT_PLUS_A"}
+
+
+def test_lu_solve_matches_spsolve_on_nonsymmetric_values():
+    # a 2D stationary Newton Jacobian: A on both diagonal blocks,
+    # nonsymmetric values, exact zeros among the value-dependent entries
+    g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (9, 9))
+    n, eps, band = 81, 1e-4, 0.02
+    rng = np.random.default_rng(7)
+    cost = CostOperator.local_power(g, 1.0, 2.0, ScalarField.constant(g, -0.3))
+    uv = band_offsets(rng, n, band)
+    mv = rng.choice([-0.2, 0.0, 0.3, 1.1], size=n)
+    _, jacobian = _penalized_system(cost, elliptic_matrix(g), raised_cosine_bump(g).values,
+                                    eps, band, None)
+    jac = jacobian(np.concatenate([uv, mv]))
+    assert np.any((np.abs(uv) < band) & (mv == 0.0)) and np.any(cost.derivative(mv) == 0.0)
+    assert abs(jac - jac.T).max() > 0.0
+    rhs = rng.normal(size=2 * n)
+    expected = spla.spsolve(jac, rhs)
+    assert np.max(np.abs(_lu_solve(jac, rhs) - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def assert_same_csc(new, old):
