@@ -20,7 +20,7 @@ from mfgstop.control import (
     fenchel_conjugate,
 )
 from mfgstop.density import FaceVelocities, KillingData, solve_density_parabolic
-from mfgstop.grid import NodeMask
+from mfgstop.grid import NodeMask, ScalarField
 from mfgstop.scenarios import scenario_standard
 
 sc = scenario_standard("control_smoothnorm")
@@ -59,7 +59,8 @@ pot = sc.cost.potential()
 base = control_objective(sol.m, sol.drift, pot, sc.hamiltonian, sc.timegrid)
 print(f"  equilibrium objective: {base:+.8f}")
 x_faces = np.linspace(0, 1, sc.grid.n_interior[0] + 1)
-killing = [KillingData(sol.alpha.slices[k], NodeMask.all(sc.grid), sol.epsilon)
+killing = [KillingData(ScalarField(sc.grid, sol.alpha.array()[k]), NodeMask.all(sc.grid),
+                       sol.epsilon)
            for k in range(sc.timegrid.n_steps)]
 for label, shape in (("sin", np.sin(np.pi * x_faces)),
                      ("skew", np.sin(2 * np.pi * x_faces)),

@@ -29,7 +29,7 @@ for name in ("evolutive_psi0", "evolutive_heat_g"):
     print(f"  {'t':>6} {'mass':>8} {'peak m':>8}  exit-rate nodes")
     times = sc.timegrid.times()
     for k in range(0, sc.timegrid.n_steps + 1, 10):
-        active = int(np.sum(sol.alpha.slices[min(k, sc.timegrid.n_steps - 1)].values > 1e-6))
+        active = int(np.sum(sol.alpha.array()[min(k, sc.timegrid.n_steps - 1)] > 1e-6))
         print(f"  {times[k]:>6.2f} {masses[k]:>8.4f} {marr[k].max():>8.4f}  {active}")
     print("  residuals:")
     for key, value in report.to_dict().items():

@@ -231,9 +231,9 @@ def forward_backward_solve(
             rate = _ramp((u_arr[:steps] - psi_arr[:steps]) / band) / epsilon
             alpha = np.vstack([rate * epsilon, rate[-1:] * epsilon])
             return FBSolution(
-                u=FieldTrajectory.from_array(grid, timegrid, u_arr),
-                m=FieldTrajectory.from_array(grid, timegrid, m_arr),
-                alpha=FieldTrajectory.from_array(grid, timegrid, np.clip(alpha, 0.0, 1.0)),
+                u=FieldTrajectory(grid, timegrid, u_arr),
+                m=FieldTrajectory(grid, timegrid, m_arr),
+                alpha=FieldTrajectory(grid, timegrid, np.clip(alpha, 0.0, 1.0)),
                 drift=None if drift is None else tuple(drift),
                 epsilon=epsilon,
                 iterations=outer,

@@ -163,8 +163,8 @@ class RunConfig:
                 self.obstacle_op = ObstacleOperator.zero(self.grid, self.timegrid)
             elif okind == "constant_field":
                 psi = _build_field(self.grid, _require(ospec, "psi", "obstacle"), "obstacle.psi")
-                traj = FieldTrajectory(self.timegrid, tuple([psi] * (self.timegrid.n_steps + 1)))
-                self.obstacle_op = ObstacleOperator.constant(traj)
+                self.obstacle_op = ObstacleOperator.constant(FieldTrajectory(
+                    self.grid, self.timegrid, np.tile(psi.values, (self.timegrid.n_steps + 1, 1))))
             elif okind == "heat_from_g":
                 self.obstacle_op = ObstacleOperator.heat_source(
                     _build_cost(self.grid, _require(ospec, "g", "obstacle")))
@@ -364,6 +364,8 @@ def cmd_verify(u_path: str, m_path: str, config_path: str) -> int:
         else:
             u = read_trajectory_csv(cfg.grid, u_path)
             m = read_trajectory_csv(cfg.grid, m_path)
+            if u.timegrid != cfg.timegrid or m.timegrid != cfg.timegrid:
+                raise ValueError(f"trajectory time grid differs from the config's {cfg.timegrid}")
             if cfg.problem == "osmfg":
                 report = verify_mixed_evolutive(u, m, cfg.cost, cfg.obstacle_op, cfg.m0)
             else:

@@ -189,7 +189,7 @@ def solve_hjb_obstacle(
         else:
             raise CoupledNonConvergence(f"HJB inner loop stalled at slice {k}", [])
         u_arr[k] = u_k
-    return FieldTrajectory.from_array(grid, timegrid, u_arr)
+    return FieldTrajectory(grid, timegrid, u_arr)
 
 
 def cosmfg_coupled_solve(

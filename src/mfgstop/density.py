@@ -214,8 +214,8 @@ def solve_density_parabolic(
     dt = timegrid.dt
     base = (elliptic_matrix(grid, with_zero_order=False)
             + sp.identity(grid.n_total, format="csr") / dt).tocsr()
-    slices = [m0]
-    m = m0.values
+    m_arr = np.empty((timegrid.n_steps + 1, grid.n_total))
+    m_arr[0] = m0.values
     for k in range(timegrid.n_steps):
         mat = base
         kd = _step_killing(killing_traj, k)
@@ -224,6 +224,5 @@ def solve_density_parabolic(
         dv = _step_drift(drift_traj, k)
         if dv is not None:
             mat = mat + drift_divergence_matrix(grid, dv)
-        m = _linsolve(mat, m / dt, grid)
-        slices.append(ScalarField(grid, m))
-    return FieldTrajectory(timegrid, tuple(slices))
+        m_arr[k + 1] = _linsolve(mat, m_arr[k] / dt, grid)
+    return FieldTrajectory(grid, timegrid, m_arr)

@@ -106,8 +106,8 @@ def apply_obstacle_operator(op: ObstacleOperator, m: FieldTrajectory):
     if op.kind == "heat_from_g" and np.any(m.array() < -1e-12):
         raise ValueError("density trajectory must be nonnegative")
     psi_arr, g_arr = op.apply_arrays(m.grid, m.timegrid, m.array())
-    return (FieldTrajectory.from_array(m.grid, m.timegrid, psi_arr),
-            FieldTrajectory.from_array(m.grid, m.timegrid, g_arr))
+    return (FieldTrajectory(m.grid, m.timegrid, psi_arr),
+            FieldTrajectory(m.grid, m.timegrid, g_arr))
 
 
 @dataclass(frozen=True)

@@ -170,36 +170,27 @@ class ScalarField:
 
 @dataclass(frozen=True, eq=False)
 class FieldTrajectory:
-    """One ScalarField per time slice 0..n_steps on a shared grid."""
+    """Nodal values at time levels 0..n_steps on one grid: a read-only
+    (n_steps + 1, n_total) array, row k holding time level k."""
 
+    grid: Grid
     timegrid: TimeGrid
-    slices: tuple[ScalarField, ...]
+    values: np.ndarray
 
     def __post_init__(self):
-        if len(self.slices) != self.timegrid.n_steps + 1:
-            raise ValueError("need one slice per time level 0..n_steps")
-        g = self.slices[0].grid
-        if any(s.grid != g for s in self.slices):
-            raise ValueError("all slices must share one grid")
-        object.__setattr__(self, "slices", tuple(self.slices))
-
-    @property
-    def grid(self) -> Grid:
-        return self.slices[0].grid
+        v = _readonly(self.values)
+        shape = (self.timegrid.n_steps + 1, self.grid.n_total)
+        if v.shape != shape:
+            raise ValueError(f"expected shape {shape}, got {v.shape}")
+        object.__setattr__(self, "values", v)
 
     def array(self) -> np.ndarray:
-        return np.stack([s.values for s in self.slices], axis=0)
-
-    @staticmethod
-    def from_array(grid: Grid, timegrid: TimeGrid, a: np.ndarray) -> "FieldTrajectory":
-        a = np.asarray(a, dtype=float)
-        if a.shape != (timegrid.n_steps + 1, grid.n_total):
-            raise ValueError(f"expected shape {(timegrid.n_steps + 1, grid.n_total)}, got {a.shape}")
-        return FieldTrajectory(timegrid, tuple(ScalarField(grid, row) for row in a))
+        """The stored (n_steps + 1, n_total) array itself (read-only)."""
+        return self.values
 
     @staticmethod
     def constant(grid: Grid, timegrid: TimeGrid, value: float) -> "FieldTrajectory":
-        return FieldTrajectory.from_array(
+        return FieldTrajectory(
             grid, timegrid, np.full((timegrid.n_steps + 1, grid.n_total), float(value))
         )
 
@@ -329,9 +320,9 @@ def write_trajectory_csv(traj: FieldTrajectory, directory, prefix: str) -> str:
     """Write slice CSVs plus a JSON manifest; returns the manifest path."""
     os.makedirs(directory, exist_ok=True)
     files = []
-    for k, s in enumerate(traj.slices):
+    for k, row in enumerate(traj.array()):
         name = f"{prefix}_{k:04d}.csv"
-        write_field_csv(s, os.path.join(directory, name))
+        write_field_csv(ScalarField(traj.grid, row), os.path.join(directory, name))
         files.append(name)
     manifest = {
         "prefix": prefix,
@@ -347,9 +338,18 @@ def write_trajectory_csv(traj: FieldTrajectory, directory, prefix: str) -> str:
 
 
 def read_trajectory_csv(grid: Grid, manifest_path) -> FieldTrajectory:
+    """Read a trajectory written by write_trajectory_csv; ValueError on a
+    manifest that lacks a list `files`, an int `n_steps`, a number `horizon`."""
     with open(manifest_path, "r", encoding="ascii") as fh:
         manifest = json.load(fh)
+    if not (isinstance(manifest, dict)
+            and isinstance(manifest.get("files"), list)
+            and all(isinstance(name, str) for name in manifest["files"])
+            and type(manifest.get("n_steps")) is int
+            and type(manifest.get("horizon")) in (int, float)):
+        raise ValueError(f"malformed trajectory manifest {manifest_path}: need an object "
+                         "with a list 'files', an integer 'n_steps' and a number 'horizon'")
     tg = build_timegrid(manifest["horizon"], manifest["n_steps"])
     base = os.path.dirname(manifest_path)
-    slices = [read_field_csv(grid, os.path.join(base, name)) for name in manifest["files"]]
-    return FieldTrajectory(tg, tuple(slices))
+    rows = [read_field_csv(grid, os.path.join(base, name)).values for name in manifest["files"]]
+    return FieldTrajectory(grid, tg, np.array(rows))

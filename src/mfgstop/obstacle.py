@@ -326,18 +326,14 @@ def solve_obstacle_parabolic(
         raise ValueError("trajectories must share one grid")
     if source.timegrid != timegrid or obstacle.timegrid != timegrid:
         raise ValueError("trajectories must live on the given timegrid")
-    psi_end = obstacle.slices[-1].values
-    if np.max(np.abs(terminal.values - psi_end)) > 1e-12:
+    if np.max(np.abs(terminal.values - obstacle.array()[-1])) > 1e-12:
         raise ValueError("terminal slice must equal the obstacle at t = T")
     dt = timegrid.dt
     b = (elliptic_matrix(grid, with_zero_order=with_zero_order)
          + sp.identity(grid.n_total, format="csr") / dt).tocsr()
-    slices = [None] * (timegrid.n_steps + 1)
-    slices[-1] = terminal
-    u_next = terminal.values
+    u_arr = np.empty((timegrid.n_steps + 1, grid.n_total))
+    u_arr[-1] = terminal.values
     for k in range(timegrid.n_steps - 1, -1, -1):
-        rhs = u_next / dt + source.slices[k].values
-        u_k = _psor(b, rhs, obstacle.slices[k].values, u_next, grid, config)
-        slices[k] = ScalarField(grid, u_k)
-        u_next = u_k
-    return FieldTrajectory(timegrid, tuple(slices))
+        rhs = u_arr[k + 1] / dt + source.array()[k]
+        u_arr[k] = _psor(b, rhs, obstacle.array()[k], u_arr[k + 1], grid, config)
+    return FieldTrajectory(grid, timegrid, u_arr)

@@ -415,7 +415,6 @@ def run_scenario_evidence(scenario: Scenario, config: CoupledConfig | None = Non
         report = verify_mixed_evolutive(sol.u, sol.m, scenario.cost,
                                         scenario.obstacle_op, scenario.m0,
                                         delta_c=sol.delta_band)
-        m_arr = sol.m.array()
     else:
         from .control import cosmfg_coupled_solve
 
@@ -423,7 +422,7 @@ def run_scenario_evidence(scenario: Scenario, config: CoupledConfig | None = Non
             scenario.cost, scenario.hamiltonian, scenario.m0, scenario.timegrid,
             list(scenario.eps_schedule), cfg)
         stage_reports = None
-        m_arr = sol.m.array()
+    m_arr = sol.m.array()
     masses = m_arr.sum(axis=1) * scenario.grid.cell_volume
     out.update({
         "solution": sol, "report": report, "stage_reports": stage_reports,

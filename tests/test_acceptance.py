@@ -287,7 +287,8 @@ def test_c12_control_reduction_fenchel_objective(evolutive_psi0_solution,
     base = control_objective(sol.m, sol.drift, pot, sc_c.hamiltonian, sc_c.timegrid)
     tg = sc_c.timegrid
     x_faces = np.linspace(0, 1, sc_c.grid.n_interior[0] + 1)
-    killing = [KillingData(sol.alpha.slices[k], NodeMask.all(sc_c.grid), sol.epsilon)
+    killing = [KillingData(ScalarField(sc_c.grid, sol.alpha.array()[k]), NodeMask.all(sc_c.grid),
+                           sol.epsilon)
                for k in range(tg.n_steps)]
     checked = 0
     for shape_i, shape in enumerate([np.sin(np.pi * x_faces),

@@ -142,26 +142,47 @@ def test_output_env_override(tmp_path, monkeypatch):
     assert (tmp_path / "env_out" / "report.json").exists()
 
 
+OSMFG_RUN = {
+    "problem": "osmfg",
+    "method": "continuation",
+    "grid": {"dim": 1, "bounds": [[0.0, 1.0]], "n_interior": [15]},
+    "timegrid": {"horizon": 0.5, "n_steps": 10},
+    "m0": {"kind": "gaussian", "sigma": 0.1, "mass": 1.0},
+    "rho": None,
+    "obstacle": {"kind": "zero"},
+    "eps_schedule": {"start": 0.1, "factor": 4.0, "stages": 5},
+    "tolerances": {"outer": 1e-9, "pde": 1e-8,
+                   "acceptance": {"r_duality": 1e-4, "r_terminal": 1e-10,
+                                  "r_initial": 1e-10}},
+}
+
+
 def test_osmfg_run_and_verify(tmp_path):
     out = tmp_path / "osm"
-    cfg = write_config(tmp_path, {
-        "problem": "osmfg",
-        "method": "continuation",
-        "grid": {"dim": 1, "bounds": [[0.0, 1.0]], "n_interior": [15]},
-        "timegrid": {"horizon": 0.5, "n_steps": 10},
-        "m0": {"kind": "gaussian", "sigma": 0.1, "mass": 1.0},
-        "rho": None,
-        "obstacle": {"kind": "zero"},
-        "eps_schedule": {"start": 0.1, "factor": 4.0, "stages": 5},
-        "tolerances": {"outer": 1e-9, "pde": 1e-8,
-                       "acceptance": {"r_duality": 1e-4, "r_terminal": 1e-10,
-                                      "r_initial": 1e-10}},
-        "output_dir": str(out),
-    })
+    cfg = write_config(tmp_path, {**OSMFG_RUN, "output_dir": str(out)})
     assert main(["run", "--config", str(cfg)]) == 0
     assert (out / "u_manifest.json").exists()
     assert main(["verify", "--u", str(out / "u_manifest.json"),
                  "--m", str(out / "m_manifest.json"), "--config", str(cfg)]) == 0
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda u, m: u.pop("files"), id="missing-files"),
+    pytest.param(lambda u, m: u.update(n_steps=str(u["n_steps"])), id="string-n_steps"),
+    pytest.param(lambda u, m: (u.update(horizon=50.0), m.update(horizon=50.0)),
+                 id="other-horizon"),
+])
+def test_verify_rejects_bad_trajectory_manifest(tmp_path, edit):
+    out = tmp_path / "osm"
+    cfg = write_config(tmp_path, {**OSMFG_RUN, "output_dir": str(out)})
+    assert main(["run", "--config", str(cfg)]) == 0
+    paths = [out / "u_manifest.json", out / "m_manifest.json"]
+    manifests = [json.loads(p.read_text()) for p in paths]
+    edit(*manifests)
+    for path, manifest in zip(paths, manifests):
+        path.write_text(json.dumps(manifest))
+    assert main(["verify", "--u", str(paths[0]), "--m", str(paths[1]),
+                 "--config", str(cfg)]) == 2
 
 
 def tolerances(**acceptance):

@@ -64,7 +64,7 @@ def test_hjb_reduces_to_parabolic_obstacle_when_h_zero(setup):
     eps = 1e-6
     u = solve_hjb_obstacle(m_traj, cost, ham0, tg, eps)
     # penalty inactive for negative sources, so the limit obstacle solve agrees
-    f_traj = FieldTrajectory.from_array(
+    f_traj = FieldTrajectory(
         grid, tg, np.tile(cost.evaluate(np.full(15, 0.2)), (tg.n_steps + 1, 1)))
     psi = FieldTrajectory.constant(grid, tg, 0.0)
     u_ref = solve_obstacle_parabolic(f_traj, psi, ScalarField.zeros(grid), tg)
@@ -91,7 +91,7 @@ def test_hjb_grid_refinement_self_convergence():
         m_traj = FieldTrajectory.constant(grid, tg, 0.0)
         cost = CostOperator.local_power(grid, 0.0, 1.0, ScalarField.constant(grid, cost_f0))
         ham = Hamiltonian.smoothed_norm(ScalarField.constant(grid, 1.0))
-        return solve_hjb_obstacle(m_traj, cost, ham, tg, 1e-7).slices[0].values
+        return solve_hjb_obstacle(m_traj, cost, ham, tg, 1e-7).array()[0]
 
     u31, u63, u127 = solve(31), solve(63), solve(127)
     # coarse nodes embed in the finer grids at odd indices
@@ -208,7 +208,7 @@ def test_control_objective_rejects_infeasible(setup):
     ham = Hamiltonian.smoothed_norm(ScalarField.constant(grid, 1.0))
     # growing density violates the subsolution inequality
     arr = np.tile(m0.values, (tg.n_steps + 1, 1)) * np.linspace(1, 2, tg.n_steps + 1)[:, None]
-    bad = FieldTrajectory.from_array(grid, tg, arr)
+    bad = FieldTrajectory(grid, tg, arr)
     from mfgstop.density import FaceVelocities
 
     drift = tuple(FaceVelocities.zeros(grid) for _ in range(tg.n_steps))

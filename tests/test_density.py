@@ -164,7 +164,7 @@ def test_parabolic_strong_killing_wipes_first_slice():
     m0 = ScalarField(g, np.sin(np.pi * x))
     kd = KillingData(ScalarField.constant(g, 1.0), NodeMask.all(g), 1e-8)
     traj = solve_density_parabolic(m0, kd, tg)
-    assert np.max(np.abs(traj.slices[1].values)) <= 1e-6 * np.max(np.abs(m0.values))
+    assert np.max(np.abs(traj.array()[1])) <= 1e-6 * np.max(np.abs(m0.values))
 
 
 def test_zero_drift_matches_heat_flow():

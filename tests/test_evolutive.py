@@ -60,7 +60,7 @@ def test_obstacle_operator_matches_dense_space_time_oracle():
         rhs[sl] = -np.ones(n)
     dense = np.linalg.solve(big, rhs).reshape(steps, n)
     assert np.max(np.abs(psi.array()[:steps] - dense)) <= 1e-10
-    assert np.max(np.abs(psi.slices[-1].values)) == 0.0
+    assert np.max(np.abs(psi.array()[-1])) == 0.0
     assert np.allclose(g_psi.array(), 1.0)
 
 
@@ -102,7 +102,7 @@ def test_positive_cost_kills_mass(setup):
     sol = osmfg_penalized_solve(cost, op, m0, tg, eps)
     # value stays within the penalized collapse of the obstacle
     assert np.max(np.abs(sol.u.array())) <= eps * 0.5 + 1e-10
-    assert np.max(sol.m.slices[-1].values) <= 1e-3 * np.max(m0.values)
+    assert np.max(sol.m.array()[-1]) <= 1e-3 * np.max(m0.values)
 
 
 def test_duality_residual_decreases_along_schedule(evolutive_psi0_solution):
@@ -164,7 +164,7 @@ def test_long_horizon_approaches_stationary_profile():
     cost = CostOperator.local_power(grid, 1.0, 1.0, ScalarField.constant(grid, -0.25))
     op = ObstacleOperator.zero(grid, tg)
     sol, _ = osmfg_continuation(cost, op, rho_like, tg, default_eps_schedule(stages=6))
-    mid = sol.m.slices[60].values
+    mid = sol.m.array()[60]
     # stationary analogue without the zero-order terms and without a source:
     # mass drains, so the long-run profile approaches zero
     assert np.max(np.abs(mid)) <= 1e-2

@@ -169,7 +169,13 @@ def test_trajectory_round_trip(tmp_path):
     g = build_grid(1, (0.0, 1.0), 4)
     tg = build_timegrid(1.0, 3)
     rng = np.random.default_rng(5)
-    traj = FieldTrajectory.from_array(g, tg, rng.normal(size=(4, 4)))
+    traj = FieldTrajectory(g, tg, rng.normal(size=(4, 4)))
+    assert traj.array() is traj.array()
+    with pytest.raises(ValueError):
+        traj.array()[0, 0] = 1.0
+    for shape in ((3, 4), (4, 5), (16,)):
+        with pytest.raises(ValueError):
+            FieldTrajectory(g, tg, np.zeros(shape))
     manifest = write_trajectory_csv(traj, tmp_path, "u")
     back = read_trajectory_csv(g, manifest)
     assert np.array_equal(back.array(), traj.array())

@@ -346,7 +346,7 @@ def test_parabolic_long_horizon_approaches_stationary():
     psi = FieldTrajectory.constant(g, tg, 0.0)
     u = solve_obstacle_parabolic(f, psi, ScalarField.zeros(g), tg, with_zero_order=True)
     u_stat = solve_obstacle_stationary(ScalarField.constant(g, -0.7), ScalarField.zeros(g))
-    assert np.max(np.abs(u.slices[0].values - u_stat.values)) <= 1e-3
+    assert np.max(np.abs(u.array()[0] - u_stat.values)) <= 1e-3
 
 
 def test_parabolic_slice0_cauchy_in_dt():
@@ -356,9 +356,9 @@ def test_parabolic_slice0_cauchy_in_dt():
 
     def solve(n_steps):
         tg = build_timegrid(0.5, n_steps)
-        f = FieldTrajectory.from_array(g, tg, np.tile(fvals, (n_steps + 1, 1)))
+        f = FieldTrajectory(g, tg, np.tile(fvals, (n_steps + 1, 1)))
         psi = FieldTrajectory.constant(g, tg, 0.0)
-        return solve_obstacle_parabolic(f, psi, ScalarField.zeros(g), tg).slices[0].values
+        return solve_obstacle_parabolic(f, psi, ScalarField.zeros(g), tg).array()[0]
 
     u1, u2, u4 = solve(10), solve(20), solve(40)
     gap12 = np.max(np.abs(u1 - u2))
