@@ -8,7 +8,8 @@ rate that pins the density at the cost's indifference level.
 
 Three independent routes compute the same mixed solution:
   1. penalty continuation on the coupled system,
-  2. the constrained variational problem (augmented Lagrangian),
+  2. the constrained variational problem (semismooth Newton on its
+     KKT system),
   3. for reference, the unconstrained density where no exit happens.
 The script prints the per-stage residual table and the duality
 certificate <f(m), m> = <u, rho>.

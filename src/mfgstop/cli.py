@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -84,6 +85,24 @@ def _require(cfg: dict, key: str, where: str = "config"):
     return cfg[key]
 
 
+def _reject_non_finite(node, where: str = "config"):
+    """Raise ConfigError at a NaN or infinite number anywhere in a parsed
+    config; Python's json reads the tokens NaN, Infinity and 1e999."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _reject_non_finite(value, f"{where}.{key}")
+    elif isinstance(node, list):
+        try:  # a long list of finite numbers passes in one C-level sweep
+            if all(map(math.isfinite, node)):
+                return
+        except (TypeError, OverflowError):  # it holds more than floats
+            pass
+        for i, value in enumerate(node):
+            _reject_non_finite(value, f"{where}[{i}]")
+    elif isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(f"{where} must be finite, got {node!r}")
+
+
 def _build_field(grid, spec, what: str) -> ScalarField:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"{what}: field spec must be an object with a 'kind'")
@@ -121,6 +140,7 @@ class RunConfig:
     """Validated run configuration (see README for the schema)."""
 
     def __init__(self, raw: dict):
+        _reject_non_finite(raw)
         self.raw = raw
         self.problem = _require(raw, "problem")
         if self.problem not in _PROBLEMS:
@@ -184,7 +204,10 @@ class RunConfig:
                 raise ConfigError(f"unknown hamiltonian kind {hkind!r}")
         es = raw.get("eps_schedule", {"start": 0.1, "factor": 4.0, "stages": 8})
         if isinstance(es, dict):
-            self.eps_schedule = [float(es.get("start", 0.1)) / float(es.get("factor", 4.0)) ** j
+            factor = float(es.get("factor", 4.0))
+            if not factor > 1:
+                raise ConfigError("eps_schedule.factor must exceed 1")
+            self.eps_schedule = [float(es.get("start", 0.1)) / factor**j
                                  for j in range(int(es.get("stages", 8)))]
         else:
             self.eps_schedule = [float(e) for e in es]
@@ -207,8 +230,6 @@ class RunConfig:
             tol_outer=float(tols.get("outer", 1e-9)),
             tol_pde=float(tols.get("pde", 1e-8)),
         )
-        if self.coupled.tol_outer <= 0 or self.coupled.tol_pde <= 0:
-            raise ConfigError("tolerances must be positive")
         self.seed = int(raw.get("seed", 0))
         self.output_dir = raw.get("output_dir")
 
@@ -225,7 +246,9 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"{path}: config must be a JSON object")
     try:
         return RunConfig(raw)
-    except TypeError as err:  # a value of the wrong JSON type, such as null for a number
+    except (TypeError, OverflowError) as err:
+        # a value of the wrong JSON type, such as null for a number, or an
+        # integer too large for a float
         raise ConfigError(f"{path}: {err}")
 
 

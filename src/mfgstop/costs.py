@@ -1,6 +1,7 @@
 """Cost operators m -> f(x, m) with monotonicity metadata, the optional
-antiderivative used by the variational route, and the per-node zero
-crossing that drives the exit-rate equilibration on mixed nodes.
+antiderivative whose integral the variational route minimizes, and the
+per-node zero crossing that drives the exit-rate equilibration on mixed
+nodes.
 
 Monotonicity tags are derived from parameter signs at construction:
 local power laws with a > 0 are strictly monotone in the order sense
@@ -168,18 +169,6 @@ class PotentialOperator:
         if c.kind == "local_power":
             return c.a * np.power(m_values, c.p + 1) / (c.p + 1) + c.f0.values * m_values
         return c.base.values * m_values + 0.5 * (m_values - c.m_ref.values) ** 2
-
-    def derivative(self, m_values: np.ndarray) -> np.ndarray:
-        return self.cost.evaluate(m_values)
-
-    def second_derivative(self, m_values: np.ndarray) -> np.ndarray:
-        m_values = np.asarray(m_values, dtype=float)
-        c = self.cost
-        if c.kind == "local_power":
-            if c.p == 1.0:
-                return np.full_like(m_values, c.a)
-            return c.a * c.p * np.power(np.maximum(m_values, 0.0), c.p - 1)
-        return np.ones_like(m_values)
 
     def total(self, m: ScalarField) -> float:
         """Integral of F(x, m(x)) over the domain."""

@@ -112,7 +112,7 @@ def build_grid(dim, bounds, n_interior) -> Grid:
         raise ValueError("n_interior must match dim")
     if any(k < 3 for k in n):
         raise ValueError(f"need at least 3 interior nodes per axis, got {n}")
-    if any(hi <= lo for lo, hi in b):
+    if not (np.all(np.isfinite(b)) and np.all(b[:, 1] > b[:, 0])):
         raise ValueError(f"degenerate bounds {bounds!r}")
     return Grid(dim=dim, bounds=tuple((float(lo), float(hi)) for lo, hi in b), n_interior=n)
 
@@ -133,8 +133,8 @@ class TimeGrid:
 
 
 def build_timegrid(horizon: float, n_steps: int) -> TimeGrid:
-    if horizon <= 0 or n_steps < 1:
-        raise ValueError(f"need horizon > 0 and n_steps >= 1, got {horizon}, {n_steps}")
+    if not (0 < horizon < np.inf and n_steps >= 1):
+        raise ValueError(f"need a finite horizon > 0 and n_steps >= 1, got {horizon}, {n_steps}")
     return TimeGrid(horizon=float(horizon), n_steps=int(n_steps))
 
 

@@ -1,8 +1,9 @@
-"""Obstacle problems for the value function: projected SOR for the
-stationary complementarity system, a brute-force active-set oracle,
-a penalized variant, the semismooth Newton driver shared by every
-penalized solve of the package, and the backward parabolic problem by
-implicit Euler.
+"""Obstacle problems for the value function: the stationary
+complementarity system by semismooth Newton on its min form, a
+brute-force active-set oracle, a penalized variant, the semismooth
+Newton driver shared by every solve of the package with its two
+Jacobian assemblers, and the backward parabolic problem by implicit
+Euler.
 
 Sign convention throughout: solve max(L u - f, u - psi) = 0, i.e.
 u <= psi, L u - f <= 0, with equality in at least one branch per node.
@@ -13,7 +14,6 @@ The complementarity residual is reported in min form,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,28 +37,23 @@ __all__ = [
     "solve_obstacle_parabolic",
     "semismooth_newton",
     "diagonal_update",
+    "row_select",
     "complementarity_residual",
 ]
 
 
 @dataclass
 class ObstacleSolveConfig:
-    """Iteration controls shared by the obstacle solvers."""
+    """Residual tolerance and Newton step cap of the obstacle solvers."""
 
     tol: float = 1e-10
-    max_iter: int = 100_000
-    relaxation: float = 1.5
-    epsilon: float | None = None
+    max_iter: int = 200
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if not 0.0 < self.relaxation < 2.0:
-            raise ValueError("relaxation must lie in (0, 2)")
-        if self.max_iter < 1:
+        if not self.max_iter >= 1:
             raise ValueError("max_iter must be positive")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
 
 
 class ObstacleConvergenceError(RuntimeError):
@@ -68,42 +63,10 @@ class ObstacleConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-@lru_cache(maxsize=None)
-def _rb_colors(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Checkerboard split; stencil neighbors always have opposite color."""
-    idx = np.arange(grid.n_total)
-    if grid.dim == 1:
-        parity = idx % 2
-    else:
-        n1 = grid.n_interior[1]
-        parity = (idx // n1 + idx % n1) % 2
-    return idx[parity == 0], idx[parity == 1]
-
-
 def complementarity_residual(matrix, u: np.ndarray, f: np.ndarray, psi: np.ndarray) -> float:
     """Max-norm of min(psi - u, f - M u)."""
     r = np.minimum(psi - u, f - matrix @ u)
     return float(np.max(np.abs(r))) if r.size else 0.0
-
-
-def _psor(matrix, f, psi, u0, grid, config) -> np.ndarray:
-    """Projected SOR on max(M u - f, u - psi) = 0 for an SPD M-matrix M.
-
-    Gauss-Seidel in red-black order with projection onto u <= psi after
-    every nodal update; vectorized one color at a time.
-    """
-    d = matrix.diagonal()
-    colors = _rb_colors(grid)
-    omega = config.relaxation
-    u = np.array(u0, dtype=float, copy=True)
-    for it in range(config.max_iter):
-        for c in colors:
-            mu = matrix @ u
-            u[c] = np.minimum(u[c] + omega * (f[c] - mu[c]) / d[c], psi[c])
-        res = complementarity_residual(matrix, u, f, psi)
-        if res <= config.tol:
-            return u
-    raise ObstacleConvergenceError("projected SOR did not converge", res, config.max_iter)
 
 
 def _lu_solve(matrix, rhs) -> np.ndarray:
@@ -142,23 +105,18 @@ def solve_obstacle_stationary(
     obstacle: ScalarField,
     config: ObstacleSolveConfig | None = None,
     with_zero_order: bool = True,
-    u0: ScalarField | None = None,
-    matrix=None,
 ) -> ScalarField:
-    """Solve max((-lap + id) u - f, u - psi) = 0 by projected SOR.
-
-    An explicit SPD M-matrix can replace the default elliptic operator
-    (used by the parabolic stepper). with_zero_order drops the +u term
-    for the evolutive operator family.
+    """Solve max((-lap + id) u - f, u - psi) = 0 by semismooth Newton,
+    starting from the solution without obstacle. with_zero_order drops
+    the +u term for the evolutive operator family.
     """
     config = config or ObstacleSolveConfig()
     grid = source.grid
     if obstacle.grid != grid:
         raise ValueError("source and obstacle must share one grid")
-    m = elliptic_matrix(grid, with_zero_order) if matrix is None else matrix
-    start = obstacle.values if u0 is None else u0.values
-    u = _psor(m, source.values, obstacle.values, start, grid, config)
-    return ScalarField(grid, u)
+    m = elliptic_matrix(grid, with_zero_order)
+    start = _linsolve(m, source.values, grid)
+    return ScalarField(grid, _obstacle_newton(m, source.values, obstacle.values, start, config))
 
 
 def obstacle_oracle(
@@ -205,19 +163,24 @@ def obstacle_oracle(
     return ScalarField(grid, found)
 
 
-def semismooth_newton(residual, jacobian, x0, target, max_iter):
+def semismooth_newton(residual, jacobian, x0, target, max_iter, full_steps=False):
     """Semismooth Newton with Armijo backtracking in the max norm.
 
     jacobian(x) returns a generalized Jacobian of residual at x as a
-    sparse matrix (the active-set linearization of the max terms, in the
-    primal-dual active-set view of Hintermueller-Ito-Kunisch); each step
-    factors it afresh by _lu_solve, and a singular Jacobian gives a NaN
-    norm that ends the loop short of target. A step is accepted on a
-    (1 - 1e-4 tau) decrease of |residual|_inf or on reaching target,
-    halving tau up to 50 times; the iteration stops at
-    target, after max_iter steps, once tau falls below 1e-12, or once
-    the norm has not halved over the last 20 steps (a stalled solve
-    does not spend its whole step cap).
+    sparse matrix (the active-set linearization of the max and min
+    terms, in the primal-dual active-set view of Hintermueller-Ito-
+    Kunisch); each step factors it afresh by _lu_solve, and a singular
+    Jacobian gives a NaN norm that ends the loop short of target. A step
+    is accepted on a (1 - 1e-4 tau) decrease of |residual|_inf or on
+    reaching target, halving tau up to 50 times; the iteration stops at
+    target, after max_iter steps, on a non-finite norm, once tau falls
+    below 1e-12, or once the norm has not halved over the last 20 steps
+    (a stalled solve does not spend its whole step cap).
+
+    full_steps=True takes every step whole and drops the two stall
+    tests: the primal-dual active-set method on a min form, which ends in
+    finitely many steps on M-matrices although its norm need not
+    decrease from step to step, so backtracking would only slow it.
 
     Returns (x, norms, iterations): norms holds the residual norm of the
     start and after every step; iterations counts the passes of the
@@ -237,12 +200,13 @@ def semismooth_newton(residual, jacobian, x0, target, max_iter):
             x_new = x + tau * step
             res_new = residual(x_new)
             norm_new = float(np.max(np.abs(res_new)))
-            if norm_new <= (1.0 - 1e-4 * tau) * norm or norm_new <= target:
+            if full_steps or norm_new <= (1.0 - 1e-4 * tau) * norm or norm_new <= target:
                 break
             tau *= 0.5
         x, res, norm = x_new, res_new, norm_new
         norms.append(norm)
-        if tau < 1e-12 or (it > 20 and norm > 0.5 * norms[-21]):
+        stalled = tau < 1e-12 or (it > 20 and norm > 0.5 * norms[-21])
+        if not norm < np.inf or (stalled and not full_steps):
             break
     return x, norms, it
 
@@ -266,6 +230,48 @@ def diagonal_update(static, rows, cols):
     return assemble
 
 
+def row_select(first, second):
+    """Assembler for the generalized Jacobian of a nodewise min(g, h).
+
+    first and second, the Jacobians of g and h, are iterate-independent
+    and converted once. The returned assemble(mask) takes row i from
+    first where mask[i] is true (g_i <= h_i) and from second otherwise,
+    in canonical CSC form, storing no entry the two inputs do not store.
+    """
+    first, second = sp.coo_matrix(first), sp.coo_matrix(second)
+
+    def assemble(mask):
+        a, b = mask[first.row], ~mask[second.row]
+        return sp.csc_matrix(
+            (np.concatenate([first.data[a], second.data[b]]),
+             (np.concatenate([first.row[a], second.row[b]]),
+              np.concatenate([first.col[a], second.col[b]]))), shape=first.shape)
+
+    return assemble
+
+
+def _obstacle_newton(matrix, f, psi, u0, config) -> np.ndarray:
+    """Semismooth Newton on min(D (psi - u), f - M u) = 0, D = diag(M).
+
+    Each step is a whole primal-dual active-set step: u = psi on the
+    nodes where the first branch is the smaller, M u = f elsewhere. The
+    rows scaled by D give the active rows the diagonal of M, so the
+    Jacobian keeps M's diagonal and its LU fills no more than M's; the
+    scaling does not move the zeros of the min. Convergence is judged on
+    the unscaled complementarity_residual.
+    """
+    d = matrix.diagonal()
+    assemble = row_select(sp.diags(-d), -matrix)
+    u, _, it = semismooth_newton(
+        lambda v: np.minimum(d * (psi - v), f - matrix @ v),
+        lambda v: assemble(d * (psi - v) <= f - matrix @ v),
+        u0, config.tol, config.max_iter, full_steps=True)
+    res = complementarity_residual(matrix, u, f, psi)
+    if res <= config.tol:
+        return u
+    raise ObstacleConvergenceError("semismooth Newton did not converge", res, it)
+
+
 def _penalized_newton(matrix, f, psi, eps, grid, config, u0=None) -> np.ndarray:
     """Semismooth Newton on M u + (u - psi)^+ / eps = f.
 
@@ -278,7 +284,7 @@ def _penalized_newton(matrix, f, psi, eps, grid, config, u0=None) -> np.ndarray:
     u, norms, it = semismooth_newton(
         lambda v: matrix @ v + np.maximum(v - psi, 0.0) / eps - f,
         lambda v: assemble((v > psi).astype(float) / eps),
-        u, config.tol, 200)
+        u, config.tol, config.max_iter)
     if norms[-1] <= config.tol:
         return u
     raise ObstacleConvergenceError("penalized Newton did not converge", norms[-1], it)
@@ -335,5 +341,5 @@ def solve_obstacle_parabolic(
     u_arr[-1] = terminal.values
     for k in range(timegrid.n_steps - 1, -1, -1):
         rhs = u_arr[k + 1] / dt + source.array()[k]
-        u_arr[k] = _psor(b, rhs, obstacle.array()[k], u_arr[k + 1], grid, config)
+        u_arr[k] = _obstacle_newton(b, rhs, obstacle.array()[k], u_arr[k + 1], config)
     return FieldTrajectory(grid, timegrid, u_arr)

@@ -1,7 +1,8 @@
 """The coupled stationary system: penalized solves with an exit-rate dual
 variable, continuation in the penalty parameter, ordered fixed-point
-iteration for anti-monotone costs, the relaxed variational problem, a
-multi-start uniqueness probe, and the mixed-solution verifier.
+iteration for anti-monotone costs, the relaxed variational problem by
+semismooth Newton on its KKT system, a multi-start uniqueness probe,
+and the mixed-solution verifier.
 
 A mixed solution couples an obstacle problem for the value u with a
 density m that solves the source equation on the continuation set
@@ -31,8 +32,8 @@ from .grid import (
 from .obstacle import (
     ObstacleSolveConfig,
     _linsolve,
-    _lu_solve,
     diagonal_update,
+    row_select,
     semismooth_newton,
     solve_obstacle_stationary,
 )
@@ -77,7 +78,7 @@ class CoupledConfig:
     inner: ObstacleSolveConfig = field(default_factory=lambda: ObstacleSolveConfig(tol=1e-11))
 
     def __post_init__(self):
-        if self.tol_outer <= 0 or self.tol_pde <= 0:
+        if not (self.tol_outer > 0 and self.tol_pde > 0):
             raise ValueError("tolerances must be positive")
 
 
@@ -373,91 +374,68 @@ def monotone_iteration_solve(
 def variational_minimize(
     potential: PotentialOperator,
     rho: ScalarField,
-    feasibility_tol: float = 1e-10,
-    max_outer: int = 80,
     with_zero_order: bool = True,
 ) -> ScalarField:
     """Minimize the integrated potential over {m >= 0, A m <= rho}.
 
-    Augmented Lagrangian on the constraint A m <= rho with projected
-    Newton inner solves on m >= 0. The potential must be strictly
-    convex (cost strictly increasing in m).
+    Semismooth Newton in whole active-set steps on the discrete KKT
+    system in x = [u, m], the value u being the multiplier of A m <= rho
+    (negated and divided by the cell volume):
+        min(-D u, rho - A m) = 0,
+        min(D m, f(m) - A u) = 0,
+    with D = diag(A) scaling the rows as in the obstacle solve. Where the
+    first min takes its rho - A m branch, the node's two rows trade
+    places, so every row of the Jacobian sits on a nonzero diagonal entry
+    and the LU keeps to the fill of the ordering. The start is the
+    density capped at the cost's zero crossing (an obstacle problem) and
+    the value of the obstacle problem for its cost. The potential must be
+    strictly convex (cost strictly increasing in m).
     """
     cost = potential.cost
     if cost.monotonicity != STRICT_MONOTONE:
         raise ValueError("variational route requires a strictly monotone local cost")
     grid = rho.grid
-    a = elliptic_matrix(grid, with_zero_order).tocsr()
-    at = a.T.tocsr()
-    h = grid.cell_volume
+    a = elliptic_matrix(grid, with_zero_order)
     n = grid.n_total
-    m = np.zeros(n)
-    lam = np.zeros(n)
-    mu = 100.0
-    prev_viol = np.inf
-    for _ in range(max_outer):
-        m = _al_inner(potential, a, at, rho.values, m, lam, mu, h)
-        r = a @ m - rho.values
-        viol = float(np.max(np.maximum(r, 0.0), initial=0.0))
-        lam = np.maximum(lam + mu * r, 0.0)
-        if viol <= feasibility_tol:
-            # stationarity of the Lagrangian over m >= 0, measured
-            # against the gradient scale before cancellation
-            g = potential.derivative(m) * h + at @ lam
-            pg = np.where(m > 1e-14, g, np.minimum(g, 0.0))
-            g_scale = float(np.max(np.abs(potential.derivative(m))) * h + np.max(np.abs(at @ lam), initial=0.0))
-            if float(np.max(np.abs(pg))) <= 1e-6 * (1e-3 + g_scale):
-                return ScalarField(grid, np.maximum(m, 0.0))
-        if viol > max(0.25 * prev_viol, feasibility_tol):
-            mu = min(mu * 10.0, 1e9)
-        prev_viol = viol
-    raise CoupledNonConvergence("augmented Lagrangian did not reach feasibility/stationarity",
-                                [viol])
+    d = a.diagonal()
+    rho_v = rho.values
+    dd = sp.diags(d)
+    assemble = row_select(sp.bmat([[-dd, None], [None, dd]]),
+                          sp.bmat([[None, -a], [-a, None]]))
 
+    def linearization(x):
+        """The min terms, the branch mask and the row order at x."""
+        uv, mv = x[:n], x[n:]
+        g = np.concatenate([-d * uv, d * mv])
+        h = np.concatenate([rho_v - a @ mv, cost.evaluate(mv) - a @ uv])
+        mask = g <= h
+        swap = np.flatnonzero(~mask[:n])
+        order = np.arange(2 * n)
+        order[swap], order[swap + n] = swap + n, swap
+        return np.minimum(g, h), mask, order
 
-def _al_inner(potential, a, at, rho, m0, lam, mu, h, max_iter=120):
-    """Projected Newton on m >= 0 for the augmented Lagrangian in m."""
-    m = np.maximum(m0, 0.0)
+    def residual(x):
+        r, _, order = linearization(x)
+        return r[order]
 
-    def grad_hess(mv):
-        q = a @ mv - rho + lam / mu
-        qp = np.maximum(q, 0.0)
-        g = potential.derivative(mv) * h + mu * (at @ qp)
-        dmask = (q > 0).astype(float)
-        hess = sp.diags(potential.second_derivative(mv) * h) + mu * (at @ sp.diags(dmask) @ a)
-        return g, hess.tocsc(), q
+    def jacobian(x):
+        _, mask, order = linearization(x)
+        # f'(m) on the rows of the second min that take its cost branch
+        fp = np.where(mask[n:], 0.0, cost.derivative(x[n:]))
+        return (assemble(mask) + sp.diags(np.concatenate([np.zeros(n), fp])))[order]
 
-    def value(mv):
-        q = a @ mv - rho + lam / mu
-        qp = np.maximum(q, 0.0)
-        return float(np.sum(potential.evaluate(mv)) * h + 0.5 * mu * np.dot(qp, qp))
-
-    for _ in range(max_iter):
-        g, hess, _ = grad_hess(m)
-        pg = np.where(m > 1e-14, g, np.minimum(g, 0.0))
-        if float(np.max(np.abs(pg))) <= 1e-13 * (1.0 + float(np.max(np.abs(g)))):
-            break
-        free = (m > 1e-14) | (g < 0)
-        if not free.any():
-            break
-        idx = np.flatnonzero(free)
-        step = np.zeros_like(m)
-        step[idx] = _lu_solve(hess[np.ix_(idx, idx)], -g[idx])
-        # Armijo backtracking with projection onto m >= 0
-        t = 1.0
-        base = value(m)
-        descent = float(np.dot(g, step))
-        accepted = False
-        for _ls in range(40):
-            cand = np.maximum(m + t * step, 0.0)
-            if value(cand) <= base + 1e-4 * t * min(descent, 0.0) + 1e-15 * abs(base):
-                m = cand
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            break
-    return m
+    m0 = solve_obstacle_stationary(rho, ScalarField(grid, cost.zero_crossing()),
+                                   with_zero_order=with_zero_order)
+    u0 = solve_obstacle_stationary(cost(m0), ScalarField.zeros(grid),
+                                   with_zero_order=with_zero_order)
+    config = ObstacleSolveConfig()
+    x, norms, _ = semismooth_newton(residual, jacobian, np.concatenate([u0.values, m0.values]),
+                                    config.tol, config.max_iter, full_steps=True)
+    u, m = x[:n], x[n:]
+    kkt = np.concatenate([np.minimum(-u, rho_v - a @ m), np.minimum(m, cost.evaluate(m) - a @ u)])
+    if not float(np.max(np.abs(kkt))) <= config.tol:
+        raise CoupledNonConvergence("variational Newton did not converge", norms)
+    return ScalarField(grid, np.maximum(m, 0.0))
 
 
 def verify_mixed(

@@ -198,6 +198,7 @@ NONLOCAL_COST = {"kind": "nonlocal_affine", "c0": -0.5, "c1": 1.0,
                  "weight": {"kind": "constant", "value": 1.0}}
 ANTI_MONOTONE_COST = {"kind": "local_power", "a": -1.0, "p": 1.0,
                       "f0": {"kind": "constant", "value": 0.5}}
+NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("overrides, reason", [
@@ -209,16 +210,36 @@ ANTI_MONOTONE_COST = {"kind": "local_power", "a": -1.0, "p": 1.0,
     ({"eps_schedule": []}, "eps_schedule"),
     ({"eps_schedule": [1e-2, 1e-2]}, "eps_schedule"),
     ({"eps_schedule": {"start": 0.1, "factor": 0.5, "stages": 3}}, "eps_schedule"),
+    ({"eps_schedule": {"start": 0.1, "factor": 0.0, "stages": 3}}, "eps_schedule"),
     ({"rho": {"kind": "constant", "value": -1.0}}, "rho"),
     ({**OSMFG, "m0": {"kind": "constant", "value": -1.0}}, "m0"),
     ({"method": "monotone_iteration"}, "anti-monotone"),
     ({"method": "variational", "cost": ANTI_MONOTONE_COST}, "strictly monotone"),
     ({"method": "variational", "cost": NONLOCAL_COST}, "strictly monotone"),
+    # non-finite numbers, which Python's json reads from NaN and Infinity
+    ({**OSMFG, "timegrid": {"horizon": NAN, "n_steps": 4}}, "timegrid.horizon"),
+    ({**OSMFG, "timegrid": {"horizon": INF, "n_steps": 4}}, "timegrid.horizon"),
+    ({**OSMFG, "timegrid": {"horizon": 0.5, "n_steps": INF}}, "timegrid.n_steps"),
+    ({**OSMFG, "timegrid": {"horizon": 10**400, "n_steps": 4}}, "too large"),
+    ({"eps_schedule": [1e-1, NAN, 1e-3]}, "eps_schedule"),
+    ({"eps_schedule": {"start": INF, "factor": 4.0, "stages": 3}}, "eps_schedule.start"),
+    ({"tolerances": {"outer": 1e-9, "pde": NAN, "acceptance": {"r_duality": 1e-6}}},
+     "tolerances.pde"),
+    ({"tolerances": {"outer": INF, "pde": 1e-8, "acceptance": {"r_duality": 1e-6}}},
+     "tolerances.outer"),
+    ({"tolerances": tolerances(r_duality=INF)}, "tolerances.acceptance"),
+    ({"cost": {**BASE_CONFIG["cost"], "a": NAN}}, "cost.a"),
+    ({"cost": {**BASE_CONFIG["cost"], "f0": {"kind": "constant", "value": -INF}}}, "cost.f0"),
+    ({**OSMFG, "m0": {"kind": "values", "values": [0.1] * 30 + [NAN]}}, "m0"),
+    ({"grid": {"dim": 1, "bounds": [[0.0, NAN]], "n_interior": [31]}}, "grid.bounds"),
 ], ids=["acceptance-typo", "acceptance-not-in-report", "acceptance-null",
         "nonlocal-osmfg", "nonlocal-cosmfg", "empty-schedule", "flat-schedule",
-        "increasing-schedule", "negative-rho", "negative-m0",
+        "increasing-schedule", "zero-factor-schedule", "negative-rho", "negative-m0",
         "monotone-iteration-on-monotone-cost", "variational-on-anti-monotone-cost",
-        "variational-on-nonlocal-cost"])
+        "variational-on-nonlocal-cost",
+        "nan-horizon", "inf-horizon", "inf-n_steps", "huge-horizon", "nan-eps-entry",
+        "inf-eps-start", "nan-pde-tol", "inf-outer-tol", "inf-acceptance", "nan-cost-a",
+        "inf-cost-f0", "nan-m0-value", "nan-grid-bound"])
 def test_invalid_input_rejected_before_solving(tmp_path, capsys, overrides, reason):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, {**overrides, "output_dir": str(out)})
@@ -242,7 +263,7 @@ def test_non_finite_residual_fails_acceptance(tmp_path):
 @pytest.mark.parametrize("command", ["run", "scenario"])
 def test_obstacle_nonconvergence_exits_3(tmp_path, monkeypatch, command):
     def stall(*args, **kwargs):
-        raise ObstacleConvergenceError("projected SOR did not converge", 0.5, 7)
+        raise ObstacleConvergenceError("semismooth Newton did not converge", 0.5, 7)
 
     out = tmp_path / "out"
     if command == "run":
@@ -255,3 +276,29 @@ def test_obstacle_nonconvergence_exits_3(tmp_path, monkeypatch, command):
     else:
         monkeypatch.setattr(cli, "scenario_nonuniqueness", stall)
         assert main(["scenario", "nonuniqueness", "--out", str(out)]) == 3
+
+
+KILLING_COST = {"kind": "local_power", "a": 1.0, "p": 1.0,
+                "f0": {"kind": "constant", "value": -0.005}}
+BISTABLE_COST = {"kind": "local_power", "a": -1.0, "p": 1.0,
+                 "f0": {"kind": "constant", "value": 0.01}}
+
+
+def run_density(tmp_path, method, cost):
+    # exit 0: solved and within BASE_CONFIG's acceptance thresholds
+    out = tmp_path / method
+    cfg = write_config(tmp_path, {"method": method, "cost": cost, "output_dir": str(out)},
+                       f"{method}.json")
+    assert main(["run", "--config", str(cfg)]) == 0
+    return np.loadtxt(out / "m.csv", delimiter=",", skiprows=1)[:, -1]
+
+
+@pytest.mark.parametrize("method, cost", [("variational", KILLING_COST),
+                                          ("monotone_iteration", BISTABLE_COST)])
+def test_stationary_route_matches_continuation(tmp_path, method, cost):
+    m_route = run_density(tmp_path, method, cost)
+    m_cont = run_density(tmp_path, "continuation", cost)
+    if method == "variational":
+        assert np.max(np.abs(m_route - m_cont)) <= 1e-4
+    else:  # the smallest solution: below the continuation route's, and not equal to it
+        assert np.all(m_route <= m_cont + 1e-12) and np.any(m_route < m_cont - 1e-3)

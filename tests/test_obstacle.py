@@ -27,7 +27,12 @@ from mfgstop.obstacle import (
     solve_obstacle_stationary,
 )
 from mfgstop.scenarios import gaussian_density, raised_cosine_bump
-from mfgstop.stationary import _penalized_system, _ramp, continuation_solve
+from mfgstop.stationary import (
+    _penalized_system,
+    _ramp,
+    continuation_solve,
+    variational_minimize,
+)
 
 
 def cosh_profile(x):
@@ -39,9 +44,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ObstacleSolveConfig(tol=0.0)
     with pytest.raises(ValueError):
-        ObstacleSolveConfig(relaxation=2.0)
+        ObstacleSolveConfig(tol=float("nan"))
     with pytest.raises(ValueError):
-        ObstacleSolveConfig(epsilon=-1.0)
+        ObstacleSolveConfig(max_iter=0)
 
 
 def test_nonnegative_source_gives_zero():
@@ -189,13 +194,46 @@ def test_every_factorization_uses_the_symmetric_ordering(monkeypatch):
     monkeypatch.setattr(spla, "spsolve", no_spsolve)
     g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (9, 9))
     cost = CostOperator.local_power(g, 1.0, 1.0, ScalarField.constant(g, -0.5))
-    continuation_solve(cost, raised_cosine_bump(g), [1e-1, 1e-2, 1e-3])
-    n_stationary = len(orderings)
+    rng = np.random.default_rng(3)
     tg = build_timegrid(0.3, 2)
-    forward_backward_solve(cost, gaussian_density(g, sigma=0.15), tg, 1e-3,
-                           obstacle_op=ObstacleOperator.zero(g, tg))
-    assert 0 < n_stationary < len(orderings)
+    counts = [0]
+    for solve in (
+        lambda: continuation_solve(cost, raised_cosine_bump(g), [1e-1, 1e-2, 1e-3]),
+        lambda: forward_backward_solve(cost, gaussian_density(g, sigma=0.15), tg, 1e-3,
+                                       obstacle_op=ObstacleOperator.zero(g, tg)),
+        lambda: solve_obstacle_stationary(ScalarField(g, rng.uniform(-2.0, 2.0, 81)),
+                                          ScalarField(g, 0.1 * rng.normal(size=81))),
+        lambda: variational_minimize(cost.potential(), raised_cosine_bump(g)),
+    ):
+        solve()
+        counts.append(len(orderings))
+    assert all(a < b for a, b in zip(counts, counts[1:]))
     assert set(orderings) == {"MMD_AT_PLUS_A"}
+
+
+def test_active_set_jacobian_fills_no_more_than_the_operator(monkeypatch):
+    # rows scaled by D = diag(M) keep M's diagonal in every active-set
+    # Jacobian, so the LU fills no more than M's; unscaled identity rows
+    # make the ordering pivot off the diagonal and fill more
+    g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (31, 31))
+    lu_m = spla.splu(elliptic_matrix(g).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     options={"SymmetricMode": True})
+    fills = []
+    splu = spla.splu
+
+    def recording_splu(matrix, **kwargs):
+        lu = splu(matrix, **kwargs)
+        fills.append(lu.L.nnz + lu.U.nnz)
+        return lu
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    rng = np.random.default_rng(12)
+    f = ScalarField(g, rng.uniform(-2.0, 2.0, g.n_total))
+    psi = ScalarField(g, 0.1 * rng.normal(size=g.n_total))
+    u = solve_obstacle_stationary(f, psi)
+    assert complementarity_residual(elliptic_matrix(g), u.values, f.values, psi.values) <= 1e-10
+    assert len(fills) >= 4
+    assert max(fills) <= lu_m.L.nnz + lu_m.U.nnz
 
 
 def test_lu_solve_matches_spsolve_on_nonsymmetric_values():
@@ -321,11 +359,25 @@ def test_comparison_principle():
 
 
 def test_nonconvergence_reports_residual():
+    # from the solution without obstacle this source needs three
+    # active-set steps; two are allowed
     g = build_grid(1, (0.0, 1.0), 15)
+    f = ScalarField(g, 10.0 * np.sin(4 * np.pi * g.coordinates()[:, 0]))
     cfg = ObstacleSolveConfig(tol=1e-12, max_iter=2)
     with pytest.raises(ObstacleConvergenceError) as err:
-        solve_obstacle_stationary(ScalarField.constant(g, -1.0), ScalarField.zeros(g), cfg)
-    assert err.value.residual > 0
+        solve_obstacle_stationary(f, ScalarField.zeros(g), cfg)
+    assert err.value.residual > 0 and err.value.iterations == 2
+    solve_obstacle_stationary(f, ScalarField.zeros(g), ObstacleSolveConfig(max_iter=3))
+
+
+def test_fine_grid_obstacle_takes_whole_active_set_steps():
+    # from the unconstrained start the free boundary moves a few nodes a
+    # step while the residual norm grows; backtracking on that norm stalls
+    g = build_grid(1, (0.0, 1.0), 255)
+    f = ScalarField(g, 10.0 * np.sin(4 * np.pi * g.coordinates()[:, 0]))
+    u = solve_obstacle_stationary(f, ScalarField.zeros(g))
+    assert complementarity_residual(elliptic_matrix(g), u.values, f.values,
+                                    np.zeros(255)) <= 1e-10
 
 
 def test_parabolic_zero_when_source_nonnegative():

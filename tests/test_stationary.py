@@ -186,6 +186,19 @@ def test_variational_feasibility_and_certificate(grid, rho):
     assert euler_lagrange_certificate(cost, m, rho) >= -1e-6
 
 
+def test_variational_fine_grid_kkt():
+    # 255 nodes with a killing region: the whole active-set steps reach
+    # the KKT point; a feasible density with a nonnegative certificate
+    fine = build_grid(1, (0.0, 1.0), 255)
+    rho_f = raised_cosine_bump(fine)
+    cost = local_cost(fine, -0.005)
+    m = variational_minimize(cost.potential(), rho_f)
+    slack = rho_f.values - elliptic_matrix(fine) @ m.values
+    assert np.min(slack) >= -1e-10 and np.max(slack) > 1e-3
+    assert np.min(m.values) >= 0.0
+    assert euler_lagrange_certificate(cost, m, rho_f) >= -1e-8
+
+
 def test_variational_matches_qp_oracle(grid, rho):
     cvxopt = pytest.importorskip("cvxopt")
     cvxopt.solvers.options["show_progress"] = False
