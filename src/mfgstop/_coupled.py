@@ -8,10 +8,13 @@ alpha). Solving the pair jointly is what keeps contact plateaus
 stable; split forward/backward sweeps flap on the free-boundary
 classification.
 
-Data that enters nonsmoothly or nonlocally, namely the m-dependent
-obstacle psi(m) and its source, the Hamiltonian value at the upwind
-gradient, and the induced face drift, is frozen per outer pass and
-relaxed by iteration (lagged evaluation); fixed points are unchanged.
+An obstacle generated from a source g(m) by the backward heat equation
+(heat_from_g) joins the Newton as a third unknown block psi_0..psi_{K-1}
+with the implicit heat steps as its rows, so psi(m) is solved with the
+pair rather than lagged. What remains nonsmooth or nonlocal, namely
+the classification band, the Hamiltonian value at the upwind gradient
+and the induced face drift, is frozen per outer pass and relaxed by
+iteration (lagged evaluation); fixed points are unchanged.
 
 Discrete pairing conventions (they close the duality identity exactly,
 see the verifiers): the value equation at slice k uses source f(m_k)
@@ -29,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import block_diag as dense_block_diag
 
 from .costs import CostOperator
 from .density import FaceVelocities, drift_divergence_matrix
@@ -148,11 +152,14 @@ def forward_backward_solve(
 ) -> FBSolution:
     """Solve the penalized forward-backward system at one penalty level.
 
-    Outer passes freeze the obstacle trajectory, the Hamiltonian value
+    Outer passes freeze the classification band, the Hamiltonian value
     and the face drift from the current iterate, then a joint
     semismooth Newton resolves the frozen system in the stacked
-    unknowns (u_0..u_{K-1}, m_1..m_K). Local costs only; nonlocal
-    couplings have no nodal derivative for the Newton blocks.
+    unknowns (u_0..u_{K-1}, m_1..m_K), and, for a heat_from_g obstacle,
+    (psi_0..psi_{K-1}) as well, so that psi(m) is solved with the pair
+    instead of being lagged. A fixed obstacle does not depend on m and
+    is computed once. Local costs only; nonlocal couplings have no
+    nodal derivative for the Newton blocks.
 
     strict=False returns the best iterate instead of raising when a
     warm-up continuation stage stalls.
@@ -169,6 +176,8 @@ def forward_backward_solve(
     steps = timegrid.n_steps
     dt = timegrid.dt
     a0 = elliptic_matrix(grid, with_zero_order=False)
+    g_cost = (obstacle_op.g_cost if obstacle_op is not None and obstacle_op.kind == "heat_from_g"
+              else None)
 
     m_arr = (np.tile(m0.values, (steps + 1, 1)) if m_traj_init is None
              else np.array(m_traj_init, dtype=float, copy=True))
@@ -182,23 +191,13 @@ def forward_backward_solve(
     band = cfg.delta_floor
     best = None
     best_gap = np.inf
-    outer_iters = 0
+    u_arr[steps] = psi_arr[steps]
+    h_shift = hamiltonian.at_zero() if hamiltonian is not None else 0.0
 
     for outer in range(1, cfg.max_outer + 1):
-        outer_iters = outer
-        # freeze nonlocal / nonsmooth data from the current iterate (the
-        # first pass reuses the obstacle computed above from the same m)
-        if outer > 1:
-            psi_arr, g_arr = _apply_obstacle(obstacle_op, grid, timegrid, m_arr)
-        u_arr[steps] = psi_arr[steps]
-        f_arr = np.stack([cost.evaluate(m_arr[k]) for k in range(steps + 1)])
-        h_shift = hamiltonian.at_zero() if hamiltonian is not None else None
-        scale = 0.0
-        for k in range(steps):
-            ft = f_arr[k] + g_arr[k]
-            if h_shift is not None:
-                ft = ft - h_shift
-            scale = max(scale, float(np.max(np.abs(ft))))
+        # freeze the lagged data from the current iterate
+        f_arr = cost.evaluate(m_arr)
+        scale = float(np.max(np.abs(f_arr[:steps] + g_arr[:steps] - h_shift)))
         band_new = (cfg.band_override if cfg.band_override is not None
                     else max(cfg.delta_floor, cfg.band_factor * epsilon * scale))
         if outer == 1 and u_traj_init is not None and band_init:
@@ -219,13 +218,15 @@ def forward_backward_solve(
             drift = None
             div_ops = [None] * steps
 
-        u_new, m_new, newton_res = _newton_frozen(
-            cost, m0.values, u_arr, m_arr, psi_arr, f_arr, h_vals, div_ops,
-            a0, dt, steps, epsilon, band, cfg)
+        u_new, m_new, psi_arr, newton_res = _newton_frozen(
+            cost, g_cost, m0.values, u_arr, m_arr, psi_arr, f_arr, h_vals, div_ops,
+            a0, dt, epsilon, band, cfg)
         gap = max(float(np.max(np.abs(m_new - m_arr))), float(np.max(np.abs(u_new - u_arr))))
         history.append(gap)
         u_arr = u_new
         m_arr = m_new
+        if g_cost is not None:
+            g_arr = g_cost.evaluate(m_arr)
 
         def solution(converged):
             rate = _ramp((u_arr[:steps] - psi_arr[:steps]) / band) / epsilon
@@ -252,85 +253,105 @@ def forward_backward_solve(
     return best
 
 
-def _newton_frozen(cost, m0_vals, u_arr, m_arr, psi_arr, f_arr, h_vals, div_ops,
-                   a0, dt, steps, epsilon, band, cfg):
+def _newton_frozen(cost, g_cost, m0_vals, u_arr, m_arr, psi_arr, f_arr, h_vals, div_ops,
+                   a0, dt, epsilon, band, cfg):
     """Joint semismooth Newton on the frozen forward-backward system
-    (see _frozen_system), from the current iterate."""
+    (see _frozen_system), from the current iterate. Returns the value,
+    density and obstacle trajectories and the final residual norm."""
+    steps = len(div_ops)
     residual, jacobian, unstack = _frozen_system(
-        cost, m0_vals, u_arr[steps], psi_arr, h_vals, div_ops, a0, dt, epsilon, band)
-    x0 = np.concatenate([u_arr[:steps].ravel(), m_arr[1:].ravel()])
+        cost, g_cost, m0_vals, u_arr[steps], psi_arr, h_vals, div_ops, a0, dt, epsilon, band)
+    x0 = np.concatenate([u_arr[:steps].ravel(), m_arr[1:].ravel()]
+                        + ([psi_arr[:steps].ravel()] if g_cost is not None else []))
     target = min(cfg.tol_pde, 1e-10) * (1.0 + float(np.max(np.abs(f_arr))))
     x, norms, _ = semismooth_newton(residual, jacobian, x0, target, 60)
-    u_out, m_out = unstack(x)
-    return u_out, m_out, norms[-1]
+    return (*unstack(x), norms[-1])
 
 
-def _frozen_system(cost, m0_vals, u_terminal, psi_arr, h_vals, div_ops, a0, dt, epsilon, band):
+def _frozen_system(cost, g_cost, m0_vals, u_terminal, psi_arr, h_vals, div_ops, a0, dt,
+                   epsilon, band):
     """Residual, Jacobian and unstacking of one frozen outer pass.
 
-    Unknowns x = [u_0..u_{K-1}, m_1..m_K]. The value equations carry
-    the penalty (u - psi)^+/eps and frozen Hamiltonian values; the
-    density equations carry the ramped exit rate and frozen drift.
+    Unknowns x = [u_0..u_{K-1}, m_1..m_K], followed by psi_0..psi_{K-1}
+    when g_cost (the source of a heat_from_g obstacle) is given; psi_K
+    and, for a fixed obstacle, the whole psi come from psi_arr. The
+    value equations carry the penalty (u - psi)^+/eps and frozen
+    Hamiltonian values; the density equations carry the ramped exit rate
+    and frozen drift; the obstacle equations are the implicit backward
+    heat steps B psi_k - psi_{k+1}/dt + g(m_k) = 0 that
+    ObstacleOperator.apply_arrays solves.
 
-    The Jacobian is a static part, built once here (the diagonal blocks
-    B = A0 + I/dt and B + div_k, and the -I/dt couplings), plus four
-    value-dependent diagonal families: the penalty indicator, the
-    ramped exit rate, the ramp slope times m, and -f'(m).
+    The static part is built once here from Kronecker products over the
+    time slices, B = A0 + I/dt on every diagonal block with -I/dt above
+    it for u and psi and below it for m, plus the block diagonal of the
+    drift operators div_k in the m block.
+    The residual is static @ x plus the data terminal and initial slices
+    plus nodewise terms on whole (K, N) arrays. The Jacobian adds
+    value-dependent diagonal families to the static part: the penalty
+    indicator, the ramped exit rate, the ramp slope times m and -f'(m),
+    and with psi also -indicator, -slope times m and g'(m).
     """
     n = a0.shape[0]
     k_steps = len(div_ops)
+    n_u = k_steps * n
     eye_dt = sp.identity(n, format="csr") / dt
     b_op = (a0 + eye_dt).tocsr()
-    ops = [b_op if d is None else b_op + d for d in div_ops]
+    # slice couplings: u_{k+1} and psi_{k+1} in the rows of slice k, m_k
+    # in the rows of m_{k+1}
+    upper = np.eye(k_steps, k=1)
+    shifts = [upper, upper.T] + ([upper] if g_cost is not None else [])
+    static = (sp.kron(sp.identity(len(shifts) * k_steps), b_op)
+              - sp.kron(dense_block_diag(*shifts), eye_dt))
+    if div_ops[0] is not None:
+        zero = sp.csr_matrix((n_u, n_u))
+        static = static + sp.block_diag([zero, *div_ops] + [zero] * (len(shifts) - 2))
+    static = static.tocsr()
+    # the data slices u_K, m_0 and psi_K enter the residual as a constant
+    const = np.zeros(static.shape[0])
+    const[n_u - n:n_u] = -u_terminal / dt
+    const[n_u:n_u + n] = -m0_vals / dt
+    if g_cost is not None:
+        const[-n:] = -psi_arr[k_steps] / dt
 
     def unstack(x):
-        # value slices u_0..u_K and density slices m_0..m_K, the
-        # terminal value and the initial density being data
-        u = x[: k_steps * n].reshape(k_steps, n)
-        m = x[k_steps * n:].reshape(k_steps, n)
-        return np.vstack([u, u_terminal[None, :]]), np.vstack([m0_vals[None, :], m])
+        # value, density and obstacle slices 0..K
+        u = np.vstack([x[:n_u].reshape(k_steps, n), u_terminal[None, :]])
+        m = np.vstack([m0_vals[None, :], x[n_u:2 * n_u].reshape(k_steps, n)])
+        if g_cost is None:
+            return u, m, psi_arr
+        return u, m, np.vstack([x[2 * n_u:].reshape(k_steps, n), psi_arr[k_steps:]])
 
     def residual(x):
-        u, m = unstack(x)
-        r_u = np.empty((k_steps, n))
-        r_m = np.empty((k_steps, n))
-        for k in range(k_steps):
-            v_k = u[k] - psi_arr[k]
-            r_u[k] = (b_op @ u[k] - u[k + 1] / dt
-                      + np.maximum(v_k, 0.0) / epsilon + h_vals[k]
-                      - cost.evaluate(m[k]))
-            rate = _ramp(v_k / band) / epsilon
-            r_m[k] = ops[k] @ m[k + 1] - m[k] / dt + rate * m[k + 1]
-        return np.concatenate([r_u.ravel(), r_m.ravel()])
+        u, m, psi = unstack(x)
+        v = u[:k_steps] - psi[:k_steps]
+        nodewise = [np.maximum(v, 0.0) / epsilon + h_vals - cost.evaluate(m[:k_steps]),
+                    _ramp(v / band) / epsilon * m[1:]]
+        if g_cost is not None:
+            nodewise.append(g_cost.evaluate(m[:k_steps]))
+        return static @ x + const + np.concatenate(nodewise, axis=None)
 
-    blocks_u = [[None] * (2 * k_steps) for _ in range(k_steps)]
-    blocks_m = [[None] * (2 * k_steps) for _ in range(k_steps)]
-    for k in range(k_steps):
-        blocks_u[k][k] = b_op
-        if k + 1 < k_steps:
-            blocks_u[k][k + 1] = -eye_dt
-        blocks_m[k][k_steps + k] = ops[k]
-        if k >= 1:
-            blocks_m[k][k_steps + k - 1] = -eye_dt
-    n_u = k_steps * n
     diag = np.arange(n_u)
     # rows and columns of: the penalty indicator (u_k, u_k), -f'(m_k)
     # (u_k, m_k) for k >= 1, the ramp slope times m (m_{k+1}, u_k) and
-    # the exit rate (m_{k+1}, m_{k+1})
-    assemble = diagonal_update(
-        sp.bmat(blocks_u + blocks_m),
-        np.concatenate([diag, diag[n:], n_u + diag, n_u + diag]),
-        np.concatenate([diag, n_u + diag[:-n], diag, n_u + diag]))
+    # the exit rate (m_{k+1}, m_{k+1}); with psi also -indicator
+    # (u_k, psi_k), -slope times m (m_{k+1}, psi_k) and g'(m_k)
+    # (psi_k, m_k) for k >= 1
+    rows = [diag, diag[n:], n_u + diag, n_u + diag]
+    cols = [diag, n_u + diag[:-n], diag, n_u + diag]
+    if g_cost is not None:
+        rows += [diag, n_u + diag, 2 * n_u + diag[n:]]
+        cols += [2 * n_u + diag, 2 * n_u + diag, n_u + diag[:-n]]
+    assemble = diagonal_update(static, np.concatenate(rows), np.concatenate(cols))
 
     def jacobian(x):
-        u, m = unstack(x)
-        v = u[:k_steps] - psi_arr[:k_steps]
-        dsigma = np.where(np.abs(v) < band, 0.5 / band, 0.0)
-        return assemble(np.concatenate([
-            ((v > 0).astype(float) / epsilon).ravel(),
-            *[-cost.derivative(m[k]) for k in range(1, k_steps)],
-            (dsigma * m[1:] / epsilon).ravel(),
-            (_ramp(v / band) / epsilon).ravel()]))
+        u, m, psi = unstack(x)
+        v = u[:k_steps] - psi[:k_steps]
+        indicator = (v > 0).astype(float) / epsilon
+        slope_m = np.where(np.abs(v) < band, 0.5 / band, 0.0) * m[1:] / epsilon
+        vals = [indicator, -cost.derivative(m[1:k_steps]), slope_m, _ramp(v / band) / epsilon]
+        if g_cost is not None:
+            vals += [-indicator, -slope_m, g_cost.derivative(m[1:k_steps])]
+        return assemble(np.concatenate(vals, axis=None))
 
     return residual, jacobian, unstack
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from ._coupled import _face_drift, _pad_axis, _upwind_hamiltonian, forward_backward_continuation
 from .costs import CostOperator, PotentialOperator
@@ -303,6 +302,8 @@ def fenchel_conjugate(hamiltonian: Hamiltonian, node: int, velocity) -> float:
     Both supported Hamiltonians are radial in p, so the supremum
     reduces to a scalar maximization along the direction of a.
     """
+    from scipy.optimize import minimize_scalar
+
     speed = float(np.linalg.norm(np.atleast_1d(np.asarray(velocity, dtype=float))))
     beta = float(hamiltonian.beta.values[node]) if hamiltonian.kind == "smoothed_norm" else None
     if speed == 0.0:

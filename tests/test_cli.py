@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +38,19 @@ def write_config(tmp_path, overrides=None, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only control.fenchel_conjugate needs scipy.optimize; no command
+    # should pay for importing it at start-up
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = "import sys, mfgstop.cli; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_run_monotone_1d_succeeds(tmp_path):

@@ -79,6 +79,23 @@ def test_exclusion_solve_grows_with_the_set(mask, extra, rho_vals):
     assert np.all(m_big >= m_small - 1e-12)
 
 
+face_values = st.lists(st.floats(-5.0, 5.0), min_size=60, max_size=60).map(np.array)
+rates = st.lists(st.floats(0.0, 1.0), min_size=25, max_size=25).map(np.array)
+
+
+@deterministic
+@given(densities, node_masks, rates, st.sampled_from([1e-3, 1e-1, 10.0]), face_values)
+def test_parabolic_solve_never_gains_mass(m0_vals, mask, alpha, eps, faces):
+    # killing only removes mass and the Dirichlet closure only lets it
+    # leak, whatever the drift
+    tg = build_timegrid(0.4, 4)
+    killing = KillingData(ScalarField(GRID_5X5, alpha), NodeMask(GRID_5X5, mask), eps)
+    drift = FaceVelocities(GRID_5X5, (faces[:30].reshape(6, 5), faces[30:].reshape(5, 6)))
+    traj = solve_density_parabolic(ScalarField(GRID_5X5, m0_vals), killing, tg, drift)
+    masses = traj.array().sum(axis=1) * GRID_5X5.cell_volume
+    assert np.all(np.diff(masses) <= 1e-12 * max(1.0, masses[0]))
+
+
 def test_rejects_negative_source():
     g = build_grid(1, (0.0, 1.0), 5)
     with pytest.raises(ValueError):

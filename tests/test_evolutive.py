@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mfgstop import _coupled
 from mfgstop.costs import CostOperator
 from mfgstop.density import solve_density_parabolic
 from mfgstop.evolutive import (
@@ -19,7 +20,7 @@ from mfgstop.grid import (
     elliptic_matrix,
 )
 from mfgstop.scenarios import gaussian_density, scenario_standard
-from mfgstop.stationary import continuation_solve, default_eps_schedule
+from mfgstop.stationary import _ramp, continuation_solve, default_eps_schedule
 
 
 @pytest.fixture(scope="module")
@@ -196,3 +197,46 @@ def test_evolutive_uniqueness_probe_deterministic(setup):
     assert evolutive_uniqueness_probe(cost, op, m0, tg, n_starts=2, seed=0,
                                       eps_schedule=schedule,
                                       start_scales=[1.0, 1.0]) == 0.0
+
+
+def test_newton_obstacle_is_the_backward_heat_image(monkeypatch):
+    # for heat_from_g, psi is a Newton unknown: the psi of the last pass,
+    # from which alpha is built, solves the backward heat steps for the
+    # final density, and the heat solve itself runs once per stage
+    sc = scenario_standard("evolutive_heat_g")
+    newton = _coupled._newton_frozen
+    apply_arrays = ObstacleOperator.apply_arrays
+    psis, applies = [], []
+
+    def recording_newton(*args):
+        out = newton(*args)
+        psis.append(out[2])
+        return out
+
+    def counting_apply(self, *args):
+        applies.append(self.kind)
+        return apply_arrays(self, *args)
+
+    monkeypatch.setattr(_coupled, "_newton_frozen", recording_newton)
+    monkeypatch.setattr(ObstacleOperator, "apply_arrays", counting_apply)
+    sol, stages = _coupled.forward_backward_continuation(
+        sc.cost, sc.m0, sc.timegrid, list(sc.eps_schedule), obstacle_op=sc.obstacle_op)
+    assert applies == ["heat_from_g"] * len(stages)
+    psi = psis[-1]
+    expected = apply_arrays(sc.obstacle_op, sc.grid, sc.timegrid, sol.m.array())[0]
+    assert np.max(np.abs(psi - expected)) <= 1e-10
+    rate = _ramp((sol.u.array()[:-1] - psi[:-1]) / sol.delta_band) / sol.epsilon
+    assert np.array_equal(sol.alpha.array()[:-1], np.clip(rate * sol.epsilon, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 - 1e-4, 1.0 + 1e-4, 0.97, 1.03])
+def test_heat_g_stages_take_at_most_three_passes(scale):
+    # with psi solved inside the Newton, only the band is lagged, so the
+    # pass count no longer swings with the input (it was 76-115 in total
+    # over the eight stages under 3% perturbations when psi was lagged)
+    sc = scenario_standard("evolutive_heat_g")
+    m0 = ScalarField(sc.grid, scale * sc.m0.values)
+    _, stages = _coupled.forward_backward_continuation(
+        sc.cost, m0, sc.timegrid, list(sc.eps_schedule), obstacle_op=sc.obstacle_op)
+    assert len(stages) == 8
+    assert max(stage.iterations for stage in stages) <= 3

@@ -268,33 +268,60 @@ def band_offsets(rng, shape, band):
     return band * rng.choice([-3.0, -0.5, 0.0, 0.25, 0.5, 3.0], size=shape)
 
 
-@pytest.mark.parametrize("drift", [False, True])
-def test_frozen_jacobian_matches_block_assembly(drift):
+@pytest.mark.parametrize("drift, heat", [(False, False), (True, False), (False, True)],
+                         ids=["False", "True", "heat_from_g"])
+def test_frozen_jacobian_matches_block_assembly(drift, heat):
     # oracle: the whole block grid built with sp.bmat and sp.diags at
-    # every step; f = m^2 + f0 gives -f'(m) = 0 where m <= 0
+    # every step; f = m^2 + f0 gives -f'(m) = 0 and g = m^2 / 2 gives
+    # g'(m) = 0 where m <= 0
     g = build_grid(1, (0.0, 1.0), 7)
     n, k_steps, dt, eps, band = 7, 3, 0.1, 1e-3, 0.05
     rng = np.random.default_rng(11)
     cost = CostOperator.local_power(g, 1.0, 2.0, ScalarField.constant(g, -0.3))
+    g_cost = CostOperator.local_power(g, 0.5, 2.0, ScalarField.zeros(g)) if heat else None
     a0 = elliptic_matrix(g, with_zero_order=False)
     psi_arr = rng.normal(size=(k_steps + 1, n))
-    u = psi_arr + band_offsets(rng, (k_steps + 1, n), band)
+    offsets = band_offsets(rng, (k_steps + 1, n), band)
     m = rng.choice([-0.2, 0.0, 0.3, 1.1], size=(k_steps + 1, n))
+    if heat:
+        psi_arr = ObstacleOperator.heat_source(g_cost).apply_arrays(
+            g, build_timegrid(k_steps * dt, k_steps), m)[0]
+    u = psi_arr + offsets
     div_ops = [None] * k_steps
     if drift:
         ham = Hamiltonian.smoothed_norm(ScalarField.constant(g, 1.0))
         div_ops = [drift_divergence_matrix(g, _face_drift(g, ham, u[k])) for k in range(k_steps)]
-    _, jacobian, unstack = _frozen_system(cost, m[0], u[k_steps], psi_arr,
-                                          np.zeros((k_steps, n)), div_ops, a0, dt, eps, band)
-    x = np.concatenate([u[:k_steps].ravel(), m[1:].ravel()])
-    u_x, m_x = unstack(x)
-    assert np.array_equal(u_x, u) and np.array_equal(m_x, m)
+    residual, jacobian, unstack = _frozen_system(
+        cost, g_cost, m[0], u[k_steps], psi_arr, np.zeros((k_steps, n)), div_ops, a0, dt,
+        eps, band)
+    x = np.concatenate([u[:k_steps].ravel(), m[1:].ravel()]
+                       + ([psi_arr[:k_steps].ravel()] if heat else []))
+    u_x, m_x, psi_x = unstack(x)
+    assert np.array_equal(u_x, u) and np.array_equal(m_x, m) and np.array_equal(psi_x, psi_arr)
+    if heat:
+        # the obstacle rows are the backward heat steps of apply_arrays
+        assert np.max(np.abs(residual(x)[2 * k_steps * n:])) <= 1e-12
 
     eye_dt = sp.identity(n, format="csr") / dt
     b_op = (a0 + eye_dt).tocsr()
     ops = [b_op if d is None else b_op + d for d in div_ops]
-    blocks_u = [[None] * (2 * k_steps) for _ in range(k_steps)]
-    blocks_m = [[None] * (2 * k_steps) for _ in range(k_steps)]
+    # the residual against its slice-by-slice form (summed in another
+    # order, so equal to round-off)
+    v = u[:k_steps] - psi_arr[:k_steps]
+    slices = [[b_op @ u[k] - u[k + 1] / dt + np.maximum(v[k], 0.0) / eps
+               - cost.evaluate(m[k]) for k in range(k_steps)],
+              [ops[k] @ m[k + 1] - m[k] / dt + _ramp(v[k] / band) / eps * m[k + 1]
+               for k in range(k_steps)]]
+    if heat:
+        slices.append([b_op @ psi_arr[k] - psi_arr[k + 1] / dt + g_cost.evaluate(m[k])
+                        for k in range(k_steps)])
+    expected = np.concatenate(slices, axis=None)
+    assert np.max(np.abs(residual(x) - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    size = (3 if heat else 2) * k_steps
+    blocks_u = [[None] * size for _ in range(k_steps)]
+    blocks_m = [[None] * size for _ in range(k_steps)]
+    blocks_psi = [[None] * size for _ in range(k_steps if heat else 0)]
     for k in range(k_steps):
         v_k = u[k] - psi_arr[k]
         blocks_u[k][k] = b_op + sp.diags((v_k > 0).astype(float) / eps)
@@ -307,10 +334,20 @@ def test_frozen_jacobian_matches_block_assembly(drift):
         if k >= 1:
             blocks_m[k][k_steps + k - 1] = -eye_dt
         blocks_m[k][k] = sp.diags(dsigma * m[k + 1] / eps)
-    oracle = sp.bmat(blocks_u + blocks_m, format="csc")
+        if heat:
+            blocks_u[k][2 * k_steps + k] = sp.diags(-(v_k > 0).astype(float) / eps)
+            blocks_m[k][2 * k_steps + k] = sp.diags(-dsigma * m[k + 1] / eps)
+            blocks_psi[k][2 * k_steps + k] = b_op
+            if k + 1 < k_steps:
+                blocks_psi[k][2 * k_steps + k + 1] = -eye_dt
+            if k >= 1:
+                blocks_psi[k][k_steps + k - 1] = sp.diags(g_cost.derivative(m[k]))
+    oracle = sp.bmat(blocks_u + blocks_m + blocks_psi, format="csc")
     # the zero entries are really there, and really not stored
     assert np.any(cost.derivative(m[1:k_steps]) == 0.0)
     assert np.any((np.abs(u[:k_steps] - psi_arr[:k_steps]) < band) & (m[1:] == 0.0))
+    if heat:
+        assert np.any(g_cost.derivative(m[1:k_steps]) == 0.0)
     assert_same_csc(jacobian(x), oracle)
 
 
