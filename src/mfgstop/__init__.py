@@ -56,7 +56,6 @@ from .evolutive import (
     ObstacleOperator,
     EvolutiveMixedReport,
     apply_obstacle_operator,
-    osmfg_penalized_solve,
     osmfg_continuation,
     verify_mixed_evolutive,
     evolutive_uniqueness_probe,
@@ -64,7 +63,6 @@ from .evolutive import (
 from .control import (
     Hamiltonian,
     ControlMixedReport,
-    solve_hjb_obstacle,
     cosmfg_coupled_solve,
     verify_cosmfg,
     fenchel_conjugate,

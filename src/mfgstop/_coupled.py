@@ -1,4 +1,4 @@
-"""Shared solver for the time-dependent coupled systems.
+"""Shared solver and verifier core for the time-dependent coupled systems.
 
 The penalized forward-backward system is solved by a semismooth Newton
 method on the joint space-time unknowns (value trajectory, density
@@ -21,9 +21,10 @@ see the verifiers): the value equation at slice k uses source f(m_k)
 for k = 0..K-1; the density step k -> k+1 uses the exit rate ramped
 from slice k; time integrals pair slice-k integrands with m_{k+1}.
 
-The controlled system is the same solver with a Hamiltonian term and
-its induced drift; with H = 0 the code path is identical to the plain
-evolutive one.
+The controlled system is the evolutive one with the zero obstacle plus
+a Hamiltonian term and its induced drift, in the solver and in the
+verifier alike: _hamiltonian_terms is the one source of H and the
+drift, and _slice_residuals the one slice-residual core.
 """
 
 from __future__ import annotations
@@ -128,13 +129,54 @@ def _face_drift(grid: Grid, hamiltonian, u: np.ndarray) -> FaceVelocities:
     return FaceVelocities(grid, tuple(comps))
 
 
-def _apply_obstacle(obstacle_op, grid, timegrid, m_arr):
-    """psi(m) and its source (d/dt + lap) psi as (K+1, N) arrays."""
-    steps = timegrid.n_steps
-    n = grid.n_total
-    if obstacle_op is None:
-        return np.zeros((steps + 1, n)), np.zeros((steps + 1, n))
-    return obstacle_op.apply_arrays(grid, timegrid, m_arr)
+def _hamiltonian_terms(grid: Grid, hamiltonian, u_arr: np.ndarray):
+    """Frozen Hamiltonian data of the value slices 0..K-1 of u_arr:
+    upwind values H(x, Du_k) as a (K, N) array, face drifts D_pH and
+    their divergence operators. Without a Hamiltonian: zeros, no drift
+    and no operators."""
+    steps = len(u_arr) - 1
+    if hamiltonian is None:
+        return np.zeros((steps, grid.n_total)), None, [None] * steps
+    h_vals = np.stack([_upwind_hamiltonian(grid, hamiltonian, u_arr[k])[0]
+                       for k in range(steps)])
+    drift = [_face_drift(grid, hamiltonian, u_arr[k]) for k in range(steps)]
+    return h_vals, drift, [drift_divergence_matrix(grid, d) for d in drift]
+
+
+def _slice_residuals(grid: Grid, dt: float, cost: CostOperator, u_arr, m_arr, psi_arr, g_arr,
+                     h_vals, div_ops, delta_c: float):
+    """Slice-by-slice residuals shared by the time-dependent verifiers.
+
+    With f_k = f(m_k), L u_k = (u_k - u_{k+1})/dt + A0 u_k + H_k and
+    (H_k, div_k) from _hamiltonian_terms, returns the max over slices of
+    |min(psi_k - u_k, f_k - L u_k)| (complementarity), of the density
+    residual (m_{k+1} - m_k)/dt + (A0 + div_k) m_{k+1} on the
+    continuation set {u_k - psi_k < -delta_c} and of its positive part
+    (subsolution), then the sums of dt <f_k + g_k, m_{k+1}> over the
+    contact set and over all nodes.
+    """
+    a0 = elliptic_matrix(grid, with_zero_order=False)
+    vol = grid.cell_volume
+    r_comp = 0.0
+    r_cont = 0.0
+    r_sub = 0.0
+    contact_sum = 0.0
+    total_sum = 0.0
+    for k in range(len(div_ops)):
+        f_k = cost.evaluate(m_arr[k])
+        lu = (u_arr[k] - u_arr[k + 1]) / dt + a0 @ u_arr[k] + h_vals[k]
+        comp = np.minimum(psi_arr[k] - u_arr[k], f_k - lu)
+        r_comp = max(r_comp, float(np.max(np.abs(comp))))
+        op = a0 if div_ops[k] is None else a0 + div_ops[k]
+        fp_resid = (m_arr[k + 1] - m_arr[k]) / dt + op @ m_arr[k + 1]
+        continuation = u_arr[k] - psi_arr[k] < -delta_c
+        contact = ~continuation
+        r_cont = max(r_cont, float(np.max(np.abs(fp_resid[continuation]), initial=0.0)))
+        r_sub = max(r_sub, float(np.max(fp_resid, initial=0.0)))
+        integrand = (f_k + g_arr[k]) * m_arr[k + 1]
+        contact_sum += dt * float(np.sum(integrand[contact])) * vol
+        total_sum += dt * float(np.sum(integrand)) * vol
+    return r_comp, r_cont, r_sub, contact_sum, total_sum
 
 
 def forward_backward_solve(
@@ -143,7 +185,8 @@ def forward_backward_solve(
     timegrid: TimeGrid,
     epsilon: float,
     config: CoupledConfig | None = None,
-    obstacle_op=None,
+    *,
+    obstacle_op,
     hamiltonian=None,
     m_traj_init: np.ndarray | None = None,
     u_traj_init: np.ndarray | None = None,
@@ -158,7 +201,8 @@ def forward_backward_solve(
     unknowns (u_0..u_{K-1}, m_1..m_K), and, for a heat_from_g obstacle,
     (psi_0..psi_{K-1}) as well, so that psi(m) is solved with the pair
     instead of being lagged. A fixed obstacle does not depend on m and
-    is computed once. Local costs only; nonlocal couplings have no
+    is computed once; the controlled system passes the zero obstacle
+    with its hamiltonian. Local costs only; nonlocal couplings have no
     nodal derivative for the Newton blocks.
 
     strict=False returns the best iterate instead of raising when a
@@ -172,17 +216,15 @@ def forward_backward_solve(
     grid = m0.grid
     if np.any(m0.values < -1e-12):
         raise ValueError("m0 must be nonnegative")
-    n = grid.n_total
     steps = timegrid.n_steps
     dt = timegrid.dt
     a0 = elliptic_matrix(grid, with_zero_order=False)
-    g_cost = (obstacle_op.g_cost if obstacle_op is not None and obstacle_op.kind == "heat_from_g"
-              else None)
+    g_cost = obstacle_op.g_cost if obstacle_op.kind == "heat_from_g" else None
 
     m_arr = (np.tile(m0.values, (steps + 1, 1)) if m_traj_init is None
              else np.array(m_traj_init, dtype=float, copy=True))
     m_arr[0] = m0.values
-    psi_arr, g_arr = _apply_obstacle(obstacle_op, grid, timegrid, m_arr)
+    psi_arr, g_arr = obstacle_op.apply_arrays(grid, timegrid, m_arr)
     if u_traj_init is None:
         u_arr = psi_arr.copy()
     else:
@@ -192,12 +234,11 @@ def forward_backward_solve(
     best = None
     best_gap = np.inf
     u_arr[steps] = psi_arr[steps]
-    h_shift = hamiltonian.at_zero() if hamiltonian is not None else 0.0
 
     for outer in range(1, cfg.max_outer + 1):
         # freeze the lagged data from the current iterate
         f_arr = cost.evaluate(m_arr)
-        scale = float(np.max(np.abs(f_arr[:steps] + g_arr[:steps] - h_shift)))
+        scale = float(np.max(np.abs(f_arr[:steps] + g_arr[:steps])))
         band_new = (cfg.band_override if cfg.band_override is not None
                     else max(cfg.delta_floor, cfg.band_factor * epsilon * scale))
         if outer == 1 and u_traj_init is not None and band_init:
@@ -208,15 +249,7 @@ def forward_backward_solve(
                 inside, psi_arr[:steps] + (u_arr[:steps] - psi_arr[:steps]) * (band_new / band_init),
                 u_arr[:steps])
         band = band_new
-        if hamiltonian is not None:
-            h_vals = np.stack([_upwind_hamiltonian(grid, hamiltonian, u_arr[k])[0]
-                               for k in range(steps)])
-            drift = [_face_drift(grid, hamiltonian, u_arr[k]) for k in range(steps)]
-            div_ops = [drift_divergence_matrix(grid, d) for d in drift]
-        else:
-            h_vals = np.zeros((steps, n))
-            drift = None
-            div_ops = [None] * steps
+        h_vals, drift, div_ops = _hamiltonian_terms(grid, hamiltonian, u_arr)
 
         u_new, m_new, psi_arr, newton_res = _newton_frozen(
             cost, g_cost, m0.values, u_arr, m_arr, psi_arr, f_arr, h_vals, div_ops,
@@ -362,7 +395,8 @@ def forward_backward_continuation(
     timegrid: TimeGrid,
     eps_schedule,
     config: CoupledConfig | None = None,
-    obstacle_op=None,
+    *,
+    obstacle_op,
     hamiltonian=None,
     m_traj_init: np.ndarray | None = None,
 ):

@@ -270,8 +270,9 @@ def _output_root(cfg_dir: str | None) -> str:
     return root
 
 
-def _write_report(report, path):
-    _json_dump(report.to_dict(), path)
+def _residuals(report) -> dict:
+    """The r_* entries of a report, in field order."""
+    return {k: v for k, v in report.to_dict().items() if k.startswith("r_")}
 
 
 def _write_convergence_table(rows, path):
@@ -308,22 +309,18 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
                 u, m, stage_reports = continuation_solve(cfg.cost, cfg.rho, cfg.eps_schedule, cfg.coupled)
                 report = stage_reports[-1].report
                 stage_rows = [{"stage": sr.stage, "epsilon": sr.epsilon, "iterations": sr.iterations,
-                               "residuals": {k: v for k, v in sr.report.to_dict().items()
-                                             if k.startswith("r_")}}
-                              for sr in stage_reports]
+                               "residuals": _residuals(sr.report)} for sr in stage_reports]
             elif cfg.method == "monotone_iteration":
                 u, m, n_iter = monotone_iteration_solve(cfg.cost, cfg.rho)
                 report = verify_mixed(u, m, cfg.cost, cfg.rho)
                 stage_rows = [{"stage": 0, "epsilon": 0.0, "iterations": n_iter,
-                               "residuals": {k: v for k, v in report.to_dict().items()
-                                             if k.startswith("r_")}}]
+                               "residuals": _residuals(report)}]
             else:
                 m = variational_minimize(cfg.cost.potential(), cfg.rho)
                 u = solve_obstacle_stationary(cfg.cost(m), ScalarField.zeros(cfg.grid))
                 report = verify_mixed(u, m, cfg.cost, cfg.rho)
                 stage_rows = [{"stage": 0, "epsilon": 0.0, "iterations": 1,
-                               "residuals": {k: v for k, v in report.to_dict().items()
-                                             if k.startswith("r_")}}]
+                               "residuals": _residuals(report)}]
             write_field_csv(u, os.path.join(out, "u.csv"))
             write_field_csv(m, os.path.join(out, "m.csv"))
         elif cfg.problem == "osmfg":
@@ -332,18 +329,14 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
             report = verify_mixed_evolutive(sol.u, sol.m, cfg.cost, cfg.obstacle_op, cfg.m0,
                                             delta_c=sol.delta_band)
             stage_rows = [{"stage": r["stage"], "epsilon": r["epsilon"], "iterations": r["iterations"],
-                           "residuals": {k: v for k, v in r["report"].to_dict().items()
-                                         if k.startswith("r_")}}
-                          for r in reports]
+                           "residuals": _residuals(r["report"])} for r in reports]
             write_trajectory_csv(sol.u, out, "u")
             write_trajectory_csv(sol.m, out, "m")
         else:
             sol, report = cosmfg_coupled_solve(cfg.cost, cfg.hamiltonian, cfg.m0, cfg.timegrid,
                                                cfg.eps_schedule, cfg.coupled)
             stage_rows = [{"stage": len(cfg.eps_schedule) - 1, "epsilon": cfg.eps_schedule[-1],
-                           "iterations": sol.iterations,
-                           "residuals": {k: v for k, v in report.to_dict().items()
-                                         if k.startswith("r_")}}]
+                           "iterations": sol.iterations, "residuals": _residuals(report)}]
             write_trajectory_csv(sol.u, out, "u")
             write_trajectory_csv(sol.m, out, "m")
     except (CoupledNonConvergence, ObstacleConvergenceError) as err:
@@ -355,19 +348,20 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
         print(f"solver did not converge: {err}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 
-    _write_report(report, os.path.join(out, "report.json"))
+    report_dict = report.to_dict()
+    _json_dump(report_dict, os.path.join(out, "report.json"))
     if stage_rows:
         _write_convergence_table(stage_rows, os.path.join(out, "convergence.csv"))
     manifest = {
         "config_sha256": _config_hash(cfg.raw),
-        "delta_c": report.to_dict().get("delta_c"),
+        "delta_c": report_dict.get("delta_c"),
         "version": __version__,
         "problem": cfg.problem,
         "method": cfg.method,
         "seed": cfg.seed,
     }
     _json_dump(manifest, os.path.join(out, "manifest.json"))
-    failures = _check_acceptance(report.to_dict(), cfg.acceptance)
+    failures = _check_acceptance(report_dict, cfg.acceptance)
     for key, (value, threshold) in sorted(failures.items()):
         print(f"acceptance failed: {key} = {value:.3e} > {threshold:.3e}", file=sys.stderr)
     return EXIT_OK if not failures else EXIT_VERIFY_FAILED
@@ -396,8 +390,9 @@ def cmd_verify(u_path: str, m_path: str, config_path: str) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as err:
         print(f"cannot verify: {err}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    print(json.dumps(report.to_dict(), sort_keys=True, indent=1))
-    failures = _check_acceptance(report.to_dict(), cfg.acceptance)
+    report_dict = report.to_dict()
+    print(json.dumps(report_dict, sort_keys=True, indent=1))
+    failures = _check_acceptance(report_dict, cfg.acceptance)
     for key, (value, threshold) in sorted(failures.items()):
         print(f"verification failed: {key} = {value:.3e} > {threshold:.3e}", file=sys.stderr)
     return EXIT_OK if not failures else EXIT_VERIFY_FAILED
@@ -427,8 +422,7 @@ def cmd_scenario(name: str, out_dir: str | None) -> int:
                 "classical_floor": ev.classical_floor,
                 "final_report": ev.final_report.to_dict(),
                 "stages": [{"epsilon": s.epsilon, "contact_mass": s.contact_mass,
-                            "ratio": s.ratio,
-                            **{k: v for k, v in s.report.to_dict().items() if k.startswith("r_")}}
+                            "ratio": s.ratio, **_residuals(s.report)}
                            for s in ev.stages],
             }
             ok = (ev.final_report.max_residual <= 1e-5 and ev.classical_floor > 0

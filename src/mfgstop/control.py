@@ -2,6 +2,10 @@
 a convex Hamiltonian, drifted forward equation with killing, the coupled
 solver, its verifier, and the Fenchel-conjugate control objective.
 
+The system is the evolutive one with the zero obstacle plus the
+Hamiltonian term and its drift: the solver and the verifier run the
+evolutive path with ObstacleOperator.zero.
+
 The drift fed to the density is D_pH(x, grad u) on faces; upwind
 differences keep every system matrix an M-matrix, so positivity and
 mass monotonicity survive the drift.
@@ -9,19 +13,25 @@ mass monotonicity survive the drift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._coupled import _face_drift, _pad_axis, _upwind_hamiltonian, forward_backward_continuation
+from ._coupled import (
+    _hamiltonian_terms,
+    _pad_axis,
+    _slice_residuals,
+    forward_backward_continuation,
+)
 from .costs import CostOperator, PotentialOperator
 from .density import FaceVelocities, drift_divergence_matrix
+from .evolutive import ObstacleOperator
 from .grid import (
-    DELTA_C_FLOOR,
     FieldTrajectory,
     Grid,
     ScalarField,
     TimeGrid,
+    default_contact_threshold,
     elliptic_matrix,
 )
 from .stationary import CoupledConfig
@@ -29,7 +39,6 @@ from .stationary import CoupledConfig
 __all__ = [
     "Hamiltonian",
     "ControlMixedReport",
-    "solve_hjb_obstacle",
     "cosmfg_coupled_solve",
     "verify_cosmfg",
     "fenchel_conjugate",
@@ -93,10 +102,6 @@ class Hamiltonian:
             return [scale * np.asarray(p) for p in p_components]
         return [np.asarray(p).copy() for p in p_components]
 
-    def at_zero(self) -> np.ndarray:
-        """H(x, 0) on the nodes (zero for both supported kinds)."""
-        return np.zeros(self.grid.n_total)
-
     def face_weight(self, grid: Grid, axis: int):
         """beta averaged onto axis faces (boundary faces copy the
         interior neighbor); None for beta-free kinds."""
@@ -135,60 +140,7 @@ class ControlMixedReport:
                    self.r_contact, self.r_boundary_terminal)
 
     def to_dict(self) -> dict:
-        return {
-            "r_hjb": self.r_hjb,
-            "r_continuation": self.r_continuation,
-            "r_subsolution": self.r_subsolution,
-            "r_contact": self.r_contact,
-            "r_boundary_terminal": self.r_boundary_terminal,
-            "duality_diagnostic": self.duality_diagnostic,
-            "delta_c": self.delta_c,
-            "grid": self.grid,
-        }
-
-
-def solve_hjb_obstacle(
-    m_traj: FieldTrajectory,
-    cost: CostOperator,
-    hamiltonian: Hamiltonian,
-    timegrid: TimeGrid,
-    epsilon: float,
-    config: CoupledConfig | None = None,
-) -> FieldTrajectory:
-    """Backward penalized HJB obstacle solve for a frozen density.
-
-    Implicit diffusion plus penalty; the Hamiltonian is lagged on the
-    previous inner iterate's upwind gradient, iterated per slice until
-    the update stalls below tolerance. Terminal value 0.
-    """
-    import scipy.sparse as sp
-
-    from .obstacle import _penalized_newton
-    from .stationary import CoupledNonConvergence
-
-    cfg = config or CoupledConfig()
-    grid = m_traj.grid
-    steps = timegrid.n_steps
-    dt = timegrid.dt
-    b = (elliptic_matrix(grid, with_zero_order=False)
-         + sp.identity(grid.n_total, format="csr") / dt).tocsr()
-    zero = np.zeros(grid.n_total)
-    u_arr = np.zeros((steps + 1, grid.n_total))
-    m_arr = m_traj.array()
-    for k in range(steps - 1, -1, -1):
-        rhs = u_arr[k + 1] / dt + cost.evaluate(m_arr[k])
-        u_k = u_arr[k + 1]
-        for _inner in range(60):
-            h_val, _ = _upwind_hamiltonian(grid, hamiltonian, u_k)
-            u_next = _penalized_newton(b, rhs - h_val, zero, epsilon, grid, cfg.inner, u_k)
-            delta = float(np.max(np.abs(u_next - u_k)))
-            u_k = u_next
-            if delta <= max(cfg.inner.tol, 1e-13):
-                break
-        else:
-            raise CoupledNonConvergence(f"HJB inner loop stalled at slice {k}", [])
-        u_arr[k] = u_k
-    return FieldTrajectory(grid, timegrid, u_arr)
+        return asdict(self)
 
 
 def cosmfg_coupled_solve(
@@ -203,15 +155,17 @@ def cosmfg_coupled_solve(
     """Forward-backward continuation for the controlled system.
 
     Returns (solution, report) where the report verifies the final
-    stage. The drift is D_pH(x, grad u) on faces, recomputed every
-    sweep from the current value trajectory.
+    stage. This is the evolutive solver with the zero obstacle and the
+    Hamiltonian term; the drift is D_pH(x, grad u) on faces, recomputed
+    every outer pass from the current value trajectory.
     """
     from .stationary import default_eps_schedule
 
     schedule = list(eps_schedule) if eps_schedule is not None else default_eps_schedule()
     sol, _stages = forward_backward_continuation(
         cost, m0, timegrid, schedule, config,
-        hamiltonian=hamiltonian, m_traj_init=m_traj_init,
+        obstacle_op=ObstacleOperator.zero(m0.grid, timegrid), hamiltonian=hamiltonian,
+        m_traj_init=m_traj_init,
     )
     report = verify_cosmfg(sol.u, sol.m, cost, hamiltonian, m0, delta_c=sol.delta_band)
     return sol, report
@@ -227,48 +181,35 @@ def verify_cosmfg(
 ) -> ControlMixedReport:
     """Residuals of the controlled mixed-solution conditions.
 
-    The drift in the density residual is recomputed from u exactly as
-    the solver builds it. The diagnostic field evaluates the discrete
-    integration-by-parts pairing with phi = u; it vanishes with the
-    others on a converged solution but is reported signed.
+    These are the evolutive residuals with the zero obstacle, with
+    H(x, Du) in the value operator and the drift in the density
+    residual, both from _hamiltonian_terms as the solver builds them.
+    The diagnostic field evaluates the discrete integration-by-parts
+    pairing with phi = u; it vanishes with the others on a converged
+    solution but is reported signed.
     """
     grid = u.grid
     timegrid = u.timegrid
-    steps = timegrid.n_steps
+    if m.timegrid != timegrid or m.grid != grid:
+        raise ValueError("u and m must share grid and timegrid")
     dt = timegrid.dt
-    a0 = elliptic_matrix(grid, with_zero_order=False)
     u_arr = u.array()
     m_arr = m.array()
-    f_arr = np.stack([cost.evaluate(m_arr[k]) for k in range(steps + 1)])
-    h0 = hamiltonian.at_zero()
+    psi_arr, g_arr = ObstacleOperator.zero(grid, timegrid).apply_arrays(grid, timegrid, m_arr)
     if delta_c is None:
-        delta_c = max(DELTA_C_FLOOR, 1e-8 * float(np.max(np.abs(u_arr), initial=0.0)))
+        delta_c = default_contact_threshold(u_arr, psi_arr)
+    h_vals, _, div_ops = _hamiltonian_terms(grid, hamiltonian, u_arr)
+    r_hjb, r_cont, r_sub, contact_sum, _ = _slice_residuals(
+        grid, dt, cost, u_arr, m_arr, psi_arr, g_arr, h_vals, div_ops, delta_c)
+    a0 = elliptic_matrix(grid, with_zero_order=False)
     vol = grid.cell_volume
-
-    r_hjb = 0.0
-    r_cont = 0.0
-    r_sub = 0.0
-    contact_sum = 0.0
     duality = 0.0
-    for k in range(steps):
-        h_val, _ = _upwind_hamiltonian(grid, hamiltonian, u_arr[k])
-        lu = (u_arr[k] - u_arr[k + 1]) / dt + a0 @ u_arr[k] + h_val
-        comp = np.minimum(-u_arr[k], f_arr[k] - lu)
-        r_hjb = max(r_hjb, float(np.max(np.abs(comp))))
-        drift_k = _face_drift(grid, hamiltonian, u_arr[k])
-        div_k = drift_divergence_matrix(grid, drift_k)
-        fp_resid = (m_arr[k + 1] - m_arr[k]) / dt + (a0 + div_k) @ m_arr[k + 1]
-        continuation = u_arr[k] < -delta_c
-        contact = ~continuation
-        r_cont = max(r_cont, float(np.max(np.abs(fp_resid[continuation]), initial=0.0)))
-        r_sub = max(r_sub, float(np.max(fp_resid, initial=0.0)))
-        integrand = (f_arr[k] - h0) * m_arr[k + 1]
-        contact_sum += dt * float(np.sum(integrand[contact])) * vol
+    for k, div_k in enumerate(div_ops):
         # integration-by-parts pairing with phi = u: adjoint drift term
         lphi = (u_arr[k] - u_arr[k + 1]) / dt + a0 @ u_arr[k] + div_k.T @ u_arr[k]
         duality += dt * float(np.dot(lphi, m_arr[k + 1])) * vol
     duality -= float(np.dot(u_arr[0], m0.values)) * vol
-    r_bt = max(float(np.max(np.abs(u_arr[steps]))),
+    r_bt = max(float(np.max(np.abs(u_arr[-1]))),
                float(np.max(np.abs(m_arr[0] - m0.values))))
     return ControlMixedReport(
         r_hjb=r_hjb,
@@ -352,7 +293,7 @@ def control_objective(
     feasibility_tol: float = 1e-8,
 ) -> float:
     """Running cost of a feasible (control, density) pair:
-    sum over time of F(m) - H(x, 0) m + L(x, a) m.
+    sum over time of F(m) + L(x, a) m (H(x, 0) = 0 for both kinds).
 
     The pair must satisfy the discrete inequality
     dm/dt - lap m - div(a m) <= feasibility_tol nodewise; violating
@@ -366,7 +307,6 @@ def control_objective(
     m_arr = m.array()
     bad_slices = []
     total = 0.0
-    h0 = hamiltonian.at_zero()
     vol = grid.cell_volume
     for k in range(steps):
         div_k = drift_divergence_matrix(grid, drift[k])
@@ -383,7 +323,7 @@ def control_objective(
         if np.any(np.isinf(l_vals) & (mass > 1e-14)):
             return np.inf
         l_term = np.where(mass > 1e-14, l_vals * mass, 0.0)
-        total += dt * float(np.sum(potential.evaluate(mass) - h0 * mass + l_term)) * vol
+        total += dt * float(np.sum(potential.evaluate(mass) + l_term)) * vol
     if bad_slices:
         raise ValueError(f"control/density pair infeasible at slices {bad_slices}")
     return total

@@ -11,29 +11,28 @@ discretization error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from ._coupled import FBSolution, forward_backward_continuation, forward_backward_solve
+from ._coupled import _hamiltonian_terms, _slice_residuals, forward_backward_continuation
 from .costs import CostOperator
 from .grid import (
-    DELTA_C_FLOOR,
     FieldTrajectory,
     Grid,
     ScalarField,
     TimeGrid,
+    default_contact_threshold,
     elliptic_matrix,
 )
 from .obstacle import _linsolve
-from .stationary import CoupledConfig
+from .stationary import CoupledConfig, _probe_gap
 
 __all__ = [
     "ObstacleOperator",
     "EvolutiveMixedReport",
     "apply_obstacle_operator",
-    "osmfg_penalized_solve",
     "osmfg_continuation",
     "verify_mixed_evolutive",
     "evolutive_uniqueness_probe",
@@ -130,33 +129,7 @@ class EvolutiveMixedReport:
                    self.r_contact, self.r_duality, self.r_terminal, self.r_initial)
 
     def to_dict(self) -> dict:
-        return {
-            "r_obstacle": self.r_obstacle,
-            "r_continuation": self.r_continuation,
-            "r_subsolution": self.r_subsolution,
-            "r_contact": self.r_contact,
-            "r_duality": self.r_duality,
-            "r_terminal": self.r_terminal,
-            "r_initial": self.r_initial,
-            "delta_c": self.delta_c,
-            "grid": self.grid,
-        }
-
-
-def osmfg_penalized_solve(
-    cost: CostOperator,
-    obstacle_op: ObstacleOperator,
-    m0: ScalarField,
-    timegrid: TimeGrid,
-    epsilon: float,
-    config: CoupledConfig | None = None,
-    m_traj_init: np.ndarray | None = None,
-) -> FBSolution:
-    """One penalized forward-backward solve of the evolutive system."""
-    return forward_backward_solve(
-        cost, m0, timegrid, epsilon, config,
-        obstacle_op=obstacle_op, m_traj_init=m_traj_init,
-    )
+        return asdict(self)
 
 
 def osmfg_continuation(
@@ -206,40 +179,17 @@ def verify_mixed_evolutive(
     """
     grid = u.grid
     timegrid = u.timegrid
-    steps = timegrid.n_steps
-    dt = timegrid.dt
     if m.timegrid != timegrid or m.grid != grid:
         raise ValueError("u and m must share grid and timegrid")
-    a0 = elliptic_matrix(grid, with_zero_order=False)
     u_arr = u.array()
     m_arr = m.array()
     psi_arr, g_arr = obstacle_op.apply_arrays(grid, timegrid, m_arr)
-    f_arr = np.stack([cost.evaluate(m_arr[k]) for k in range(steps + 1)])
     if delta_c is None:
-        gap = float(np.max(np.abs(u_arr - psi_arr), initial=0.0))
-        delta_c = max(DELTA_C_FLOOR, 1e-8 * gap)
+        delta_c = default_contact_threshold(u_arr, psi_arr)
+    h_vals, _, div_ops = _hamiltonian_terms(grid, None, u_arr)
+    r_obstacle, r_cont, r_sub, contact_sum, duality_sum = _slice_residuals(
+        grid, timegrid.dt, cost, u_arr, m_arr, psi_arr, g_arr, h_vals, div_ops, delta_c)
     vol = grid.cell_volume
-
-    r_obstacle = 0.0
-    r_cont = 0.0
-    r_sub = 0.0
-    contact_sum = 0.0
-    duality_sum = 0.0
-    for k in range(steps):
-        lu = (u_arr[k] - u_arr[k + 1]) / dt + a0 @ u_arr[k]
-        comp = np.minimum(psi_arr[k] - u_arr[k], f_arr[k] - lu)
-        r_obstacle = max(r_obstacle, float(np.max(np.abs(comp))))
-        fp_resid = (m_arr[k + 1] - m_arr[k]) / dt + a0 @ m_arr[k + 1]
-        v_k = u_arr[k] - psi_arr[k]
-        continuation = v_k < -delta_c
-        contact = ~continuation
-        r_cont = max(r_cont, float(np.max(np.abs(fp_resid[continuation]), initial=0.0)))
-        r_sub = max(r_sub, float(np.max(fp_resid, initial=0.0)))
-        integrand = (f_arr[k] + g_arr[k]) * m_arr[k + 1]
-        contact_sum += dt * float(np.sum(integrand[contact])) * vol
-        duality_sum += dt * float(np.sum(integrand)) * vol
-    r_terminal = float(np.max(np.abs(u_arr[steps] - psi_arr[steps])))
-    r_initial = float(np.max(np.abs(m_arr[0] - m0.values)))
     duality_gap = duality_sum - float(np.dot(u_arr[0] - psi_arr[0], m0.values)) * vol
     return EvolutiveMixedReport(
         r_obstacle=r_obstacle,
@@ -247,8 +197,8 @@ def verify_mixed_evolutive(
         r_subsolution=max(r_sub, 0.0),
         r_contact=abs(contact_sum),
         r_duality=abs(duality_gap),
-        r_terminal=r_terminal,
-        r_initial=r_initial,
+        r_terminal=float(np.max(np.abs(u_arr[-1] - psi_arr[-1]))),
+        r_initial=float(np.max(np.abs(m_arr[0] - m0.values))),
         delta_c=float(delta_c),
         grid=grid.metadata(),
     )
@@ -266,25 +216,14 @@ def evolutive_uniqueness_probe(
     start_scales=None,
 ) -> float:
     """Max pairwise trajectory gap over continuation runs with scaled
-    initial density-trajectory guesses (m0 itself stays fixed)."""
-    if n_starts < 2:
-        raise ValueError("need at least two starts")
-    if start_scales is None:
-        rng = np.random.default_rng(seed)
-        scales = rng.uniform(0.0, 2.0, n_starts)
-    else:
-        scales = np.asarray(start_scales, dtype=float)
-        if len(scales) != n_starts:
-            raise ValueError("start_scales must have n_starts entries")
-    results = []
-    for s in scales:
+    initial density-trajectory guesses (m0 itself stays fixed); scales
+    as in stationary.uniqueness_probe."""
+
+    def solve(s):
         init = np.tile(m0.values, (timegrid.n_steps + 1, 1)) * s
         init[0] = m0.values
         sol, _ = osmfg_continuation(cost, obstacle_op, m0, timegrid,
                                     eps_schedule, config, m_traj_init=init)
-        results.append(sol.m.array())
-    gap = 0.0
-    for i in range(len(results)):
-        for j in range(i + 1, len(results)):
-            gap = max(gap, float(np.max(np.abs(results[i] - results[j]))))
-    return gap
+        return sol.m.array()
+
+    return _probe_gap(solve, n_starts, seed, start_scales)

@@ -261,6 +261,8 @@ def inner(f: ScalarField, g: ScalarField) -> float:
 
 
 def default_contact_threshold(u_values: np.ndarray, psi_values: np.ndarray) -> float:
+    """The contact threshold of every verifier given none: DELTA_C_REL
+    times the largest gap |psi - u|, floored at DELTA_C_FLOOR."""
     gap = float(np.max(np.abs(psi_values - u_values))) if len(u_values) else 0.0
     return max(DELTA_C_FLOOR, DELTA_C_REL * gap)
 

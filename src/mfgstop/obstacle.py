@@ -44,7 +44,15 @@ __all__ = [
 
 @dataclass
 class ObstacleSolveConfig:
-    """Residual tolerance and Newton step cap of the obstacle solvers."""
+    """Residual tolerance and Newton step cap of the obstacle solvers.
+
+    The exact complementarity solves scale tol by the size of their
+    data, 1 + max(|f| + |M| max(|u0|, |psi|)) for the source f, the
+    operator M, the start u0 and the obstacle psi: the round-off of
+    f - M u grows with diag(M) ~ 2/h^2, so a fixed absolute gate fails
+    converged solves on fine grids. The penalized solve gates its
+    residual on tol itself.
+    """
 
     tol: float = 1e-10
     max_iter: int = 200
@@ -258,36 +266,21 @@ def _obstacle_newton(matrix, f, psi, u0, config) -> np.ndarray:
     rows scaled by D give the active rows the diagonal of M, so the
     Jacobian keeps M's diagonal and its LU fills no more than M's; the
     scaling does not move the zeros of the min. Convergence is judged on
-    the unscaled complementarity_residual.
+    the unscaled complementarity_residual, both gates scaled by the size
+    of the data (see ObstacleSolveConfig).
     """
     d = matrix.diagonal()
     assemble = row_select(sp.diags(-d), -matrix)
+    tol = config.tol * (1.0 + float(np.max(
+        np.abs(f) + abs(matrix) @ np.maximum(np.abs(u0), np.abs(psi)), initial=0.0)))
     u, _, it = semismooth_newton(
         lambda v: np.minimum(d * (psi - v), f - matrix @ v),
         lambda v: assemble(d * (psi - v) <= f - matrix @ v),
-        u0, config.tol, config.max_iter, full_steps=True)
+        u0, tol, config.max_iter, full_steps=True)
     res = complementarity_residual(matrix, u, f, psi)
-    if res <= config.tol:
+    if res <= tol:
         return u
     raise ObstacleConvergenceError("semismooth Newton did not converge", res, it)
-
-
-def _penalized_newton(matrix, f, psi, eps, grid, config, u0=None) -> np.ndarray:
-    """Semismooth Newton on M u + (u - psi)^+ / eps = f.
-
-    The active-set linearization converges in finitely many steps for
-    M-matrices.
-    """
-    u = _linsolve(matrix, f, grid) if u0 is None else u0
-    diag = np.arange(matrix.shape[0])
-    assemble = diagonal_update(matrix, diag, diag)
-    u, norms, it = semismooth_newton(
-        lambda v: matrix @ v + np.maximum(v - psi, 0.0) / eps - f,
-        lambda v: assemble((v > psi).astype(float) / eps),
-        u, config.tol, config.max_iter)
-    if norms[-1] <= config.tol:
-        return u
-    raise ObstacleConvergenceError("penalized Newton did not converge", norms[-1], it)
 
 
 def solve_obstacle_penalized(
@@ -299,7 +292,12 @@ def solve_obstacle_penalized(
     u0: ScalarField | None = None,
     matrix=None,
 ) -> ScalarField:
-    """Solve the penalized problem M u + (u - psi)^+ / eps = f."""
+    """Solve the penalized problem M u + (u - psi)^+ / eps = f by
+    semismooth Newton from u0 (default: the solution without obstacle).
+
+    The active-set linearization converges in finitely many steps for
+    M-matrices.
+    """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     config = config or ObstacleSolveConfig()
@@ -307,9 +305,17 @@ def solve_obstacle_penalized(
     if obstacle.grid != grid:
         raise ValueError("source and obstacle must share one grid")
     m = elliptic_matrix(grid, with_zero_order) if matrix is None else matrix
-    start = None if u0 is None else u0.values
-    u = _penalized_newton(m, source.values, obstacle.values, epsilon, grid, config, start)
-    return ScalarField(grid, u)
+    f, psi = source.values, obstacle.values
+    start = _linsolve(m, f, grid) if u0 is None else u0.values
+    diag = np.arange(m.shape[0])
+    assemble = diagonal_update(m, diag, diag)
+    u, norms, it = semismooth_newton(
+        lambda v: m @ v + np.maximum(v - psi, 0.0) / epsilon - f,
+        lambda v: assemble((v > psi).astype(float) / epsilon),
+        start, config.tol, config.max_iter)
+    if norms[-1] <= config.tol:
+        return ScalarField(grid, u)
+    raise ObstacleConvergenceError("penalized Newton did not converge", norms[-1], it)
 
 
 def solve_obstacle_parabolic(

@@ -20,6 +20,7 @@ from .grid import (
     TimeGrid,
     build_grid,
     build_timegrid,
+    default_contact_threshold,
     elliptic_matrix,
     inner,
 )
@@ -213,11 +214,11 @@ def scenario_nonuniqueness(n: int = 31, delta_c: float | None = None) -> Nonuniq
     if np.max(np.abs(f_star + 1.0)) > 1e-12 or np.max(np.abs(f_zero - 1.0)) > 1e-12:
         raise AssertionError("cost normalization failed: expected f(m*) = -1, f(0) = +1")
     u_star = ScalarField(grid, _linsolve(a, f_star, grid))
+    zero = ScalarField.zeros(grid)
     if delta_c is None:
-        delta_c = max(1e-12, 1e-8 * u_star.max_abs())
+        delta_c = default_contact_threshold(u_star.values, zero.values)
     if np.any(u_star.values >= -delta_c):
         raise RuntimeError("contact set of u* is nonempty; refine the grid")
-    zero = ScalarField.zeros(grid)
     report_zero = verify_mixed(zero, zero, cost, rho, delta_c=delta_c)
     report_star = verify_mixed(u_star, m_star, cost, rho, delta_c=delta_c)
     scenario = Scenario(name="nonuniqueness", problem="sosmfg", grid=grid, cost=cost,

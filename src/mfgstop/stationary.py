@@ -14,7 +14,7 @@ r_duality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,6 +26,7 @@ from .grid import (
     NodeMask,
     ScalarField,
     classify_nodes,
+    default_contact_threshold,
     elliptic_matrix,
     inner,
 )
@@ -65,8 +66,7 @@ class CoupledConfig:
     between outer passes. The classification band around u = psi is
     adaptive, max(delta_floor, band_factor * eps * |ftilde|_inf), unless
     band_override pins it; the band actually used is recorded on the
-    result and fed to the verifier as its contact threshold. inner
-    controls the penalized obstacle solves of the HJB equation.
+    result and fed to the verifier as its contact threshold.
     """
 
     tol_outer: float = 1e-9
@@ -75,7 +75,6 @@ class CoupledConfig:
     band_factor: float = 0.5
     delta_floor: float = DELTA_C_FLOOR
     band_override: float | None = None
-    inner: ObstacleSolveConfig = field(default_factory=lambda: ObstacleSolveConfig(tol=1e-11))
 
     def __post_init__(self):
         if not (self.tol_outer > 0 and self.tol_pde > 0):
@@ -128,15 +127,7 @@ class MixedSolutionReport:
                    self.r_contact, self.r_duality)
 
     def to_dict(self) -> dict:
-        return {
-            "r_obstacle": self.r_obstacle,
-            "r_continuation": self.r_continuation,
-            "r_subsolution": self.r_subsolution,
-            "r_contact": self.r_contact,
-            "r_duality": self.r_duality,
-            "delta_c": self.delta_c,
-            "grid": self.grid,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -462,7 +453,7 @@ def verify_mixed(
     v = u.values - psi_vals
     ftilde = f_m if psi is None else f_m - a @ psi_vals
     if delta_c is None:
-        delta_c = max(DELTA_C_FLOOR, 1e-8 * float(np.max(np.abs(v), initial=0.0)))
+        delta_c = default_contact_threshold(u.values, psi_vals)
     r_obs = float(np.max(np.abs(np.minimum(psi_vals - u.values, f_m - a @ u.values))))
     am = a @ m.values
     continuation = v < -delta_c
@@ -499,29 +490,33 @@ def uniqueness_probe(
     gap at solver precision; non-monotone costs can land on distinct
     solutions.
     """
+    grid = rho.grid
+    m_base = _linsolve(elliptic_matrix(grid, True), rho.values, grid)
+
+    def solve(s):
+        _, m_s, _ = continuation_solve(
+            cost, rho, eps_schedule, config, m_init=ScalarField(grid, s * m_base)
+        )
+        return m_s.values
+
+    return _probe_gap(solve, n_starts, seed, start_scales)
+
+
+def _probe_gap(solve, n_starts: int, seed: int, start_scales) -> float:
+    """Max pairwise max-norm gap of solve(s) over the start scales s:
+    n_starts draws s ~ U[0, 2) from the seed, or the explicit
+    start_scales."""
     if n_starts < 2:
         raise ValueError("need at least two starts")
-    grid = rho.grid
-    a = elliptic_matrix(grid, True)
-    m_base = _linsolve(a, rho.values, grid)
     if start_scales is None:
-        rng = np.random.default_rng(seed)
-        scales = rng.uniform(0.0, 2.0, n_starts)
+        scales = np.random.default_rng(seed).uniform(0.0, 2.0, n_starts)
     else:
         scales = np.asarray(start_scales, dtype=float)
         if len(scales) != n_starts:
             raise ValueError("start_scales must have n_starts entries")
-    results = []
-    for s in scales:
-        _, m_s, _ = continuation_solve(
-            cost, rho, eps_schedule, config, m_init=ScalarField(grid, s * m_base)
-        )
-        results.append(m_s.values)
-    gap = 0.0
-    for i in range(len(results)):
-        for j in range(i + 1, len(results)):
-            gap = max(gap, float(np.max(np.abs(results[i] - results[j]))))
-    return gap
+    results = [solve(s) for s in scales]
+    return max(0.0, *(float(np.max(np.abs(a - b)))
+                      for i, a in enumerate(results) for b in results[i + 1:]))
 
 
 def euler_lagrange_certificate(

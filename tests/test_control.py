@@ -7,12 +7,11 @@ from mfgstop.control import (
     cosmfg_coupled_solve,
     fenchel_closed_form,
     fenchel_conjugate,
-    solve_hjb_obstacle,
     verify_cosmfg,
 )
 from mfgstop.costs import CostOperator
 from mfgstop.density import solve_density_parabolic
-from mfgstop.evolutive import ObstacleOperator, osmfg_continuation
+from mfgstop.evolutive import ObstacleOperator, osmfg_continuation, verify_mixed_evolutive
 from mfgstop.grid import (
     FieldTrajectory,
     ScalarField,
@@ -54,15 +53,21 @@ def test_hamiltonian_convexity_midpoints(setup):
     assert np.all(hams[0].value([np.zeros(grid.n_total)]) == 0.0)
 
 
+def hjb_value(cost, ham, grid, tg, eps):
+    # from a zero density the density stays zero, so the value equation
+    # of one strict stage is the penalized HJB obstacle problem for f(0)
+    sol, _ = cosmfg_coupled_solve(cost, ham, ScalarField.zeros(grid), tg, [eps])
+    return sol.u
+
+
 def test_hjb_reduces_to_parabolic_obstacle_when_h_zero(setup):
     grid, tg, _ = setup
     rng = np.random.default_rng(1)
-    m_traj = FieldTrajectory.constant(grid, tg, 0.2)
     cost = CostOperator.local_power(grid, 0.0, 1.0,
                                     ScalarField(grid, -np.abs(rng.normal(size=15)) - 0.1))
     ham0 = Hamiltonian.smoothed_norm(ScalarField.zeros(grid))
     eps = 1e-6
-    u = solve_hjb_obstacle(m_traj, cost, ham0, tg, eps)
+    u = hjb_value(cost, ham0, grid, tg, eps)
     # penalty inactive for negative sources, so the limit obstacle solve agrees
     f_traj = FieldTrajectory(
         grid, tg, np.tile(cost.evaluate(np.full(15, 0.2)), (tg.n_steps + 1, 1)))
@@ -73,11 +78,10 @@ def test_hjb_reduces_to_parabolic_obstacle_when_h_zero(setup):
 
 def test_hjb_zero_for_nonnegative_source(setup):
     grid, tg, _ = setup
-    m_traj = FieldTrajectory.constant(grid, tg, 1.0)
     cost = CostOperator.local_power(grid, 0.0, 1.0, ScalarField.constant(grid, 0.4))
     ham = Hamiltonian.smoothed_norm(ScalarField.constant(grid, 1.0))
     eps = 1e-7
-    u = solve_hjb_obstacle(m_traj, cost, ham, tg, eps)
+    u = hjb_value(cost, ham, grid, tg, eps)
     assert np.max(np.abs(u.array())) <= eps * 0.4 + 1e-12
 
 
@@ -88,10 +92,9 @@ def test_hjb_grid_refinement_self_convergence():
 
     def solve(n):
         grid = build_grid(1, (0.0, 1.0), n)
-        m_traj = FieldTrajectory.constant(grid, tg, 0.0)
         cost = CostOperator.local_power(grid, 0.0, 1.0, ScalarField.constant(grid, cost_f0))
         ham = Hamiltonian.smoothed_norm(ScalarField.constant(grid, 1.0))
-        return solve_hjb_obstacle(m_traj, cost, ham, tg, 1e-7).array()[0]
+        return hjb_value(cost, ham, grid, tg, 1e-7).array()[0]
 
     u31, u63, u127 = solve(31), solve(63), solve(127)
     # coarse nodes embed in the finer grids at odd indices
@@ -136,6 +139,29 @@ def test_verifier_flags_undrifted_flow(control_solution):
     bad = verify_cosmfg(sol.u, plain_heat, sc.cost, sc.hamiltonian, sc.m0,
                         delta_c=sol.delta_band)
     assert bad.r_continuation > max(1e-3, 10 * report.r_continuation)
+
+
+def test_cosmfg_verifier_with_zero_h_is_the_evolutive_one(control_solution):
+    # one slice-residual core: with H = 0 the controlled residuals are
+    # the evolutive ones for the zero obstacle, to the bit
+    sc, sol, _ = control_solution
+    ham0 = Hamiltonian.smoothed_norm(ScalarField.zeros(sc.grid))
+    ctrl = verify_cosmfg(sol.u, sol.m, sc.cost, ham0, sc.m0, delta_c=sol.delta_band)
+    evo = verify_mixed_evolutive(sol.u, sol.m, sc.cost, ObstacleOperator.zero(sc.grid, sc.timegrid),
+                                 sc.m0, delta_c=sol.delta_band)
+    assert ctrl.r_hjb == evo.r_obstacle
+    assert ctrl.r_continuation == evo.r_continuation
+    assert ctrl.r_subsolution == evo.r_subsolution
+    assert ctrl.r_contact == evo.r_contact
+    assert ctrl.r_contact > 0
+
+
+def test_verifier_rejects_density_on_another_timegrid(control_solution):
+    sc, sol, _ = control_solution
+    tg = sc.timegrid
+    other = FieldTrajectory(sc.grid, build_timegrid(2 * tg.horizon, tg.n_steps), sol.m.array())
+    with pytest.raises(ValueError):
+        verify_cosmfg(sol.u, other, sc.cost, sc.hamiltonian, sc.m0)
 
 
 def test_verifier_zero_initial_density(setup):

@@ -9,7 +9,6 @@ from mfgstop.evolutive import (
     apply_obstacle_operator,
     evolutive_uniqueness_probe,
     osmfg_continuation,
-    osmfg_penalized_solve,
     verify_mixed_evolutive,
 )
 from mfgstop.grid import (
@@ -89,7 +88,7 @@ def test_negative_cost_decouples_to_pure_heat(setup):
     grid, tg, m0 = setup
     cost = CostOperator.local_power(grid, 0.0, 1.0, ScalarField.constant(grid, -1.0))
     op = ObstacleOperator.zero(grid, tg)
-    sol = osmfg_penalized_solve(cost, op, m0, tg, 1e-4)
+    sol, _ = osmfg_continuation(cost, op, m0, tg, [1e-4])
     heat = solve_density_parabolic(m0, None, tg)
     assert np.max(np.abs(sol.m.array() - heat.array())) <= 1e-8
     assert np.all(sol.u.array()[:-1] < 0)
@@ -100,7 +99,7 @@ def test_positive_cost_kills_mass(setup):
     eps = 1e-5
     cost = CostOperator.local_power(grid, 0.0, 1.0, ScalarField.constant(grid, 0.5))
     op = ObstacleOperator.zero(grid, tg)
-    sol = osmfg_penalized_solve(cost, op, m0, tg, eps)
+    sol, _ = osmfg_continuation(cost, op, m0, tg, [eps])
     # value stays within the penalized collapse of the obstacle
     assert np.max(np.abs(sol.u.array())) <= eps * 0.5 + 1e-10
     assert np.max(sol.m.array()[-1]) <= 1e-3 * np.max(m0.values)
@@ -133,7 +132,7 @@ def test_zero_initial_density_trivial(setup):
     grid, tg, _ = setup
     cost = CostOperator.local_power(grid, 1.0, 1.0, ScalarField.constant(grid, -0.5))
     op = ObstacleOperator.zero(grid, tg)
-    sol = osmfg_penalized_solve(cost, op, ScalarField.zeros(grid), tg, 1e-4)
+    sol, _ = osmfg_continuation(cost, op, ScalarField.zeros(grid), tg, [1e-4])
     assert np.max(np.abs(sol.m.array())) == 0.0
     report = verify_mixed_evolutive(sol.u, sol.m, cost, op, ScalarField.zeros(grid),
                                     delta_c=sol.delta_band)
@@ -177,7 +176,7 @@ def test_two_dimensional_forward_backward():
     m0 = gaussian_density(grid, sigma=0.15)
     cost = CostOperator.local_power(grid, 1.0, 1.0, ScalarField.constant(grid, -0.5))
     op = ObstacleOperator.zero(grid, tg)
-    sol = osmfg_penalized_solve(cost, op, m0, tg, 1e-3)
+    sol, _ = osmfg_continuation(cost, op, m0, tg, [1e-3])
     rep = verify_mixed_evolutive(sol.u, sol.m, cost, op, m0, delta_c=sol.delta_band)
     assert rep.r_continuation <= 1e-10
     assert rep.r_subsolution <= 1e-10

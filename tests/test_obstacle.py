@@ -417,6 +417,21 @@ def test_fine_grid_obstacle_takes_whole_active_set_steps():
                                     np.zeros(255)) <= 1e-10
 
 
+@pytest.mark.parametrize("n", [1023, 2047])
+def test_fine_grid_obstacle_gate_scales_with_the_operator(n):
+    # the round-off of f - M u grows like diag(M) ~ 2/h^2, past a fixed
+    # 1e-10 at these sizes: the gate is scaled by the size of the data
+    g = build_grid(1, (0.0, 1.0), n)
+    rng = np.random.default_rng(0)
+    f = ScalarField(g, rng.uniform(-2.0, 2.0, n))
+    psi = ScalarField(g, 0.1 * rng.normal(size=n))
+    u = solve_obstacle_stationary(f, psi)
+    m = elliptic_matrix(g)
+    scale = 1.0 + np.max(np.abs(f.values) + abs(m) @ np.maximum(np.abs(u.values),
+                                                                 np.abs(psi.values)))
+    assert complementarity_residual(m, u.values, f.values, psi.values) <= 1e-10 * scale
+
+
 def test_parabolic_zero_when_source_nonnegative():
     g = build_grid(1, (0.0, 1.0), 9)
     tg = build_timegrid(1.0, 20)
