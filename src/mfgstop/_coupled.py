@@ -11,10 +11,11 @@ classification.
 An obstacle generated from a source g(m) by the backward heat equation
 (heat_from_g) joins the Newton as a third unknown block psi_0..psi_{K-1}
 with the implicit heat steps as its rows, so psi(m) is solved with the
-pair rather than lagged. What remains nonsmooth or nonlocal, namely
-the classification band, the Hamiltonian value at the upwind gradient
-and the induced face drift, is frozen per outer pass and relaxed by
-iteration (lagged evaluation); fixed points are unchanged.
+pair rather than lagged. The Hamiltonian value at the upwind gradient
+and the induced face drift are Newton terms as well, with their
+derivatives in the Jacobian. Only the classification band is frozen
+per outer pass and relaxed by iteration (lagged evaluation); fixed
+points are unchanged.
 
 Discrete pairing conventions (they close the duality identity exactly,
 see the verifiers): the value equation at slice k uses source f(m_k)
@@ -36,8 +37,16 @@ import scipy.sparse as sp
 from scipy.linalg import block_diag as dense_block_diag
 
 from .costs import CostOperator
-from .density import FaceVelocities, drift_divergence_matrix
-from .grid import FieldTrajectory, Grid, ScalarField, TimeGrid, elliptic_matrix
+from .density import FaceVelocities, _drift_triplets
+from .grid import (
+    FieldTrajectory,
+    Grid,
+    ScalarField,
+    TimeGrid,
+    _face_nodes,
+    _gradient_matrices,
+    elliptic_matrix,
+)
 from .obstacle import diagonal_update, semismooth_newton
 from .stationary import CoupledConfig, CoupledNonConvergence, _ramp
 
@@ -59,96 +68,151 @@ class FBSolution:
     converged: bool = True
 
 
-def _pad_axis(a: np.ndarray, axis: int, mode: str) -> np.ndarray:
-    """a with one more layer at both ends of axis: zeros (the Dirichlet
-    closure) for mode="constant", copies of the end layers for "edge"."""
-    return np.pad(a, [(1, 1) if d == axis else (0, 0) for d in range(a.ndim)], mode=mode)
-
-
 def _node_gradients(grid: Grid, u: np.ndarray):
-    """Per-axis forward and backward differences with Dirichlet closure."""
-    shaped = u.reshape(grid.shape)
-    fwd, bwd = [], []
-    for axis in range(grid.dim):
-        h = grid.spacing[axis]
-        padded = _pad_axis(shaped, axis, "constant")
-        n = grid.shape[axis]
-        centre = np.take(padded, range(1, n + 1), axis=axis)
-        right = np.take(padded, range(2, n + 2), axis=axis)
-        left = np.take(padded, range(0, n), axis=axis)
-        fwd.append(((right - centre) / h).ravel())
-        bwd.append(((centre - left) / h).ravel())
+    """Per-axis forward and backward differences with Dirichlet closure
+    of the slices u, shaped (..., N)."""
+    one_sided, _ = _gradient_matrices(grid)
+    fwd = [(f @ u.T).T for _, f in one_sided]
+    bwd = [(b @ u.T).T for b, _ in one_sided]
     return fwd, bwd
 
 
 def _upwind_hamiltonian(grid: Grid, hamiltonian, u: np.ndarray, n_passes: int = 4):
-    """Upwind nodal H(x, Du): difference choice follows the sign of D_pH.
+    """Upwind nodal H(x, Du) of the slices u (..., N): the difference
+    choice follows the sign of D_pH.
 
     The selection is iterated to a fixed point from p = 0 so that the
-    solver and the verifier resolve it identically.
+    solver and the verifier resolve it identically. Returns the values,
+    the selected gradient p and, per axis, the mask of the nodes that
+    take the backward difference.
     """
     fwd, bwd = _node_gradients(grid, u)
-    p = [np.zeros(grid.n_total) for _ in range(grid.dim)]
+    p = [np.zeros(u.shape) for _ in range(grid.dim)]
+    backward = None
     for _ in range(n_passes):
         v = hamiltonian.gradient(p)
-        p_new = [np.where(v[a] > 0, bwd[a], fwd[a]) for a in range(grid.dim)]
-        if all(np.array_equal(p_new[a], p[a]) for a in range(grid.dim)):
-            p = p_new
-            break
+        backward = [v[a] > 0 for a in range(grid.dim)]
+        p_new = [np.where(backward[a], bwd[a], fwd[a]) for a in range(grid.dim)]
+        settled = all(np.array_equal(p_new[a], p[a]) for a in range(grid.dim))
         p = p_new
-    return hamiltonian.value(p), p
+        if settled:
+            break
+    return hamiltonian.value(p), p, backward
 
 
-def _face_drift(grid: Grid, hamiltonian, u: np.ndarray) -> FaceVelocities:
-    """D_pH(x, grad u) on faces; normal part from the face difference,
-    transverse part (2D) averaged from nodal central differences."""
-    shaped = u.reshape(grid.shape)
-    comps = []
-    for axis in range(grid.dim):
-        h = grid.spacing[axis]
-        padded = _pad_axis(shaped, axis, "constant")
-        n = grid.shape[axis]
-        upper = np.take(padded, range(1, n + 2), axis=axis)
-        lower = np.take(padded, range(0, n + 1), axis=axis)
-        p_face = [None] * grid.dim
-        p_face[axis] = (upper - lower) / h
-        for other in range(grid.dim):
-            if other == axis:
-                continue
-            ho = grid.spacing[other]
-            pad_o = _pad_axis(shaped, other, "constant")
-            no = grid.shape[other]
-            central = (np.take(pad_o, range(2, no + 2), axis=other)
-                       - np.take(pad_o, range(0, no), axis=other)) / (2 * ho)
-            pad_c = _pad_axis(central, axis, "edge")
-            p_face[other] = 0.5 * (np.take(pad_c, range(0, n + 1), axis=axis)
-                                   + np.take(pad_c, range(1, n + 2), axis=axis))
-        beta_face = hamiltonian.face_weight(grid, axis)
-        grad = hamiltonian.gradient(p_face, weight=beta_face)
-        comps.append(grad[axis])
-    return FaceVelocities(grid, tuple(comps))
+def _face_gradients(grid: Grid, u: np.ndarray):
+    """Per axis, the gradient components on that axis' faces of the
+    slices u (..., N), shaped (..., *axis face shape): the normal one
+    from the face difference, the transverse one (2D) averaged from
+    nodal central differences."""
+    _, face_grad = _gradient_matrices(grid)
+    out = []
+    for axis, mats in enumerate(face_grad):
+        face_shape = list(grid.shape)
+        face_shape[axis] += 1
+        out.append([(g @ u.T).T.reshape(u.shape[:-1] + tuple(face_shape)) for g in mats])
+    return out
+
+
+def _face_drift(grid: Grid, hamiltonian, u: np.ndarray):
+    """D_pH(x, grad u) on the faces of the slices u (..., N): per axis an
+    array shaped (..., *axis face shape)."""
+    return tuple(hamiltonian.gradient(p_face, weight=hamiltonian.face_weight(grid, axis))[axis]
+                 for axis, p_face in enumerate(_face_gradients(grid, u)))
 
 
 def _hamiltonian_terms(grid: Grid, hamiltonian, u_arr: np.ndarray):
-    """Frozen Hamiltonian data of the value slices 0..K-1 of u_arr:
-    upwind values H(x, Du_k) as a (K, N) array, face drifts D_pH and
-    their divergence operators. Without a Hamiltonian: zeros, no drift
-    and no operators."""
+    """Hamiltonian data of the value slices 0..K-1 of u_arr, evaluated on
+    the whole (K, N) array: upwind values H(x, Du_k) as a (K, N) array,
+    face drifts D_pH per axis shaped (K, *face shape), and one
+    block-diagonal (KN, KN) operator m_k -> -div(m_k b_k) of them.
+    Without a Hamiltonian: zeros, no drift and no operator."""
     steps = len(u_arr) - 1
     if hamiltonian is None:
-        return np.zeros((steps, grid.n_total)), None, [None] * steps
-    h_vals = np.stack([_upwind_hamiltonian(grid, hamiltonian, u_arr[k])[0]
-                       for k in range(steps)])
-    drift = [_face_drift(grid, hamiltonian, u_arr[k]) for k in range(steps)]
-    return h_vals, drift, [drift_divergence_matrix(grid, d) for d in drift]
+        return np.zeros((steps, grid.n_total)), None, None
+    u = u_arr[:steps]
+    drift = _face_drift(grid, hamiltonian, u)
+    rows, cols, vals = _drift_triplets(grid, drift)
+    size = steps * grid.n_total
+    return (_upwind_hamiltonian(grid, hamiltonian, u)[0], drift,
+            sp.csr_matrix((vals, (rows, cols)), shape=(size, size)))
+
+
+def _pair_stencil(a, b):
+    """Positions of a.T @ diag(w) @ b for sparse a and b with one row
+    per face (or node): rows, columns, coefficients and faces such that
+    the product is the sum of coefficient * w[face] at (row, column)."""
+    a, b = sp.csr_matrix(a), sp.csr_matrix(b)
+    face = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    partners = np.diff(b.indptr)[face]
+    ia = np.repeat(np.arange(a.nnz), partners)
+    ib = (np.repeat(b.indptr[face] - (np.cumsum(partners) - partners), partners)
+          + np.arange(partners.sum()))
+    return a.indices[ia], b.indices[ib], a.data[ia] * b.data[ib], face[ia]
+
+
+def _hamiltonian_jacobian(grid: Grid, hamiltonian, k_steps: int):
+    """Positions of the derivatives of the Hamiltonian terms in the joint
+    Jacobian (value rows from 0, density rows from n_u = K N), and
+    values(u, m), their values at the value slices u_0..u_{K-1} and the
+    density slices m_1..m_K:
+
+    - value rows, u_k: D_pH(x, p) . D_sel, with p and the upwind
+      differences D_sel selected by _upwind_hamiltonian;
+    - density rows, m_{k+1}: the drift operator div_k itself;
+    - density rows, u_k: per face the slope of the upwind flux in b
+      (m on the side the flux takes) times D_ppH times the stencils of
+      the face gradient (the face difference, and in 2D the transverse
+      average of central differences).
+    """
+    n = grid.n_total
+    one_sided, face_grad = _gradient_matrices(grid)
+    identity = sp.identity(n, format="csr")
+    node_stencils = [_pair_stencil(identity, d) for pair in one_sided for d in pair]
+    face_stencils = [_pair_stencil(mats[axis], g)
+                     for axis, mats in enumerate(face_grad) for g in mats]
+
+    n_u = k_steps * n
+    offset = n * np.arange(k_steps)[:, None]
+    drift_rows, drift_cols, _ = _drift_triplets(
+        grid, [np.zeros((k_steps, mats[0].shape[0])) for mats in face_grad])
+    rows = np.concatenate([(offset + s[0]).ravel() for s in node_stencils]
+                          + [(n_u + offset + s[0]).ravel() for s in face_stencils]
+                          + [n_u + drift_rows])
+    cols = np.concatenate([(offset + s[1]).ravel() for s in node_stencils + face_stencils]
+                          + [n_u + drift_cols])
+
+    def values(u, m):
+        _, p, backward = _upwind_hamiltonian(grid, hamiltonian, u)
+        slope = hamiltonian.gradient(p)
+        weights = []
+        for axis in range(grid.dim):
+            weights += [np.where(backward[axis], slope[axis], 0.0),
+                        np.where(backward[axis], 0.0, slope[axis])]
+        # m with a zero column last, so that index -1 (outside) reads 0
+        m_pad = np.pad(m, ((0, 0), (0, 1)))
+        drift = []
+        for axis, p_face in enumerate(_face_gradients(grid, u)):
+            beta = hamiltonian.face_weight(grid, axis)
+            b = hamiltonian.gradient(p_face, weight=beta)[axis]
+            hess = hamiltonian.hessian(p_face, weight=beta)[axis]
+            left, right = _face_nodes(grid, axis)
+            b_flat = b.reshape(k_steps, -1)
+            flux_slope = np.where(b_flat > 0, m_pad[:, right], m_pad[:, left])
+            weights += [flux_slope * h_c.reshape(k_steps, -1) for h_c in hess]
+            drift.append(b)
+        vals = [s[2] * w[:, s[3]] for s, w in zip(node_stencils + face_stencils, weights)]
+        return np.concatenate(vals + [_drift_triplets(grid, drift)[2]], axis=None)
+
+    return rows, cols, values
 
 
 def _slice_residuals(grid: Grid, dt: float, cost: CostOperator, u_arr, m_arr, psi_arr, g_arr,
-                     h_vals, div_ops, delta_c: float):
+                     h_vals, div, delta_c: float):
     """Slice-by-slice residuals shared by the time-dependent verifiers.
 
     With f_k = f(m_k), L u_k = (u_k - u_{k+1})/dt + A0 u_k + H_k and
-    (H_k, div_k) from _hamiltonian_terms, returns the max over slices of
+    (H_k, div) from _hamiltonian_terms, returns the max over slices of
     |min(psi_k - u_k, f_k - L u_k)| (complementarity), of the density
     residual (m_{k+1} - m_k)/dt + (A0 + div_k) m_{k+1} on the
     continuation set {u_k - psi_k < -delta_c} and of its positive part
@@ -157,18 +221,21 @@ def _slice_residuals(grid: Grid, dt: float, cost: CostOperator, u_arr, m_arr, ps
     """
     a0 = elliptic_matrix(grid, with_zero_order=False)
     vol = grid.cell_volume
+    steps = len(h_vals)
+    drift_m = None if div is None else (div @ m_arr[1:].ravel()).reshape(steps, -1)
     r_comp = 0.0
     r_cont = 0.0
     r_sub = 0.0
     contact_sum = 0.0
     total_sum = 0.0
-    for k in range(len(div_ops)):
+    for k in range(steps):
         f_k = cost.evaluate(m_arr[k])
         lu = (u_arr[k] - u_arr[k + 1]) / dt + a0 @ u_arr[k] + h_vals[k]
         comp = np.minimum(psi_arr[k] - u_arr[k], f_k - lu)
         r_comp = max(r_comp, float(np.max(np.abs(comp))))
-        op = a0 if div_ops[k] is None else a0 + div_ops[k]
-        fp_resid = (m_arr[k + 1] - m_arr[k]) / dt + op @ m_arr[k + 1]
+        fp_resid = (m_arr[k + 1] - m_arr[k]) / dt + a0 @ m_arr[k + 1]
+        if drift_m is not None:
+            fp_resid = fp_resid + drift_m[k]
         continuation = u_arr[k] - psi_arr[k] < -delta_c
         contact = ~continuation
         r_cont = max(r_cont, float(np.max(np.abs(fp_resid[continuation]), initial=0.0)))
@@ -195,15 +262,16 @@ def forward_backward_solve(
 ) -> FBSolution:
     """Solve the penalized forward-backward system at one penalty level.
 
-    Outer passes freeze the classification band, the Hamiltonian value
-    and the face drift from the current iterate, then a joint
-    semismooth Newton resolves the frozen system in the stacked
-    unknowns (u_0..u_{K-1}, m_1..m_K), and, for a heat_from_g obstacle,
-    (psi_0..psi_{K-1}) as well, so that psi(m) is solved with the pair
-    instead of being lagged. A fixed obstacle does not depend on m and
-    is computed once; the controlled system passes the zero obstacle
-    with its hamiltonian. Local costs only; nonlocal couplings have no
-    nodal derivative for the Newton blocks.
+    Outer passes freeze the classification band from the current
+    iterate, then a joint semismooth Newton resolves the system in the
+    stacked unknowns (u_0..u_{K-1}, m_1..m_K), and, for a heat_from_g
+    obstacle, (psi_0..psi_{K-1}) as well, so that psi(m) is solved with
+    the pair instead of being lagged. The Hamiltonian value and the face
+    drift are evaluated at every Newton iterate; only the band is
+    lagged. A fixed obstacle does not depend on m and is computed once;
+    the controlled system passes the zero obstacle with its hamiltonian.
+    Local costs only; nonlocal couplings have no nodal derivative for
+    the Newton blocks.
 
     strict=False returns the best iterate instead of raising when a
     warm-up continuation stage stalls.
@@ -217,8 +285,6 @@ def forward_backward_solve(
     if np.any(m0.values < -1e-12):
         raise ValueError("m0 must be nonnegative")
     steps = timegrid.n_steps
-    dt = timegrid.dt
-    a0 = elliptic_matrix(grid, with_zero_order=False)
     g_cost = obstacle_op.g_cost if obstacle_op.kind == "heat_from_g" else None
 
     m_arr = (np.tile(m0.values, (steps + 1, 1)) if m_traj_init is None
@@ -230,30 +296,48 @@ def forward_backward_solve(
     else:
         u_arr = np.array(u_traj_init, dtype=float, copy=True)
     history: list[float] = []
-    band = cfg.delta_floor
     best = None
     best_gap = np.inf
     u_arr[steps] = psi_arr[steps]
+    residual, jacobian, unstack = _frozen_system(
+        cost, g_cost, hamiltonian, grid, m0.values, psi_arr[steps], psi_arr, timegrid.dt, epsilon)
+
+    def solution(u_arr, m_arr, psi_arr, band, iterations, history, converged):
+        rate = _ramp((u_arr[:steps] - psi_arr[:steps]) / band) / epsilon
+        alpha = np.vstack([rate * epsilon, rate[-1:] * epsilon])
+        drift = None
+        if hamiltonian is not None:
+            comps = _face_drift(grid, hamiltonian, u_arr[:steps])
+            drift = tuple(FaceVelocities(grid, tuple(c[k] for c in comps)) for k in range(steps))
+        return FBSolution(
+            u=FieldTrajectory(grid, timegrid, u_arr),
+            m=FieldTrajectory(grid, timegrid, m_arr),
+            alpha=FieldTrajectory(grid, timegrid, np.clip(alpha, 0.0, 1.0)),
+            drift=drift,
+            epsilon=epsilon,
+            iterations=iterations,
+            residual_history=list(history),
+            delta_band=band,
+            converged=converged,
+        )
 
     for outer in range(1, cfg.max_outer + 1):
-        # freeze the lagged data from the current iterate
+        # freeze the band from the current iterate
         f_arr = cost.evaluate(m_arr)
         scale = float(np.max(np.abs(f_arr[:steps] + g_arr[:steps])))
-        band_new = (cfg.band_override if cfg.band_override is not None
-                    else max(cfg.delta_floor, cfg.band_factor * epsilon * scale))
+        band = (cfg.band_override if cfg.band_override is not None
+                else max(cfg.delta_floor, cfg.band_factor * epsilon * scale))
         if outer == 1 and u_traj_init is not None and band_init:
             # keep the ramp position (hence the exit rate) continuous
             # across penalty stages
             inside = np.abs(u_arr[:steps] - psi_arr[:steps]) <= band_init
             u_arr[:steps] = np.where(
-                inside, psi_arr[:steps] + (u_arr[:steps] - psi_arr[:steps]) * (band_new / band_init),
+                inside, psi_arr[:steps] + (u_arr[:steps] - psi_arr[:steps]) * (band / band_init),
                 u_arr[:steps])
-        band = band_new
-        h_vals, drift, div_ops = _hamiltonian_terms(grid, hamiltonian, u_arr)
 
         u_new, m_new, psi_arr, newton_res = _newton_frozen(
-            cost, g_cost, m0.values, u_arr, m_arr, psi_arr, f_arr, h_vals, div_ops,
-            a0, dt, epsilon, band, cfg)
+            residual, jacobian, unstack, u_arr, m_arr, psi_arr, f_arr, band, cfg,
+            g_cost is not None)
         gap = max(float(np.max(np.abs(m_new - m_arr))), float(np.max(np.abs(u_new - u_arr))))
         history.append(gap)
         u_arr = u_new
@@ -261,71 +345,61 @@ def forward_backward_solve(
         if g_cost is not None:
             g_arr = g_cost.evaluate(m_arr)
 
-        def solution(converged):
-            rate = _ramp((u_arr[:steps] - psi_arr[:steps]) / band) / epsilon
-            alpha = np.vstack([rate * epsilon, rate[-1:] * epsilon])
-            return FBSolution(
-                u=FieldTrajectory(grid, timegrid, u_arr),
-                m=FieldTrajectory(grid, timegrid, m_arr),
-                alpha=FieldTrajectory(grid, timegrid, np.clip(alpha, 0.0, 1.0)),
-                drift=None if drift is None else tuple(drift),
-                epsilon=epsilon,
-                iterations=outer,
-                residual_history=list(history),
-                delta_band=band,
-                converged=converged,
-            )
-
         if gap <= cfg.tol_outer and newton_res <= cfg.tol_pde:
-            return solution(True)
+            return solution(u_arr, m_arr, psi_arr, band, outer, history, True)
         if gap < best_gap:
             best_gap = gap
-            best = solution(False)
+            best = (u_arr, m_arr, psi_arr, band, outer, list(history))
     if strict:
         raise CoupledNonConvergence("forward-backward solve did not converge", history)
-    return best
+    return solution(*best, False)
 
 
-def _newton_frozen(cost, g_cost, m0_vals, u_arr, m_arr, psi_arr, f_arr, h_vals, div_ops,
-                   a0, dt, epsilon, band, cfg):
-    """Joint semismooth Newton on the frozen forward-backward system
-    (see _frozen_system), from the current iterate. Returns the value,
-    density and obstacle trajectories and the final residual norm."""
-    steps = len(div_ops)
-    residual, jacobian, unstack = _frozen_system(
-        cost, g_cost, m0_vals, u_arr[steps], psi_arr, h_vals, div_ops, a0, dt, epsilon, band)
+def _newton_frozen(residual, jacobian, unstack, u_arr, m_arr, psi_arr, f_arr, band, cfg,
+                   with_psi):
+    """Joint semismooth Newton on the forward-backward system with the
+    band frozen (see _frozen_system), from the current iterate. Returns
+    the value, density and obstacle trajectories and the final residual
+    norm."""
+    steps = len(u_arr) - 1
     x0 = np.concatenate([u_arr[:steps].ravel(), m_arr[1:].ravel()]
-                        + ([psi_arr[:steps].ravel()] if g_cost is not None else []))
+                        + ([psi_arr[:steps].ravel()] if with_psi else []))
     target = min(cfg.tol_pde, 1e-10) * (1.0 + float(np.max(np.abs(f_arr))))
-    x, norms, _ = semismooth_newton(residual, jacobian, x0, target, 60)
+    x, norms, _ = semismooth_newton(lambda z: residual(z, band), lambda z: jacobian(z, band),
+                                    x0, target, 60)
     return (*unstack(x), norms[-1])
 
 
-def _frozen_system(cost, g_cost, m0_vals, u_terminal, psi_arr, h_vals, div_ops, a0, dt,
-                   epsilon, band):
-    """Residual, Jacobian and unstacking of one frozen outer pass.
+def _frozen_system(cost, g_cost, hamiltonian, grid, m0_vals, u_terminal, psi_arr, dt, epsilon):
+    """Residual, Jacobian and unstacking of the forward-backward system
+    at one penalty level; residual(x, band) and jacobian(x, band) take
+    the classification band that an outer pass freezes.
 
     Unknowns x = [u_0..u_{K-1}, m_1..m_K], followed by psi_0..psi_{K-1}
-    when g_cost (the source of a heat_from_g obstacle) is given; psi_K
-    and, for a fixed obstacle, the whole psi come from psi_arr. The
-    value equations carry the penalty (u - psi)^+/eps and frozen
-    Hamiltonian values; the density equations carry the ramped exit rate
-    and frozen drift; the obstacle equations are the implicit backward
-    heat steps B psi_k - psi_{k+1}/dt + g(m_k) = 0 that
+    when g_cost (the source of a heat_from_g obstacle) is given;
+    u_K = u_terminal, m_0 and, for a fixed obstacle, the whole psi are
+    data. The value equations carry the penalty (u - psi)^+/eps and the
+    upwind Hamiltonian H(x, D_sel u_k); the density equations carry the
+    ramped exit rate and the drift term div_k(u_k) m_{k+1}; the obstacle
+    equations are the implicit backward heat steps
+    B psi_k - psi_{k+1}/dt + g(m_k) = 0 that
     ObstacleOperator.apply_arrays solves.
 
-    The static part is built once here from Kronecker products over the
-    time slices, B = A0 + I/dt on every diagonal block with -I/dt above
-    it for u and psi and below it for m, plus the block diagonal of the
-    drift operators div_k in the m block.
-    The residual is static @ x plus the data terminal and initial slices
-    plus nodewise terms on whole (K, N) arrays. The Jacobian adds
-    value-dependent diagonal families to the static part: the penalty
-    indicator, the ramped exit rate, the ramp slope times m and -f'(m),
-    and with psi also -indicator, -slope times m and g'(m).
+    Everything but the band is built once here: the static part from
+    Kronecker products over the time slices, B = A0 + I/dt on every
+    diagonal block with -I/dt above it for u and psi and below it for m,
+    and the positions of the value-dependent Jacobian entries. The
+    residual is static @ x plus the data terminal and initial slices
+    plus nodewise terms on whole (K, N) arrays plus, with a Hamiltonian,
+    div_k(u_k) m_{k+1} from _hamiltonian_terms. The Jacobian adds to the
+    static part the penalty indicator, the ramped exit rate, the ramp
+    slope times m and -f'(m), with psi also -indicator, -slope times m
+    and g'(m), and with a Hamiltonian the blocks of
+    _hamiltonian_jacobian.
     """
+    a0 = elliptic_matrix(grid, with_zero_order=False)
     n = a0.shape[0]
-    k_steps = len(div_ops)
+    k_steps = len(psi_arr) - 1
     n_u = k_steps * n
     eye_dt = sp.identity(n, format="csr") / dt
     b_op = (a0 + eye_dt).tocsr()
@@ -334,11 +408,7 @@ def _frozen_system(cost, g_cost, m0_vals, u_terminal, psi_arr, h_vals, div_ops, 
     upper = np.eye(k_steps, k=1)
     shifts = [upper, upper.T] + ([upper] if g_cost is not None else [])
     static = (sp.kron(sp.identity(len(shifts) * k_steps), b_op)
-              - sp.kron(dense_block_diag(*shifts), eye_dt))
-    if div_ops[0] is not None:
-        zero = sp.csr_matrix((n_u, n_u))
-        static = static + sp.block_diag([zero, *div_ops] + [zero] * (len(shifts) - 2))
-    static = static.tocsr()
+              - sp.kron(dense_block_diag(*shifts), eye_dt)).tocsr()
     # the data slices u_K, m_0 and psi_K enter the residual as a constant
     const = np.zeros(static.shape[0])
     const[n_u - n:n_u] = -u_terminal / dt
@@ -354,11 +424,14 @@ def _frozen_system(cost, g_cost, m0_vals, u_terminal, psi_arr, h_vals, div_ops, 
             return u, m, psi_arr
         return u, m, np.vstack([x[2 * n_u:].reshape(k_steps, n), psi_arr[k_steps:]])
 
-    def residual(x):
+    def residual(x, band):
         u, m, psi = unstack(x)
         v = u[:k_steps] - psi[:k_steps]
+        h_vals, _, div = _hamiltonian_terms(grid, hamiltonian, u)
         nodewise = [np.maximum(v, 0.0) / epsilon + h_vals - cost.evaluate(m[:k_steps]),
                     _ramp(v / band) / epsilon * m[1:]]
+        if div is not None:
+            nodewise[1] = nodewise[1] + (div @ m[1:].ravel()).reshape(k_steps, n)
         if g_cost is not None:
             nodewise.append(g_cost.evaluate(m[:k_steps]))
         return static @ x + const + np.concatenate(nodewise, axis=None)
@@ -374,9 +447,14 @@ def _frozen_system(cost, g_cost, m0_vals, u_terminal, psi_arr, h_vals, div_ops, 
     if g_cost is not None:
         rows += [diag, n_u + diag, 2 * n_u + diag[n:]]
         cols += [2 * n_u + diag, 2 * n_u + diag, n_u + diag[:-n]]
+    hamiltonian_values = None
+    if hamiltonian is not None:
+        h_rows, h_cols, hamiltonian_values = _hamiltonian_jacobian(grid, hamiltonian, k_steps)
+        rows.append(h_rows)
+        cols.append(h_cols)
     assemble = diagonal_update(static, np.concatenate(rows), np.concatenate(cols))
 
-    def jacobian(x):
+    def jacobian(x, band):
         u, m, psi = unstack(x)
         v = u[:k_steps] - psi[:k_steps]
         indicator = (v > 0).astype(float) / epsilon
@@ -384,6 +462,8 @@ def _frozen_system(cost, g_cost, m0_vals, u_terminal, psi_arr, h_vals, div_ops, 
         vals = [indicator, -cost.derivative(m[1:k_steps]), slope_m, _ramp(v / band) / epsilon]
         if g_cost is not None:
             vals += [-indicator, -slope_m, g_cost.derivative(m[1:k_steps])]
+        if hamiltonian_values is not None:
+            vals.append(hamiltonian_values(u[:k_steps], m[1:]))
         return assemble(np.concatenate(vals, axis=None))
 
     return residual, jacobian, unstack

@@ -17,12 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._coupled import (
-    _hamiltonian_terms,
-    _pad_axis,
-    _slice_residuals,
-    forward_backward_continuation,
-)
+from ._coupled import _hamiltonian_terms, _slice_residuals, forward_backward_continuation
 from .costs import CostOperator, PotentialOperator
 from .density import FaceVelocities, drift_divergence_matrix
 from .evolutive import ObstacleOperator
@@ -49,7 +44,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
-    """Convex Hamiltonian H(x, p) with gradient D_pH.
+    """Convex Hamiltonian H(x, p) with gradient D_pH and Hessian D_ppH.
 
     smoothed_norm: H = beta(x) (sqrt(1 + |p|^2) - 1), Lipschitz in p.
     quadratic:     H = |p|^2 / 2; not globally Lipschitz, construction
@@ -102,13 +97,26 @@ class Hamiltonian:
             return [scale * np.asarray(p) for p in p_components]
         return [np.asarray(p).copy() for p in p_components]
 
+    def hessian(self, p_components, weight=None):
+        """D_ppH(x, p) as rows of per-axis arrays: entry [a][c] is
+        d^2 H / dp_a dp_c."""
+        dim = len(p_components)
+        if self.kind == "quadratic":
+            ones = np.ones(np.shape(p_components[0]))
+            return [[ones if a == c else 0.0 * ones for c in range(dim)] for a in range(dim)]
+        s2 = 1.0 + sum(np.asarray(p) ** 2 for p in p_components)
+        scale = self._weight(weight) / np.sqrt(s2)
+        return [[scale * (float(a == c) - p_components[a] * p_components[c] / s2)
+                 for c in range(dim)] for a in range(dim)]
+
     def face_weight(self, grid: Grid, axis: int):
         """beta averaged onto axis faces (boundary faces copy the
         interior neighbor); None for beta-free kinds."""
         if self.kind != "smoothed_norm":
             return None
         shaped = self.beta.values.reshape(grid.shape)
-        padded = _pad_axis(shaped, axis, "edge")
+        padded = np.pad(shaped, [(1, 1) if d == axis else (0, 0) for d in range(grid.dim)],
+                        mode="edge")
         n = grid.shape[axis]
         return 0.5 * (np.take(padded, range(0, n + 1), axis=axis)
                       + np.take(padded, range(1, n + 2), axis=axis))
@@ -156,8 +164,9 @@ def cosmfg_coupled_solve(
 
     Returns (solution, report) where the report verifies the final
     stage. This is the evolutive solver with the zero obstacle and the
-    Hamiltonian term; the drift is D_pH(x, grad u) on faces, recomputed
-    every outer pass from the current value trajectory.
+    Hamiltonian term; H(x, Du) and the drift D_pH(x, grad u) on faces
+    are Newton terms, evaluated at every Newton iterate, and
+    solution.drift is the drift of the returned value trajectory.
     """
     from .stationary import default_eps_schedule
 
@@ -198,15 +207,16 @@ def verify_cosmfg(
     psi_arr, g_arr = ObstacleOperator.zero(grid, timegrid).apply_arrays(grid, timegrid, m_arr)
     if delta_c is None:
         delta_c = default_contact_threshold(u_arr, psi_arr)
-    h_vals, _, div_ops = _hamiltonian_terms(grid, hamiltonian, u_arr)
+    h_vals, _, div = _hamiltonian_terms(grid, hamiltonian, u_arr)
     r_hjb, r_cont, r_sub, contact_sum, _ = _slice_residuals(
-        grid, dt, cost, u_arr, m_arr, psi_arr, g_arr, h_vals, div_ops, delta_c)
+        grid, dt, cost, u_arr, m_arr, psi_arr, g_arr, h_vals, div, delta_c)
     a0 = elliptic_matrix(grid, with_zero_order=False)
     vol = grid.cell_volume
+    # integration-by-parts pairing with phi = u: adjoint drift term
+    adjoint = (div.T @ u_arr[:-1].ravel()).reshape(len(h_vals), -1)
     duality = 0.0
-    for k, div_k in enumerate(div_ops):
-        # integration-by-parts pairing with phi = u: adjoint drift term
-        lphi = (u_arr[k] - u_arr[k + 1]) / dt + a0 @ u_arr[k] + div_k.T @ u_arr[k]
+    for k in range(len(h_vals)):
+        lphi = (u_arr[k] - u_arr[k + 1]) / dt + a0 @ u_arr[k] + adjoint[k]
         duality += dt * float(np.dot(lphi, m_arr[k + 1])) * vol
     duality -= float(np.dot(u_arr[0], m0.values)) * vol
     r_bt = max(float(np.max(np.abs(u_arr[-1]))),

@@ -20,6 +20,7 @@ from .grid import (
     NodeMask,
     ScalarField,
     TimeGrid,
+    _face_nodes,
     elliptic_matrix,
 )
 from .obstacle import _linsolve, _lu_solve
@@ -133,52 +134,41 @@ def check_subsolution(m: ScalarField, source: ScalarField, with_zero_order: bool
     return ScalarField(m.grid, source.values - a @ m.values)
 
 
-def drift_divergence_matrix(grid: Grid, faces: FaceVelocities) -> sp.csr_matrix:
-    """Matrix of m -> -div(m b) with conservative upwind face fluxes.
+def _drift_triplets(grid: Grid, components):
+    """Rows, columns and values of the block-diagonal matrix of
+    m_k -> -div(m_k b_k), one block per slice k of the face velocities
+    components[axis], arrays shaped (K, *axis face shape).
 
     The flux through a face with velocity b takes m from the side the
     mass moves away from, so off-diagonal entries stay nonpositive and
     column sums telescope to boundary outflow only (mass can only leak).
+    The rows and columns depend on the grid and K only.
     """
+    rows, cols, vals = [], [], []
+    for axis, b in enumerate(components):
+        h = grid.spacing[axis]
+        left, right = _face_nodes(grid, axis)
+        b = b.reshape(len(b), -1)
+        offset = grid.n_total * np.arange(len(b))[:, None]
+        bp = np.maximum(b, 0.0) / h
+        bm = np.minimum(b, 0.0) / h
+        # flux F = b+ m_R + b- m_L enters row L as -F/h and row R as +F/h;
+        # the outside value is 0
+        for row, col, val in ((left, right, -bp), (left, left, -bm),
+                              (right, right, bp), (right, left, bm)):
+            keep = (row >= 0) & (col >= 0)
+            rows.append((row[keep] + offset).ravel())
+            cols.append((col[keep] + offset).ravel())
+            vals.append(val[:, keep].ravel())
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def drift_divergence_matrix(grid: Grid, faces: FaceVelocities) -> sp.csr_matrix:
+    """Matrix of m -> -div(m b) with conservative upwind face fluxes."""
     if faces.grid != grid:
         raise ValueError("faces must live on the grid")
-    n_total = grid.n_total
-    rows, cols, vals = [], [], []
-    flat = np.arange(n_total).reshape(grid.shape)
-
-    def axis_slice(axis, s):
-        sl = [slice(None)] * grid.dim
-        sl[axis] = s
-        return tuple(sl)
-
-    for axis in range(grid.dim):
-        h = grid.spacing[axis]
-        n_axis = grid.shape[axis]
-        b = faces.components[axis]
-        bp = np.maximum(b, 0.0)
-        bm = np.minimum(b, 0.0)
-        # interior faces (indices 1..n-1): between left node L and right node R
-        left = flat[axis_slice(axis, slice(0, n_axis - 1))].ravel()
-        right = flat[axis_slice(axis, slice(1, n_axis))].ravel()
-        fp = bp[axis_slice(axis, slice(1, n_axis))].ravel()
-        fm = bm[axis_slice(axis, slice(1, n_axis))].ravel()
-        # flux F = b+ m_R + b- m_L enters row L as -F/h and row R as +F/h
-        rows += [left, left, right, right]
-        cols += [right, left, right, left]
-        vals += [-fp / h, -fm / h, fp / h, fm / h]
-        # boundary faces: the outside value is 0, only outflow terms remain
-        first_nodes = flat[axis_slice(axis, slice(0, 1))].ravel()
-        last_nodes = flat[axis_slice(axis, slice(n_axis - 1, n_axis))].ravel()
-        b_first = bp[axis_slice(axis, slice(0, 1))].ravel()
-        b_last = bm[axis_slice(axis, slice(n_axis, n_axis + 1))].ravel()
-        rows += [first_nodes, last_nodes]
-        cols += [first_nodes, last_nodes]
-        vals += [b_first / h, -b_last / h]
-
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n_total, n_total))
+    rows, cols, vals = _drift_triplets(grid, [c[None] for c in faces.components])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(grid.n_total, grid.n_total))
 
 
 def _step_killing(killing_traj, k: int):

@@ -186,9 +186,9 @@ def verify_mixed_evolutive(
     psi_arr, g_arr = obstacle_op.apply_arrays(grid, timegrid, m_arr)
     if delta_c is None:
         delta_c = default_contact_threshold(u_arr, psi_arr)
-    h_vals, _, div_ops = _hamiltonian_terms(grid, None, u_arr)
+    h_vals, _, div = _hamiltonian_terms(grid, None, u_arr)
     r_obstacle, r_cont, r_sub, contact_sum, duality_sum = _slice_residuals(
-        grid, timegrid.dt, cost, u_arr, m_arr, psi_arr, g_arr, h_vals, div_ops, delta_c)
+        grid, timegrid.dt, cost, u_arr, m_arr, psi_arr, g_arr, h_vals, div, delta_c)
     vol = grid.cell_volume
     duality_gap = duality_sum - float(np.dot(u_arr[0] - psi_arr[0], m0.values)) * vol
     return EvolutiveMixedReport(

@@ -1,5 +1,6 @@
 """Uniform tensor grids with homogeneous Dirichlet boundaries, the discrete
-elliptic operator -lap + id, L2 pairing, and contact-set classification.
+elliptic operator -lap + id, the difference matrices of the gradient, L2
+pairing, and contact-set classification.
 
 Interior nodes are ordered lexicographically by axis (C order); boundary
 nodes carry the value 0 and never appear in the unknown vector.
@@ -245,6 +246,66 @@ def elliptic_matrix(grid: Grid, with_zero_order: bool = True) -> sp.csr_matrix:
     if with_zero_order:
         a = (a + sp.identity(grid.n_total, format="csr")).tocsr()
     return a
+
+
+@lru_cache(maxsize=None)
+def _face_nodes(grid: Grid, axis: int):
+    """Flat indices of the nodes left and right of every axis face (in
+    the face order of FaceVelocities), -1 for outside the grid; cached,
+    read-only."""
+    flat = np.arange(grid.n_total).reshape(grid.shape)
+    padded = np.pad(flat, [(1, 1) if d == axis else (0, 0) for d in range(grid.dim)],
+                    constant_values=-1)
+    n = grid.shape[axis]
+    out = (np.take(padded, range(0, n + 1), axis=axis).ravel(),
+           np.take(padded, range(1, n + 2), axis=axis).ravel())
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _gradient_matrices(grid: Grid):
+    """Difference matrices with Dirichlet closure (outside values 0);
+    cached and shared, so callers must not modify them.
+
+    Returns per axis a: the backward and forward differences along a at
+    the nodes (N x N), and the gradient on the faces of axis a, one
+    (faces x N) matrix per component: the face difference along a and,
+    across it (2D), the mean of the nodal central differences of the
+    face's two nodes (a boundary face takes its one node).
+    """
+    n = grid.n_total
+    face_diff, one_sided = [], []
+    for axis in range(grid.dim):
+        h = grid.spacing[axis]
+        left, right = _face_nodes(grid, axis)
+        faces = np.arange(len(left))
+        keep_l, keep_r = left >= 0, right >= 0
+        face_diff.append(sp.csr_matrix(
+            (np.concatenate([np.full(keep_r.sum(), 1.0 / h), np.full(keep_l.sum(), -1.0 / h)]),
+             (np.concatenate([faces[keep_r], faces[keep_l]]),
+              np.concatenate([right[keep_r], left[keep_l]]))), shape=(len(faces), n)))
+        # the difference on the face left and on the face right of a node
+        face_shape = list(grid.shape)
+        face_shape[axis] += 1
+        face_idx = faces.reshape(face_shape)
+        n_axis = grid.shape[axis]
+        one_sided.append(tuple(
+            sp.csr_matrix((np.ones(n), (np.arange(n), np.take(face_idx, sel, axis=axis).ravel())),
+                          shape=(n, len(faces))) @ face_diff[axis]
+            for sel in (range(0, n_axis), range(1, n_axis + 1))))
+    face_grad = []
+    for axis in range(grid.dim):
+        left, right = _face_nodes(grid, axis)
+        near = np.concatenate([np.where(left >= 0, left, right), np.where(right >= 0, right, left)])
+        mean = sp.csr_matrix((np.full(len(near), 0.5), (np.tile(np.arange(len(left)), 2), near)),
+                             shape=(len(left), n))
+        face_grad.append(tuple(
+            face_diff[axis] if other == axis
+            else (mean @ (0.5 * (one_sided[other][0] + one_sided[other][1]))).tocsr()
+            for other in range(grid.dim)))
+    return tuple(one_sided), tuple(face_grad)
 
 
 def apply_elliptic(field: ScalarField, with_zero_order: bool = True) -> ScalarField:

@@ -224,11 +224,12 @@ def diagonal_update(static, rows, cols):
     positions, such as a Newton Jacobian with value-dependent diagonals.
 
     static, the iterate-independent part, is converted once; rows and
-    cols name the value-dependent positions, none of them twice. The
-    returned assemble(vals) gives static + sparse(vals at (rows, cols))
-    in canonical CSC form. The sparse sum stores no entry that comes out
-    exactly 0, the same pattern as sp.diags/sp.bmat assembly; this
-    matters because SuperLU's column ordering reads stored zeros.
+    cols name the value-dependent positions, and values at a position
+    named more than once are summed. The returned assemble(vals) gives
+    static + sparse(vals at (rows, cols)) in canonical CSC form. The
+    sparse sum stores no entry that comes out exactly 0, the same
+    pattern as sp.diags/sp.bmat assembly; this matters because SuperLU's
+    column ordering reads stored zeros.
     """
     static = sp.csc_matrix(static)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mfgstop._coupled import _face_drift, forward_backward_continuation
 from mfgstop.control import (
     Hamiltonian,
     control_objective,
@@ -131,6 +132,31 @@ def test_control_scenario_residuals(control_solution):
     assert report.r_boundary_terminal == 0.0
     assert abs(report.duality_diagnostic) <= 1e-4
     assert sol.m.array().min() >= -1e-12
+
+
+def test_solution_drift_is_the_face_drift_of_the_returned_u(control_solution):
+    # the drift belongs to the returned value trajectory, to the bit
+    sc, sol, _ = control_solution
+    u = sol.u.array()
+    assert len(sol.drift) == sc.timegrid.n_steps
+    for k, faces in enumerate(sol.drift):
+        expected = _face_drift(sc.grid, sc.hamiltonian, u[k])
+        for got, want in zip(faces.components, expected):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 - 1e-4, 1.0 + 1e-4])
+def test_control_stages_take_at_most_three_passes(scale):
+    # with H and the drift solved inside the Newton, only the band is
+    # lagged (the registry instance took 42 passes over the eight stages
+    # when they were lagged too)
+    sc = scenario_standard("control_smoothnorm")
+    m0 = ScalarField(sc.grid, scale * sc.m0.values)
+    _, stages = forward_backward_continuation(
+        sc.cost, m0, sc.timegrid, list(sc.eps_schedule),
+        obstacle_op=ObstacleOperator.zero(sc.grid, sc.timegrid), hamiltonian=sc.hamiltonian)
+    assert len(stages) == 8
+    assert max(stage.iterations for stage in stages) <= 3
 
 
 def test_verifier_flags_undrifted_flow(control_solution):

@@ -3,10 +3,16 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from mfgstop._coupled import _face_drift, _frozen_system, forward_backward_solve
+from mfgstop._coupled import (
+    _face_drift,
+    _frozen_system,
+    _node_gradients,
+    _upwind_hamiltonian,
+    forward_backward_solve,
+)
 from mfgstop.control import Hamiltonian
 from mfgstop.costs import CostOperator
-from mfgstop.density import drift_divergence_matrix
+from mfgstop.density import FaceVelocities, drift_divergence_matrix
 from mfgstop.evolutive import ObstacleOperator
 from mfgstop.grid import (
     FieldTrajectory,
@@ -268,12 +274,38 @@ def band_offsets(rng, shape, band):
     return band * rng.choice([-3.0, -0.5, 0.0, 0.25, 0.5, 3.0], size=shape)
 
 
+def hamiltonian_blocks_1d(g, ham, u_k, m_next):
+    # derivatives of H(x, D_sel u_k) and of -div(m_{k+1} b(u_k)) in u_k,
+    # written out per node and per face on a 1D grid: the upwind choice
+    # of _upwind_hamiltonian, and on face f between nodes L = f - 1 and
+    # R = f the flux F = b+ m_R + b- m_L with b = D_pH((u_R - u_L)/h)
+    n, h = g.n_total, g.spacing[0]
+    _, p, backward = _upwind_hamiltonian(g, ham, u_k)
+    slope, bw = ham.gradient(p)[0], backward[0]
+    d_value = sp.diags([np.where(bw, -slope, 0.0)[1:] / h, np.where(bw, slope, -slope) / h,
+                        np.where(bw, 0.0, slope)[:-1] / h], [-1, 0, 1])
+    beta = ham.face_weight(g, 0)
+    u_pad, m_pad = np.pad(u_k, 1), np.pad(m_next, 1)
+    d_drift = np.zeros((n, n))
+    for f in range(n + 1):
+        q = (u_pad[f + 1] - u_pad[f]) / h
+        b = beta[f] * q / np.sqrt(1.0 + q * q)
+        flux_slope = (m_pad[f + 1] if b > 0 else m_pad[f]) * beta[f] / (1.0 + q * q) ** 1.5
+        for row, row_sign in ((f - 1, -1.0), (f, 1.0)):
+            for col, col_sign in ((f - 1, -1.0), (f, 1.0)):
+                if 0 <= row < n and 0 <= col < n:
+                    d_drift[row, col] += row_sign * col_sign * flux_slope / h**2
+    return d_value, sp.csr_matrix(d_drift)
+
+
 @pytest.mark.parametrize("drift, heat", [(False, False), (True, False), (False, True)],
                          ids=["False", "True", "heat_from_g"])
 def test_frozen_jacobian_matches_block_assembly(drift, heat):
     # oracle: the whole block grid built with sp.bmat and sp.diags at
     # every step; f = m^2 + f0 gives -f'(m) = 0 and g = m^2 / 2 gives
-    # g'(m) = 0 where m <= 0
+    # g'(m) = 0 where m <= 0. With drift, a smoothed-norm Hamiltonian
+    # adds H to the value rows, the drift operator to the density rows
+    # and the derivatives of both in u (hamiltonian_blocks_1d)
     g = build_grid(1, (0.0, 1.0), 7)
     n, k_steps, dt, eps, band = 7, 3, 0.1, 1e-3, 0.05
     rng = np.random.default_rng(11)
@@ -287,20 +319,22 @@ def test_frozen_jacobian_matches_block_assembly(drift, heat):
         psi_arr = ObstacleOperator.heat_source(g_cost).apply_arrays(
             g, build_timegrid(k_steps * dt, k_steps), m)[0]
     u = psi_arr + offsets
+    ham = Hamiltonian.smoothed_norm(ScalarField.constant(g, 1.0)) if drift else None
     div_ops = [None] * k_steps
+    h_vals = np.zeros((k_steps, n))
     if drift:
-        ham = Hamiltonian.smoothed_norm(ScalarField.constant(g, 1.0))
-        div_ops = [drift_divergence_matrix(g, _face_drift(g, ham, u[k])) for k in range(k_steps)]
+        div_ops = [drift_divergence_matrix(g, FaceVelocities(g, _face_drift(g, ham, u[k])))
+                   for k in range(k_steps)]
+        h_vals = np.stack([_upwind_hamiltonian(g, ham, u[k])[0] for k in range(k_steps)])
     residual, jacobian, unstack = _frozen_system(
-        cost, g_cost, m[0], u[k_steps], psi_arr, np.zeros((k_steps, n)), div_ops, a0, dt,
-        eps, band)
+        cost, g_cost, ham, g, m[0], u[k_steps], psi_arr, dt, eps)
     x = np.concatenate([u[:k_steps].ravel(), m[1:].ravel()]
                        + ([psi_arr[:k_steps].ravel()] if heat else []))
     u_x, m_x, psi_x = unstack(x)
     assert np.array_equal(u_x, u) and np.array_equal(m_x, m) and np.array_equal(psi_x, psi_arr)
     if heat:
         # the obstacle rows are the backward heat steps of apply_arrays
-        assert np.max(np.abs(residual(x)[2 * k_steps * n:])) <= 1e-12
+        assert np.max(np.abs(residual(x, band)[2 * k_steps * n:])) <= 1e-12
 
     eye_dt = sp.identity(n, format="csr") / dt
     b_op = (a0 + eye_dt).tocsr()
@@ -308,7 +342,7 @@ def test_frozen_jacobian_matches_block_assembly(drift, heat):
     # the residual against its slice-by-slice form (summed in another
     # order, so equal to round-off)
     v = u[:k_steps] - psi_arr[:k_steps]
-    slices = [[b_op @ u[k] - u[k + 1] / dt + np.maximum(v[k], 0.0) / eps
+    slices = [[b_op @ u[k] - u[k + 1] / dt + np.maximum(v[k], 0.0) / eps + h_vals[k]
                - cost.evaluate(m[k]) for k in range(k_steps)],
               [ops[k] @ m[k + 1] - m[k] / dt + _ramp(v[k] / band) / eps * m[k + 1]
                for k in range(k_steps)]]
@@ -316,7 +350,7 @@ def test_frozen_jacobian_matches_block_assembly(drift, heat):
         slices.append([b_op @ psi_arr[k] - psi_arr[k + 1] / dt + g_cost.evaluate(m[k])
                         for k in range(k_steps)])
     expected = np.concatenate(slices, axis=None)
-    assert np.max(np.abs(residual(x) - expected)) <= 1e-13 * np.max(np.abs(expected))
+    assert np.max(np.abs(residual(x, band) - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     size = (3 if heat else 2) * k_steps
     blocks_u = [[None] * size for _ in range(k_steps)]
@@ -334,6 +368,10 @@ def test_frozen_jacobian_matches_block_assembly(drift, heat):
         if k >= 1:
             blocks_m[k][k_steps + k - 1] = -eye_dt
         blocks_m[k][k] = sp.diags(dsigma * m[k + 1] / eps)
+        if drift:
+            d_value, d_drift = hamiltonian_blocks_1d(g, ham, u[k], m[k + 1])
+            blocks_u[k][k] = blocks_u[k][k] + d_value
+            blocks_m[k][k] = blocks_m[k][k] + d_drift
         if heat:
             blocks_u[k][2 * k_steps + k] = sp.diags(-(v_k > 0).astype(float) / eps)
             blocks_m[k][2 * k_steps + k] = sp.diags(-dsigma * m[k + 1] / eps)
@@ -348,7 +386,61 @@ def test_frozen_jacobian_matches_block_assembly(drift, heat):
     assert np.any((np.abs(u[:k_steps] - psi_arr[:k_steps]) < band) & (m[1:] == 0.0))
     if heat:
         assert np.any(g_cost.derivative(m[1:k_steps]) == 0.0)
-    assert_same_csc(jacobian(x), oracle)
+    if drift:
+        # the Hamiltonian entries are sums over nodes and faces, taken in
+        # another order than the oracle's
+        jac = jacobian(x, band).toarray()
+        assert np.max(np.abs(jac - oracle.toarray())) <= 1e-13 * np.max(np.abs(jac))
+    else:
+        assert_same_csc(jacobian(x, band), oracle)
+
+
+def central_difference_jacobian(residual, x, step=1e-6):
+    cols = []
+    for j in range(len(x)):
+        e = np.zeros_like(x)
+        e[j] = step
+        cols.append((residual(x + e) - residual(x - e)) / (2 * step))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("shape", [(7,), (4, 4)], ids=["1d", "2d"])
+@pytest.mark.parametrize("kind", ["smoothed_norm", "quadratic"])
+def test_hamiltonian_jacobian_matches_finite_differences(shape, kind):
+    # the Hamiltonian and drift blocks against central differences of
+    # the residual, at a point away from every kink: each upwind choice
+    # and face-velocity sign is decided by a margin larger than the
+    # step, and u - psi stays off 0 and off the band edges
+    dim = len(shape)
+    g = build_grid(dim, [(0.0, 1.0)] * dim, list(shape))
+    n, k_steps, dt, eps, band = g.n_total, 3, 0.1, 1e-3, 0.05
+    rng = np.random.default_rng(3)
+    cost = CostOperator.local_power(g, 1.0, 2.0, ScalarField.constant(g, -0.3))
+    if kind == "smoothed_norm":
+        ham = Hamiltonian.smoothed_norm(ScalarField(g, rng.uniform(0.5, 1.5, n)))
+    else:
+        ham = Hamiltonian.quadratic(g, outside_assumptions=True)
+    psi_arr = rng.normal(size=(k_steps + 1, n))
+    u = psi_arr + band * rng.choice([-3.0, -0.5, 0.25, 0.5, 3.0], size=(k_steps + 1, n))
+    m = rng.uniform(0.2, 1.0, size=(k_steps + 1, n))
+    margin = 1e-3
+    _, p, backward = _upwind_hamiltonian(g, ham, u[:k_steps])
+    fwd, bwd = _node_gradients(g, u[:k_steps])
+    for a in range(dim):
+        # the selection is strict and settled on both candidates
+        assert np.all(np.abs(ham.gradient(p)[a]) > margin)
+        assert np.all(np.abs(fwd[a] - bwd[a]) > margin)
+    assert all(np.all(np.abs(b) > margin) for b in _face_drift(g, ham, u[:k_steps]))
+
+    residual, jacobian, unstack = _frozen_system(
+        cost, None, ham, g, m[0], u[k_steps], psi_arr, dt, eps)
+    x = np.concatenate([u[:k_steps].ravel(), m[1:].ravel()])
+    jac = jacobian(x, band).toarray()
+    fd = central_difference_jacobian(lambda z: residual(z, band), x)
+    assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
+    # the Hamiltonian blocks are really there
+    n_u = k_steps * n
+    assert np.max(np.abs(jac[n_u:, :n_u] - np.diag(np.diag(jac[n_u:, :n_u])))) > 0.1
 
 
 @pytest.mark.parametrize("local", [True, False])
