@@ -13,9 +13,9 @@ An obstacle generated from a source g(m) by the backward heat equation
 with the implicit heat steps as its rows, so psi(m) is solved with the
 pair rather than lagged. The Hamiltonian value at the upwind gradient
 and the induced face drift are Newton terms as well, with their
-derivatives in the Jacobian. Only the classification band is frozen
-per outer pass and relaxed by iteration (lagged evaluation); fixed
-points are unchanged.
+derivatives in the Jacobian. Only the classification band is fixed,
+once per penalty stage from the stage-entry iterate, as in the
+stationary solver; each stage is one Newton solve.
 
 Discrete pairing conventions (they close the duality identity exactly,
 see the verifiers): the value equation at slice k uses source f(m_k)
@@ -48,14 +48,16 @@ from .grid import (
     elliptic_matrix,
 )
 from .obstacle import diagonal_update, semismooth_newton
-from .stationary import CoupledConfig, CoupledNonConvergence, _ramp
+from .stationary import CoupledConfig, CoupledNonConvergence, _checked_schedule, _ramp
 
 __all__ = ["FBSolution", "forward_backward_solve", "forward_backward_continuation"]
 
 
 @dataclass(frozen=True, eq=False)
 class FBSolution:
-    """Trajectories of one penalized forward-backward solve."""
+    """Trajectories of one penalized forward-backward solve, with the
+    Newton iterations and residual norms (of the start and after every
+    step) of its one Newton solve, as on PenalizedTriple."""
 
     u: FieldTrajectory
     m: FieldTrajectory
@@ -262,19 +264,23 @@ def forward_backward_solve(
 ) -> FBSolution:
     """Solve the penalized forward-backward system at one penalty level.
 
-    Outer passes freeze the classification band from the current
-    iterate, then a joint semismooth Newton resolves the system in the
-    stacked unknowns (u_0..u_{K-1}, m_1..m_K), and, for a heat_from_g
-    obstacle, (psi_0..psi_{K-1}) as well, so that psi(m) is solved with
-    the pair instead of being lagged. The Hamiltonian value and the face
-    drift are evaluated at every Newton iterate; only the band is
-    lagged. A fixed obstacle does not depend on m and is computed once;
-    the controlled system passes the zero obstacle with its hamiltonian.
-    Local costs only; nonlocal couplings have no nodal derivative for
-    the Newton blocks.
+    The classification band is fixed from the start iterate by
+    config.band, with the scale max over slices 0..K-1 of
+    |f(m_k) + g_k|; then one joint semismooth Newton resolves the system
+    in the stacked unknowns (u_0..u_{K-1}, m_1..m_K), and, for a
+    heat_from_g obstacle, (psi_0..psi_{K-1}) as well, so that psi(m) is
+    solved with the pair. The Hamiltonian value and the face drift are
+    evaluated at every Newton iterate. A fixed obstacle does not depend
+    on m and is computed once; the controlled system passes the zero
+    obstacle with its hamiltonian. Local costs only; nonlocal couplings
+    have no nodal derivative for the Newton blocks.
 
-    strict=False returns the best iterate instead of raising when a
-    warm-up continuation stage stalls.
+    A warm start u_traj_init keeps the ramp position (hence the exit
+    rate) continuous across penalty stages by rescaling band nodes from
+    band_init to the new band. The solve has converged when the final
+    Newton residual norm is at most config.tol_pde; strict=False returns
+    the last iterate with converged=False instead of raising (used for
+    warm-up continuation stages).
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -291,89 +297,52 @@ def forward_backward_solve(
              else np.array(m_traj_init, dtype=float, copy=True))
     m_arr[0] = m0.values
     psi_arr, g_arr = obstacle_op.apply_arrays(grid, timegrid, m_arr)
-    if u_traj_init is None:
-        u_arr = psi_arr.copy()
-    else:
-        u_arr = np.array(u_traj_init, dtype=float, copy=True)
-    history: list[float] = []
-    best = None
-    best_gap = np.inf
+    u_arr = (psi_arr.copy() if u_traj_init is None
+             else np.array(u_traj_init, dtype=float, copy=True))
     u_arr[steps] = psi_arr[steps]
+    f_arr = cost.evaluate(m_arr)
+    band = cfg.band(epsilon, float(np.max(np.abs(f_arr[:steps] + g_arr[:steps]))))
+    if u_traj_init is not None and band_init:
+        inside = np.abs(u_arr[:steps] - psi_arr[:steps]) <= band_init
+        u_arr[:steps] = np.where(
+            inside, psi_arr[:steps] + (u_arr[:steps] - psi_arr[:steps]) * (band / band_init),
+            u_arr[:steps])
+
     residual, jacobian, unstack = _frozen_system(
-        cost, g_cost, hamiltonian, grid, m0.values, psi_arr[steps], psi_arr, timegrid.dt, epsilon)
-
-    def solution(u_arr, m_arr, psi_arr, band, iterations, history, converged):
-        rate = _ramp((u_arr[:steps] - psi_arr[:steps]) / band) / epsilon
-        alpha = np.vstack([rate * epsilon, rate[-1:] * epsilon])
-        drift = None
-        if hamiltonian is not None:
-            comps = _face_drift(grid, hamiltonian, u_arr[:steps])
-            drift = tuple(FaceVelocities(grid, tuple(c[k] for c in comps)) for k in range(steps))
-        return FBSolution(
-            u=FieldTrajectory(grid, timegrid, u_arr),
-            m=FieldTrajectory(grid, timegrid, m_arr),
-            alpha=FieldTrajectory(grid, timegrid, np.clip(alpha, 0.0, 1.0)),
-            drift=drift,
-            epsilon=epsilon,
-            iterations=iterations,
-            residual_history=list(history),
-            delta_band=band,
-            converged=converged,
-        )
-
-    for outer in range(1, cfg.max_outer + 1):
-        # freeze the band from the current iterate
-        f_arr = cost.evaluate(m_arr)
-        scale = float(np.max(np.abs(f_arr[:steps] + g_arr[:steps])))
-        band = (cfg.band_override if cfg.band_override is not None
-                else max(cfg.delta_floor, cfg.band_factor * epsilon * scale))
-        if outer == 1 and u_traj_init is not None and band_init:
-            # keep the ramp position (hence the exit rate) continuous
-            # across penalty stages
-            inside = np.abs(u_arr[:steps] - psi_arr[:steps]) <= band_init
-            u_arr[:steps] = np.where(
-                inside, psi_arr[:steps] + (u_arr[:steps] - psi_arr[:steps]) * (band / band_init),
-                u_arr[:steps])
-
-        u_new, m_new, psi_arr, newton_res = _newton_frozen(
-            residual, jacobian, unstack, u_arr, m_arr, psi_arr, f_arr, band, cfg,
-            g_cost is not None)
-        gap = max(float(np.max(np.abs(m_new - m_arr))), float(np.max(np.abs(u_new - u_arr))))
-        history.append(gap)
-        u_arr = u_new
-        m_arr = m_new
-        if g_cost is not None:
-            g_arr = g_cost.evaluate(m_arr)
-
-        if gap <= cfg.tol_outer and newton_res <= cfg.tol_pde:
-            return solution(u_arr, m_arr, psi_arr, band, outer, history, True)
-        if gap < best_gap:
-            best_gap = gap
-            best = (u_arr, m_arr, psi_arr, band, outer, list(history))
-    if strict:
-        raise CoupledNonConvergence("forward-backward solve did not converge", history)
-    return solution(*best, False)
-
-
-def _newton_frozen(residual, jacobian, unstack, u_arr, m_arr, psi_arr, f_arr, band, cfg,
-                   with_psi):
-    """Joint semismooth Newton on the forward-backward system with the
-    band frozen (see _frozen_system), from the current iterate. Returns
-    the value, density and obstacle trajectories and the final residual
-    norm."""
-    steps = len(u_arr) - 1
+        cost, g_cost, hamiltonian, grid, m0.values, psi_arr[steps], psi_arr, timegrid.dt,
+        epsilon, band)
     x0 = np.concatenate([u_arr[:steps].ravel(), m_arr[1:].ravel()]
-                        + ([psi_arr[:steps].ravel()] if with_psi else []))
+                        + ([psi_arr[:steps].ravel()] if g_cost is not None else []))
     target = min(cfg.tol_pde, 1e-10) * (1.0 + float(np.max(np.abs(f_arr))))
-    x, norms, _ = semismooth_newton(lambda z: residual(z, band), lambda z: jacobian(z, band),
-                                    x0, target, 60)
-    return (*unstack(x), norms[-1])
+    x, norms, iterations = semismooth_newton(residual, jacobian, x0, target, cfg.max_outer)
+    converged = norms[-1] <= cfg.tol_pde
+    if strict and not converged:
+        raise CoupledNonConvergence("forward-backward Newton did not converge", norms)
+
+    u_arr, m_arr, psi_arr = unstack(x)
+    rate = _ramp((u_arr[:steps] - psi_arr[:steps]) / band) / epsilon
+    drift = None
+    if hamiltonian is not None:
+        comps = _face_drift(grid, hamiltonian, u_arr[:steps])
+        drift = tuple(FaceVelocities(grid, tuple(c[k] for c in comps)) for k in range(steps))
+    return FBSolution(
+        u=FieldTrajectory(grid, timegrid, u_arr),
+        m=FieldTrajectory(grid, timegrid, m_arr),
+        alpha=FieldTrajectory(grid, timegrid,
+                              np.clip(np.vstack([rate, rate[-1:]]) * epsilon, 0.0, 1.0)),
+        drift=drift,
+        epsilon=epsilon,
+        iterations=iterations,
+        residual_history=norms,
+        delta_band=band,
+        converged=converged,
+    )
 
 
-def _frozen_system(cost, g_cost, hamiltonian, grid, m0_vals, u_terminal, psi_arr, dt, epsilon):
+def _frozen_system(cost, g_cost, hamiltonian, grid, m0_vals, u_terminal, psi_arr, dt, epsilon,
+                   band):
     """Residual, Jacobian and unstacking of the forward-backward system
-    at one penalty level; residual(x, band) and jacobian(x, band) take
-    the classification band that an outer pass freezes.
+    at one penalty level with the classification band frozen.
 
     Unknowns x = [u_0..u_{K-1}, m_1..m_K], followed by psi_0..psi_{K-1}
     when g_cost (the source of a heat_from_g obstacle) is given;
@@ -385,10 +354,10 @@ def _frozen_system(cost, g_cost, hamiltonian, grid, m0_vals, u_terminal, psi_arr
     B psi_k - psi_{k+1}/dt + g(m_k) = 0 that
     ObstacleOperator.apply_arrays solves.
 
-    Everything but the band is built once here: the static part from
-    Kronecker products over the time slices, B = A0 + I/dt on every
-    diagonal block with -I/dt above it for u and psi and below it for m,
-    and the positions of the value-dependent Jacobian entries. The
+    Everything is built once here: the static part from Kronecker
+    products over the time slices, B = A0 + I/dt on every diagonal block
+    with -I/dt above it for u and psi and below it for m, and the
+    positions of the value-dependent Jacobian entries. The
     residual is static @ x plus the data terminal and initial slices
     plus nodewise terms on whole (K, N) arrays plus, with a Hamiltonian,
     div_k(u_k) m_{k+1} from _hamiltonian_terms. The Jacobian adds to the
@@ -424,7 +393,7 @@ def _frozen_system(cost, g_cost, hamiltonian, grid, m0_vals, u_terminal, psi_arr
             return u, m, psi_arr
         return u, m, np.vstack([x[2 * n_u:].reshape(k_steps, n), psi_arr[k_steps:]])
 
-    def residual(x, band):
+    def residual(x):
         u, m, psi = unstack(x)
         v = u[:k_steps] - psi[:k_steps]
         h_vals, _, div = _hamiltonian_terms(grid, hamiltonian, u)
@@ -454,7 +423,7 @@ def _frozen_system(cost, g_cost, hamiltonian, grid, m0_vals, u_terminal, psi_arr
         cols.append(h_cols)
     assemble = diagonal_update(static, np.concatenate(rows), np.concatenate(cols))
 
-    def jacobian(x, band):
+    def jacobian(x):
         u, m, psi = unstack(x)
         v = u[:k_steps] - psi[:k_steps]
         indicator = (v > 0).astype(float) / epsilon
@@ -473,23 +442,20 @@ def forward_backward_continuation(
     cost: CostOperator,
     m0: ScalarField,
     timegrid: TimeGrid,
-    eps_schedule,
+    eps_schedule=None,
     config: CoupledConfig | None = None,
     *,
     obstacle_op,
     hamiltonian=None,
     m_traj_init: np.ndarray | None = None,
 ):
-    """Warm-started penalized solves along a decreasing penalty schedule.
+    """Warm-started penalized solves along a decreasing penalty schedule
+    (default_eps_schedule() for None).
 
     The classification-band position of the value (hence the exit rate)
     is kept continuous across stages. Returns (solution, stage list).
     """
-    schedule = list(eps_schedule)
-    if not schedule:
-        raise ValueError("eps schedule must not be empty")
-    if any(e2 >= e1 for e1, e2 in zip(schedule, schedule[1:])):
-        raise ValueError("eps schedule must be strictly decreasing")
+    schedule = _checked_schedule(eps_schedule)
     sol = None
     stages = []
     m_init = m_traj_init

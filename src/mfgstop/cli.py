@@ -56,7 +56,9 @@ from .stationary import (
     CoupledConfig,
     CoupledNonConvergence,
     MixedSolutionReport,
+    _checked_schedule,
     continuation_solve,
+    default_eps_schedule,
     monotone_iteration_solve,
     variational_minimize,
     verify_mixed,
@@ -202,19 +204,17 @@ class RunConfig:
                     self.grid, outside_assumptions=bool(hspec.get("outside_assumptions", False)))
             else:
                 raise ConfigError(f"unknown hamiltonian kind {hkind!r}")
-        es = raw.get("eps_schedule", {"start": 0.1, "factor": 4.0, "stages": 8})
+        es = raw.get("eps_schedule", {})
         if isinstance(es, dict):
             factor = float(es.get("factor", 4.0))
             if not factor > 1:
                 raise ConfigError("eps_schedule.factor must exceed 1")
-            self.eps_schedule = [float(es.get("start", 0.1)) / factor**j
-                                 for j in range(int(es.get("stages", 8)))]
-        else:
-            self.eps_schedule = [float(e) for e in es]
-        sched = self.eps_schedule
-        if not sched or sched[-1] <= 0 or any(e2 >= e1 for e1, e2 in zip(sched, sched[1:])):
+            es = default_eps_schedule(float(es.get("start", 0.1)), factor, int(es.get("stages", 8)))
+        try:
+            self.eps_schedule = _checked_schedule(es)
+        except ValueError:
             raise ConfigError("eps_schedule must be a nonempty, strictly decreasing "
-                              "sequence of positive penalties")
+                              "sequence of positive penalties") from None
         tols = _require(raw, "tolerances")
         self.acceptance = _require(tols, "acceptance", "tolerances")
         if not isinstance(self.acceptance, dict) or not self.acceptance:
@@ -226,10 +226,7 @@ class RunConfig:
                                   f"{self.problem!r}; choose from {sorted(residuals)}")
             if not float(val) > 0:
                 raise ConfigError(f"tolerances.acceptance[{key!r}] must be positive")
-        self.coupled = CoupledConfig(
-            tol_outer=float(tols.get("outer", 1e-9)),
-            tol_pde=float(tols.get("pde", 1e-8)),
-        )
+        self.coupled = CoupledConfig(tol_pde=float(tols.get("pde", 1e-8)))
         self.seed = int(raw.get("seed", 0))
         self.output_dir = raw.get("output_dir")
 
@@ -326,8 +323,7 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
         elif cfg.problem == "osmfg":
             sol, reports = osmfg_continuation(cfg.cost, cfg.obstacle_op, cfg.m0, cfg.timegrid,
                                               cfg.eps_schedule, cfg.coupled)
-            report = verify_mixed_evolutive(sol.u, sol.m, cfg.cost, cfg.obstacle_op, cfg.m0,
-                                            delta_c=sol.delta_band)
+            report = reports[-1]["report"]
             stage_rows = [{"stage": r["stage"], "epsilon": r["epsilon"], "iterations": r["iterations"],
                            "residuals": _residuals(r["report"])} for r in reports]
             write_trajectory_csv(sol.u, out, "u")

@@ -168,11 +168,8 @@ def cosmfg_coupled_solve(
     are Newton terms, evaluated at every Newton iterate, and
     solution.drift is the drift of the returned value trajectory.
     """
-    from .stationary import default_eps_schedule
-
-    schedule = list(eps_schedule) if eps_schedule is not None else default_eps_schedule()
     sol, _stages = forward_backward_continuation(
-        cost, m0, timegrid, schedule, config,
+        cost, m0, timegrid, eps_schedule, config,
         obstacle_op=ObstacleOperator.zero(m0.grid, timegrid), hamiltonian=hamiltonian,
         m_traj_init=m_traj_init,
     )

@@ -146,18 +146,15 @@ def osmfg_continuation(
     Returns (solution, stage_reports) where each stage report pairs the
     penalty level with the verifier output for that stage's solution.
     """
-    from .stationary import default_eps_schedule
-
-    schedule = list(eps_schedule) if eps_schedule is not None else default_eps_schedule()
     sol, stages = forward_backward_continuation(
-        cost, m0, timegrid, schedule, config,
+        cost, m0, timegrid, eps_schedule, config,
         obstacle_op=obstacle_op, m_traj_init=m_traj_init,
     )
     reports = []
     for j, stage_sol in enumerate(stages):
         rep = verify_mixed_evolutive(stage_sol.u, stage_sol.m, cost, obstacle_op, m0,
                                      delta_c=stage_sol.delta_band)
-        reports.append({"stage": j, "epsilon": schedule[j],
+        reports.append({"stage": j, "epsilon": stage_sol.epsilon,
                         "iterations": stage_sol.iterations, "report": rep})
     return sol, reports
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .control import Hamiltonian
 from .costs import CostOperator
-from .evolutive import ObstacleOperator, verify_mixed_evolutive
+from .evolutive import ObstacleOperator
 from .grid import (
     Grid,
     ScalarField,
@@ -413,9 +413,7 @@ def run_scenario_evidence(scenario: Scenario, config: CoupledConfig | None = Non
         sol, stage_reports = osmfg_continuation(
             scenario.cost, scenario.obstacle_op, scenario.m0, scenario.timegrid,
             list(scenario.eps_schedule), cfg)
-        report = verify_mixed_evolutive(sol.u, sol.m, scenario.cost,
-                                        scenario.obstacle_op, scenario.m0,
-                                        delta_c=sol.delta_band)
+        report = stage_reports[-1]["report"]
     else:
         from .control import cosmfg_coupled_solve
 

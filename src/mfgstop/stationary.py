@@ -61,15 +61,13 @@ class CoupledConfig:
     """Controls for the coupled penalized solvers.
 
     tol_pde bounds the penalized residuals of a converged solve, and
-    max_outer caps the Newton steps of a stationary solve and the lagged
-    outer passes of a time-dependent one; tol_outer bounds the change
-    between outer passes. The classification band around u = psi is
-    adaptive, max(delta_floor, band_factor * eps * |ftilde|_inf), unless
-    band_override pins it; the band actually used is recorded on the
-    result and fed to the verifier as its contact threshold.
+    max_outer caps the Newton steps of every coupled solve, stationary
+    or time-dependent. The classification band around u = psi is fixed
+    once per penalty stage, from the stage-entry iterate, by band(); the
+    band actually used is recorded on the result and fed to the verifier
+    as its contact threshold.
     """
 
-    tol_outer: float = 1e-9
     tol_pde: float = 1e-8
     max_outer: int = 3000
     band_factor: float = 0.5
@@ -77,15 +75,23 @@ class CoupledConfig:
     band_override: float | None = None
 
     def __post_init__(self):
-        if not (self.tol_outer > 0 and self.tol_pde > 0):
+        if not self.tol_pde > 0:
             raise ValueError("tolerances must be positive")
+
+    def band(self, epsilon: float, scale: float) -> float:
+        """The classification band at penalty epsilon for the source
+        scale |ftilde|_inf: band_override if set, else
+        max(delta_floor, band_factor * epsilon * scale)."""
+        if self.band_override is not None:
+            return self.band_override
+        return max(self.delta_floor, self.band_factor * epsilon * scale)
 
 
 class CoupledNonConvergence(RuntimeError):
     def __init__(self, message: str, residual_history: list[float], stage: int | None = None):
         where = f" at stage {stage}" if stage is not None else ""
         tail = residual_history[-3:] if residual_history else []
-        super().__init__(f"{message}{where}; last increments {tail}")
+        super().__init__(f"{message}{where}; last residuals {tail}")
         self.residual_history = residual_history
         self.stage = stage
 
@@ -165,11 +171,10 @@ def penalized_coupled_solve(
     Unknowns (u, m) jointly solve
         A u + u^+ / eps          = f(m)
         A m + ramp(u/band)/eps m = rho
-    with band = max(delta_floor, band_factor * eps * |f|_inf) unless
-    band_override pins it. A nonlocal cost f = c0 + c1 <w, m> has no
-    nodal derivative; it enters through one bordered scalar unknown
-    s = <w, m>, so f = c0 + c1 s and the system gains the row
-    s - <w, m> = 0 and the column -c1.
+    with band = config.band(eps, |f|_inf) at the start m. A nonlocal
+    cost f = c0 + c1 <w, m> has no nodal derivative; it enters through
+    one bordered scalar unknown s = <w, m>, so f = c0 + c1 s and the
+    system gains the row s - <w, m> = 0 and the column -c1.
 
     A warm start u_init keeps the ramp position (hence the exit rate)
     continuous across penalty stages by rescaling band nodes from
@@ -188,10 +193,7 @@ def penalized_coupled_solve(
     rho_v = rho.values
     m = _linsolve(a, rho_v, grid) if m_init is None else np.array(m_init.values, copy=True)
     scale = float(np.max(np.abs(cost.evaluate(m))))
-    if cfg.band_override is not None:
-        band = cfg.band_override
-    else:
-        band = max(cfg.delta_floor, cfg.band_factor * epsilon * scale)
+    band = cfg.band(epsilon, scale)
     if u_init is None:
         # cold start from the unconstrained value equation
         u = _linsolve(a, cost.evaluate(m), grid)
@@ -280,6 +282,18 @@ def default_eps_schedule(start: float = 0.1, factor: float = 4.0, stages: int = 
     return [start / factor**j for j in range(stages)]
 
 
+def _checked_schedule(eps_schedule=None) -> list[float]:
+    """The penalty schedule as a list of floats, default_eps_schedule()
+    for None; raises ValueError unless it is nonempty, strictly
+    decreasing and positive."""
+    schedule = (default_eps_schedule() if eps_schedule is None
+                else [float(e) for e in eps_schedule])
+    if not schedule or schedule[-1] <= 0 or any(e2 >= e1 for e1, e2 in zip(schedule, schedule[1:])):
+        raise ValueError("eps schedule must be a nonempty, strictly decreasing sequence "
+                         "of positive penalties")
+    return schedule
+
+
 def continuation_solve(
     cost: CostOperator,
     rho: ScalarField,
@@ -296,11 +310,7 @@ def continuation_solve(
     report per stage.
     """
     cfg = config or CoupledConfig()
-    schedule = list(eps_schedule) if eps_schedule is not None else default_eps_schedule()
-    if any(e2 >= e1 for e1, e2 in zip(schedule, schedule[1:])):
-        raise ValueError("eps schedule must be strictly decreasing")
-    if not schedule:
-        raise ValueError("eps schedule must not be empty")
+    schedule = _checked_schedule(eps_schedule)
     m_cur = m_init
     reports: list[StageReport] = []
     triple = None

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mfgstop import _coupled
 from mfgstop.control import cosmfg_coupled_solve
 from mfgstop.evolutive import osmfg_continuation, verify_mixed_evolutive
 from mfgstop.scenarios import scenario_standard
@@ -49,3 +50,18 @@ def control_solution():
     sol, report = cosmfg_coupled_solve(sc.cost, sc.hamiltonian, sc.m0,
                                        sc.timegrid, list(sc.eps_schedule))
     return sc, sol, report
+
+
+@pytest.fixture
+def newton_targets(monkeypatch):
+    """The residual target of every Newton solve of the time-dependent
+    solver, in call order."""
+    newton = _coupled.semismooth_newton
+    targets = []
+
+    def recording_newton(residual, jacobian, x0, target, max_iter):
+        targets.append(target)
+        return newton(residual, jacobian, x0, target, max_iter)
+
+    monkeypatch.setattr(_coupled, "semismooth_newton", recording_newton)
+    return targets

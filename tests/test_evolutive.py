@@ -19,7 +19,13 @@ from mfgstop.grid import (
     elliptic_matrix,
 )
 from mfgstop.scenarios import gaussian_density, scenario_standard
-from mfgstop.stationary import _ramp, continuation_solve, default_eps_schedule
+from mfgstop.stationary import (
+    CoupledConfig,
+    CoupledNonConvergence,
+    _ramp,
+    continuation_solve,
+    default_eps_schedule,
+)
 
 
 @pytest.fixture(scope="module")
@@ -199,24 +205,27 @@ def test_evolutive_uniqueness_probe_deterministic(setup):
 
 
 def test_newton_obstacle_is_the_backward_heat_image(monkeypatch):
-    # for heat_from_g, psi is a Newton unknown: the psi of the last pass,
-    # from which alpha is built, solves the backward heat steps for the
-    # final density, and the heat solve itself runs once per stage
+    # for heat_from_g, psi is a Newton unknown: the psi of the last
+    # Newton solve, from which alpha is built, solves the backward heat
+    # steps for the final density, and the heat solve itself runs once
+    # per stage
     sc = scenario_standard("evolutive_heat_g")
-    newton = _coupled._newton_frozen
+    newton = _coupled.semismooth_newton
     apply_arrays = ObstacleOperator.apply_arrays
     psis, applies = [], []
+    k_steps, n = sc.timegrid.n_steps, sc.grid.n_total
 
     def recording_newton(*args):
         out = newton(*args)
-        psis.append(out[2])
+        # the unknowns end with psi_0..psi_{K-1}; psi_K = 0
+        psis.append(np.vstack([out[0][2 * k_steps * n:].reshape(k_steps, n), np.zeros((1, n))]))
         return out
 
     def counting_apply(self, *args):
         applies.append(self.kind)
         return apply_arrays(self, *args)
 
-    monkeypatch.setattr(_coupled, "_newton_frozen", recording_newton)
+    monkeypatch.setattr(_coupled, "semismooth_newton", recording_newton)
     monkeypatch.setattr(ObstacleOperator, "apply_arrays", counting_apply)
     sol, stages = _coupled.forward_backward_continuation(
         sc.cost, sc.m0, sc.timegrid, list(sc.eps_schedule), obstacle_op=sc.obstacle_op)
@@ -229,13 +238,42 @@ def test_newton_obstacle_is_the_backward_heat_image(monkeypatch):
 
 
 @pytest.mark.parametrize("scale", [1.0, 1.0 - 1e-4, 1.0 + 1e-4, 0.97, 1.03])
-def test_heat_g_stages_take_at_most_three_passes(scale):
-    # with psi solved inside the Newton, only the band is lagged, so the
-    # pass count no longer swings with the input (it was 76-115 in total
-    # over the eight stages under 3% perturbations when psi was lagged)
+def test_heat_g_stages_take_at_most_three_passes(scale, newton_targets):
+    # with psi solved inside the Newton and the band fixed at stage
+    # entry, every stage is one pass, that is one Newton solve, whatever
+    # the input (the pass count was 76-115 in total over the eight stages
+    # under 3% perturbations when psi was lagged)
     sc = scenario_standard("evolutive_heat_g")
     m0 = ScalarField(sc.grid, scale * sc.m0.values)
     _, stages = _coupled.forward_backward_continuation(
         sc.cost, m0, sc.timegrid, list(sc.eps_schedule), obstacle_op=sc.obstacle_op)
-    assert len(stages) == 8
-    assert max(stage.iterations for stage in stages) <= 3
+    assert len(stages) == 8 and len(newton_targets) == 8
+    for stage, target in zip(stages, newton_targets):
+        assert stage.converged
+        assert stage.residual_history[-1] <= target
+        assert stage.iterations <= 12
+
+
+def test_nonconvergence_reports_newton_norms(setup):
+    # the history of a time-dependent solve is that of its Newton: the
+    # residual norm of the start, then one norm per step
+    grid, _, m0 = setup
+    tg = build_timegrid(0.5, 4)
+    cost = CostOperator.local_power(grid, 1.0, 1.0, ScalarField.constant(grid, -0.5))
+    op = ObstacleOperator.zero(grid, tg)
+    eps = 1e-3
+    cfg = CoupledConfig(max_outer=1, tol_pde=1e-16)
+    with pytest.raises(CoupledNonConvergence) as err:
+        _coupled.forward_backward_solve(cost, m0, tg, eps, cfg, obstacle_op=op)
+    norms = err.value.residual_history
+    assert len(norms) == 2
+    # the start is u = psi = 0 and m_k = m0: the value rows are -f(m0),
+    # the density rows A0 m0 + ramp(0) m0 / eps with ramp(0) = 1/2
+    a0 = elliptic_matrix(grid, with_zero_order=False)
+    start = max(np.max(np.abs(cost.evaluate(m0.values))),
+                np.max(np.abs(a0 @ m0.values + 0.5 * m0.values / eps)))
+    assert norms[0] == pytest.approx(start, rel=1e-12)
+    sol = _coupled.forward_backward_solve(cost, m0, tg, eps, cfg, obstacle_op=op, strict=False)
+    assert not sol.converged
+    assert sol.iterations == 1
+    assert sol.residual_history == norms

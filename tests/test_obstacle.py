@@ -327,14 +327,14 @@ def test_frozen_jacobian_matches_block_assembly(drift, heat):
                    for k in range(k_steps)]
         h_vals = np.stack([_upwind_hamiltonian(g, ham, u[k])[0] for k in range(k_steps)])
     residual, jacobian, unstack = _frozen_system(
-        cost, g_cost, ham, g, m[0], u[k_steps], psi_arr, dt, eps)
+        cost, g_cost, ham, g, m[0], u[k_steps], psi_arr, dt, eps, band)
     x = np.concatenate([u[:k_steps].ravel(), m[1:].ravel()]
                        + ([psi_arr[:k_steps].ravel()] if heat else []))
     u_x, m_x, psi_x = unstack(x)
     assert np.array_equal(u_x, u) and np.array_equal(m_x, m) and np.array_equal(psi_x, psi_arr)
     if heat:
         # the obstacle rows are the backward heat steps of apply_arrays
-        assert np.max(np.abs(residual(x, band)[2 * k_steps * n:])) <= 1e-12
+        assert np.max(np.abs(residual(x)[2 * k_steps * n:])) <= 1e-12
 
     eye_dt = sp.identity(n, format="csr") / dt
     b_op = (a0 + eye_dt).tocsr()
@@ -350,7 +350,7 @@ def test_frozen_jacobian_matches_block_assembly(drift, heat):
         slices.append([b_op @ psi_arr[k] - psi_arr[k + 1] / dt + g_cost.evaluate(m[k])
                         for k in range(k_steps)])
     expected = np.concatenate(slices, axis=None)
-    assert np.max(np.abs(residual(x, band) - expected)) <= 1e-13 * np.max(np.abs(expected))
+    assert np.max(np.abs(residual(x) - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     size = (3 if heat else 2) * k_steps
     blocks_u = [[None] * size for _ in range(k_steps)]
@@ -389,10 +389,10 @@ def test_frozen_jacobian_matches_block_assembly(drift, heat):
     if drift:
         # the Hamiltonian entries are sums over nodes and faces, taken in
         # another order than the oracle's
-        jac = jacobian(x, band).toarray()
+        jac = jacobian(x).toarray()
         assert np.max(np.abs(jac - oracle.toarray())) <= 1e-13 * np.max(np.abs(jac))
     else:
-        assert_same_csc(jacobian(x, band), oracle)
+        assert_same_csc(jacobian(x), oracle)
 
 
 def central_difference_jacobian(residual, x, step=1e-6):
@@ -433,10 +433,10 @@ def test_hamiltonian_jacobian_matches_finite_differences(shape, kind):
     assert all(np.all(np.abs(b) > margin) for b in _face_drift(g, ham, u[:k_steps]))
 
     residual, jacobian, unstack = _frozen_system(
-        cost, None, ham, g, m[0], u[k_steps], psi_arr, dt, eps)
+        cost, None, ham, g, m[0], u[k_steps], psi_arr, dt, eps, band)
     x = np.concatenate([u[:k_steps].ravel(), m[1:].ravel()])
-    jac = jacobian(x, band).toarray()
-    fd = central_difference_jacobian(lambda z: residual(z, band), x)
+    jac = jacobian(x).toarray()
+    fd = central_difference_jacobian(residual, x)
     assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
     # the Hamiltonian blocks are really there
     n_u = k_steps * n

@@ -280,7 +280,7 @@ def test_uniqueness_probe_requires_two_starts(grid, rho):
 
 def test_nonconvergence_reports_history(grid, rho):
     cost = local_cost(grid, -0.005)
-    cfg = CoupledConfig(max_outer=1, tol_outer=1e-16, tol_pde=1e-16)
+    cfg = CoupledConfig(max_outer=1, tol_pde=1e-16)
     with pytest.raises(CoupledNonConvergence) as err:
         penalized_coupled_solve(cost, rho, 1e-5, cfg)
     assert len(err.value.residual_history) >= 1
