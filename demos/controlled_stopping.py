@@ -24,8 +24,9 @@ from mfgstop.grid import NodeMask, ScalarField
 from mfgstop.scenarios import scenario_standard
 
 sc = scenario_standard("control_smoothnorm")
-sol, report = cosmfg_coupled_solve(sc.cost, sc.hamiltonian, sc.m0, sc.timegrid,
+sol, stages = cosmfg_coupled_solve(sc.cost, sc.hamiltonian, sc.m0, sc.timegrid,
                                    list(sc.eps_schedule))
+report = stages[-1].report
 print("=== controlled stopping equilibrium ===")
 for key, value in report.to_dict().items():
     if key.startswith("r_") or key == "duality_diagnostic":

@@ -14,15 +14,14 @@ certificate sum (f + g) m dt = <u(0) - psi(0), m0>.
 
 import numpy as np
 
-from mfgstop.evolutive import osmfg_continuation, verify_mixed_evolutive
+from mfgstop.evolutive import osmfg_continuation
 from mfgstop.scenarios import scenario_standard
 
 for name in ("evolutive_psi0", "evolutive_heat_g"):
     sc = scenario_standard(name)
     sol, stages = osmfg_continuation(sc.cost, sc.obstacle_op, sc.m0, sc.timegrid,
                                      list(sc.eps_schedule))
-    report = verify_mixed_evolutive(sol.u, sol.m, sc.cost, sc.obstacle_op, sc.m0,
-                                    delta_c=sol.delta_band)
+    report = stages[-1].report
     marr = sol.m.array()
     masses = marr.sum(axis=1) * sc.grid.cell_volume
     print(f"=== {name} ===")

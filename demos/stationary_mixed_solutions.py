@@ -34,7 +34,8 @@ rho = raised_cosine_bump(grid)
 cost = CostOperator.local_power(grid, a=1.0, p=1.0, f0=ScalarField.constant(grid, -0.005))
 
 print("=== penalty continuation ===")
-u, m, reports = continuation_solve(cost, rho, default_eps_schedule(stages=10))
+sol, reports = continuation_solve(cost, rho, default_eps_schedule(stages=10))
+u, m = sol.u, sol.m
 print(f"{'stage':>5} {'epsilon':>10} {'iters':>5} {'r_contact':>10} {'r_duality':>10}")
 for sr in reports:
     print(f"{sr.stage:>5} {sr.epsilon:>10.2e} {sr.iterations:>5} "

@@ -48,9 +48,9 @@ from .grid import (
     elliptic_matrix,
 )
 from .obstacle import diagonal_update, semismooth_newton
-from .stationary import CoupledConfig, CoupledNonConvergence, _checked_schedule, _ramp
+from .stationary import CoupledConfig, CoupledNonConvergence, _ramp
 
-__all__ = ["FBSolution", "forward_backward_solve", "forward_backward_continuation"]
+__all__ = ["FBSolution", "forward_backward_solve"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,19 +79,19 @@ def _node_gradients(grid: Grid, u: np.ndarray):
     return fwd, bwd
 
 
-def _upwind_hamiltonian(grid: Grid, hamiltonian, u: np.ndarray, n_passes: int = 4):
+def _upwind_hamiltonian(grid: Grid, hamiltonian, u: np.ndarray):
     """Upwind nodal H(x, Du) of the slices u (..., N): the difference
     choice follows the sign of D_pH.
 
-    The selection is iterated to a fixed point from p = 0 so that the
-    solver and the verifier resolve it identically. Returns the values,
-    the selected gradient p and, per axis, the mask of the nodes that
-    take the backward difference.
+    The selection is iterated to a fixed point from p = 0, for at most
+    four passes, so that the solver and the verifier resolve it
+    identically. Returns the values, the selected gradient p and, per
+    axis, the mask of the nodes that take the backward difference.
     """
     fwd, bwd = _node_gradients(grid, u)
     p = [np.zeros(u.shape) for _ in range(grid.dim)]
     backward = None
-    for _ in range(n_passes):
+    for _ in range(4):
         v = hamiltonian.gradient(p)
         backward = [v[a] > 0 for a in range(grid.dim)]
         p_new = [np.where(backward[a], bwd[a], fwd[a]) for a in range(grid.dim)]
@@ -258,8 +258,7 @@ def forward_backward_solve(
     obstacle_op,
     hamiltonian=None,
     m_traj_init: np.ndarray | None = None,
-    u_traj_init: np.ndarray | None = None,
-    band_init: float | None = None,
+    warm: FBSolution | None = None,
     strict: bool = True,
 ) -> FBSolution:
     """Solve the penalized forward-backward system at one penalty level.
@@ -275,9 +274,11 @@ def forward_backward_solve(
     obstacle with its hamiltonian. Local costs only; nonlocal couplings
     have no nodal derivative for the Newton blocks.
 
-    A warm start u_traj_init keeps the ramp position (hence the exit
-    rate) continuous across penalty stages by rescaling band nodes from
-    band_init to the new band. The solve has converged when the final
+    The start is the density trajectory m_traj_init (default m0 in
+    every slice) and u = psi. A warm start, the previous stage's
+    solution, replaces both: its (u, m), with the ramp position of u
+    (hence the exit rate) kept continuous by rescaling band nodes from
+    its band to the new one. The solve has converged when the final
     Newton residual norm is at most config.tol_pde; strict=False returns
     the last iterate with converged=False instead of raising (used for
     warm-up continuation stages).
@@ -293,19 +294,21 @@ def forward_backward_solve(
     steps = timegrid.n_steps
     g_cost = obstacle_op.g_cost if obstacle_op.kind == "heat_from_g" else None
 
+    if warm is not None:
+        m_traj_init = warm.m.array()
     m_arr = (np.tile(m0.values, (steps + 1, 1)) if m_traj_init is None
              else np.array(m_traj_init, dtype=float, copy=True))
     m_arr[0] = m0.values
     psi_arr, g_arr = obstacle_op.apply_arrays(grid, timegrid, m_arr)
-    u_arr = (psi_arr.copy() if u_traj_init is None
-             else np.array(u_traj_init, dtype=float, copy=True))
+    u_arr = psi_arr.copy() if warm is None else np.array(warm.u.array(), dtype=float, copy=True)
     u_arr[steps] = psi_arr[steps]
     f_arr = cost.evaluate(m_arr)
     band = cfg.band(epsilon, float(np.max(np.abs(f_arr[:steps] + g_arr[:steps]))))
-    if u_traj_init is not None and band_init:
-        inside = np.abs(u_arr[:steps] - psi_arr[:steps]) <= band_init
+    if warm is not None:
+        inside = np.abs(u_arr[:steps] - psi_arr[:steps]) <= warm.delta_band
         u_arr[:steps] = np.where(
-            inside, psi_arr[:steps] + (u_arr[:steps] - psi_arr[:steps]) * (band / band_init),
+            inside,
+            psi_arr[:steps] + (u_arr[:steps] - psi_arr[:steps]) * (band / warm.delta_band),
             u_arr[:steps])
 
     residual, jacobian, unstack = _frozen_system(
@@ -437,44 +440,3 @@ def _frozen_system(cost, g_cost, hamiltonian, grid, m0_vals, u_terminal, psi_arr
 
     return residual, jacobian, unstack
 
-
-def forward_backward_continuation(
-    cost: CostOperator,
-    m0: ScalarField,
-    timegrid: TimeGrid,
-    eps_schedule=None,
-    config: CoupledConfig | None = None,
-    *,
-    obstacle_op,
-    hamiltonian=None,
-    m_traj_init: np.ndarray | None = None,
-):
-    """Warm-started penalized solves along a decreasing penalty schedule
-    (default_eps_schedule() for None).
-
-    The classification-band position of the value (hence the exit rate)
-    is kept continuous across stages. Returns (solution, stage list).
-    """
-    schedule = _checked_schedule(eps_schedule)
-    sol = None
-    stages = []
-    m_init = m_traj_init
-    u_init = None
-    band_prev = None
-    for j, eps in enumerate(schedule):
-        if sol is not None:
-            m_init = sol.m.array()
-            u_init = sol.u.array()
-            band_prev = sol.delta_band
-        final = j == len(schedule) - 1
-        try:
-            sol = forward_backward_solve(
-                cost, m0, timegrid, eps, config,
-                obstacle_op=obstacle_op, hamiltonian=hamiltonian,
-                m_traj_init=m_init, u_traj_init=u_init, band_init=band_prev,
-                strict=final,
-            )
-        except CoupledNonConvergence as err:
-            raise CoupledNonConvergence(str(err), err.residual_history, stage=j) from err
-        stages.append(sol)
-    return sol, stages

@@ -273,12 +273,13 @@ def _residuals(report) -> dict:
 
 
 def _write_convergence_table(rows, path):
-    header = "stage,epsilon,iterations," + ",".join(rows[0]["residuals"].keys()) if rows else "stage"
+    """One line per (stage, epsilon, iterations, report) row: the three
+    leading cells, then the report's residuals."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            cells = [str(row["stage"]), format(row["epsilon"], ".17g"), str(row["iterations"])]
-            cells += [format(v, ".17g") for v in row["residuals"].values()]
+        fh.write("stage,epsilon,iterations," + ",".join(_residuals(rows[0][3])) + "\n")
+        for stage, epsilon, iterations, report in rows:
+            cells = [str(stage), format(epsilon, ".17g"), str(iterations)]
+            cells += [format(v, ".17g") for v in _residuals(report).values()]
             fh.write(",".join(cells) + "\n")
 
 
@@ -299,45 +300,37 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     out = _output_root(out_override or cfg.output_dir)
-    stage_rows = []
     try:
-        if cfg.problem == "sosmfg":
-            if cfg.method == "continuation":
-                u, m, stage_reports = continuation_solve(cfg.cost, cfg.rho, cfg.eps_schedule, cfg.coupled)
-                report = stage_reports[-1].report
-                stage_rows = [{"stage": sr.stage, "epsilon": sr.epsilon, "iterations": sr.iterations,
-                               "residuals": _residuals(sr.report)} for sr in stage_reports]
-            elif cfg.method == "monotone_iteration":
-                u, m, n_iter = monotone_iteration_solve(cfg.cost, cfg.rho)
-                report = verify_mixed(u, m, cfg.cost, cfg.rho)
-                stage_rows = [{"stage": 0, "epsilon": 0.0, "iterations": n_iter,
-                               "residuals": _residuals(report)}]
+        if cfg.problem == "sosmfg" and cfg.method != "continuation":
+            if cfg.method == "monotone_iteration":
+                u, m, iterations = monotone_iteration_solve(cfg.cost, cfg.rho)
             else:
                 m = variational_minimize(cfg.cost.potential(), cfg.rho)
                 u = solve_obstacle_stationary(cfg.cost(m), ScalarField.zeros(cfg.grid))
-                report = verify_mixed(u, m, cfg.cost, cfg.rho)
-                stage_rows = [{"stage": 0, "epsilon": 0.0, "iterations": 1,
-                               "residuals": _residuals(report)}]
+                iterations = 1
+            report = verify_mixed(u, m, cfg.cost, cfg.rho)
+            stage_rows = [(0, 0.0, iterations, report)]
+        else:
+            if cfg.problem == "sosmfg":
+                sol, stages = continuation_solve(cfg.cost, cfg.rho, cfg.eps_schedule, cfg.coupled)
+            elif cfg.problem == "osmfg":
+                sol, stages = osmfg_continuation(cfg.cost, cfg.obstacle_op, cfg.m0, cfg.timegrid,
+                                                 cfg.eps_schedule, cfg.coupled)
+            else:
+                sol, stages = cosmfg_coupled_solve(cfg.cost, cfg.hamiltonian, cfg.m0,
+                                                   cfg.timegrid, cfg.eps_schedule, cfg.coupled)
+            u, m, report = sol.u, sol.m, stages[-1].report
+            stage_rows = [(sr.stage, sr.epsilon, sr.iterations, sr.report) for sr in stages]
+        if cfg.problem == "sosmfg":
             write_field_csv(u, os.path.join(out, "u.csv"))
             write_field_csv(m, os.path.join(out, "m.csv"))
-        elif cfg.problem == "osmfg":
-            sol, reports = osmfg_continuation(cfg.cost, cfg.obstacle_op, cfg.m0, cfg.timegrid,
-                                              cfg.eps_schedule, cfg.coupled)
-            report = reports[-1]["report"]
-            stage_rows = [{"stage": r["stage"], "epsilon": r["epsilon"], "iterations": r["iterations"],
-                           "residuals": _residuals(r["report"])} for r in reports]
-            write_trajectory_csv(sol.u, out, "u")
-            write_trajectory_csv(sol.m, out, "m")
         else:
-            sol, report = cosmfg_coupled_solve(cfg.cost, cfg.hamiltonian, cfg.m0, cfg.timegrid,
-                                               cfg.eps_schedule, cfg.coupled)
-            stage_rows = [{"stage": len(cfg.eps_schedule) - 1, "epsilon": cfg.eps_schedule[-1],
-                           "iterations": sol.iterations, "residuals": _residuals(report)}]
-            write_trajectory_csv(sol.u, out, "u")
-            write_trajectory_csv(sol.m, out, "m")
+            write_trajectory_csv(u, out, "u")
+            write_trajectory_csv(m, out, "m")
     except (CoupledNonConvergence, ObstacleConvergenceError) as err:
         if isinstance(err, CoupledNonConvergence):
-            failure = {"error": str(err), "residual_history": err.residual_history}
+            failure = {"error": str(err), "residual_history": err.residual_history,
+                       "stage": err.stage}
         else:
             failure = {"error": str(err), "residual": err.residual, "iterations": err.iterations}
         _json_dump(failure, os.path.join(out, "failure.json"))
@@ -346,8 +339,7 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
 
     report_dict = report.to_dict()
     _json_dump(report_dict, os.path.join(out, "report.json"))
-    if stage_rows:
-        _write_convergence_table(stage_rows, os.path.join(out, "convergence.csv"))
+    _write_convergence_table(stage_rows, os.path.join(out, "convergence.csv"))
     manifest = {
         "config_sha256": _config_hash(cfg.raw),
         "delta_c": report_dict.get("delta_c"),
@@ -443,10 +435,10 @@ def cmd_scenario(name: str, out_dir: str | None) -> int:
                 "expected_outcome": evidence["expected_outcome"],
                 "report": report.to_dict(),
                 "min_density": evidence["min_density"],
-                "mass_monotone_violation": evidence.get("mass_monotone_violation", 0.0),
+                "mass_monotone_violation": evidence["mass_monotone_violation"],
             }
             ok = (evidence["min_density"] >= -1e-12
-                  and evidence.get("mass_monotone_violation", 0.0) <= 1e-12
+                  and evidence["mass_monotone_violation"] <= 1e-12
                   and report.to_dict().get("r_duality", 0.0) <= 1e-4)
         else:
             print(f"unknown scenario {name!r}; available: "

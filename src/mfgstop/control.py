@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._coupled import _hamiltonian_terms, _slice_residuals, forward_backward_continuation
+from ._coupled import _hamiltonian_terms, _slice_residuals, forward_backward_solve
 from .costs import CostOperator, PotentialOperator
 from .density import FaceVelocities, drift_divergence_matrix
 from .evolutive import ObstacleOperator
@@ -29,7 +29,7 @@ from .grid import (
     default_contact_threshold,
     elliptic_matrix,
 )
-from .stationary import CoupledConfig
+from .stationary import CoupledConfig, penalty_continuation
 
 __all__ = [
     "Hamiltonian",
@@ -160,21 +160,27 @@ def cosmfg_coupled_solve(
     config: CoupledConfig | None = None,
     m_traj_init: np.ndarray | None = None,
 ):
-    """Forward-backward continuation for the controlled system.
+    """Penalty continuation for the controlled system: the evolutive
+    one with the zero obstacle and the Hamiltonian term, the first stage
+    from the density trajectory m_traj_init. H(x, Du) and the drift
+    D_pH(x, grad u) on faces are Newton terms, evaluated at every Newton
+    iterate, and solution.drift is the drift of the returned value
+    trajectory.
 
-    Returns (solution, report) where the report verifies the final
-    stage. This is the evolutive solver with the zero obstacle and the
-    Hamiltonian term; H(x, Du) and the drift D_pH(x, grad u) on faces
-    are Newton terms, evaluated at every Newton iterate, and
-    solution.drift is the drift of the returned value trajectory.
+    Returns (solution, stages): the final FBSolution and one
+    StageReport per stage, with the verify_cosmfg report of its (u, m).
     """
-    sol, _stages = forward_backward_continuation(
-        cost, m0, timegrid, eps_schedule, config,
-        obstacle_op=ObstacleOperator.zero(m0.grid, timegrid), hamiltonian=hamiltonian,
-        m_traj_init=m_traj_init,
-    )
-    report = verify_cosmfg(sol.u, sol.m, cost, hamiltonian, m0, delta_c=sol.delta_band)
-    return sol, report
+    zero = ObstacleOperator.zero(m0.grid, timegrid)
+
+    def solve_stage(eps, warm, strict):
+        return forward_backward_solve(cost, m0, timegrid, eps, config, obstacle_op=zero,
+                                      hamiltonian=hamiltonian, m_traj_init=m_traj_init,
+                                      warm=warm, strict=strict)
+
+    def verify(sol):
+        return verify_cosmfg(sol.u, sol.m, cost, hamiltonian, m0, delta_c=sol.delta_band)
+
+    return penalty_continuation(solve_stage, verify, eps_schedule)
 
 
 def verify_cosmfg(

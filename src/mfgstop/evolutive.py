@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ._coupled import _hamiltonian_terms, _slice_residuals, forward_backward_continuation
+from ._coupled import _hamiltonian_terms, _slice_residuals, forward_backward_solve
 from .costs import CostOperator
 from .grid import (
     FieldTrajectory,
@@ -27,7 +27,7 @@ from .grid import (
     elliptic_matrix,
 )
 from .obstacle import _linsolve
-from .stationary import CoupledConfig, _probe_gap
+from .stationary import CoupledConfig, _probe_gap, penalty_continuation
 
 __all__ = [
     "ObstacleOperator",
@@ -141,22 +141,23 @@ def osmfg_continuation(
     config: CoupledConfig | None = None,
     m_traj_init: np.ndarray | None = None,
 ):
-    """Penalty continuation for the evolutive system.
+    """Penalty continuation for the evolutive system: warm-started
+    forward_backward_solve stages along a decreasing schedule, the first
+    from the density trajectory m_traj_init.
 
-    Returns (solution, stage_reports) where each stage report pairs the
-    penalty level with the verifier output for that stage's solution.
+    Returns (solution, stages): the final FBSolution and one
+    StageReport per stage, with the verify_mixed_evolutive report of
+    its (u, m).
     """
-    sol, stages = forward_backward_continuation(
-        cost, m0, timegrid, eps_schedule, config,
-        obstacle_op=obstacle_op, m_traj_init=m_traj_init,
-    )
-    reports = []
-    for j, stage_sol in enumerate(stages):
-        rep = verify_mixed_evolutive(stage_sol.u, stage_sol.m, cost, obstacle_op, m0,
-                                     delta_c=stage_sol.delta_band)
-        reports.append({"stage": j, "epsilon": stage_sol.epsilon,
-                        "iterations": stage_sol.iterations, "report": rep})
-    return sol, reports
+
+    def solve_stage(eps, warm, strict):
+        return forward_backward_solve(cost, m0, timegrid, eps, config, obstacle_op=obstacle_op,
+                                      m_traj_init=m_traj_init, warm=warm, strict=strict)
+
+    def verify(sol):
+        return verify_mixed_evolutive(sol.u, sol.m, cost, obstacle_op, m0, delta_c=sol.delta_band)
+
+    return penalty_continuation(solve_stage, verify, eps_schedule)
 
 
 def verify_mixed_evolutive(

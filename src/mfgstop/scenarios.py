@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import Hamiltonian
+from .control import Hamiltonian, cosmfg_coupled_solve
 from .costs import CostOperator
-from .evolutive import ObstacleOperator
+from .evolutive import ObstacleOperator, osmfg_continuation
 from .grid import (
     Grid,
     ScalarField,
@@ -287,35 +287,23 @@ def scenario_nonexistence(n: int = 31, ball_radius: float = 0.0,
     if np.max(np.abs(cost(m_star).values - base.values)) > 1e-12:
         raise AssertionError("construction must satisfy A u* = f(m*) nodewise")
 
-    schedule = list(eps_schedule) if eps_schedule is not None else default_eps_schedule()
-    cfg = config or CoupledConfig()
+    # tabulate the contact-band mass of every stage's solution against epsilon
+    triple, stages = continuation_solve(cost, rho, eps_schedule, config)
+    stage_rows = []
+    for sr in stages:
+        contact = sr.solution.u.values >= -sr.solution.delta_band
+        contact_mass = float(np.sum(sr.solution.m.values[contact])) * grid.cell_volume
+        stage_rows.append(NonexistenceStage(
+            epsilon=sr.epsilon, report=sr.report, contact_mass=contact_mass,
+            ratio=contact_mass / max(sr.report.r_contact, 1e-30)))
     scenario = Scenario(name="nonexistence", problem="sosmfg", grid=grid, cost=cost,
                         rho=rho, expected_outcome="no_classical_mixed_exists",
-                        eps_schedule=tuple(schedule))
-    # run the continuation stage by stage, keeping each stage's solution
-    # so the contact-band mass can be tabulated against epsilon
-    from .stationary import penalized_coupled_solve
-
-    floor = np.inf
-    m_init = None
-    stage_rows: list[NonexistenceStage] = []
-    triple = None
-    for eps in schedule:
-        if triple is not None:
-            m_init = triple.m
-        triple = penalized_coupled_solve(cost, rho, eps, cfg, m_init=m_init)
-        report = verify_mixed(triple.u, triple.m, cost, rho, delta_c=triple.delta_band)
-        contact = triple.u.values >= -triple.delta_band
-        contact_mass = float(np.sum(triple.m.values[contact])) * grid.cell_volume
-        ratio = contact_mass / max(report.r_contact, 1e-30)
-        stage_rows.append(NonexistenceStage(epsilon=eps, report=report,
-                                            contact_mass=contact_mass, ratio=ratio))
-        floor = min(floor, contact_mass)
-    final_report = stage_rows[-1].report
+                        eps_schedule=tuple(sr.epsilon for sr in stages))
     return NonexistenceEvidence(
         scenario=scenario, u_star=u_star, m_star=m_star,
         stages=tuple(stage_rows), u=triple.u, m=triple.m,
-        final_report=final_report, classical_floor=float(floor),
+        final_report=stages[-1].report,
+        classical_floor=min(row.contact_mass for row in stage_rows),
     )
 
 
@@ -380,53 +368,29 @@ def scenario_obstacle_nonuniqueness(
 
 
 # ---------------------------------------------------------------------------
-# Evidence driver for registry scenarios (used by the CLI and the
-# structural-invariants acceptance test)
+# Evidence runs of the registry scenarios (used by `mfgstop scenario`)
 
 
 def run_scenario_evidence(scenario: Scenario, config: CoupledConfig | None = None) -> dict:
-    """Solve a registry scenario and report residuals plus invariants.
+    """Solve a registry scenario by penalty continuation.
 
-    Returns a dict with the verifier report, positivity / subsolution /
-    mass-monotonicity checks, and the solution fields.
+    Returns a dict with the final solution, the verifier report of the
+    last stage, the stage list, the minimum density and the largest mass
+    increase between time slices (0 for the stationary problem).
     """
-    cfg = config or CoupledConfig()
-    out: dict = {"name": scenario.name, "problem": scenario.problem,
-                 "expected_outcome": scenario.expected_outcome}
+    schedule = list(scenario.eps_schedule)
     if scenario.problem == "sosmfg":
-        u, m, stage_reports = continuation_solve(
-            scenario.cost, scenario.rho, list(scenario.eps_schedule), cfg)
-        report = stage_reports[-1].report
-        a = elliptic_matrix(scenario.grid, True)
-        slack = scenario.rho.values - a @ m.values
-        out.update({
-            "u": u, "m": m, "report": report,
-            "stage_reports": stage_reports,
-            "min_density": float(np.min(m.values)),
-            "min_subsolution_slack": float(np.min(slack)),
-            "mass_monotone_violation": 0.0,
-        })
-        return out
-    if scenario.problem == "osmfg":
-        from .evolutive import osmfg_continuation
-
-        sol, stage_reports = osmfg_continuation(
-            scenario.cost, scenario.obstacle_op, scenario.m0, scenario.timegrid,
-            list(scenario.eps_schedule), cfg)
-        report = stage_reports[-1]["report"]
+        sol, stages = continuation_solve(scenario.cost, scenario.rho, schedule, config)
+    elif scenario.problem == "osmfg":
+        sol, stages = osmfg_continuation(scenario.cost, scenario.obstacle_op, scenario.m0,
+                                         scenario.timegrid, schedule, config)
     else:
-        from .control import cosmfg_coupled_solve
-
-        sol, report = cosmfg_coupled_solve(
-            scenario.cost, scenario.hamiltonian, scenario.m0, scenario.timegrid,
-            list(scenario.eps_schedule), cfg)
-        stage_reports = None
-    m_arr = sol.m.array()
+        sol, stages = cosmfg_coupled_solve(scenario.cost, scenario.hamiltonian, scenario.m0,
+                                           scenario.timegrid, schedule, config)
+    m_arr = np.atleast_2d(sol.m.values)
     masses = m_arr.sum(axis=1) * scenario.grid.cell_volume
-    out.update({
-        "solution": sol, "report": report, "stage_reports": stage_reports,
-        "min_density": float(np.min(m_arr)),
-        "mass_monotone_violation": float(np.max(np.diff(masses), initial=0.0)),
-        "masses": masses,
-    })
-    return out
+    return {"name": scenario.name, "problem": scenario.problem,
+            "expected_outcome": scenario.expected_outcome, "solution": sol,
+            "report": stages[-1].report, "stage_reports": stages,
+            "min_density": float(np.min(m_arr)),
+            "mass_monotone_violation": float(np.max(np.diff(masses), initial=0.0))}

@@ -46,6 +46,7 @@ __all__ = [
     "StageReport",
     "CoupledNonConvergence",
     "penalized_coupled_solve",
+    "penalty_continuation",
     "continuation_solve",
     "default_eps_schedule",
     "monotone_iteration_solve",
@@ -70,21 +71,16 @@ class CoupledConfig:
 
     tol_pde: float = 1e-8
     max_outer: int = 3000
-    band_factor: float = 0.5
-    delta_floor: float = DELTA_C_FLOOR
-    band_override: float | None = None
 
     def __post_init__(self):
         if not self.tol_pde > 0:
             raise ValueError("tolerances must be positive")
 
-    def band(self, epsilon: float, scale: float) -> float:
+    @staticmethod
+    def band(epsilon: float, scale: float) -> float:
         """The classification band at penalty epsilon for the source
-        scale |ftilde|_inf: band_override if set, else
-        max(delta_floor, band_factor * epsilon * scale)."""
-        if self.band_override is not None:
-            return self.band_override
-        return max(self.delta_floor, self.band_factor * epsilon * scale)
+        scale |ftilde|_inf: max(DELTA_C_FLOOR, epsilon * scale / 2)."""
+        return max(DELTA_C_FLOOR, 0.5 * epsilon * scale)
 
 
 class CoupledNonConvergence(RuntimeError):
@@ -136,16 +132,23 @@ class MixedSolutionReport:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StageReport:
-    stage: int
-    epsilon: float
-    iterations: int
-    report: MixedSolutionReport
+    """One stage of a penalty continuation: its index, the stage's
+    solution (PenalizedTriple or FBSolution) and the verifier's report
+    of it."""
 
-    def to_dict(self) -> dict:
-        return {"stage": self.stage, "epsilon": self.epsilon,
-                "iterations": self.iterations, **self.report.to_dict()}
+    stage: int
+    solution: object
+    report: object
+
+    @property
+    def epsilon(self) -> float:
+        return self.solution.epsilon
+
+    @property
+    def iterations(self) -> int:
+        return self.solution.iterations
 
 
 def penalized_coupled_solve(
@@ -156,8 +159,7 @@ def penalized_coupled_solve(
     m_init: ScalarField | None = None,
     with_zero_order: bool = True,
     strict: bool = True,
-    u_init: ScalarField | None = None,
-    band_init: float | None = None,
+    warm: PenalizedTriple | None = None,
 ) -> PenalizedTriple:
     """Solve the penalized coupled system at one penalty level.
 
@@ -176,11 +178,13 @@ def penalized_coupled_solve(
     one bordered scalar unknown s = <w, m>, so f = c0 + c1 s and the
     system gains the row s - <w, m> = 0 and the column -c1.
 
-    A warm start u_init keeps the ramp position (hence the exit rate)
-    continuous across penalty stages by rescaling band nodes from
-    band_init to the new band. strict=False returns the last iterate
-    with converged=False instead of raising (used for warm-up
-    continuation stages).
+    The start is m_init (default A^-1 rho) and the value of the
+    unconstrained equation for f(m). A warm start, the previous stage's
+    solution, replaces both: its (u, m), with the ramp position of u
+    (hence the exit rate) kept continuous by rescaling band nodes from
+    its band to the new one. strict=False returns the last iterate with
+    converged=False instead of raising (used for warm-up continuation
+    stages).
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -191,17 +195,18 @@ def penalized_coupled_solve(
     a = elliptic_matrix(grid, with_zero_order)
     n = grid.n_total
     rho_v = rho.values
+    if warm is not None:
+        m_init = warm.m
     m = _linsolve(a, rho_v, grid) if m_init is None else np.array(m_init.values, copy=True)
     scale = float(np.max(np.abs(cost.evaluate(m))))
     band = cfg.band(epsilon, scale)
-    if u_init is None:
+    if warm is None:
         # cold start from the unconstrained value equation
         u = _linsolve(a, cost.evaluate(m), grid)
     else:
-        u = np.array(u_init.values, dtype=float, copy=True)
-        if band_init is not None and band_init > 0:
-            inside = np.abs(u) <= band_init
-            u[inside] *= band / band_init
+        u = np.array(warm.u.values, dtype=float, copy=True)
+        inside = np.abs(u) <= warm.delta_band
+        u[inside] *= band / warm.delta_band
     # quadrature weights of the pairing <w, m> for the bordered unknown
     w = None if cost.is_local else cost.weight.values * grid.cell_volume
     residual, jacobian = _penalized_system(cost, a, rho_v, epsilon, band, w)
@@ -294,6 +299,28 @@ def _checked_schedule(eps_schedule=None) -> list[float]:
     return schedule
 
 
+def penalty_continuation(solve_stage, verify, eps_schedule=None):
+    """The mixed solution as the limit of penalized solutions: one
+    solve_stage(eps, warm, strict) per penalty of the checked schedule
+    (default_eps_schedule() for None), warm-started from the previous
+    stage's solution (None at the first) and strict at the last stage
+    only, each verified by verify(solution).
+
+    Returns (final solution, [StageReport]); a CoupledNonConvergence is
+    re-raised with its stage index.
+    """
+    schedule = _checked_schedule(eps_schedule)
+    sol = None
+    stages: list[StageReport] = []
+    for j, eps in enumerate(schedule):
+        try:
+            sol = solve_stage(eps, sol, j == len(schedule) - 1)
+        except CoupledNonConvergence as err:
+            raise CoupledNonConvergence(str(err), err.residual_history, stage=j) from err
+        stages.append(StageReport(stage=j, solution=sol, report=verify(sol)))
+    return sol, stages
+
+
 def continuation_solve(
     cost: CostOperator,
     rho: ScalarField,
@@ -302,35 +329,23 @@ def continuation_solve(
     m_init: ScalarField | None = None,
     with_zero_order: bool = True,
 ):
-    """Warm-started penalized solves along a decreasing penalty schedule.
+    """Penalty continuation for the stationary system: warm-started
+    penalized_coupled_solve stages along a decreasing schedule, the
+    first from m_init.
 
-    Each stage starts from the previous stage's (u, m), with the ramp
-    position of u (hence the exit rate) kept continuous across the
-    change of band. Returns (u, m, stage_reports) with a verification
-    report per stage.
+    Returns (solution, stages): the final PenalizedTriple and one
+    StageReport per stage, with the verify_mixed report of its (u, m).
     """
-    cfg = config or CoupledConfig()
-    schedule = _checked_schedule(eps_schedule)
-    m_cur = m_init
-    reports: list[StageReport] = []
-    triple = None
-    for j, eps in enumerate(schedule):
-        if triple is not None:
-            m_cur = triple.m
-        final = j == len(schedule) - 1
-        try:
-            triple = penalized_coupled_solve(
-                cost, rho, eps, cfg, m_init=m_cur,
-                with_zero_order=with_zero_order, strict=final,
-                u_init=None if triple is None else triple.u,
-                band_init=None if triple is None else triple.delta_band,
-            )
-        except CoupledNonConvergence as err:
-            raise CoupledNonConvergence(str(err), err.residual_history, stage=j) from err
-        report = verify_mixed(triple.u, triple.m, cost, rho,
-                              delta_c=triple.delta_band, with_zero_order=with_zero_order)
-        reports.append(StageReport(stage=j, epsilon=eps, iterations=triple.iterations, report=report))
-    return triple.u, triple.m, reports
+
+    def solve_stage(eps, warm, strict):
+        return penalized_coupled_solve(cost, rho, eps, config, m_init=m_init,
+                                       with_zero_order=with_zero_order, strict=strict, warm=warm)
+
+    def verify(triple):
+        return verify_mixed(triple.u, triple.m, cost, rho, delta_c=triple.delta_band,
+                            with_zero_order=with_zero_order)
+
+    return penalty_continuation(solve_stage, verify, eps_schedule)
 
 
 def monotone_iteration_solve(
@@ -504,10 +519,10 @@ def uniqueness_probe(
     m_base = _linsolve(elliptic_matrix(grid, True), rho.values, grid)
 
     def solve(s):
-        _, m_s, _ = continuation_solve(
+        sol, _ = continuation_solve(
             cost, rho, eps_schedule, config, m_init=ScalarField(grid, s * m_base)
         )
-        return m_s.values
+        return sol.m.values
 
     return _probe_gap(solve, n_starts, seed, start_scales)
 

@@ -5,7 +5,7 @@ import pytest
 
 from mfgstop import _coupled
 from mfgstop.control import cosmfg_coupled_solve
-from mfgstop.evolutive import osmfg_continuation, verify_mixed_evolutive
+from mfgstop.evolutive import osmfg_continuation
 from mfgstop.scenarios import scenario_standard
 from mfgstop.stationary import continuation_solve
 
@@ -13,15 +13,15 @@ from mfgstop.stationary import continuation_solve
 @pytest.fixture(scope="session")
 def monotone_1d_solution():
     sc = scenario_standard("monotone_1d")
-    u, m, reports = continuation_solve(sc.cost, sc.rho, list(sc.eps_schedule))
-    return sc, u, m, reports
+    sol, reports = continuation_solve(sc.cost, sc.rho, list(sc.eps_schedule))
+    return sc, sol.u, sol.m, reports
 
 
 @pytest.fixture(scope="session")
 def monotone_2d_solution():
     sc = scenario_standard("monotone_2d")
-    u, m, reports = continuation_solve(sc.cost, sc.rho, list(sc.eps_schedule))
-    return sc, u, m, reports
+    sol, reports = continuation_solve(sc.cost, sc.rho, list(sc.eps_schedule))
+    return sc, sol.u, sol.m, reports
 
 
 @pytest.fixture(scope="session")
@@ -29,9 +29,7 @@ def evolutive_psi0_solution():
     sc = scenario_standard("evolutive_psi0")
     sol, stage_reports = osmfg_continuation(sc.cost, sc.obstacle_op, sc.m0,
                                             sc.timegrid, list(sc.eps_schedule))
-    report = verify_mixed_evolutive(sol.u, sol.m, sc.cost, sc.obstacle_op, sc.m0,
-                                    delta_c=sol.delta_band)
-    return sc, sol, report, stage_reports
+    return sc, sol, stage_reports[-1].report, stage_reports
 
 
 @pytest.fixture(scope="session")
@@ -39,17 +37,15 @@ def evolutive_heat_g_solution():
     sc = scenario_standard("evolutive_heat_g")
     sol, stage_reports = osmfg_continuation(sc.cost, sc.obstacle_op, sc.m0,
                                             sc.timegrid, list(sc.eps_schedule))
-    report = verify_mixed_evolutive(sol.u, sol.m, sc.cost, sc.obstacle_op, sc.m0,
-                                    delta_c=sol.delta_band)
-    return sc, sol, report, stage_reports
+    return sc, sol, stage_reports[-1].report, stage_reports
 
 
 @pytest.fixture(scope="session")
 def control_solution():
     sc = scenario_standard("control_smoothnorm")
-    sol, report = cosmfg_coupled_solve(sc.cost, sc.hamiltonian, sc.m0,
+    sol, stages = cosmfg_coupled_solve(sc.cost, sc.hamiltonian, sc.m0,
                                        sc.timegrid, list(sc.eps_schedule))
-    return sc, sol, report
+    return sc, sol, stages[-1].report
 
 
 @pytest.fixture

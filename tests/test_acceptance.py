@@ -150,7 +150,7 @@ def test_c05_mixed_solution_existence(monotone_1d_solution, monotone_2d_solution
     for label, (sc, u, m, reports) in (("monotone_1d", monotone_1d_solution),
                                        ("monotone_2d", monotone_2d_solution)):
         start = time.time()
-        _, _, fresh_reports = continuation_solve(sc.cost, sc.rho, list(sc.eps_schedule))
+        _, fresh_reports = continuation_solve(sc.cost, sc.rho, list(sc.eps_schedule))
         elapsed = time.time() - start
         rep = fresh_reports[-1].report
         for key, value in rep.to_dict().items():
@@ -234,7 +234,8 @@ def test_c09_monotone_iteration_smallest_solution():
     assert m_viol <= 1e-10
     assert u_viol <= 1e-10
     u_fix, m_fix, n_solver = monotone_iteration_solve(sc.cost, sc.rho)
-    _, m_cont, _ = continuation_solve(sc.cost, sc.rho, list(sc.eps_schedule))
+    sol, _ = continuation_solve(sc.cost, sc.rho, list(sc.eps_schedule))
+    m_cont = sol.m
     assert np.all(m_fix.values <= m_cont.values + 1e-6)
     report(9, f"{n_solver} iterations, monotonicity violations <= "
               f"{max(m_viol, u_viol):.1e}, smallest below continuation")
@@ -318,7 +319,8 @@ def test_c13_structural_invariants_all_scenarios(monotone_1d_solution,
     for sc, u, m, reports in (monotone_1d_solution, monotone_2d_solution):
         assert m.values.min() >= -1e-12
         assert check_subsolution(m, sc.rho).values.min() >= -1e-9
-        u2, m2, _ = continuation_solve(sc.cost, sc.rho, list(sc.eps_schedule))
+        sol, _ = continuation_solve(sc.cost, sc.rho, list(sc.eps_schedule))
+        u2, m2 = sol.u, sol.m
         assert np.array_equal(m2.values, m.values)
         assert np.array_equal(u2.values, u.values)
         checked.append(sc.name)

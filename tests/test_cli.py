@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfgstop import cli
+from mfgstop import cli, evolutive
 from mfgstop.cli import main
 from mfgstop.obstacle import ObstacleConvergenceError
+from mfgstop.stationary import CoupledConfig, CoupledNonConvergence
 
 BASE_CONFIG = {
     "problem": "sosmfg",
@@ -64,15 +65,6 @@ def test_run_monotone_1d_succeeds(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["version"]
     assert len(manifest["config_sha256"]) == 64
-
-
-def test_run_is_bitwise_deterministic(tmp_path):
-    cfg1 = write_config(tmp_path, {"output_dir": str(tmp_path / "a")}, "c1.json")
-    cfg2 = write_config(tmp_path, {"output_dir": str(tmp_path / "b")}, "c2.json")
-    assert main(["run", "--config", str(cfg1)]) == 0
-    assert main(["run", "--config", str(cfg2)]) == 0
-    for name in ("u.csv", "m.csv", "report.json", "convergence.csv"):
-        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_incompatible_method_rejected(tmp_path):
@@ -203,6 +195,81 @@ def test_verify_rejects_bad_trajectory_manifest(tmp_path, edit):
 
 def tolerances(**acceptance):
     return {"outer": 1e-9, "pde": 1e-8, "acceptance": acceptance}
+
+
+HEAT_FROM_G = {"kind": "heat_from_g", "g": {"kind": "local_power", "a": 0.5, "p": 1.0,
+                                            "f0": {"kind": "constant", "value": 0.0}}}
+COSMFG_RUN = {
+    "problem": "cosmfg",
+    "grid": {"dim": 1, "bounds": [[0.0, 1.0]], "n_interior": [15]},
+    "timegrid": {"horizon": 0.5, "n_steps": 4},
+    "m0": {"kind": "gaussian", "sigma": 0.1, "mass": 1.0},
+    "rho": None,
+    "hamiltonian": {"kind": "smoothed_norm", "beta": {"kind": "constant", "value": 1.0}},
+    "eps_schedule": {"start": 1e-3, "factor": 4.0, "stages": 3},
+    # residuals that do not depend on the contact threshold, which
+    # mfgstop verify takes from the trajectories instead of the band
+    "tolerances": tolerances(r_hjb=1e-3, r_subsolution=1e-10, r_boundary_terminal=1e-10,
+                             duality_diagnostic=1e-3),
+}
+
+
+@pytest.mark.parametrize("overrides", [{}, {**OSMFG_RUN, "obstacle": HEAT_FROM_G}, COSMFG_RUN],
+                         ids=["sosmfg", "osmfg-heat_from_g", "cosmfg"])
+def test_run_is_bitwise_deterministic(tmp_path, overrides):
+    cfg = write_config(tmp_path, overrides)
+    for name in ("a", "b"):
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+    files = sorted(path.name for path in (tmp_path / "a").iterdir())
+    assert files == sorted(path.name for path in (tmp_path / "b").iterdir())
+    assert {"report.json", "convergence.csv", "manifest.json"} <= set(files)
+    for name in files:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+def test_cosmfg_run_writes_one_row_per_stage_and_verifies(tmp_path):
+    out = tmp_path / "cos"
+    cfg = write_config(tmp_path, {**COSMFG_RUN, "output_dir": str(out)})
+    assert main(["run", "--config", str(cfg)]) == 0
+    header, *rows = [line.split(",") for line in
+                     (out / "convergence.csv").read_text().splitlines()]
+    assert [int(row[0]) for row in rows] == [0, 1, 2]
+    assert [float(row[1]) for row in rows] == [1e-3, 2.5e-4, 6.25e-5]
+    report = json.loads((out / "report.json").read_text())
+    last = dict(zip(header, rows[-1]))
+    residuals = [key for key in header if key.startswith("r_")]
+    assert set(residuals) == {key for key in report if key.startswith("r_")}
+    assert all(float(last[key]) == report[key] for key in residuals)
+    assert main(["verify", "--u", str(out / "u_manifest.json"),
+                 "--m", str(out / "m_manifest.json"), "--config", str(cfg)]) == 0
+
+
+def test_stage_nonconvergence_reports_its_stage(tmp_path, monkeypatch):
+    # only the last stage of a continuation is strict, so stage 1 of 3
+    # fails only when its solve is made strict, here with a one-step
+    # Newton that cannot reach its tolerance
+    solve = evolutive.forward_backward_solve
+    stage_epsilons = []
+
+    def second_stage_fails(cost, m0, timegrid, epsilon, config=None, **kwargs):
+        stage_epsilons.append(epsilon)
+        if len(stage_epsilons) == 2:
+            config = CoupledConfig(max_outer=1, tol_pde=1e-16)
+            kwargs["strict"] = True
+        return solve(cost, m0, timegrid, epsilon, config, **kwargs)
+
+    monkeypatch.setattr(evolutive, "forward_backward_solve", second_stage_fails)
+    out = tmp_path / "osm"
+    cfg = write_config(tmp_path, {**OSMFG_RUN, "output_dir": str(out),
+                                  "eps_schedule": {"start": 0.1, "factor": 4.0, "stages": 3}})
+    assert main(["run", "--config", str(cfg)]) == 3
+    assert json.loads((out / "failure.json").read_text())["stage"] == 1
+    stage_epsilons.clear()
+    run = cli.load_config(cfg)
+    with pytest.raises(CoupledNonConvergence) as err:
+        evolutive.osmfg_continuation(run.cost, run.obstacle_op, run.m0, run.timegrid,
+                                     run.eps_schedule, run.coupled)
+    assert err.value.stage == 1
 
 
 TIME_DEPENDENT = {"timegrid": {"horizon": 0.5, "n_steps": 4}, "rho": None,

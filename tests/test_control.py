@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfgstop._coupled import _face_drift, forward_backward_continuation
+from mfgstop._coupled import _face_drift
 from mfgstop.control import (
     Hamiltonian,
     control_objective,
@@ -107,7 +107,7 @@ def test_hjb_grid_refinement_self_convergence():
 def test_cosmfg_reduction_to_osmfg(evolutive_psi0_solution):
     sc, sol_o, _, _ = evolutive_psi0_solution
     ham0 = Hamiltonian.smoothed_norm(ScalarField.zeros(sc.grid))
-    sol_c, report = cosmfg_coupled_solve(sc.cost, ham0, sc.m0, sc.timegrid,
+    sol_c, _ = cosmfg_coupled_solve(sc.cost, ham0, sc.m0, sc.timegrid,
                                          list(sc.eps_schedule))
     assert np.max(np.abs(sol_c.u.array() - sol_o.u.array())) <= 1e-8
     assert np.max(np.abs(sol_c.m.array() - sol_o.m.array())) <= 1e-8
@@ -117,7 +117,7 @@ def test_never_stop_instance_is_drifted_flow(setup):
     grid, tg, m0 = setup
     cost = CostOperator.local_power(grid, 0.0, 1.0, ScalarField.constant(grid, -1.0))
     ham = Hamiltonian.smoothed_norm(ScalarField.constant(grid, 1.0))
-    sol, report = cosmfg_coupled_solve(cost, ham, m0, tg, default_eps_schedule(stages=4))
+    sol, _ = cosmfg_coupled_solve(cost, ham, m0, tg, default_eps_schedule(stages=4))
     assert np.all(sol.u.array()[:-1] < 0)
     drifted = solve_density_parabolic(m0, None, tg, sol.drift)
     assert np.max(np.abs(sol.m.array() - drifted.array())) <= 1e-9
@@ -153,11 +153,10 @@ def test_control_stages_take_at_most_three_passes(scale, newton_targets):
     # the drift were lagged)
     sc = scenario_standard("control_smoothnorm")
     m0 = ScalarField(sc.grid, scale * sc.m0.values)
-    _, stages = forward_backward_continuation(
-        sc.cost, m0, sc.timegrid, list(sc.eps_schedule),
-        obstacle_op=ObstacleOperator.zero(sc.grid, sc.timegrid), hamiltonian=sc.hamiltonian)
+    _, stages = cosmfg_coupled_solve(sc.cost, sc.hamiltonian, m0, sc.timegrid,
+                                     list(sc.eps_schedule))
     assert len(stages) == 8 and len(newton_targets) == 8
-    for stage, target in zip(stages, newton_targets):
+    for stage, target in zip((sr.solution for sr in stages), newton_targets):
         assert stage.converged
         assert stage.residual_history[-1] <= target
         assert stage.iterations <= 12
@@ -199,7 +198,8 @@ def test_verifier_zero_initial_density(setup):
     cost = CostOperator.local_power(grid, 1.0, 1.0, ScalarField.constant(grid, -0.5))
     ham = Hamiltonian.smoothed_norm(ScalarField.constant(grid, 1.0))
     zero = ScalarField.zeros(grid)
-    sol, report = cosmfg_coupled_solve(cost, ham, zero, tg, default_eps_schedule(stages=3))
+    sol, stages = cosmfg_coupled_solve(cost, ham, zero, tg, default_eps_schedule(stages=3))
+    report = stages[-1].report
     assert np.max(np.abs(sol.m.array())) == 0.0
     assert report.r_contact == 0.0
     assert report.r_continuation == 0.0

@@ -25,6 +25,7 @@ from mfgstop.stationary import (
     _ramp,
     continuation_solve,
     default_eps_schedule,
+    penalty_continuation,
 )
 
 
@@ -113,7 +114,7 @@ def test_positive_cost_kills_mass(setup):
 
 def test_duality_residual_decreases_along_schedule(evolutive_psi0_solution):
     sc, sol, report, stage_reports = evolutive_psi0_solution
-    duals = [r["report"].r_duality for r in stage_reports]
+    duals = [r.report.r_duality for r in stage_reports]
     assert duals[-1] <= 1e-5
     assert duals[-1] <= duals[0]
     assert report.r_terminal == 0.0
@@ -208,7 +209,8 @@ def test_newton_obstacle_is_the_backward_heat_image(monkeypatch):
     # for heat_from_g, psi is a Newton unknown: the psi of the last
     # Newton solve, from which alpha is built, solves the backward heat
     # steps for the final density, and the heat solve itself runs once
-    # per stage
+    # per stage in the solver (the continuation runs without a verifier
+    # here, which would add one heat solve per stage)
     sc = scenario_standard("evolutive_heat_g")
     newton = _coupled.semismooth_newton
     apply_arrays = ObstacleOperator.apply_arrays
@@ -227,8 +229,11 @@ def test_newton_obstacle_is_the_backward_heat_image(monkeypatch):
 
     monkeypatch.setattr(_coupled, "semismooth_newton", recording_newton)
     monkeypatch.setattr(ObstacleOperator, "apply_arrays", counting_apply)
-    sol, stages = _coupled.forward_backward_continuation(
-        sc.cost, sc.m0, sc.timegrid, list(sc.eps_schedule), obstacle_op=sc.obstacle_op)
+    sol, stages = penalty_continuation(
+        lambda eps, warm, strict: _coupled.forward_backward_solve(
+            sc.cost, sc.m0, sc.timegrid, eps, obstacle_op=sc.obstacle_op, warm=warm,
+            strict=strict),
+        lambda _: None, list(sc.eps_schedule))
     assert applies == ["heat_from_g"] * len(stages)
     psi = psis[-1]
     expected = apply_arrays(sc.obstacle_op, sc.grid, sc.timegrid, sol.m.array())[0]
@@ -245,10 +250,10 @@ def test_heat_g_stages_take_at_most_three_passes(scale, newton_targets):
     # under 3% perturbations when psi was lagged)
     sc = scenario_standard("evolutive_heat_g")
     m0 = ScalarField(sc.grid, scale * sc.m0.values)
-    _, stages = _coupled.forward_backward_continuation(
-        sc.cost, m0, sc.timegrid, list(sc.eps_schedule), obstacle_op=sc.obstacle_op)
+    _, stages = osmfg_continuation(sc.cost, sc.obstacle_op, m0, sc.timegrid,
+                                   list(sc.eps_schedule))
     assert len(stages) == 8 and len(newton_targets) == 8
-    for stage, target in zip(stages, newton_targets):
+    for stage, target in zip((sr.solution for sr in stages), newton_targets):
         assert stage.converged
         assert stage.residual_history[-1] <= target
         assert stage.iterations <= 12

@@ -100,14 +100,16 @@ def test_nonlocal_self_consistency_residuals(grid, rho, case):
 
 def test_continuation_zero_source(grid):
     cost = local_cost(grid, -0.5)
-    u, m, reports = continuation_solve(cost, ScalarField.zeros(grid))
+    sol, reports = continuation_solve(cost, ScalarField.zeros(grid))
+    m = sol.m
     assert np.max(np.abs(m.values)) == 0.0
     assert all(sr.report.max_residual <= 1e-8 for sr in reports)
 
 
 def test_continuation_single_stage_equals_single_solve(grid, rho):
     cost = local_cost(grid, -0.5)
-    u1, m1, reports = continuation_solve(cost, rho, [1e-3])
+    sol, reports = continuation_solve(cost, rho, [1e-3])
+    u1, m1 = sol.u, sol.m
     triple = penalized_coupled_solve(cost, rho, 1e-3)
     assert np.array_equal(m1.values, triple.m.values)
     assert np.array_equal(u1.values, triple.u.values)
@@ -124,7 +126,7 @@ def test_continuation_rejects_bad_schedule(grid, rho):
 
 def test_continuation_contact_residuals_decrease(grid, rho):
     cost = local_cost(grid, -0.005)
-    _, _, reports = continuation_solve(cost, rho, default_eps_schedule(stages=10))
+    _, reports = continuation_solve(cost, rho, default_eps_schedule(stages=10))
     r_dual = [sr.report.r_duality for sr in reports]
     assert r_dual[-1] <= 1e-6
     assert r_dual[-1] <= r_dual[0] + 1e-12
@@ -157,7 +159,8 @@ def test_monotone_iteration_requires_anti_monotone(grid, rho):
 def test_monotone_iteration_below_continuation(grid, rho):
     sc = scenario_standard("anti_monotone_1d")
     u_it, m_it, n_iter = monotone_iteration_solve(sc.cost, sc.rho)
-    _, m_cont, _ = continuation_solve(sc.cost, sc.rho, list(sc.eps_schedule))
+    sol, _ = continuation_solve(sc.cost, sc.rho, list(sc.eps_schedule))
+    m_cont = sol.m
     assert n_iter <= 50
     assert np.all(m_it.values <= m_cont.values + 1e-6)
 
@@ -259,7 +262,8 @@ def test_verify_mixed_trivial_pair(grid, rho):
 def test_duality_identity_on_converged_solution(grid, rho):
     for f0 in (-0.5, -0.005):
         cost = local_cost(grid, f0)
-        u, m, reports = continuation_solve(cost, rho, default_eps_schedule(stages=10))
+        sol, reports = continuation_solve(cost, rho, default_eps_schedule(stages=10))
+        u, m = sol.u, sol.m
         assert abs(inner(cost(m), m) - inner(u, rho)) <= 1e-6
         assert reports[-1].report.r_duality <= 1e-6
 
@@ -302,6 +306,7 @@ def test_every_density_passes_subsolution(grid, rho):
     from mfgstop.density import check_subsolution
 
     for f0 in (-0.5, -0.02, -0.005):
-        _, m, _ = continuation_solve(local_cost(grid, f0), rho)
+        sol, _ = continuation_solve(local_cost(grid, f0), rho)
+        m = sol.m
         assert check_subsolution(m, rho).values.min() >= -1e-9
         assert m.values.min() >= -1e-12
