@@ -24,8 +24,8 @@ from slice k; time integrals pair slice-k integrands with m_{k+1}.
 
 The controlled system is the evolutive one with the zero obstacle plus
 a Hamiltonian term and its induced drift, in the solver and in the
-verifier alike: _hamiltonian_terms is the one source of H and the
-drift, and _slice_residuals the one slice-residual core.
+verifier alike: _hamiltonian_terms is the one source of H and of the
+drift operator, and _slice_residuals the one slice-residual core.
 """
 
 from __future__ import annotations
@@ -126,17 +126,16 @@ def _face_drift(grid: Grid, hamiltonian, u: np.ndarray):
 def _hamiltonian_terms(grid: Grid, hamiltonian, u_arr: np.ndarray):
     """Hamiltonian data of the value slices 0..K-1 of u_arr, evaluated on
     the whole (K, N) array: upwind values H(x, Du_k) as a (K, N) array,
-    face drifts D_pH per axis shaped (K, *face shape), and one
-    block-diagonal (KN, KN) operator m_k -> -div(m_k b_k) of them.
-    Without a Hamiltonian: zeros, no drift and no operator."""
+    and one block-diagonal (KN, KN) operator m_k -> -div(m_k b_k) of the
+    face drifts b_k = D_pH(x, grad u_k). Without a Hamiltonian: zeros
+    and no operator."""
     steps = len(u_arr) - 1
     if hamiltonian is None:
-        return np.zeros((steps, grid.n_total)), None, None
+        return np.zeros((steps, grid.n_total)), None
     u = u_arr[:steps]
-    drift = _face_drift(grid, hamiltonian, u)
-    rows, cols, vals = _drift_triplets(grid, drift)
+    rows, cols, vals = _drift_triplets(grid, _face_drift(grid, hamiltonian, u))
     size = steps * grid.n_total
-    return (_upwind_hamiltonian(grid, hamiltonian, u)[0], drift,
+    return (_upwind_hamiltonian(grid, hamiltonian, u)[0],
             sp.csr_matrix((vals, (rows, cols)), shape=(size, size)))
 
 
@@ -399,7 +398,7 @@ def _frozen_system(cost, g_cost, hamiltonian, grid, m0_vals, u_terminal, psi_arr
     def residual(x):
         u, m, psi = unstack(x)
         v = u[:k_steps] - psi[:k_steps]
-        h_vals, _, div = _hamiltonian_terms(grid, hamiltonian, u)
+        h_vals, div = _hamiltonian_terms(grid, hamiltonian, u)
         nodewise = [np.maximum(v, 0.0) / epsilon + h_vals - cost.evaluate(m[:k_steps]),
                     _ramp(v / band) / epsilon * m[1:]]
         if div is not None:

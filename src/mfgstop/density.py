@@ -98,7 +98,7 @@ def _require_nonnegative(values: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be nonnegative, min = {values.min():.3e}")
 
 
-def solve_density_on_set(omega: NodeMask, source: ScalarField, with_zero_order: bool = True) -> ScalarField:
+def solve_density_on_set(omega: NodeMask, source: ScalarField) -> ScalarField:
     """Solve (-lap + id) m = rho on omega with m = 0 elsewhere.
 
     Off-set nodes are eliminated exactly (not penalized), so m = 0 there
@@ -111,26 +111,26 @@ def solve_density_on_set(omega: NodeMask, source: ScalarField, with_zero_order: 
     m = np.zeros(grid.n_total)
     idx = np.flatnonzero(omega.mask)
     if idx.size:
-        a = elliptic_matrix(grid, with_zero_order).tocsc()
+        a = elliptic_matrix(grid).tocsc()
         m[idx] = _lu_solve(a[np.ix_(idx, idx)], source.values[idx])
     return ScalarField(grid, m)
 
 
-def solve_density_penalized(killing: KillingData, source: ScalarField, with_zero_order: bool = True) -> ScalarField:
+def solve_density_penalized(killing: KillingData, source: ScalarField) -> ScalarField:
     """Solve (-lap + id + diag(alpha/eps on active)) m = rho."""
     grid = source.grid
     if killing.alpha.grid != grid:
         raise ValueError("killing data and source must share one grid")
     _require_nonnegative(source.values, "rho")
-    a = elliptic_matrix(grid, with_zero_order) + sp.diags(killing.rate())
+    a = elliptic_matrix(grid) + sp.diags(killing.rate())
     return ScalarField(grid, _linsolve(a, source.values, grid))
 
 
-def check_subsolution(m: ScalarField, source: ScalarField, with_zero_order: bool = True) -> ScalarField:
+def check_subsolution(m: ScalarField, source: ScalarField) -> ScalarField:
     """Slack rho - (-lap + id) m; nonnegative slack certifies a subsolution."""
     if m.grid != source.grid:
         raise ValueError("fields must share one grid")
-    a = elliptic_matrix(m.grid, with_zero_order)
+    a = elliptic_matrix(m.grid)
     return ScalarField(m.grid, source.values - a @ m.values)
 
 

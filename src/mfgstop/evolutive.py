@@ -123,11 +123,6 @@ class EvolutiveMixedReport:
     delta_c: float
     grid: dict
 
-    @property
-    def max_residual(self) -> float:
-        return max(self.r_obstacle, self.r_continuation, self.r_subsolution,
-                   self.r_contact, self.r_duality, self.r_terminal, self.r_initial)
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -184,7 +179,7 @@ def verify_mixed_evolutive(
     psi_arr, g_arr = obstacle_op.apply_arrays(grid, timegrid, m_arr)
     if delta_c is None:
         delta_c = default_contact_threshold(u_arr, psi_arr)
-    h_vals, _, div = _hamiltonian_terms(grid, None, u_arr)
+    h_vals, div = _hamiltonian_terms(grid, None, u_arr)
     r_obstacle, r_cont, r_sub, contact_sum, duality_sum = _slice_residuals(
         grid, timegrid.dt, cost, u_arr, m_arr, psi_arr, g_arr, h_vals, div, delta_c)
     vol = grid.cell_volume
@@ -210,7 +205,6 @@ def evolutive_uniqueness_probe(
     n_starts: int = 3,
     seed: int = 0,
     eps_schedule=None,
-    config: CoupledConfig | None = None,
     start_scales=None,
 ) -> float:
     """Max pairwise trajectory gap over continuation runs with scaled
@@ -220,8 +214,8 @@ def evolutive_uniqueness_probe(
     def solve(s):
         init = np.tile(m0.values, (timegrid.n_steps + 1, 1)) * s
         init[0] = m0.values
-        sol, _ = osmfg_continuation(cost, obstacle_op, m0, timegrid,
-                                    eps_schedule, config, m_traj_init=init)
+        sol, _ = osmfg_continuation(cost, obstacle_op, m0, timegrid, eps_schedule,
+                                    m_traj_init=init)
         return sol.m.array()
 
     return _probe_gap(solve, n_starts, seed, start_scales)

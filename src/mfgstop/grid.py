@@ -308,9 +308,9 @@ def _gradient_matrices(grid: Grid):
     return tuple(one_sided), tuple(face_grad)
 
 
-def apply_elliptic(field: ScalarField, with_zero_order: bool = True) -> ScalarField:
-    """Apply -lap (+ id) to a field; missing neighbors count as 0."""
-    a = elliptic_matrix(field.grid, with_zero_order)
+def apply_elliptic(field: ScalarField) -> ScalarField:
+    """Apply -lap + id to a field; missing neighbors count as 0."""
+    a = elliptic_matrix(field.grid)
     return ScalarField(field.grid, a @ field.values)
 
 

@@ -112,17 +112,15 @@ def solve_obstacle_stationary(
     source: ScalarField,
     obstacle: ScalarField,
     config: ObstacleSolveConfig | None = None,
-    with_zero_order: bool = True,
 ) -> ScalarField:
     """Solve max((-lap + id) u - f, u - psi) = 0 by semismooth Newton,
-    starting from the solution without obstacle. with_zero_order drops
-    the +u term for the evolutive operator family.
+    starting from the solution without obstacle.
     """
     config = config or ObstacleSolveConfig()
     grid = source.grid
     if obstacle.grid != grid:
         raise ValueError("source and obstacle must share one grid")
-    m = elliptic_matrix(grid, with_zero_order)
+    m = elliptic_matrix(grid)
     start = _linsolve(m, source.values, grid)
     return ScalarField(grid, _obstacle_newton(m, source.values, obstacle.values, start, config))
 
@@ -130,22 +128,21 @@ def solve_obstacle_stationary(
 def obstacle_oracle(
     source: ScalarField,
     obstacle: ScalarField,
-    with_zero_order: bool = True,
-    check_tol: float = 1e-9,
     require_unique: bool = False,
 ) -> ScalarField:
     """Exhaustive active-set solve, for verification on tiny grids.
 
     Enumerates every subset S of nodes, pins u = psi on S, solves the
     linear system on the complement, and returns the u that passes the
-    complementarity test (u <= psi everywhere, M u - f <= 0 on S).
-    Independent of the iterative path; requires <= 16 nodes.
+    complementarity test (u <= psi everywhere, M u - f <= 0 on S, both
+    to 1e-9) for M = -lap + id. Independent of the iterative path;
+    requires <= 16 nodes.
     """
     grid = source.grid
     n = grid.n_total
     if n > 16:
         raise ValueError(f"oracle is exponential; refuse n = {n} > 16")
-    a = elliptic_matrix(grid, with_zero_order).toarray()
+    a = elliptic_matrix(grid).toarray()
     f = source.values
     psi = obstacle.values
     found = None
@@ -157,13 +154,13 @@ def obstacle_oracle(
             sub = a[np.ix_(free, free)]
             rhs = f[free] - a[np.ix_(free, active)] @ psi[active]
             u[free] = np.linalg.solve(sub, rhs)
-        if np.any(u > psi + check_tol):
+        if np.any(u > psi + 1e-9):
             continue
-        if active.any() and np.any((a @ u - f)[active] > check_tol):
+        if active.any() and np.any((a @ u - f)[active] > 1e-9):
             continue
         if not require_unique:
             return ScalarField(grid, u)
-        if found is not None and not np.allclose(found, u, atol=10 * check_tol):
+        if found is not None and not np.allclose(found, u, atol=1e-8):
             raise RuntimeError("oracle found two distinct complementarity solutions")
         found = u
     if found is None:
@@ -289,12 +286,12 @@ def solve_obstacle_penalized(
     obstacle: ScalarField,
     epsilon: float,
     config: ObstacleSolveConfig | None = None,
-    with_zero_order: bool = True,
     u0: ScalarField | None = None,
     matrix=None,
 ) -> ScalarField:
     """Solve the penalized problem M u + (u - psi)^+ / eps = f by
-    semismooth Newton from u0 (default: the solution without obstacle).
+    semismooth Newton from u0 (default: the solution without obstacle),
+    with M the given matrix (default: -lap + id).
 
     The active-set linearization converges in finitely many steps for
     M-matrices.
@@ -305,7 +302,7 @@ def solve_obstacle_penalized(
     grid = source.grid
     if obstacle.grid != grid:
         raise ValueError("source and obstacle must share one grid")
-    m = elliptic_matrix(grid, with_zero_order) if matrix is None else matrix
+    m = elliptic_matrix(grid) if matrix is None else matrix
     f, psi = source.values, obstacle.values
     start = _linsolve(m, f, grid) if u0 is None else u0.values
     diag = np.arange(m.shape[0])
@@ -325,13 +322,12 @@ def solve_obstacle_parabolic(
     terminal: ScalarField,
     timegrid: TimeGrid,
     config: ObstacleSolveConfig | None = None,
-    with_zero_order: bool = False,
 ) -> FieldTrajectory:
     """Backward implicit Euler for max(-du/dt - lap u - f, u - psi) = 0.
 
     Each step solves a stationary obstacle problem with operator
-    B = id/dt - lap (plus id when with_zero_order) and source
-    u_{k+1}/dt + f_k. The terminal slice must equal psi at t = T.
+    B = id/dt - lap and source u_{k+1}/dt + f_k. The terminal slice must
+    equal psi at t = T.
     """
     config = config or ObstacleSolveConfig()
     grid = source.grid
@@ -342,7 +338,7 @@ def solve_obstacle_parabolic(
     if np.max(np.abs(terminal.values - obstacle.array()[-1])) > 1e-12:
         raise ValueError("terminal slice must equal the obstacle at t = T")
     dt = timegrid.dt
-    b = (elliptic_matrix(grid, with_zero_order=with_zero_order)
+    b = (elliptic_matrix(grid, with_zero_order=False)
          + sp.identity(grid.n_total, format="csr") / dt).tocsr()
     u_arr = np.empty((timegrid.n_steps + 1, grid.n_total))
     u_arr[-1] = terminal.values

@@ -111,7 +111,7 @@ def _build_anti_monotone_1d() -> Scenario:
     grid = build_grid(1, (0.0, 1.0), 31)
     rho = raised_cosine_bump(grid)
     weight = raised_cosine_bump(grid)
-    a = elliptic_matrix(grid, True)
+    a = elliptic_matrix(grid)
     m_star = ScalarField(grid, _linsolve(a, rho.values, grid))
     pairing = inner(weight, m_star)
     c0 = 0.25
@@ -192,17 +192,18 @@ class NonuniquenessEvidence:
     gap: float
 
 
-def scenario_nonuniqueness(n: int = 31, delta_c: float | None = None) -> NonuniquenessEvidence:
+def scenario_nonuniqueness(delta_c: float | None = None) -> NonuniquenessEvidence:
     """Two verified solutions for one non-monotone nonlocal cost.
 
     The cost f(m) = 1 - 2 <w, m> / <w, m*> (w the distance to the
     domain centre) gives f(m*) = -1 and f(0) = +1, so both (0, 0) and
     (u*, m*) with u* solving the linear equation with source -1 pass
-    the mixed-solution verifier.
+    the mixed-solution verifier. The grid has 31 interior nodes on
+    (0, 1).
     """
-    grid = build_grid(1, (0.0, 1.0), n)
+    grid = build_grid(1, (0.0, 1.0), 31)
     rho = raised_cosine_bump(grid)
-    a = elliptic_matrix(grid, True)
+    a = elliptic_matrix(grid)
     m_star = ScalarField(grid, _linsolve(a, rho.values, grid))
     coords = grid.coordinates()
     centre = np.array([(lo + hi) / 2 for lo, hi in grid.bounds])
@@ -250,21 +251,20 @@ class NonexistenceEvidence:
     classical_floor: float
 
 
-def scenario_nonexistence(n: int = 31, ball_radius: float = 0.0,
-                          config: CoupledConfig | None = None,
-                          eps_schedule=None) -> NonexistenceEvidence:
+def scenario_nonexistence(ball_radius: float = 0.0) -> NonexistenceEvidence:
     """Strictly monotone cost with no classical solution.
 
     The cost is built so that the natural candidate pair (u*, m*) has
     u* vanishing only at the centre (or on a small ball) while m* stays
     strictly positive there, so no classical solution can exist. The
-    penalty continuation still converges to a mixed solution; the mass
-    on the contact band stays above a positive floor at every stage,
-    which is the reported evidence of genuinely mixed behavior.
+    penalty continuation along default_eps_schedule() still converges to
+    a mixed solution; the mass on the contact band stays above a positive
+    floor at every stage, which is the reported evidence of genuinely
+    mixed behavior. The grid has 31 interior nodes on (0, 1).
     """
-    grid = build_grid(1, (0.0, 1.0), n)
+    grid = build_grid(1, (0.0, 1.0), 31)
     rho = raised_cosine_bump(grid)
-    a = elliptic_matrix(grid, True)
+    a = elliptic_matrix(grid)
     m_star_vals = _linsolve(a, rho.values, grid)
     if np.any(m_star_vals <= 0):
         raise AssertionError("m* must be strictly positive at interior nodes")
@@ -288,7 +288,7 @@ def scenario_nonexistence(n: int = 31, ball_radius: float = 0.0,
         raise AssertionError("construction must satisfy A u* = f(m*) nodewise")
 
     # tabulate the contact-band mass of every stage's solution against epsilon
-    triple, stages = continuation_solve(cost, rho, eps_schedule, config)
+    triple, stages = continuation_solve(cost, rho)
     stage_rows = []
     for sr in stages:
         contact = sr.solution.u.values >= -sr.solution.delta_band
@@ -322,25 +322,25 @@ class ObstacleNonuniquenessEvidence:
 
 def scenario_obstacle_nonuniqueness(
     cost: CostOperator | None = None,
-    n: int = 31,
-    ratio_floor_scale: float = 1e-10,
 ) -> ObstacleNonuniquenessEvidence:
     """For a strictly monotone cost, an m-dependent obstacle that admits
     two verified solutions: the interpolation psi(m) between u* (at
     m = m*) and u_low (at m = 0) makes both endpoints solve the system.
+    The grid has 31 interior nodes on (0, 1); nodes where m* is below
+    1e-10 max(m*) take psi = u_low.
     """
-    grid = build_grid(1, (0.0, 1.0), n)
+    grid = build_grid(1, (0.0, 1.0), 31)
     rho = raised_cosine_bump(grid)
     if cost is None:
         cost = _monotone_cost(grid)
     if cost.monotonicity != "strict_monotone":
         raise ValueError("this construction requires a strictly monotone cost")
-    a = elliptic_matrix(grid, True)
+    a = elliptic_matrix(grid)
     m_star_vals = _linsolve(a, rho.values, grid)
     m_star = ScalarField(grid, m_star_vals)
     u_star = ScalarField(grid, _linsolve(a, cost(m_star).values, grid))
     u_low = ScalarField(grid, _linsolve(a, cost(ScalarField.zeros(grid)).values, grid))
-    floor = ratio_floor_scale * float(np.max(m_star_vals))
+    floor = 1e-10 * float(np.max(m_star_vals))
     guarded = m_star_vals < floor
     if np.any(guarded & (rho.values > 0)):
         raise RuntimeError("ratio floor triggered at interior nodes carrying mass; refine the grid")

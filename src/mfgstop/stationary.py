@@ -157,7 +157,6 @@ def penalized_coupled_solve(
     epsilon: float,
     config: CoupledConfig | None = None,
     m_init: ScalarField | None = None,
-    with_zero_order: bool = True,
     strict: bool = True,
     warm: PenalizedTriple | None = None,
 ) -> PenalizedTriple:
@@ -192,7 +191,7 @@ def penalized_coupled_solve(
     grid = rho.grid
     if np.any(rho.values < -1e-12):
         raise ValueError("rho must be nonnegative")
-    a = elliptic_matrix(grid, with_zero_order)
+    a = elliptic_matrix(grid)
     n = grid.n_total
     rho_v = rho.values
     if warm is not None:
@@ -327,7 +326,6 @@ def continuation_solve(
     eps_schedule=None,
     config: CoupledConfig | None = None,
     m_init: ScalarField | None = None,
-    with_zero_order: bool = True,
 ):
     """Penalty continuation for the stationary system: warm-started
     penalized_coupled_solve stages along a decreasing schedule, the
@@ -338,32 +336,27 @@ def continuation_solve(
     """
 
     def solve_stage(eps, warm, strict):
-        return penalized_coupled_solve(cost, rho, eps, config, m_init=m_init,
-                                       with_zero_order=with_zero_order, strict=strict, warm=warm)
+        return penalized_coupled_solve(cost, rho, eps, config, m_init=m_init, strict=strict,
+                                       warm=warm)
 
     def verify(triple):
-        return verify_mixed(triple.u, triple.m, cost, rho, delta_c=triple.delta_band,
-                            with_zero_order=with_zero_order)
+        return verify_mixed(triple.u, triple.m, cost, rho, delta_c=triple.delta_band)
 
     return penalty_continuation(solve_stage, verify, eps_schedule)
 
 
-def monotone_iteration_solve(
-    cost: CostOperator,
-    rho: ScalarField,
-    config: ObstacleSolveConfig | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-    delta_c: float | None = None,
-    with_zero_order: bool = True,
-):
+def monotone_iteration_solve(cost: CostOperator, rho: ScalarField):
     """Ordered fixed point for anti-monotone costs, from m = 0 upward.
 
     Each step solves the obstacle problem for u from f(m), then the
-    density equation on the continuation set {u < -delta_c}. The m
-    iterates must be nondecreasing and the u iterates nonincreasing
-    nodewise; a violation means the cost is mis-tagged or delta_c is
-    too coarse, and raises. Converges to the smallest solution.
+    density equation on the continuation set {u < -delta_c}, delta_c
+    the default contact threshold. The m iterates must be nondecreasing
+    and the u iterates nonincreasing nodewise, to 1e-10; a violation
+    means the cost is mis-tagged or delta_c is too coarse, and raises.
+    The iteration stops once successive densities agree to 1e-10, at
+    most 50 steps. Converges to the smallest solution.
+
+    Returns (u, m, steps).
     """
     if cost.monotonicity != ANTI_MONOTONE:
         raise ValueError(f"monotone iteration needs an anti-monotone cost, got {cost.monotonicity!r}")
@@ -371,12 +364,13 @@ def monotone_iteration_solve(
     zero = ScalarField.zeros(grid)
     m = ScalarField.zeros(grid)
     u_prev = None
-    for n in range(1, max_iter + 1):
-        u = solve_obstacle_stationary(cost(m), zero, config, with_zero_order=with_zero_order)
+    tol = 1e-10
+    for n in range(1, 51):
+        u = solve_obstacle_stationary(cost(m), zero)
         if u_prev is not None and np.any(u.values > u_prev.values + tol):
             raise RuntimeError("u iterates not nonincreasing; cost mis-tagged or delta_c too large")
-        continuation, _ = classify_nodes(u, None, delta_c)
-        m_next = solve_density_on_set(continuation, rho, with_zero_order=with_zero_order)
+        continuation, _ = classify_nodes(u)
+        m_next = solve_density_on_set(continuation, rho)
         if np.any(m_next.values < m.values - tol):
             raise RuntimeError("m iterates not nondecreasing; cost mis-tagged or delta_c too large")
         gap = float(np.max(np.abs(m_next.values - m.values)))
@@ -387,11 +381,7 @@ def monotone_iteration_solve(
     raise CoupledNonConvergence("monotone iteration did not converge", [gap])
 
 
-def variational_minimize(
-    potential: PotentialOperator,
-    rho: ScalarField,
-    with_zero_order: bool = True,
-) -> ScalarField:
+def variational_minimize(potential: PotentialOperator, rho: ScalarField) -> ScalarField:
     """Minimize the integrated potential over {m >= 0, A m <= rho}.
 
     Semismooth Newton in whole active-set steps on the discrete KKT
@@ -411,7 +401,7 @@ def variational_minimize(
     if cost.monotonicity != STRICT_MONOTONE:
         raise ValueError("variational route requires a strictly monotone local cost")
     grid = rho.grid
-    a = elliptic_matrix(grid, with_zero_order)
+    a = elliptic_matrix(grid)
     n = grid.n_total
     d = a.diagonal()
     rho_v = rho.values
@@ -440,10 +430,8 @@ def variational_minimize(
         fp = np.where(mask[n:], 0.0, cost.derivative(x[n:]))
         return (assemble(mask) + sp.diags(np.concatenate([np.zeros(n), fp])))[order]
 
-    m0 = solve_obstacle_stationary(rho, ScalarField(grid, cost.zero_crossing()),
-                                   with_zero_order=with_zero_order)
-    u0 = solve_obstacle_stationary(cost(m0), ScalarField.zeros(grid),
-                                   with_zero_order=with_zero_order)
+    m0 = solve_obstacle_stationary(rho, ScalarField(grid, cost.zero_crossing()))
+    u0 = solve_obstacle_stationary(cost(m0), ScalarField.zeros(grid))
     config = ObstacleSolveConfig()
     x, norms, _ = semismooth_newton(residual, jacobian, np.concatenate([u0.values, m0.values]),
                                     config.tol, config.max_iter, full_steps=True)
@@ -461,7 +449,6 @@ def verify_mixed(
     rho: ScalarField,
     delta_c: float | None = None,
     psi: ScalarField | None = None,
-    with_zero_order: bool = True,
 ) -> MixedSolutionReport:
     """Compute the five mixed-solution residuals for a candidate pair.
 
@@ -472,7 +459,7 @@ def verify_mixed(
     grid = u.grid
     if m.grid != grid or rho.grid != grid or cost.grid != grid:
         raise ValueError("all fields must share one grid")
-    a = elliptic_matrix(grid, with_zero_order)
+    a = elliptic_matrix(grid)
     f_m = cost.evaluate(m.values)
     psi_vals = np.zeros(grid.n_total) if psi is None else psi.values
     v = u.values - psi_vals
@@ -505,7 +492,6 @@ def uniqueness_probe(
     n_starts: int = 5,
     seed: int = 0,
     eps_schedule=None,
-    config: CoupledConfig | None = None,
     start_scales=None,
 ) -> float:
     """Max pairwise density gap over continuation runs from scaled starts.
@@ -516,12 +502,10 @@ def uniqueness_probe(
     solutions.
     """
     grid = rho.grid
-    m_base = _linsolve(elliptic_matrix(grid, True), rho.values, grid)
+    m_base = _linsolve(elliptic_matrix(grid), rho.values, grid)
 
     def solve(s):
-        sol, _ = continuation_solve(
-            cost, rho, eps_schedule, config, m_init=ScalarField(grid, s * m_base)
-        )
+        sol, _ = continuation_solve(cost, rho, eps_schedule, m_init=ScalarField(grid, s * m_base))
         return sol.m.values
 
     return _probe_gap(solve, n_starts, seed, start_scales)
@@ -548,24 +532,22 @@ def euler_lagrange_certificate(
     cost: CostOperator,
     m: ScalarField,
     rho: ScalarField,
-    n_random: int = 4,
     seed: int = 0,
-    with_zero_order: bool = True,
 ) -> float:
     """Min of <f(m), m' - m> over a documented battery of feasible m'.
 
     The battery holds 0, the unconstrained solve A^-1 rho, exclusion-set
-    solves on seeded random node sets, and convex combinations with m
-    itself; every member lies in {m' >= 0, A m' <= rho}.
+    solves on four seeded random node sets, and convex combinations with
+    m itself; every member lies in {m' >= 0, A m' <= rho}.
     """
     grid = m.grid
-    a = elliptic_matrix(grid, with_zero_order)
+    a = elliptic_matrix(grid)
     f_m = cost(m)
     battery = [np.zeros(grid.n_total), _linsolve(a, rho.values, grid)]
     rng = np.random.default_rng(seed)
-    for _ in range(n_random):
+    for _ in range(4):
         mask = NodeMask(grid, rng.random(grid.n_total) < 0.5)
-        battery.append(solve_density_on_set(mask, rho, with_zero_order).values)
+        battery.append(solve_density_on_set(mask, rho).values)
     combos = [0.5 * (battery[0] + battery[1]), 0.5 * (m.values + battery[1])]
     battery.extend(combos)
     worst = np.inf
