@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -454,7 +455,9 @@ def cmd_scenario(name: str, out_dir: str | None) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="mfgstop",
         description="Solvers and verifiers for mean-field optimal-stopping systems.")
@@ -472,8 +475,11 @@ def main(argv=None) -> int:
     p_sc = sub.add_parser("scenario", help="run a registered scenario's evidence bundle")
     p_sc.add_argument("name")
     p_sc.add_argument("--out", default=None)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "run":
         return cmd_run(args.config, args.out)
     if args.command == "verify":

@@ -239,9 +239,14 @@ def _neg_laplacian(grid: Grid) -> sp.csr_matrix:
     return (sp.kron(blocks[0], eyes[1]) + sp.kron(eyes[0], blocks[1])).tocsr()
 
 
-@lru_cache(maxsize=None)
 def elliptic_matrix(grid: Grid, with_zero_order: bool = True) -> sp.csr_matrix:
-    """The operator -lap (+ id when with_zero_order) as a sparse matrix."""
+    """The operator -lap (+ id when with_zero_order) as a sparse matrix;
+    cached per grid and operator, whatever the form of the call."""
+    return _elliptic_matrix(grid, bool(with_zero_order))
+
+
+@lru_cache(maxsize=None)
+def _elliptic_matrix(grid: Grid, with_zero_order: bool) -> sp.csr_matrix:
     a = _neg_laplacian(grid)
     if with_zero_order:
         a = (a + sp.identity(grid.n_total, format="csr")).tocsr()
@@ -348,44 +353,72 @@ def classify_nodes(u: ScalarField, psi: ScalarField | None = None, delta_c: floa
 
 # ---------------------------------------------------------------------------
 # CSV serialization: header x[,y],value; one row per interior node,
-# lexicographic order. Trajectories get one CSV per slice plus a manifest.
+# lexicographic order; every cell "%.17g", so values read back exactly.
+# Blank lines are skipped; there is no comment syntax. Trajectories get
+# one CSV per slice plus a manifest.
 
-def write_field_csv(field: ScalarField, path) -> None:
-    coords = field.grid.coordinates()
-    header = ",".join(["x", "y"][: field.grid.dim] + ["value"])
+def _csv_header(dim: int) -> str:
+    return ",".join(["x", "y"][:dim] + ["value"])
+
+
+def _write_table(path, coords: np.ndarray, values: np.ndarray) -> None:
+    table = np.column_stack([coords, values])
+    n, cols = table.shape
+    row = ",".join(["%.17g"] * cols) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row, v in zip(coords, field.values):
-            cells = [format(c, ".17g") for c in row] + [format(v, ".17g")]
-            fh.write(",".join(cells) + "\n")
+        fh.write(_csv_header(coords.shape[1]) + "\n" + row * n % tuple(table.ravel().tolist()))
 
 
-def read_field_csv(grid: Grid, path) -> ScalarField:
+def _read_table(grid: Grid, path) -> np.ndarray:
+    """The (n_total, dim + 1) body of a field CSV, header and shape checked."""
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [ln for ln in map(str.strip, fh.read().split("\n")) if ln]
     if not lines:
         raise ValueError(f"empty field file: {path}")
-    expected_header = ",".join(["x", "y"][: grid.dim] + ["value"])
+    expected_header = _csv_header(grid.dim)
     if lines[0] != expected_header:
         raise ValueError(f"bad header in {path}: {lines[0]!r} (expected {expected_header!r})")
-    data = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
+    data = np.empty((0, 0))
+    if len(lines) > 1:
+        try:
+            data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2, dtype=float)
+        except ValueError as err:
+            raise ValueError(f"cannot parse field file {path}: {err}") from None
     if data.shape != (grid.n_total, grid.dim + 1):
         raise ValueError(
             f"field file {path} has shape {data.shape}, grid needs {(grid.n_total, grid.dim + 1)}"
         )
+    return data
+
+
+def _check_coordinates(grid: Grid, tables: np.ndarray, paths) -> None:
+    """Raise on the first of the stacked (files, n_total, dim + 1) tables
+    whose node coordinates differ from the grid's."""
     coords = grid.coordinates()
-    if not np.allclose(data[:, : grid.dim], coords, atol=1e-12 * (1 + np.abs(coords).max())):
-        raise ValueError(f"node coordinates in {path} do not match the grid")
+    close = np.isclose(tables[..., : grid.dim], coords, atol=1e-12 * (1 + np.abs(coords).max()))
+    for path, ok in zip(paths, close.all(axis=(1, 2))):
+        if not ok:
+            raise ValueError(f"node coordinates in {path} do not match the grid")
+
+
+def write_field_csv(field: ScalarField, path) -> None:
+    _write_table(path, field.grid.coordinates(), field.values)
+
+
+def read_field_csv(grid: Grid, path) -> ScalarField:
+    data = _read_table(grid, path)
+    _check_coordinates(grid, data[None], [path])
     return ScalarField(grid, data[:, -1])
 
 
 def write_trajectory_csv(traj: FieldTrajectory, directory, prefix: str) -> str:
     """Write slice CSVs plus a JSON manifest; returns the manifest path."""
     os.makedirs(directory, exist_ok=True)
+    coords = traj.grid.coordinates()
     files = []
     for k, row in enumerate(traj.array()):
         name = f"{prefix}_{k:04d}.csv"
-        write_field_csv(ScalarField(traj.grid, row), os.path.join(directory, name))
+        _write_table(os.path.join(directory, name), coords, row)
         files.append(name)
     manifest = {
         "prefix": prefix,
@@ -414,5 +447,8 @@ def read_trajectory_csv(grid: Grid, manifest_path) -> FieldTrajectory:
                          "with a list 'files', an integer 'n_steps' and a number 'horizon'")
     tg = build_timegrid(manifest["horizon"], manifest["n_steps"])
     base = os.path.dirname(manifest_path)
-    rows = [read_field_csv(grid, os.path.join(base, name)).values for name in manifest["files"]]
-    return FieldTrajectory(grid, tg, np.array(rows))
+    paths = [os.path.join(base, name) for name in manifest["files"]]
+    tables = np.array([_read_table(grid, p) for p in paths])
+    tables = tables.reshape(len(paths), grid.n_total, grid.dim + 1)
+    _check_coordinates(grid, tables, paths)
+    return FieldTrajectory(grid, tg, tables[:, :, -1])

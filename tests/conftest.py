@@ -61,3 +61,27 @@ def newton_targets(monkeypatch):
 
     monkeypatch.setattr(_coupled, "semismooth_newton", recording_newton)
     return targets
+
+
+def _edit_row(row, edit):
+    """Apply edit to line `row` of the file (line 0 is the header)."""
+    def apply(lines):
+        lines = list(lines)
+        lines[row] = edit(lines[row])
+        return lines
+    return apply
+
+
+@pytest.fixture(params=[
+    pytest.param(_edit_row(2, lambda ln: ln.rsplit(",", 1)[0]), id="ragged-row"),
+    pytest.param(_edit_row(2, lambda ln: ln.rsplit(",", 1)[0] + ",abc"), id="non-numeric"),
+    pytest.param(_edit_row(2, lambda ln: ln + ","), id="trailing-comma"),
+    pytest.param(lambda lines: lines[:1] + ["# comment"] + lines[1:], id="comment-line"),
+    pytest.param(lambda lines: lines[:1], id="header-only"),
+    pytest.param(_edit_row(2, lambda ln: ln + "\u00b5"), id="non-ascii"),
+    pytest.param(lambda lines: lines[:1] + [ln + ",0" for ln in lines[1:]], id="extra-column"),
+])
+def bad_field_edit(request):
+    """Turns the lines of a valid field CSV on a 1D grid into those of a
+    file that read_field_csv must reject."""
+    return request.param

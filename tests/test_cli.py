@@ -9,6 +9,7 @@ import pytest
 
 from mfgstop import cli, evolutive
 from mfgstop.cli import main
+from mfgstop.grid import FieldTrajectory, ScalarField, write_field_csv, write_trajectory_csv
 from mfgstop.obstacle import ObstacleConvergenceError
 from mfgstop.stationary import CoupledConfig, CoupledNonConvergence
 
@@ -52,6 +53,25 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_parser_is_built_on_first_use_and_reused(capsys):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = "import mfgstop.cli as c; print(c._parser.cache_info().currsize)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "0"
+    assert cli._parser() is cli._parser()
+    for argv, code in ((["verify", "--u", "u.csv"], 2), (["bogus"], 2), (["--help"], 0),
+                       (["verify", "--u", "u.csv"], 2)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+    err = capsys.readouterr().err
+    assert err.count("the following arguments are required: --m, --config") == 2
 
 
 def test_run_monotone_1d_succeeds(tmp_path):
@@ -179,6 +199,32 @@ def test_verify_rejects_bad_trajectory_manifest(tmp_path, edit):
         path.write_text(json.dumps(manifest))
     assert main(["verify", "--u", str(paths[0]), "--m", str(paths[1]),
                  "--config", str(cfg)]) == 2
+
+
+def test_verify_rejects_malformed_field_file(tmp_path, capsys, bad_field_edit):
+    cfg = write_config(tmp_path, {"grid": {"dim": 1, "bounds": [[0.0, 1.0]], "n_interior": [5]}})
+    grid = cli.load_config(str(cfg)).grid
+    u, m = tmp_path / "u.csv", tmp_path / "m.csv"
+    write_field_csv(ScalarField.zeros(grid), m)
+    write_field_csv(ScalarField(grid, np.arange(5.0)), u)
+    u.write_bytes(("\n".join(bad_field_edit(u.read_text().splitlines())) + "\n").encode("utf-8"))
+    assert main(["verify", "--u", str(u), "--m", str(m), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot verify:") and "Traceback" not in err
+
+
+def test_verify_rejects_trajectory_with_shifted_slice(tmp_path, capsys):
+    cfg = write_config(tmp_path, OSMFG_RUN)
+    config = cli.load_config(str(cfg))
+    traj = FieldTrajectory.constant(config.grid, config.timegrid, 0.0)
+    u, m = (write_trajectory_csv(traj, tmp_path, prefix) for prefix in ("u", "m"))
+    shifted = tmp_path / "m_0003.csv"
+    lines = shifted.read_text().splitlines()
+    lines[1:] = [f"{float(x) * 1.01!r},{v}" for x, v in (ln.split(",") for ln in lines[1:])]
+    shifted.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--u", u, "--m", m, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "m_0003.csv" in err and "Traceback" not in err
 
 
 def tolerances(**acceptance):

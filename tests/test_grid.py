@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfgstop.grid import (
     FieldTrajectory,
@@ -15,6 +20,7 @@ from mfgstop.grid import (
     read_trajectory_csv,
     write_field_csv,
     write_trajectory_csv,
+    _elliptic_matrix,
 )
 
 
@@ -163,6 +169,81 @@ def test_field_csv_rejects_empty_and_mismatched(tmp_path):
     write_field_csv(ScalarField.zeros(other), path)
     with pytest.raises(ValueError):
         read_field_csv(g, path)
+
+
+def test_elliptic_matrix_cache_key_is_normalized():
+    g = build_grid(1, (0.0, 1.0), 7)
+    _elliptic_matrix.cache_clear()
+    mats = [elliptic_matrix(g), elliptic_matrix(g, True), elliptic_matrix(g, with_zero_order=True),
+            elliptic_matrix(g, False), elliptic_matrix(g, with_zero_order=False)]
+    assert _elliptic_matrix.cache_info().currsize == 2
+    assert mats[0] is mats[1] is mats[2]
+    assert mats[3] is mats[4]
+
+
+def test_field_csv_rejects_malformed_files(tmp_path, bad_field_edit):
+    g = build_grid(1, (0.0, 1.0), 5)
+    path = tmp_path / "f.csv"
+    write_field_csv(ScalarField(g, np.arange(5.0)), path)
+    lines = bad_field_edit(path.read_text().splitlines())
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    with pytest.raises(ValueError):
+        read_field_csv(g, path)
+
+
+def test_field_csv_accepts_blank_lines_and_crlf(tmp_path):
+    g = build_grid(2, ((0.0, 1.0), (0.0, 2.0)), (3, 4))
+    f = ScalarField(g, np.random.default_rng(6).normal(size=12))
+    path = tmp_path / "f.csv"
+    write_field_csv(f, path)
+    lines = path.read_text().splitlines()
+    lines.insert(3, "")
+    lines.insert(6, " \t ")
+    path.write_bytes(("\r\n".join(lines) + "\r\n\n").encode("ascii"))
+    assert np.array_equal(read_field_csv(g, path).values, f.values)
+
+
+_EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def _field_on_grid(draw):
+    if draw(st.booleans()):
+        g = build_grid(1, (draw(st.sampled_from([0.0, -1.0])), 1.0), draw(st.integers(3, 6)))
+    else:
+        g = build_grid(2, ((0.0, 1.0), (-0.5, 3.0)), (draw(st.integers(3, 4)), 3))
+    values = draw(st.lists(st.one_of(st.sampled_from(_EDGE_DOUBLES),
+                                     st.floats(allow_nan=False, allow_infinity=False)),
+                           min_size=g.n_total, max_size=g.n_total))
+    return ScalarField(g, values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_field_on_grid())
+def test_field_csv_writer_matches_per_value_format_and_round_trips(field):
+    g = field.grid
+    reference = ",".join(["x", "y"][: g.dim] + ["value"]) + "\n" + "".join(
+        ",".join(format(c, ".17g") for c in [*row, v]) + "\n"
+        for row, v in zip(g.coordinates(), field.values))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.csv"
+        write_field_csv(field, path)
+        assert path.read_bytes() == reference.encode("ascii")
+        back = read_field_csv(g, path)
+    assert np.array_equal(back.values.view(np.int64), field.values.view(np.int64))
+
+
+def test_trajectory_rejects_one_shifted_slice(tmp_path):
+    g = build_grid(1, (0.0, 1.0), 4)
+    traj = FieldTrajectory(g, build_timegrid(1.0, 3), np.zeros((4, 4)))
+    manifest = write_trajectory_csv(traj, tmp_path, "u")
+    shifted = tmp_path / "u_0002.csv"
+    lines = shifted.read_text().splitlines()
+    lines[1:] = [f"{float(x) + 1e-3!r},{v}" for x, v in (ln.split(",") for ln in lines[1:])]
+    shifted.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="u_0002.csv"):
+        read_trajectory_csv(g, manifest)
 
 
 def test_trajectory_round_trip(tmp_path):
