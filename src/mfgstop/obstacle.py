@@ -13,6 +13,8 @@ The complementarity residual is reported in min form,
 
 from __future__ import annotations
 
+import functools
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,19 +79,94 @@ def complementarity_residual(matrix, u: np.ndarray, f: np.ndarray, psi: np.ndarr
     return float(np.max(np.abs(r))) if r.size else 0.0
 
 
+class _Pattern:
+    """A square sparsity pattern in canonical CSC form, the key of the
+    elimination-order cache: equal and hashed by a digest of its shape,
+    indptr and indices."""
+
+    def __init__(self, shape, indptr, indices):
+        self.shape, self.indptr, self.indices = shape, indptr, indices
+        self.digest = hashlib.blake2b(
+            np.asarray(shape, dtype=np.int64).tobytes()
+            + np.asarray(indptr, dtype=np.int64).tobytes()
+            + np.asarray(indices, dtype=np.int64).tobytes()).digest()
+
+    def __hash__(self):
+        return hash(self.digest)
+
+    def __eq__(self, other):
+        return isinstance(other, _Pattern) and self.digest == other.digest
+
+
+@dataclass(frozen=True, eq=False)
+class _EliminationOrder:
+    """The fill-reducing order of a pattern: matrix[perm][:, perm] has
+    CSC structure (indptr, indices) and data matrix.data[gather]."""
+
+    perm: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    gather: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _elimination_order(pattern: _Pattern) -> _EliminationOrder:
+    """MMD_AT_PLUS_A order of pattern, computed once per pattern.
+
+    SuperLU orders a stand-in matrix: the pattern with unit entries and
+    a dominant diagonal, so the order depends on the pattern alone and
+    the stand-in always factors. In SymmetricMode SuperLU does not
+    postorder the ordering, so factoring matrix[perm][:, perm] with the
+    NATURAL order is this factorization of matrix up to round-off.
+    """
+    n = pattern.shape[0]
+    entry_cols = np.repeat(np.arange(n), np.diff(pattern.indptr))
+    stand_in = sp.csc_matrix((np.where(pattern.indices == entry_cols, float(n), 1.0),
+                              pattern.indices, pattern.indptr), shape=pattern.shape)
+    # perm_c[j] is the position that row and column j take
+    perm_c = spla.splu(stand_in, permc_spec="MMD_AT_PLUS_A",
+                       options={"SymmetricMode": True}).perm_c
+    rows, cols = perm_c[pattern.indices], perm_c[entry_cols]
+    gather = np.lexsort((rows, cols))
+    arrays = (np.argsort(perm_c),
+              np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))]).astype(np.int32),
+              rows[gather].astype(np.int32), gather)
+    for array in arrays:
+        array.flags.writeable = False
+    return _EliminationOrder(*arrays)
+
+
 def _lu_solve(matrix, rhs) -> np.ndarray:
     """Sparse LU solve: the one factorization of the package.
 
     SuperLU with minimum-degree ordering on the pattern of A^T + A and
     diagonal pivots preferred: the Newton Jacobians have a symmetric or
     nearly symmetric pattern, on which this ordering makes about half
-    the fill of the default COLAMD. An exactly singular matrix gives
-    NaNs, so a Newton solve ends in non-convergence rather than an
-    exception.
+    the fill of the default COLAMD. A matrix built by diagonal_update
+    names its registered pattern, whose elimination order is computed
+    once and cached; the matrix is factored symmetrically permuted into
+    that order, with the NATURAL column order, every time, so a solve
+    does not depend on whether the order was just computed or found in
+    the cache. Any other matrix is ordered afresh. An exactly singular
+    matrix gives NaNs, so a Newton solve ends in non-convergence rather
+    than an exception.
     """
+    pattern = getattr(matrix, "registered_pattern", None)
+    if pattern is None:
+        return _splu_solve(sp.csc_matrix(matrix), rhs, "MMD_AT_PLUS_A")
+    order = _elimination_order(pattern)
+    permuted = sp.csc_matrix((matrix.data[order.gather], order.indices, order.indptr),
+                             shape=matrix.shape)
+    x = np.empty(matrix.shape[0])
+    x[order.perm] = _splu_solve(permuted, rhs[order.perm], "NATURAL")
+    return x
+
+
+def _splu_solve(matrix, rhs, permc_spec) -> np.ndarray:
+    """SuperLU solve in SymmetricMode with the given column ordering;
+    NaNs for an exactly singular matrix."""
     try:
-        lu = spla.splu(sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A",
-                       options={"SymmetricMode": True})
+        lu = spla.splu(matrix, permc_spec=permc_spec, options={"SymmetricMode": True})
     except RuntimeError:
         return np.full(matrix.shape[0], np.nan)
     return lu.solve(rhs)
@@ -174,13 +251,15 @@ def semismooth_newton(residual, jacobian, x0, target, max_iter, full_steps=False
     jacobian(x) returns a generalized Jacobian of residual at x as a
     sparse matrix (the active-set linearization of the max and min
     terms, in the primal-dual active-set view of Hintermueller-Ito-
-    Kunisch); each step factors it afresh by _lu_solve, and a singular
-    Jacobian gives a NaN norm that ends the loop short of target. A step
-    is accepted on a (1 - 1e-4 tau) decrease of |residual|_inf or on
-    reaching target, halving tau up to 50 times; the iteration stops at
-    target, after max_iter steps, on a non-finite norm, once tau falls
-    below 1e-12, or once the norm has not halved over the last 20 steps
-    (a stalled solve does not spend its whole step cap).
+    Kunisch); each step factors it by _lu_solve, on the cached
+    elimination order of its pattern for a matrix built by
+    diagonal_update, and a singular Jacobian gives a NaN norm that ends
+    the loop short of target. A step is accepted on a (1 - 1e-4 tau)
+    decrease of |residual|_inf or on reaching target, halving tau up to
+    50 times; the iteration stops at target, after max_iter steps, on a
+    non-finite norm, once tau falls below 1e-12, or once the norm has
+    not halved over the last 20 steps (a stalled solve does not spend
+    its whole step cap).
 
     full_steps=True takes every step whole and drops the two stall
     tests: the primal-dual active-set method on a min form, which ends in
@@ -217,21 +296,41 @@ def semismooth_newton(residual, jacobian, x0, target, max_iter, full_steps=False
 
 
 def diagonal_update(static, rows, cols):
-    """Assembler for a sparse matrix whose values change only at fixed
-    positions, such as a Newton Jacobian with value-dependent diagonals.
+    """Assembler for a square sparse matrix whose values change only at
+    fixed positions, such as a Newton Jacobian with value-dependent
+    diagonals.
 
     static, the iterate-independent part, is converted once; rows and
     cols name the value-dependent positions, and values at a position
     named more than once are summed. The returned assemble(vals) gives
-    static + sparse(vals at (rows, cols)) in canonical CSC form. The
-    sparse sum stores no entry that comes out exactly 0, the same
-    pattern as sp.diags/sp.bmat assembly; this matters because SuperLU's
-    column ordering reads stored zeros.
+    static + sparse(vals at (rows, cols)) in canonical CSC form on one
+    fixed pattern: every stored entry of static, every named position
+    and the diagonal, zeros stored. Every call shares that pattern's
+    indptr and indices (read-only arrays) and names it as its
+    registered_pattern, so that _lu_solve factors the matrix on the
+    pattern's elimination order.
     """
-    static = sp.csc_matrix(static)
+    static = sp.coo_matrix(static)
+    n = static.shape[0]
+    diag = np.arange(n)
+    all_rows = np.concatenate([static.row, rows, diag]).astype(np.int64)
+    all_cols = np.concatenate([static.col, cols, diag]).astype(np.int64)
+    # column-major keys, so that sorted keys are the canonical CSC order
+    keys, slots = np.unique(all_cols * n + all_rows, return_inverse=True)
+    nnz = len(keys)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))]).astype(np.int32)
+    indices = (keys % n).astype(np.int32)
+    indptr.flags.writeable = indices.flags.writeable = False
+    pattern = _Pattern(static.shape, indptr, indices)
+    base = np.bincount(slots[:static.nnz], weights=static.data, minlength=nnz)
+    value_slots = slots[static.nnz:static.nnz + len(rows)]
 
     def assemble(vals):
-        return static + sp.csc_matrix((vals, (rows, cols)), shape=static.shape)
+        data = np.bincount(value_slots, weights=vals, minlength=nnz)
+        data += base
+        matrix = sp.csc_matrix((data, indices, indptr), shape=static.shape)
+        matrix.registered_pattern = pattern
+        return matrix
 
     return assemble
 

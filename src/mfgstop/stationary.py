@@ -193,15 +193,19 @@ def penalized_coupled_solve(
         raise ValueError("rho must be nonnegative")
     a = elliptic_matrix(grid)
     n = grid.n_total
+    diag = np.arange(n)
+    # A + diag(d) on one registered pattern, shared with the obstacle solves
+    a_plus = diagonal_update(a, diag, diag)
     rho_v = rho.values
     if warm is not None:
         m_init = warm.m
-    m = _linsolve(a, rho_v, grid) if m_init is None else np.array(m_init.values, copy=True)
+    m = (_linsolve(a_plus(np.zeros(n)), rho_v, grid) if m_init is None
+         else np.array(m_init.values, copy=True))
     scale = float(np.max(np.abs(cost.evaluate(m))))
     band = cfg.band(epsilon, scale)
     if warm is None:
         # cold start from the unconstrained value equation
-        u = _linsolve(a, cost.evaluate(m), grid)
+        u = _linsolve(a_plus(np.zeros(n)), cost.evaluate(m), grid)
     else:
         u = np.array(warm.u.values, dtype=float, copy=True)
         inside = np.abs(u) <= warm.delta_band
@@ -216,7 +220,7 @@ def penalized_coupled_solve(
     # final exact density solve for the converged rate (restores exact
     # nonnegativity through the M-matrix structure)
     sigma = _ramp(u / band)
-    m = _linsolve(a + sp.diags(sigma / epsilon), rho_v, grid)
+    m = _linsolve(a_plus(sigma / epsilon), rho_v, grid)
     r_u = float(np.max(np.abs(a @ u + np.maximum(u, 0.0) / epsilon - cost.evaluate(m))))
     converged = r_u <= cfg.tol_pde
     if strict and not converged:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfgstop import cli, evolutive
+from mfgstop import _coupled, cli, evolutive, obstacle
 from mfgstop.cli import main
 from mfgstop.grid import FieldTrajectory, ScalarField, write_field_csv, write_trajectory_csv
 from mfgstop.obstacle import ObstacleConvergenceError
@@ -415,6 +415,30 @@ def test_obstacle_nonconvergence_exits_3(tmp_path, monkeypatch, command):
     else:
         monkeypatch.setattr(cli, "scenario_nonuniqueness", stall)
         assert main(["scenario", "nonuniqueness", "--out", str(out)]) == 3
+
+
+def test_singular_registered_jacobian_exits_3(tmp_path, monkeypatch):
+    # every space-time Jacobian is exactly singular, on its registered
+    # pattern: the factorization on the pattern's order gives NaN, each
+    # stage's Newton ends short of its target, and the strict last stage
+    # fails the run
+    def singular(static, rows, cols):
+        assemble = obstacle.diagonal_update(static, rows, cols)
+
+        def zeroed(vals):
+            jac = assemble(vals)
+            jac.data[:] = 0.0
+            return jac
+
+        return zeroed
+
+    monkeypatch.setattr(_coupled, "diagonal_update", singular)
+    out = tmp_path / "osm"
+    cfg = write_config(tmp_path, {**OSMFG_RUN, "output_dir": str(out),
+                                  "eps_schedule": {"start": 0.1, "factor": 4.0, "stages": 2}})
+    assert main(["run", "--config", str(cfg)]) == 3
+    failure = json.loads((out / "failure.json").read_text())
+    assert failure["stage"] == 1 and np.isnan(failure["residual_history"][-1])
 
 
 KILLING_COST = {"kind": "local_power", "a": 1.0, "p": 1.0,
