@@ -140,11 +140,13 @@ def _build_cost(grid, spec) -> CostOperator:
 
 
 class RunConfig:
-    """Validated run configuration (see README for the schema)."""
+    """Validated run configuration (see README for the schema); sha256
+    is the hex SHA-256 of the config file's bytes."""
 
-    def __init__(self, raw: dict):
+    def __init__(self, raw: dict, sha256: str):
         _reject_non_finite(raw)
         self.raw = raw
+        self.sha256 = sha256
         self.problem = _require(raw, "problem")
         if self.problem not in _PROBLEMS:
             raise ConfigError(f"problem must be one of {sorted(_PROBLEMS)}")
@@ -234,8 +236,9 @@ class RunConfig:
 
 def load_config(path) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        raw = json.loads(data.decode("utf-8"))
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}")
     except json.JSONDecodeError as err:
@@ -243,7 +246,7 @@ def load_config(path) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     try:
-        return RunConfig(raw)
+        return RunConfig(raw, hashlib.sha256(data).hexdigest())
     except (TypeError, OverflowError) as err:
         # a value of the wrong JSON type, such as null for a number, or an
         # integer too large for a float
@@ -254,11 +257,6 @@ def _json_dump(obj, path):
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         json.dump(obj, fh, sort_keys=True, indent=1)
         fh.write("\n")
-
-
-def _config_hash(raw: dict) -> str:
-    canon = json.dumps(raw, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
 
 
 def _output_root(cfg_dir: str | None) -> str:
@@ -342,7 +340,7 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
     _json_dump(report_dict, os.path.join(out, "report.json"))
     _write_convergence_table(stage_rows, os.path.join(out, "convergence.csv"))
     manifest = {
-        "config_sha256": _config_hash(cfg.raw),
+        "config_sha256": cfg.sha256,
         "delta_c": report_dict.get("delta_c"),
         "version": __version__,
         "problem": cfg.problem,
@@ -356,26 +354,49 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
     return EXIT_OK if not failures else EXIT_VERIFY_FAILED
 
 
+def _run_band(u_path: str, cfg: RunConfig) -> float | None:
+    """The contact threshold of the run that wrote u_path: delta_c of
+    the manifest.json beside it, if that manifest's config_sha256 is
+    cfg's and its delta_c is finite and positive; None (the verifier's
+    default) for anything else, a missing or unreadable manifest
+    included."""
+    path = os.path.join(os.path.dirname(os.path.abspath(u_path)), "manifest.json")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    if not isinstance(manifest, dict) or manifest.get("config_sha256") != cfg.sha256:
+        return None
+    delta_c = manifest.get("delta_c")
+    # a bool is no number here, and an int past the float range no float
+    if type(delta_c) in (int, float) and 0 < delta_c <= sys.float_info.max:
+        return float(delta_c)
+    return None
+
+
 def cmd_verify(u_path: str, m_path: str, config_path: str) -> int:
     try:
         cfg = load_config(config_path)
     except (ConfigError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    delta_c = _run_band(u_path, cfg)
     try:
         if cfg.problem == "sosmfg":
             u = read_field_csv(cfg.grid, u_path)
             m = read_field_csv(cfg.grid, m_path)
-            report = verify_mixed(u, m, cfg.cost, cfg.rho)
+            report = verify_mixed(u, m, cfg.cost, cfg.rho, delta_c=delta_c)
         else:
             u = read_trajectory_csv(cfg.grid, u_path)
             m = read_trajectory_csv(cfg.grid, m_path)
             if u.timegrid != cfg.timegrid or m.timegrid != cfg.timegrid:
                 raise ValueError(f"trajectory time grid differs from the config's {cfg.timegrid}")
             if cfg.problem == "osmfg":
-                report = verify_mixed_evolutive(u, m, cfg.cost, cfg.obstacle_op, cfg.m0)
+                report = verify_mixed_evolutive(u, m, cfg.cost, cfg.obstacle_op, cfg.m0,
+                                                delta_c=delta_c)
             else:
-                report = verify_cosmfg(u, m, cfg.cost, cfg.hamiltonian, cfg.m0)
+                report = verify_cosmfg(u, m, cfg.cost, cfg.hamiltonian, cfg.m0, delta_c=delta_c)
     except (OSError, ValueError, json.JSONDecodeError) as err:
         print(f"cannot verify: {err}", file=sys.stderr)
         return EXIT_BAD_CONFIG

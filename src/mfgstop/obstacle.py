@@ -137,7 +137,13 @@ def _elimination_order(pattern: _Pattern) -> _EliminationOrder:
 
 
 def _lu_solve(matrix, rhs) -> np.ndarray:
-    """Sparse LU solve: the one factorization of the package.
+    """Sparse LU solve: _lu_factor(matrix) applied to rhs."""
+    return _lu_factor(matrix)(rhs)
+
+
+def _lu_factor(matrix):
+    """Sparse LU factorization, the one factorization of the package;
+    returns the solve rhs -> matrix^-1 rhs.
 
     SuperLU with minimum-degree ordering on the pattern of A^T + A and
     diagonal pivots preferred: the Newton Jacobians have a symmetric or
@@ -153,36 +159,47 @@ def _lu_solve(matrix, rhs) -> np.ndarray:
     """
     pattern = getattr(matrix, "registered_pattern", None)
     if pattern is None:
-        return _splu_solve(sp.csc_matrix(matrix), rhs, "MMD_AT_PLUS_A")
+        return _splu_factor(sp.csc_matrix(matrix), "MMD_AT_PLUS_A")
     order = _elimination_order(pattern)
     permuted = sp.csc_matrix((matrix.data[order.gather], order.indices, order.indptr),
                              shape=matrix.shape)
-    x = np.empty(matrix.shape[0])
-    x[order.perm] = _splu_solve(permuted, rhs[order.perm], "NATURAL")
-    return x
+    solve_permuted = _splu_factor(permuted, "NATURAL")
+
+    def solve(rhs):
+        x = np.empty(matrix.shape[0])
+        x[order.perm] = solve_permuted(rhs[order.perm])
+        return x
+
+    return solve
 
 
-def _splu_solve(matrix, rhs, permc_spec) -> np.ndarray:
-    """SuperLU solve in SymmetricMode with the given column ordering;
-    NaNs for an exactly singular matrix."""
+def _splu_factor(matrix, permc_spec):
+    """SuperLU factorization in SymmetricMode with the given column
+    ordering, as its solve; NaNs for an exactly singular matrix."""
     try:
         lu = spla.splu(matrix, permc_spec=permc_spec, options={"SymmetricMode": True})
     except RuntimeError:
-        return np.full(matrix.shape[0], np.nan)
-    return lu.solve(rhs)
+        return lambda rhs: np.full(matrix.shape[0], np.nan)
+    return lu.solve
 
 
 def _linsolve(matrix, rhs, grid: Grid) -> np.ndarray:
-    """Direct solve: a banded solve for 1D tridiagonal systems, the
-    sparse LU of _lu_solve otherwise."""
+    """Direct solve: _linear_factor(matrix, grid) applied to rhs."""
+    return _linear_factor(matrix, grid)(rhs)
+
+
+def _linear_factor(matrix, grid: Grid):
+    """Direct solve rhs -> matrix^-1 rhs: a banded solve for 1D
+    tridiagonal systems, the sparse LU of _lu_factor, factored once,
+    otherwise."""
     if grid.dim == 1:
         n = grid.n_total
         ab = np.zeros((3, n))
         ab[0, 1:] = matrix.diagonal(1)
         ab[1, :] = matrix.diagonal(0)
         ab[2, :-1] = matrix.diagonal(-1)
-        return solve_banded((1, 1), ab, rhs)
-    return _lu_solve(matrix, rhs)
+        return lambda rhs: solve_banded((1, 1), ab, rhs)
+    return _lu_factor(matrix)
 
 
 def solve_obstacle_stationary(
@@ -245,16 +262,20 @@ def obstacle_oracle(
     return ScalarField(grid, found)
 
 
-def semismooth_newton(residual, jacobian, x0, target, max_iter, full_steps=False):
+def semismooth_newton(residual, jacobian, x0, target, max_iter, full_steps=False,
+                      solve=_lu_solve):
     """Semismooth Newton with Armijo backtracking in the max norm.
 
-    jacobian(x) returns a generalized Jacobian of residual at x as a
-    sparse matrix (the active-set linearization of the max and min
-    terms, in the primal-dual active-set view of Hintermueller-Ito-
-    Kunisch); each step factors it by _lu_solve, on the cached
-    elimination order of its pattern for a matrix built by
-    diagonal_update, and a singular Jacobian gives a NaN norm that ends
-    the loop short of target. A step is accepted on a (1 - 1e-4 tau)
+    jacobian(x) returns a generalized Jacobian of residual at x (the
+    active-set linearization of the max and min terms, in the
+    primal-dual active-set view of Hintermueller-Ito-Kunisch), and
+    solve(jacobian(x), -residual(x)) the Newton step. By default the
+    Jacobian is a sparse matrix and solve is _lu_solve, which factors it
+    on the cached elimination order of its pattern for a matrix built by
+    diagonal_update; a solver-specific solve takes whatever form its
+    jacobian returns (the stationary coupled system solves its two
+    diagonal blocks). A singular Jacobian gives a NaN norm that ends the
+    loop short of target. A step is accepted on a (1 - 1e-4 tau)
     decrease of |residual|_inf or on reaching target, halving tau up to
     50 times; the iteration stops at target, after max_iter steps, on a
     non-finite norm, once tau falls below 1e-12, or once the norm has
@@ -278,7 +299,7 @@ def semismooth_newton(residual, jacobian, x0, target, max_iter, full_steps=False
     for it in range(1, max_iter + 1):
         if norm <= target:
             break
-        step = _lu_solve(jacobian(x), -res)
+        step = solve(jacobian(x), -res)
         tau = 1.0
         for _ls in range(50):
             x_new = x + tau * step
@@ -307,7 +328,7 @@ def diagonal_update(static, rows, cols):
     fixed pattern: every stored entry of static, every named position
     and the diagonal, zeros stored. Every call shares that pattern's
     indptr and indices (read-only arrays) and names it as its
-    registered_pattern, so that _lu_solve factors the matrix on the
+    registered_pattern, so that _lu_factor factors the matrix on the
     pattern's elimination order.
     """
     static = sp.coo_matrix(static)

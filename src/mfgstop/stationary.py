@@ -14,10 +14,12 @@ r_duality.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .costs import ANTI_MONOTONE, STRICT_MONOTONE, CostOperator, PotentialOperator
 from .density import solve_density_on_set
@@ -32,7 +34,10 @@ from .grid import (
 )
 from .obstacle import (
     ObstacleSolveConfig,
+    _linear_factor,
     _linsolve,
+    _lu_factor,
+    _lu_solve,
     diagonal_update,
     row_select,
     semismooth_newton,
@@ -175,7 +180,9 @@ def penalized_coupled_solve(
     with band = config.band(eps, |f|_inf) at the start m. A nonlocal
     cost f = c0 + c1 <w, m> has no nodal derivative; it enters through
     one bordered scalar unknown s = <w, m>, so f = c0 + c1 s and the
-    system gains the row s - <w, m> = 0 and the column -c1.
+    system gains the row s - <w, m> = 0 and the column -c1. On grids of
+    dim >= 2 each Newton step is solved on the two N x N diagonal
+    blocks of the Jacobian, not on the whole of it (_penalized_system).
 
     The start is m_init (default A^-1 rho) and the value of the
     unconstrained equation for f(m). A warm start, the previous stage's
@@ -193,29 +200,30 @@ def penalized_coupled_solve(
         raise ValueError("rho must be nonnegative")
     a = elliptic_matrix(grid)
     n = grid.n_total
-    diag = np.arange(n)
-    # A + diag(d) on one registered pattern, shared with the obstacle solves
-    a_plus = diagonal_update(a, diag, diag)
+    a_plus = _shifted_operator(grid)
     rho_v = rho.values
     if warm is not None:
-        m_init = warm.m
-    m = (_linsolve(a_plus(np.zeros(n)), rho_v, grid) if m_init is None
-         else np.array(m_init.values, copy=True))
+        m = np.array(warm.m.values, copy=True)
+    else:
+        # one factorization of A for both cold-start solves
+        solve_a = _linear_factor(a_plus(np.zeros(n)), grid)
+        m = solve_a(rho_v) if m_init is None else np.array(m_init.values, copy=True)
     scale = float(np.max(np.abs(cost.evaluate(m))))
     band = cfg.band(epsilon, scale)
     if warm is None:
         # cold start from the unconstrained value equation
-        u = _linsolve(a_plus(np.zeros(n)), cost.evaluate(m), grid)
+        u = solve_a(cost.evaluate(m))
     else:
         u = np.array(warm.u.values, dtype=float, copy=True)
         inside = np.abs(u) <= warm.delta_band
         u[inside] *= band / warm.delta_band
     # quadrature weights of the pairing <w, m> for the bordered unknown
     w = None if cost.is_local else cost.weight.values * grid.cell_volume
-    residual, jacobian = _penalized_system(cost, a, rho_v, epsilon, band, w)
+    residual, jacobian, solve = _penalized_system(cost, grid, rho_v, epsilon, band, w)
     x0 = np.concatenate([u, m] if w is None else [u, m, [w @ m]])
     target = min(cfg.tol_pde, 1e-10) * (1.0 + scale)
-    x, history, it = semismooth_newton(residual, jacobian, x0, target, cfg.max_outer)
+    x, history, it = semismooth_newton(residual, jacobian, x0, target, cfg.max_outer,
+                                       solve=solve)
     u = x[:n]
     # final exact density solve for the converged rate (restores exact
     # nonnegativity through the M-matrix structure)
@@ -233,16 +241,65 @@ def penalized_coupled_solve(
     )
 
 
-def _penalized_system(cost, a, rho_v, epsilon, band, w):
-    """Residual and Jacobian of the penalized coupled system in the
-    stacked unknown x = [u, m] (local cost) or [u, m, s] (nonlocal cost
-    with pairing weights w, s = <w, m>).
+@functools.lru_cache(maxsize=None)
+def _shifted_operator(grid):
+    """Assembler of A + diag(d) for the stationary operator A of grid,
+    on A's registered pattern; built once per grid, like the matrix
+    itself, and shared by every stage."""
+    diag = np.arange(grid.n_total)
+    return diagonal_update(elliptic_matrix(grid), diag, diag)
 
-    The Jacobian is a static part, built once here (A on both diagonal
-    blocks, and for a nonlocal cost the bordered row and column), plus
-    value-dependent diagonals: the penalty indicator, the ramp slope
-    times m, the exit rate and, for a local cost, -f'(m).
+
+@dataclass(frozen=True, eq=False)
+class _BlockJacobian:
+    """The Newton Jacobian of the penalized coupled system at one
+    iterate, [[Ju, F], [D3, Jm]], by its value-dependent diagonals:
+    Ju = A + diag(penalty), D3 = diag(slope), Jm = A + diag(rate), and
+    F = diag(fprime) for a local cost. For a nonlocal cost fprime is
+    None: F is the bordered column -c1 of the unknown s = <w, m>.
+    matrix() assembles the whole Jacobian with assembler(), the
+    diagonal_update assembler of the system."""
+
+    penalty: np.ndarray
+    slope: np.ndarray
+    rate: np.ndarray
+    fprime: np.ndarray | None
+    assembler: object
+
+    def matrix(self):
+        vals = [self.penalty, self.slope, self.rate]
+        if self.fprime is not None:
+            vals.append(self.fprime)
+        return self.assembler()(np.concatenate(vals))
+
+
+def _penalized_system(cost, grid, rho_v, epsilon, band, w):
+    """Residual, Jacobian and Newton solve of the penalized coupled
+    system in the stacked unknown x = [u, m] (local cost) or [u, m, s]
+    (nonlocal cost with pairing weights w, s = <w, m>).
+
+    jacobian(x) is a _BlockJacobian: the value-dependent diagonals (the
+    penalty indicator, the ramp slope times m, the exit rate and, for a
+    local cost, -f'(m)) around A on both diagonal blocks. Its matrix()
+    adds them to a static part (A on both diagonal blocks, and for a
+    nonlocal cost the bordered row and column) through one
+    diagonal_update assembler, built on first use.
+
+    solve(jacobian, rhs) is the Newton step. 1D grids factor the whole
+    Jacobian by _lu_solve. On grids of dim >= 2 the step is taken on the
+    two N x N blocks, each factored on the cached order of A's pattern:
+    with du = Ju^-1 (r_u - F dm), dm solves the Schur complement
+    (Jm - D3 Ju^-1 F) dm = r_m - D3 Ju^-1 r_u. GMRES solves it right-
+    preconditioned by Jm, dm = Jm^-1 y, where the operator
+    y -> y - D3 Ju^-1 F Jm^-1 y is the identity plus a matrix of rank at
+    most the number of band nodes (D3 vanishes off the band), so it
+    takes a few iterations, and none without band nodes. For a nonlocal
+    cost, ds = r_s + <w, dm> is eliminated first: F dm = -c1 <w, dm> 1
+    and r_u gains c1 r_s. If GMRES misses rtol 1e-13 within 50
+    iterations, the step falls back to _lu_solve of the whole Jacobian.
     """
+    a = elliptic_matrix(grid)
+    a_plus = _shifted_operator(grid)
     n = a.shape[0]
 
     def residual(x):
@@ -254,31 +311,58 @@ def _penalized_system(cost, a, rho_v, epsilon, band, w):
             r.append([x[-1] - w @ mv])
         return np.concatenate(r)
 
-    diag = np.arange(n)
-    # rows and columns of: the penalty indicator (u, u), the ramp slope
-    # times m (m, u), the exit rate (m, m) and -f'(m) (u, m)
-    rows = [diag, n + diag, n + diag]
-    cols = [diag, diag, n + diag]
-    if w is None:
-        static = sp.bmat([[a, None], [None, a]])
-        rows.append(diag)
-        cols.append(n + diag)
-    else:
-        static = sp.bmat([[a, None, sp.csr_matrix(np.full((n, 1), -cost.c1))],
-                          [None, a, None],
-                          [None, sp.csr_matrix(-w[None, :]), sp.identity(1)]])
-    assemble = diagonal_update(static, np.concatenate(rows), np.concatenate(cols))
+    @functools.cache
+    def assembler():
+        diag = np.arange(n)
+        # rows and columns of: the penalty indicator (u, u), the ramp
+        # slope times m (m, u), the exit rate (m, m) and -f'(m) (u, m)
+        rows = [diag, n + diag, n + diag]
+        cols = [diag, diag, n + diag]
+        if w is None:
+            static = sp.bmat([[a, None], [None, a]])
+            rows.append(diag)
+            cols.append(n + diag)
+        else:
+            static = sp.bmat([[a, None, sp.csr_matrix(np.full((n, 1), -cost.c1))],
+                              [None, a, None],
+                              [None, sp.csr_matrix(-w[None, :]), sp.identity(1)]])
+        return diagonal_update(static, np.concatenate(rows), np.concatenate(cols))
 
     def jacobian(x):
         uv, mv = x[:n], x[n:2 * n]
         dsigma = np.where(np.abs(uv) < band, 0.5 / band, 0.0)
-        vals = [(uv > 0).astype(float) / epsilon, dsigma * mv / epsilon,
-                _ramp(uv / band) / epsilon]
-        if w is None:
-            vals.append(-cost.derivative(mv))
-        return assemble(np.concatenate(vals))
+        return _BlockJacobian(
+            penalty=(uv > 0).astype(float) / epsilon, slope=dsigma * mv / epsilon,
+            rate=_ramp(uv / band) / epsilon,
+            fprime=-cost.derivative(mv) if w is None else None, assembler=assembler)
 
-    return residual, jacobian
+    def block_solve(jac, rhs):
+        ju = _lu_factor(a_plus(jac.penalty))
+        jm = _lu_factor(a_plus(jac.rate))
+        r_u, r_m = rhs[:n], rhs[n:2 * n]
+        if w is None:
+            def apply_f(v):
+                return jac.fprime * v
+        else:
+            r_u = r_u + cost.c1 * rhs[-1]
+
+            def apply_f(v):
+                return np.full(n, -cost.c1 * (w @ v))
+        # the density Schur complement, right-preconditioned by Jm
+        y = r_m - jac.slope * ju(r_u)
+        if np.any(jac.slope):
+            schur = spla.LinearOperator(
+                (n, n), matvec=lambda v: v - jac.slope * ju(apply_f(jm(v))), dtype=float)
+            y, info = spla.gmres(schur, y, rtol=1e-13, atol=0.0, restart=50, maxiter=1)
+            if info != 0:
+                return _lu_solve(jac.matrix(), rhs)
+        dm = jm(y)
+        du = ju(r_u - apply_f(dm))
+        return np.concatenate([du, dm] if w is None else [du, dm, [rhs[-1] + w @ dm]])
+
+    if grid.dim >= 2:
+        return residual, jacobian, block_solve
+    return residual, jacobian, lambda jac, rhs: _lu_solve(jac.matrix(), rhs)
 
 
 def _ramp(s):

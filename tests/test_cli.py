@@ -9,7 +9,13 @@ import pytest
 
 from mfgstop import _coupled, cli, evolutive, obstacle
 from mfgstop.cli import main
-from mfgstop.grid import FieldTrajectory, ScalarField, write_field_csv, write_trajectory_csv
+from mfgstop.grid import (
+    FieldTrajectory,
+    ScalarField,
+    read_trajectory_csv,
+    write_field_csv,
+    write_trajectory_csv,
+)
 from mfgstop.obstacle import ObstacleConvergenceError
 from mfgstop.stationary import CoupledConfig, CoupledNonConvergence
 
@@ -241,23 +247,18 @@ COSMFG_RUN = {
     "rho": None,
     "hamiltonian": {"kind": "smoothed_norm", "beta": {"kind": "constant", "value": 1.0}},
     "eps_schedule": {"start": 1e-3, "factor": 4.0, "stages": 3},
-    # residuals that do not depend on the contact threshold, which
-    # mfgstop verify takes from the trajectories instead of the band
+    # residuals that do not depend on the contact threshold
     "tolerances": tolerances(r_hjb=1e-3, r_subsolution=1e-10, r_boundary_terminal=1e-10,
                              duality_diagnostic=1e-3),
 }
 
 
-# mfgstop verify classifies contact with the default threshold, while
-# report.json of a time-dependent run uses the band of its last stage
-# (manifest.json's delta_c), so r_continuation and r_contact of the two
-# may differ there; the time-dependent cases compare the other residuals
-@pytest.mark.parametrize("overrides, keys", [
-    ({}, ("r_obstacle", "r_continuation", "r_subsolution", "r_contact", "r_duality")),
-    (OSMFG_RUN, ("r_obstacle", "r_subsolution", "r_duality", "r_terminal", "r_initial")),
-    (COSMFG_RUN, ("r_hjb", "r_subsolution", "duality_diagnostic", "r_boundary_terminal")),
-], ids=["sosmfg", "osmfg", "cosmfg"])
-def test_verify_reproduces_report(tmp_path, capsys, overrides, keys):
+# mfgstop verify classifies contact with the band the run used, the
+# delta_c of the manifest.json it wrote, so every residual of the
+# verify output equals report.json's
+@pytest.mark.parametrize("overrides", [{}, OSMFG_RUN, COSMFG_RUN],
+                         ids=["sosmfg", "osmfg", "cosmfg"])
+def test_verify_reproduces_report(tmp_path, capsys, overrides):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, {**overrides, "output_dir": str(out)})
     assert main(["run", "--config", str(cfg)]) == 0
@@ -266,12 +267,51 @@ def test_verify_reproduces_report(tmp_path, capsys, overrides, keys):
     assert main(["verify", "--u", str(out / names[0]), "--m", str(out / names[1]),
                  "--config", str(cfg)]) == 0
     printed = json.loads(capsys.readouterr().out)
-    for key in keys:
+    assert printed.keys() == stored.keys()
+    assert printed["delta_c"] == stored["delta_c"]
+    for key in stored.keys() - {"delta_c", "grid"}:
         assert abs(printed[key] - stored[key]) <= 1e-14, key
 
 
-@pytest.mark.parametrize("overrides", [{}, {**OSMFG_RUN, "obstacle": HEAT_FROM_G}, COSMFG_RUN],
-                         ids=["sosmfg", "osmfg-heat_from_g", "cosmfg"])
+@pytest.mark.parametrize("edit", [
+    lambda manifest: {**manifest, "config_sha256": "0" * 64},
+    lambda manifest: {**manifest, "delta_c": -1.0},
+    lambda manifest: {**manifest, "delta_c": None},
+    lambda manifest: {**manifest, "delta_c": True},
+    lambda manifest: {**manifest, "delta_c": float("nan")},
+    lambda manifest: {**manifest, "delta_c": 10**400},
+    lambda manifest: [manifest],
+    None,
+], ids=["other_config", "negative", "null", "bool", "nan", "huge_int", "not_an_object",
+        "missing"])
+def test_verify_takes_the_default_threshold_without_a_matching_manifest(tmp_path, capsys,
+                                                                       edit):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {**OSMFG_RUN, "output_dir": str(out)})
+    assert main(["run", "--config", str(cfg)]) == 0
+    manifest_path = out / "manifest.json"
+    if edit is None:
+        manifest_path.unlink()
+    else:
+        manifest_path.write_text(json.dumps(edit(json.loads(manifest_path.read_text()))))
+    argv = ["verify", "--u", str(out / "u_manifest.json"), "--m", str(out / "m_manifest.json"),
+            "--config", str(cfg)]
+    assert main(argv) == 0
+    printed = json.loads(capsys.readouterr().out)
+    config = cli.load_config(str(cfg))
+    u, m = (read_trajectory_csv(config.grid, str(out / f"{name}_manifest.json"))
+            for name in ("u", "m"))
+    default = evolutive.verify_mixed_evolutive(u, m, config.cost, config.obstacle_op, config.m0)
+    assert printed["delta_c"] == default.delta_c
+    assert printed["delta_c"] != json.loads((out / "report.json").read_text())["delta_c"]
+
+
+SOSMFG_2D = {"grid": {"dim": 2, "bounds": [[0.0, 1.0], [0.0, 1.0]], "n_interior": [15, 15]}}
+
+
+@pytest.mark.parametrize("overrides", [{}, SOSMFG_2D, {**OSMFG_RUN, "obstacle": HEAT_FROM_G},
+                                       COSMFG_RUN],
+                         ids=["sosmfg", "sosmfg-2d", "osmfg-heat_from_g", "cosmfg"])
 def test_run_is_bitwise_deterministic(tmp_path, overrides):
     cfg = write_config(tmp_path, overrides)
     for name in ("a", "b"):

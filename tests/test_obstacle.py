@@ -247,11 +247,12 @@ def test_every_factorization_uses_the_symmetric_ordering(monkeypatch):
     assert {spec for spec, _ in calls} == {"MMD_AT_PLUS_A", "NATURAL"}
     ordered = {key for spec, key in calls if spec == "MMD_AT_PLUS_A"}
     assert all(key in ordered for spec, key in calls if spec == "NATURAL")
-    # one MMD ordering per distinct registered pattern: two in the
-    # continuation (A + diag and the Newton Jacobian, over all stages),
-    # one in the forward-backward solve; the active-set Jacobians of the
-    # last two solves are not registered, and each is ordered afresh
-    for a, b, patterns in zip(counts, counts[1:], [2, 1, 0, 0]):
+    # one MMD ordering per distinct registered pattern: one in the 2D
+    # continuation (A + diag: the cold start, the two diagonal blocks of
+    # every Newton step and the density solves, over all stages), one in
+    # the forward-backward solve; the active-set Jacobians of the last
+    # two solves are not registered, and each is ordered afresh
+    for a, b, patterns in zip(counts, counts[1:], [1, 1, 0, 0]):
         specs = [spec for spec, _ in calls[a:b]]
         assert len({key for spec, key in calls[a:b] if spec == "NATURAL"}) == patterns
         assert specs.count("MMD_AT_PLUS_A") == (patterns or b - a)
@@ -311,32 +312,29 @@ def test_order_cache_stays_bounded():
 
 @pytest.mark.parametrize("problem", ["osmfg_15x15_k3", "sosmfg_31x31"])
 def test_registered_orders_fill_like_a_fresh_ordering(monkeypatch, problem):
-    # the fixed patterns store zeros and are ordered once, against a
-    # fresh MMD_AT_PLUS_A factorization of each matrix with its zeros
+    # every factorization on a registered pattern's order (NATURAL
+    # column order on the permuted matrix) against a fresh
+    # MMD_AT_PLUS_A factorization of the same matrix with its zeros
     # dropped: over the run the fill is at most 5% more. One step may
     # fill more: at small eps most of the space-time ramp-slope block
     # (m_{k+1}, u_k) is zero, and a fresh order of the sparser pattern
     # fills 8.6% less on the last stage of the osmfg run (12.1% less on
-    # one step, where partial pivoting adds fill to both)
-    splu, lu_solve = spla.splu, obstacle._lu_solve
-    factors, fills = [], []
-    zeros_stored = []
+    # one step, where partial pivoting adds fill to both). The 2D
+    # stationary solve factors only A + diag, whose pattern is A's
+    splu = spla.splu
+    fills, zeros_stored = [], []
 
-    def recording_splu(matrix, **kwargs):
-        factors.append(splu(matrix, **kwargs))
-        return factors[-1]
-
-    def recording_lu_solve(matrix, rhs):
-        x = lu_solve(matrix, rhs)
-        dropped = sp.csc_matrix(matrix).copy()
-        dropped.eliminate_zeros()
-        zeros_stored.append(dropped.nnz < matrix.nnz)
-        fresh = splu(dropped, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
-        fills.append((factors[-1].L.nnz + factors[-1].U.nnz, fresh.L.nnz + fresh.U.nnz))
-        return x
+    def recording_splu(matrix, permc_spec=None, **kwargs):
+        lu = splu(matrix, permc_spec=permc_spec, **kwargs)
+        if permc_spec == "NATURAL":
+            dropped = sp.csc_matrix(matrix).copy()
+            dropped.eliminate_zeros()
+            zeros_stored.append(dropped.nnz < matrix.nnz)
+            fresh = splu(dropped, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+            fills.append((lu.L.nnz + lu.U.nnz, fresh.L.nnz + fresh.U.nnz))
+        return lu
 
     monkeypatch.setattr(spla, "splu", recording_splu)
-    monkeypatch.setattr(obstacle, "_lu_solve", recording_lu_solve)
     if problem == "osmfg_15x15_k3":
         g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (15, 15))
         tg = build_timegrid(1.0, 3)
@@ -346,7 +344,8 @@ def test_registered_orders_fill_like_a_fresh_ordering(monkeypatch, problem):
         g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (31, 31))
         cost = CostOperator.local_power(g, 1.0, 1.0, ScalarField.constant(g, -0.5))
         continuation_solve(cost, raised_cosine_bump(g))
-    assert len(fills) >= 10 and any(zeros_stored)
+    assert len(fills) >= 10
+    assert any(zeros_stored) == (problem == "osmfg_15x15_k3")
     assert sum(fill for fill, _ in fills) <= 1.05 * sum(fresh for _, fresh in fills)
     for fill, fresh in fills:
         assert fill <= 1.15 * fresh
@@ -378,17 +377,17 @@ def test_active_set_jacobian_fills_no_more_than_the_operator(monkeypatch):
 
 
 def test_lu_solve_matches_spsolve_on_nonsymmetric_values():
-    # a 2D stationary Newton Jacobian: A on both diagonal blocks,
-    # nonsymmetric values, exact zeros among the value-dependent entries
+    # the whole 2D stationary Newton Jacobian, which the block solve
+    # falls back to: A on both diagonal blocks, nonsymmetric values,
+    # exact zeros among the value-dependent entries
     g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (9, 9))
     n, eps, band = 81, 1e-4, 0.02
     rng = np.random.default_rng(7)
     cost = CostOperator.local_power(g, 1.0, 2.0, ScalarField.constant(g, -0.3))
     uv = band_offsets(rng, n, band)
     mv = rng.choice([-0.2, 0.0, 0.3, 1.1], size=n)
-    _, jacobian = _penalized_system(cost, elliptic_matrix(g), raised_cosine_bump(g).values,
-                                    eps, band, None)
-    jac = jacobian(np.concatenate([uv, mv]))
+    _, jacobian, _ = _penalized_system(cost, g, raised_cosine_bump(g).values, eps, band, None)
+    jac = jacobian(np.concatenate([uv, mv])).matrix()
     assert np.any((np.abs(uv) < band) & (mv == 0.0)) and np.any(cost.derivative(mv) == 0.0)
     assert abs(jac - jac.T).max() > 0.0
     rhs = rng.normal(size=2 * n)
@@ -587,11 +586,11 @@ def test_hamiltonian_jacobian_matches_finite_differences(shape, kind):
     assert np.max(np.abs(jac[n_u:, :n_u] - np.diag(np.diag(jac[n_u:, :n_u])))) > 0.1
 
 
-@pytest.mark.parametrize("local", [True, False])
-def test_stationary_jacobian_matches_block_assembly(local):
-    g = build_grid(1, (0.0, 1.0), 9)
-    n, eps, band = 9, 1e-4, 0.02
-    rng = np.random.default_rng(5)
+def stationary_system(g, local, eps, band, uv, mv):
+    # the cost, the pairing weights, the stacked unknown and the
+    # penalized system at (uv, mv), with its oracle Jacobian built by
+    # sp.bmat and sp.diags: f = m^2 + f0 gives -f'(m) = 0 where m <= 0
+    n = g.n_total
     a = elliptic_matrix(g)
     bump = raised_cosine_bump(g)
     if local:
@@ -600,24 +599,87 @@ def test_stationary_jacobian_matches_block_assembly(local):
         cost = CostOperator.nonlocal_affine(g, -0.5, 2.0, bump)
         w = bump.values * g.cell_volume
         assert np.any(w == 0.0)
-    uv = band_offsets(rng, n, band)
-    mv = rng.choice([-0.2, 0.0, 0.3, 1.1], size=n)
     x = np.concatenate([uv, mv] if local else [uv, mv, [w @ mv]])
-    _, jacobian = _penalized_system(cost, a, bump.values, eps, band, w)
-
+    system = _penalized_system(cost, g, bump.values, eps, band, w)
     dsigma = np.where(np.abs(uv) < band, 0.5 / band, 0.0)
     j11 = a + sp.diags((uv > 0).astype(float) / eps)
     j21 = sp.diags(dsigma * mv / eps)
     j22 = a + sp.diags(_ramp(uv / band) / eps)
     if local:
         oracle = sp.bmat([[j11, sp.diags(-cost.derivative(mv))], [j21, j22]], format="csc")
-        assert np.any(cost.derivative(mv) == 0.0)
     else:
         oracle = sp.bmat([[j11, None, sp.csr_matrix(np.full((n, 1), -cost.c1))],
                           [j21, j22, None],
                           [None, sp.csr_matrix(-w[None, :]), sp.identity(1)]], format="csc")
+    return cost, x, system, oracle
+
+
+@pytest.mark.parametrize("local", [True, False])
+def test_stationary_jacobian_matches_block_assembly(local):
+    g = build_grid(1, (0.0, 1.0), 9)
+    n, eps, band = 9, 1e-4, 0.02
+    rng = np.random.default_rng(5)
+    uv = band_offsets(rng, n, band)
+    mv = rng.choice([-0.2, 0.0, 0.3, 1.1], size=n)
+    cost, x, (_, jacobian, _), oracle = stationary_system(g, local, eps, band, uv, mv)
+    if local:
+        assert np.any(cost.derivative(mv) == 0.0)
     assert np.any((np.abs(uv) < band) & (mv == 0.0))
-    assert_on_fixed_pattern(jacobian, x, oracle)
+    assert_on_fixed_pattern(lambda x: jacobian(x).matrix(), x, oracle)
+
+
+@pytest.mark.parametrize("band_nodes", [True, False], ids=["band", "no_band"])
+@pytest.mark.parametrize("local", [True, False], ids=["local", "nonlocal"])
+def test_stationary_block_solve_matches_the_whole_jacobian(monkeypatch, local, band_nodes):
+    # the 2D Newton step from the two diagonal blocks and the GMRES
+    # solve of the density Schur complement, against spsolve of the
+    # whole oracle Jacobian, which the solve does not assemble; without
+    # band nodes the Schur complement is Jm itself and GMRES is not called
+    g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (9, 9))
+    n, eps, band = 81, 1e-4, 0.02
+    rng = np.random.default_rng(13)
+    uv = band_offsets(rng, n, band) if band_nodes else band * rng.choice([-3.0, 3.0], size=n)
+    mv = rng.choice([-0.2, 0.0, 0.3, 1.1], size=n)
+    _, x, (_, jacobian, solve), oracle = stationary_system(g, local, eps, band, uv, mv)
+    gmres, calls = spla.gmres, []
+
+    def recording_gmres(*args, **kwargs):
+        calls.append(gmres(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(spla, "gmres", recording_gmres)
+    monkeypatch.setattr(sp, "bmat", None)
+    assert np.any(np.abs(uv) < band) == band_nodes
+    rhs = rng.normal(size=len(x))
+    expected = spla.spsolve(oracle, rhs)
+    step = solve(jacobian(x), rhs)
+    assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert len(calls) == band_nodes and all(info == 0 for _, info in calls)
+
+
+@pytest.mark.parametrize("local", [True, False], ids=["local", "nonlocal"])
+def test_stationary_block_solve_falls_back_on_a_gmres_miss(monkeypatch, local):
+    # a GMRES that reports a miss: the step is the LU solve of the whole
+    # Jacobian, whose assembler is built then
+    g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (9, 9))
+    n, eps, band = 81, 1e-4, 0.02
+    rng = np.random.default_rng(17)
+    uv = band_offsets(rng, n, band)
+    mv = rng.choice([-0.2, 0.0, 0.3, 1.1], size=n)
+    _, x, (_, jacobian, solve), oracle = stationary_system(g, local, eps, band, uv, mv)
+    sizes, splu = [], spla.splu
+
+    def recording_splu(matrix, **kwargs):
+        sizes.append(matrix.shape[0])
+        return splu(matrix, **kwargs)
+
+    monkeypatch.setattr(spla, "gmres", lambda op, b, **kwargs: (np.zeros_like(b), 50))
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    rhs = rng.normal(size=len(x))
+    expected = spla.spsolve(oracle, rhs)
+    step = solve(jacobian(x), rhs)
+    assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert len(x) in sizes and sizes[-1] == len(x)
 
 
 def test_comparison_principle():
