@@ -17,6 +17,17 @@ derivatives in the Jacobian. Only the classification band is fixed,
 once per penalty stage from the stage-entry iterate, as in the
 stationary solver; each stage is one Newton solve.
 
+On grids of dim >= 2 with a fixed obstacle and no Hamiltonian, each
+linear Newton step of the joint system (not a split of the nonlinear
+one) is solved by time sweeps: the value block of the Jacobian
+is block upper bidiagonal in time and the density block block lower
+bidiagonal, so each is inverted by one backward or forward sweep of N x N
+slice solves, and the coupling is eliminated through the density Schur
+complement (stationary._schur_step), as in the iterative strategies of
+Achdou and Perez for linearized discrete MFG systems (Netw. Heterog.
+Media 7(2), 2012). 1D grids, heat_from_g obstacles and the controlled
+system factor the whole space-time Jacobian.
+
 Discrete pairing conventions (they close the duality identity exactly,
 see the verifiers): the value equation at slice k uses source f(m_k)
 for k = 0..K-1; the density step k -> k+1 uses the exit rate ramped
@@ -30,6 +41,7 @@ drift operator, and _slice_residuals the one slice-residual core.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +59,15 @@ from .grid import (
     _gradient_matrices,
     elliptic_matrix,
 )
-from .obstacle import diagonal_update, semismooth_newton
-from .stationary import CoupledConfig, CoupledNonConvergence, _ramp
+from .obstacle import _lu_factor, diagonal_update, semismooth_newton
+from .stationary import (
+    CoupledConfig,
+    CoupledNonConvergence,
+    _BlockJacobian,
+    _ramp,
+    _schur_step,
+    _whole_step,
+)
 
 __all__ = ["FBSolution", "forward_backward_solve"]
 
@@ -271,7 +290,10 @@ def forward_backward_solve(
     evaluated at every Newton iterate. A fixed obstacle does not depend
     on m and is computed once; the controlled system passes the zero
     obstacle with its hamiltonian. Local costs only; nonlocal couplings
-    have no nodal derivative for the Newton blocks.
+    have no nodal derivative for the Newton blocks. Each Newton step is
+    the solve of _frozen_system: time sweeps and a density Schur
+    complement on grids of dim >= 2 with a fixed obstacle and no
+    Hamiltonian, the LU of the whole Jacobian otherwise.
 
     The start is the density trajectory m_traj_init (default m0 in
     every slice) and u = psi. A warm start, the previous stage's
@@ -310,13 +332,14 @@ def forward_backward_solve(
             psi_arr[:steps] + (u_arr[:steps] - psi_arr[:steps]) * (band / warm.delta_band),
             u_arr[:steps])
 
-    residual, jacobian, unstack = _frozen_system(
+    residual, jacobian, solve, unstack = _frozen_system(
         cost, g_cost, hamiltonian, grid, m0.values, psi_arr[steps], psi_arr, timegrid.dt,
         epsilon, band)
     x0 = np.concatenate([u_arr[:steps].ravel(), m_arr[1:].ravel()]
                         + ([psi_arr[:steps].ravel()] if g_cost is not None else []))
     target = min(cfg.tol_pde, 1e-10) * (1.0 + float(np.max(np.abs(f_arr))))
-    x, norms, iterations = semismooth_newton(residual, jacobian, x0, target, cfg.max_outer)
+    x, norms, iterations = semismooth_newton(residual, jacobian, x0, target, cfg.max_outer,
+                                             solve=solve)
     converged = norms[-1] <= cfg.tol_pde
     if strict and not converged:
         raise CoupledNonConvergence("forward-backward Newton did not converge", norms)
@@ -343,8 +366,9 @@ def forward_backward_solve(
 
 def _frozen_system(cost, g_cost, hamiltonian, grid, m0_vals, u_terminal, psi_arr, dt, epsilon,
                    band):
-    """Residual, Jacobian and unstacking of the forward-backward system
-    at one penalty level with the classification band frozen.
+    """Residual, Jacobian, Newton solve and unstacking of the
+    forward-backward system at one penalty level with the classification
+    band frozen.
 
     Unknowns x = [u_0..u_{K-1}, m_1..m_K], followed by psi_0..psi_{K-1}
     when g_cost (the source of a heat_from_g obstacle) is given;
@@ -362,11 +386,26 @@ def _frozen_system(cost, g_cost, hamiltonian, grid, m0_vals, u_terminal, psi_arr
     positions of the value-dependent Jacobian entries. The
     residual is static @ x plus the data terminal and initial slices
     plus nodewise terms on whole (K, N) arrays plus, with a Hamiltonian,
-    div_k(u_k) m_{k+1} from _hamiltonian_terms. The Jacobian adds to the
-    static part the penalty indicator, the ramped exit rate, the ramp
-    slope times m and -f'(m), with psi also -indicator, -slope times m
-    and g'(m), and with a Hamiltonian the blocks of
-    _hamiltonian_jacobian.
+    div_k(u_k) m_{k+1} from _hamiltonian_terms. jacobian(x) is a
+    _BlockJacobian: the penalty indicator, the ramp slope times m, the
+    ramped exit rate and -f'(m), as (K, N) and (K-1, N) arrays, with psi
+    also -indicator, -slope times m and g'(m), and with a Hamiltonian
+    the blocks of _hamiltonian_jacobian. Its matrix() adds them to the
+    static part through one diagonal_update assembler, built on first
+    use.
+
+    solve(jacobian, rhs) is the Newton step. On grids of dim >= 2 with
+    a fixed obstacle and no Hamiltonian the Jacobian is [[Ju, F], [S, Jm]]:
+    Ju is block upper bidiagonal with B + diag(indicator_k) on the
+    diagonal and -I/dt above it, so Ju^-1 is one backward sweep; Jm is
+    block lower bidiagonal with B + diag(rate_k) and -I/dt below it, so
+    Jm^-1 is one forward sweep; S = diag(slope_k m_{k+1}) sits at
+    (m_{k+1}, u_k) and F = -f'(m_k) at (u_k, m_k). The step is
+    _schur_step on these sweeps. Every slice block is factored on the
+    cached order of B's pattern through one B + diag(d) assembler, and
+    the blocks with d = 0 share one factor of B per stage. On a GMRES
+    miss the step falls back to the LU of the whole Jacobian. Otherwise
+    every step is that LU.
     """
     a0 = elliptic_matrix(grid, with_zero_order=False)
     n = a0.shape[0]
@@ -408,13 +447,13 @@ def _frozen_system(cost, g_cost, hamiltonian, grid, m0_vals, u_terminal, psi_arr
         return static @ x + const + np.concatenate(nodewise, axis=None)
 
     diag = np.arange(n_u)
-    # rows and columns of: the penalty indicator (u_k, u_k), -f'(m_k)
-    # (u_k, m_k) for k >= 1, the ramp slope times m (m_{k+1}, u_k) and
-    # the exit rate (m_{k+1}, m_{k+1}); with psi also -indicator
+    # rows and columns of: the penalty indicator (u_k, u_k), the ramp
+    # slope times m (m_{k+1}, u_k), the exit rate (m_{k+1}, m_{k+1}) and
+    # -f'(m_k) (u_k, m_k) for k >= 1; with psi also -indicator
     # (u_k, psi_k), -slope times m (m_{k+1}, psi_k) and g'(m_k)
     # (psi_k, m_k) for k >= 1
-    rows = [diag, diag[n:], n_u + diag, n_u + diag]
-    cols = [diag, n_u + diag[:-n], diag, n_u + diag]
+    rows = [diag, n_u + diag, n_u + diag, diag[n:]]
+    cols = [diag, diag, n_u + diag, n_u + diag[:-n]]
     if g_cost is not None:
         rows += [diag, n_u + diag, 2 * n_u + diag[n:]]
         cols += [2 * n_u + diag, 2 * n_u + diag, n_u + diag[:-n]]
@@ -423,19 +462,62 @@ def _frozen_system(cost, g_cost, hamiltonian, grid, m0_vals, u_terminal, psi_arr
         h_rows, h_cols, hamiltonian_values = _hamiltonian_jacobian(grid, hamiltonian, k_steps)
         rows.append(h_rows)
         cols.append(h_cols)
-    assemble = diagonal_update(static, np.concatenate(rows), np.concatenate(cols))
+
+    @functools.cache
+    def assembler():
+        return diagonal_update(static, np.concatenate(rows), np.concatenate(cols))
 
     def jacobian(x):
         u, m, psi = unstack(x)
         v = u[:k_steps] - psi[:k_steps]
         indicator = (v > 0).astype(float) / epsilon
         slope_m = np.where(np.abs(v) < band, 0.5 / band, 0.0) * m[1:] / epsilon
-        vals = [indicator, -cost.derivative(m[1:k_steps]), slope_m, _ramp(v / band) / epsilon]
+        extra = []
         if g_cost is not None:
-            vals += [-indicator, -slope_m, g_cost.derivative(m[1:k_steps])]
+            extra += [-indicator, -slope_m, g_cost.derivative(m[1:k_steps])]
         if hamiltonian_values is not None:
-            vals.append(hamiltonian_values(u[:k_steps], m[1:]))
-        return assemble(np.concatenate(vals, axis=None))
+            extra.append(hamiltonian_values(u[:k_steps], m[1:]))
+        return _BlockJacobian(
+            penalty=indicator, slope=slope_m, rate=_ramp(v / band) / epsilon,
+            fprime=-cost.derivative(m[1:k_steps]), assembler=assembler, extra=tuple(extra))
 
-    return residual, jacobian, unstack
+    if grid.dim < 2 or g_cost is not None or hamiltonian is not None:
+        return residual, jacobian, _whole_step, unstack
+
+    block_assemble = diagonal_update(b_op, diag[:n], diag[:n])
+
+    @functools.cache
+    def b_factor():
+        return _lu_factor(block_assemble(np.zeros(n)))
+
+    def sweep(diagonals, backward):
+        # Ju^-1 (backward) or Jm^-1 (forward): per slice the solve of
+        # B + diag(d_k), B's one factor where d_k vanishes, with the
+        # -I/dt coupling to the slice solved before it
+        factors = [_lu_factor(block_assemble(d)) if np.any(d) else b_factor()
+                   for d in diagonals]
+        order = range(k_steps - 1, -1, -1) if backward else range(k_steps)
+
+        def solve(r):
+            r = r.reshape(k_steps, n)
+            out = np.empty_like(r)
+            carry = np.zeros(n)
+            for k in order:
+                carry = out[k] = factors[k](r[k] + carry / dt)
+            return out.ravel()
+
+        return solve
+
+    def block_solve(jac, rhs):
+        def apply_f(dm):
+            out = np.zeros((k_steps, n))
+            out[1:] = jac.fprime * dm.reshape(k_steps, n)[:-1]
+            return out.ravel()
+
+        du, dm = _schur_step(sweep(jac.penalty, True), sweep(jac.rate, False),
+                             jac.slope.ravel(), apply_f, rhs[:n_u], rhs[n_u:],
+                             lambda: np.split(_whole_step(jac, rhs), 2))
+        return np.concatenate([du, dm])
+
+    return residual, jacobian, block_solve, unstack
 

@@ -273,14 +273,15 @@ def semismooth_newton(residual, jacobian, x0, target, max_iter, full_steps=False
     Jacobian is a sparse matrix and solve is _lu_solve, which factors it
     on the cached elimination order of its pattern for a matrix built by
     diagonal_update; a solver-specific solve takes whatever form its
-    jacobian returns (the stationary coupled system solves its two
-    diagonal blocks). A singular Jacobian gives a NaN norm that ends the
-    loop short of target. A step is accepted on a (1 - 1e-4 tau)
-    decrease of |residual|_inf or on reaching target, halving tau up to
-    50 times; the iteration stops at target, after max_iter steps, on a
-    non-finite norm, once tau falls below 1e-12, or once the norm has
-    not halved over the last 20 steps (a stalled solve does not spend
-    its whole step cap).
+    jacobian returns (on grids of dim >= 2 the stationary coupled system
+    solves its two diagonal blocks, and the time-dependent one with a
+    fixed obstacle its slice blocks by time sweeps). A singular Jacobian
+    gives a NaN norm that ends the loop short of target. A step is
+    accepted on a (1 - 1e-4 tau) decrease of |residual|_inf or on
+    reaching target, halving tau up to 50 times; the iteration stops at
+    target, after max_iter steps, on a non-finite norm, once tau falls
+    below 1e-12, or once the norm has not halved over the last 20 steps
+    (a stalled solve does not spend its whole step cap).
 
     full_steps=True takes every step whole and drops the two stall
     tests: the primal-dual active-set method on a min form, which ends in

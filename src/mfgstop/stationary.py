@@ -252,25 +252,65 @@ def _shifted_operator(grid):
 
 @dataclass(frozen=True, eq=False)
 class _BlockJacobian:
-    """The Newton Jacobian of the penalized coupled system at one
-    iterate, [[Ju, F], [D3, Jm]], by its value-dependent diagonals:
-    Ju = A + diag(penalty), D3 = diag(slope), Jm = A + diag(rate), and
-    F = diag(fprime) for a local cost. For a nonlocal cost fprime is
-    None: F is the bordered column -c1 of the unknown s = <w, m>.
-    matrix() assembles the whole Jacobian with assembler(), the
-    diagonal_update assembler of the system."""
+    """The Newton Jacobian of a penalized coupled system at one iterate,
+    [[Ju, F], [S, Jm]], by its value-dependent diagonals: the penalty
+    indicator of Ju, S = diag(slope), the exit rate of Jm, and F =
+    diag(fprime) for a local cost. For a nonlocal cost fprime is None:
+    F is the bordered column -c1 of the unknown s = <w, m>. extra holds
+    the values of any further value-dependent entries. matrix()
+    assembles the whole Jacobian with assembler(), the diagonal_update
+    assembler of the system, built on first use."""
 
     penalty: np.ndarray
     slope: np.ndarray
     rate: np.ndarray
     fprime: np.ndarray | None
     assembler: object
+    extra: tuple = ()
 
     def matrix(self):
         vals = [self.penalty, self.slope, self.rate]
         if self.fprime is not None:
             vals.append(self.fprime)
-        return self.assembler()(np.concatenate(vals))
+        return self.assembler()(np.concatenate(vals + list(self.extra), axis=None))
+
+
+def _whole_step(jac, rhs):
+    """The Newton step by the LU of the whole Jacobian jac.matrix()."""
+    return _lu_solve(jac.matrix(), rhs)
+
+
+def _schur_step(solve_u, solve_m, slope, apply_f, r_u, r_m, fallback):
+    """Newton step (du, dm) of a block system [[Ju, F], [S, Jm]] with
+    S = diag(slope), from the solves of its diagonal blocks.
+
+    With du = Ju^-1 (r_u - F dm), dm solves the Schur complement
+    (Jm - S Ju^-1 F) dm = r_m - S Ju^-1 r_u. GMRES solves it right-
+    preconditioned by Jm, dm = Jm^-1 y, where the operator
+    y -> y - S Ju^-1 F Jm^-1 y is the identity plus a matrix of rank at
+    most the number of nonzeros of slope; without them it is the
+    identity and GMRES is not called. GMRES runs to rtol 1e-13 in up to
+    two cycles of 50 iterations, the second restarted from the first's
+    iterate: scipy's gmres returns a miss, without a further cycle, when
+    a happy breakdown leaves the true residual just above rtol. If both
+    cycles miss, the step is fallback().
+    """
+    y = r_m - slope * solve_u(r_u)
+    if np.any(slope):
+        n = len(y)
+        schur = spla.LinearOperator(
+            (n, n), matvec=lambda v: v - slope * solve_u(apply_f(solve_m(v))), dtype=float)
+        start = None
+        for _cycle in range(2):
+            start, info = spla.gmres(schur, y, x0=start, rtol=1e-13, atol=0.0, restart=50,
+                                     maxiter=1)
+            if info == 0:
+                break
+        else:
+            return fallback()
+        y = start
+    dm = solve_m(y)
+    return solve_u(r_u - apply_f(dm)), dm
 
 
 def _penalized_system(cost, grid, rho_v, epsilon, band, w):
@@ -286,17 +326,14 @@ def _penalized_system(cost, grid, rho_v, epsilon, band, w):
     diagonal_update assembler, built on first use.
 
     solve(jacobian, rhs) is the Newton step. 1D grids factor the whole
-    Jacobian by _lu_solve. On grids of dim >= 2 the step is taken on the
-    two N x N blocks, each factored on the cached order of A's pattern:
-    with du = Ju^-1 (r_u - F dm), dm solves the Schur complement
-    (Jm - D3 Ju^-1 F) dm = r_m - D3 Ju^-1 r_u. GMRES solves it right-
-    preconditioned by Jm, dm = Jm^-1 y, where the operator
-    y -> y - D3 Ju^-1 F Jm^-1 y is the identity plus a matrix of rank at
-    most the number of band nodes (D3 vanishes off the band), so it
-    takes a few iterations, and none without band nodes. For a nonlocal
-    cost, ds = r_s + <w, dm> is eliminated first: F dm = -c1 <w, dm> 1
-    and r_u gains c1 r_s. If GMRES misses rtol 1e-13 within 50
-    iterations, the step falls back to _lu_solve of the whole Jacobian.
+    Jacobian by _lu_solve. On grids of dim >= 2 the step is _schur_step
+    on the two N x N blocks Ju = A + diag(penalty) and Jm = A + diag(rate),
+    each factored on the cached order of A's pattern, with S the ramp
+    slope times m: it vanishes off the band, so GMRES takes a few
+    iterations, and none without band nodes. For a nonlocal cost,
+    ds = r_s + <w, dm> is eliminated first: F dm = -c1 <w, dm> 1 and r_u
+    gains c1 r_s. On a GMRES miss the step falls back to _lu_solve of
+    the whole Jacobian.
     """
     a = elliptic_matrix(grid)
     a_plus = _shifted_operator(grid)
@@ -337,8 +374,6 @@ def _penalized_system(cost, grid, rho_v, epsilon, band, w):
             fprime=-cost.derivative(mv) if w is None else None, assembler=assembler)
 
     def block_solve(jac, rhs):
-        ju = _lu_factor(a_plus(jac.penalty))
-        jm = _lu_factor(a_plus(jac.rate))
         r_u, r_m = rhs[:n], rhs[n:2 * n]
         if w is None:
             def apply_f(v):
@@ -348,21 +383,14 @@ def _penalized_system(cost, grid, rho_v, epsilon, band, w):
 
             def apply_f(v):
                 return np.full(n, -cost.c1 * (w @ v))
-        # the density Schur complement, right-preconditioned by Jm
-        y = r_m - jac.slope * ju(r_u)
-        if np.any(jac.slope):
-            schur = spla.LinearOperator(
-                (n, n), matvec=lambda v: v - jac.slope * ju(apply_f(jm(v))), dtype=float)
-            y, info = spla.gmres(schur, y, rtol=1e-13, atol=0.0, restart=50, maxiter=1)
-            if info != 0:
-                return _lu_solve(jac.matrix(), rhs)
-        dm = jm(y)
-        du = ju(r_u - apply_f(dm))
+        du, dm = _schur_step(_lu_factor(a_plus(jac.penalty)), _lu_factor(a_plus(jac.rate)),
+                             jac.slope, apply_f, r_u, r_m,
+                             lambda: np.split(_whole_step(jac, rhs)[:2 * n], 2))
         return np.concatenate([du, dm] if w is None else [du, dm, [rhs[-1] + w @ dm]])
 
     if grid.dim >= 2:
         return residual, jacobian, block_solve
-    return residual, jacobian, lambda jac, rhs: _lu_solve(jac.matrix(), rhs)
+    return residual, jacobian, _whole_step
 
 
 def _ramp(s):

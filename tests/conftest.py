@@ -55,9 +55,9 @@ def newton_targets(monkeypatch):
     newton = _coupled.semismooth_newton
     targets = []
 
-    def recording_newton(residual, jacobian, x0, target, max_iter):
+    def recording_newton(residual, jacobian, x0, target, max_iter, **kwargs):
         targets.append(target)
-        return newton(residual, jacobian, x0, target, max_iter)
+        return newton(residual, jacobian, x0, target, max_iter, **kwargs)
 
     monkeypatch.setattr(_coupled, "semismooth_newton", recording_newton)
     return targets

@@ -307,11 +307,16 @@ def test_verify_takes_the_default_threshold_without_a_matching_manifest(tmp_path
 
 
 SOSMFG_2D = {"grid": {"dim": 2, "bounds": [[0.0, 1.0], [0.0, 1.0]], "n_interior": [15, 15]}}
+# the time sweeps and the GMRES solve of the density Schur complement
+OSMFG_2D = {**OSMFG_RUN, "grid": {"dim": 2, "bounds": [[0.0, 1.0], [0.0, 1.0]],
+                                  "n_interior": [9, 9]},
+            "timegrid": {"horizon": 0.5, "n_steps": 3},
+            "eps_schedule": {"start": 0.1, "factor": 4.0, "stages": 8}}
 
 
 @pytest.mark.parametrize("overrides", [{}, SOSMFG_2D, {**OSMFG_RUN, "obstacle": HEAT_FROM_G},
-                                       COSMFG_RUN],
-                         ids=["sosmfg", "sosmfg-2d", "osmfg-heat_from_g", "cosmfg"])
+                                       COSMFG_RUN, OSMFG_2D],
+                         ids=["sosmfg", "sosmfg-2d", "osmfg-heat_from_g", "cosmfg", "osmfg-2d"])
 def test_run_is_bitwise_deterministic(tmp_path, overrides):
     cfg = write_config(tmp_path, overrides)
     for name in ("a", "b"):

@@ -217,8 +217,8 @@ def test_newton_obstacle_is_the_backward_heat_image(monkeypatch):
     psis, applies = [], []
     k_steps, n = sc.timegrid.n_steps, sc.grid.n_total
 
-    def recording_newton(*args):
-        out = newton(*args)
+    def recording_newton(*args, **kwargs):
+        out = newton(*args, **kwargs)
         # the unknowns end with psi_0..psi_{K-1}; psi_K = 0
         psis.append(np.vstack([out[0][2 * k_steps * n:].reshape(k_steps, n), np.zeros((1, n))]))
         return out

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from mfgstop import obstacle
+from mfgstop import _coupled, obstacle
 from mfgstop._coupled import (
     _face_drift,
     _frozen_system,
@@ -249,13 +249,16 @@ def test_every_factorization_uses_the_symmetric_ordering(monkeypatch):
     assert all(key in ordered for spec, key in calls if spec == "NATURAL")
     # one MMD ordering per distinct registered pattern: one in the 2D
     # continuation (A + diag: the cold start, the two diagonal blocks of
-    # every Newton step and the density solves, over all stages), one in
-    # the forward-backward solve; the active-set Jacobians of the last
-    # two solves are not registered, and each is ordered afresh
-    for a, b, patterns in zip(counts, counts[1:], [1, 1, 0, 0]):
+    # every Newton step and the density solves, over all stages), none
+    # in the forward-backward solve, whose slice blocks B + diag have
+    # A's pattern and find its order cached; the active-set Jacobians of
+    # the last two solves are not registered, and each is ordered afresh
+    natural = [{key for spec, key in calls[a:b] if spec == "NATURAL"}
+               for a, b in zip(counts, counts[1:])]
+    assert [len(keys) for keys in natural] == [1, 1, 0, 0] and natural[0] == natural[1]
+    for a, b, orderings in zip(counts, counts[1:], [1, 0, None, None]):
         specs = [spec for spec, _ in calls[a:b]]
-        assert len({key for spec, key in calls[a:b] if spec == "NATURAL"}) == patterns
-        assert specs.count("MMD_AT_PLUS_A") == (patterns or b - a)
+        assert specs.count("MMD_AT_PLUS_A") == (b - a if orderings is None else orderings)
 
 
 def solution_arrays(sol):
@@ -319,8 +322,10 @@ def test_registered_orders_fill_like_a_fresh_ordering(monkeypatch, problem):
     # fill more: at small eps most of the space-time ramp-slope block
     # (m_{k+1}, u_k) is zero, and a fresh order of the sparser pattern
     # fills 8.6% less on the last stage of the osmfg run (12.1% less on
-    # one step, where partial pivoting adds fill to both). The 2D
-    # stationary solve factors only A + diag, whose pattern is A's
+    # one step, where partial pivoting adds fill to both). The osmfg run
+    # takes every Newton step by the whole-Jacobian fallback of its
+    # Schur step, and the 2D stationary solve factors only A + diag,
+    # whose pattern is A's
     splu = spla.splu
     fills, zeros_stored = [], []
 
@@ -339,6 +344,7 @@ def test_registered_orders_fill_like_a_fresh_ordering(monkeypatch, problem):
         g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (15, 15))
         tg = build_timegrid(1.0, 3)
         cost = CostOperator.local_power(g, 1.0, 1.0, ScalarField.constant(g, -0.5))
+        monkeypatch.setattr(_coupled, "_schur_step", lambda *args: args[-1]())
         osmfg_continuation(cost, ObstacleOperator.zero(g, tg), gaussian_density(g), tg)
     else:
         g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (31, 31))
@@ -473,7 +479,7 @@ def test_frozen_jacobian_matches_block_assembly(drift, heat):
         div_ops = [drift_divergence_matrix(g, FaceVelocities(g, _face_drift(g, ham, u[k])))
                    for k in range(k_steps)]
         h_vals = np.stack([_upwind_hamiltonian(g, ham, u[k])[0] for k in range(k_steps)])
-    residual, jacobian, unstack = _frozen_system(
+    residual, jacobian, _, unstack = _frozen_system(
         cost, g_cost, ham, g, m[0], u[k_steps], psi_arr, dt, eps, band)
     x = np.concatenate([u[:k_steps].ravel(), m[1:].ravel()]
                        + ([psi_arr[:k_steps].ravel()] if heat else []))
@@ -535,7 +541,7 @@ def test_frozen_jacobian_matches_block_assembly(drift, heat):
         assert np.any(g_cost.derivative(m[1:k_steps]) == 0.0)
     # with drift, the Hamiltonian entries are sums over nodes and faces,
     # taken in another order than the oracle's
-    assert_on_fixed_pattern(jacobian, x, oracle, 1e-13 if drift else 0.0)
+    assert_on_fixed_pattern(lambda x: jacobian(x).matrix(), x, oracle, 1e-13 if drift else 0.0)
 
 
 def central_difference_jacobian(residual, x, step=1e-6):
@@ -575,10 +581,10 @@ def test_hamiltonian_jacobian_matches_finite_differences(shape, kind):
         assert np.all(np.abs(fwd[a] - bwd[a]) > margin)
     assert all(np.all(np.abs(b) > margin) for b in _face_drift(g, ham, u[:k_steps]))
 
-    residual, jacobian, unstack = _frozen_system(
+    residual, jacobian, _, _ = _frozen_system(
         cost, None, ham, g, m[0], u[k_steps], psi_arr, dt, eps, band)
     x = np.concatenate([u[:k_steps].ravel(), m[1:].ravel()])
-    jac = jacobian(x).toarray()
+    jac = jacobian(x).matrix().toarray()
     fd = central_difference_jacobian(residual, x)
     assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
     # the Hamiltonian blocks are really there
@@ -680,6 +686,162 @@ def test_stationary_block_solve_falls_back_on_a_gmres_miss(monkeypatch, local):
     step = solve(jacobian(x), rhs)
     assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))
     assert len(x) in sizes and sizes[-1] == len(x)
+
+
+def test_stationary_block_solve_restarts_gmres_instead_of_falling_back(monkeypatch):
+    # on this instance one step's first GMRES cycle ends in a happy
+    # breakdown at a true relative residual of 2.4e-13, above rtol; the
+    # second cycle reaches rtol, so no step factors the whole 2N Jacobian
+    g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (31, 31))
+    cost = CostOperator.local_power(g, 1.0, 1.0, ScalarField.constant(g, -0.5))
+    sizes, infos, splu, gmres = [], [], spla.splu, spla.gmres
+
+    def recording_splu(matrix, **kwargs):
+        sizes.append(matrix.shape[0])
+        return splu(matrix, **kwargs)
+
+    def recording_gmres(*args, **kwargs):
+        out = gmres(*args, **kwargs)
+        infos.append(out[1])
+        return out
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    monkeypatch.setattr(spla, "gmres", recording_gmres)
+    continuation_solve(cost, raised_cosine_bump(g, peak=200.0))
+    assert set(sizes) == {g.n_total}
+    assert any(info != 0 for info in infos)
+
+
+def space_time_system(obstacle, band_nodes, zero_slice=None):
+    # the penalized forward-backward system on a 2D 7x7 grid with K = 4
+    # at a random iterate, and its oracle Jacobian built by sp.bmat and
+    # sp.diags: f = m^2 + f0 gives -f'(m) = 0 where m <= 0. Without band
+    # nodes every u - psi is off the band; zero_slice puts one slice
+    # below it, so its penalty and exit rate vanish
+    g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (7, 7))
+    n, k_steps, dt, eps, band = g.n_total, 4, 0.1, 1e-3, 0.05
+    rng = np.random.default_rng(19)
+    cost = CostOperator.local_power(g, 1.0, 2.0, ScalarField.constant(g, -0.3))
+    psi_arr = (np.zeros((k_steps + 1, n)) if obstacle == "zero"
+               else rng.normal(size=(k_steps + 1, n)))
+    if band_nodes:
+        offsets = band_offsets(rng, (k_steps + 1, n), band)
+    else:
+        offsets = band * rng.choice([-3.0, 3.0], size=(k_steps + 1, n))
+    if zero_slice is not None:
+        offsets[zero_slice] = -3.0 * band
+    u = psi_arr + offsets
+    m = rng.choice([-0.2, 0.0, 0.3, 1.1], size=(k_steps + 1, n))
+    system = _frozen_system(cost, None, None, g, m[0], u[k_steps], psi_arr, dt, eps, band)
+    x = np.concatenate([u[:k_steps].ravel(), m[1:].ravel()])
+    b_op = elliptic_matrix(g, with_zero_order=False) + sp.identity(n) / dt
+    blocks = [[None] * (2 * k_steps) for _ in range(2 * k_steps)]
+    for k in range(k_steps):
+        v = u[k] - psi_arr[k]
+        blocks[k][k] = b_op + sp.diags((v > 0).astype(float) / eps)
+        blocks[k_steps + k][k] = sp.diags(np.where(np.abs(v) < band, 0.5 / band, 0.0)
+                                          * m[k + 1] / eps)
+        blocks[k_steps + k][k_steps + k] = b_op + sp.diags(_ramp(v / band) / eps)
+        if k + 1 < k_steps:
+            blocks[k][k + 1] = -sp.identity(n) / dt
+        if k >= 1:
+            blocks[k][k_steps + k - 1] = sp.diags(-cost.derivative(m[k]))
+            blocks[k_steps + k][k_steps + k - 1] = -sp.identity(n) / dt
+    return x, system, sp.bmat(blocks, format="csc")
+
+
+@pytest.mark.parametrize("band_nodes", [True, False], ids=["band", "no_band"])
+@pytest.mark.parametrize("obstacle", ["zero", "constant_field"])
+def test_time_dependent_block_solve_matches_the_whole_jacobian(monkeypatch, obstacle,
+                                                               band_nodes):
+    # the 2D Newton step from the backward and forward sweeps and the
+    # GMRES solve of the density Schur complement, against spsolve of
+    # the whole oracle Jacobian, which the solve does not assemble;
+    # without band nodes GMRES is not called
+    x, (_, jacobian, solve, _), oracle = space_time_system(obstacle, band_nodes)
+    gmres, calls = spla.gmres, []
+
+    def recording_gmres(*args, **kwargs):
+        calls.append(gmres(*args, **kwargs))
+        return calls[-1]
+
+    def no_assembly(*args):
+        raise AssertionError("whole Jacobian assembled")
+
+    monkeypatch.setattr(spla, "gmres", recording_gmres)
+    monkeypatch.setattr(_coupled, "diagonal_update", no_assembly)
+    rhs = np.random.default_rng(23).normal(size=len(x))
+    expected = spla.spsolve(oracle, rhs)
+    step = solve(jacobian(x), rhs)
+    assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert len(calls) == band_nodes and all(info == 0 for _, info in calls)
+
+
+def test_time_dependent_block_solve_falls_back_on_a_gmres_miss(monkeypatch):
+    # a GMRES that reports a miss: the step is the LU solve of the whole
+    # space-time Jacobian, whose assembler is built then
+    x, (_, jacobian, solve, _), oracle = space_time_system("constant_field", True)
+    sizes, splu = [], spla.splu
+
+    def recording_splu(matrix, **kwargs):
+        sizes.append(matrix.shape[0])
+        return splu(matrix, **kwargs)
+
+    monkeypatch.setattr(spla, "gmres", lambda op, b, **kwargs: (np.zeros_like(b), 50))
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    rhs = np.random.default_rng(29).normal(size=len(x))
+    expected = spla.spsolve(oracle, rhs)
+    step = solve(jacobian(x), rhs)
+    assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert len(x) in sizes and sizes[-1] == len(x)
+
+
+@pytest.mark.parametrize("band_nodes", [True, False], ids=["band", "no_band"])
+def test_time_dependent_block_solve_factors_each_nonzero_block_once(monkeypatch, band_nodes):
+    # one factorization per slice block B + diag(d) with d != 0, and one
+    # of B shared by the blocks with d = 0 (here the penalty and the
+    # exit rate of slice 2), kept for the later steps of the stage
+    x, (_, jacobian, solve, _), oracle = space_time_system("zero", band_nodes, zero_slice=2)
+    jac = jacobian(x)
+    blocks = list(jac.penalty) + list(jac.rate)
+    nonzero = sum(bool(np.any(d)) for d in blocks)
+    assert 2 <= len(blocks) - nonzero < len(blocks)
+    specs, splu = [], spla.splu
+
+    def recording_splu(matrix, permc_spec=None, **kwargs):
+        specs.append(permc_spec)
+        return splu(matrix, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    rhs = np.random.default_rng(31).normal(size=len(x))
+    expected = spla.spsolve(oracle, rhs)
+    for factored in (nonzero + 1, nonzero):
+        # NATURAL: the blocks, permuted into their order (the MMD call,
+        # if any, orders the stand-in of a pattern not seen before)
+        del specs[:]
+        step = solve(jac, rhs)
+        assert specs.count("NATURAL") == factored
+        assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_time_dependent_block_solve_keeps_the_newton_counts(monkeypatch):
+    # a 2D osmfg continuation by the block solve and by the LU of the
+    # whole Jacobian (every Schur step taking its fallback): equal Newton
+    # counts per stage, and fields equal to round-off
+    g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (9, 9))
+    tg = build_timegrid(0.5, 3)
+    cost = CostOperator.local_power(g, 1.0, 1.0, ScalarField.constant(g, -0.5))
+
+    def run():
+        return osmfg_continuation(cost, ObstacleOperator.zero(g, tg),
+                                  gaussian_density(g, sigma=0.15), tg)
+
+    block, block_stages = run()
+    monkeypatch.setattr(_coupled, "_schur_step", lambda *args: args[-1]())
+    whole, whole_stages = run()
+    assert [s.iterations for s in block_stages] == [s.iterations for s in whole_stages]
+    for a, b in zip(solution_arrays(block), solution_arrays(whole)):
+        assert np.max(np.abs(a - b)) <= 1e-14
 
 
 def test_comparison_principle():
