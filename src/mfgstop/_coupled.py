@@ -8,30 +8,34 @@ alpha). Solving the pair jointly is what keeps contact plateaus
 stable; split forward/backward sweeps flap on the free-boundary
 classification.
 
-An obstacle generated from a source g(m) by the backward heat equation
-(heat_from_g) joins the Newton as a third unknown block psi_0..psi_{K-1}
-with the implicit heat steps as its rows, so psi(m) is solved with the
-pair rather than lagged. The Hamiltonian value at the upwind gradient
-and the induced face drift are Newton terms as well, with their
-derivatives in the Jacobian. Only the classification band is fixed,
-once per penalty stage from the stage-entry iterate, as in the
-stationary solver; each stage is one Newton solve.
+Every obstacle is solved in the shifted value w = u - psi(m): with
+L u_k = (u_k - u_{k+1})/dt + A0 u_k, both obstacle kinds give
+L psi_k = -g_k (g_k = g(m_k) for an obstacle generated from a source g
+by the backward heat equation, heat_from_g; data for a fixed psi), so w
+solves the zero-obstacle system with source f(m_k) + g_k and w_K = 0,
+and psi(m) is evaluated only to rebuild u from the final density. The
+Hamiltonian value at the upwind gradient and the induced face drift are
+Newton terms as well, with their derivatives in the Jacobian; they
+take the zero obstacle, on which w = u. Only the classification band
+is fixed, once per penalty stage from the stage-entry iterate, as in
+the stationary solver; each stage is one Newton solve.
 
-On grids of dim >= 2 with a fixed obstacle and no Hamiltonian, each
-linear Newton step of the joint system (not a split of the nonlinear
-one) is solved by time sweeps: the value block of the Jacobian
-is block upper bidiagonal in time and the density block block lower
-bidiagonal, so each is inverted by one backward or forward sweep of N x N
-slice solves, and the coupling is eliminated through the density Schur
-complement (stationary._schur_step), as in the iterative strategies of
-Achdou and Perez for linearized discrete MFG systems (Netw. Heterog.
-Media 7(2), 2012). 1D grids, heat_from_g obstacles and the controlled
-system factor the whole space-time Jacobian.
+On grids of dim >= 2 without a Hamiltonian, each linear Newton step of
+the joint system (not a split of the nonlinear one) is solved by time
+sweeps: the value block of the Jacobian is block upper bidiagonal in
+time and the density block block lower bidiagonal, so each is inverted
+by one backward or forward sweep of N x N slice solves, and the
+coupling is eliminated through the density Schur complement
+(stationary._schur_step), as in the iterative strategies of Achdou and
+Perez for linearized discrete MFG systems (Netw. Heterog. Media 7(2),
+2012). 1D grids and the controlled system factor the whole space-time
+Jacobian.
 
 Discrete pairing conventions (they close the duality identity exactly,
 see the verifiers): the value equation at slice k uses source f(m_k)
-for k = 0..K-1; the density step k -> k+1 uses the exit rate ramped
-from slice k; time integrals pair slice-k integrands with m_{k+1}.
+(f(m_k) + g_k for w) for k = 0..K-1; the density step k -> k+1 uses
+the exit rate ramped from slice k; time integrals pair slice-k
+integrands with m_{k+1}.
 
 The controlled system is the evolutive one with the zero obstacle plus
 a Hamiltonian term and its induced drift, in the solver and in the
@@ -281,28 +285,31 @@ def forward_backward_solve(
 ) -> FBSolution:
     """Solve the penalized forward-backward system at one penalty level.
 
-    The classification band is fixed from the start iterate by
-    config.band, with the scale max over slices 0..K-1 of
-    |f(m_k) + g_k|; then one joint semismooth Newton resolves the system
-    in the stacked unknowns (u_0..u_{K-1}, m_1..m_K), and, for a
-    heat_from_g obstacle, (psi_0..psi_{K-1}) as well, so that psi(m) is
-    solved with the pair. The Hamiltonian value and the face drift are
-    evaluated at every Newton iterate. A fixed obstacle does not depend
-    on m and is computed once; the controlled system passes the zero
-    obstacle with its hamiltonian. Local costs only; nonlocal couplings
-    have no nodal derivative for the Newton blocks. Each Newton step is
-    the solve of _frozen_system: time sweeps and a density Schur
-    complement on grids of dim >= 2 with a fixed obstacle and no
+    The solve runs in the shifted value w = u - psi(m). Every obstacle
+    kind has L psi_k = -g_k (ObstacleOperator.apply_arrays), so w solves
+    the zero-obstacle system with source f(m_k) + g_k and w_K = 0:
+    g_k = g(m_k) for a heat_from_g obstacle, data for a fixed one. The
+    classification band is fixed from the start iterate by config.band,
+    with the scale max over slices 0..K-1 of |f(m_k) + g_k|; then one
+    joint semismooth Newton resolves the system in the stacked unknowns
+    (w_0..w_{K-1}, m_1..m_K), and u = w + psi(m) is rebuilt from the
+    final density. The Hamiltonian value and the face drift are
+    evaluated at every Newton iterate; they need the zero obstacle, on
+    which w = u (the controlled system passes it), and any other
+    obstacle with a hamiltonian raises ValueError. Local costs only;
+    nonlocal couplings have no nodal derivative for the Newton blocks.
+    Each Newton step is the solve of _frozen_system: time sweeps and a
+    density Schur complement on grids of dim >= 2 without a
     Hamiltonian, the LU of the whole Jacobian otherwise.
 
     The start is the density trajectory m_traj_init (default m0 in
-    every slice) and u = psi. A warm start, the previous stage's
-    solution, replaces both: its (u, m), with the ramp position of u
-    (hence the exit rate) kept continuous by rescaling band nodes from
-    its band to the new one. The solve has converged when the final
-    Newton residual norm is at most config.tol_pde; strict=False returns
-    the last iterate with converged=False instead of raising (used for
-    warm-up continuation stages).
+    every slice) and w = 0. A warm start, the previous stage's
+    solution, replaces both: its m and w = u - psi(m), with the ramp
+    position of w (hence the exit rate) kept continuous by rescaling
+    band nodes from its band to the new one. The solve has converged
+    when the final Newton residual norm is at most config.tol_pde;
+    strict=False returns the last iterate with converged=False instead
+    of raising (used for warm-up continuation stages).
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -321,22 +328,19 @@ def forward_backward_solve(
              else np.array(m_traj_init, dtype=float, copy=True))
     m_arr[0] = m0.values
     psi_arr, g_arr = obstacle_op.apply_arrays(grid, timegrid, m_arr)
-    u_arr = psi_arr.copy() if warm is None else np.array(warm.u.array(), dtype=float, copy=True)
-    u_arr[steps] = psi_arr[steps]
+    if hamiltonian is not None and np.any(psi_arr):
+        raise ValueError("a Hamiltonian needs the zero obstacle")
     f_arr = cost.evaluate(m_arr)
     band = cfg.band(epsilon, float(np.max(np.abs(f_arr[:steps] + g_arr[:steps]))))
-    if warm is not None:
-        inside = np.abs(u_arr[:steps] - psi_arr[:steps]) <= warm.delta_band
-        u_arr[:steps] = np.where(
-            inside,
-            psi_arr[:steps] + (u_arr[:steps] - psi_arr[:steps]) * (band / warm.delta_band),
-            u_arr[:steps])
+    if warm is None:
+        w_arr = np.zeros((steps, grid.n_total))
+    else:
+        w_arr = warm.u.array()[:steps] - psi_arr[:steps]
+        w_arr[np.abs(w_arr) <= warm.delta_band] *= band / warm.delta_band
 
     residual, jacobian, solve, unstack = _frozen_system(
-        cost, g_cost, hamiltonian, grid, m0.values, psi_arr[steps], psi_arr, timegrid.dt,
-        epsilon, band)
-    x0 = np.concatenate([u_arr[:steps].ravel(), m_arr[1:].ravel()]
-                        + ([psi_arr[:steps].ravel()] if g_cost is not None else []))
+        cost, g_cost, g_arr[:steps], hamiltonian, grid, m0.values, timegrid.dt, epsilon, band)
+    x0 = np.concatenate([w_arr.ravel(), m_arr[1:].ravel()])
     target = min(cfg.tol_pde, 1e-10) * (1.0 + float(np.max(np.abs(f_arr))))
     x, norms, iterations = semismooth_newton(residual, jacobian, x0, target, cfg.max_outer,
                                              solve=solve)
@@ -344,8 +348,9 @@ def forward_backward_solve(
     if strict and not converged:
         raise CoupledNonConvergence("forward-backward Newton did not converge", norms)
 
-    u_arr, m_arr, psi_arr = unstack(x)
-    rate = _ramp((u_arr[:steps] - psi_arr[:steps]) / band) / epsilon
+    w_arr, m_arr = unstack(x)
+    u_arr = w_arr + obstacle_op.apply_arrays(grid, timegrid, m_arr)[0]
+    rate = _ramp(w_arr[:steps] / band) / epsilon
     drift = None
     if hamiltonian is not None:
         comps = _face_drift(grid, hamiltonian, u_arr[:steps])
@@ -364,43 +369,39 @@ def forward_backward_solve(
     )
 
 
-def _frozen_system(cost, g_cost, hamiltonian, grid, m0_vals, u_terminal, psi_arr, dt, epsilon,
-                   band):
+def _frozen_system(cost, g_cost, g_arr, hamiltonian, grid, m0_vals, dt, epsilon, band):
     """Residual, Jacobian, Newton solve and unstacking of the
-    forward-backward system at one penalty level with the classification
-    band frozen.
+    forward-backward system in the shifted value w = u - psi at one
+    penalty level with the classification band frozen.
 
-    Unknowns x = [u_0..u_{K-1}, m_1..m_K], followed by psi_0..psi_{K-1}
-    when g_cost (the source of a heat_from_g obstacle) is given;
-    u_K = u_terminal, m_0 and, for a fixed obstacle, the whole psi are
-    data. The value equations carry the penalty (u - psi)^+/eps and the
-    upwind Hamiltonian H(x, D_sel u_k); the density equations carry the
-    ramped exit rate and the drift term div_k(u_k) m_{k+1}; the obstacle
-    equations are the implicit backward heat steps
-    B psi_k - psi_{k+1}/dt + g(m_k) = 0 that
-    ObstacleOperator.apply_arrays solves.
+    Unknowns x = [w_0..w_{K-1}, m_1..m_K], with K = len(g_arr); w_K = 0
+    and m_0 are data. The value equations carry the penalty w^+/eps, the
+    upwind Hamiltonian H(x, D_sel w_k) and the source f(m_k) + g_k, with
+    g_k = g_cost(m_k) for a heat_from_g obstacle (g_cost given) and the
+    data g_arr[k] otherwise; the density equations carry the ramped exit
+    rate and the drift term div_k(w_k) m_{k+1}.
 
     Everything is built once here: the static part from Kronecker
     products over the time slices, B = A0 + I/dt on every diagonal block
-    with -I/dt above it for u and psi and below it for m, and the
-    positions of the value-dependent Jacobian entries. The
-    residual is static @ x plus the data terminal and initial slices
-    plus nodewise terms on whole (K, N) arrays plus, with a Hamiltonian,
-    div_k(u_k) m_{k+1} from _hamiltonian_terms. jacobian(x) is a
-    _BlockJacobian: the penalty indicator, the ramp slope times m, the
-    ramped exit rate and -f'(m), as (K, N) and (K-1, N) arrays, with psi
-    also -indicator, -slope times m and g'(m), and with a Hamiltonian
-    the blocks of _hamiltonian_jacobian. Its matrix() adds them to the
+    with -I/dt above it for w and below it for m, and the positions of
+    the value-dependent Jacobian entries. The residual is static @ x
+    plus the data slice m_0 plus nodewise terms on whole (K, N) arrays
+    plus, with a Hamiltonian, div_k(w_k) m_{k+1} from
+    _hamiltonian_terms. jacobian(x) is a _BlockJacobian: the penalty
+    indicator, the ramp slope times m, the ramped exit rate and the
+    source derivative -(f'(m) + g'(m)) (-f'(m) for a fixed obstacle), as
+    (K, N) and (K-1, N) arrays, with a Hamiltonian the blocks of
+    _hamiltonian_jacobian in extra. Its matrix() adds them to the
     static part through one diagonal_update assembler, built on first
     use.
 
-    solve(jacobian, rhs) is the Newton step. On grids of dim >= 2 with
-    a fixed obstacle and no Hamiltonian the Jacobian is [[Ju, F], [S, Jm]]:
-    Ju is block upper bidiagonal with B + diag(indicator_k) on the
-    diagonal and -I/dt above it, so Ju^-1 is one backward sweep; Jm is
-    block lower bidiagonal with B + diag(rate_k) and -I/dt below it, so
-    Jm^-1 is one forward sweep; S = diag(slope_k m_{k+1}) sits at
-    (m_{k+1}, u_k) and F = -f'(m_k) at (u_k, m_k). The step is
+    solve(jacobian, rhs) is the Newton step. On grids of dim >= 2
+    without a Hamiltonian the Jacobian is [[Ju, F], [S, Jm]]: Ju is
+    block upper bidiagonal with B + diag(indicator_k) on the diagonal
+    and -I/dt above it, so Ju^-1 is one backward sweep; Jm is block
+    lower bidiagonal with B + diag(rate_k) and -I/dt below it, so Jm^-1
+    is one forward sweep; S = diag(slope_k m_{k+1}) sits at (m_{k+1},
+    w_k) and F, the source derivative, at (w_k, m_k). The step is
     _schur_step on these sweeps. Every slice block is factored on the
     cached order of B's pattern through one B + diag(d) assembler, and
     the blocks with d = 0 share one factor of B per stage. On a GMRES
@@ -409,54 +410,42 @@ def _frozen_system(cost, g_cost, hamiltonian, grid, m0_vals, u_terminal, psi_arr
     """
     a0 = elliptic_matrix(grid, with_zero_order=False)
     n = a0.shape[0]
-    k_steps = len(psi_arr) - 1
+    k_steps = len(g_arr)
     n_u = k_steps * n
     eye_dt = sp.identity(n, format="csr") / dt
     b_op = (a0 + eye_dt).tocsr()
-    # slice couplings: u_{k+1} and psi_{k+1} in the rows of slice k, m_k
-    # in the rows of m_{k+1}
+    # slice couplings: w_{k+1} in the rows of slice k, m_k in the rows
+    # of m_{k+1}
     upper = np.eye(k_steps, k=1)
-    shifts = [upper, upper.T] + ([upper] if g_cost is not None else [])
-    static = (sp.kron(sp.identity(len(shifts) * k_steps), b_op)
-              - sp.kron(dense_block_diag(*shifts), eye_dt)).tocsr()
-    # the data slices u_K, m_0 and psi_K enter the residual as a constant
+    static = (sp.kron(sp.identity(2 * k_steps), b_op)
+              - sp.kron(dense_block_diag(upper, upper.T), eye_dt)).tocsr()
+    # the data slice m_0 enters the residual as a constant
     const = np.zeros(static.shape[0])
-    const[n_u - n:n_u] = -u_terminal / dt
     const[n_u:n_u + n] = -m0_vals / dt
-    if g_cost is not None:
-        const[-n:] = -psi_arr[k_steps] / dt
 
     def unstack(x):
-        # value, density and obstacle slices 0..K
-        u = np.vstack([x[:n_u].reshape(k_steps, n), u_terminal[None, :]])
-        m = np.vstack([m0_vals[None, :], x[n_u:2 * n_u].reshape(k_steps, n)])
-        if g_cost is None:
-            return u, m, psi_arr
-        return u, m, np.vstack([x[2 * n_u:].reshape(k_steps, n), psi_arr[k_steps:]])
+        # value and density slices 0..K
+        return (np.vstack([x[:n_u].reshape(k_steps, n), np.zeros((1, n))]),
+                np.vstack([m0_vals[None, :], x[n_u:].reshape(k_steps, n)]))
+
+    def source(m):
+        return cost.evaluate(m) + (g_arr if g_cost is None else g_cost.evaluate(m))
 
     def residual(x):
-        u, m, psi = unstack(x)
-        v = u[:k_steps] - psi[:k_steps]
-        h_vals, div = _hamiltonian_terms(grid, hamiltonian, u)
-        nodewise = [np.maximum(v, 0.0) / epsilon + h_vals - cost.evaluate(m[:k_steps]),
-                    _ramp(v / band) / epsilon * m[1:]]
+        w, m = unstack(x)
+        h_vals, div = _hamiltonian_terms(grid, hamiltonian, w)
+        nodewise = [np.maximum(w[:k_steps], 0.0) / epsilon + h_vals - source(m[:k_steps]),
+                    _ramp(w[:k_steps] / band) / epsilon * m[1:]]
         if div is not None:
             nodewise[1] = nodewise[1] + (div @ m[1:].ravel()).reshape(k_steps, n)
-        if g_cost is not None:
-            nodewise.append(g_cost.evaluate(m[:k_steps]))
         return static @ x + const + np.concatenate(nodewise, axis=None)
 
     diag = np.arange(n_u)
-    # rows and columns of: the penalty indicator (u_k, u_k), the ramp
-    # slope times m (m_{k+1}, u_k), the exit rate (m_{k+1}, m_{k+1}) and
-    # -f'(m_k) (u_k, m_k) for k >= 1; with psi also -indicator
-    # (u_k, psi_k), -slope times m (m_{k+1}, psi_k) and g'(m_k)
-    # (psi_k, m_k) for k >= 1
+    # rows and columns of: the penalty indicator (w_k, w_k), the ramp
+    # slope times m (m_{k+1}, w_k), the exit rate (m_{k+1}, m_{k+1}) and
+    # the source derivative (w_k, m_k) for k >= 1
     rows = [diag, n_u + diag, n_u + diag, diag[n:]]
     cols = [diag, diag, n_u + diag, n_u + diag[:-n]]
-    if g_cost is not None:
-        rows += [diag, n_u + diag, 2 * n_u + diag[n:]]
-        cols += [2 * n_u + diag, 2 * n_u + diag, n_u + diag[:-n]]
     hamiltonian_values = None
     if hamiltonian is not None:
         h_rows, h_cols, hamiltonian_values = _hamiltonian_jacobian(grid, hamiltonian, k_steps)
@@ -468,20 +457,18 @@ def _frozen_system(cost, g_cost, hamiltonian, grid, m0_vals, u_terminal, psi_arr
         return diagonal_update(static, np.concatenate(rows), np.concatenate(cols))
 
     def jacobian(x):
-        u, m, psi = unstack(x)
-        v = u[:k_steps] - psi[:k_steps]
-        indicator = (v > 0).astype(float) / epsilon
-        slope_m = np.where(np.abs(v) < band, 0.5 / band, 0.0) * m[1:] / epsilon
-        extra = []
+        w, m = unstack(x)
+        v = w[:k_steps]
+        fprime = cost.derivative(m[1:k_steps])
         if g_cost is not None:
-            extra += [-indicator, -slope_m, g_cost.derivative(m[1:k_steps])]
-        if hamiltonian_values is not None:
-            extra.append(hamiltonian_values(u[:k_steps], m[1:]))
+            fprime = fprime + g_cost.derivative(m[1:k_steps])
+        extra = () if hamiltonian_values is None else (hamiltonian_values(v, m[1:]),)
         return _BlockJacobian(
-            penalty=indicator, slope=slope_m, rate=_ramp(v / band) / epsilon,
-            fprime=-cost.derivative(m[1:k_steps]), assembler=assembler, extra=tuple(extra))
+            penalty=(v > 0).astype(float) / epsilon,
+            slope=np.where(np.abs(v) < band, 0.5 / band, 0.0) * m[1:] / epsilon,
+            rate=_ramp(v / band) / epsilon, fprime=-fprime, assembler=assembler, extra=extra)
 
-    if grid.dim < 2 or g_cost is not None or hamiltonian is not None:
+    if grid.dim < 2 or hamiltonian is not None:
         return residual, jacobian, _whole_step, unstack
 
     block_assemble = diagonal_update(b_op, diag[:n], diag[:n])

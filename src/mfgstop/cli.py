@@ -88,6 +88,14 @@ def _require(cfg: dict, key: str, where: str = "config"):
     return cfg[key]
 
 
+def _integer(value, where: str) -> int:
+    """value if it is a JSON integer; a float or a bool, which int()
+    would truncate silently, raises ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
 def _reject_non_finite(node, where: str = "config"):
     """Raise ConfigError at a NaN or infinite number anywhere in a parsed
     config; Python's json reads the tokens NaN, Infinity and 1e999."""
@@ -156,14 +164,17 @@ class RunConfig:
         if self.method != "continuation" and self.problem != "sosmfg":
             raise ConfigError(f"method {self.method!r} is only available for problem 'sosmfg'")
         gspec = _require(raw, "grid")
-        self.grid = build_grid(int(_require(gspec, "dim", "grid")),
-                               _require(gspec, "bounds", "grid"),
-                               _require(gspec, "n_interior", "grid"))
+        n_interior = _require(gspec, "n_interior", "grid")
+        for k in n_interior if isinstance(n_interior, list) else [n_interior]:
+            _integer(k, "grid.n_interior")
+        self.grid = build_grid(_integer(_require(gspec, "dim", "grid"), "grid.dim"),
+                               _require(gspec, "bounds", "grid"), n_interior)
         self.timegrid = None
         if self.problem in ("osmfg", "cosmfg"):
             tspec = _require(raw, "timegrid")
             self.timegrid = build_timegrid(float(_require(tspec, "horizon", "timegrid")),
-                                           int(_require(tspec, "n_steps", "timegrid")))
+                                           _integer(_require(tspec, "n_steps", "timegrid"),
+                                                    "timegrid.n_steps"))
         self.cost = _build_cost(self.grid, _require(raw, "cost"))
         if self.problem != "sosmfg" and not self.cost.is_local:
             raise ConfigError(f"problem {self.problem!r} needs a local cost, "
@@ -212,7 +223,8 @@ class RunConfig:
             factor = float(es.get("factor", 4.0))
             if not factor > 1:
                 raise ConfigError("eps_schedule.factor must exceed 1")
-            es = default_eps_schedule(float(es.get("start", 0.1)), factor, int(es.get("stages", 8)))
+            stages = _integer(es.get("stages", 8), "eps_schedule.stages")
+            es = default_eps_schedule(float(es.get("start", 0.1)), factor, stages)
         try:
             self.eps_schedule = _checked_schedule(es)
         except ValueError:
@@ -230,7 +242,7 @@ class RunConfig:
             if not float(val) > 0:
                 raise ConfigError(f"tolerances.acceptance[{key!r}] must be positive")
         self.coupled = CoupledConfig(tol_pde=float(tols.get("pde", 1e-8)))
-        self.seed = int(raw.get("seed", 0))
+        self.seed = _integer(raw.get("seed", 0), "seed")
         self.output_dir = raw.get("output_dir")
 
 

@@ -26,7 +26,7 @@ from .grid import (
     default_contact_threshold,
     elliptic_matrix,
 )
-from .obstacle import _linsolve
+from .obstacle import _linear_factor
 from .stationary import CoupledConfig, _probe_gap, penalty_continuation
 
 __all__ = [
@@ -73,16 +73,19 @@ class ObstacleOperator:
         return ObstacleOperator(kind="heat_from_g", g_cost=g_cost)
 
     def apply_arrays(self, grid: Grid, timegrid: TimeGrid, m_arr: np.ndarray):
-        """(psi, g_psi) as (K+1, N) arrays; see apply_obstacle_operator."""
+        """(psi, g_psi) as (K+1, N) arrays; see apply_obstacle_operator.
+        The K backward heat steps of heat_from_g share one factorization
+        of A0 + I/dt."""
         steps = timegrid.n_steps
         dt = timegrid.dt
         a0 = elliptic_matrix(grid, with_zero_order=False)
         if self.kind == "heat_from_g":
             g_arr = np.stack([self.g_cost.evaluate(m_arr[k]) for k in range(steps + 1)])
             psi_arr = np.zeros_like(m_arr)
-            solver_matrix = (a0 + sp.identity(grid.n_total, format="csr") / dt).tocsr()
+            solve = _linear_factor((a0 + sp.identity(grid.n_total, format="csr") / dt).tocsr(),
+                                   grid)
             for k in range(steps - 1, -1, -1):
-                psi_arr[k] = _linsolve(solver_matrix, psi_arr[k + 1] / dt - g_arr[k], grid)
+                psi_arr[k] = solve(psi_arr[k + 1] / dt - g_arr[k])
             return psi_arr, g_arr
         psi_arr = self.psi.array()
         if psi_arr.shape != m_arr.shape:

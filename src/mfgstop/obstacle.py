@@ -274,8 +274,8 @@ def semismooth_newton(residual, jacobian, x0, target, max_iter, full_steps=False
     on the cached elimination order of its pattern for a matrix built by
     diagonal_update; a solver-specific solve takes whatever form its
     jacobian returns (on grids of dim >= 2 the stationary coupled system
-    solves its two diagonal blocks, and the time-dependent one with a
-    fixed obstacle its slice blocks by time sweeps). A singular Jacobian
+    solves its two diagonal blocks, and the time-dependent one without
+    a Hamiltonian its slice blocks by time sweeps). A singular Jacobian
     gives a NaN norm that ends the loop short of target. A step is
     accepted on a (1 - 1e-4 tau) decrease of |residual|_inf or on
     reaching target, halving tau up to 50 times; the iteration stops at

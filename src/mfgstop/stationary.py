@@ -255,11 +255,13 @@ class _BlockJacobian:
     """The Newton Jacobian of a penalized coupled system at one iterate,
     [[Ju, F], [S, Jm]], by its value-dependent diagonals: the penalty
     indicator of Ju, S = diag(slope), the exit rate of Jm, and F =
-    diag(fprime) for a local cost. For a nonlocal cost fprime is None:
-    F is the bordered column -c1 of the unknown s = <w, m>. extra holds
-    the values of any further value-dependent entries. matrix()
-    assembles the whole Jacobian with assembler(), the diagonal_update
-    assembler of the system, built on first use."""
+    diag(fprime) for a local cost, the derivative of the source (-f'(m),
+    or -(f'(m) + g'(m)) with a heat_from_g obstacle). For a nonlocal
+    cost fprime is None: F is the bordered column -c1 of the unknown
+    s = <w, m>. extra holds the values of the Hamiltonian entries of the
+    controlled system. matrix() assembles the whole Jacobian with
+    assembler(), the diagonal_update assembler of the system, built on
+    first use."""
 
     penalty: np.ndarray
     slope: np.ndarray

@@ -432,6 +432,31 @@ def test_invalid_input_rejected_before_solving(tmp_path, capsys, overrides, reas
     assert not out.exists()
 
 
+GRID_1D = {"dim": 1, "bounds": [[0.0, 1.0]]}
+
+
+# int() would truncate these silently: 2.5 steps run as 2 and true as 1
+@pytest.mark.parametrize("overrides, key", [
+    ({**OSMFG, "timegrid": {"horizon": 0.5, "n_steps": 2.5}}, "timegrid.n_steps"),
+    ({**OSMFG, "timegrid": {"horizon": 0.5, "n_steps": True}}, "timegrid.n_steps"),
+    ({"grid": {**GRID_1D, "n_interior": [15.9]}}, "grid.n_interior"),
+    ({"grid": {**GRID_1D, "n_interior": 15.0}}, "grid.n_interior"),
+    ({"grid": {**GRID_1D, "dim": 1.5, "n_interior": [15]}}, "grid.dim"),
+    ({"grid": {**GRID_1D, "dim": True, "n_interior": [15]}}, "grid.dim"),
+    ({"eps_schedule": {"start": 0.1, "factor": 4.0, "stages": 2.5}}, "eps_schedule.stages"),
+    ({"seed": 1.0}, "seed"),
+    ({"seed": False}, "seed"),
+], ids=["float-n_steps", "bool-n_steps", "float-n_interior-entry", "float-n_interior",
+        "float-dim", "bool-dim", "float-stages", "float-seed", "bool-seed"])
+def test_non_integer_count_rejected(tmp_path, capsys, overrides, key):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {**overrides, "output_dir": str(out)})
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{key} must be an integer" in err
+    assert not out.exists()
+
+
 def test_non_finite_residual_fails_acceptance(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, {"output_dir": str(out)})

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfgstop._coupled import _face_drift
+from mfgstop._coupled import _face_drift, forward_backward_solve
 from mfgstop.control import (
     Hamiltonian,
     control_objective,
@@ -123,6 +123,22 @@ def test_never_stop_instance_is_drifted_flow(setup):
     assert np.max(np.abs(sol.m.array() - drifted.array())) <= 1e-9
     masses = sol.m.array().sum(axis=1) * grid.cell_volume
     assert np.all(np.diff(masses) <= 1e-12)
+
+
+def test_hamiltonian_needs_the_zero_obstacle(setup):
+    # the Hamiltonian terms are evaluated on the Newton unknown w = u - psi,
+    # which is the value only for the zero obstacle
+    grid, tg, m0 = setup
+    cost = CostOperator.local_power(grid, 1.0, 1.0, ScalarField.constant(grid, -0.5))
+    ham = Hamiltonian.smoothed_norm(ScalarField.constant(grid, 1.0))
+    heat = CostOperator.local_power(grid, 0.5, 1.0, ScalarField.zeros(grid))
+    for op in (ObstacleOperator.constant(FieldTrajectory.constant(grid, tg, -0.05)),
+               ObstacleOperator.heat_source(heat)):
+        with pytest.raises(ValueError, match="zero obstacle"):
+            forward_backward_solve(cost, m0, tg, 0.1, obstacle_op=op, hamiltonian=ham)
+    sol = forward_backward_solve(cost, m0, tg, 0.1, obstacle_op=ObstacleOperator.zero(grid, tg),
+                                 hamiltonian=ham)
+    assert sol.converged and sol.drift is not None
 
 
 def test_control_scenario_residuals(control_solution):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from mfgstop import _coupled
 from mfgstop.costs import CostOperator
@@ -69,6 +71,31 @@ def test_obstacle_operator_matches_dense_space_time_oracle():
     assert np.max(np.abs(psi.array()[:steps] - dense)) <= 1e-10
     assert np.max(np.abs(psi.array()[-1])) == 0.0
     assert np.allclose(g_psi.array(), 1.0)
+
+
+def test_heat_obstacle_factors_once_per_call(monkeypatch):
+    # on a 2D grid the K backward heat steps share one factorization of
+    # A0 + I/dt, and each step is solved to round-off
+    grid = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (9, 9))
+    tg = build_timegrid(1.0, 5)
+    n, steps = grid.n_total, tg.n_steps
+    op = ObstacleOperator.heat_source(
+        CostOperator.local_power(grid, 0.5, 2.0, ScalarField.zeros(grid)))
+    m = np.random.default_rng(2).uniform(0.0, 2.0, size=(steps + 1, n))
+    splu, shapes = spla.splu, []
+
+    def recording_splu(matrix, **kwargs):
+        shapes.append(matrix.shape)
+        return splu(matrix, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    psi, g_arr = op.apply_arrays(grid, tg, m)
+    assert shapes == [(n, n)]
+    b_op = (elliptic_matrix(grid, with_zero_order=False) + sp.identity(n) / tg.dt).tocsc()
+    assert np.max(np.abs(psi[steps])) == 0.0
+    for k in range(steps):
+        expected = spla.spsolve(b_op, psi[k + 1] / tg.dt - g_arr[k])
+        assert np.max(np.abs(psi[k] - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_constant_zero_obstacle_has_zero_source(setup):
@@ -206,21 +233,22 @@ def test_evolutive_uniqueness_probe_deterministic(setup):
 
 
 def test_newton_obstacle_is_the_backward_heat_image(monkeypatch):
-    # for heat_from_g, psi is a Newton unknown: the psi of the last
-    # Newton solve, from which alpha is built, solves the backward heat
-    # steps for the final density, and the heat solve itself runs once
-    # per stage in the solver (the continuation runs without a verifier
+    # for heat_from_g the Newton unknown is the shifted value w = u - psi:
+    # the w of the last Newton solve, from which alpha is built, is the
+    # returned u less the backward heat image of the final density, and
+    # the heat solve runs at most twice per stage in the solver, for the
+    # start and for the result (the continuation runs without a verifier
     # here, which would add one heat solve per stage)
     sc = scenario_standard("evolutive_heat_g")
     newton = _coupled.semismooth_newton
     apply_arrays = ObstacleOperator.apply_arrays
-    psis, applies = [], []
+    shifted, applies = [], []
     k_steps, n = sc.timegrid.n_steps, sc.grid.n_total
 
     def recording_newton(*args, **kwargs):
         out = newton(*args, **kwargs)
-        # the unknowns end with psi_0..psi_{K-1}; psi_K = 0
-        psis.append(np.vstack([out[0][2 * k_steps * n:].reshape(k_steps, n), np.zeros((1, n))]))
+        # the unknowns start with w_0..w_{K-1}
+        shifted.append(out[0][:k_steps * n].reshape(k_steps, n))
         return out
 
     def counting_apply(self, *args):
@@ -234,11 +262,13 @@ def test_newton_obstacle_is_the_backward_heat_image(monkeypatch):
             sc.cost, sc.m0, sc.timegrid, eps, obstacle_op=sc.obstacle_op, warm=warm,
             strict=strict),
         lambda _: None, list(sc.eps_schedule))
-    assert applies == ["heat_from_g"] * len(stages)
-    psi = psis[-1]
-    expected = apply_arrays(sc.obstacle_op, sc.grid, sc.timegrid, sol.m.array())[0]
-    assert np.max(np.abs(psi - expected)) <= 1e-10
-    rate = _ramp((sol.u.array()[:-1] - psi[:-1]) / sol.delta_band) / sol.epsilon
+    assert set(applies) == {"heat_from_g"} and len(applies) <= 2 * len(stages)
+    w = shifted[-1]
+    psi = apply_arrays(sc.obstacle_op, sc.grid, sc.timegrid, sol.m.array())[0]
+    assert np.max(np.abs(psi)) > 0.01
+    assert np.max(np.abs(sol.u.array()[:-1] - psi[:-1] - w)) <= 1e-10
+    assert np.array_equal(sol.u.array()[-1], psi[-1])
+    rate = _ramp(w / sol.delta_band) / sol.epsilon
     assert np.array_equal(sol.alpha.array()[:-1], np.clip(rate * sol.epsilon, 0.0, 1.0))
 
 

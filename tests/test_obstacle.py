@@ -454,24 +454,29 @@ def hamiltonian_blocks_1d(g, ham, u_k, m_next):
 @pytest.mark.parametrize("drift, heat", [(False, False), (True, False), (False, True)],
                          ids=["False", "True", "heat_from_g"])
 def test_frozen_jacobian_matches_block_assembly(drift, heat):
-    # oracle: the whole block grid built with sp.bmat and sp.diags at
-    # every step; f = m^2 + f0 gives -f'(m) = 0 and g = m^2 / 2 gives
-    # g'(m) = 0 where m <= 0. With drift, a smoothed-norm Hamiltonian
-    # adds H to the value rows, the drift operator to the density rows
-    # and the derivatives of both in u (hamiltonian_blocks_1d)
+    # oracle: the whole block grid in the shifted unknowns (w, m) built
+    # with sp.bmat and sp.diags at every step; f = m^2 + f0 gives
+    # -f'(m) = 0 and g = m^2 / 2 gives g'(m) = 0 where m <= 0, and with
+    # heat_from_g the source derivative is -(f' + g'). Without drift the
+    # obstacle is a random fixed trajectory or the heat image of g; with
+    # drift it is zero (w = u), and a smoothed-norm Hamiltonian adds H
+    # to the value rows, the drift operator to the density rows and the
+    # derivatives of both in w (hamiltonian_blocks_1d)
     g = build_grid(1, (0.0, 1.0), 7)
     n, k_steps, dt, eps, band = 7, 3, 0.1, 1e-3, 0.05
+    tg = build_timegrid(k_steps * dt, k_steps)
     rng = np.random.default_rng(11)
     cost = CostOperator.local_power(g, 1.0, 2.0, ScalarField.constant(g, -0.3))
     g_cost = CostOperator.local_power(g, 0.5, 2.0, ScalarField.zeros(g)) if heat else None
     a0 = elliptic_matrix(g, with_zero_order=False)
-    psi_arr = rng.normal(size=(k_steps + 1, n))
-    offsets = band_offsets(rng, (k_steps + 1, n), band)
+    psi_arr = np.zeros((k_steps + 1, n)) if drift else rng.normal(size=(k_steps + 1, n))
+    w = band_offsets(rng, (k_steps + 1, n), band)
+    w[k_steps] = 0.0
     m = rng.choice([-0.2, 0.0, 0.3, 1.1], size=(k_steps + 1, n))
-    if heat:
-        psi_arr = ObstacleOperator.heat_source(g_cost).apply_arrays(
-            g, build_timegrid(k_steps * dt, k_steps), m)[0]
-    u = psi_arr + offsets
+    op = (ObstacleOperator.heat_source(g_cost) if heat
+          else ObstacleOperator.constant(FieldTrajectory(g, tg, psi_arr)))
+    psi_arr, g_arr = op.apply_arrays(g, tg, m)
+    u = psi_arr + w
     ham = Hamiltonian.smoothed_norm(ScalarField.constant(g, 1.0)) if drift else None
     div_ops = [None] * k_steps
     h_vals = np.zeros((k_steps, n))
@@ -480,65 +485,47 @@ def test_frozen_jacobian_matches_block_assembly(drift, heat):
                    for k in range(k_steps)]
         h_vals = np.stack([_upwind_hamiltonian(g, ham, u[k])[0] for k in range(k_steps)])
     residual, jacobian, _, unstack = _frozen_system(
-        cost, g_cost, ham, g, m[0], u[k_steps], psi_arr, dt, eps, band)
-    x = np.concatenate([u[:k_steps].ravel(), m[1:].ravel()]
-                       + ([psi_arr[:k_steps].ravel()] if heat else []))
-    u_x, m_x, psi_x = unstack(x)
-    assert np.array_equal(u_x, u) and np.array_equal(m_x, m) and np.array_equal(psi_x, psi_arr)
-    if heat:
-        # the obstacle rows are the backward heat steps of apply_arrays
-        assert np.max(np.abs(residual(x)[2 * k_steps * n:])) <= 1e-12
+        cost, g_cost, g_arr[:k_steps], ham, g, m[0], dt, eps, band)
+    x = np.concatenate([w[:k_steps].ravel(), m[1:].ravel()])
+    w_x, m_x = unstack(x)
+    assert np.array_equal(w_x, w) and np.array_equal(m_x, m)
 
     eye_dt = sp.identity(n, format="csr") / dt
     b_op = (a0 + eye_dt).tocsr()
     ops = [b_op if d is None else b_op + d for d in div_ops]
-    # the residual against its slice-by-slice form (summed in another
-    # order, so equal to round-off)
-    v = u[:k_steps] - psi_arr[:k_steps]
-    slices = [[b_op @ u[k] - u[k + 1] / dt + np.maximum(v[k], 0.0) / eps + h_vals[k]
+    # the residual against the slice-by-slice form in u = w + psi, with
+    # u_K = psi_K: the shift by L psi_k = -g_k holds to round-off
+    slices = [[b_op @ u[k] - u[k + 1] / dt + np.maximum(w[k], 0.0) / eps + h_vals[k]
                - cost.evaluate(m[k]) for k in range(k_steps)],
-              [ops[k] @ m[k + 1] - m[k] / dt + _ramp(v[k] / band) / eps * m[k + 1]
+              [ops[k] @ m[k + 1] - m[k] / dt + _ramp(w[k] / band) / eps * m[k + 1]
                for k in range(k_steps)]]
-    if heat:
-        slices.append([b_op @ psi_arr[k] - psi_arr[k + 1] / dt + g_cost.evaluate(m[k])
-                        for k in range(k_steps)])
     expected = np.concatenate(slices, axis=None)
     assert np.max(np.abs(residual(x) - expected)) <= 1e-13 * np.max(np.abs(expected))
 
-    size = (3 if heat else 2) * k_steps
-    blocks_u = [[None] * size for _ in range(k_steps)]
-    blocks_m = [[None] * size for _ in range(k_steps)]
-    blocks_psi = [[None] * size for _ in range(k_steps if heat else 0)]
+    blocks_u = [[None] * (2 * k_steps) for _ in range(k_steps)]
+    blocks_m = [[None] * (2 * k_steps) for _ in range(k_steps)]
     for k in range(k_steps):
-        v_k = u[k] - psi_arr[k]
-        blocks_u[k][k] = b_op + sp.diags((v_k > 0).astype(float) / eps)
+        blocks_u[k][k] = b_op + sp.diags((w[k] > 0).astype(float) / eps)
         if k + 1 < k_steps:
             blocks_u[k][k + 1] = -eye_dt
         if k >= 1:
-            blocks_u[k][k_steps + k - 1] = sp.diags(-cost.derivative(m[k]))
-        dsigma = np.where(np.abs(v_k) < band, 0.5 / band, 0.0)
-        blocks_m[k][k_steps + k] = ops[k] + sp.diags(_ramp(v_k / band) / eps)
+            fprime = cost.derivative(m[k])
+            if heat:
+                fprime = fprime + g_cost.derivative(m[k])
+            blocks_u[k][k_steps + k - 1] = sp.diags(-fprime)
+        dsigma = np.where(np.abs(w[k]) < band, 0.5 / band, 0.0)
+        blocks_m[k][k_steps + k] = ops[k] + sp.diags(_ramp(w[k] / band) / eps)
         if k >= 1:
             blocks_m[k][k_steps + k - 1] = -eye_dt
         blocks_m[k][k] = sp.diags(dsigma * m[k + 1] / eps)
         if drift:
-            d_value, d_drift = hamiltonian_blocks_1d(g, ham, u[k], m[k + 1])
+            d_value, d_drift = hamiltonian_blocks_1d(g, ham, w[k], m[k + 1])
             blocks_u[k][k] = blocks_u[k][k] + d_value
             blocks_m[k][k] = blocks_m[k][k] + d_drift
-        if heat:
-            blocks_u[k][2 * k_steps + k] = sp.diags(-(v_k > 0).astype(float) / eps)
-            blocks_m[k][2 * k_steps + k] = sp.diags(-dsigma * m[k + 1] / eps)
-            blocks_psi[k][2 * k_steps + k] = b_op
-            if k + 1 < k_steps:
-                blocks_psi[k][2 * k_steps + k + 1] = -eye_dt
-            if k >= 1:
-                blocks_psi[k][k_steps + k - 1] = sp.diags(g_cost.derivative(m[k]))
-    oracle = sp.bmat(blocks_u + blocks_m + blocks_psi, format="csc")
+    oracle = sp.bmat(blocks_u + blocks_m, format="csc")
     # the zero entries are really there, and stored
     assert np.any(cost.derivative(m[1:k_steps]) == 0.0)
-    assert np.any((np.abs(u[:k_steps] - psi_arr[:k_steps]) < band) & (m[1:] == 0.0))
-    if heat:
-        assert np.any(g_cost.derivative(m[1:k_steps]) == 0.0)
+    assert np.any((np.abs(w[:k_steps]) < band) & (m[1:] == 0.0))
     # with drift, the Hamiltonian entries are sums over nodes and faces,
     # taken in another order than the oracle's
     assert_on_fixed_pattern(lambda x: jacobian(x).matrix(), x, oracle, 1e-13 if drift else 0.0)
@@ -559,7 +546,8 @@ def test_hamiltonian_jacobian_matches_finite_differences(shape, kind):
     # the Hamiltonian and drift blocks against central differences of
     # the residual, at a point away from every kink: each upwind choice
     # and face-velocity sign is decided by a margin larger than the
-    # step, and u - psi stays off 0 and off the band edges
+    # step, and w = u (the zero obstacle) stays off 0 and off the band
+    # edges, inside the band at some nodes and outside it at others
     dim = len(shape)
     g = build_grid(dim, [(0.0, 1.0)] * dim, list(shape))
     n, k_steps, dt, eps, band = g.n_total, 3, 0.1, 1e-3, 0.05
@@ -569,21 +557,25 @@ def test_hamiltonian_jacobian_matches_finite_differences(shape, kind):
         ham = Hamiltonian.smoothed_norm(ScalarField(g, rng.uniform(0.5, 1.5, n)))
     else:
         ham = Hamiltonian.quadratic(g, outside_assumptions=True)
-    psi_arr = rng.normal(size=(k_steps + 1, n))
-    u = psi_arr + band * rng.choice([-3.0, -0.5, 0.25, 0.5, 3.0], size=(k_steps + 1, n))
+    size = (k_steps, n)
+    w = rng.normal(size=size)
+    w += 1.1 * band * np.sign(w)
+    inside = rng.random(size) < 0.3
+    w[inside] = band * np.sign(w[inside]) * rng.uniform(0.1, 0.9, np.count_nonzero(inside))
+    w = np.vstack([w, np.zeros((1, n))])
     m = rng.uniform(0.2, 1.0, size=(k_steps + 1, n))
     margin = 1e-3
-    _, p, backward = _upwind_hamiltonian(g, ham, u[:k_steps])
-    fwd, bwd = _node_gradients(g, u[:k_steps])
+    _, p, backward = _upwind_hamiltonian(g, ham, w[:k_steps])
+    fwd, bwd = _node_gradients(g, w[:k_steps])
     for a in range(dim):
         # the selection is strict and settled on both candidates
         assert np.all(np.abs(ham.gradient(p)[a]) > margin)
         assert np.all(np.abs(fwd[a] - bwd[a]) > margin)
-    assert all(np.all(np.abs(b) > margin) for b in _face_drift(g, ham, u[:k_steps]))
+    assert all(np.all(np.abs(b) > margin) for b in _face_drift(g, ham, w[:k_steps]))
 
     residual, jacobian, _, _ = _frozen_system(
-        cost, None, ham, g, m[0], u[k_steps], psi_arr, dt, eps, band)
-    x = np.concatenate([u[:k_steps].ravel(), m[1:].ravel()])
+        cost, None, np.zeros(size), ham, g, m[0], dt, eps, band)
+    x = np.concatenate([w[:k_steps].ravel(), m[1:].ravel()])
     jac = jacobian(x).matrix().toarray()
     fd = central_difference_jacobian(residual, x)
     assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
@@ -713,45 +705,56 @@ def test_stationary_block_solve_restarts_gmres_instead_of_falling_back(monkeypat
 
 
 def space_time_system(obstacle, band_nodes, zero_slice=None):
-    # the penalized forward-backward system on a 2D 7x7 grid with K = 4
-    # at a random iterate, and its oracle Jacobian built by sp.bmat and
-    # sp.diags: f = m^2 + f0 gives -f'(m) = 0 where m <= 0. Without band
-    # nodes every u - psi is off the band; zero_slice puts one slice
-    # below it, so its penalty and exit rate vanish
+    # the penalized forward-backward system in (w, m) on a 2D 7x7 grid
+    # with K = 4 at a random iterate, and its oracle Jacobian built by
+    # sp.bmat and sp.diags: f = m^2 + f0 gives -f'(m) = 0 where m <= 0,
+    # and a heat_from_g obstacle with g = m^2 / 2 adds -g'(m) to the
+    # source derivative. Without band nodes every w is off the band;
+    # zero_slice puts one slice below it, so its penalty and exit rate
+    # vanish
     g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (7, 7))
     n, k_steps, dt, eps, band = g.n_total, 4, 0.1, 1e-3, 0.05
+    tg = build_timegrid(k_steps * dt, k_steps)
     rng = np.random.default_rng(19)
     cost = CostOperator.local_power(g, 1.0, 2.0, ScalarField.constant(g, -0.3))
-    psi_arr = (np.zeros((k_steps + 1, n)) if obstacle == "zero"
-               else rng.normal(size=(k_steps + 1, n)))
-    if band_nodes:
-        offsets = band_offsets(rng, (k_steps + 1, n), band)
+    g_cost = None
+    if obstacle == "heat_from_g":
+        g_cost = CostOperator.local_power(g, 0.5, 2.0, ScalarField.zeros(g))
+        op = ObstacleOperator.heat_source(g_cost)
+    elif obstacle == "zero":
+        op = ObstacleOperator.zero(g, tg)
     else:
-        offsets = band * rng.choice([-3.0, 3.0], size=(k_steps + 1, n))
+        op = ObstacleOperator.constant(FieldTrajectory(g, tg, rng.normal(size=(k_steps + 1, n))))
+    if band_nodes:
+        w = band_offsets(rng, (k_steps + 1, n), band)
+    else:
+        w = band * rng.choice([-3.0, 3.0], size=(k_steps + 1, n))
     if zero_slice is not None:
-        offsets[zero_slice] = -3.0 * band
-    u = psi_arr + offsets
+        w[zero_slice] = -3.0 * band
     m = rng.choice([-0.2, 0.0, 0.3, 1.1], size=(k_steps + 1, n))
-    system = _frozen_system(cost, None, None, g, m[0], u[k_steps], psi_arr, dt, eps, band)
-    x = np.concatenate([u[:k_steps].ravel(), m[1:].ravel()])
+    g_arr = op.apply_arrays(g, tg, m)[1]
+    system = _frozen_system(cost, g_cost, g_arr[:k_steps], None, g, m[0], dt, eps, band)
+    x = np.concatenate([w[:k_steps].ravel(), m[1:].ravel()])
     b_op = elliptic_matrix(g, with_zero_order=False) + sp.identity(n) / dt
     blocks = [[None] * (2 * k_steps) for _ in range(2 * k_steps)]
     for k in range(k_steps):
-        v = u[k] - psi_arr[k]
-        blocks[k][k] = b_op + sp.diags((v > 0).astype(float) / eps)
-        blocks[k_steps + k][k] = sp.diags(np.where(np.abs(v) < band, 0.5 / band, 0.0)
+        blocks[k][k] = b_op + sp.diags((w[k] > 0).astype(float) / eps)
+        blocks[k_steps + k][k] = sp.diags(np.where(np.abs(w[k]) < band, 0.5 / band, 0.0)
                                           * m[k + 1] / eps)
-        blocks[k_steps + k][k_steps + k] = b_op + sp.diags(_ramp(v / band) / eps)
+        blocks[k_steps + k][k_steps + k] = b_op + sp.diags(_ramp(w[k] / band) / eps)
         if k + 1 < k_steps:
             blocks[k][k + 1] = -sp.identity(n) / dt
         if k >= 1:
-            blocks[k][k_steps + k - 1] = sp.diags(-cost.derivative(m[k]))
+            fprime = cost.derivative(m[k])
+            if g_cost is not None:
+                fprime = fprime + g_cost.derivative(m[k])
+            blocks[k][k_steps + k - 1] = sp.diags(-fprime)
             blocks[k_steps + k][k_steps + k - 1] = -sp.identity(n) / dt
     return x, system, sp.bmat(blocks, format="csc")
 
 
 @pytest.mark.parametrize("band_nodes", [True, False], ids=["band", "no_band"])
-@pytest.mark.parametrize("obstacle", ["zero", "constant_field"])
+@pytest.mark.parametrize("obstacle", ["zero", "constant_field", "heat_from_g"])
 def test_time_dependent_block_solve_matches_the_whole_jacobian(monkeypatch, obstacle,
                                                                band_nodes):
     # the 2D Newton step from the backward and forward sweeps and the
@@ -824,19 +827,30 @@ def test_time_dependent_block_solve_factors_each_nonzero_block_once(monkeypatch,
         assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def test_time_dependent_block_solve_keeps_the_newton_counts(monkeypatch):
+@pytest.mark.parametrize("obstacle", ["zero", "heat_from_g"])
+def test_time_dependent_block_solve_keeps_the_newton_counts(monkeypatch, obstacle):
     # a 2D osmfg continuation by the block solve and by the LU of the
     # whole Jacobian (every Schur step taking its fallback): equal Newton
-    # counts per stage, and fields equal to round-off
+    # counts per stage, and fields equal to round-off. A heat_from_g
+    # obstacle (g = m^2 / 2) is solved in w = u - psi on the same sweeps
     g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (9, 9))
     tg = build_timegrid(0.5, 3)
     cost = CostOperator.local_power(g, 1.0, 1.0, ScalarField.constant(g, -0.5))
+    op = (ObstacleOperator.zero(g, tg) if obstacle == "zero" else
+          ObstacleOperator.heat_source(CostOperator.local_power(g, 0.5, 2.0, ScalarField.zeros(g))))
 
     def run():
-        return osmfg_continuation(cost, ObstacleOperator.zero(g, tg),
-                                  gaussian_density(g, sigma=0.15), tg)
+        return osmfg_continuation(cost, op, gaussian_density(g, sigma=0.15), tg)
 
+    schur, steps = _coupled._schur_step, []
+
+    def recording_schur(*args):
+        steps.append(obstacle)
+        return schur(*args)
+
+    monkeypatch.setattr(_coupled, "_schur_step", recording_schur)
     block, block_stages = run()
+    assert len(steps) >= len(block_stages)
     monkeypatch.setattr(_coupled, "_schur_step", lambda *args: args[-1]())
     whole, whole_stages = run()
     assert [s.iterations for s in block_stages] == [s.iterations for s in whole_stages]

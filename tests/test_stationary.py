@@ -202,27 +202,9 @@ def test_variational_fine_grid_kkt():
     assert euler_lagrange_certificate(cost, m, rho_f) >= -1e-8
 
 
-def test_variational_matches_qp_oracle(grid, rho):
-    cvxopt = pytest.importorskip("cvxopt")
-    cvxopt.solvers.options["show_progress"] = False
-    cvxopt.solvers.options["abstol"] = 1e-12
-    cvxopt.solvers.options["reltol"] = 1e-12
-    cost = local_cost(grid, -0.01)
-    m = variational_minimize(cost.potential(), rho)
-    n = grid.n_total
-    h = grid.cell_volume
-    a = elliptic_matrix(grid).toarray()
-    p_mat = cvxopt.matrix(h * np.eye(n))
-    q_vec = cvxopt.matrix(h * np.full(n, -0.01))
-    g_mat = cvxopt.matrix(np.vstack([a, -np.eye(n)]))
-    h_vec = cvxopt.matrix(np.concatenate([rho.values, np.zeros(n)]))
-    sol = cvxopt.solvers.qp(p_mat, q_vec, g_mat, h_vec)
-    m_qp = np.array(sol["x"]).ravel()
-    assert np.max(np.abs(m.values - m_qp)) <= 1e-6
-
-
 def test_variational_matches_scipy_qp_oracle(grid, rho):
-    # the QP of test_variational_matches_qp_oracle, solved by SLSQP
+    # the variational density against the QP it solves, by SLSQP:
+    # min h (|m|^2 / 2 - 0.01 sum m) subject to A m <= rho and m >= 0
     from scipy.optimize import Bounds, LinearConstraint, minimize
 
     cost = local_cost(grid, -0.01)
