@@ -46,7 +46,6 @@ drift operator, and _slice_residuals the one slice-residual core.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,30 +66,14 @@ from .obstacle import _lu_factor, diagonal_update, semismooth_newton
 from .stationary import (
     CoupledConfig,
     CoupledNonConvergence,
+    PenalizedTriple,
     _BlockJacobian,
     _ramp,
     _schur_step,
     _whole_step,
 )
 
-__all__ = ["FBSolution", "forward_backward_solve"]
-
-
-@dataclass(frozen=True, eq=False)
-class FBSolution:
-    """Trajectories of one penalized forward-backward solve, with the
-    Newton iterations and residual norms (of the start and after every
-    step) of its one Newton solve, as on PenalizedTriple."""
-
-    u: FieldTrajectory
-    m: FieldTrajectory
-    alpha: FieldTrajectory
-    drift: tuple[FaceVelocities, ...] | None
-    epsilon: float
-    iterations: int
-    residual_history: list[float]
-    delta_band: float
-    converged: bool = True
+__all__ = ["forward_backward_solve"]
 
 
 def _node_gradients(grid: Grid, u: np.ndarray):
@@ -133,9 +116,7 @@ def _face_gradients(grid: Grid, u: np.ndarray):
     _, face_grad = _gradient_matrices(grid)
     out = []
     for axis, mats in enumerate(face_grad):
-        face_shape = list(grid.shape)
-        face_shape[axis] += 1
-        out.append([(g @ u.T).T.reshape(u.shape[:-1] + tuple(face_shape)) for g in mats])
+        out.append([(g @ u.T).T.reshape(u.shape[:-1] + grid.face_shape(axis)) for g in mats])
     return out
 
 
@@ -280,9 +261,9 @@ def forward_backward_solve(
     obstacle_op,
     hamiltonian=None,
     m_traj_init: np.ndarray | None = None,
-    warm: FBSolution | None = None,
+    warm: PenalizedTriple | None = None,
     strict: bool = True,
-) -> FBSolution:
+) -> PenalizedTriple:
     """Solve the penalized forward-backward system at one penalty level.
 
     The solve runs in the shifted value w = u - psi(m). Every obstacle
@@ -355,7 +336,7 @@ def forward_backward_solve(
     if hamiltonian is not None:
         comps = _face_drift(grid, hamiltonian, u_arr[:steps])
         drift = tuple(FaceVelocities(grid, tuple(c[k] for c in comps)) for k in range(steps))
-    return FBSolution(
+    return PenalizedTriple(
         u=FieldTrajectory(grid, timegrid, u_arr),
         m=FieldTrajectory(grid, timegrid, m_arr),
         alpha=FieldTrajectory(grid, timegrid,

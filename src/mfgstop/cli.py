@@ -24,14 +24,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .control import ControlMixedReport, Hamiltonian, cosmfg_coupled_solve, verify_cosmfg
+from .control import ControlMixedReport, Hamiltonian
 from .costs import ANTI_MONOTONE, STRICT_MONOTONE, CostOperator
-from .evolutive import (
-    EvolutiveMixedReport,
-    ObstacleOperator,
-    osmfg_continuation,
-    verify_mixed_evolutive,
-)
+from .evolutive import EvolutiveMixedReport, ObstacleOperator
 from .grid import (
     FieldTrajectory,
     ScalarField,
@@ -52,17 +47,17 @@ from .scenarios import (
     scenario_nonuniqueness,
     scenario_obstacle_nonuniqueness,
     scenario_standard,
+    solve_problem,
+    verify_problem,
 )
 from .stationary import (
     CoupledConfig,
     CoupledNonConvergence,
     MixedSolutionReport,
     _checked_schedule,
-    continuation_solve,
     default_eps_schedule,
     monotone_iteration_solve,
     variational_minimize,
-    verify_mixed,
 )
 
 EXIT_OK = 0
@@ -312,26 +307,19 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
         return EXIT_BAD_CONFIG
     out = _output_root(out_override or cfg.output_dir)
     try:
-        if cfg.problem == "sosmfg" and cfg.method != "continuation":
+        if cfg.method == "continuation":
+            sol, stages = solve_problem(cfg, cfg.coupled)
+            u, m, report = sol.u, sol.m, stages[-1].report
+            stage_rows = [(sr.stage, sr.epsilon, sr.iterations, sr.report) for sr in stages]
+        else:  # the two direct routes of sosmfg
             if cfg.method == "monotone_iteration":
                 u, m, iterations = monotone_iteration_solve(cfg.cost, cfg.rho)
             else:
                 m = variational_minimize(cfg.cost.potential(), cfg.rho)
                 u = solve_obstacle_stationary(cfg.cost(m), ScalarField.zeros(cfg.grid))
                 iterations = 1
-            report = verify_mixed(u, m, cfg.cost, cfg.rho)
+            report = verify_problem(cfg, u, m)
             stage_rows = [(0, 0.0, iterations, report)]
-        else:
-            if cfg.problem == "sosmfg":
-                sol, stages = continuation_solve(cfg.cost, cfg.rho, cfg.eps_schedule, cfg.coupled)
-            elif cfg.problem == "osmfg":
-                sol, stages = osmfg_continuation(cfg.cost, cfg.obstacle_op, cfg.m0, cfg.timegrid,
-                                                 cfg.eps_schedule, cfg.coupled)
-            else:
-                sol, stages = cosmfg_coupled_solve(cfg.cost, cfg.hamiltonian, cfg.m0,
-                                                   cfg.timegrid, cfg.eps_schedule, cfg.coupled)
-            u, m, report = sol.u, sol.m, stages[-1].report
-            stage_rows = [(sr.stage, sr.epsilon, sr.iterations, sr.report) for sr in stages]
         if cfg.problem == "sosmfg":
             write_field_csv(u, os.path.join(out, "u.csv"))
             write_field_csv(m, os.path.join(out, "m.csv"))
@@ -398,17 +386,12 @@ def cmd_verify(u_path: str, m_path: str, config_path: str) -> int:
         if cfg.problem == "sosmfg":
             u = read_field_csv(cfg.grid, u_path)
             m = read_field_csv(cfg.grid, m_path)
-            report = verify_mixed(u, m, cfg.cost, cfg.rho, delta_c=delta_c)
         else:
             u = read_trajectory_csv(cfg.grid, u_path)
             m = read_trajectory_csv(cfg.grid, m_path)
             if u.timegrid != cfg.timegrid or m.timegrid != cfg.timegrid:
                 raise ValueError(f"trajectory time grid differs from the config's {cfg.timegrid}")
-            if cfg.problem == "osmfg":
-                report = verify_mixed_evolutive(u, m, cfg.cost, cfg.obstacle_op, cfg.m0,
-                                                delta_c=delta_c)
-            else:
-                report = verify_cosmfg(u, m, cfg.cost, cfg.hamiltonian, cfg.m0, delta_c=delta_c)
+        report = verify_problem(cfg, u, m, delta_c)
     except (OSError, ValueError, json.JSONDecodeError) as err:
         print(f"cannot verify: {err}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -117,10 +117,8 @@ class Hamiltonian:
             return None
         left, right = _face_nodes(grid, axis)
         beta = self.beta.values
-        face_shape = list(grid.shape)
-        face_shape[axis] += 1
         return 0.5 * (beta[np.where(left >= 0, left, right)]
-                      + beta[np.where(right >= 0, right, left)]).reshape(face_shape)
+                      + beta[np.where(right >= 0, right, left)]).reshape(grid.face_shape(axis))
 
     def radial(self, beta_value: float, r: np.ndarray | float):
         """H as a function of |p| at one point (both kinds are radial)."""
@@ -163,8 +161,9 @@ def cosmfg_coupled_solve(
     iterate, and solution.drift is the drift of the returned value
     trajectory.
 
-    Returns (solution, stages): the final FBSolution and one
-    StageReport per stage, with the verify_cosmfg report of its (u, m).
+    Returns (solution, stages): the final PenalizedTriple, whose fields
+    are trajectories, and one StageReport per stage, with the
+    verify_cosmfg report of its (u, m).
     """
     zero = ObstacleOperator.zero(m0.grid, timegrid)
 

@@ -169,7 +169,3 @@ class PotentialOperator:
         if c.kind == "local_power":
             return c.a * np.power(m_values, c.p + 1) / (c.p + 1) + c.f0.values * m_values
         return c.base.values * m_values + 0.5 * (m_values - c.m_ref.values) ** 2
-
-    def total(self, m: ScalarField) -> float:
-        """Integral of F(x, m(x)) over the domain."""
-        return float(np.sum(self.evaluate(m.values)) * self.grid.cell_volume)

@@ -74,23 +74,18 @@ class FaceVelocities:
             raise ValueError("one component per axis required")
         comps = []
         for axis, comp in enumerate(self.components):
-            shape = list(self.grid.shape)
-            shape[axis] += 1
+            shape = self.grid.face_shape(axis)
             c = np.array(comp, dtype=float, copy=True)
-            if c.shape != tuple(shape):
-                raise ValueError(f"axis {axis} faces must have shape {tuple(shape)}, got {c.shape}")
+            if c.shape != shape:
+                raise ValueError(f"axis {axis} faces must have shape {shape}, got {c.shape}")
             c.setflags(write=False)
             comps.append(c)
         object.__setattr__(self, "components", tuple(comps))
 
     @staticmethod
     def zeros(grid: Grid) -> "FaceVelocities":
-        comps = []
-        for axis in range(grid.dim):
-            shape = list(grid.shape)
-            shape[axis] += 1
-            comps.append(np.zeros(tuple(shape)))
-        return FaceVelocities(grid, tuple(comps))
+        return FaceVelocities(grid, tuple(np.zeros(grid.face_shape(axis))
+                                          for axis in range(grid.dim)))
 
 
 def _require_nonnegative(values: np.ndarray, what: str) -> None:

@@ -143,9 +143,9 @@ def osmfg_continuation(
     forward_backward_solve stages along a decreasing schedule, the first
     from the density trajectory m_traj_init.
 
-    Returns (solution, stages): the final FBSolution and one
-    StageReport per stage, with the verify_mixed_evolutive report of
-    its (u, m).
+    Returns (solution, stages): the final PenalizedTriple, whose fields
+    are trajectories, and one StageReport per stage, with the
+    verify_mixed_evolutive report of its (u, m).
     """
 
     def solve_stage(eps, warm, strict):

@@ -72,6 +72,11 @@ class Grid:
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
+    def face_shape(self, axis: int) -> tuple[int, ...]:
+        """Shape of the faces across axis, boundary faces included: the
+        grid shape one longer along axis."""
+        return tuple(n + (d == axis) for d, n in enumerate(self.shape))
+
     def axis_coordinates(self, axis: int) -> np.ndarray:
         a, b = self.bounds[axis]
         h = self.spacing[axis]
@@ -160,11 +165,6 @@ class ScalarField:
     def zeros(grid: Grid) -> "ScalarField":
         return ScalarField.constant(grid, 0.0)
 
-    @staticmethod
-    def from_function(grid: Grid, fn) -> "ScalarField":
-        """fn maps an (N, dim) coordinate array to N values."""
-        return ScalarField(grid, np.asarray(fn(grid.coordinates()), dtype=float))
-
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
@@ -220,9 +220,6 @@ class NodeMask:
 
     def complement(self) -> "NodeMask":
         return NodeMask(self.grid, ~self.mask)
-
-    def count(self) -> int:
-        return int(self.mask.sum())
 
 
 @lru_cache(maxsize=None)
@@ -292,9 +289,7 @@ def _gradient_matrices(grid: Grid):
              (np.concatenate([faces[keep_r], faces[keep_l]]),
               np.concatenate([right[keep_r], left[keep_l]]))), shape=(len(faces), n)))
         # the difference on the face left and on the face right of a node
-        face_shape = list(grid.shape)
-        face_shape[axis] += 1
-        face_idx = faces.reshape(face_shape)
+        face_idx = faces.reshape(grid.face_shape(axis))
         n_axis = grid.shape[axis]
         one_sided.append(tuple(
             sp.csr_matrix((np.ones(n), (np.arange(n), np.take(face_idx, sel, axis=axis).ravel())),

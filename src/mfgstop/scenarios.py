@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import Hamiltonian, cosmfg_coupled_solve
+from .control import Hamiltonian, cosmfg_coupled_solve, verify_cosmfg
 from .costs import CostOperator
-from .evolutive import ObstacleOperator, osmfg_continuation
+from .evolutive import ObstacleOperator, osmfg_continuation, verify_mixed_evolutive
 from .grid import (
     Grid,
     ScalarField,
@@ -42,6 +42,8 @@ __all__ = [
     "scenario_obstacle_nonuniqueness",
     "raised_cosine_bump",
     "gaussian_density",
+    "solve_problem",
+    "verify_problem",
     "run_scenario_evidence",
 ]
 
@@ -368,25 +370,48 @@ def scenario_obstacle_nonuniqueness(
 
 
 # ---------------------------------------------------------------------------
+# One problem, its continuation and its verifier; spec is a Scenario or a
+# cli.RunConfig, read by the fields the two share: problem, cost, rho, m0,
+# timegrid, obstacle_op, hamiltonian and eps_schedule
+
+
+def solve_problem(spec, config: CoupledConfig | None = None):
+    """The penalty continuation of spec's problem along its eps_schedule:
+    continuation_solve (sosmfg), osmfg_continuation (osmfg) or
+    cosmfg_coupled_solve (cosmfg). Returns its (solution, stages)."""
+    if spec.problem == "sosmfg":
+        return continuation_solve(spec.cost, spec.rho, spec.eps_schedule, config)
+    if spec.problem == "osmfg":
+        return osmfg_continuation(spec.cost, spec.obstacle_op, spec.m0, spec.timegrid,
+                                  spec.eps_schedule, config)
+    return cosmfg_coupled_solve(spec.cost, spec.hamiltonian, spec.m0, spec.timegrid,
+                                spec.eps_schedule, config)
+
+
+def verify_problem(spec, u, m, delta_c: float | None = None):
+    """The report of spec's verifier on the candidate (u, m): verify_mixed
+    (sosmfg), verify_mixed_evolutive (osmfg) or verify_cosmfg (cosmfg),
+    with contact threshold delta_c (None for the verifier's default)."""
+    if spec.problem == "sosmfg":
+        return verify_mixed(u, m, spec.cost, spec.rho, delta_c=delta_c)
+    if spec.problem == "osmfg":
+        return verify_mixed_evolutive(u, m, spec.cost, spec.obstacle_op, spec.m0,
+                                      delta_c=delta_c)
+    return verify_cosmfg(u, m, spec.cost, spec.hamiltonian, spec.m0, delta_c=delta_c)
+
+
+# ---------------------------------------------------------------------------
 # Evidence runs of the registry scenarios (used by `mfgstop scenario`)
 
 
 def run_scenario_evidence(scenario: Scenario, config: CoupledConfig | None = None) -> dict:
-    """Solve a registry scenario by penalty continuation.
+    """Solve a registry scenario by penalty continuation (solve_problem).
 
     Returns a dict with the final solution, the verifier report of the
     last stage, the stage list, the minimum density and the largest mass
     increase between time slices (0 for the stationary problem).
     """
-    schedule = list(scenario.eps_schedule)
-    if scenario.problem == "sosmfg":
-        sol, stages = continuation_solve(scenario.cost, scenario.rho, schedule, config)
-    elif scenario.problem == "osmfg":
-        sol, stages = osmfg_continuation(scenario.cost, scenario.obstacle_op, scenario.m0,
-                                         scenario.timegrid, schedule, config)
-    else:
-        sol, stages = cosmfg_coupled_solve(scenario.cost, scenario.hamiltonian, scenario.m0,
-                                           scenario.timegrid, schedule, config)
+    sol, stages = solve_problem(scenario, config)
     m_arr = np.atleast_2d(sol.m.values)
     masses = m_arr.sum(axis=1) * scenario.grid.cell_volume
     return {"name": scenario.name, "problem": scenario.problem,

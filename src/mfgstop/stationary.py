@@ -22,9 +22,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .costs import ANTI_MONOTONE, STRICT_MONOTONE, CostOperator, PotentialOperator
-from .density import solve_density_on_set
+from .density import FaceVelocities, solve_density_on_set
 from .grid import (
     DELTA_C_FLOOR,
+    FieldTrajectory,
     NodeMask,
     ScalarField,
     classify_nodes,
@@ -93,22 +94,29 @@ class CoupledNonConvergence(RuntimeError):
         where = f" at stage {stage}" if stage is not None else ""
         tail = residual_history[-3:] if residual_history else []
         super().__init__(f"{message}{where}; last residuals {tail}")
+        self.message = message
         self.residual_history = residual_history
         self.stage = stage
 
 
 @dataclass(frozen=True, eq=False)
 class PenalizedTriple:
-    """(u, m, alpha) at one penalty level, with convergence history."""
+    """(u, m, alpha) at one penalty level: ScalarFields for the
+    stationary system, FieldTrajectorys for the time-dependent ones.
+    iterations and residual_history (the norm of the start and after
+    every step) are those of the level's one Newton solve; drift, the
+    face drift D_pH(x, grad u_k) of every time step k, is set by a
+    controlled solve only."""
 
-    u: ScalarField
-    m: ScalarField
-    alpha: ScalarField
+    u: ScalarField | FieldTrajectory
+    m: ScalarField | FieldTrajectory
+    alpha: ScalarField | FieldTrajectory
     epsilon: float
     iterations: int
     residual_history: list[float]
     delta_band: float
     converged: bool = True
+    drift: tuple[FaceVelocities, ...] | None = None
 
     def __post_init__(self):
         a = self.alpha.values
@@ -140,11 +148,10 @@ class MixedSolutionReport:
 @dataclass(frozen=True, eq=False)
 class StageReport:
     """One stage of a penalty continuation: its index, the stage's
-    solution (PenalizedTriple or FBSolution) and the verifier's report
-    of it."""
+    PenalizedTriple and the verifier's report of it."""
 
     stage: int
-    solution: object
+    solution: PenalizedTriple
     report: object
 
     @property
@@ -433,7 +440,7 @@ def penalty_continuation(solve_stage, verify, eps_schedule=None):
         try:
             sol = solve_stage(eps, sol, j == len(schedule) - 1)
         except CoupledNonConvergence as err:
-            raise CoupledNonConvergence(str(err), err.residual_history, stage=j) from err
+            raise CoupledNonConvergence(err.message, err.residual_history, stage=j) from err
         stages.append(StageReport(stage=j, solution=sol, report=verify(sol)))
     return sol, stages
 

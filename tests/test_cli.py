@@ -364,7 +364,9 @@ def test_stage_nonconvergence_reports_its_stage(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, {**OSMFG_RUN, "output_dir": str(out),
                                   "eps_schedule": {"start": 0.1, "factor": 4.0, "stages": 3}})
     assert main(["run", "--config", str(cfg)]) == 3
-    assert json.loads((out / "failure.json").read_text())["stage"] == 1
+    failure = json.loads((out / "failure.json").read_text())
+    assert failure["stage"] == 1
+    assert failure["error"].count("last residuals") == 1 and "at stage 1" in failure["error"]
     stage_epsilons.clear()
     run = cli.load_config(cfg)
     with pytest.raises(CoupledNonConvergence) as err:
