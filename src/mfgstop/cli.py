@@ -239,6 +239,8 @@ class RunConfig:
         self.coupled = CoupledConfig(tol_pde=float(tols.get("pde", 1e-8)))
         self.seed = _integer(raw.get("seed", 0), "seed")
         self.output_dir = raw.get("output_dir")
+        if self.output_dir is not None and not isinstance(self.output_dir, str):
+            raise ConfigError("output_dir must be a string path")
 
 
 def load_config(path) -> RunConfig:
@@ -305,7 +307,11 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
     except (ConfigError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    out = _output_root(out_override or cfg.output_dir)
+    try:
+        out = _output_root(out_override or cfg.output_dir)
+    except OSError as err:
+        print(f"cannot write output: {err}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     try:
         if cfg.method == "continuation":
             sol, stages = solve_problem(cfg, cfg.coupled)
@@ -404,7 +410,11 @@ def cmd_verify(u_path: str, m_path: str, config_path: str) -> int:
 
 
 def cmd_scenario(name: str, out_dir: str | None) -> int:
-    out = _output_root(out_dir)
+    try:
+        out = _output_root(out_dir)
+    except OSError as err:
+        print(f"cannot write output: {err}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     try:
         if name == "nonuniqueness":
             ev = scenario_nonuniqueness()

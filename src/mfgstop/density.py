@@ -23,7 +23,7 @@ from .grid import (
     _face_nodes,
     elliptic_matrix,
 )
-from .obstacle import _linsolve, _lu_solve
+from .obstacle import _lu_solve
 
 __all__ = [
     "KillingData",
@@ -118,7 +118,7 @@ def solve_density_penalized(killing: KillingData, source: ScalarField) -> Scalar
         raise ValueError("killing data and source must share one grid")
     _require_nonnegative(source.values, "rho")
     a = elliptic_matrix(grid) + sp.diags(killing.rate())
-    return ScalarField(grid, _linsolve(a, source.values, grid))
+    return ScalarField(grid, _lu_solve(a, source.values))
 
 
 def check_subsolution(m: ScalarField, source: ScalarField) -> ScalarField:
@@ -209,5 +209,5 @@ def solve_density_parabolic(
         dv = _step_drift(drift_traj, k)
         if dv is not None:
             mat = mat + drift_divergence_matrix(grid, dv)
-        m_arr[k + 1] = _linsolve(mat, m_arr[k] / dt, grid)
+        m_arr[k + 1] = _lu_solve(mat, m_arr[k] / dt)
     return FieldTrajectory(grid, timegrid, m_arr)

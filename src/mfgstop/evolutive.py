@@ -26,7 +26,7 @@ from .grid import (
     default_contact_threshold,
     elliptic_matrix,
 )
-from .obstacle import _linear_factor
+from .obstacle import _lu_factor
 from .stationary import CoupledConfig, _probe_gap, penalty_continuation
 
 __all__ = [
@@ -82,8 +82,7 @@ class ObstacleOperator:
         if self.kind == "heat_from_g":
             g_arr = np.stack([self.g_cost.evaluate(m_arr[k]) for k in range(steps + 1)])
             psi_arr = np.zeros_like(m_arr)
-            solve = _linear_factor((a0 + sp.identity(grid.n_total, format="csr") / dt).tocsr(),
-                                   grid)
+            solve = _lu_factor((a0 + sp.identity(grid.n_total, format="csr") / dt).tocsr())
             for k in range(steps - 1, -1, -1):
                 psi_arr[k] = solve(psi_arr[k + 1] / dt - g_arr[k])
             return psi_arr, g_arr

@@ -20,11 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import solve_banded
 
 from .grid import (
     FieldTrajectory,
-    Grid,
     ScalarField,
     TimeGrid,
     elliptic_matrix,
@@ -183,25 +181,6 @@ def _splu_factor(matrix, permc_spec):
     return lu.solve
 
 
-def _linsolve(matrix, rhs, grid: Grid) -> np.ndarray:
-    """Direct solve: _linear_factor(matrix, grid) applied to rhs."""
-    return _linear_factor(matrix, grid)(rhs)
-
-
-def _linear_factor(matrix, grid: Grid):
-    """Direct solve rhs -> matrix^-1 rhs: a banded solve for 1D
-    tridiagonal systems, the sparse LU of _lu_factor, factored once,
-    otherwise."""
-    if grid.dim == 1:
-        n = grid.n_total
-        ab = np.zeros((3, n))
-        ab[0, 1:] = matrix.diagonal(1)
-        ab[1, :] = matrix.diagonal(0)
-        ab[2, :-1] = matrix.diagonal(-1)
-        return lambda rhs: solve_banded((1, 1), ab, rhs)
-    return _lu_factor(matrix)
-
-
 def solve_obstacle_stationary(
     source: ScalarField,
     obstacle: ScalarField,
@@ -215,7 +194,7 @@ def solve_obstacle_stationary(
     if obstacle.grid != grid:
         raise ValueError("source and obstacle must share one grid")
     m = elliptic_matrix(grid)
-    start = _linsolve(m, source.values, grid)
+    start = _lu_solve(m, source.values)
     return ScalarField(grid, _obstacle_newton(m, source.values, obstacle.values, start, config))
 
 
@@ -425,7 +404,7 @@ def solve_obstacle_penalized(
         raise ValueError("source and obstacle must share one grid")
     m = elliptic_matrix(grid) if matrix is None else matrix
     f, psi = source.values, obstacle.values
-    start = _linsolve(m, f, grid) if u0 is None else u0.values
+    start = _lu_solve(m, f) if u0 is None else u0.values
     diag = np.arange(m.shape[0])
     assemble = diagonal_update(m, diag, diag)
     u, norms, it = semismooth_newton(

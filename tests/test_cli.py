@@ -17,6 +17,7 @@ from mfgstop.grid import (
     write_trajectory_csv,
 )
 from mfgstop.obstacle import ObstacleConvergenceError
+from mfgstop.scenarios import STANDARD_NAMES
 from mfgstop.stationary import CoupledConfig, CoupledNonConvergence
 
 BASE_CONFIG = {
@@ -144,12 +145,12 @@ def test_verify_empty_file_rejected(tmp_path):
                  "--config", str(cfg)]) == 2
 
 
-def test_scenario_counterexamples(tmp_path):
-    assert main(["scenario", "nonuniqueness", "--out", str(tmp_path / "s1")]) == 0
-    bundle = json.loads((tmp_path / "s1" / "scenario_nonuniqueness.json").read_text())
+@pytest.mark.parametrize("name", list(STANDARD_NAMES) + [
+    "nonuniqueness", "nonexistence", "nonexistence_ball", "obstacle_nonuniqueness"])
+def test_scenario_counterexamples(tmp_path, name):
+    assert main(["scenario", name, "--out", str(tmp_path)]) == 0
+    bundle = json.loads((tmp_path / f"scenario_{name}.json").read_text())
     assert bundle["confirmed"] is True
-    assert main(["scenario", "nonexistence", "--out", str(tmp_path / "s2")]) == 0
-    assert main(["scenario", "obstacle_nonuniqueness", "--out", str(tmp_path / "s3")]) == 0
 
 
 def test_scenario_unknown_name(tmp_path):
@@ -162,6 +163,28 @@ def test_output_env_override(tmp_path, monkeypatch):
     cfg = write_config(tmp_path)  # no output_dir in config
     assert main(["run", "--config", str(cfg)]) == 0
     assert (tmp_path / "env_out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("command, where", [
+    ("run", "config-number"), ("run", "config"), ("run", "--out"), ("run", "MFGSTOP_OUT"),
+    ("scenario", "--out"), ("scenario", "MFGSTOP_OUT")])
+def test_unusable_output_location_exits_2(tmp_path, monkeypatch, capsys, command, where):
+    # an output_dir that is no string, or an output root that names a file
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    output_dir = {"config-number": 5, "config": str(blocker)}.get(where)
+    if where == "MFGSTOP_OUT":
+        monkeypatch.setenv("MFGSTOP_OUT", str(blocker))
+    argv = (["run", "--config", str(write_config(tmp_path, {"output_dir": output_dir}))]
+            if command == "run" else ["scenario", "monotone_1d"])
+    if where == "--out":
+        argv += ["--out", str(blocker)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    message = ("config error: output_dir must be a string" if where == "config-number"
+               else "cannot write output:")
+    assert err.startswith(message) and err.count("\n") == 1
+    assert blocker.read_text() == "keep"
 
 
 OSMFG_RUN = {

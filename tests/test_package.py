@@ -1,6 +1,7 @@
-"""Static checks of the package's names, read from the sources with ast:
-every __all__ entry resolves, the package __init__ imports only names
-its modules export, and no module imports a name it never uses."""
+"""Static checks of the package, read from the sources with ast: every
+__all__ entry resolves, the package __init__ imports only names its
+modules export, no module imports a name it never uses, and every
+direct solve goes through the one factorization entry point."""
 
 import ast
 import importlib
@@ -61,3 +62,35 @@ def test_no_unused_import(module):
             imported.update(alias.asname or alias.name for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used - set(_exports(tree))) == []
+
+
+# the direct solvers of numpy and scipy, and the functions that may call
+# them: the SuperLU call behind obstacle._lu_factor, the ordering of a
+# pattern, and the dense solves of the brute-force oracle
+DIRECT_SOLVERS = {"splu", "spilu", "spsolve", "factorized", "solve_banded", "solveh_banded",
+                  "inv"}
+FACTORING_FUNCTIONS = {"obstacle._splu_factor", "obstacle._elimination_order",
+                       "obstacle.obstacle_oracle"}
+
+
+def _direct_solves(node, module, scope=None):
+    """(function, line) of each direct-solver call below node; function
+    is module.name of the enclosing module-level function or method."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if scope is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{module}.{child.name}"
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            linalg_solve = (name == "solve" and isinstance(func, ast.Attribute)
+                            and getattr(func.value, "attr", None) == "linalg")
+            if name in DIRECT_SOLVERS or linalg_solve:
+                yield inner or module, child.lineno
+        yield from _direct_solves(child, module, inner)
+
+
+def test_every_direct_solve_goes_through_lu_factor():
+    found = [(where, line) for module in MODULES
+             for where, line in _direct_solves(_tree(module), module)]
+    assert found and {where for where, _ in found} <= FACTORING_FUNCTIONS, found
