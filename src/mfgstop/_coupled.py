@@ -62,7 +62,7 @@ from .grid import (
     _gradient_matrices,
     elliptic_matrix,
 )
-from .obstacle import _lu_factor, diagonal_update, semismooth_newton
+from .obstacle import _shifted_factor, diagonal_update, semismooth_newton
 from .stationary import (
     CoupledConfig,
     CoupledNonConvergence,
@@ -384,10 +384,10 @@ def _frozen_system(cost, g_cost, g_arr, hamiltonian, grid, m0_vals, dt, epsilon,
     is one forward sweep; S = diag(slope_k m_{k+1}) sits at (m_{k+1},
     w_k) and F, the source derivative, at (w_k, m_k). The step is
     _schur_step on these sweeps. Every slice block is factored on the
-    cached order of B's pattern through one B + diag(d) assembler, and
-    the blocks with d = 0 share one factor of B per stage. On a GMRES
-    miss the step falls back to the LU of the whole Jacobian. Otherwise
-    every step is that LU.
+    cached order of B's pattern through obstacle._shifted_factor, and
+    the blocks with d = 0 share the one factor of B that the process
+    keeps per (grid, dt). On a GMRES miss the step falls back to the LU
+    of the whole Jacobian. Otherwise every step is that LU.
     """
     a0 = elliptic_matrix(grid, with_zero_order=False)
     n = a0.shape[0]
@@ -456,18 +456,11 @@ def _frozen_system(cost, g_cost, g_arr, hamiltonian, grid, m0_vals, dt, epsilon,
     if grid.dim < 2 or hamiltonian is not None:
         return residual, jacobian, _whole_step, unstack
 
-    block_assemble = diagonal_update(b_op, diag[:n], diag[:n])
-
-    @functools.cache
-    def b_factor():
-        return _lu_factor(block_assemble(np.zeros(n)))
-
     def sweep(diagonals, backward):
         # Ju^-1 (backward) or Jm^-1 (forward): per slice the solve of
-        # B + diag(d_k), B's one factor where d_k vanishes, with the
+        # B + diag(d_k), B's cached factor where d_k vanishes, with the
         # -I/dt coupling to the slice solved before it
-        factors = [_lu_factor(block_assemble(d)) if np.any(d) else b_factor()
-                   for d in diagonals]
+        factors = [_shifted_factor(grid, d, dt) for d in diagonals]
         order = range(k_steps - 1, -1, -1) if backward else range(k_steps)
 
         def solve(r):

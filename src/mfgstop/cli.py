@@ -4,7 +4,8 @@ return a contract-stable exit status.
 
 Exit codes: 0 converged and verified within the configured acceptance
 thresholds; 1 verification failed; 2 invalid configuration or input
-file; 3 solver non-convergence (partial artifacts are still written).
+file, or an output that cannot be written; 3 solver non-convergence
+(partial artifacts are still written).
 
 Determinism: identical configuration and seed produce bitwise-identical
 artifacts (no timestamps; canonical JSON; fixed float formatting).
@@ -301,17 +302,30 @@ def _check_acceptance(report_dict: dict, acceptance: dict):
     return failures
 
 
+def _into_output(out_dir: str | None, write) -> int:
+    """write(out) on the output root out (_output_root(out_dir)), made
+    if missing; exit 2 with "cannot write output" where the root or an
+    artifact under it cannot be written. The solves write no file, so
+    an OSError comes from the output."""
+    try:
+        return write(_output_root(out_dir))
+    except OSError as err:
+        print(f"cannot write output: {err}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
+
+
 def cmd_run(config_path: str, out_override: str | None = None) -> int:
     try:
         cfg = load_config(config_path)
     except (ConfigError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    try:
-        out = _output_root(out_override or cfg.output_dir)
-    except OSError as err:
-        print(f"cannot write output: {err}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+    return _into_output(out_override or cfg.output_dir, lambda out: _run(cfg, out))
+
+
+def _run(cfg: RunConfig, out: str) -> int:
+    """Solve cfg, write its artifacts under out and check its
+    acceptance thresholds."""
     try:
         if cfg.method == "continuation":
             sol, stages = solve_problem(cfg, cfg.coupled)
@@ -409,12 +423,19 @@ def cmd_verify(u_path: str, m_path: str, config_path: str) -> int:
     return EXIT_OK if not failures else EXIT_VERIFY_FAILED
 
 
+_SCENARIOS = STANDARD_NAMES + ("nonuniqueness", "nonexistence", "nonexistence_ball",
+                                "obstacle_nonuniqueness")
+
+
 def cmd_scenario(name: str, out_dir: str | None) -> int:
-    try:
-        out = _output_root(out_dir)
-    except OSError as err:
-        print(f"cannot write output: {err}", file=sys.stderr)
+    if name not in _SCENARIOS:
+        print(f"unknown scenario {name!r}; available: {', '.join(_SCENARIOS)}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    return _into_output(out_dir, lambda out: _scenario(name, out))
+
+
+def _scenario(name: str, out: str) -> int:
+    """Run the evidence of scenario name and write its bundle under out."""
     try:
         if name == "nonuniqueness":
             ev = scenario_nonuniqueness()
@@ -454,7 +475,7 @@ def cmd_scenario(name: str, out_dir: str | None) -> int:
                 "report_low": ev.report_low.to_dict(),
             }
             ok = ev.report_star.max_residual <= 1e-8 and ev.report_low.max_residual <= 1e-8
-        elif name in STANDARD_NAMES:
+        else:
             evidence = run_scenario_evidence(scenario_standard(name))
             report = evidence["report"]
             bundle = {
@@ -467,11 +488,6 @@ def cmd_scenario(name: str, out_dir: str | None) -> int:
             ok = (evidence["min_density"] >= -1e-12
                   and evidence["mass_monotone_violation"] <= 1e-12
                   and report.to_dict().get("r_duality", 0.0) <= 1e-4)
-        else:
-            print(f"unknown scenario {name!r}; available: "
-                  f"{', '.join(list(STANDARD_NAMES) + ['nonuniqueness', 'nonexistence', 'nonexistence_ball', 'obstacle_nonuniqueness'])}",
-                  file=sys.stderr)
-            return EXIT_BAD_CONFIG
     except (CoupledNonConvergence, ObstacleConvergenceError) as err:
         print(f"scenario solver did not converge: {err}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

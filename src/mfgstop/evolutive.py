@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._coupled import _hamiltonian_terms, _slice_residuals, forward_backward_solve
 from .costs import CostOperator
@@ -26,7 +25,7 @@ from .grid import (
     default_contact_threshold,
     elliptic_matrix,
 )
-from .obstacle import _lu_factor
+from .obstacle import _base_factor
 from .stationary import CoupledConfig, _probe_gap, penalty_continuation
 
 __all__ = [
@@ -74,15 +73,17 @@ class ObstacleOperator:
 
     def apply_arrays(self, grid: Grid, timegrid: TimeGrid, m_arr: np.ndarray):
         """(psi, g_psi) as (K+1, N) arrays; see apply_obstacle_operator.
-        The K backward heat steps of heat_from_g share one factorization
-        of A0 + I/dt."""
+        The K backward heat steps of heat_from_g solve with the factor of
+        B = A0 + I/dt that the process keeps per (grid, dt)
+        (obstacle._base_factor), shared with the solver's sweeps and
+        with every later call."""
         steps = timegrid.n_steps
         dt = timegrid.dt
         a0 = elliptic_matrix(grid, with_zero_order=False)
         if self.kind == "heat_from_g":
             g_arr = np.stack([self.g_cost.evaluate(m_arr[k]) for k in range(steps + 1)])
             psi_arr = np.zeros_like(m_arr)
-            solve = _lu_factor((a0 + sp.identity(grid.n_total, format="csr") / dt).tocsr())
+            solve = _base_factor(grid, dt)
             for k in range(steps - 1, -1, -1):
                 psi_arr[k] = solve(psi_arr[k + 1] / dt - g_arr[k])
             return psi_arr, g_arr

@@ -151,9 +151,11 @@ def _lu_factor(matrix):
     once and cached; the matrix is factored symmetrically permuted into
     that order, with the NATURAL column order, every time, so a solve
     does not depend on whether the order was just computed or found in
-    the cache. Any other matrix is ordered afresh. An exactly singular
-    matrix gives NaNs, so a Newton solve ends in non-convergence rather
-    than an exception.
+    the cache. Any other matrix is ordered afresh. Every call factors
+    anew: the one factor per base operator (A = -lap + id, or
+    B = -lap + I/dt per dt) that the solves of a grid share is kept by
+    _base_factor, not here. An exactly singular matrix gives NaNs, so a
+    Newton solve ends in non-convergence rather than an exception.
     """
     pattern = getattr(matrix, "registered_pattern", None)
     if pattern is None:
@@ -169,6 +171,40 @@ def _lu_factor(matrix):
         return x
 
     return solve
+
+
+@functools.lru_cache(maxsize=8)
+def _shifted_operator(grid, dt):
+    """Assembler of A + diag(d) on A's registered pattern, for the base
+    operator A of grid: -lap + id for dt None (the stationary systems),
+    B = -lap + I/dt for a time step dt (one implicit Euler step of the
+    time-dependent ones). Built once per (grid, dt), like the matrix
+    itself."""
+    if dt is None:
+        base = elliptic_matrix(grid)
+    else:
+        eye_dt = sp.identity(grid.n_total, format="csr") / dt
+        base = elliptic_matrix(grid, with_zero_order=False) + eye_dt
+    diag = np.arange(grid.n_total)
+    return diagonal_update(base, diag, diag)
+
+
+@functools.lru_cache(maxsize=8)
+def _base_factor(grid, dt):
+    """_lu_factor of the base operator of _shifted_operator(grid, dt)
+    itself (d = 0), factored once per (grid, dt) and kept for the
+    process: the stationary cold start and every Newton block or heat
+    step whose diagonal update vanishes share it."""
+    return _lu_factor(_shifted_operator(grid, dt)(np.zeros(grid.n_total)))
+
+
+def _shifted_factor(grid, d, dt=None):
+    """_lu_factor of A + diag(d) for the base operator A of
+    _shifted_operator(grid, dt), the cached _base_factor where d
+    vanishes."""
+    if np.any(d):
+        return _lu_factor(_shifted_operator(grid, dt)(d))
+    return _base_factor(grid, dt)
 
 
 def _splu_factor(matrix, permc_spec):

@@ -35,8 +35,9 @@ from .grid import (
 )
 from .obstacle import (
     ObstacleSolveConfig,
-    _lu_factor,
+    _base_factor,
     _lu_solve,
+    _shifted_factor,
     diagonal_update,
     row_select,
     semismooth_newton,
@@ -190,10 +191,13 @@ def penalized_coupled_solve(
     blocks of the Jacobian, not on the whole of it (_penalized_system).
 
     The start is m_init (default A^-1 rho) and the value of the
-    unconstrained equation for f(m). A warm start, the previous stage's
-    solution, replaces both: its (u, m), with the ramp position of u
-    (hence the exit rate) kept continuous by rescaling band nodes from
-    its band to the new one. strict=False returns the last iterate with
+    unconstrained equation for f(m), both solved with the factor of A
+    that the process keeps per grid (obstacle._base_factor), as is
+    every Newton block and final density solve whose diagonal update
+    vanishes. A warm start, the previous stage's solution, replaces
+    both: its (u, m), with the ramp position of u (hence the exit rate)
+    kept continuous by rescaling band nodes from its band to the new
+    one. strict=False returns the last iterate with
     converged=False instead of raising (used for warm-up continuation
     stages).
     """
@@ -205,19 +209,17 @@ def penalized_coupled_solve(
         raise ValueError("rho must be nonnegative")
     a = elliptic_matrix(grid)
     n = grid.n_total
-    a_plus = _shifted_operator(grid)
     rho_v = rho.values
     if warm is not None:
         m = np.array(warm.m.values, copy=True)
     else:
-        # one factorization of A for both cold-start solves
-        solve_a = _lu_factor(a_plus(np.zeros(n)))
-        m = solve_a(rho_v) if m_init is None else np.array(m_init.values, copy=True)
+        m = (_base_factor(grid, None)(rho_v) if m_init is None
+             else np.array(m_init.values, copy=True))
     scale = float(np.max(np.abs(cost.evaluate(m))))
     band = cfg.band(epsilon, scale)
     if warm is None:
         # cold start from the unconstrained value equation
-        u = solve_a(cost.evaluate(m))
+        u = _base_factor(grid, None)(cost.evaluate(m))
     else:
         u = np.array(warm.u.values, dtype=float, copy=True)
         inside = np.abs(u) <= warm.delta_band
@@ -233,7 +235,7 @@ def penalized_coupled_solve(
     # final exact density solve for the converged rate (restores exact
     # nonnegativity through the M-matrix structure)
     sigma = _ramp(u / band)
-    m = _lu_solve(a_plus(sigma / epsilon), rho_v)
+    m = _shifted_factor(grid, sigma / epsilon)(rho_v)
     r_u = float(np.max(np.abs(a @ u + np.maximum(u, 0.0) / epsilon - cost.evaluate(m))))
     converged = r_u <= cfg.tol_pde
     if strict and not converged:
@@ -244,15 +246,6 @@ def penalized_coupled_solve(
         iterations=it, residual_history=history,
         delta_band=band, converged=converged,
     )
-
-
-@functools.lru_cache(maxsize=None)
-def _shifted_operator(grid):
-    """Assembler of A + diag(d) for the stationary operator A of grid,
-    on A's registered pattern; built once per grid, like the matrix
-    itself, and shared by every stage."""
-    diag = np.arange(grid.n_total)
-    return diagonal_update(elliptic_matrix(grid), diag, diag)
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,15 +328,15 @@ def _penalized_system(cost, grid, rho_v, epsilon, band, w):
     solve(jacobian, rhs) is the Newton step. 1D grids factor the whole
     Jacobian by _lu_solve. On grids of dim >= 2 the step is _schur_step
     on the two N x N blocks Ju = A + diag(penalty) and Jm = A + diag(rate),
-    each factored on the cached order of A's pattern, with S the ramp
-    slope times m: it vanishes off the band, so GMRES takes a few
-    iterations, and none without band nodes. For a nonlocal cost,
-    ds = r_s + <w, dm> is eliminated first: F dm = -c1 <w, dm> 1 and r_u
-    gains c1 r_s. On a GMRES miss the step falls back to _lu_solve of
-    the whole Jacobian.
+    each factored on the cached order of A's pattern by
+    obstacle._shifted_factor (a block with a zero update is A, whose
+    factor is kept), with S the ramp slope times m: it vanishes off the
+    band, so GMRES takes a few iterations, and none without band nodes.
+    For a nonlocal cost, ds = r_s + <w, dm> is eliminated first:
+    F dm = -c1 <w, dm> 1 and r_u gains c1 r_s. On a GMRES miss the step
+    falls back to _lu_solve of the whole Jacobian.
     """
     a = elliptic_matrix(grid)
-    a_plus = _shifted_operator(grid)
     n = a.shape[0]
 
     def residual(x):
@@ -390,7 +383,7 @@ def _penalized_system(cost, grid, rho_v, epsilon, band, w):
 
             def apply_f(v):
                 return np.full(n, -cost.c1 * (w @ v))
-        du, dm = _schur_step(_lu_factor(a_plus(jac.penalty)), _lu_factor(a_plus(jac.rate)),
+        du, dm = _schur_step(_shifted_factor(grid, jac.penalty), _shifted_factor(grid, jac.rate),
                              jac.slope, apply_f, r_u, r_m,
                              lambda: np.split(_whole_step(jac, rhs)[:2 * n], 2))
         return np.concatenate([du, dm] if w is None else [du, dm, [rhs[-1] + w @ dm]])

@@ -6,8 +6,16 @@ import pytest
 from mfgstop import _coupled
 from mfgstop.control import cosmfg_coupled_solve
 from mfgstop.evolutive import osmfg_continuation
+from mfgstop.obstacle import _base_factor
 from mfgstop.scenarios import scenario_standard
 from mfgstop.stationary import continuation_solve
+
+
+@pytest.fixture(autouse=True)
+def fresh_base_factors():
+    """Every test starts without kept factors of the base operators, so
+    that factor counts do not depend on the tests run before it."""
+    _base_factor.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -157,6 +157,13 @@ def test_scenario_unknown_name(tmp_path):
     assert main(["scenario", "bogus", "--out", str(tmp_path)]) == 2
 
 
+def test_unknown_scenario_rejected_before_making_the_output_root(tmp_path, capsys):
+    out = tmp_path / "f1"
+    assert main(["scenario", "bogus", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("unknown scenario 'bogus'; available: ")
+    assert not out.exists()
+
+
 def test_output_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("MFGSTOP_OUT", str(tmp_path / "env_out"))
     monkeypatch.chdir(tmp_path)
@@ -185,6 +192,24 @@ def test_unusable_output_location_exits_2(tmp_path, monkeypatch, capsys, command
                else "cannot write output:")
     assert err.startswith(message) and err.count("\n") == 1
     assert blocker.read_text() == "keep"
+
+
+@pytest.mark.parametrize("command, blocked", [
+    ("run", "u.csv"), ("run-osmfg", "m_0003.csv"), ("run-osmfg", "report.json"),
+    ("scenario", "scenario_monotone_1d.json")])
+def test_unwritable_artifact_exits_2(tmp_path, capsys, command, blocked):
+    # an artifact whose path a directory takes: exit 2, not a traceback
+    # with the exit code of a failed verification
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    if command == "scenario":
+        argv = ["scenario", "monotone_1d"]
+    else:
+        argv = ["run", "--config",
+                str(write_config(tmp_path, OSMFG_RUN if command == "run-osmfg" else {}))]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output:") and blocked in err and err.count("\n") == 1
 
 
 OSMFG_RUN = {
@@ -349,6 +374,32 @@ def test_run_is_bitwise_deterministic(tmp_path, overrides):
     assert {"report.json", "convergence.csv", "manifest.json"} <= set(files)
     for name in files:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("overrides", [SOSMFG_2D, {**OSMFG_2D, "obstacle": HEAT_FROM_G}],
+                         ids=["sosmfg-2d", "osmfg-2d-heat_from_g"])
+def test_run_is_bitwise_deterministic_with_kept_factors(tmp_path, overrides):
+    # the process keeps one factor per base operator: a second run in
+    # the process finds those of the first, a third runs after every
+    # cache of factors and orders is cleared, and all three write the
+    # same bytes
+    cfg = write_config(tmp_path, overrides)
+    infos = []
+    for name in ("a", "b", "c"):
+        if name == "c":
+            for cache in (obstacle._base_factor, obstacle._shifted_operator,
+                          obstacle._elimination_order):
+                cache.cache_clear()
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        infos.append(obstacle._base_factor.cache_info())
+    assert infos[0].misses == infos[1].misses == 1 and infos[1].hits > infos[0].hits
+    files = sorted(path.name for path in (tmp_path / "a").iterdir())
+    assert {"report.json", "convergence.csv", "manifest.json"} <= set(files)
+    for name in ("b", "c"):
+        assert files == sorted(path.name for path in (tmp_path / name).iterdir())
+        for file in files:
+            assert ((tmp_path / "a" / file).read_bytes()
+                    == (tmp_path / name / file).read_bytes()), (name, file)
 
 
 def test_cosmfg_run_writes_one_row_per_stage_and_verifies(tmp_path):

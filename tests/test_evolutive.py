@@ -20,6 +20,7 @@ from mfgstop.grid import (
     build_timegrid,
     elliptic_matrix,
 )
+from mfgstop.obstacle import _elimination_order
 from mfgstop.scenarios import gaussian_density, scenario_standard
 from mfgstop.stationary import (
     CoupledConfig,
@@ -73,29 +74,37 @@ def test_obstacle_operator_matches_dense_space_time_oracle():
     assert np.allclose(g_psi.array(), 1.0)
 
 
-def test_heat_obstacle_factors_once_per_call(monkeypatch):
-    # on a 2D grid the K backward heat steps share one factorization of
-    # A0 + I/dt, and each step is solved to round-off
+def test_heat_obstacle_factors_b_once_per_grid_and_dt(monkeypatch):
+    # on a 2D grid the K backward heat steps solve with the factor of
+    # B = A0 + I/dt kept per (grid, dt): the first call factors B once
+    # (after ordering the stand-in of its pattern), a repeat call not at
+    # all, and another dt on the same grid once more, on the cached
+    # order; each step is solved to round-off
+    _elimination_order.cache_clear()
     grid = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (9, 9))
-    tg = build_timegrid(1.0, 5)
-    n, steps = grid.n_total, tg.n_steps
+    n = grid.n_total
     op = ObstacleOperator.heat_source(
         CostOperator.local_power(grid, 0.5, 2.0, ScalarField.zeros(grid)))
-    m = np.random.default_rng(2).uniform(0.0, 2.0, size=(steps + 1, n))
-    splu, shapes = spla.splu, []
+    specs, splu = [], spla.splu
 
-    def recording_splu(matrix, **kwargs):
-        shapes.append(matrix.shape)
-        return splu(matrix, **kwargs)
+    def recording_splu(matrix, permc_spec=None, **kwargs):
+        specs.append((permc_spec, matrix.shape))
+        return splu(matrix, permc_spec=permc_spec, **kwargs)
 
     monkeypatch.setattr(spla, "splu", recording_splu)
-    psi, g_arr = op.apply_arrays(grid, tg, m)
-    assert shapes == [(n, n)]
-    b_op = (elliptic_matrix(grid, with_zero_order=False) + sp.identity(n) / tg.dt).tocsc()
-    assert np.max(np.abs(psi[steps])) == 0.0
-    for k in range(steps):
-        expected = spla.spsolve(b_op, psi[k + 1] / tg.dt - g_arr[k])
-        assert np.max(np.abs(psi[k] - expected)) <= 1e-12 * np.max(np.abs(expected))
+    for tg, factored in ((build_timegrid(1.0, 5), ["MMD_AT_PLUS_A", "NATURAL"]),
+                         (build_timegrid(1.0, 5), []),
+                         (build_timegrid(1.0, 4), ["NATURAL"])):
+        steps = tg.n_steps
+        m = np.random.default_rng(2).uniform(0.0, 2.0, size=(steps + 1, n))
+        del specs[:]
+        psi, g_arr = op.apply_arrays(grid, tg, m)
+        assert specs == [(spec, (n, n)) for spec in factored]
+        b_op = (elliptic_matrix(grid, with_zero_order=False) + sp.identity(n) / tg.dt).tocsc()
+        assert np.max(np.abs(psi[steps])) == 0.0
+        for k in range(steps):
+            expected = spla.spsolve(b_op, psi[k + 1] / tg.dt - g_arr[k])
+            assert np.max(np.abs(psi[k] - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_constant_zero_obstacle_has_zero_source(setup):

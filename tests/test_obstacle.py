@@ -803,12 +803,10 @@ def test_time_dependent_block_solve_falls_back_on_a_gmres_miss(monkeypatch):
 def test_time_dependent_block_solve_factors_each_nonzero_block_once(monkeypatch, band_nodes):
     # one factorization per slice block B + diag(d) with d != 0, and one
     # of B shared by the blocks with d = 0 (here the penalty and the
-    # exit rate of slice 2), kept for the later steps of the stage
-    x, (_, jacobian, solve, _), oracle = space_time_system("zero", band_nodes, zero_slice=2)
-    jac = jacobian(x)
-    blocks = list(jac.penalty) + list(jac.rate)
-    nonzero = sum(bool(np.any(d)) for d in blocks)
-    assert 2 <= len(blocks) - nonzero < len(blocks)
+    # exit rate of slice 2), kept for the process: the later steps of
+    # the stage, and a later system on the same grid and dt (here one
+    # with a heat_from_g obstacle, whose heat steps solve with B too),
+    # factor B no more
     specs, splu = [], spla.splu
 
     def recording_splu(matrix, permc_spec=None, **kwargs):
@@ -816,15 +814,25 @@ def test_time_dependent_block_solve_factors_each_nonzero_block_once(monkeypatch,
         return splu(matrix, permc_spec=permc_spec, **kwargs)
 
     monkeypatch.setattr(spla, "splu", recording_splu)
-    rhs = np.random.default_rng(31).normal(size=len(x))
-    expected = spla.spsolve(oracle, rhs)
-    for factored in (nonzero + 1, nonzero):
-        # NATURAL: the blocks, permuted into their order (the MMD call,
-        # if any, orders the stand-in of a pattern not seen before)
+    for obstacle, b_factored in (("zero", (1, 0)), ("heat_from_g", (0, 0))):
         del specs[:]
-        step = solve(jac, rhs)
-        assert specs.count("NATURAL") == factored
-        assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))
+        x, (_, jacobian, solve, _), oracle = space_time_system(obstacle, band_nodes,
+                                                               zero_slice=2)
+        assert specs == []
+        jac = jacobian(x)
+        blocks = list(jac.penalty) + list(jac.rate)
+        nonzero = sum(bool(np.any(d)) for d in blocks)
+        assert 2 <= len(blocks) - nonzero < len(blocks)
+        rhs = np.random.default_rng(31).normal(size=len(x))
+        expected = spla.spsolve(oracle, rhs)
+        for b_count in b_factored:
+            # NATURAL: the blocks, permuted into their order (the MMD
+            # call, if any, orders the stand-in of a pattern not seen
+            # before)
+            del specs[:]
+            step = solve(jac, rhs)
+            assert specs.count("NATURAL") == nonzero + b_count
+            assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 @pytest.mark.parametrize("obstacle", ["zero", "heat_from_g"])

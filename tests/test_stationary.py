@@ -4,7 +4,13 @@ import scipy.sparse.linalg as spla
 
 from mfgstop.costs import CostOperator
 from mfgstop.grid import ScalarField, build_grid, elliptic_matrix, inner
-from mfgstop.obstacle import solve_obstacle_stationary
+from mfgstop import stationary
+from mfgstop.obstacle import (
+    _base_factor,
+    _elimination_order,
+    _shifted_operator,
+    solve_obstacle_stationary,
+)
 from mfgstop.scenarios import raised_cosine_bump, scenario_standard
 from mfgstop.stationary import (
     CoupledConfig,
@@ -292,3 +298,40 @@ def test_every_density_passes_subsolution(grid, rho):
         m = sol.m
         assert check_subsolution(m, rho).values.min() >= -1e-9
         assert m.values.min() >= -1e-12
+
+
+def test_2d_continuation_without_penalty_factors_a_once(monkeypatch):
+    # u stays below the obstacle at every Newton iterate of this 2D
+    # continuation, so every step's value block Ju is A itself, and so
+    # is the density block Jm of the last stage's step, whose exit rate
+    # vanishes: A is factored once, at the cold start of the first
+    # stage, and every such block of every stage solves with that
+    # factor. The other factorizations are the density blocks with a
+    # rate and the final density solves with one
+    g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (9, 9))
+    cost = CostOperator.local_power(g, 1.0, 1.0, ScalarField.constant(g, -0.5))
+    a = _shifted_operator(g, None)(np.zeros(g.n_total))
+    a_permuted = a.data[_elimination_order(a.registered_pattern).gather]
+    factored, blocks = [], []
+    splu, schur = spla.splu, stationary._schur_step
+
+    def recording_splu(matrix, permc_spec=None, **kwargs):
+        if permc_spec == "NATURAL":
+            factored.append(np.array_equal(matrix.data, a_permuted))
+        return splu(matrix, permc_spec=permc_spec, **kwargs)
+
+    def recording_schur(solve_u, solve_m, *args):
+        blocks.append((solve_u, solve_m))
+        return schur(solve_u, solve_m, *args)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    monkeypatch.setattr(stationary, "_schur_step", recording_schur)
+    sol, stages = continuation_solve(cost, raised_cosine_bump(g, peak=2.0), [1e-1, 1e-2, 1e-3])
+    base = _base_factor(g, None)
+    assert np.max(sol.u.values) < 0.0
+    assert [s.iterations for s in stages] == [3, 3, 1] and len(blocks) == 4
+    assert all(solve_u is base for solve_u, _ in blocks)
+    assert [solve_m is base for _, solve_m in blocks] == [False, False, False, True]
+    assert factored[0] and factored.count(True) == 1
+    # A, the three density blocks with a rate, one final density solve
+    assert len(factored) == 1 + 3 + 1
