@@ -1,12 +1,16 @@
-"""Shared solver and verifier core for the time-dependent coupled systems.
+"""Shared solver and verifier core of the penalized coupled systems.
 
-The penalized forward-backward system is solved by a semismooth Newton
-method on the joint space-time unknowns (value trajectory, density
-trajectory), with the exit rate realized as a continuous ramp across
-the classification band (a concrete selection of the free interior
-alpha). Solving the pair jointly is what keeps contact plateaus
-stable; split forward/backward sweeps flap on the free-boundary
-classification.
+The penalized system is solved by a semismooth Newton method on the
+joint unknowns (value, density), with the exit rate realized as a
+continuous ramp across the classification band (a concrete selection
+of the free interior alpha). Solving the pair jointly is what keeps
+contact plateaus stable; split forward/backward sweeps flap on the
+free-boundary classification. One builder, _frozen_system, makes the
+Newton system of the K-slice forward-backward system and of the
+stationary one, which is its one-slice case: dt = 1, m_0 = rho, and
+the value source paired with the new density. The records of every
+coupled solve (CoupledConfig, PenalizedTriple, CoupledNonConvergence)
+live here; stationary exports them.
 
 Every obstacle is solved in the shifted value w = u - psi(m): with
 L u_k = (u_k - u_{k+1})/dt + A0 u_k, both obstacle kinds give
@@ -17,8 +21,8 @@ and psi(m) is evaluated only to rebuild u from the final density. The
 Hamiltonian value at the upwind gradient and the induced face drift are
 Newton terms as well, with their derivatives in the Jacobian; they
 take the zero obstacle, on which w = u. Only the classification band
-is fixed, once per penalty stage from the stage-entry iterate, as in
-the stationary solver; each stage is one Newton solve.
+is fixed, once per penalty stage from the stage-entry iterate; each
+stage is one Newton solve.
 
 On grids of dim >= 2 without a Hamiltonian, each linear Newton step of
 the joint system (not a split of the nonlinear one) is solved by time
@@ -26,10 +30,10 @@ sweeps: the value block of the Jacobian is block upper bidiagonal in
 time and the density block block lower bidiagonal, so each is inverted
 by one backward or forward sweep of N x N slice solves, and the
 coupling is eliminated through the density Schur complement
-(stationary._schur_step), as in the iterative strategies of Achdou and
+(_schur_step), as in the iterative strategies of Achdou and
 Perez for linearized discrete MFG systems (Netw. Heterog. Media 7(2),
-2012). 1D grids and the controlled system factor the whole space-time
-Jacobian.
+2012); the stationary step is the one-slice case of the same solve.
+1D grids and the controlled system factor the whole Jacobian.
 
 Discrete pairing conventions (they close the duality identity exactly,
 see the verifiers): the value equation at slice k uses source f(m_k)
@@ -46,14 +50,16 @@ drift operator, and _slice_residuals the one slice-residual core.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import block_diag as dense_block_diag
+import scipy.sparse.linalg as spla
 
 from .costs import CostOperator
 from .density import FaceVelocities, _drift_triplets
 from .grid import (
+    DELTA_C_FLOOR,
     FieldTrajectory,
     Grid,
     ScalarField,
@@ -62,18 +68,146 @@ from .grid import (
     _gradient_matrices,
     elliptic_matrix,
 )
-from .obstacle import _shifted_factor, diagonal_update, semismooth_newton
-from .stationary import (
-    CoupledConfig,
-    CoupledNonConvergence,
-    PenalizedTriple,
-    _BlockJacobian,
-    _ramp,
-    _schur_step,
-    _whole_step,
+from .obstacle import (
+    _lu_solve,
+    _shifted_factor,
+    _space_time_operator,
+    diagonal_update,
+    semismooth_newton,
 )
 
 __all__ = ["forward_backward_solve"]
+
+
+@dataclass
+class CoupledConfig:
+    """Controls for the coupled penalized solvers.
+
+    tol_pde bounds the penalized residuals of a converged solve, and
+    max_outer caps the Newton steps of every coupled solve, stationary
+    or time-dependent. The classification band around u = psi is fixed
+    once per penalty stage, from the stage-entry iterate, by band(); the
+    band actually used is recorded on the result and fed to the verifier
+    as its contact threshold.
+    """
+
+    tol_pde: float = 1e-8
+    max_outer: int = 3000
+
+    def __post_init__(self):
+        if not self.tol_pde > 0:
+            raise ValueError("tolerances must be positive")
+
+    @staticmethod
+    def band(epsilon: float, scale: float) -> float:
+        """The classification band at penalty epsilon for the source
+        scale |ftilde|_inf: max(DELTA_C_FLOOR, epsilon * scale / 2)."""
+        return max(DELTA_C_FLOOR, 0.5 * epsilon * scale)
+
+
+class CoupledNonConvergence(RuntimeError):
+    def __init__(self, message: str, residual_history: list[float], stage: int | None = None):
+        where = f" at stage {stage}" if stage is not None else ""
+        tail = residual_history[-3:] if residual_history else []
+        super().__init__(f"{message}{where}; last residuals {tail}")
+        self.message = message
+        self.residual_history = residual_history
+        self.stage = stage
+
+
+@dataclass(frozen=True, eq=False)
+class PenalizedTriple:
+    """(u, m, alpha) at one penalty level: ScalarFields for the
+    stationary system, FieldTrajectorys for the time-dependent ones.
+    iterations and residual_history (the norm of the start and after
+    every step) are those of the level's one Newton solve; drift, the
+    face drift D_pH(x, grad u_k) of every time step k, is set by a
+    controlled solve only."""
+
+    u: ScalarField | FieldTrajectory
+    m: ScalarField | FieldTrajectory
+    alpha: ScalarField | FieldTrajectory
+    epsilon: float
+    iterations: int
+    residual_history: list[float]
+    delta_band: float
+    converged: bool = True
+    drift: tuple[FaceVelocities, ...] | None = None
+
+    def __post_init__(self):
+        a = self.alpha.values
+        if np.any(a < -1e-12) or np.any(a > 1 + 1e-12):
+            raise ValueError("alpha must take values in [0, 1]")
+
+
+@dataclass(frozen=True, eq=False)
+class _BlockJacobian:
+    """The Newton Jacobian of a penalized coupled system at one iterate,
+    [[Ju, F], [S, Jm]], by its value-dependent diagonals: the penalty
+    indicator of Ju, S = diag(slope), the exit rate of Jm, and F =
+    diag(fprime) for a local cost, the derivative of the source (-f'(m),
+    or -(f'(m) + g'(m)) with a heat_from_g obstacle). For a nonlocal
+    cost fprime is None: F is the bordered column -c1 of the unknown
+    s = <w, m>. extra holds the values of the Hamiltonian entries of the
+    controlled system. matrix() assembles the whole Jacobian with
+    assembler(), the diagonal_update assembler of the system, built on
+    first use."""
+
+    penalty: np.ndarray
+    slope: np.ndarray
+    rate: np.ndarray
+    fprime: np.ndarray | None
+    assembler: object
+    extra: tuple = ()
+
+    def matrix(self):
+        vals = [self.penalty, self.slope, self.rate]
+        if self.fprime is not None:
+            vals.append(self.fprime)
+        return self.assembler()(np.concatenate(vals + list(self.extra), axis=None))
+
+
+def _whole_step(jac, rhs):
+    """The Newton step by the LU of the whole Jacobian jac.matrix()."""
+    return _lu_solve(jac.matrix(), rhs)
+
+
+def _schur_step(solve_u, solve_m, slope, apply_f, r_u, r_m, fallback):
+    """Newton step (du, dm) of a block system [[Ju, F], [S, Jm]] with
+    S = diag(slope), from the solves of its diagonal blocks.
+
+    With du = Ju^-1 (r_u - F dm), dm solves the Schur complement
+    (Jm - S Ju^-1 F) dm = r_m - S Ju^-1 r_u. GMRES solves it right-
+    preconditioned by Jm, dm = Jm^-1 y, where the operator
+    y -> y - S Ju^-1 F Jm^-1 y is the identity plus a matrix of rank at
+    most the number of nonzeros of slope; without them it is the
+    identity and GMRES is not called. GMRES runs to rtol 1e-13 in up to
+    two cycles of 50 iterations, the second restarted from the first's
+    iterate: scipy's gmres returns a miss, without a further cycle, when
+    a happy breakdown leaves the true residual just above rtol. If both
+    cycles miss, the step is fallback().
+    """
+    y = r_m - slope * solve_u(r_u)
+    if np.any(slope):
+        n = len(y)
+        schur = spla.LinearOperator(
+            (n, n), matvec=lambda v: v - slope * solve_u(apply_f(solve_m(v))), dtype=float)
+        start = None
+        for _cycle in range(2):
+            start, info = spla.gmres(schur, y, x0=start, rtol=1e-13, atol=0.0, restart=50,
+                                     maxiter=1)
+            if info == 0:
+                break
+        else:
+            return fallback()
+        y = start
+    dm = solve_m(y)
+    return solve_u(r_u - apply_f(dm)), dm
+
+
+def _ramp(s):
+    """Piecewise-linear exit-rate profile across the classification band."""
+    return np.clip(0.5 * (s + 1.0), 0.0, 1.0)
 
 
 def _node_gradients(grid: Grid, u: np.ndarray):
@@ -320,7 +454,8 @@ def forward_backward_solve(
         w_arr[np.abs(w_arr) <= warm.delta_band] *= band / warm.delta_band
 
     residual, jacobian, solve, unstack = _frozen_system(
-        cost, g_cost, g_arr[:steps], hamiltonian, grid, m0.values, timegrid.dt, epsilon, band)
+        cost, g_cost, g_arr[:steps], hamiltonian, grid, m0.values, timegrid.dt, epsilon, band,
+        lag=1)
     x0 = np.concatenate([w_arr.ravel(), m_arr[1:].ravel()])
     target = min(cfg.tol_pde, 1e-10) * (1.0 + float(np.max(np.abs(f_arr))))
     x, norms, iterations = semismooth_newton(residual, jacobian, x0, target, cfg.max_outer,
@@ -350,83 +485,85 @@ def forward_backward_solve(
     )
 
 
-def _frozen_system(cost, g_cost, g_arr, hamiltonian, grid, m0_vals, dt, epsilon, band):
-    """Residual, Jacobian, Newton solve and unstacking of the
-    forward-backward system in the shifted value w = u - psi at one
-    penalty level with the classification band frozen.
+def _frozen_system(cost, g_cost, g_arr, hamiltonian, grid, m0_vals, dt, epsilon, band, lag):
+    """Residual, Jacobian, Newton solve and unstacking of a penalized
+    coupled system in the shifted value w = u - psi at one penalty level
+    with the classification band frozen: the K-slice forward-backward
+    system (lag 1), or the stationary one as its one-slice case (dt = 1,
+    so B = A; m0_vals = rho; lag 0).
 
     Unknowns x = [w_0..w_{K-1}, m_1..m_K], with K = len(g_arr); w_K = 0
     and m_0 are data. The value equations carry the penalty w^+/eps, the
-    upwind Hamiltonian H(x, D_sel w_k) and the source f(m_k) + g_k, with
-    g_k = g_cost(m_k) for a heat_from_g obstacle (g_cost given) and the
+    upwind Hamiltonian H(x, D_sel w_k) and the source f(m_j) + g_k with
+    j = k + 1 - lag, g_k = g_cost(m_j) for a heat_from_g obstacle and the
     data g_arr[k] otherwise; the density equations carry the ramped exit
-    rate and the drift term div_k(w_k) m_{k+1}.
+    rate and the drift term div_k(w_k) m_{k+1}. A nonlocal cost
+    f = c0 + c1 <w, m> (one slice only) enters through one bordered
+    unknown s = <w, m_1> last in x: source c0 + c1 s, a row
+    s - <w, m_1> = 0 and a column -c1 in the value rows.
 
-    Everything is built once here: the static part from Kronecker
-    products over the time slices, B = A0 + I/dt on every diagonal block
-    with -I/dt above it for w and below it for m, and the positions of
-    the value-dependent Jacobian entries. The residual is static @ x
-    plus the data slice m_0 plus nodewise terms on whole (K, N) arrays
-    plus, with a Hamiltonian, div_k(w_k) m_{k+1} from
-    _hamiltonian_terms. jacobian(x) is a _BlockJacobian: the penalty
-    indicator, the ramp slope times m, the ramped exit rate and the
-    source derivative -(f'(m) + g'(m)) (-f'(m) for a fixed obstacle), as
-    (K, N) and (K-1, N) arrays, with a Hamiltonian the blocks of
-    _hamiltonian_jacobian in extra. Its matrix() adds them to the
-    static part through one diagonal_update assembler, built on first
-    use.
+    The residual is the static part obstacle._space_time_operator (B on
+    the diagonal blocks, -I/dt above them for w and below them for m)
+    times x, plus the data slice m_0 and nodewise terms on whole (K, N)
+    arrays. jacobian(x) is a _BlockJacobian: the penalty indicator, the
+    ramp slope times m, the exit rate and the source derivative
+    -(f'(m) + g'(m)) (none for a nonlocal cost), with a Hamiltonian the
+    blocks of _hamiltonian_jacobian in extra, added to the static part
+    (bordered for a nonlocal cost) by one diagonal_update assembler.
 
     solve(jacobian, rhs) is the Newton step. On grids of dim >= 2
-    without a Hamiltonian the Jacobian is [[Ju, F], [S, Jm]]: Ju is
-    block upper bidiagonal with B + diag(indicator_k) on the diagonal
-    and -I/dt above it, so Ju^-1 is one backward sweep; Jm is block
-    lower bidiagonal with B + diag(rate_k) and -I/dt below it, so Jm^-1
-    is one forward sweep; S = diag(slope_k m_{k+1}) sits at (m_{k+1},
-    w_k) and F, the source derivative, at (w_k, m_k). The step is
-    _schur_step on these sweeps. Every slice block is factored on the
-    cached order of B's pattern through obstacle._shifted_factor, and
-    the blocks with d = 0 share the one factor of B that the process
-    keeps per (grid, dt). On a GMRES miss the step falls back to the LU
-    of the whole Jacobian. Otherwise every step is that LU.
+    without a Hamiltonian it is _schur_step on [[Ju, F], [S, Jm]]: Ju is
+    block upper bidiagonal (B + diag(indicator_k), -I/dt above), so
+    Ju^-1 is one backward sweep; Jm is block lower bidiagonal
+    (B + diag(rate_k), -I/dt below), so Jm^-1 is one forward sweep;
+    S = diag(slope_k m_{k+1}) and F sits at (w_k, m_{k+1-lag}). A
+    nonlocal cost eliminates ds = r_s + <w, dm> first, so
+    F dm = -c1 <w, dm> 1 and r_u gains c1 r_s. Slice blocks are factored
+    through obstacle._shifted_factor, the blocks with d = 0 sharing the
+    factor of B kept per (grid, dt). On a GMRES miss, on 1D grids and
+    with a Hamiltonian, the step is the LU of the whole Jacobian.
     """
-    a0 = elliptic_matrix(grid, with_zero_order=False)
-    n = a0.shape[0]
+    n = grid.n_total
     k_steps = len(g_arr)
     n_u = k_steps * n
-    eye_dt = sp.identity(n, format="csr") / dt
-    b_op = (a0 + eye_dt).tocsr()
-    # slice couplings: w_{k+1} in the rows of slice k, m_k in the rows
-    # of m_{k+1}
-    upper = np.eye(k_steps, k=1)
-    static = (sp.kron(sp.identity(2 * k_steps), b_op)
-              - sp.kron(dense_block_diag(upper, upper.T), eye_dt)).tocsr()
+    static = _space_time_operator(grid, dt, k_steps)
     # the data slice m_0 enters the residual as a constant
-    const = np.zeros(static.shape[0])
+    const = np.zeros(2 * n_u)
     const[n_u:n_u + n] = -m0_vals / dt
+    # quadrature weights of the pairing <w, m> of the bordered unknown
+    pair = None if cost.is_local else cost.weight.values * grid.cell_volume
 
     def unstack(x):
         # value and density slices 0..K
         return (np.vstack([x[:n_u].reshape(k_steps, n), np.zeros((1, n))]),
-                np.vstack([m0_vals[None, :], x[n_u:].reshape(k_steps, n)]))
+                np.vstack([m0_vals[None, :], x[n_u:2 * n_u].reshape(k_steps, n)]))
 
-    def source(m):
+    def source(x, m):
+        if pair is not None:
+            return cost.c0 + cost.c1 * x[-1]
+        m = m[1 - lag:k_steps + 1 - lag]
         return cost.evaluate(m) + (g_arr if g_cost is None else g_cost.evaluate(m))
 
     def residual(x):
         w, m = unstack(x)
         h_vals, div = _hamiltonian_terms(grid, hamiltonian, w)
-        nodewise = [np.maximum(w[:k_steps], 0.0) / epsilon + h_vals - source(m[:k_steps]),
+        nodewise = [np.maximum(w[:k_steps], 0.0) / epsilon + h_vals - source(x, m),
                     _ramp(w[:k_steps] / band) / epsilon * m[1:]]
         if div is not None:
             nodewise[1] = nodewise[1] + (div @ m[1:].ravel()).reshape(k_steps, n)
-        return static @ x + const + np.concatenate(nodewise, axis=None)
+        r = static @ x[:2 * n_u] + const + np.concatenate(nodewise, axis=None)
+        return r if pair is None else np.append(r, x[-1] - pair @ m[1])
 
     diag = np.arange(n_u)
     # rows and columns of: the penalty indicator (w_k, w_k), the ramp
     # slope times m (m_{k+1}, w_k), the exit rate (m_{k+1}, m_{k+1}) and
-    # the source derivative (w_k, m_k) for k >= 1
-    rows = [diag, n_u + diag, n_u + diag, diag[n:]]
-    cols = [diag, diag, n_u + diag, n_u + diag[:-n]]
+    # the source derivative (w_k, m_{k+1-lag}) where m_{k+1-lag} is an
+    # unknown
+    rows = [diag, n_u + diag, n_u + diag]
+    cols = [diag, diag, n_u + diag]
+    if pair is None:
+        rows.append(diag[lag * n:])
+        cols.append(n_u + diag[:n_u - lag * n])
     hamiltonian_values = None
     if hamiltonian is not None:
         h_rows, h_cols, hamiltonian_values = _hamiltonian_jacobian(grid, hamiltonian, k_steps)
@@ -435,24 +572,33 @@ def _frozen_system(cost, g_cost, g_arr, hamiltonian, grid, m0_vals, dt, epsilon,
 
     @functools.cache
     def assembler():
-        return diagonal_update(static, np.concatenate(rows), np.concatenate(cols))
+        whole = static
+        if pair is not None:
+            column = np.concatenate([np.full(n, -cost.c1), np.zeros(n)])[:, None]
+            row = np.concatenate([np.zeros(n), -pair])[None, :]
+            whole = sp.bmat([[static, sp.csr_matrix(column)],
+                             [sp.csr_matrix(row), sp.identity(1)]])
+        return diagonal_update(whole, np.concatenate(rows), np.concatenate(cols))
 
     def jacobian(x):
         w, m = unstack(x)
         v = w[:k_steps]
-        fprime = cost.derivative(m[1:k_steps])
-        if g_cost is not None:
-            fprime = fprime + g_cost.derivative(m[1:k_steps])
+        fprime = None
+        if pair is None:
+            fprime = -cost.derivative(m[1:k_steps + 1 - lag])
+            if g_cost is not None:
+                fprime = fprime - g_cost.derivative(m[1:k_steps + 1 - lag])
         extra = () if hamiltonian_values is None else (hamiltonian_values(v, m[1:]),)
         return _BlockJacobian(
             penalty=(v > 0).astype(float) / epsilon,
             slope=np.where(np.abs(v) < band, 0.5 / band, 0.0) * m[1:] / epsilon,
-            rate=_ramp(v / band) / epsilon, fprime=-fprime, assembler=assembler, extra=extra)
+            rate=_ramp(v / band) / epsilon, fprime=fprime, assembler=assembler, extra=extra)
 
     # in 1D the LU of the whole Jacobian beats the sweeps and the Schur
     # step: through them the perfbench evolutive_heat_g solve took
-    # 0.124 s against 0.087 s, and the registry evolutive_psi0 0.81 s
-    # against 0.52 s, with equal Newton counts (2-vCPU host)
+    # 0.124 s against 0.087 s, the registry evolutive_psi0 0.81 s against
+    # 0.52 s and scenario_nonexistence 0.034 s against 0.023 s, with
+    # equal Newton counts (2-vCPU host)
     if grid.dim < 2 or hamiltonian is not None:
         return residual, jacobian, _whole_step, unstack
 
@@ -474,15 +620,21 @@ def _frozen_system(cost, g_cost, g_arr, hamiltonian, grid, m0_vals, dt, epsilon,
         return solve
 
     def block_solve(jac, rhs):
-        def apply_f(dm):
-            out = np.zeros((k_steps, n))
-            out[1:] = jac.fprime * dm.reshape(k_steps, n)[:-1]
-            return out.ravel()
+        r_u, r_m = rhs[:n_u], rhs[n_u:2 * n_u]
+        if pair is None:
+            def apply_f(dm):
+                out = np.zeros((k_steps, n))
+                out[lag:] = jac.fprime * dm.reshape(k_steps, n)[:k_steps - lag]
+                return out.ravel()
+        else:
+            r_u = r_u + cost.c1 * rhs[-1]
+
+            def apply_f(dm):
+                return np.full(n, -cost.c1 * (pair @ dm))
 
         du, dm = _schur_step(sweep(jac.penalty, True), sweep(jac.rate, False),
-                             jac.slope.ravel(), apply_f, rhs[:n_u], rhs[n_u:],
-                             lambda: np.split(_whole_step(jac, rhs), 2))
-        return np.concatenate([du, dm])
+                             jac.slope.ravel(), apply_f, r_u, r_m,
+                             lambda: np.split(_whole_step(jac, rhs)[:2 * n_u], 2))
+        return np.concatenate([du, dm] if pair is None else [du, dm, [rhs[-1] + pair @ dm]])
 
     return residual, jacobian, block_solve, unstack
-

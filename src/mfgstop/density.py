@@ -166,20 +166,12 @@ def drift_divergence_matrix(grid: Grid, faces: FaceVelocities) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(grid.n_total, grid.n_total))
 
 
-def _step_killing(killing_traj, k: int):
-    if killing_traj is None:
-        return None
-    if isinstance(killing_traj, KillingData):
-        return killing_traj
-    return killing_traj[k]
-
-
-def _step_drift(drift_traj, k: int):
-    if drift_traj is None:
-        return None
-    if isinstance(drift_traj, FaceVelocities):
-        return drift_traj
-    return drift_traj[k]
+def _step_data(traj, single: type, k: int):
+    """The data of time step k: traj itself when it is None or one
+    object of type single (time-constant data), traj[k] otherwise."""
+    if traj is None or isinstance(traj, single):
+        return traj
+    return traj[k]
 
 
 def solve_density_parabolic(
@@ -203,10 +195,10 @@ def solve_density_parabolic(
     m_arr[0] = m0.values
     for k in range(timegrid.n_steps):
         mat = base
-        kd = _step_killing(killing_traj, k)
+        kd = _step_data(killing_traj, KillingData, k)
         if kd is not None:
             mat = mat + sp.diags(kd.rate())
-        dv = _step_drift(drift_traj, k)
+        dv = _step_data(drift_traj, FaceVelocities, k)
         if dv is not None:
             mat = mat + drift_divergence_matrix(grid, dv)
         m_arr[k + 1] = _lu_solve(mat, m_arr[k] / dt)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import block_diag as dense_block_diag
 
 from .grid import (
     FieldTrajectory,
@@ -152,9 +153,9 @@ def _lu_factor(matrix):
     that order, with the NATURAL column order, every time, so a solve
     does not depend on whether the order was just computed or found in
     the cache. Any other matrix is ordered afresh. Every call factors
-    anew: the one factor per base operator (A = -lap + id, or
-    B = -lap + I/dt per dt) that the solves of a grid share is kept by
-    _base_factor, not here. An exactly singular matrix gives NaNs, so a
+    anew: the one factor per base operator (B = -lap + I/dt per dt,
+    which is A = -lap + id at dt = 1) that the solves of a grid share is
+    kept by _base_factor, not here. An exactly singular matrix gives NaNs, so a
     Newton solve ends in non-convergence rather than an exception.
     """
     pattern = getattr(matrix, "registered_pattern", None)
@@ -175,18 +176,26 @@ def _lu_factor(matrix):
 
 @functools.lru_cache(maxsize=8)
 def _shifted_operator(grid, dt):
-    """Assembler of A + diag(d) on A's registered pattern, for the base
-    operator A of grid: -lap + id for dt None (the stationary systems),
-    B = -lap + I/dt for a time step dt (one implicit Euler step of the
-    time-dependent ones). Built once per (grid, dt), like the matrix
-    itself."""
-    if dt is None:
-        base = elliptic_matrix(grid)
-    else:
-        eye_dt = sp.identity(grid.n_total, format="csr") / dt
-        base = elliptic_matrix(grid, with_zero_order=False) + eye_dt
+    """Assembler of B + diag(d) on B's registered pattern, for
+    B = -lap + I/dt, one implicit Euler step of the time-dependent
+    systems; dt = 1 gives A = -lap + id of the stationary ones, bitwise.
+    Built once per (grid, dt), like the matrix itself."""
+    eye_dt = sp.identity(grid.n_total, format="csr") / dt
     diag = np.arange(grid.n_total)
-    return diagonal_update(base, diag, diag)
+    return diagonal_update(elliptic_matrix(grid, with_zero_order=False) + eye_dt, diag, diag)
+
+
+@functools.lru_cache(maxsize=8)
+def _space_time_operator(grid, dt, k_steps):
+    """The static part of the K-slice penalized Newton system in
+    [w_0..w_{K-1}, m_1..m_K]: B = -lap + I/dt on every diagonal block,
+    -I/dt above it for w (w_{k+1} in the rows of slice k) and below it
+    for m (m_k in the rows of m_{k+1}). Built once per (grid, dt, K);
+    callers must not modify it."""
+    b_op = _shifted_operator(grid, dt)(np.zeros(grid.n_total))
+    upper = np.eye(k_steps, k=1)
+    return (sp.kron(sp.identity(2 * k_steps), b_op)
+            - sp.kron(dense_block_diag(upper, upper.T), sp.identity(grid.n_total) / dt)).tocsr()
 
 
 @functools.lru_cache(maxsize=8)
@@ -198,8 +207,8 @@ def _base_factor(grid, dt):
     return _lu_factor(_shifted_operator(grid, dt)(np.zeros(grid.n_total)))
 
 
-def _shifted_factor(grid, d, dt=None):
-    """_lu_factor of A + diag(d) for the base operator A of
+def _shifted_factor(grid, d, dt):
+    """_lu_factor of B + diag(d) for the base operator B of
     _shifted_operator(grid, dt), the cached _base_factor where d
     vanishes."""
     if np.any(d):

@@ -10,22 +10,30 @@ density m that solves the source equation on the continuation set
 the contact set (sum of f(m) m there vanishes). The certificate
 <f(m), m> = <u, rho> ties the two sides together and is reported as
 r_duality.
+
+The penalized Newton system is the one-slice case of the time-dependent
+one and is built by the same _coupled._frozen_system (dt = 1, m_0 = rho,
+lag 0); CoupledConfig, PenalizedTriple and CoupledNonConvergence live in
+_coupled and are exported here.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
+from ._coupled import (
+    CoupledConfig,
+    CoupledNonConvergence,
+    PenalizedTriple,
+    _frozen_system,
+    _ramp,
+)
 from .costs import ANTI_MONOTONE, STRICT_MONOTONE, CostOperator, PotentialOperator
-from .density import FaceVelocities, solve_density_on_set
+from .density import solve_density_on_set
 from .grid import (
-    DELTA_C_FLOOR,
-    FieldTrajectory,
     NodeMask,
     ScalarField,
     classify_nodes,
@@ -38,7 +46,6 @@ from .obstacle import (
     _base_factor,
     _lu_solve,
     _shifted_factor,
-    diagonal_update,
     row_select,
     semismooth_newton,
     solve_obstacle_stationary,
@@ -60,67 +67,6 @@ __all__ = [
     "uniqueness_probe",
     "euler_lagrange_certificate",
 ]
-
-
-@dataclass
-class CoupledConfig:
-    """Controls for the coupled penalized solvers.
-
-    tol_pde bounds the penalized residuals of a converged solve, and
-    max_outer caps the Newton steps of every coupled solve, stationary
-    or time-dependent. The classification band around u = psi is fixed
-    once per penalty stage, from the stage-entry iterate, by band(); the
-    band actually used is recorded on the result and fed to the verifier
-    as its contact threshold.
-    """
-
-    tol_pde: float = 1e-8
-    max_outer: int = 3000
-
-    def __post_init__(self):
-        if not self.tol_pde > 0:
-            raise ValueError("tolerances must be positive")
-
-    @staticmethod
-    def band(epsilon: float, scale: float) -> float:
-        """The classification band at penalty epsilon for the source
-        scale |ftilde|_inf: max(DELTA_C_FLOOR, epsilon * scale / 2)."""
-        return max(DELTA_C_FLOOR, 0.5 * epsilon * scale)
-
-
-class CoupledNonConvergence(RuntimeError):
-    def __init__(self, message: str, residual_history: list[float], stage: int | None = None):
-        where = f" at stage {stage}" if stage is not None else ""
-        tail = residual_history[-3:] if residual_history else []
-        super().__init__(f"{message}{where}; last residuals {tail}")
-        self.message = message
-        self.residual_history = residual_history
-        self.stage = stage
-
-
-@dataclass(frozen=True, eq=False)
-class PenalizedTriple:
-    """(u, m, alpha) at one penalty level: ScalarFields for the
-    stationary system, FieldTrajectorys for the time-dependent ones.
-    iterations and residual_history (the norm of the start and after
-    every step) are those of the level's one Newton solve; drift, the
-    face drift D_pH(x, grad u_k) of every time step k, is set by a
-    controlled solve only."""
-
-    u: ScalarField | FieldTrajectory
-    m: ScalarField | FieldTrajectory
-    alpha: ScalarField | FieldTrajectory
-    epsilon: float
-    iterations: int
-    residual_history: list[float]
-    delta_band: float
-    converged: bool = True
-    drift: tuple[FaceVelocities, ...] | None = None
-
-    def __post_init__(self):
-        a = self.alpha.values
-        if np.any(a < -1e-12) or np.any(a > 1 + 1e-12):
-            raise ValueError("alpha must take values in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -183,18 +129,22 @@ def penalized_coupled_solve(
     Unknowns (u, m) jointly solve
         A u + u^+ / eps          = f(m)
         A m + ramp(u/band)/eps m = rho
-    with band = config.band(eps, |f|_inf) at the start m. A nonlocal
-    cost f = c0 + c1 <w, m> has no nodal derivative; it enters through
-    one bordered scalar unknown s = <w, m>, so f = c0 + c1 s and the
-    system gains the row s - <w, m> = 0 and the column -c1. On grids of
-    dim >= 2 each Newton step is solved on the two N x N diagonal
-    blocks of the Jacobian, not on the whole of it (_penalized_system).
+    with band = config.band(eps, |f|_inf) at the start m. This is the
+    one-slice case of the time-dependent system, built by the same
+    _coupled._frozen_system: dt = 1, so B = A0 + I/dt is A, the data
+    slice m_0 is rho, and the value source is paired with the new
+    density (lag 0). A nonlocal cost f = c0 + c1 <w, m> has no nodal
+    derivative; it enters through one bordered scalar unknown
+    s = <w, m>, so f = c0 + c1 s and the system gains the row
+    s - <w, m> = 0 and the column -c1. On grids of dim >= 2 each Newton
+    step is solved on the two N x N diagonal blocks of the Jacobian,
+    not on the whole of it.
 
     The start is m_init (default A^-1 rho) and the value of the
     unconstrained equation for f(m), both solved with the factor of A
-    that the process keeps per grid (obstacle._base_factor), as is
-    every Newton block and final density solve whose diagonal update
-    vanishes. A warm start, the previous stage's solution, replaces
+    that the process keeps per grid (obstacle._base_factor at dt = 1),
+    as is every Newton block and final density solve whose diagonal
+    update vanishes. A warm start, the previous stage's solution, replaces
     both: its (u, m), with the ramp position of u (hence the exit rate)
     kept continuous by rescaling band nodes from its band to the new
     one. strict=False returns the last iterate with
@@ -213,29 +163,33 @@ def penalized_coupled_solve(
     if warm is not None:
         m = np.array(warm.m.values, copy=True)
     else:
-        m = (_base_factor(grid, None)(rho_v) if m_init is None
+        m = (_base_factor(grid, 1.0)(rho_v) if m_init is None
              else np.array(m_init.values, copy=True))
     scale = float(np.max(np.abs(cost.evaluate(m))))
     band = cfg.band(epsilon, scale)
     if warm is None:
         # cold start from the unconstrained value equation
-        u = _base_factor(grid, None)(cost.evaluate(m))
+        u = _base_factor(grid, 1.0)(cost.evaluate(m))
     else:
         u = np.array(warm.u.values, dtype=float, copy=True)
         inside = np.abs(u) <= warm.delta_band
         u[inside] *= band / warm.delta_band
-    # quadrature weights of the pairing <w, m> for the bordered unknown
-    w = None if cost.is_local else cost.weight.values * grid.cell_volume
-    residual, jacobian, solve = _penalized_system(cost, grid, rho_v, epsilon, band, w)
-    x0 = np.concatenate([u, m] if w is None else [u, m, [w @ m]])
+    # the one-slice case of the time-dependent system: dt = 1, m_0 = rho,
+    # and the value source paired with the new density (lag 0)
+    residual, jacobian, solve, _ = _frozen_system(cost, None, np.zeros((1, n)), None, grid,
+                                                  rho_v, 1.0, epsilon, band, lag=0)
+    x0 = [u, m]
+    if not cost.is_local:
+        # the bordered unknown s = <w, m>
+        x0.append([(cost.weight.values * grid.cell_volume) @ m])
     target = min(cfg.tol_pde, 1e-10) * (1.0 + scale)
-    x, history, it = semismooth_newton(residual, jacobian, x0, target, cfg.max_outer,
+    x, history, it = semismooth_newton(residual, jacobian, np.concatenate(x0), target, cfg.max_outer,
                                        solve=solve)
     u = x[:n]
     # final exact density solve for the converged rate (restores exact
     # nonnegativity through the M-matrix structure)
     sigma = _ramp(u / band)
-    m = _shifted_factor(grid, sigma / epsilon)(rho_v)
+    m = _shifted_factor(grid, sigma / epsilon, 1.0)(rho_v)
     r_u = float(np.max(np.abs(a @ u + np.maximum(u, 0.0) / epsilon - cost.evaluate(m))))
     converged = r_u <= cfg.tol_pde
     if strict and not converged:
@@ -246,159 +200,6 @@ def penalized_coupled_solve(
         iterations=it, residual_history=history,
         delta_band=band, converged=converged,
     )
-
-
-@dataclass(frozen=True, eq=False)
-class _BlockJacobian:
-    """The Newton Jacobian of a penalized coupled system at one iterate,
-    [[Ju, F], [S, Jm]], by its value-dependent diagonals: the penalty
-    indicator of Ju, S = diag(slope), the exit rate of Jm, and F =
-    diag(fprime) for a local cost, the derivative of the source (-f'(m),
-    or -(f'(m) + g'(m)) with a heat_from_g obstacle). For a nonlocal
-    cost fprime is None: F is the bordered column -c1 of the unknown
-    s = <w, m>. extra holds the values of the Hamiltonian entries of the
-    controlled system. matrix() assembles the whole Jacobian with
-    assembler(), the diagonal_update assembler of the system, built on
-    first use."""
-
-    penalty: np.ndarray
-    slope: np.ndarray
-    rate: np.ndarray
-    fprime: np.ndarray | None
-    assembler: object
-    extra: tuple = ()
-
-    def matrix(self):
-        vals = [self.penalty, self.slope, self.rate]
-        if self.fprime is not None:
-            vals.append(self.fprime)
-        return self.assembler()(np.concatenate(vals + list(self.extra), axis=None))
-
-
-def _whole_step(jac, rhs):
-    """The Newton step by the LU of the whole Jacobian jac.matrix()."""
-    return _lu_solve(jac.matrix(), rhs)
-
-
-def _schur_step(solve_u, solve_m, slope, apply_f, r_u, r_m, fallback):
-    """Newton step (du, dm) of a block system [[Ju, F], [S, Jm]] with
-    S = diag(slope), from the solves of its diagonal blocks.
-
-    With du = Ju^-1 (r_u - F dm), dm solves the Schur complement
-    (Jm - S Ju^-1 F) dm = r_m - S Ju^-1 r_u. GMRES solves it right-
-    preconditioned by Jm, dm = Jm^-1 y, where the operator
-    y -> y - S Ju^-1 F Jm^-1 y is the identity plus a matrix of rank at
-    most the number of nonzeros of slope; without them it is the
-    identity and GMRES is not called. GMRES runs to rtol 1e-13 in up to
-    two cycles of 50 iterations, the second restarted from the first's
-    iterate: scipy's gmres returns a miss, without a further cycle, when
-    a happy breakdown leaves the true residual just above rtol. If both
-    cycles miss, the step is fallback().
-    """
-    y = r_m - slope * solve_u(r_u)
-    if np.any(slope):
-        n = len(y)
-        schur = spla.LinearOperator(
-            (n, n), matvec=lambda v: v - slope * solve_u(apply_f(solve_m(v))), dtype=float)
-        start = None
-        for _cycle in range(2):
-            start, info = spla.gmres(schur, y, x0=start, rtol=1e-13, atol=0.0, restart=50,
-                                     maxiter=1)
-            if info == 0:
-                break
-        else:
-            return fallback()
-        y = start
-    dm = solve_m(y)
-    return solve_u(r_u - apply_f(dm)), dm
-
-
-def _penalized_system(cost, grid, rho_v, epsilon, band, w):
-    """Residual, Jacobian and Newton solve of the penalized coupled
-    system in the stacked unknown x = [u, m] (local cost) or [u, m, s]
-    (nonlocal cost with pairing weights w, s = <w, m>).
-
-    jacobian(x) is a _BlockJacobian: the value-dependent diagonals (the
-    penalty indicator, the ramp slope times m, the exit rate and, for a
-    local cost, -f'(m)) around A on both diagonal blocks. Its matrix()
-    adds them to a static part (A on both diagonal blocks, and for a
-    nonlocal cost the bordered row and column) through one
-    diagonal_update assembler, built on first use.
-
-    solve(jacobian, rhs) is the Newton step. 1D grids factor the whole
-    Jacobian by _lu_solve. On grids of dim >= 2 the step is _schur_step
-    on the two N x N blocks Ju = A + diag(penalty) and Jm = A + diag(rate),
-    each factored on the cached order of A's pattern by
-    obstacle._shifted_factor (a block with a zero update is A, whose
-    factor is kept), with S the ramp slope times m: it vanishes off the
-    band, so GMRES takes a few iterations, and none without band nodes.
-    For a nonlocal cost, ds = r_s + <w, dm> is eliminated first:
-    F dm = -c1 <w, dm> 1 and r_u gains c1 r_s. On a GMRES miss the step
-    falls back to _lu_solve of the whole Jacobian.
-    """
-    a = elliptic_matrix(grid)
-    n = a.shape[0]
-
-    def residual(x):
-        uv, mv = x[:n], x[n:2 * n]
-        f = cost.evaluate(mv) if w is None else cost.c0 + cost.c1 * x[-1]
-        r = [a @ uv + np.maximum(uv, 0.0) / epsilon - f,
-             a @ mv + _ramp(uv / band) / epsilon * mv - rho_v]
-        if w is not None:
-            r.append([x[-1] - w @ mv])
-        return np.concatenate(r)
-
-    @functools.cache
-    def assembler():
-        diag = np.arange(n)
-        # rows and columns of: the penalty indicator (u, u), the ramp
-        # slope times m (m, u), the exit rate (m, m) and -f'(m) (u, m)
-        rows = [diag, n + diag, n + diag]
-        cols = [diag, diag, n + diag]
-        if w is None:
-            static = sp.bmat([[a, None], [None, a]])
-            rows.append(diag)
-            cols.append(n + diag)
-        else:
-            static = sp.bmat([[a, None, sp.csr_matrix(np.full((n, 1), -cost.c1))],
-                              [None, a, None],
-                              [None, sp.csr_matrix(-w[None, :]), sp.identity(1)]])
-        return diagonal_update(static, np.concatenate(rows), np.concatenate(cols))
-
-    def jacobian(x):
-        uv, mv = x[:n], x[n:2 * n]
-        dsigma = np.where(np.abs(uv) < band, 0.5 / band, 0.0)
-        return _BlockJacobian(
-            penalty=(uv > 0).astype(float) / epsilon, slope=dsigma * mv / epsilon,
-            rate=_ramp(uv / band) / epsilon,
-            fprime=-cost.derivative(mv) if w is None else None, assembler=assembler)
-
-    def block_solve(jac, rhs):
-        r_u, r_m = rhs[:n], rhs[n:2 * n]
-        if w is None:
-            def apply_f(v):
-                return jac.fprime * v
-        else:
-            r_u = r_u + cost.c1 * rhs[-1]
-
-            def apply_f(v):
-                return np.full(n, -cost.c1 * (w @ v))
-        du, dm = _schur_step(_shifted_factor(grid, jac.penalty), _shifted_factor(grid, jac.rate),
-                             jac.slope, apply_f, r_u, r_m,
-                             lambda: np.split(_whole_step(jac, rhs)[:2 * n], 2))
-        return np.concatenate([du, dm] if w is None else [du, dm, [rhs[-1] + w @ dm]])
-
-    # in 1D the LU of the whole Jacobian beats the Schur step: through
-    # it scenario_nonexistence took 0.034 s against 0.023 s, with equal
-    # Newton counts (2-vCPU host)
-    if grid.dim >= 2:
-        return residual, jacobian, block_solve
-    return residual, jacobian, _whole_step
-
-
-def _ramp(s):
-    """Piecewise-linear exit-rate profile across the classification band."""
-    return np.clip(0.5 * (s + 1.0), 0.0, 1.0)
 
 
 def default_eps_schedule(start: float = 0.1, factor: float = 4.0, stages: int = 8) -> list[float]:

@@ -388,7 +388,7 @@ def test_run_is_bitwise_deterministic_with_kept_factors(tmp_path, overrides):
     for name in ("a", "b", "c"):
         if name == "c":
             for cache in (obstacle._base_factor, obstacle._shifted_operator,
-                          obstacle._elimination_order):
+                          obstacle._space_time_operator, obstacle._elimination_order):
                 cache.cache_clear()
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
         infos.append(obstacle._base_factor.cache_info())

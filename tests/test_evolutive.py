@@ -4,6 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from mfgstop import _coupled
+from mfgstop._coupled import _ramp
 from mfgstop.costs import CostOperator
 from mfgstop.density import solve_density_parabolic
 from mfgstop.evolutive import (
@@ -25,7 +26,6 @@ from mfgstop.scenarios import gaussian_density, scenario_standard
 from mfgstop.stationary import (
     CoupledConfig,
     CoupledNonConvergence,
-    _ramp,
     continuation_solve,
     default_eps_schedule,
     penalty_continuation,

@@ -8,6 +8,7 @@ from mfgstop._coupled import (
     _face_drift,
     _frozen_system,
     _node_gradients,
+    _ramp,
     _upwind_hamiltonian,
     forward_backward_solve,
 )
@@ -25,8 +26,10 @@ from mfgstop.grid import (
 from mfgstop.obstacle import (
     ObstacleConvergenceError,
     ObstacleSolveConfig,
+    _base_factor,
     _elimination_order,
     _lu_solve,
+    _shifted_operator,
     complementarity_residual,
     diagonal_update,
     obstacle_oracle,
@@ -36,12 +39,7 @@ from mfgstop.obstacle import (
     solve_obstacle_stationary,
 )
 from mfgstop.scenarios import gaussian_density, raised_cosine_bump
-from mfgstop.stationary import (
-    _penalized_system,
-    _ramp,
-    continuation_solve,
-    variational_minimize,
-)
+from mfgstop.stationary import continuation_solve, variational_minimize
 
 
 def cosh_profile(x):
@@ -392,13 +390,30 @@ def test_lu_solve_matches_spsolve_on_nonsymmetric_values():
     cost = CostOperator.local_power(g, 1.0, 2.0, ScalarField.constant(g, -0.3))
     uv = band_offsets(rng, n, band)
     mv = rng.choice([-0.2, 0.0, 0.3, 1.1], size=n)
-    _, jacobian, _ = _penalized_system(cost, g, raised_cosine_bump(g).values, eps, band, None)
+    _, jacobian, _, _ = stationary_frozen_system(cost, g, raised_cosine_bump(g).values, eps, band)
     jac = jacobian(np.concatenate([uv, mv])).matrix()
     assert np.any((np.abs(uv) < band) & (mv == 0.0)) and np.any(cost.derivative(mv) == 0.0)
     assert abs(jac - jac.T).max() > 0.0
     rhs = rng.normal(size=2 * n)
     expected = spla.spsolve(jac, rhs)
     assert np.max(np.abs(_lu_solve(jac, rhs) - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("shape", [(9,), (7, 5)], ids=["1d", "2d"])
+def test_unit_time_step_operator_is_the_stationary_operator(shape):
+    # the stationary system is the one-slice case of the time-dependent
+    # one at dt = 1: B = A0 + I/dt is then A = -lap + id, bitwise in
+    # pattern and values, so the factor of B kept for dt = 1 is A's
+    dim = len(shape)
+    g = build_grid(dim, [(0.0, 1.0)] * dim, list(shape))
+    b = _shifted_operator(g, 1.0)(np.zeros(g.n_total))
+    a = elliptic_matrix(g).tocsc()
+    assert a.has_canonical_format and b.has_canonical_format
+    assert np.array_equal(b.indptr, a.indptr) and np.array_equal(b.indices, a.indices)
+    assert np.array_equal(b.data, a.data)
+    rhs = np.random.default_rng(23).normal(size=g.n_total)
+    expected = spla.spsolve(a, rhs)
+    assert np.max(np.abs(_base_factor(g, 1.0)(rhs) - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def assert_on_fixed_pattern(jacobian, x, oracle, rtol=0.0):
@@ -485,7 +500,7 @@ def test_frozen_jacobian_matches_block_assembly(drift, heat):
                    for k in range(k_steps)]
         h_vals = np.stack([_upwind_hamiltonian(g, ham, u[k])[0] for k in range(k_steps)])
     residual, jacobian, _, unstack = _frozen_system(
-        cost, g_cost, g_arr[:k_steps], ham, g, m[0], dt, eps, band)
+        cost, g_cost, g_arr[:k_steps], ham, g, m[0], dt, eps, band, lag=1)
     x = np.concatenate([w[:k_steps].ravel(), m[1:].ravel()])
     w_x, m_x = unstack(x)
     assert np.array_equal(w_x, w) and np.array_equal(m_x, m)
@@ -574,7 +589,7 @@ def test_hamiltonian_jacobian_matches_finite_differences(shape, kind):
     assert all(np.all(np.abs(b) > margin) for b in _face_drift(g, ham, w[:k_steps]))
 
     residual, jacobian, _, _ = _frozen_system(
-        cost, None, np.zeros(size), ham, g, m[0], dt, eps, band)
+        cost, None, np.zeros(size), ham, g, m[0], dt, eps, band, lag=1)
     x = np.concatenate([w[:k_steps].ravel(), m[1:].ravel()])
     jac = jacobian(x).matrix().toarray()
     fd = central_difference_jacobian(residual, x)
@@ -582,6 +597,13 @@ def test_hamiltonian_jacobian_matches_finite_differences(shape, kind):
     # the Hamiltonian blocks are really there
     n_u = k_steps * n
     assert np.max(np.abs(jac[n_u:, :n_u] - np.diag(np.diag(jac[n_u:, :n_u])))) > 0.1
+
+
+def stationary_frozen_system(cost, g, rho_v, eps, band):
+    # the stationary penalized system: the one-slice case of the
+    # time-dependent one, with dt = 1, m_0 = rho and lag 0
+    return _frozen_system(cost, None, np.zeros((1, g.n_total)), None, g, rho_v, 1.0, eps, band,
+                          lag=0)
 
 
 def stationary_system(g, local, eps, band, uv, mv):
@@ -598,7 +620,7 @@ def stationary_system(g, local, eps, band, uv, mv):
         w = bump.values * g.cell_volume
         assert np.any(w == 0.0)
     x = np.concatenate([uv, mv] if local else [uv, mv, [w @ mv]])
-    system = _penalized_system(cost, g, bump.values, eps, band, w)
+    system = stationary_frozen_system(cost, g, bump.values, eps, band)
     dsigma = np.where(np.abs(uv) < band, 0.5 / band, 0.0)
     j11 = a + sp.diags((uv > 0).astype(float) / eps)
     j21 = sp.diags(dsigma * mv / eps)
@@ -619,7 +641,7 @@ def test_stationary_jacobian_matches_block_assembly(local):
     rng = np.random.default_rng(5)
     uv = band_offsets(rng, n, band)
     mv = rng.choice([-0.2, 0.0, 0.3, 1.1], size=n)
-    cost, x, (_, jacobian, _), oracle = stationary_system(g, local, eps, band, uv, mv)
+    cost, x, (_, jacobian, _, _), oracle = stationary_system(g, local, eps, band, uv, mv)
     if local:
         assert np.any(cost.derivative(mv) == 0.0)
     assert np.any((np.abs(uv) < band) & (mv == 0.0))
@@ -638,7 +660,7 @@ def test_stationary_block_solve_matches_the_whole_jacobian(monkeypatch, local, b
     rng = np.random.default_rng(13)
     uv = band_offsets(rng, n, band) if band_nodes else band * rng.choice([-3.0, 3.0], size=n)
     mv = rng.choice([-0.2, 0.0, 0.3, 1.1], size=n)
-    _, x, (_, jacobian, solve), oracle = stationary_system(g, local, eps, band, uv, mv)
+    _, x, (_, jacobian, solve, _), oracle = stationary_system(g, local, eps, band, uv, mv)
     gmres, calls = spla.gmres, []
 
     def recording_gmres(*args, **kwargs):
@@ -664,7 +686,7 @@ def test_stationary_block_solve_falls_back_on_a_gmres_miss(monkeypatch, local):
     rng = np.random.default_rng(17)
     uv = band_offsets(rng, n, band)
     mv = rng.choice([-0.2, 0.0, 0.3, 1.1], size=n)
-    _, x, (_, jacobian, solve), oracle = stationary_system(g, local, eps, band, uv, mv)
+    _, x, (_, jacobian, solve, _), oracle = stationary_system(g, local, eps, band, uv, mv)
     sizes, splu = [], spla.splu
 
     def recording_splu(matrix, **kwargs):
@@ -681,9 +703,10 @@ def test_stationary_block_solve_falls_back_on_a_gmres_miss(monkeypatch, local):
 
 
 def test_stationary_block_solve_restarts_gmres_instead_of_falling_back(monkeypatch):
-    # on this instance one step's first GMRES cycle ends in a happy
-    # breakdown at a true relative residual of 2.4e-13, above rtol; the
-    # second cycle reaches rtol, so no step factors the whole 2N Jacobian
+    # on this instance four steps' first GMRES cycles end in a happy
+    # breakdown at true relative residuals of 1.0e-13 to 2.0e-13, above
+    # rtol; each second cycle reaches rtol, so no step factors the whole
+    # 2N Jacobian
     g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (31, 31))
     cost = CostOperator.local_power(g, 1.0, 1.0, ScalarField.constant(g, -0.5))
     sizes, infos, splu, gmres = [], [], spla.splu, spla.gmres
@@ -699,7 +722,7 @@ def test_stationary_block_solve_restarts_gmres_instead_of_falling_back(monkeypat
 
     monkeypatch.setattr(spla, "splu", recording_splu)
     monkeypatch.setattr(spla, "gmres", recording_gmres)
-    continuation_solve(cost, raised_cosine_bump(g, peak=200.0))
+    continuation_solve(cost, raised_cosine_bump(g, peak=250.0))
     assert set(sizes) == {g.n_total}
     assert any(info != 0 for info in infos)
 
@@ -733,7 +756,8 @@ def space_time_system(obstacle, band_nodes, zero_slice=None):
         w[zero_slice] = -3.0 * band
     m = rng.choice([-0.2, 0.0, 0.3, 1.1], size=(k_steps + 1, n))
     g_arr = op.apply_arrays(g, tg, m)[1]
-    system = _frozen_system(cost, g_cost, g_arr[:k_steps], None, g, m[0], dt, eps, band)
+    system = _frozen_system(cost, g_cost, g_arr[:k_steps], None, g, m[0], dt, eps, band,
+                            lag=1)
     x = np.concatenate([w[:k_steps].ravel(), m[1:].ravel()])
     b_op = elliptic_matrix(g, with_zero_order=False) + sp.identity(n) / dt
     blocks = [[None] * (2 * k_steps) for _ in range(2 * k_steps)]

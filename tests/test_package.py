@@ -94,3 +94,29 @@ def test_every_direct_solve_goes_through_lu_factor():
     found = [(where, line) for module in MODULES
              for where, line in _direct_solves(_tree(module), module)]
     assert found and {where for where, _ in found} <= FACTORING_FUNCTIONS, found
+
+
+# the Newton steps of the penalized coupled systems, which only the one
+# system builder may take: a second builder would need its own Jacobian
+NEWTON_STEPS = {"_schur_step", "_whole_step"}
+
+
+def _references(node, module, names, scope=None):
+    """(function, line) of each use of one of names below node, by name
+    or attribute; function is module.name of the enclosing module-level
+    function."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if scope is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{module}.{child.name}"
+        name = (child.id if isinstance(child, ast.Name)
+                else child.attr if isinstance(child, ast.Attribute) else None)
+        if name in names:
+            yield inner or module, child.lineno
+        yield from _references(child, module, names, inner)
+
+
+def test_newton_steps_are_taken_only_by_the_one_system_builder():
+    found = [(where, line) for module in MODULES
+             for where, line in _references(_tree(module), module, NEWTON_STEPS)]
+    assert found and {where for where, _ in found} == {"_coupled._frozen_system"}, found

@@ -4,7 +4,7 @@ import scipy.sparse.linalg as spla
 
 from mfgstop.costs import CostOperator
 from mfgstop.grid import ScalarField, build_grid, elliptic_matrix, inner
-from mfgstop import stationary
+from mfgstop import _coupled
 from mfgstop.obstacle import (
     _base_factor,
     _elimination_order,
@@ -310,26 +310,35 @@ def test_2d_continuation_without_penalty_factors_a_once(monkeypatch):
     # rate and the final density solves with one
     g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (9, 9))
     cost = CostOperator.local_power(g, 1.0, 1.0, ScalarField.constant(g, -0.5))
-    a = _shifted_operator(g, None)(np.zeros(g.n_total))
+    a = _shifted_operator(g, 1.0)(np.zeros(g.n_total))
     a_permuted = a.data[_elimination_order(a.registered_pattern).gather]
-    factored, blocks = [], []
-    splu, schur = spla.splu, stationary._schur_step
+    factored, steps, factors = [], [], []
+    splu, schur, shifted_factor = spla.splu, _coupled._schur_step, _coupled._shifted_factor
 
     def recording_splu(matrix, permc_spec=None, **kwargs):
         if permc_spec == "NATURAL":
             factored.append(np.array_equal(matrix.data, a_permuted))
         return splu(matrix, permc_spec=permc_spec, **kwargs)
 
-    def recording_schur(solve_u, solve_m, *args):
-        blocks.append((solve_u, solve_m))
-        return schur(solve_u, solve_m, *args)
+    def recording_schur(*args):
+        steps.append(args)
+        return schur(*args)
+
+    def recording_shifted_factor(*args):
+        # the slice factors that the sweeps of a step wrap: the value
+        # block first, then the density block
+        factors.append(shifted_factor(*args))
+        return factors[-1]
 
     monkeypatch.setattr(spla, "splu", recording_splu)
-    monkeypatch.setattr(stationary, "_schur_step", recording_schur)
+    monkeypatch.setattr(_coupled, "_schur_step", recording_schur)
+    monkeypatch.setattr(_coupled, "_shifted_factor", recording_shifted_factor)
     sol, stages = continuation_solve(cost, raised_cosine_bump(g, peak=2.0), [1e-1, 1e-2, 1e-3])
-    base = _base_factor(g, None)
+    base = _base_factor(g, 1.0)
+    blocks = list(zip(factors[::2], factors[1::2]))
     assert np.max(sol.u.values) < 0.0
-    assert [s.iterations for s in stages] == [3, 3, 1] and len(blocks) == 4
+    assert [s.iterations for s in stages] == [3, 3, 1] and len(steps) == 4
+    assert len(factors) == 2 * len(steps) and len(blocks) == 4
     assert all(solve_u is base for solve_u, _ in blocks)
     assert [solve_m is base for _, solve_m in blocks] == [False, False, False, True]
     assert factored[0] and factored.count(True) == 1
