@@ -283,11 +283,13 @@ def _residuals(report) -> dict:
 
 def _write_convergence_table(rows, path):
     """One line per (stage, epsilon, iterations, report) row: the three
-    leading cells, then the report's residuals."""
+    leading cells, the grid the report is on (its interior node counts,
+    e.g. 15x15), then the report's residuals."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("stage,epsilon,iterations," + ",".join(_residuals(rows[0][3])) + "\n")
+        fh.write("stage,epsilon,iterations,grid," + ",".join(_residuals(rows[0][3])) + "\n")
         for stage, epsilon, iterations, report in rows:
-            cells = [str(stage), format(epsilon, ".17g"), str(iterations)]
+            cells = [str(stage), format(epsilon, ".17g"), str(iterations),
+                     "x".join(map(str, report.grid["n_interior"]))]
             cells += [format(v, ".17g") for v in _residuals(report).values()]
             fh.write(",".join(cells) + "\n")
 

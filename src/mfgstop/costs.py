@@ -10,7 +10,7 @@ local power laws with a > 0 are strictly monotone in the order sense
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -139,6 +139,13 @@ class CostOperator:
         if self.p == 1.0:
             return np.full_like(m_values, self.a)
         return self.a * self.p * np.power(np.maximum(m_values, 0.0), self.p - 1.0)
+
+    def restricted(self, grid: Grid, restrict) -> "CostOperator":
+        """This cost on grid, each field parameter (f0, weight, base,
+        m_ref) mapped onto it by restrict (a ScalarField map)."""
+        return replace(self, grid=grid, **{
+            f.name: restrict(getattr(self, f.name)) for f in fields(self)
+            if isinstance(getattr(self, f.name), ScalarField)})
 
     def potential(self) -> "PotentialOperator | None":
         """Antiderivative in m, when one exists in closed form."""

@@ -24,6 +24,7 @@ __all__ = [
     "NodeMask",
     "build_grid",
     "build_timegrid",
+    "coarsen",
     "elliptic_matrix",
     "apply_elliptic",
     "inner",
@@ -234,6 +235,42 @@ def _neg_laplacian(grid: Grid) -> sp.csr_matrix:
         return blocks[0].tocsr()
     eyes = [sp.identity(n, format="csr") for n in grid.n_interior]
     return (sp.kron(blocks[0], eyes[1]) + sp.kron(eyes[0], blocks[1])).tocsr()
+
+
+@lru_cache(maxsize=None)
+def coarsen(grid: Grid):
+    """The grid of every second node of grid and the maps between the two.
+
+    Every axis of grid must have an odd n = 2 n_c + 1 interior nodes; the
+    coarse grid has n_c on the same box, its node j at grid's node
+    2 j + 1. Returns (coarse, restrict, prolong): restrict(field) takes a
+    field of grid to its values at the coarse nodes (injection), and
+    prolong(field) interpolates a coarse field (bi)linearly onto grid,
+    with the zero boundary, by the kron of the per-axis interpolations.
+    """
+    if any(n % 2 == 0 for n in grid.n_interior):
+        raise ValueError(f"coarsening needs an odd node count per axis, got {grid.n_interior}")
+    coarse = build_grid(grid.dim, grid.bounds, [n // 2 for n in grid.n_interior])
+    axes = []
+    for n_c in coarse.n_interior:
+        cols = np.arange(n_c)
+        axes.append(sp.csr_matrix(
+            (np.repeat([0.5, 1.0, 0.5], n_c), (np.concatenate([2 * cols, 2 * cols + 1, 2 * cols + 2]),
+                                               np.tile(cols, 3))),
+            shape=(2 * n_c + 1, n_c)))
+    interpolate = axes[0]
+    for axis in axes[1:]:
+        interpolate = sp.kron(interpolate, axis)
+    interpolate = interpolate.tocsr()
+    every_second = (slice(1, None, 2),) * grid.dim
+
+    def restrict(field: ScalarField) -> ScalarField:
+        return ScalarField(coarse, field.values.reshape(grid.shape)[every_second].ravel())
+
+    def prolong(field: ScalarField) -> ScalarField:
+        return ScalarField(grid, interpolate @ field.values)
+
+    return coarse, restrict, prolong
 
 
 def elliptic_matrix(grid: Grid, with_zero_order: bool = True) -> sp.csr_matrix:

@@ -14,12 +14,13 @@ r_duality.
 The penalized Newton system is the one-slice case of the time-dependent
 one and is built by the same _coupled._frozen_system (dt = 1, m_0 = rho,
 lag 0); CoupledConfig, PenalizedTriple and CoupledNonConvergence live in
-_coupled and are exported here.
+_coupled and are exported here. continuation_solve runs the early
+penalty stages of a strictly monotone 2D continuation on coarser grids.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,6 +38,7 @@ from .grid import (
     NodeMask,
     ScalarField,
     classify_nodes,
+    coarsen,
     default_contact_threshold,
     elliptic_matrix,
     inner,
@@ -251,18 +253,61 @@ def continuation_solve(
     penalized_coupled_solve stages along a decreasing schedule, the
     first from m_init.
 
-    Returns (solution, stages): the final PenalizedTriple and one
-    StageReport per stage, with the verify_mixed report of its (u, m).
-    """
+    On 2D grids the early stages run on coarser grids (nested iteration,
+    as in full multigrid) when every axis has n = 2 n_c + 1 nodes with
+    n_c >= 15, the schedule has at least 2 stages and the cost is
+    strictly monotone: the continuation of schedule[:-1] runs, nested
+    again where it can, on grid.coarsen's grid with rho, the cost's
+    fields and m_init restricted to its nodes, and only the last stage
+    runs on this grid, warm-started from the prolonged coarse (u, m,
+    alpha). The mixed solution of a strictly monotone cost is unique, so
+    the early stages change the cost of the solve, not its answer (up to
+    the classification band, which each stage sets from its entry
+    iterate).
+    Other costs may have several solutions, and the stages may steer
+    which one is found, so they stay on the fine grid; so do 1D grids,
+    where the stages are cheap. The time-dependent continuations do not
+    nest: one fine stage from a coarse 2D osmfg start did not converge.
+    Coarse stages are warm-up stages like every stage but the last, so
+    only the final fine stage can raise.
 
-    def solve_stage(eps, warm, strict):
-        return penalized_coupled_solve(cost, rho, eps, config, m_init=m_init, strict=strict,
-                                       warm=warm)
+    Returns (solution, stages): the final PenalizedTriple and one
+    StageReport per stage, with the verify_mixed report of its (u, m)
+    on the grid the stage ran on.
+    """
+    return _continuation(cost, rho, _checked_schedule(eps_schedule), config, m_init, strict=True)
+
+
+def _nests(cost: CostOperator, grid, schedule) -> bool:
+    """Whether continuation_solve runs the early stages on a coarser grid."""
+    return (grid.dim >= 2 and all(n % 2 == 1 and n // 2 >= 15 for n in grid.n_interior)
+            and len(schedule) >= 2 and cost.monotonicity == STRICT_MONOTONE)
+
+
+def _continuation(cost, rho, schedule, config, m_init, strict):
+    """continuation_solve on a checked schedule, its last stage strict
+    only when strict."""
 
     def verify(triple):
         return verify_mixed(triple.u, triple.m, cost, rho, delta_c=triple.delta_band)
 
-    return penalty_continuation(solve_stage, verify, eps_schedule)
+    if not _nests(cost, rho.grid, schedule):
+        def solve_stage(eps, warm, last):
+            return penalized_coupled_solve(cost, rho, eps, config, m_init=m_init,
+                                           strict=strict and last, warm=warm)
+
+        return penalty_continuation(solve_stage, verify, schedule)
+    coarse, restrict, prolong = coarsen(rho.grid)
+    warm, stages = _continuation(cost.restricted(coarse, restrict), restrict(rho), schedule[:-1],
+                                 config, None if m_init is None else restrict(m_init),
+                                 strict=False)
+    warm = replace(warm, u=prolong(warm.u), m=prolong(warm.m), alpha=prolong(warm.alpha))
+    stage = len(schedule) - 1
+    try:
+        sol = penalized_coupled_solve(cost, rho, schedule[-1], config, strict=strict, warm=warm)
+    except CoupledNonConvergence as err:
+        raise CoupledNonConvergence(err.message, err.residual_history, stage=stage) from err
+    return sol, stages + [StageReport(stage=stage, solution=sol, report=verify(sol))]
 
 
 def monotone_iteration_solve(cost: CostOperator, rho: ScalarField):

@@ -355,6 +355,8 @@ def test_verify_takes_the_default_threshold_without_a_matching_manifest(tmp_path
 
 
 SOSMFG_2D = {"grid": {"dim": 2, "bounds": [[0.0, 1.0], [0.0, 1.0]], "n_interior": [15, 15]}}
+# nests: the first seven stages run on the 15x15 grid of every second node
+SOSMFG_31 = {"grid": {"dim": 2, "bounds": [[0.0, 1.0], [0.0, 1.0]], "n_interior": [31, 31]}}
 # the time sweeps and the GMRES solve of the density Schur complement
 OSMFG_2D = {**OSMFG_RUN, "grid": {"dim": 2, "bounds": [[0.0, 1.0], [0.0, 1.0]],
                                   "n_interior": [9, 9]},
@@ -362,9 +364,10 @@ OSMFG_2D = {**OSMFG_RUN, "grid": {"dim": 2, "bounds": [[0.0, 1.0], [0.0, 1.0]],
             "eps_schedule": {"start": 0.1, "factor": 4.0, "stages": 8}}
 
 
-@pytest.mark.parametrize("overrides", [{}, SOSMFG_2D, {**OSMFG_RUN, "obstacle": HEAT_FROM_G},
+@pytest.mark.parametrize("overrides", [{}, SOSMFG_2D, SOSMFG_31, {**OSMFG_RUN, "obstacle": HEAT_FROM_G},
                                        COSMFG_RUN, OSMFG_2D],
-                         ids=["sosmfg", "sosmfg-2d", "osmfg-heat_from_g", "cosmfg", "osmfg-2d"])
+                         ids=["sosmfg", "sosmfg-2d", "sosmfg-31x31", "osmfg-heat_from_g", "cosmfg",
+                              "osmfg-2d"])
 def test_run_is_bitwise_deterministic(tmp_path, overrides):
     cfg = write_config(tmp_path, overrides)
     for name in ("a", "b"):
@@ -400,6 +403,18 @@ def test_run_is_bitwise_deterministic_with_kept_factors(tmp_path, overrides):
         for file in files:
             assert ((tmp_path / "a" / file).read_bytes()
                     == (tmp_path / name / file).read_bytes()), (name, file)
+
+
+def test_convergence_table_names_the_grid_of_every_stage(tmp_path):
+    # a nested 31x31 continuation: every stage but the last ran on 15x15
+    out = tmp_path / "nested"
+    cfg = write_config(tmp_path, {**SOSMFG_31, "output_dir": str(out)})
+    assert main(["run", "--config", str(cfg)]) == 0
+    header, *rows = [line.split(",") for line in
+                     (out / "convergence.csv").read_text().splitlines()]
+    assert header[:4] == ["stage", "epsilon", "iterations", "grid"]
+    assert [row[0] for row in rows] == [str(j) for j in range(8)]
+    assert [row[3] for row in rows] == ["15x15"] * 7 + ["31x31"]
 
 
 def test_cosmfg_run_writes_one_row_per_stage_and_verifies(tmp_path):

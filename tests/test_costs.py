@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mfgstop.costs import CostOperator
-from mfgstop.grid import ScalarField, build_grid
+from mfgstop.grid import ScalarField, build_grid, coarsen
 
 
 @pytest.fixture
@@ -95,3 +95,23 @@ def test_nonlocal_has_no_potential(grid):
 def test_exponent_below_one_rejected(grid):
     with pytest.raises(ValueError):
         CostOperator.local_power(grid, 1.0, 0.5, ScalarField.zeros(grid))
+
+
+def test_restricted_cost_injects_every_field(grid):
+    # each field parameter is taken to the coarse nodes; the scalars and
+    # the kind stay, and so does the value at every coarse node
+    coarse, restrict, _ = coarsen(grid)
+    x = ScalarField(grid, np.linspace(0.1, 0.9, 9))
+    costs = [CostOperator.local_power(grid, 2.0, 2.0, x),
+             CostOperator.nonlocal_affine(grid, -0.5, 3.0, x),
+             CostOperator.local_affine_shifted(grid, x, ScalarField(grid, x.values ** 2))]
+    m = np.arange(9.0)
+    for cost in costs:
+        small = cost.restricted(coarse, restrict)
+        assert small.grid == coarse and small.kind == cost.kind
+        assert small.monotonicity == cost.monotonicity
+        if cost.is_local:
+            assert np.array_equal(small.evaluate(m[1::2]), cost.evaluate(m)[1::2])
+        else:
+            assert small.weight.values.tolist() == x.values[1::2].tolist()
+            assert (small.c0, small.c1) == (cost.c0, cost.c1)

@@ -14,6 +14,7 @@ from mfgstop.grid import (
     build_grid,
     build_timegrid,
     classify_nodes,
+    coarsen,
     elliptic_matrix,
     inner,
     read_field_csv,
@@ -260,3 +261,25 @@ def test_trajectory_round_trip(tmp_path):
     manifest = write_trajectory_csv(traj, tmp_path, "u")
     back = read_trajectory_csv(g, manifest)
     assert np.array_equal(back.array(), traj.array())
+
+
+@pytest.mark.parametrize("shape", [(15,), (15, 15), (31, 15)])
+def test_coarsen_injects_and_interpolates(shape):
+    # the coarse grid holds every second node; prolongation reproduces a
+    # product of tents, linear on every coarse cell and 0 on the
+    # boundary, and injection takes a prolonged field back bit for bit
+    g = build_grid(len(shape), [(0.0, 1.0)] * len(shape), shape)
+    coarse, restrict, prolong = coarsen(g)
+    assert coarse.n_interior == tuple(n // 2 for n in shape) and coarse.bounds == g.bounds
+    assert np.allclose(coarse.coordinates(), g.coordinates().reshape(*shape, -1)[
+        (slice(1, None, 2),) * len(shape)].reshape(-1, len(shape)), rtol=0.0, atol=1e-15)
+
+    def tents(grid):
+        return ScalarField(grid, np.prod(0.5 - np.abs(grid.coordinates() - 0.5), axis=1))
+
+    assert np.array_equal(restrict(tents(g)).values, tents(coarse).values)
+    assert np.allclose(prolong(tents(coarse)).values, tents(g).values, rtol=0.0, atol=1e-15)
+    c = ScalarField(coarse, np.random.default_rng(5).normal(size=coarse.n_total))
+    assert restrict(prolong(c)).values.tobytes() == c.values.tobytes()
+    with pytest.raises(ValueError):
+        coarsen(build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (15, 16)))

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from mfgstop.costs import CostOperator
-from mfgstop.grid import ScalarField, build_grid, elliptic_matrix, inner
+from mfgstop.grid import ScalarField, build_grid, coarsen, elliptic_matrix, inner
 from mfgstop import _coupled
 from mfgstop.obstacle import (
     _base_factor,
@@ -11,7 +11,12 @@ from mfgstop.obstacle import (
     _shifted_operator,
     solve_obstacle_stationary,
 )
-from mfgstop.scenarios import raised_cosine_bump, scenario_standard
+from mfgstop.scenarios import (
+    raised_cosine_bump,
+    run_scenario_evidence,
+    scenario_nonexistence,
+    scenario_standard,
+)
 from mfgstop.stationary import (
     CoupledConfig,
     CoupledNonConvergence,
@@ -20,6 +25,7 @@ from mfgstop.stationary import (
     euler_lagrange_certificate,
     monotone_iteration_solve,
     penalized_coupled_solve,
+    penalty_continuation,
     uniqueness_probe,
     variational_minimize,
     verify_mixed,
@@ -344,3 +350,101 @@ def test_2d_continuation_without_penalty_factors_a_once(monkeypatch):
     assert factored[0] and factored.count(True) == 1
     # A, the three density blocks with a rate, one final density solve
     assert len(factored) == 1 + 3 + 1
+
+
+def flat_continuation(cost, rho, schedule=None):
+    # every stage on rho's grid: penalty_continuation over one
+    # penalized_coupled_solve per stage, verified as continuation_solve
+    # verifies
+    return penalty_continuation(
+        lambda eps, warm, strict: penalized_coupled_solve(cost, rho, eps, strict=strict, warm=warm),
+        lambda t: verify_mixed(t.u, t.m, cost, rho, delta_c=t.delta_band), schedule)
+
+
+def grid_2d(n):
+    return build_grid(2, ((0.0, 1.0), (0.0, 1.0)), n)
+
+
+# the acceptance gates of the command-line tests (1e-6 on every
+# residual) and of the benchmark configs (r_duality <= 1e-4)
+GATES = [*((key, 1e-6) for key in ("r_obstacle", "r_continuation", "r_subsolution", "r_contact",
+                                   "r_duality")), ("r_duality", 1e-4)]
+
+
+@pytest.mark.parametrize("cost_kind,peak", [("local", 1.0), ("local", 250.0), ("nonlocal", 1.0)])
+def test_nested_continuation_matches_the_flat_one(cost_kind, peak):
+    # 31x31 nests once: stages 0-6 on the 15x15 grid of every second
+    # node, the last on 31x31 from the prolonged coarse solution; the
+    # fields agree with the all-fine continuation's to 1e-5 (8.5e-7 in
+    # m at peak 250) and pass and fail the same gates
+    g = grid_2d(31)
+    rho = raised_cosine_bump(g, peak=peak)
+    cost = local_cost(g, -0.5) if cost_kind == "local" else strictly_monotone_nonlocal(g, rho)
+    nested, stages = continuation_solve(cost, rho)
+    flat, flat_stages = flat_continuation(cost, rho)
+    assert [sr.stage for sr in stages] == list(range(8))
+    assert [sr.report.grid["n_interior"] for sr in stages] == [[15, 15]] * 7 + [[31, 31]]
+    assert [sr.solution.u.grid for sr in stages] == [coarsen(g)[0]] * 7 + [g]
+    assert nested.converged and nested.epsilon == flat.epsilon
+    for a, b in ((nested.u, flat.u), (nested.m, flat.m)):
+        assert np.max(np.abs(a.values - b.values)) <= 1e-5
+    report, flat_report = stages[-1].report.to_dict(), flat_stages[-1].report.to_dict()
+    assert [report[key] <= gate for key, gate in GATES] == [
+        flat_report[key] <= gate for key, gate in GATES]
+
+
+def test_nesting_recurses_to_the_15x15_grid():
+    g = grid_2d(63)
+    sol, stages = continuation_solve(local_cost(g, -0.5), raised_cosine_bump(g))
+    assert [sr.report.grid["n_interior"][0] for sr in stages] == [15] * 6 + [31, 63]
+    assert sol.u.grid == g and stages[-1].report.max_residual <= 1e-8
+
+
+@pytest.mark.parametrize("case", ["1d", "15x15", "even_n", "anti_monotone", "neither",
+                                  "one_stage"])
+def test_continuation_stays_flat_where_it_does_not_nest(case):
+    # 1D grids, coarse grids of fewer than 15 nodes per axis, even node
+    # counts, costs that are not strictly monotone and one-stage
+    # schedules run every stage on the given grid, bit for bit as the
+    # flat continuation
+    grid = {"1d": build_grid(1, (0.0, 1.0), 63), "15x15": grid_2d(15),
+            "even_n": grid_2d((31, 32))}.get(case, grid_2d(31))
+    cost = {"anti_monotone": local_cost(grid, 0.2, a=-0.1), "neither": local_cost(grid, -0.5, a=0.0)
+            }.get(case, local_cost(grid, -0.5))
+    rho = raised_cosine_bump(grid)
+    schedule = [1e-3] if case == "one_stage" else None
+    sol, stages = continuation_solve(cost, rho, schedule)
+    flat, flat_stages = flat_continuation(cost, rho, schedule)
+    for name in ("u", "m", "alpha"):
+        assert getattr(sol, name).values.tobytes() == getattr(flat, name).values.tobytes()
+    assert [(sr.stage, sr.iterations, sr.report) for sr in stages] == [
+        (sr.stage, sr.iterations, sr.report) for sr in flat_stages]
+    assert {sr.solution.u.grid for sr in stages} == {grid}
+
+
+def test_nested_continuation_raises_at_the_fine_stage_only():
+    # the coarse stages are warm-up stages and return their last iterate;
+    # the final fine stage is strict and reports its index
+    g = grid_2d(31)
+    cfg = CoupledConfig(max_outer=1, tol_pde=1e-16)
+    with pytest.raises(CoupledNonConvergence) as err:
+        continuation_solve(local_cost(g, -0.5), raised_cosine_bump(g), None, cfg)
+    assert err.value.stage == 7
+
+
+def test_nested_solve_finds_its_factors_and_orders_kept():
+    # the 63x63 continuation and the 1D scenarios of the stationary
+    # benchmark workload, twice in one process: the second pass makes no
+    # new elimination order and no new base factor, so the three grid
+    # levels and the 1D grids do not evict each other from the caches
+    g = grid_2d(63)
+    cost, rho = local_cost(g, -0.5), raised_cosine_bump(g)
+    caches = (_elimination_order, _base_factor)
+    misses = []
+    for _ in range(2):
+        continuation_solve(cost, rho)
+        for name in ("monotone_1d", "anti_monotone_1d"):
+            run_scenario_evidence(scenario_standard(name))
+        scenario_nonexistence()
+        misses.append([cache.cache_info().misses for cache in caches])
+    assert misses[1] == misses[0]
