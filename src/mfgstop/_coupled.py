@@ -43,8 +43,13 @@ integrands with m_{k+1}.
 
 The controlled system is the evolutive one with the zero obstacle plus
 a Hamiltonian term and its induced drift, in the solver and in the
-verifier alike: _hamiltonian_terms is the one source of H and of the
-drift operator, and _slice_residuals the one slice-residual core.
+verifier alike: _hamiltonian_state is the one source of H, of the face
+drift and of the drift operator, and _slice_residuals the one
+slice-residual core. The state is made once per Newton iterate, by the
+residual, and the Jacobian at that iterate reuses it; the drift
+operator is assembled on a CSR pattern kept per (grid, K)
+(density._drift_pattern), and the positions of the Hamiltonian entries
+of the Jacobian are kept per (grid, K) as well.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .costs import CostOperator
-from .density import FaceVelocities, _drift_triplets
+from .density import FaceVelocities, _drift_pattern
 from .grid import (
     DELTA_C_FLOOR,
     FieldTrajectory,
@@ -254,27 +259,67 @@ def _face_gradients(grid: Grid, u: np.ndarray):
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class _HamiltonianState:
+    """The Hamiltonian data of value slices u (K, N), made once by
+    _hamiltonian_state and shared by the residual, the Jacobian and the
+    verifier at one iterate:
+
+    - values: the upwind H(x, D_sel u_k), (K, N);
+    - slope, backward: per axis D_pH(x, p) at the selected gradient p,
+      and the nodes that take the backward difference;
+    - face_p, face_weight, drift: per axis the face gradient components,
+      beta on the faces (None for beta-free kinds) and the face drift
+      b_k = D_pH(x, grad u_k), (K, *axis face shape);
+    - drift_values, div: the entries of the block-diagonal operator
+      m_k -> -div(m_k b_k) in _drift_triplets order, and the operator
+      on the CSR pattern kept per (grid, K) by density._drift_pattern.
+    """
+
+    values: np.ndarray
+    slope: list
+    backward: list
+    face_p: list
+    face_weight: list
+    drift: tuple
+    drift_values: np.ndarray
+    div: sp.csr_matrix
+
+
+def _hamiltonian_state(grid: Grid, hamiltonian, u: np.ndarray) -> _HamiltonianState:
+    """The _HamiltonianState of the value slices u (K, N): the one place
+    that evaluates the upwind H, the face gradients and the face drift."""
+    values, p, backward = _upwind_hamiltonian(grid, hamiltonian, u)
+    face_p = _face_gradients(grid, u)
+    face_weight = [hamiltonian.face_weight(grid, axis) for axis in range(grid.dim)]
+    drift = tuple(hamiltonian.gradient(p_face, weight=beta)[axis]
+                  for axis, (p_face, beta) in enumerate(zip(face_p, face_weight)))
+    pattern = _drift_pattern(grid, len(u))
+    drift_values = pattern.values(drift)
+    return _HamiltonianState(values, hamiltonian.gradient(p), backward, face_p, face_weight,
+                             drift, drift_values, pattern.matrix(drift_values))
+
+
 def _face_drift(grid: Grid, hamiltonian, u: np.ndarray):
     """D_pH(x, grad u) on the faces of the slices u (..., N): per axis an
-    array shaped (..., *axis face shape)."""
-    return tuple(hamiltonian.gradient(p_face, weight=hamiltonian.face_weight(grid, axis))[axis]
-                 for axis, p_face in enumerate(_face_gradients(grid, u)))
+    array shaped (..., *axis face shape), the drift of their
+    _hamiltonian_state."""
+    drift = _hamiltonian_state(grid, hamiltonian, u.reshape(-1, grid.n_total)).drift
+    return tuple(b.reshape(u.shape[:-1] + grid.face_shape(axis)) for axis, b in enumerate(drift))
 
 
 def _hamiltonian_terms(grid: Grid, hamiltonian, u_arr: np.ndarray):
-    """Hamiltonian data of the value slices 0..K-1 of u_arr, evaluated on
-    the whole (K, N) array: upwind values H(x, Du_k) as a (K, N) array,
-    and one block-diagonal (KN, KN) operator m_k -> -div(m_k b_k) of the
-    face drifts b_k = D_pH(x, grad u_k). Without a Hamiltonian: zeros
-    and no operator."""
+    """Hamiltonian data of the value slices 0..K-1 of u_arr, from one
+    _hamiltonian_state of the whole (K, N) array: upwind values
+    H(x, Du_k) as a (K, N) array, and one block-diagonal (KN, KN)
+    operator m_k -> -div(m_k b_k) of the face drifts
+    b_k = D_pH(x, grad u_k). Without a Hamiltonian: zeros and no
+    operator."""
     steps = len(u_arr) - 1
     if hamiltonian is None:
         return np.zeros((steps, grid.n_total)), None
-    u = u_arr[:steps]
-    rows, cols, vals = _drift_triplets(grid, _face_drift(grid, hamiltonian, u))
-    size = steps * grid.n_total
-    return (_upwind_hamiltonian(grid, hamiltonian, u)[0],
-            sp.csr_matrix((vals, (rows, cols)), shape=(size, size)))
+    state = _hamiltonian_state(grid, hamiltonian, u_arr[:steps])
+    return state.values, state.div
 
 
 def _pair_stencil(a, b):
@@ -290,60 +335,61 @@ def _pair_stencil(a, b):
     return a.indices[ia], b.indices[ib], a.data[ia] * b.data[ib], face[ia]
 
 
-def _hamiltonian_jacobian(grid: Grid, hamiltonian, k_steps: int):
+@functools.lru_cache(maxsize=8)
+def _hamiltonian_positions(grid: Grid, k_steps: int):
     """Positions of the derivatives of the Hamiltonian terms in the joint
-    Jacobian (value rows from 0, density rows from n_u = K N), and
-    values(u, m), their values at the value slices u_0..u_{K-1} and the
-    density slices m_1..m_K:
+    Jacobian of K slices (value rows from 0, density rows from
+    n_u = K N), and the stencils that _hamiltonian_values fills in:
 
     - value rows, u_k: D_pH(x, p) . D_sel, with p and the upwind
       differences D_sel selected by _upwind_hamiltonian;
-    - density rows, m_{k+1}: the drift operator div_k itself;
     - density rows, u_k: per face the slope of the upwind flux in b
       (m on the side the flux takes) times D_ppH times the stencils of
       the face gradient (the face difference, and in 2D the transverse
-      average of central differences).
+      average of central differences);
+    - density rows, m_{k+1}: the drift operator div_k itself.
+
+    Built once per (grid, K) and kept, like the drift pattern.
     """
     n = grid.n_total
     one_sided, face_grad = _gradient_matrices(grid)
     identity = sp.identity(n, format="csr")
-    node_stencils = [_pair_stencil(identity, d) for pair in one_sided for d in pair]
-    face_stencils = [_pair_stencil(mats[axis], g)
-                     for axis, mats in enumerate(face_grad) for g in mats]
-
+    stencils = ([_pair_stencil(identity, d) for pair in one_sided for d in pair]
+                + [_pair_stencil(mats[axis], g) for axis, mats in enumerate(face_grad)
+                   for g in mats])
+    n_nodes = 2 * grid.dim  # the node stencils come first
     n_u = k_steps * n
     offset = n * np.arange(k_steps)[:, None]
-    drift_rows, drift_cols, _ = _drift_triplets(
-        grid, [np.zeros((k_steps, mats[0].shape[0])) for mats in face_grad])
-    rows = np.concatenate([(offset + s[0]).ravel() for s in node_stencils]
-                          + [(n_u + offset + s[0]).ravel() for s in face_stencils]
-                          + [n_u + drift_rows])
-    cols = np.concatenate([(offset + s[1]).ravel() for s in node_stencils + face_stencils]
-                          + [n_u + drift_cols])
+    pattern = _drift_pattern(grid, k_steps)
+    rows = np.concatenate([(offset + s[0]).ravel() for s in stencils[:n_nodes]]
+                          + [(n_u + offset + s[0]).ravel() for s in stencils[n_nodes:]]
+                          + [n_u + pattern.rows])
+    cols = np.concatenate([(offset + s[1]).ravel() for s in stencils] + [n_u + pattern.cols])
+    for arr in (rows, cols, *(a for s in stencils for a in s)):
+        arr.flags.writeable = False
+    return rows, cols, stencils
 
-    def values(u, m):
-        _, p, backward = _upwind_hamiltonian(grid, hamiltonian, u)
-        slope = hamiltonian.gradient(p)
-        weights = []
-        for axis in range(grid.dim):
-            weights += [np.where(backward[axis], slope[axis], 0.0),
-                        np.where(backward[axis], 0.0, slope[axis])]
-        # m with a zero column last, so that index -1 (outside) reads 0
-        m_pad = np.pad(m, ((0, 0), (0, 1)))
-        drift = []
-        for axis, p_face in enumerate(_face_gradients(grid, u)):
-            beta = hamiltonian.face_weight(grid, axis)
-            b = hamiltonian.gradient(p_face, weight=beta)[axis]
-            hess = hamiltonian.hessian(p_face, weight=beta)[axis]
-            left, right = _face_nodes(grid, axis)
-            b_flat = b.reshape(k_steps, -1)
-            flux_slope = np.where(b_flat > 0, m_pad[:, right], m_pad[:, left])
-            weights += [flux_slope * h_c.reshape(k_steps, -1) for h_c in hess]
-            drift.append(b)
-        vals = [s[2] * w[:, s[3]] for s, w in zip(node_stencils + face_stencils, weights)]
-        return np.concatenate(vals + [_drift_triplets(grid, drift)[2]], axis=None)
 
-    return rows, cols, values
+def _hamiltonian_values(grid: Grid, hamiltonian, state: _HamiltonianState, m: np.ndarray):
+    """The values at the positions of _hamiltonian_positions of the
+    derivatives of the Hamiltonian terms at the state of the value slices
+    u_0..u_{K-1} and the density slices m_1..m_K: only D_ppH and the
+    flux slope are computed, the rest is read from the state."""
+    k_steps = len(m)
+    weights = []
+    for slope, backward in zip(state.slope, state.backward):
+        weights += [np.where(backward, slope, 0.0), np.where(backward, 0.0, slope)]
+    # m with a zero column last, so that index -1 (outside) reads 0
+    m_pad = np.zeros((k_steps, m.shape[1] + 1))
+    m_pad[:, :-1] = m
+    for axis, (p_face, b) in enumerate(zip(state.face_p, state.drift)):
+        hess = hamiltonian.hessian(p_face, weight=state.face_weight[axis])[axis]
+        left, right = _face_nodes(grid, axis)
+        flux_slope = np.where(b.reshape(k_steps, -1) > 0, m_pad[:, right], m_pad[:, left])
+        weights += [flux_slope * h_c.reshape(k_steps, -1) for h_c in hess]
+    stencils = _hamiltonian_positions(grid, k_steps)[2]
+    vals = [s[2] * w[:, s[3]] for s, w in zip(stencils, weights)]
+    return np.concatenate(vals + [state.drift_values], axis=None)
 
 
 def _slice_residuals(grid: Grid, dt: float, cost: CostOperator, u_arr, m_arr, psi_arr, g_arr,
@@ -409,9 +455,11 @@ def forward_backward_solve(
     joint semismooth Newton resolves the system in the stacked unknowns
     (w_0..w_{K-1}, m_1..m_K), and u = w + psi(m) is rebuilt from the
     final density. The Hamiltonian value and the face drift are
-    evaluated at every Newton iterate; they need the zero obstacle, on
-    which w = u (the controlled system passes it), and any other
-    obstacle with a hamiltonian raises ValueError. Local costs only;
+    evaluated once at every Newton iterate, one _hamiltonian_state that
+    the residual and the Jacobian share, and once more for the drift of
+    the returned u; they need the zero obstacle, on which w = u (the
+    controlled system passes it), and any other obstacle with a
+    hamiltonian raises ValueError. Local costs only;
     nonlocal couplings have no nodal derivative for the Newton blocks.
     Each Newton step is the solve of _frozen_system: time sweeps and a
     density Schur complement on grids of dim >= 2 without a
@@ -508,8 +556,11 @@ def _frozen_system(cost, g_cost, g_arr, hamiltonian, grid, m0_vals, dt, epsilon,
     arrays. jacobian(x) is a _BlockJacobian: the penalty indicator, the
     ramp slope times m, the exit rate and the source derivative
     -(f'(m) + g'(m)) (none for a nonlocal cost), with a Hamiltonian the
-    blocks of _hamiltonian_jacobian in extra, added to the static part
+    values of _hamiltonian_values in extra, added to the static part
     (bordered for a nonlocal cost) by one diagonal_update assembler.
+    With a Hamiltonian the residual keeps its iterate and its
+    _hamiltonian_state, and jacobian(x) reuses that state where x equals
+    the kept iterate and makes a new one anywhere else.
 
     solve(jacobian, rhs) is the Newton step. On grids of dim >= 2
     without a Hamiltonian it is _schur_step on [[Ju, F], [S, Jm]]: Ju is
@@ -532,6 +583,7 @@ def _frozen_system(cost, g_cost, g_arr, hamiltonian, grid, m0_vals, dt, epsilon,
     const[n_u:n_u + n] = -m0_vals / dt
     # quadrature weights of the pairing <w, m> of the bordered unknown
     pair = None if cost.is_local else cost.weight.values * grid.cell_volume
+    zero_h = np.zeros((k_steps, n))
 
     def unstack(x):
         # value and density slices 0..K
@@ -544,13 +596,21 @@ def _frozen_system(cost, g_cost, g_arr, hamiltonian, grid, m0_vals, dt, epsilon,
         m = m[1 - lag:k_steps + 1 - lag]
         return cost.evaluate(m) + (g_arr if g_cost is None else g_cost.evaluate(m))
 
+    # the iterate of the last residual and its _HamiltonianState, which
+    # the Jacobian reuses: Newton takes the Jacobian at the iterate whose
+    # residual it accepted
+    last = [None, None]
+
     def residual(x):
         w, m = unstack(x)
-        h_vals, div = _hamiltonian_terms(grid, hamiltonian, w)
+        h_vals = zero_h
+        if hamiltonian is not None:
+            last[:] = x.copy(), _hamiltonian_state(grid, hamiltonian, w[:k_steps])
+            h_vals = last[1].values
         nodewise = [np.maximum(w[:k_steps], 0.0) / epsilon + h_vals - source(x, m),
                     _ramp(w[:k_steps] / band) / epsilon * m[1:]]
-        if div is not None:
-            nodewise[1] = nodewise[1] + (div @ m[1:].ravel()).reshape(k_steps, n)
+        if hamiltonian is not None:
+            nodewise[1] = nodewise[1] + (last[1].div @ m[1:].ravel()).reshape(k_steps, n)
         r = static @ x[:2 * n_u] + const + np.concatenate(nodewise, axis=None)
         return r if pair is None else np.append(r, x[-1] - pair @ m[1])
 
@@ -564,9 +624,8 @@ def _frozen_system(cost, g_cost, g_arr, hamiltonian, grid, m0_vals, dt, epsilon,
     if pair is None:
         rows.append(diag[lag * n:])
         cols.append(n_u + diag[:n_u - lag * n])
-    hamiltonian_values = None
     if hamiltonian is not None:
-        h_rows, h_cols, hamiltonian_values = _hamiltonian_jacobian(grid, hamiltonian, k_steps)
+        h_rows, h_cols, _ = _hamiltonian_positions(grid, k_steps)
         rows.append(h_rows)
         cols.append(h_cols)
 
@@ -588,7 +647,11 @@ def _frozen_system(cost, g_cost, g_arr, hamiltonian, grid, m0_vals, dt, epsilon,
             fprime = -cost.derivative(m[1:k_steps + 1 - lag])
             if g_cost is not None:
                 fprime = fprime - g_cost.derivative(m[1:k_steps + 1 - lag])
-        extra = () if hamiltonian_values is None else (hamiltonian_values(v, m[1:]),)
+        extra = ()
+        if hamiltonian is not None:
+            state = (last[1] if np.array_equal(x, last[0])
+                     else _hamiltonian_state(grid, hamiltonian, v))
+            extra = (_hamiltonian_values(grid, hamiltonian, state, m[1:]),)
         return _BlockJacobian(
             penalty=(v > 0).astype(float) / epsilon,
             slope=np.where(np.abs(v) < band, 0.5 / band, 0.0) * m[1:] / epsilon,

@@ -92,6 +92,41 @@ def _integer(value, where: str) -> int:
     return value
 
 
+def _number(value, where: str) -> float:
+    """value as a float if it is a finite JSON number; a string or a
+    bool, which float() would read ("inf", true), raises ConfigError,
+    as does a NaN, an infinity or an integer past the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {type(value).__name__} {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(f"{where} is too large for a float") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return number
+
+
+def _numbers(values, where: str) -> np.ndarray:
+    """values as a float array if it is a JSON list whose entries are
+    numbers that _number takes, or lists of them; anything else raises
+    ConfigError."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{where} must be a list of numbers, got "
+                          f"{type(values).__name__} {values!r}")
+    # a long list of floats passes in one C-level sweep of its types
+    if set(map(type, values)) - {float}:
+        for i, value in enumerate(values):
+            if isinstance(value, list):
+                _numbers(value, f"{where}[{i}]")
+            else:
+                _number(value, f"{where}[{i}]")
+    numbers = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(numbers)):
+        raise ConfigError(f"{where} must hold finite numbers")
+    return numbers
+
+
 def _reject_non_finite(node, where: str = "config"):
     """Raise ConfigError at a NaN or infinite number anywhere in a parsed
     config; Python's json reads the tokens NaN, Infinity and 1e999."""
@@ -115,14 +150,14 @@ def _build_field(grid, spec, what: str) -> ScalarField:
         raise ConfigError(f"{what}: field spec must be an object with a 'kind'")
     kind = spec["kind"]
     if kind == "constant":
-        return ScalarField.constant(grid, float(_require(spec, "value", what)))
+        return ScalarField.constant(grid, _number(_require(spec, "value", what), f"{what}.value"))
     if kind == "raised_cosine":
-        return raised_cosine_bump(grid, peak=float(spec.get("peak", 1.0)))
+        return raised_cosine_bump(grid, peak=_number(spec.get("peak", 1.0), f"{what}.peak"))
     if kind == "gaussian":
-        return gaussian_density(grid, sigma=float(spec.get("sigma", 0.1)),
-                                mass=float(spec.get("mass", 1.0)))
+        return gaussian_density(grid, sigma=_number(spec.get("sigma", 0.1), f"{what}.sigma"),
+                                mass=_number(spec.get("mass", 1.0), f"{what}.mass"))
     if kind == "values":
-        return ScalarField(grid, np.asarray(_require(spec, "values", what), dtype=float))
+        return ScalarField(grid, _numbers(_require(spec, "values", what), f"{what}.values"))
     raise ConfigError(f"{what}: unknown field kind {kind!r}")
 
 
@@ -130,11 +165,13 @@ def _build_cost(grid, spec) -> CostOperator:
     kind = _require(spec, "kind", "cost")
     if kind == "local_power":
         return CostOperator.local_power(
-            grid, a=float(_require(spec, "a", "cost")), p=float(spec.get("p", 1.0)),
+            grid, a=_number(_require(spec, "a", "cost"), "cost.a"),
+            p=_number(spec.get("p", 1.0), "cost.p"),
             f0=_build_field(grid, _require(spec, "f0", "cost"), "cost.f0"))
     if kind == "nonlocal_affine":
         return CostOperator.nonlocal_affine(
-            grid, c0=float(_require(spec, "c0", "cost")), c1=float(_require(spec, "c1", "cost")),
+            grid, c0=_number(_require(spec, "c0", "cost"), "cost.c0"),
+            c1=_number(_require(spec, "c1", "cost"), "cost.c1"),
             weight=_build_field(grid, _require(spec, "weight", "cost"), "cost.weight"))
     if kind == "local_affine_shifted":
         return CostOperator.local_affine_shifted(
@@ -164,11 +201,13 @@ class RunConfig:
         for k in n_interior if isinstance(n_interior, list) else [n_interior]:
             _integer(k, "grid.n_interior")
         self.grid = build_grid(_integer(_require(gspec, "dim", "grid"), "grid.dim"),
-                               _require(gspec, "bounds", "grid"), n_interior)
+                               _numbers(_require(gspec, "bounds", "grid"), "grid.bounds"),
+                               n_interior)
         self.timegrid = None
         if self.problem in ("osmfg", "cosmfg"):
             tspec = _require(raw, "timegrid")
-            self.timegrid = build_timegrid(float(_require(tspec, "horizon", "timegrid")),
+            self.timegrid = build_timegrid(_number(_require(tspec, "horizon", "timegrid"),
+                                                   "timegrid.horizon"),
                                            _integer(_require(tspec, "n_steps", "timegrid"),
                                                     "timegrid.n_steps"))
         self.cost = _build_cost(self.grid, _require(raw, "cost"))
@@ -210,17 +249,23 @@ class RunConfig:
                 beta = _build_field(self.grid, _require(hspec, "beta", "hamiltonian"), "hamiltonian.beta")
                 self.hamiltonian = Hamiltonian.smoothed_norm(beta)
             elif hkind == "quadratic":
-                self.hamiltonian = Hamiltonian.quadratic(
-                    self.grid, outside_assumptions=bool(hspec.get("outside_assumptions", False)))
+                outside = hspec.get("outside_assumptions", False)
+                if not isinstance(outside, bool):
+                    raise ConfigError("hamiltonian.outside_assumptions must be true or false, "
+                                      f"got {outside!r}")
+                self.hamiltonian = Hamiltonian.quadratic(self.grid, outside_assumptions=outside)
             else:
                 raise ConfigError(f"unknown hamiltonian kind {hkind!r}")
         es = raw.get("eps_schedule", {})
         if isinstance(es, dict):
-            factor = float(es.get("factor", 4.0))
+            factor = _number(es.get("factor", 4.0), "eps_schedule.factor")
             if not factor > 1:
                 raise ConfigError("eps_schedule.factor must exceed 1")
             stages = _integer(es.get("stages", 8), "eps_schedule.stages")
-            es = default_eps_schedule(float(es.get("start", 0.1)), factor, stages)
+            es = default_eps_schedule(_number(es.get("start", 0.1), "eps_schedule.start"),
+                                      factor, stages)
+        elif es is not None:
+            es = _numbers(es, "eps_schedule")
         try:
             self.eps_schedule = _checked_schedule(es)
         except ValueError:
@@ -235,9 +280,9 @@ class RunConfig:
             if key not in residuals:
                 raise ConfigError(f"tolerances.acceptance: {key!r} is not a residual of problem "
                                   f"{self.problem!r}; choose from {sorted(residuals)}")
-            if not float(val) > 0:
+            if not _number(val, f"tolerances.acceptance[{key!r}]") > 0:
                 raise ConfigError(f"tolerances.acceptance[{key!r}] must be positive")
-        self.coupled = CoupledConfig(tol_pde=float(tols.get("pde", 1e-8)))
+        self.coupled = CoupledConfig(tol_pde=_number(tols.get("pde", 1e-8), "tolerances.pde"))
         self.seed = _integer(raw.get("seed", 0), "seed")
         self.output_dir = raw.get("output_dir")
         if self.output_dir is not None and not isinstance(self.output_dir, str):

@@ -13,7 +13,7 @@ mass monotonicity survive the drift.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -56,6 +56,7 @@ class Hamiltonian:
     grid: Grid
     beta: ScalarField | None = None
     outside_assumptions: bool = False
+    _face_weights: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("smoothed_norm", "quadratic"):
@@ -112,13 +113,20 @@ class Hamiltonian:
 
     def face_weight(self, grid: Grid, axis: int):
         """beta averaged onto axis faces (boundary faces copy the
-        interior neighbor); None for beta-free kinds."""
+        interior neighbor), computed once per (grid, axis) and kept
+        read-only; None for beta-free kinds."""
         if self.kind != "smoothed_norm":
             return None
-        left, right = _face_nodes(grid, axis)
-        beta = self.beta.values
-        return 0.5 * (beta[np.where(left >= 0, left, right)]
-                      + beta[np.where(right >= 0, right, left)]).reshape(grid.face_shape(axis))
+        weight = self._face_weights.get((grid, axis))
+        if weight is None:
+            left, right = _face_nodes(grid, axis)
+            beta = self.beta.values
+            weight = 0.5 * (beta[np.where(left >= 0, left, right)]
+                            + beta[np.where(right >= 0, right, left)])
+            weight = weight.reshape(grid.face_shape(axis))
+            weight.flags.writeable = False
+            self._face_weights[(grid, axis)] = weight
+        return weight
 
     def radial(self, beta_value: float, r: np.ndarray | float):
         """H as a function of |p| at one point (both kinds are radial)."""

@@ -548,6 +548,54 @@ def test_non_integer_count_rejected(tmp_path, capsys, overrides, key):
     assert not out.exists()
 
 
+# float() reads a string or a bool: "inf" would make a vacuous gate,
+# true a tolerance of 1 and "nan" a cost the solver cannot converge on
+@pytest.mark.parametrize("overrides, key", [
+    ({"tolerances": tolerances(r_duality="inf")}, "tolerances.acceptance['r_duality']"),
+    ({"tolerances": tolerances(r_duality=True)}, "tolerances.acceptance['r_duality']"),
+    ({"tolerances": {"pde": "inf", "acceptance": {"r_duality": 1e-6}}}, "tolerances.pde"),
+    ({"tolerances": {"pde": True, "acceptance": {"r_duality": 1e-6}}}, "tolerances.pde"),
+    ({"cost": {**BASE_CONFIG["cost"], "a": "inf"}}, "cost.a"),
+    ({"cost": {**BASE_CONFIG["cost"], "p": True}}, "cost.p"),
+    ({"cost": {**BASE_CONFIG["cost"], "f0": {"kind": "constant", "value": "nan"}}},
+     "cost.f0.value"),
+    ({"cost": {**NONLOCAL_COST, "c1": "1"}}, "cost.c1"),
+    ({"rho": {"kind": "raised_cosine", "peak": "1"}}, "rho.peak"),
+    ({**OSMFG, "m0": {"kind": "gaussian", "sigma": "0.1"}}, "m0.sigma"),
+    ({**OSMFG, "m0": {"kind": "gaussian", "mass": False}}, "m0.mass"),
+    ({**OSMFG, "m0": {"kind": "values", "values": [0.1] * 30 + ["0.1"]}}, "m0.values[30]"),
+    ({**OSMFG, "m0": {"kind": "values", "values": "0.1"}}, "m0.values"),
+    ({**OSMFG, "timegrid": {"horizon": "0.5", "n_steps": 4}}, "timegrid.horizon"),
+    ({"grid": {**GRID_1D, "bounds": [[0.0, "1"]], "n_interior": [31]}}, "grid.bounds[0][1]"),
+    ({"eps_schedule": [0.1, "0.01"]}, "eps_schedule[1]"),
+    ({"eps_schedule": {"start": "0.1", "factor": 4.0, "stages": 3}}, "eps_schedule.start"),
+    ({"eps_schedule": {"start": 0.1, "factor": True, "stages": 3}}, "eps_schedule.factor"),
+    ({**COSMFG, "hamiltonian": {"kind": "smoothed_norm",
+                                "beta": {"kind": "constant", "value": "1"}},
+      "tolerances": tolerances(r_hjb=1e-6)}, "hamiltonian.beta.value"),
+], ids=["string-acceptance", "bool-acceptance", "string-pde-tol", "bool-pde-tol",
+        "string-cost-a", "bool-cost-p", "string-f0-value", "string-cost-c1", "string-peak",
+        "string-sigma", "bool-mass", "string-values-entry", "string-values",
+        "string-horizon", "string-grid-bound", "string-eps-entry", "string-eps-start",
+        "bool-eps-factor", "string-beta"])
+def test_number_given_as_string_or_bool_rejected(tmp_path, capsys, overrides, key):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {**overrides, "output_dir": str(out)})
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{key} must be a" in err
+    assert not out.exists()
+
+
+def test_outside_assumptions_flag_must_be_a_bool(tmp_path, capsys):
+    # bool("false") is True: the string would acknowledge the assumptions
+    hamiltonian = {"kind": "quadratic", "outside_assumptions": "false"}
+    cfg = write_config(tmp_path, {**COSMFG, "hamiltonian": hamiltonian,
+                                  "tolerances": tolerances(r_hjb=1e-6)})
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "hamiltonian.outside_assumptions must be true or false" in capsys.readouterr().err
+
+
 def test_non_finite_residual_fails_acceptance(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, {"output_dir": str(out)})

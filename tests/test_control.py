@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mfgstop import _coupled
 from mfgstop._coupled import _face_drift, forward_backward_solve
 from mfgstop.control import (
     Hamiltonian,
@@ -159,6 +160,36 @@ def test_solution_drift_is_the_face_drift_of_the_returned_u(control_solution):
         expected = _face_drift(sc.grid, sc.hamiltonian, u[k])
         for got, want in zip(faces.components, expected):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_each_residual_evaluates_the_hamiltonian_once(setup, monkeypatch):
+    # the Jacobian takes the Hamiltonian data of the residual at its
+    # iterate; beyond the residuals, each stage evaluates them once for
+    # the drift of the returned u and once in its verify_cosmfg
+    grid, _, m0 = setup
+    counts = dict.fromkeys(("upwind", "residual", "jacobian"), 0)
+
+    def counted(key, func):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return func(*args, **kwargs)
+        return call
+
+    frozen_system = _coupled._frozen_system
+
+    def counted_system(*args, **kwargs):
+        residual, jacobian, solve, unstack = frozen_system(*args, **kwargs)
+        return counted("residual", residual), counted("jacobian", jacobian), solve, unstack
+
+    monkeypatch.setattr(_coupled, "_upwind_hamiltonian",
+                        counted("upwind", _coupled._upwind_hamiltonian))
+    monkeypatch.setattr(_coupled, "_frozen_system", counted_system)
+    cost = CostOperator.local_power(grid, 1.0, 1.0, ScalarField.constant(grid, -0.5))
+    ham = Hamiltonian.smoothed_norm(ScalarField.constant(grid, 1.0))
+    _, stages = cosmfg_coupled_solve(cost, ham, m0, build_timegrid(0.5, 4),
+                                     default_eps_schedule(stages=3))
+    assert len(stages) == 3 and counts["jacobian"] > len(stages)
+    assert counts["upwind"] == counts["residual"] + 2 * len(stages), counts
 
 
 @pytest.mark.parametrize("scale", [1.0, 1.0 - 1e-4, 1.0 + 1e-4])

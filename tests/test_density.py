@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from mfgstop.density import (
     FaceVelocities,
     KillingData,
+    _drift_pattern,
+    _drift_triplets,
     check_subsolution,
     drift_divergence_matrix,
     solve_density_on_set,
@@ -219,6 +222,39 @@ def test_drift_matrix_column_sums_nonnegative():
     d = drift_divergence_matrix(g, faces)
     col = np.asarray(d.sum(axis=0)).ravel()
     assert np.all(col >= -1e-14)
+
+
+@pytest.mark.parametrize("k_steps", [1, 3])
+@pytest.mark.parametrize("shape", [(31,), (9, 9), (15, 15)], ids=["31", "9x9", "15x15"])
+def test_kept_drift_pattern_matches_the_coo_build(shape, k_steps):
+    # signed face velocities with exact zeros, whose entries are -0.0
+    dim = len(shape)
+    g = build_grid(dim, [(0.0, 1.0)] * dim, list(shape))
+    rng = np.random.default_rng(k_steps)
+    comps = []
+    for axis in range(dim):
+        size = (k_steps,) + g.face_shape(axis)
+        comps.append(rng.normal(size=size) * (rng.random(size) < 0.7))
+    assert all(np.any(c == 0.0) for c in comps)
+    rows, cols, vals = _drift_triplets(g, comps)
+    n = k_steps * g.n_total
+    coo = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    pattern = _drift_pattern(g, k_steps)
+    assert _drift_pattern(g, k_steps) is pattern
+    assert np.array_equal(pattern.rows, rows) and np.array_equal(pattern.cols, cols)
+    assert pattern.values(comps).tobytes() == vals.tobytes()
+    kept = pattern.matrix(vals)
+    assert np.array_equal(kept.indptr, coo.indptr) and np.array_equal(kept.indices, coo.indices)
+    if dim == 1:
+        assert kept.data.tobytes() == coo.data.tobytes()
+    else:
+        # up to four fluxes sum on a diagonal entry
+        assert np.max(np.abs(kept.data - coo.data)) <= 1e-15 * np.max(np.abs(coo.data))
+    if k_steps == 1:
+        # the one-slice operator is drift_divergence_matrix
+        d = drift_divergence_matrix(g, FaceVelocities(g, tuple(c[0] for c in comps)))
+        assert np.array_equal(d.indptr, coo.indptr) and np.array_equal(d.indices, coo.indices)
+        assert d.data.tobytes() == kept.data.tobytes()
 
 
 def test_killing_monotonicity():

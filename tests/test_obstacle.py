@@ -604,6 +604,32 @@ def test_hamiltonian_jacobian_matches_finite_differences(shape, kind):
     assert np.max(np.abs(jac[n_u:, :n_u] - np.diag(np.diag(jac[n_u:, :n_u])))) > 0.1
 
 
+@pytest.mark.parametrize("shape", [(7,), (4, 4)], ids=["1d", "2d"])
+def test_jacobian_away_from_the_last_residual_recomputes_the_hamiltonian(shape):
+    # the Jacobian reuses the Hamiltonian data of the last residual only
+    # at that residual's iterate: at any other point it is the Jacobian
+    # built after a residual there, to the bit
+    dim = len(shape)
+    g = build_grid(dim, [(0.0, 1.0)] * dim, list(shape))
+    n, k_steps, dt, eps, band = g.n_total, 3, 0.1, 1e-3, 0.05
+    rng = np.random.default_rng(5)
+    cost = CostOperator.local_power(g, 1.0, 2.0, ScalarField.constant(g, -0.3))
+    ham = Hamiltonian.smoothed_norm(ScalarField(g, rng.uniform(0.5, 1.5, n)))
+    residual, jacobian, _, _ = _frozen_system(
+        cost, None, np.zeros((k_steps, n)), ham, g, rng.uniform(0.2, 1.0, n), dt, eps, band,
+        lag=1)
+    x1, x2 = (np.concatenate([rng.normal(size=k_steps * n), rng.uniform(0.2, 1.0, k_steps * n)])
+              for _ in range(2))
+    residual(x1)
+    missed = jacobian(x2).matrix()
+    residual(x2)
+    kept = jacobian(x2).matrix()
+    assert np.array_equal(missed.indptr, kept.indptr)
+    assert np.array_equal(missed.indices, kept.indices)
+    assert missed.data.tobytes() == kept.data.tobytes()
+    assert not np.array_equal(jacobian(x1).matrix().data, kept.data)
+
+
 def stationary_frozen_system(cost, g, rho_v, eps, band):
     # the stationary penalized system: the one-slice case of the
     # time-dependent one, with dt = 1, m_0 = rho and lag 0

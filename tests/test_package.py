@@ -1,7 +1,8 @@
 """Static checks of the package, read from the sources with ast: every
 __all__ entry resolves, the package __init__ imports only names its
-modules export, no module imports a name it never uses, and every
-direct solve goes through the one factorization entry point."""
+modules export, no module imports a name it never uses, every direct
+solve goes through the one factorization entry point, and the
+Hamiltonian data of the controlled system has one source."""
 
 import ast
 import importlib
@@ -120,3 +121,17 @@ def test_newton_steps_are_taken_only_by_the_one_system_builder():
     found = [(where, line) for module in MODULES
              for where, line in _references(_tree(module), module, NEWTON_STEPS)]
     assert found and {where for where, _ in found} == {"_coupled._frozen_system"}, found
+
+
+# the Hamiltonian data of the controlled system: only the one state
+# builder evaluates the upwind H and the face gradients, and only the
+# drift pattern builder lays out the drift triplets, so the residual,
+# the Jacobian and the verifier read one source of H
+HAMILTONIAN_DATA = {"_upwind_hamiltonian", "_face_gradients", "_drift_triplets"}
+
+
+def test_hamiltonian_data_is_evaluated_only_by_the_state_and_pattern_builders():
+    found = [(where, line) for module in MODULES
+             for where, line in _references(_tree(module), module, HAMILTONIAN_DATA)]
+    assert {where for where, _ in found} == {"_coupled._hamiltonian_state",
+                                             "density._drift_pattern"}, found
