@@ -16,6 +16,7 @@ import numpy as np
 from mfgstop.control import (
     control_objective,
     cosmfg_coupled_solve,
+    face_drift,
     fenchel_closed_form,
     fenchel_conjugate,
 )
@@ -57,7 +58,8 @@ print(f"  Fenchel-Young defect over 1000 samples: {defect:.2e}")
 
 print("\n=== control objective: equilibrium drift vs perturbations ===")
 pot = sc.cost.potential()
-base = control_objective(sol.m, sol.drift, pot, sc.hamiltonian, sc.timegrid)
+drift = face_drift(sc.hamiltonian, sol.u)
+base = control_objective(sol.m, drift, pot, sc.hamiltonian, sc.timegrid)
 print(f"  equilibrium objective: {base:+.8f}")
 x_faces = np.linspace(0, 1, sc.grid.n_interior[0] + 1)
 killing = [KillingData(ScalarField(sc.grid, sol.alpha.array()[k]), NodeMask.all(sc.grid),
@@ -68,7 +70,7 @@ for label, shape in (("sin", np.sin(np.pi * x_faces)),
                      ("uniform", np.ones_like(x_faces))):
     drift_p = tuple(FaceVelocities(sc.grid,
                                    (np.clip(d.components[0] + 0.05 * shape, -0.99, 0.99),))
-                    for d in sol.drift)
+                    for d in drift)
     m_p = solve_density_parabolic(sc.m0, killing, sc.timegrid, drift_p)
     obj = control_objective(m_p, drift_p, pot, sc.hamiltonian, sc.timegrid)
     print(f"  perturbed ({label:<7}): {obj:+.8f}  (excess {obj - base:+.2e})")

@@ -65,6 +65,7 @@ from .control import (
     ControlMixedReport,
     cosmfg_coupled_solve,
     verify_cosmfg,
+    face_drift,
     fenchel_conjugate,
     control_objective,
 )

@@ -44,12 +44,18 @@ integrands with m_{k+1}.
 The controlled system is the evolutive one with the zero obstacle plus
 a Hamiltonian term and its induced drift, in the solver and in the
 verifier alike: _hamiltonian_state is the one source of H, of the face
-drift and of the drift operator, and _slice_residuals the one
-slice-residual core. The state is made once per Newton iterate, by the
-residual, and the Jacobian at that iterate reuses it; the drift
-operator is assembled on a CSR pattern kept per (grid, K)
+drift and of the drift operator. The state is made once per Newton
+iterate, by the residual, and the Jacobian at that iterate reuses it;
+the drift operator is assembled on a CSR pattern kept per (grid, K)
 (density._drift_pattern), and the positions of the Hamiltonian entries
-of the Jacobian are kept per (grid, K) as well.
+of the Jacobian are kept per (grid, K) as well. The diagonal_update
+assembler of the Jacobian is kept per structure (_jacobian_assembler).
+
+As _frozen_system is the one builder of the Newton systems,
+_residuals is the one residual core of their verifiers: the stationary
+verify_mixed is its one-slice call, verify_mixed_evolutive and
+verify_cosmfg its K-slice calls, each after the one grid check
+_candidate_grid.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .costs import CostOperator
-from .density import FaceVelocities, _drift_pattern
+from .density import _drift_pattern
 from .grid import (
     DELTA_C_FLOOR,
     FieldTrajectory,
@@ -71,6 +77,7 @@ from .grid import (
     TimeGrid,
     _face_nodes,
     _gradient_matrices,
+    default_contact_threshold,
     elliptic_matrix,
 )
 from .obstacle import (
@@ -125,9 +132,7 @@ class PenalizedTriple:
     """(u, m, alpha) at one penalty level: ScalarFields for the
     stationary system, FieldTrajectorys for the time-dependent ones.
     iterations and residual_history (the norm of the start and after
-    every step) are those of the level's one Newton solve; drift, the
-    face drift D_pH(x, grad u_k) of every time step k, is set by a
-    controlled solve only."""
+    every step) are those of the level's one Newton solve."""
 
     u: ScalarField | FieldTrajectory
     m: ScalarField | FieldTrajectory
@@ -137,7 +142,6 @@ class PenalizedTriple:
     residual_history: list[float]
     delta_band: float
     converged: bool = True
-    drift: tuple[FaceVelocities, ...] | None = None
 
     def __post_init__(self):
         a = self.alpha.values
@@ -153,23 +157,59 @@ class _BlockJacobian:
     diag(fprime) for a local cost, the derivative of the source (-f'(m),
     or -(f'(m) + g'(m)) with a heat_from_g obstacle). For a nonlocal
     cost fprime is None: F is the bordered column -c1 of the unknown
-    s = <w, m>. extra holds the values of the Hamiltonian entries of the
-    controlled system. matrix() assembles the whole Jacobian with
-    assembler(), the diagonal_update assembler of the system, built on
-    first use."""
+    s = <w, m>. extra holds the values of that border (the column and
+    the row -<w, .>) or of the Hamiltonian entries of the controlled
+    system. matrix() assembles the whole Jacobian with the
+    _jacobian_assembler of structure, built on first use and kept."""
 
     penalty: np.ndarray
     slope: np.ndarray
     rate: np.ndarray
     fprime: np.ndarray | None
-    assembler: object
+    structure: tuple
     extra: tuple = ()
 
     def matrix(self):
         vals = [self.penalty, self.slope, self.rate]
         if self.fprime is not None:
             vals.append(self.fprime)
-        return self.assembler()(np.concatenate(vals + list(self.extra), axis=None))
+        return _jacobian_assembler(*self.structure)(
+            np.concatenate(vals + list(self.extra), axis=None))
+
+
+@functools.lru_cache(maxsize=8)
+def _jacobian_assembler(grid: Grid, dt: float, k_steps: int, lag: int, with_h: bool,
+                        bordered: bool):
+    """The diagonal_update assembler of the Newton Jacobians of
+    _frozen_system with this structure, built once and kept: the static
+    part _space_time_operator(grid, dt, K), with a unit diagonal entry
+    for the bordered unknown s, and the positions of the values of
+    _BlockJacobian.matrix in their order: the penalty indicator
+    (w_k, w_k), the ramp slope times m (m_{k+1}, w_k) and the exit rate
+    (m_{k+1}, m_{k+1}); then the source derivative (w_k, m_{k+1-lag})
+    where m_{k+1-lag} is an unknown, or, bordered, the column -c1 (w, s)
+    and the row -<w, .> (s, m); then with a Hamiltonian the positions
+    of _hamiltonian_positions. The static part holds no cost data, so
+    the stages of a continuation and the systems of one grid share it.
+    """
+    n_u = k_steps * grid.n_total
+    static = _space_time_operator(grid, dt, k_steps)
+    diag = np.arange(n_u)
+    rows = [diag, n_u + diag, n_u + diag]
+    cols = [diag, diag, n_u + diag]
+    if bordered:
+        static = sp.block_diag([static, sp.identity(1)])
+        rows += [diag, np.full(n_u, 2 * n_u)]
+        cols += [np.full(n_u, 2 * n_u), n_u + diag]
+    else:
+        shift = lag * grid.n_total
+        rows.append(diag[shift:])
+        cols.append(n_u + diag[:n_u - shift])
+    if with_h:
+        h_rows, h_cols, _ = _hamiltonian_positions(grid, k_steps)
+        rows.append(h_rows)
+        cols.append(h_cols)
+    return diagonal_update(static, np.concatenate(rows), np.concatenate(cols))
 
 
 def _whole_step(jac, rhs):
@@ -300,28 +340,6 @@ def _hamiltonian_state(grid: Grid, hamiltonian, u: np.ndarray) -> _HamiltonianSt
                              drift, drift_values, pattern.matrix(drift_values))
 
 
-def _face_drift(grid: Grid, hamiltonian, u: np.ndarray):
-    """D_pH(x, grad u) on the faces of the slices u (..., N): per axis an
-    array shaped (..., *axis face shape), the drift of their
-    _hamiltonian_state."""
-    drift = _hamiltonian_state(grid, hamiltonian, u.reshape(-1, grid.n_total)).drift
-    return tuple(b.reshape(u.shape[:-1] + grid.face_shape(axis)) for axis, b in enumerate(drift))
-
-
-def _hamiltonian_terms(grid: Grid, hamiltonian, u_arr: np.ndarray):
-    """Hamiltonian data of the value slices 0..K-1 of u_arr, from one
-    _hamiltonian_state of the whole (K, N) array: upwind values
-    H(x, Du_k) as a (K, N) array, and one block-diagonal (KN, KN)
-    operator m_k -> -div(m_k b_k) of the face drifts
-    b_k = D_pH(x, grad u_k). Without a Hamiltonian: zeros and no
-    operator."""
-    steps = len(u_arr) - 1
-    if hamiltonian is None:
-        return np.zeros((steps, grid.n_total)), None
-    state = _hamiltonian_state(grid, hamiltonian, u_arr[:steps])
-    return state.values, state.div
-
-
 def _pair_stencil(a, b):
     """Positions of a.T @ diag(w) @ b for sparse a and b with one row
     per face (or node): rows, columns, coefficients and faces such that
@@ -392,43 +410,73 @@ def _hamiltonian_values(grid: Grid, hamiltonian, state: _HamiltonianState, m: np
     return np.concatenate(vals + [state.drift_values], axis=None)
 
 
-def _slice_residuals(grid: Grid, dt: float, cost: CostOperator, u_arr, m_arr, psi_arr, g_arr,
-                     h_vals, div, delta_c: float):
-    """Slice-by-slice residuals shared by the time-dependent verifiers.
+def _candidate_grid(u, *data):
+    """The grid of a verifier's candidate u, after checking that every
+    item of data (the density, fields, trajectories, costs,
+    Hamiltonians; None skipped) lies on it and that every trajectory
+    among them has the time grid of u; raises ValueError otherwise."""
+    timegrid = getattr(u, "timegrid", None)
+    for item in data:
+        if item is not None and (item.grid != u.grid
+                                 or getattr(item, "timegrid", timegrid) != timegrid):
+            raise ValueError("the candidate (u, m) and the data must share one grid "
+                             "and time grid")
+    return u.grid
 
-    With f_k = f(m_k), L u_k = (u_k - u_{k+1})/dt + A0 u_k + H_k and
-    (H_k, div) from _hamiltonian_terms, returns the max over slices of
-    |min(psi_k - u_k, f_k - L u_k)| (complementarity), of the density
-    residual (m_{k+1} - m_k)/dt + (A0 + div_k) m_{k+1} on the
-    continuation set {u_k - psi_k < -delta_c} and of its positive part
-    (subsolution), then the sums of dt <f_k + g_k, m_{k+1}> over the
-    contact set and over all nodes.
+
+def _residuals(grid: Grid, dt: float, lag: int, cost: CostOperator, hamiltonian, u_arr, m_arr,
+               psi_arr, g_arr, delta_c: float | None) -> dict:
+    """The residual core of every verifier, on whole (K, N) arrays: the
+    K-slice system of _frozen_system (lag 1), or the stationary one as
+    its one-slice case (dt = 1, u_1 = 0, m_0 = rho, lag 0, and
+    g = -A psi for an obstacle psi, so that f + g = f - A psi).
+
+    u_arr, m_arr, psi_arr and g_arr hold the slices 0..K. With
+    f_k = f(m_{k+1-lag}), L u_k = (u_k - u_{k+1})/dt + A0 u_k + H_k and
+    r_k = (m_{k+1} - m_k)/dt + (A0 + div_k) m_{k+1}, H_k and div_k from
+    one _hamiltonian_state of u_0..u_{K-1} (zero without a Hamiltonian),
+    returns the report fields, maxima and sums over all slices and nodes:
+
+    - r_obstacle: max |min(psi_k - u_k, f_k - L u_k)|;
+    - r_continuation: max |r_k| on {u_k - psi_k < -delta_c};
+    - r_subsolution: max r_k^+;
+    - r_contact: |sum of dt <f_k + g_k, m_{k+1}> on the other nodes|;
+    - r_duality: |that sum over all nodes - <u_0 - psi_0, m_0>|;
+    - delta_c (grid.default_contact_threshold of u_arr and psi_arr for
+      None) and the grid metadata;
+    - with a Hamiltonian, pairing: the signed integration-by-parts
+      pairing with phi = u, sum_k dt <(u_k - u_{k+1})/dt + A0 u_k
+      + div_k^T u_k, m_{k+1}> - <u_0 - psi_0, m_0>.
+
+    Pairings are sums times the cell volume.
     """
+    steps = len(m_arr) - 1
+    u, m, psi = u_arr[:steps], m_arr[1:], psi_arr[:steps]
+    if delta_c is None:
+        delta_c = default_contact_threshold(u_arr, psi_arr)
     a0 = elliptic_matrix(grid, with_zero_order=False)
     vol = grid.cell_volume
-    steps = len(h_vals)
-    drift_m = None if div is None else (div @ m_arr[1:].ravel()).reshape(steps, -1)
-    r_comp = 0.0
-    r_cont = 0.0
-    r_sub = 0.0
-    contact_sum = 0.0
-    total_sum = 0.0
-    for k in range(steps):
-        f_k = cost.evaluate(m_arr[k])
-        lu = (u_arr[k] - u_arr[k + 1]) / dt + a0 @ u_arr[k] + h_vals[k]
-        comp = np.minimum(psi_arr[k] - u_arr[k], f_k - lu)
-        r_comp = max(r_comp, float(np.max(np.abs(comp))))
-        fp_resid = (m_arr[k + 1] - m_arr[k]) / dt + a0 @ m_arr[k + 1]
-        if drift_m is not None:
-            fp_resid = fp_resid + drift_m[k]
-        continuation = u_arr[k] - psi_arr[k] < -delta_c
-        contact = ~continuation
-        r_cont = max(r_cont, float(np.max(np.abs(fp_resid[continuation]), initial=0.0)))
-        r_sub = max(r_sub, float(np.max(fp_resid, initial=0.0)))
-        integrand = (f_k + g_arr[k]) * m_arr[k + 1]
-        contact_sum += dt * float(np.sum(integrand[contact])) * vol
-        total_sum += dt * float(np.sum(integrand)) * vol
-    return r_comp, r_cont, r_sub, contact_sum, total_sum
+    f = cost.evaluate(m_arr[1 - lag:steps + 1 - lag])
+    l_u = (u - u_arr[1:]) / dt + (a0 @ u.T).T
+    r_m = (m - m_arr[:-1]) / dt + (a0 @ m.T).T
+    start = float(np.dot(u_arr[0] - psi_arr[0], m_arr[0])) * vol
+    out = {}
+    if hamiltonian is not None:
+        state = _hamiltonian_state(grid, hamiltonian, u)
+        adjoint = (state.div.T @ u.ravel()).reshape(steps, -1)
+        out["pairing"] = dt * float(np.sum((l_u + adjoint) * m)) * vol - start
+        l_u = l_u + state.values
+        r_m = r_m + (state.div @ m.ravel()).reshape(steps, -1)
+    continuation = u - psi < -delta_c
+    integrand = (f + g_arr[:steps]) * m
+    return dict(
+        out,
+        r_obstacle=float(np.max(np.abs(np.minimum(psi - u, f - l_u)))),
+        r_continuation=float(np.max(np.abs(r_m[continuation]), initial=0.0)),
+        r_subsolution=float(np.max(r_m, initial=0.0)),
+        r_contact=abs(dt * float(np.sum(integrand[~continuation])) * vol),
+        r_duality=abs(dt * float(np.sum(integrand)) * vol - start),
+        delta_c=float(delta_c), grid=grid.metadata())
 
 
 def forward_backward_solve(
@@ -456,10 +504,10 @@ def forward_backward_solve(
     (w_0..w_{K-1}, m_1..m_K), and u = w + psi(m) is rebuilt from the
     final density. The Hamiltonian value and the face drift are
     evaluated once at every Newton iterate, one _hamiltonian_state that
-    the residual and the Jacobian share, and once more for the drift of
-    the returned u; they need the zero obstacle, on which w = u (the
-    controlled system passes it), and any other obstacle with a
-    hamiltonian raises ValueError. Local costs only;
+    the residual and the Jacobian share (control.face_drift gives the
+    drift of the returned u); they need the zero obstacle, on which
+    w = u (the controlled system passes it), and any other obstacle with
+    a hamiltonian raises ValueError. Local costs only;
     nonlocal couplings have no nodal derivative for the Newton blocks.
     Each Newton step is the solve of _frozen_system: time sweeps and a
     density Schur complement on grids of dim >= 2 without a
@@ -515,16 +563,11 @@ def forward_backward_solve(
     w_arr, m_arr = unstack(x)
     u_arr = w_arr + obstacle_op.apply_arrays(grid, timegrid, m_arr)[0]
     rate = _ramp(w_arr[:steps] / band) / epsilon
-    drift = None
-    if hamiltonian is not None:
-        comps = _face_drift(grid, hamiltonian, u_arr[:steps])
-        drift = tuple(FaceVelocities(grid, tuple(c[k] for c in comps)) for k in range(steps))
     return PenalizedTriple(
         u=FieldTrajectory(grid, timegrid, u_arr),
         m=FieldTrajectory(grid, timegrid, m_arr),
         alpha=FieldTrajectory(grid, timegrid,
                               np.clip(np.vstack([rate, rate[-1:]]) * epsilon, 0.0, 1.0)),
-        drift=drift,
         epsilon=epsilon,
         iterations=iterations,
         residual_history=norms,
@@ -556,9 +599,10 @@ def _frozen_system(cost, g_cost, g_arr, hamiltonian, grid, m0_vals, dt, epsilon,
     arrays. jacobian(x) is a _BlockJacobian: the penalty indicator, the
     ramp slope times m, the exit rate and the source derivative
     -(f'(m) + g'(m)) (none for a nonlocal cost), with a Hamiltonian the
-    values of _hamiltonian_values in extra, added to the static part
-    (bordered for a nonlocal cost) by one diagonal_update assembler.
-    With a Hamiltonian the residual keeps its iterate and its
+    values of _hamiltonian_values in extra (after the border values of
+    a nonlocal cost), added to the static part by the diagonal_update
+    assembler kept per structure (_jacobian_assembler). With a
+    Hamiltonian the residual keeps its iterate and its
     _hamiltonian_state, and jacobian(x) reuses that state where x equals
     the kept iterate and makes a new one anywhere else.
 
@@ -581,8 +625,13 @@ def _frozen_system(cost, g_cost, g_arr, hamiltonian, grid, m0_vals, dt, epsilon,
     # the data slice m_0 enters the residual as a constant
     const = np.zeros(2 * n_u)
     const[n_u:n_u + n] = -m0_vals / dt
-    # quadrature weights of the pairing <w, m> of the bordered unknown
-    pair = None if cost.is_local else cost.weight.values * grid.cell_volume
+    # quadrature weights of the pairing <w, m> of the bordered unknown,
+    # and the values of its column -c1 and row -<w, .> in the Jacobian
+    pair, border = None, ()
+    if not cost.is_local:
+        pair = cost.weight.values * grid.cell_volume
+        border = (np.concatenate([np.full(n_u, -cost.c1), -pair]),)
+    structure = (grid, dt, k_steps, lag, hamiltonian is not None, pair is not None)
     zero_h = np.zeros((k_steps, n))
 
     def unstack(x):
@@ -614,48 +663,23 @@ def _frozen_system(cost, g_cost, g_arr, hamiltonian, grid, m0_vals, dt, epsilon,
         r = static @ x[:2 * n_u] + const + np.concatenate(nodewise, axis=None)
         return r if pair is None else np.append(r, x[-1] - pair @ m[1])
 
-    diag = np.arange(n_u)
-    # rows and columns of: the penalty indicator (w_k, w_k), the ramp
-    # slope times m (m_{k+1}, w_k), the exit rate (m_{k+1}, m_{k+1}) and
-    # the source derivative (w_k, m_{k+1-lag}) where m_{k+1-lag} is an
-    # unknown
-    rows = [diag, n_u + diag, n_u + diag]
-    cols = [diag, diag, n_u + diag]
-    if pair is None:
-        rows.append(diag[lag * n:])
-        cols.append(n_u + diag[:n_u - lag * n])
-    if hamiltonian is not None:
-        h_rows, h_cols, _ = _hamiltonian_positions(grid, k_steps)
-        rows.append(h_rows)
-        cols.append(h_cols)
-
-    @functools.cache
-    def assembler():
-        whole = static
-        if pair is not None:
-            column = np.concatenate([np.full(n, -cost.c1), np.zeros(n)])[:, None]
-            row = np.concatenate([np.zeros(n), -pair])[None, :]
-            whole = sp.bmat([[static, sp.csr_matrix(column)],
-                             [sp.csr_matrix(row), sp.identity(1)]])
-        return diagonal_update(whole, np.concatenate(rows), np.concatenate(cols))
-
     def jacobian(x):
         w, m = unstack(x)
         v = w[:k_steps]
         fprime = None
+        extra = border
         if pair is None:
             fprime = -cost.derivative(m[1:k_steps + 1 - lag])
             if g_cost is not None:
                 fprime = fprime - g_cost.derivative(m[1:k_steps + 1 - lag])
-        extra = ()
         if hamiltonian is not None:
             state = (last[1] if np.array_equal(x, last[0])
                      else _hamiltonian_state(grid, hamiltonian, v))
-            extra = (_hamiltonian_values(grid, hamiltonian, state, m[1:]),)
+            extra += (_hamiltonian_values(grid, hamiltonian, state, m[1:]),)
         return _BlockJacobian(
             penalty=(v > 0).astype(float) / epsilon,
             slope=np.where(np.abs(v) < band, 0.5 / band, 0.0) * m[1:] / epsilon,
-            rate=_ramp(v / band) / epsilon, fprime=fprime, assembler=assembler, extra=extra)
+            rate=_ramp(v / band) / epsilon, fprime=fprime, structure=structure, extra=extra)
 
     # in 1D the LU of the whole Jacobian beats the sweeps and the Schur
     # step: through them the perfbench evolutive_heat_g solve took

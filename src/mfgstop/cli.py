@@ -302,9 +302,9 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"{path}: config must be a JSON object")
     try:
         return RunConfig(raw, hashlib.sha256(data).hexdigest())
-    except (TypeError, OverflowError) as err:
-        # a value of the wrong JSON type, such as null for a number, or an
-        # integer too large for a float
+    except (TypeError, OverflowError, MemoryError) as err:
+        # a value of the wrong JSON type, such as null for a number, an
+        # integer too large for a float, or sizes too large to allocate
         raise ConfigError(f"{path}: {err}")
 
 
@@ -321,7 +321,7 @@ def _output_root(cfg_dir: str | None) -> str:
     return root
 
 
-def _residuals(report) -> dict:
+def _report_residuals(report) -> dict:
     """The r_* entries of a report, in field order."""
     return {k: v for k, v in report.to_dict().items() if k.startswith("r_")}
 
@@ -331,11 +331,11 @@ def _write_convergence_table(rows, path):
     leading cells, the grid the report is on (its interior node counts,
     e.g. 15x15), then the report's residuals."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("stage,epsilon,iterations,grid," + ",".join(_residuals(rows[0][3])) + "\n")
+        fh.write("stage,epsilon,iterations,grid," + ",".join(_report_residuals(rows[0][3])) + "\n")
         for stage, epsilon, iterations, report in rows:
             cells = [str(stage), format(epsilon, ".17g"), str(iterations),
                      "x".join(map(str, report.grid["n_interior"]))]
-            cells += [format(v, ".17g") for v in _residuals(report).values()]
+            cells += [format(v, ".17g") for v in _report_residuals(report).values()]
             fh.write(",".join(cells) + "\n")
 
 
@@ -372,7 +372,8 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
 
 def _run(cfg: RunConfig, out: str) -> int:
     """Solve cfg, write its artifacts under out and check its
-    acceptance thresholds."""
+    acceptance thresholds. Sizes too large to allocate are a config
+    error (exit 2), found before any artifact is written."""
     try:
         if cfg.method == "continuation":
             sol, stages = solve_problem(cfg, cfg.coupled)
@@ -402,6 +403,9 @@ def _run(cfg: RunConfig, out: str) -> int:
         _json_dump(failure, os.path.join(out, "failure.json"))
         print(f"solver did not converge: {err}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    except MemoryError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
 
     report_dict = report.to_dict()
     _json_dump(report_dict, os.path.join(out, "report.json"))
@@ -505,7 +509,7 @@ def _scenario(name: str, out: str) -> int:
                 "classical_floor": ev.classical_floor,
                 "final_report": ev.final_report.to_dict(),
                 "stages": [{"epsilon": s.epsilon, "contact_mass": s.contact_mass,
-                            "ratio": s.ratio, **_residuals(s.report)}
+                            "ratio": s.ratio, **_report_residuals(s.report)}
                            for s in ev.stages],
             }
             ok = (ev.final_report.max_residual <= 1e-5 and ev.classical_floor > 0

@@ -3,8 +3,9 @@ a convex Hamiltonian, drifted forward equation with killing, the coupled
 solver, its verifier, and the Fenchel-conjugate control objective.
 
 The system is the evolutive one with the zero obstacle plus the
-Hamiltonian term and its drift: the solver and the verifier run the
-evolutive path with ObstacleOperator.zero.
+Hamiltonian term and its drift: the solver runs the evolutive path with
+ObstacleOperator.zero, and the verifier the residual core of the
+evolutive verifier with psi = g = 0.
 
 The drift fed to the density is D_pH(x, grad u) on faces; upwind
 differences keep every system matrix an M-matrix, so positivity and
@@ -17,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._coupled import _hamiltonian_terms, _slice_residuals, forward_backward_solve
+from ._coupled import _candidate_grid, _hamiltonian_state, _residuals, forward_backward_solve
 from .costs import CostOperator, PotentialOperator
 from .density import FaceVelocities, drift_divergence_matrix
 from .evolutive import ObstacleOperator
@@ -27,7 +28,6 @@ from .grid import (
     ScalarField,
     TimeGrid,
     _face_nodes,
-    default_contact_threshold,
     elliptic_matrix,
 )
 from .stationary import CoupledConfig, penalty_continuation
@@ -37,6 +37,7 @@ __all__ = [
     "ControlMixedReport",
     "cosmfg_coupled_solve",
     "verify_cosmfg",
+    "face_drift",
     "fenchel_conjugate",
     "fenchel_closed_form",
     "control_objective",
@@ -166,8 +167,8 @@ def cosmfg_coupled_solve(
     one with the zero obstacle and the Hamiltonian term, the first stage
     from the density trajectory m_traj_init. H(x, Du) and the drift
     D_pH(x, grad u) on faces are Newton terms, evaluated at every Newton
-    iterate, and solution.drift is the drift of the returned value
-    trajectory.
+    iterate; face_drift(hamiltonian, solution.u) is the drift of the
+    returned value trajectory.
 
     Returns (solution, stages): the final PenalizedTriple, whose fields
     are trajectories, and one StageReport per stage, with the
@@ -196,47 +197,41 @@ def verify_cosmfg(
 ) -> ControlMixedReport:
     """Residuals of the controlled mixed-solution conditions.
 
-    These are the evolutive residuals with the zero obstacle, with
-    H(x, Du) in the value operator and the drift in the density
-    residual, both from _hamiltonian_terms as the solver builds them.
-    The diagnostic field evaluates the discrete integration-by-parts
-    pairing with phi = u; it vanishes with the others on a converged
-    solution but is reported signed.
+    These are the evolutive residuals of _coupled._residuals with the
+    zero obstacle, with H(x, Du) in the value operator and the drift in
+    the density residual, both from the _hamiltonian_state the solver
+    builds. The diagnostic field is the core's discrete
+    integration-by-parts pairing with phi = u; it vanishes with the
+    others on a converged solution but is reported signed. u, m, the
+    cost, m0 and the Hamiltonian must share one grid, or ValueError is
+    raised.
     """
-    grid = u.grid
-    timegrid = u.timegrid
-    if m.timegrid != timegrid or m.grid != grid:
-        raise ValueError("u and m must share grid and timegrid")
-    dt = timegrid.dt
+    grid = _candidate_grid(u, m, cost, m0, hamiltonian)
     u_arr = u.array()
     m_arr = m.array()
-    psi_arr, g_arr = ObstacleOperator.zero(grid, timegrid).apply_arrays(grid, timegrid, m_arr)
-    if delta_c is None:
-        delta_c = default_contact_threshold(u_arr, psi_arr)
-    h_vals, div = _hamiltonian_terms(grid, hamiltonian, u_arr)
-    r_hjb, r_cont, r_sub, contact_sum, _ = _slice_residuals(
-        grid, dt, cost, u_arr, m_arr, psi_arr, g_arr, h_vals, div, delta_c)
-    a0 = elliptic_matrix(grid, with_zero_order=False)
-    vol = grid.cell_volume
-    # integration-by-parts pairing with phi = u: adjoint drift term
-    adjoint = (div.T @ u_arr[:-1].ravel()).reshape(len(h_vals), -1)
-    duality = 0.0
-    for k in range(len(h_vals)):
-        lphi = (u_arr[k] - u_arr[k + 1]) / dt + a0 @ u_arr[k] + adjoint[k]
-        duality += dt * float(np.dot(lphi, m_arr[k + 1])) * vol
-    duality -= float(np.dot(u_arr[0], m0.values)) * vol
-    r_bt = max(float(np.max(np.abs(u_arr[-1]))),
-               float(np.max(np.abs(m_arr[0] - m0.values))))
+    zero = np.zeros_like(u_arr)
+    res = _residuals(grid, u.timegrid.dt, 1, cost, hamiltonian, u_arr, m_arr, zero, zero, delta_c)
     return ControlMixedReport(
-        r_hjb=r_hjb,
-        r_continuation=r_cont,
-        r_subsolution=max(r_sub, 0.0),
-        r_contact=abs(contact_sum),
-        r_boundary_terminal=r_bt,
-        duality_diagnostic=duality,
-        delta_c=float(delta_c),
-        grid=grid.metadata(),
+        r_hjb=res["r_obstacle"],
+        r_continuation=res["r_continuation"],
+        r_subsolution=res["r_subsolution"],
+        r_contact=res["r_contact"],
+        r_boundary_terminal=max(float(np.max(np.abs(u_arr[-1]))),
+                                float(np.max(np.abs(m_arr[0] - m0.values)))),
+        duality_diagnostic=res["pairing"],
+        delta_c=res["delta_c"],
+        grid=res["grid"],
     )
+
+
+def face_drift(hamiltonian: Hamiltonian, u: FieldTrajectory) -> tuple[FaceVelocities, ...]:
+    """The face drift D_pH(x, grad u_k) of the value slices u_0..u_{K-1}
+    of u, one FaceVelocities per time step k: the drift of their one
+    _hamiltonian_state, as the controlled solver and verifier make it."""
+    grid = _candidate_grid(u, hamiltonian)
+    steps = u.timegrid.n_steps
+    drift = _hamiltonian_state(grid, hamiltonian, u.array()[:steps]).drift
+    return tuple(FaceVelocities(grid, tuple(b[k] for b in drift)) for k in range(steps))
 
 
 def fenchel_closed_form(hamiltonian: Hamiltonian, node: int, velocity) -> float:

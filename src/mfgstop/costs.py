@@ -85,13 +85,16 @@ class CostOperator:
         return NEITHER
 
     def evaluate(self, m_values: np.ndarray) -> np.ndarray:
+        """f(m) of the density m_values, shaped (N,), or of each row of
+        a (K, N) array: nodewise for the local kinds, and for
+        nonlocal_affine c0 + c1 <w, m_k> on every node of row k."""
         m_values = np.asarray(m_values, dtype=float)
         if self.kind == "local_power":
             return self.a * np.power(m_values, self.p) + self.f0.values
         if self.kind == "local_affine_shifted":
             return self.base.values + m_values - self.m_ref.values
-        pairing = float(np.dot(self.weight.values, m_values)) * self.grid.cell_volume
-        return np.full_like(m_values, self.c0 + self.c1 * pairing)
+        pairing = np.dot(m_values, self.weight.values) * self.grid.cell_volume
+        return np.full(m_values.shape, np.expand_dims(self.c0 + self.c1 * pairing, -1))
 
     def __call__(self, m: ScalarField) -> ScalarField:
         if m.grid != self.grid:

@@ -15,14 +15,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._coupled import _hamiltonian_terms, _slice_residuals, forward_backward_solve
+from ._coupled import _candidate_grid, _residuals, forward_backward_solve
 from .costs import CostOperator
 from .grid import (
     FieldTrajectory,
     Grid,
     ScalarField,
     TimeGrid,
-    default_contact_threshold,
     elliptic_matrix,
 )
 from .obstacle import _base_factor
@@ -81,7 +80,7 @@ class ObstacleOperator:
         dt = timegrid.dt
         a0 = elliptic_matrix(grid, with_zero_order=False)
         if self.kind == "heat_from_g":
-            g_arr = np.stack([self.g_cost.evaluate(m_arr[k]) for k in range(steps + 1)])
+            g_arr = self.g_cost.evaluate(m_arr)
             psi_arr = np.zeros_like(m_arr)
             solve = _base_factor(grid, dt)
             for k in range(steps - 1, -1, -1):
@@ -91,8 +90,7 @@ class ObstacleOperator:
         if psi_arr.shape != m_arr.shape:
             raise ValueError("fixed obstacle trajectory does not match the timegrid/grid")
         g_arr = np.empty_like(psi_arr)
-        for k in range(steps):
-            g_arr[k] = (psi_arr[k + 1] - psi_arr[k]) / dt - a0 @ psi_arr[k]
+        g_arr[:steps] = (psi_arr[1:] - psi_arr[:-1]) / dt - (a0 @ psi_arr[:-1].T).T
         g_arr[steps] = (psi_arr[steps] - psi_arr[steps - 1]) / dt - a0 @ psi_arr[steps]
         return psi_arr, g_arr
 
@@ -166,38 +164,24 @@ def verify_mixed_evolutive(
     m0: ScalarField,
     delta_c: float | None = None,
 ) -> EvolutiveMixedReport:
-    """Residuals of every evolutive mixed-solution condition.
+    """Residuals of every evolutive mixed-solution condition, from the
+    residual core _coupled._residuals of K slices (lag 1).
 
     Discrete operators mirror the solver: backward differences in time
     for the value, forward implicit steps for the density, slice-k
     integrands paired with m_{k+1}. The duality residual is
-    |sum_k dt <f(m_k) + g_k, m_{k+1}> - <u_0 - psi_0, m_0>|.
+    |sum_k dt <f(m_k) + g_k, m_{k+1}> - <u_0 - psi_0, m_0>|. u, m, the
+    cost, m0 and the obstacle's data must share one grid (and u, m and
+    a fixed obstacle one time grid), or ValueError is raised.
     """
-    grid = u.grid
-    timegrid = u.timegrid
-    if m.timegrid != timegrid or m.grid != grid:
-        raise ValueError("u and m must share grid and timegrid")
+    grid = _candidate_grid(u, m, cost, m0, obstacle_op.psi, obstacle_op.g_cost)
     u_arr = u.array()
     m_arr = m.array()
-    psi_arr, g_arr = obstacle_op.apply_arrays(grid, timegrid, m_arr)
-    if delta_c is None:
-        delta_c = default_contact_threshold(u_arr, psi_arr)
-    h_vals, div = _hamiltonian_terms(grid, None, u_arr)
-    r_obstacle, r_cont, r_sub, contact_sum, duality_sum = _slice_residuals(
-        grid, timegrid.dt, cost, u_arr, m_arr, psi_arr, g_arr, h_vals, div, delta_c)
-    vol = grid.cell_volume
-    duality_gap = duality_sum - float(np.dot(u_arr[0] - psi_arr[0], m0.values)) * vol
+    psi_arr, g_arr = obstacle_op.apply_arrays(grid, u.timegrid, m_arr)
     return EvolutiveMixedReport(
-        r_obstacle=r_obstacle,
-        r_continuation=r_cont,
-        r_subsolution=max(r_sub, 0.0),
-        r_contact=abs(contact_sum),
-        r_duality=abs(duality_gap),
+        **_residuals(grid, u.timegrid.dt, 1, cost, None, u_arr, m_arr, psi_arr, g_arr, delta_c),
         r_terminal=float(np.max(np.abs(u_arr[-1] - psi_arr[-1]))),
-        r_initial=float(np.max(np.abs(m_arr[0] - m0.values))),
-        delta_c=float(delta_c),
-        grid=grid.metadata(),
-    )
+        r_initial=float(np.max(np.abs(m_arr[0] - m0.values))))
 
 
 def evolutive_uniqueness_probe(

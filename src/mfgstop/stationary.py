@@ -29,8 +29,10 @@ from ._coupled import (
     CoupledConfig,
     CoupledNonConvergence,
     PenalizedTriple,
+    _candidate_grid,
     _frozen_system,
     _ramp,
+    _residuals,
 )
 from .costs import ANTI_MONOTONE, STRICT_MONOTONE, CostOperator, PotentialOperator
 from .density import solve_density_on_set
@@ -39,7 +41,6 @@ from .grid import (
     ScalarField,
     classify_nodes,
     coarsen,
-    default_contact_threshold,
     elliptic_matrix,
     inner,
 )
@@ -417,38 +418,21 @@ def verify_mixed(
 ) -> MixedSolutionReport:
     """Compute the five mixed-solution residuals for a candidate pair.
 
-    With an obstacle psi the pair is checked in shifted form v = u - psi
-    with effective cost f(m) - A psi, which reduces to the plain system
-    when psi = 0. The contact threshold actually used is recorded.
+    The residuals are those of the time-dependent residual core,
+    _coupled._residuals, in its one-slice case, as the solver's system
+    is: dt = 1, u_1 = 0, m_0 = rho, lag 0. With an obstacle psi the pair
+    is checked in shifted form v = u - psi with g = -A psi, so the
+    effective cost is f(m) - A psi; psi = 0 gives the plain system. u,
+    m, the cost, rho and psi must share one grid, or ValueError is
+    raised. The contact threshold actually used is recorded.
     """
-    grid = u.grid
-    if m.grid != grid or rho.grid != grid or cost.grid != grid:
-        raise ValueError("all fields must share one grid")
-    a = elliptic_matrix(grid)
-    f_m = cost.evaluate(m.values)
-    psi_vals = np.zeros(grid.n_total) if psi is None else psi.values
-    v = u.values - psi_vals
-    ftilde = f_m if psi is None else f_m - a @ psi_vals
-    if delta_c is None:
-        delta_c = default_contact_threshold(u.values, psi_vals)
-    r_obs = float(np.max(np.abs(np.minimum(psi_vals - u.values, f_m - a @ u.values))))
-    am = a @ m.values
-    continuation = v < -delta_c
-    contact = ~continuation
-    r_cont = float(np.max(np.abs((am - rho.values)[continuation]), initial=0.0))
-    r_sub = float(np.max(am - rho.values, initial=0.0))
-    r_sub = max(r_sub, 0.0)
-    r_contact = abs(float(np.sum(ftilde[contact] * m.values[contact]) * grid.cell_volume))
-    r_dual = abs(float(np.dot(ftilde, m.values) - np.dot(v, rho.values)) * grid.cell_volume)
-    return MixedSolutionReport(
-        r_obstacle=r_obs,
-        r_continuation=r_cont,
-        r_subsolution=r_sub,
-        r_contact=r_contact,
-        r_duality=r_dual,
-        delta_c=float(delta_c),
-        grid=grid.metadata(),
-    )
+    grid = _candidate_grid(u, m, cost, rho, psi)
+    zero = np.zeros(grid.n_total)
+    psi_vals = zero if psi is None else psi.values
+    g = zero if psi is None else -(elliptic_matrix(grid) @ psi_vals)
+    return MixedSolutionReport(**_residuals(
+        grid, 1.0, 0, cost, None, np.stack([u.values, zero]), np.stack([rho.values, m.values]),
+        np.stack([psi_vals, zero]), np.stack([g, zero]), delta_c))
 
 
 def uniqueness_probe(

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -523,6 +524,23 @@ def test_invalid_input_rejected_before_solving(tmp_path, capsys, overrides, reas
     assert not out.exists()
 
 
+# 10**15 + 1 slices of 31 nodes ask for 220 PiB, more than the 2**57
+# bytes (128 PiB) that a 64-bit address space maps at most: the request
+# fails at once whatever the overcommit setting, so nothing is
+# allocated. osmfg makes the array in the config (its zero obstacle),
+# cosmfg in the solve, after the output root was made
+@pytest.mark.parametrize("overrides", [OSMFG_RUN, COSMFG_RUN], ids=["osmfg", "cosmfg"])
+def test_sizes_too_large_to_allocate_exit_2(tmp_path, capsys, overrides):
+    out = tmp_path / "out"
+    grid = {"dim": 1, "bounds": [[0.0, 1.0]], "n_interior": [31]}
+    cfg = write_config(tmp_path, {**overrides, "grid": grid, "output_dir": str(out),
+                                  "timegrid": {"horizon": 1.0, "n_steps": 10**15}})
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "allocate" in err and err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
 GRID_1D = {"dim": 1, "bounds": [[0.0, 1.0]]}
 
 
@@ -630,7 +648,9 @@ def test_singular_registered_jacobian_exits_3(tmp_path, monkeypatch):
     # every space-time Jacobian is exactly singular, on its registered
     # pattern: the factorization on the pattern's order gives NaN, each
     # stage's Newton ends short of its target, and the strict last stage
-    # fails the run
+    # fails the run. The assemblers kept per structure are swapped for a
+    # cache of this test's own, so that no kept one is used here and none
+    # made here is kept
     def singular(static, rows, cols):
         assemble = obstacle.diagonal_update(static, rows, cols)
 
@@ -642,6 +662,8 @@ def test_singular_registered_jacobian_exits_3(tmp_path, monkeypatch):
         return zeroed
 
     monkeypatch.setattr(_coupled, "diagonal_update", singular)
+    monkeypatch.setattr(_coupled, "_jacobian_assembler",
+                        functools.lru_cache(_coupled._jacobian_assembler.__wrapped__))
     out = tmp_path / "osm"
     cfg = write_config(tmp_path, {**OSMFG_RUN, "output_dir": str(out),
                                   "eps_schedule": {"start": 0.1, "factor": 4.0, "stages": 2}})

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from mfgstop import _coupled
-from mfgstop._coupled import _face_drift, forward_backward_solve
+from mfgstop._coupled import forward_backward_solve
 from mfgstop.control import (
     Hamiltonian,
     control_objective,
     cosmfg_coupled_solve,
+    face_drift,
     fenchel_closed_form,
     fenchel_conjugate,
     verify_cosmfg,
@@ -120,7 +121,7 @@ def test_never_stop_instance_is_drifted_flow(setup):
     ham = Hamiltonian.smoothed_norm(ScalarField.constant(grid, 1.0))
     sol, _ = cosmfg_coupled_solve(cost, ham, m0, tg, default_eps_schedule(stages=4))
     assert np.all(sol.u.array()[:-1] < 0)
-    drifted = solve_density_parabolic(m0, None, tg, sol.drift)
+    drifted = solve_density_parabolic(m0, None, tg, face_drift(ham, sol.u))
     assert np.max(np.abs(sol.m.array() - drifted.array())) <= 1e-9
     masses = sol.m.array().sum(axis=1) * grid.cell_volume
     assert np.all(np.diff(masses) <= 1e-12)
@@ -139,7 +140,7 @@ def test_hamiltonian_needs_the_zero_obstacle(setup):
             forward_backward_solve(cost, m0, tg, 0.1, obstacle_op=op, hamiltonian=ham)
     sol = forward_backward_solve(cost, m0, tg, 0.1, obstacle_op=ObstacleOperator.zero(grid, tg),
                                  hamiltonian=ham)
-    assert sol.converged and sol.drift is not None
+    assert sol.converged
 
 
 def test_control_scenario_residuals(control_solution):
@@ -151,21 +152,29 @@ def test_control_scenario_residuals(control_solution):
     assert sol.m.array().min() >= -1e-12
 
 
-def test_solution_drift_is_the_face_drift_of_the_returned_u(control_solution):
-    # the drift belongs to the returned value trajectory, to the bit
+def test_face_drift_is_the_drift_of_each_value_slice(control_solution):
+    # one FaceVelocities per time step k, the smoothed-norm drift
+    # beta q / sqrt(1 + q^2) at the face difference q of u_k (zero
+    # Dirichlet values outside), written out on the 1D faces
     sc, sol, _ = control_solution
     u = sol.u.array()
-    assert len(sol.drift) == sc.timegrid.n_steps
-    for k, faces in enumerate(sol.drift):
-        expected = _face_drift(sc.grid, sc.hamiltonian, u[k])
-        for got, want in zip(faces.components, expected):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    h = sc.grid.spacing[0]
+    beta = sc.hamiltonian.face_weight(sc.grid, 0)
+    drift = face_drift(sc.hamiltonian, sol.u)
+    assert len(drift) == sc.timegrid.n_steps
+    for k, faces in enumerate(drift):
+        q = np.diff(np.pad(u[k], 1)) / h
+        expected = beta * q / np.sqrt(1.0 + q * q)
+        assert np.max(np.abs(faces.components[0] - expected)) <= 1e-14 * np.max(np.abs(expected))
+    other = build_grid(1, (0.0, 2.0), sc.grid.n_interior[0])
+    with pytest.raises(ValueError, match="one grid"):
+        face_drift(Hamiltonian.smoothed_norm(ScalarField.constant(other, 1.0)), sol.u)
 
 
 def test_each_residual_evaluates_the_hamiltonian_once(setup, monkeypatch):
     # the Jacobian takes the Hamiltonian data of the residual at its
-    # iterate; beyond the residuals, each stage evaluates them once for
-    # the drift of the returned u and once in its verify_cosmfg
+    # iterate; beyond the residuals, each stage evaluates them once, in
+    # its verify_cosmfg
     grid, _, m0 = setup
     counts = dict.fromkeys(("upwind", "residual", "jacobian"), 0)
 
@@ -189,7 +198,7 @@ def test_each_residual_evaluates_the_hamiltonian_once(setup, monkeypatch):
     _, stages = cosmfg_coupled_solve(cost, ham, m0, build_timegrid(0.5, 4),
                                      default_eps_schedule(stages=3))
     assert len(stages) == 3 and counts["jacobian"] > len(stages)
-    assert counts["upwind"] == counts["residual"] + 2 * len(stages), counts
+    assert counts["upwind"] == counts["residual"] + len(stages), counts
 
 
 @pytest.mark.parametrize("scale", [1.0, 1.0 - 1e-4, 1.0 + 1e-4])
@@ -295,11 +304,12 @@ def test_fenchel_young_inequality(setup):
 def test_control_objective_trivial_and_feasibility(control_solution):
     sc, sol, report = control_solution
     pot = sc.cost.potential()
-    base = control_objective(sol.m, sol.drift, pot, sc.hamiltonian, sc.timegrid)
+    drift = face_drift(sc.hamiltonian, sol.u)
+    base = control_objective(sol.m, drift, pot, sc.hamiltonian, sc.timegrid)
     assert np.isfinite(base)
     # zero density: objective reduces to the constant potential offset
     zero_traj = FieldTrajectory.constant(sc.grid, sc.timegrid, 0.0)
-    offset = control_objective(zero_traj, sol.drift, pot, sc.hamiltonian, sc.timegrid)
+    offset = control_objective(zero_traj, drift, pot, sc.hamiltonian, sc.timegrid)
     expected = (np.sum(pot.evaluate(np.zeros(sc.grid.n_total))) * sc.grid.cell_volume
                 * sc.timegrid.horizon)
     assert offset == pytest.approx(expected, rel=1e-12, abs=1e-15)

@@ -5,16 +5,17 @@ import scipy.sparse.linalg as spla
 
 from mfgstop import _coupled, obstacle
 from mfgstop._coupled import (
-    _face_drift,
     _frozen_system,
+    _hamiltonian_positions,
+    _jacobian_assembler,
     _node_gradients,
     _ramp,
     _upwind_hamiltonian,
     forward_backward_solve,
 )
-from mfgstop.control import Hamiltonian
+from mfgstop.control import Hamiltonian, face_drift
 from mfgstop.costs import CostOperator
-from mfgstop.density import FaceVelocities, drift_divergence_matrix
+from mfgstop.density import drift_divergence_matrix
 from mfgstop.evolutive import ObstacleOperator, osmfg_continuation
 from mfgstop.grid import (
     FieldTrajectory,
@@ -30,6 +31,7 @@ from mfgstop.obstacle import (
     _elimination_order,
     _lu_solve,
     _shifted_operator,
+    _space_time_operator,
     complementarity_residual,
     diagonal_update,
     obstacle_oracle,
@@ -501,8 +503,8 @@ def test_frozen_jacobian_matches_block_assembly(drift, heat):
     div_ops = [None] * k_steps
     h_vals = np.zeros((k_steps, n))
     if drift:
-        div_ops = [drift_divergence_matrix(g, FaceVelocities(g, _face_drift(g, ham, u[k])))
-                   for k in range(k_steps)]
+        div_ops = [drift_divergence_matrix(g, d)
+                   for d in face_drift(ham, FieldTrajectory(g, tg, u))]
         h_vals = np.stack([_upwind_hamiltonian(g, ham, u[k])[0] for k in range(k_steps)])
     residual, jacobian, _, unstack = _frozen_system(
         cost, g_cost, g_arr[:k_steps], ham, g, m[0], dt, eps, band, lag=1)
@@ -591,7 +593,9 @@ def test_hamiltonian_jacobian_matches_finite_differences(shape, kind):
         # the selection is strict and settled on both candidates
         assert np.all(np.abs(ham.gradient(p)[a]) > margin)
         assert np.all(np.abs(fwd[a] - bwd[a]) > margin)
-    assert all(np.all(np.abs(b) > margin) for b in _face_drift(g, ham, w[:k_steps]))
+    tg = build_timegrid(k_steps * dt, k_steps)
+    assert all(np.all(np.abs(b) > margin)
+               for d in face_drift(ham, FieldTrajectory(g, tg, w)) for b in d.components)
 
     residual, jacobian, _, _ = _frozen_system(
         cost, None, np.zeros(size), ham, g, m[0], dt, eps, band, lag=1)
@@ -679,6 +683,98 @@ def test_stationary_jacobian_matches_block_assembly(local):
     assert_on_fixed_pattern(lambda x: jacobian(x).matrix(), x, oracle)
 
 
+def per_system_assembler(g, dt, k_steps, lag, ham, cost):
+    # the assembler as each system built its own: the border of a
+    # nonlocal cost (column -c1, row -<w, .>) in the static part, and
+    # value positions without it
+    n = g.n_total
+    n_u = k_steps * n
+    static = _space_time_operator(g, dt, k_steps)
+    diag = np.arange(n_u)
+    rows, cols = [diag, n_u + diag, n_u + diag], [diag, diag, n_u + diag]
+    if cost.is_local:
+        rows.append(diag[lag * n:])
+        cols.append(n_u + diag[:n_u - lag * n])
+    else:
+        column = np.concatenate([np.full(n, -cost.c1), np.zeros(n)])[:, None]
+        row = np.concatenate([np.zeros(n), -cost.weight.values * g.cell_volume])[None, :]
+        static = sp.bmat([[static, sp.csr_matrix(column)],
+                          [sp.csr_matrix(row), sp.identity(1)]])
+    if ham is not None:
+        h_rows, h_cols, _ = _hamiltonian_positions(g, k_steps)
+        rows.append(h_rows)
+        cols.append(h_cols)
+    return diagonal_update(static, np.concatenate(rows), np.concatenate(cols))
+
+
+KEPT_CASES = {
+    "1d": ((9,), "local", False), "1d-h": ((9,), "local", True),
+    "2d": ((4, 4), "local", False), "2d-h": ((4, 4), "local", True),
+    "1d-stationary": ((9,), "stationary", False),
+    "1d-nonlocal": ((9,), "nonlocal", False), "2d-nonlocal": ((4, 4), "nonlocal", False),
+}
+
+
+@pytest.mark.parametrize("shape, kind, with_h", KEPT_CASES.values(), ids=KEPT_CASES.keys())
+def test_kept_assembler_matches_the_per_system_build(shape, kind, with_h):
+    # the Jacobian assembler is built once per structure (grid, dt, K,
+    # lag, with H, bordered) and kept: the system of a second penalty
+    # stage takes it from the cache, and every Jacobian equals the one of
+    # an assembler built for its own system bitwise, in data, indices
+    # and indptr (the nonlocal weight here is positive everywhere)
+    dim = len(shape)
+    g = build_grid(dim, [(0.0, 1.0)] * dim, list(shape))
+    n = g.n_total
+    rng = np.random.default_rng(37)
+    stationary = kind != "local"
+    k_steps, dt, lag = (1, 1.0, 0) if stationary else (3, 0.1, 1)
+    if kind == "nonlocal":
+        cost = CostOperator.nonlocal_affine(g, -0.5, 2.0, ScalarField(g, rng.uniform(0.5, 1.5, n)))
+    else:
+        cost = CostOperator.local_power(g, 1.0, 2.0, ScalarField.constant(g, -0.3))
+    ham = Hamiltonian.smoothed_norm(ScalarField(g, rng.uniform(0.5, 1.5, n))) if with_h else None
+    m0 = rng.uniform(0.2, 1.0, n)
+    x = np.concatenate([band_offsets(rng, k_steps * n, 0.05),
+                        rng.choice([-0.2, 0.0, 0.3, 1.1], size=k_steps * n)])
+    if kind == "nonlocal":
+        x = np.append(x, 0.4)
+    _jacobian_assembler.cache_clear()
+    for eps, band in ((1e-2, 0.1), (1e-3, 0.05)):
+        _, jacobian, _, _ = _frozen_system(cost, None, np.zeros((k_steps, n)), ham, g, m0, dt,
+                                           eps, band, lag=lag)
+        jac = jacobian(x)
+        got = jac.matrix()
+        vals = [jac.penalty, jac.slope, jac.rate]
+        if jac.fprime is not None:
+            vals.append(jac.fprime)
+        extra = list(jac.extra[1:] if kind == "nonlocal" else jac.extra)
+        expected = per_system_assembler(g, dt, k_steps, lag, ham, cost)(
+            np.concatenate(vals + extra, axis=None))
+        for field in ("data", "indices", "indptr"):
+            assert getattr(got, field).tobytes() == getattr(expected, field).tobytes(), field
+    info = _jacobian_assembler.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_kept_border_stores_zeros_where_the_weight_vanishes():
+    # the kept assembler names every position of the border row, so
+    # where the weight of <w, .> vanishes it stores a zero that the
+    # per-system build did not store; the values are equal bitwise
+    g = build_grid(1, (0.0, 1.0), 9)
+    n, eps, band = 9, 1e-4, 0.02
+    rng = np.random.default_rng(5)
+    uv, mv = band_offsets(rng, n, band), rng.choice([-0.2, 0.0, 0.3, 1.1], size=n)
+    cost, x, (_, jacobian, _, _), _ = stationary_system(g, False, eps, band, uv, mv)
+    jac = jacobian(x)
+    got = jac.matrix()
+    expected = per_system_assembler(g, 1.0, 1, 0, None, cost)(
+        np.concatenate([jac.penalty, jac.slope, jac.rate], axis=None))
+    assert got.toarray().tobytes() == expected.toarray().tobytes()
+    zero_weight = np.flatnonzero(cost.weight.values == 0.0)
+    assert len(zero_weight) and got.nnz == expected.nnz + len(zero_weight)
+    assert np.all(got.toarray()[2 * n, n + zero_weight] == 0.0)
+
+
 @pytest.mark.parametrize("band_nodes", [True, False], ids=["band", "no_band"])
 @pytest.mark.parametrize("local", [True, False], ids=["local", "nonlocal"])
 def test_stationary_block_solve_matches_the_whole_jacobian(monkeypatch, local, band_nodes):
@@ -711,7 +807,7 @@ def test_stationary_block_solve_matches_the_whole_jacobian(monkeypatch, local, b
 @pytest.mark.parametrize("local", [True, False], ids=["local", "nonlocal"])
 def test_stationary_block_solve_falls_back_on_a_gmres_miss(monkeypatch, local):
     # a GMRES that reports a miss: the step is the LU solve of the whole
-    # Jacobian, whose assembler is built then
+    # Jacobian, on the assembler kept for its structure
     g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (9, 9))
     n, eps, band = 81, 1e-4, 0.02
     rng = np.random.default_rng(17)
@@ -846,7 +942,7 @@ def test_time_dependent_block_solve_matches_the_whole_jacobian(monkeypatch, obst
 
 def test_time_dependent_block_solve_falls_back_on_a_gmres_miss(monkeypatch):
     # a GMRES that reports a miss: the step is the LU solve of the whole
-    # space-time Jacobian, whose assembler is built then
+    # space-time Jacobian, on the assembler kept for its structure
     x, (_, jacobian, solve, _), oracle = space_time_system("constant_field", True)
     sizes, splu = [], spla.splu
 

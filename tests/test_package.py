@@ -1,8 +1,9 @@
 """Static checks of the package, read from the sources with ast: every
 __all__ entry resolves, the package __init__ imports only names its
 modules export, no module imports a name it never uses, every direct
-solve goes through the one factorization entry point, and the
-Hamiltonian data of the controlled system has one source."""
+solve goes through the one factorization entry point, the
+Hamiltonian data of the controlled system has one source, and every
+verifier takes its residuals from the one residual core."""
 
 import ast
 import importlib
@@ -135,3 +136,31 @@ def test_hamiltonian_data_is_evaluated_only_by_the_state_and_pattern_builders():
              for where, line in _references(_tree(module), module, HAMILTONIAN_DATA)]
     assert {where for where, _ in found} == {"_coupled._hamiltonian_state",
                                              "density._drift_pattern"}, found
+
+
+# the verifiers and the one residual core behind them
+VERIFIERS = {"stationary.verify_mixed", "evolutive.verify_mixed_evolutive",
+             "control.verify_cosmfg"}
+
+
+def _functions(module):
+    """module.name -> node of every module-level function of module."""
+    return {f"{module}.{node.name}": node for node in _tree(module).body
+            if isinstance(node, ast.FunctionDef)}
+
+
+def test_every_verifier_takes_its_residuals_from_the_one_core_without_a_slice_loop():
+    functions = {name: node for module in MODULES for name, node in _functions(module).items()}
+    callers = {where for module in MODULES
+               for where, _ in _references(_tree(module), module, {"_residuals"})}
+    assert callers == VERIFIERS, callers
+    loops = (ast.For, ast.While, ast.comprehension)
+    for name in VERIFIERS | {"_coupled._residuals"}:
+        assert not any(isinstance(node, loops) for node in ast.walk(functions[name])), name
+
+
+def test_hamiltonian_state_is_made_only_by_the_solver_the_core_and_face_drift():
+    found = [(where, line) for module in MODULES
+             for where, line in _references(_tree(module), module, {"_hamiltonian_state"})]
+    assert {where for where, _ in found} == {"_coupled._frozen_system", "_coupled._residuals",
+                                             "control.face_drift"}, found
