@@ -8,9 +8,12 @@ contact plateaus stable; split forward/backward sweeps flap on the
 free-boundary classification. One builder, _frozen_system, makes the
 Newton system of the K-slice forward-backward system and of the
 stationary one, which is its one-slice case: dt = 1, m_0 = rho, and
-the value source paired with the new density. The records of every
-coupled solve (CoupledConfig, PenalizedTriple, CoupledNonConvergence)
-live here; stationary exports them.
+the value source paired with the new density. One function,
+_penalized_stage, runs a penalty stage of either: forward_backward_solve
+is its K-slice call and stationary.penalized_coupled_solve its
+one-slice call. The records of every coupled solve (CoupledConfig,
+PenalizedTriple, CoupledNonConvergence) live here; stationary exports
+them.
 
 Every obstacle is solved in the shifted value w = u - psi(m): with
 L u_k = (u_k - u_{k+1})/dt + A0 u_k, both obstacle kinds give
@@ -479,6 +482,54 @@ def _residuals(grid: Grid, dt: float, lag: int, cost: CostOperator, hamiltonian,
         delta_c=float(delta_c), grid=grid.metadata())
 
 
+def _penalized_stage(cost, g_cost, g_arr, hamiltonian, grid, m_arr, dt, epsilon, lag, cfg,
+                     w_start, warm_band, strict):
+    """One penalty stage of a coupled system: one semismooth Newton solve
+    of _frozen_system in the shifted value w = u - psi(m), for the
+    K-slice system (lag 1) and for the stationary one as its one-slice
+    case (dt = 1, lag 0) alike.
+
+    The start is the density slices m_arr (0..K, row 0 the data m_0)
+    with the g slices g_arr (0..K-1) at them, and the value slices
+    w_start (0..K-1). The classification band is fixed from it by
+    config.band, with the scale max over k < K of |f(m_{k+1-lag}) + g_k|.
+    A warm start, the solution of the stage with band warm_band (None
+    for a cold start), has its band nodes rescaled to the new band, so
+    that the ramp position of w, hence the exit rate, stays continuous.
+    A nonlocal cost appends the bordered unknown s = <w, m_1>. Newton
+    runs to min(tol_pde, 1e-10) (1 + max |f(m_arr[1-lag:])|), each step
+    the solve of _frozen_system (time sweeps and a density Schur
+    complement on grids of dim >= 2 without a Hamiltonian, the LU of
+    the whole Jacobian otherwise), with the Hamiltonian terms evaluated
+    once per iterate. The stage has converged when its last residual
+    norm is at most config.tol_pde, and strict raises
+    CoupledNonConvergence otherwise.
+
+    Returns the w and m slices 0..K of the last iterate and the other
+    fields of the stage's PenalizedTriple (epsilon, iterations,
+    residual_history, delta_band, converged).
+    """
+    steps = len(m_arr) - 1
+    f_arr = cost.evaluate(m_arr[1 - lag:])
+    band = cfg.band(epsilon, float(np.max(np.abs(f_arr[:steps] + g_arr))))
+    w_arr = np.array(w_start, dtype=float)
+    if warm_band is not None:
+        w_arr[np.abs(w_arr) <= warm_band] *= band / warm_band
+    x0 = [w_arr.ravel(), m_arr[1:].ravel()]
+    if not cost.is_local:
+        x0.append([(cost.weight.values * grid.cell_volume) @ m_arr[1]])
+    residual, jacobian, solve, unstack = _frozen_system(
+        cost, g_cost, g_arr, hamiltonian, grid, m_arr[0], dt, epsilon, band, lag)
+    target = min(cfg.tol_pde, 1e-10) * (1.0 + float(np.max(np.abs(f_arr))))
+    x, norms, iterations = semismooth_newton(residual, jacobian, np.concatenate(x0), target,
+                                             cfg.max_outer, solve=solve)
+    converged = norms[-1] <= cfg.tol_pde
+    if strict and not converged:
+        raise CoupledNonConvergence("penalized Newton did not converge", norms)
+    return (*unstack(x), dict(epsilon=epsilon, iterations=iterations, residual_history=norms,
+                              delta_band=band, converged=converged))
+
+
 def forward_backward_solve(
     cost: CostOperator,
     m0: ScalarField,
@@ -492,35 +543,24 @@ def forward_backward_solve(
     warm: PenalizedTriple | None = None,
     strict: bool = True,
 ) -> PenalizedTriple:
-    """Solve the penalized forward-backward system at one penalty level.
+    """Solve the penalized forward-backward system at one penalty level:
+    the K-slice call of _penalized_stage.
 
-    The solve runs in the shifted value w = u - psi(m). Every obstacle
-    kind has L psi_k = -g_k (ObstacleOperator.apply_arrays), so w solves
-    the zero-obstacle system with source f(m_k) + g_k and w_K = 0:
-    g_k = g(m_k) for a heat_from_g obstacle, data for a fixed one. The
-    classification band is fixed from the start iterate by config.band,
-    with the scale max over slices 0..K-1 of |f(m_k) + g_k|; then one
-    joint semismooth Newton resolves the system in the stacked unknowns
-    (w_0..w_{K-1}, m_1..m_K), and u = w + psi(m) is rebuilt from the
-    final density. The Hamiltonian value and the face drift are
-    evaluated once at every Newton iterate, one _hamiltonian_state that
-    the residual and the Jacobian share (control.face_drift gives the
-    drift of the returned u); they need the zero obstacle, on which
+    Every obstacle kind has L psi_k = -g_k (ObstacleOperator.apply_arrays),
+    so w = u - psi(m) solves the zero-obstacle system with source
+    f(m_k) + g_k and w_K = 0: g_k = g(m_k) for a heat_from_g obstacle,
+    data for a fixed one; u = w + psi(m) is rebuilt from the final
+    density. The Hamiltonian terms need the zero obstacle, on which
     w = u (the controlled system passes it), and any other obstacle with
-    a hamiltonian raises ValueError. Local costs only;
-    nonlocal couplings have no nodal derivative for the Newton blocks.
-    Each Newton step is the solve of _frozen_system: time sweeps and a
-    density Schur complement on grids of dim >= 2 without a
-    Hamiltonian, the LU of the whole Jacobian otherwise.
+    a hamiltonian raises ValueError (control.face_drift gives the drift
+    of the returned u). Local costs only; nonlocal couplings have no
+    nodal derivative for the Newton blocks.
 
     The start is the density trajectory m_traj_init (default m0 in
-    every slice) and w = 0. A warm start, the previous stage's
-    solution, replaces both: its m and w = u - psi(m), with the ramp
-    position of w (hence the exit rate) kept continuous by rescaling
-    band nodes from its band to the new one. The solve has converged
-    when the final Newton residual norm is at most config.tol_pde;
-    strict=False returns the last iterate with converged=False instead
-    of raising (used for warm-up continuation stages).
+    every slice) and w = 0; a warm start, the previous stage's solution,
+    replaces both by its m and w = u - psi(m). strict=False returns the
+    last iterate with converged=False instead of raising (used for
+    warm-up continuation stages).
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -541,39 +581,22 @@ def forward_backward_solve(
     psi_arr, g_arr = obstacle_op.apply_arrays(grid, timegrid, m_arr)
     if hamiltonian is not None and np.any(psi_arr):
         raise ValueError("a Hamiltonian needs the zero obstacle")
-    f_arr = cost.evaluate(m_arr)
-    band = cfg.band(epsilon, float(np.max(np.abs(f_arr[:steps] + g_arr[:steps]))))
     if warm is None:
-        w_arr = np.zeros((steps, grid.n_total))
+        w_start, warm_band = np.zeros((steps, grid.n_total)), None
     else:
-        w_arr = warm.u.array()[:steps] - psi_arr[:steps]
-        w_arr[np.abs(w_arr) <= warm.delta_band] *= band / warm.delta_band
+        w_start, warm_band = warm.u.array()[:steps] - psi_arr[:steps], warm.delta_band
 
-    residual, jacobian, solve, unstack = _frozen_system(
-        cost, g_cost, g_arr[:steps], hamiltonian, grid, m0.values, timegrid.dt, epsilon, band,
-        lag=1)
-    x0 = np.concatenate([w_arr.ravel(), m_arr[1:].ravel()])
-    target = min(cfg.tol_pde, 1e-10) * (1.0 + float(np.max(np.abs(f_arr))))
-    x, norms, iterations = semismooth_newton(residual, jacobian, x0, target, cfg.max_outer,
-                                             solve=solve)
-    converged = norms[-1] <= cfg.tol_pde
-    if strict and not converged:
-        raise CoupledNonConvergence("forward-backward Newton did not converge", norms)
-
-    w_arr, m_arr = unstack(x)
+    w_arr, m_arr, stage = _penalized_stage(
+        cost, g_cost, g_arr[:steps], hamiltonian, grid, m_arr, timegrid.dt, epsilon, 1, cfg,
+        w_start, warm_band, strict)
     u_arr = w_arr + obstacle_op.apply_arrays(grid, timegrid, m_arr)[0]
-    rate = _ramp(w_arr[:steps] / band) / epsilon
+    rate = _ramp(w_arr[:steps] / stage["delta_band"]) / epsilon
     return PenalizedTriple(
         u=FieldTrajectory(grid, timegrid, u_arr),
         m=FieldTrajectory(grid, timegrid, m_arr),
         alpha=FieldTrajectory(grid, timegrid,
                               np.clip(np.vstack([rate, rate[-1:]]) * epsilon, 0.0, 1.0)),
-        epsilon=epsilon,
-        iterations=iterations,
-        residual_history=norms,
-        delta_band=band,
-        converged=converged,
-    )
+        **stage)
 
 
 def _frozen_system(cost, g_cost, g_arr, hamiltonian, grid, m0_vals, dt, epsilon, band, lag):

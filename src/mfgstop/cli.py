@@ -367,46 +367,57 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
     except (ConfigError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    return _into_output(out_override or cfg.output_dir, lambda out: _run(cfg, out))
-
-
-def _run(cfg: RunConfig, out: str) -> int:
-    """Solve cfg, write its artifacts under out and check its
-    acceptance thresholds. Sizes too large to allocate are a config
-    error (exit 2), found before any artifact is written."""
+    out_dir = out_override or cfg.output_dir
     try:
-        if cfg.method == "continuation":
-            sol, stages = solve_problem(cfg, cfg.coupled)
-            u, m, report = sol.u, sol.m, stages[-1].report
-            stage_rows = [(sr.stage, sr.epsilon, sr.iterations, sr.report) for sr in stages]
-        else:  # the two direct routes of sosmfg
-            if cfg.method == "monotone_iteration":
-                u, m, iterations = monotone_iteration_solve(cfg.cost, cfg.rho)
-            else:
-                m = variational_minimize(cfg.cost.potential(), cfg.rho)
-                u = solve_obstacle_stationary(cfg.cost(m), ScalarField.zeros(cfg.grid))
-                iterations = 1
-            report = verify_problem(cfg, u, m)
-            stage_rows = [(0, 0.0, iterations, report)]
-        if cfg.problem == "sosmfg":
-            write_field_csv(u, os.path.join(out, "u.csv"))
-            write_field_csv(m, os.path.join(out, "m.csv"))
-        else:
-            write_trajectory_csv(u, out, "u")
-            write_trajectory_csv(m, out, "m")
+        solved = _solve(cfg)
     except (CoupledNonConvergence, ObstacleConvergenceError) as err:
-        if isinstance(err, CoupledNonConvergence):
-            failure = {"error": str(err), "residual_history": err.residual_history,
-                       "stage": err.stage}
-        else:
-            failure = {"error": str(err), "residual": err.residual, "iterations": err.iterations}
-        _json_dump(failure, os.path.join(out, "failure.json"))
-        print(f"solver did not converge: {err}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        return _into_output(out_dir, lambda out: _write_failure(err, out))
     except MemoryError as err:
+        # sizes too large to allocate are a config error, found before
+        # the output root is made
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    return _into_output(out_dir, lambda out: _write_run(cfg, *solved, out))
 
+
+def _solve(cfg: RunConfig):
+    """Solve cfg by its method: (u, m, report, stage_rows)."""
+    if cfg.method == "continuation":
+        sol, stages = solve_problem(cfg, cfg.coupled)
+        return (sol.u, sol.m, stages[-1].report,
+                [(sr.stage, sr.epsilon, sr.iterations, sr.report) for sr in stages])
+    # the two direct routes of sosmfg
+    if cfg.method == "monotone_iteration":
+        u, m, iterations = monotone_iteration_solve(cfg.cost, cfg.rho)
+    else:
+        m = variational_minimize(cfg.cost.potential(), cfg.rho)
+        u = solve_obstacle_stationary(cfg.cost(m), ScalarField.zeros(cfg.grid))
+        iterations = 1
+    report = verify_problem(cfg, u, m)
+    return u, m, report, [(0, 0.0, iterations, report)]
+
+
+def _write_failure(err, out: str) -> int:
+    """Write the failure.json of a solve that did not converge under out."""
+    if isinstance(err, CoupledNonConvergence):
+        failure = {"error": str(err), "residual_history": err.residual_history,
+                   "stage": err.stage}
+    else:
+        failure = {"error": str(err), "residual": err.residual, "iterations": err.iterations}
+    _json_dump(failure, os.path.join(out, "failure.json"))
+    print(f"solver did not converge: {err}", file=sys.stderr)
+    return EXIT_NO_CONVERGENCE
+
+
+def _write_run(cfg: RunConfig, u, m, report, stage_rows, out: str) -> int:
+    """Write the artifacts of a solved cfg under out and check its
+    acceptance thresholds."""
+    if cfg.problem == "sosmfg":
+        write_field_csv(u, os.path.join(out, "u.csv"))
+        write_field_csv(m, os.path.join(out, "m.csv"))
+    else:
+        write_trajectory_csv(u, out, "u")
+        write_trajectory_csv(m, out, "m")
     report_dict = report.to_dict()
     _json_dump(report_dict, os.path.join(out, "report.json"))
     _write_convergence_table(stage_rows, os.path.join(out, "convergence.csv"))

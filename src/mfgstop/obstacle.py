@@ -238,9 +238,9 @@ def solve_obstacle_stationary(
     grid = source.grid
     if obstacle.grid != grid:
         raise ValueError("source and obstacle must share one grid")
-    m = elliptic_matrix(grid)
-    start = _lu_solve(m, source.values)
-    return ScalarField(grid, _obstacle_newton(m, source.values, obstacle.values, start, config))
+    start = _base_factor(grid, 1.0)(source.values)
+    return ScalarField(grid, _obstacle_newton(elliptic_matrix(grid), source.values,
+                                              obstacle.values, start, config))
 
 
 def obstacle_oracle(
@@ -431,12 +431,10 @@ def solve_obstacle_penalized(
     obstacle: ScalarField,
     epsilon: float,
     config: ObstacleSolveConfig | None = None,
-    u0: ScalarField | None = None,
-    matrix=None,
 ) -> ScalarField:
-    """Solve the penalized problem M u + (u - psi)^+ / eps = f by
-    semismooth Newton from u0 (default: the solution without obstacle),
-    with M the given matrix (default: -lap + id).
+    """Solve the penalized problem A u + (u - psi)^+ / eps = f,
+    A = -lap + id, by semismooth Newton from the solution without
+    obstacle.
 
     The active-set linearization converges in finitely many steps for
     M-matrices.
@@ -447,15 +445,14 @@ def solve_obstacle_penalized(
     grid = source.grid
     if obstacle.grid != grid:
         raise ValueError("source and obstacle must share one grid")
-    m = elliptic_matrix(grid) if matrix is None else matrix
+    a = elliptic_matrix(grid)
     f, psi = source.values, obstacle.values
-    start = _lu_solve(m, f) if u0 is None else u0.values
-    diag = np.arange(m.shape[0])
-    assemble = diagonal_update(m, diag, diag)
+    diag = np.arange(grid.n_total)
+    assemble = diagonal_update(a, diag, diag)
     u, norms, it = semismooth_newton(
-        lambda v: m @ v + np.maximum(v - psi, 0.0) / epsilon - f,
+        lambda v: a @ v + np.maximum(v - psi, 0.0) / epsilon - f,
         lambda v: assemble((v > psi).astype(float) / epsilon),
-        start, config.tol, config.max_iter)
+        _base_factor(grid, 1.0)(f), config.tol, config.max_iter)
     if norms[-1] <= config.tol:
         return ScalarField(grid, u)
     raise ObstacleConvergenceError("penalized Newton did not converge", norms[-1], it)

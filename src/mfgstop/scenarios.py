@@ -24,7 +24,7 @@ from .grid import (
     elliptic_matrix,
     inner,
 )
-from .obstacle import _lu_solve
+from .obstacle import _base_factor
 from .stationary import (
     CoupledConfig,
     MixedSolutionReport,
@@ -113,8 +113,7 @@ def _build_anti_monotone_1d() -> Scenario:
     grid = build_grid(1, (0.0, 1.0), 31)
     rho = raised_cosine_bump(grid)
     weight = raised_cosine_bump(grid)
-    a = elliptic_matrix(grid)
-    m_star = ScalarField(grid, _lu_solve(a, rho.values))
+    m_star = ScalarField(grid, _base_factor(grid, 1.0)(rho.values))
     pairing = inner(weight, m_star)
     c0 = 0.25
     c1 = -(c0 + 0.5) / pairing
@@ -205,8 +204,8 @@ def scenario_nonuniqueness(delta_c: float | None = None) -> NonuniquenessEvidenc
     """
     grid = build_grid(1, (0.0, 1.0), 31)
     rho = raised_cosine_bump(grid)
-    a = elliptic_matrix(grid)
-    m_star = ScalarField(grid, _lu_solve(a, rho.values))
+    solve = _base_factor(grid, 1.0)
+    m_star = ScalarField(grid, solve(rho.values))
     coords = grid.coordinates()
     centre = np.array([(lo + hi) / 2 for lo, hi in grid.bounds])
     weight = ScalarField(grid, np.linalg.norm(coords - centre, axis=1))
@@ -216,7 +215,7 @@ def scenario_nonuniqueness(delta_c: float | None = None) -> NonuniquenessEvidenc
     f_zero = cost(ScalarField.zeros(grid)).values
     if np.max(np.abs(f_star + 1.0)) > 1e-12 or np.max(np.abs(f_zero - 1.0)) > 1e-12:
         raise AssertionError("cost normalization failed: expected f(m*) = -1, f(0) = +1")
-    u_star = ScalarField(grid, _lu_solve(a, f_star))
+    u_star = ScalarField(grid, solve(f_star))
     zero = ScalarField.zeros(grid)
     if delta_c is None:
         delta_c = default_contact_threshold(u_star.values, zero.values)
@@ -267,7 +266,7 @@ def scenario_nonexistence(ball_radius: float = 0.0) -> NonexistenceEvidence:
     grid = build_grid(1, (0.0, 1.0), 31)
     rho = raised_cosine_bump(grid)
     a = elliptic_matrix(grid)
-    m_star_vals = _lu_solve(a, rho.values)
+    m_star_vals = _base_factor(grid, 1.0)(rho.values)
     if np.any(m_star_vals <= 0):
         raise AssertionError("m* must be strictly positive at interior nodes")
     m_star = ScalarField(grid, m_star_vals)
@@ -337,11 +336,11 @@ def scenario_obstacle_nonuniqueness(
         cost = _monotone_cost(grid)
     if cost.monotonicity != "strict_monotone":
         raise ValueError("this construction requires a strictly monotone cost")
-    a = elliptic_matrix(grid)
-    m_star_vals = _lu_solve(a, rho.values)
+    solve = _base_factor(grid, 1.0)
+    m_star_vals = solve(rho.values)
     m_star = ScalarField(grid, m_star_vals)
-    u_star = ScalarField(grid, _lu_solve(a, cost(m_star).values))
-    u_low = ScalarField(grid, _lu_solve(a, cost(ScalarField.zeros(grid)).values))
+    u_star = ScalarField(grid, solve(cost(m_star).values))
+    u_low = ScalarField(grid, solve(cost(ScalarField.zeros(grid)).values))
     floor = 1e-10 * float(np.max(m_star_vals))
     guarded = m_star_vals < floor
     if np.any(guarded & (rho.values > 0)):

@@ -11,11 +11,12 @@ the contact set (sum of f(m) m there vanishes). The certificate
 <f(m), m> = <u, rho> ties the two sides together and is reported as
 r_duality.
 
-The penalized Newton system is the one-slice case of the time-dependent
-one and is built by the same _coupled._frozen_system (dt = 1, m_0 = rho,
-lag 0); CoupledConfig, PenalizedTriple and CoupledNonConvergence live in
-_coupled and are exported here. continuation_solve runs the early
-penalty stages of a strictly monotone 2D continuation on coarser grids.
+The penalized system is the one-slice case of the time-dependent one,
+and each penalty stage of it is run by the same _coupled._penalized_stage
+(dt = 1, m_0 = rho, lag 0); CoupledConfig, PenalizedTriple and
+CoupledNonConvergence live in _coupled and are exported here.
+continuation_solve runs the early penalty stages of a strictly monotone
+2D continuation on coarser grids.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from ._coupled import (
     CoupledNonConvergence,
     PenalizedTriple,
     _candidate_grid,
-    _frozen_system,
+    _penalized_stage,
     _ramp,
     _residuals,
 )
@@ -47,8 +48,6 @@ from .grid import (
 from .obstacle import (
     ObstacleSolveConfig,
     _base_factor,
-    _lu_solve,
-    _shifted_factor,
     row_select,
     semismooth_newton,
     solve_obstacle_stationary,
@@ -120,39 +119,26 @@ def penalized_coupled_solve(
     strict: bool = True,
     warm: PenalizedTriple | None = None,
 ) -> PenalizedTriple:
-    """Solve the penalized coupled system at one penalty level.
-
-    The exit rate is realized as a continuous ramp across the
-    classification band |u| <= band around the obstacle, a concrete
-    choice of the free interior alpha (alpha = 1 above the band, 0
-    below, linear inside). The value/density pair is then solved
-    jointly by semismooth Newton, which is what keeps contact plateaus
-    stable; split sweeps flap on the free-boundary classification.
+    """Solve the penalized coupled system at one penalty level: the
+    one-slice call of _coupled._penalized_stage.
 
     Unknowns (u, m) jointly solve
         A u + u^+ / eps          = f(m)
-        A m + ramp(u/band)/eps m = rho
-    with band = config.band(eps, |f|_inf) at the start m. This is the
-    one-slice case of the time-dependent system, built by the same
-    _coupled._frozen_system: dt = 1, so B = A0 + I/dt is A, the data
-    slice m_0 is rho, and the value source is paired with the new
-    density (lag 0). A nonlocal cost f = c0 + c1 <w, m> has no nodal
-    derivative; it enters through one bordered scalar unknown
-    s = <w, m>, so f = c0 + c1 s and the system gains the row
-    s - <w, m> = 0 and the column -c1. On grids of dim >= 2 each Newton
-    step is solved on the two N x N diagonal blocks of the Jacobian,
-    not on the whole of it.
+        A m + ramp(u/band)/eps m = rho,
+    the exit rate ramped across the classification band |u| <= band, a
+    concrete choice of the free interior alpha (alpha = 1 above the
+    band, 0 below, linear inside). This is the time-dependent system
+    with one slice: dt = 1, so B = A0 + I/dt is A, the data slice m_0 is
+    rho, and the value source is paired with the new density (lag 0). A
+    nonlocal cost f = c0 + c1 <w, m> enters through one bordered scalar
+    unknown s = <w, m>. The returned (u, m) is the last Newton iterate.
 
     The start is m_init (default A^-1 rho) and the value of the
     unconstrained equation for f(m), both solved with the factor of A
-    that the process keeps per grid (obstacle._base_factor at dt = 1),
-    as is every Newton block and final density solve whose diagonal
-    update vanishes. A warm start, the previous stage's solution, replaces
-    both: its (u, m), with the ramp position of u (hence the exit rate)
-    kept continuous by rescaling band nodes from its band to the new
-    one. strict=False returns the last iterate with
-    converged=False instead of raising (used for warm-up continuation
-    stages).
+    that the process keeps per grid (obstacle._base_factor at dt = 1). A
+    warm start, the previous stage's solution, replaces both by its
+    (u, m). strict=False returns the last iterate with converged=False
+    instead of raising (used for warm-up continuation stages).
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -160,49 +146,17 @@ def penalized_coupled_solve(
     grid = rho.grid
     if np.any(rho.values < -1e-12):
         raise ValueError("rho must be nonnegative")
-    a = elliptic_matrix(grid)
-    n = grid.n_total
-    rho_v = rho.values
     if warm is not None:
-        m = np.array(warm.m.values, copy=True)
+        m, u, warm_band = warm.m.values, warm.u.values, warm.delta_band
     else:
-        m = (_base_factor(grid, 1.0)(rho_v) if m_init is None
-             else np.array(m_init.values, copy=True))
-    scale = float(np.max(np.abs(cost.evaluate(m))))
-    band = cfg.band(epsilon, scale)
-    if warm is None:
+        m = _base_factor(grid, 1.0)(rho.values) if m_init is None else m_init.values
         # cold start from the unconstrained value equation
-        u = _base_factor(grid, 1.0)(cost.evaluate(m))
-    else:
-        u = np.array(warm.u.values, dtype=float, copy=True)
-        inside = np.abs(u) <= warm.delta_band
-        u[inside] *= band / warm.delta_band
-    # the one-slice case of the time-dependent system: dt = 1, m_0 = rho,
-    # and the value source paired with the new density (lag 0)
-    residual, jacobian, solve, _ = _frozen_system(cost, None, np.zeros((1, n)), None, grid,
-                                                  rho_v, 1.0, epsilon, band, lag=0)
-    x0 = [u, m]
-    if not cost.is_local:
-        # the bordered unknown s = <w, m>
-        x0.append([(cost.weight.values * grid.cell_volume) @ m])
-    target = min(cfg.tol_pde, 1e-10) * (1.0 + scale)
-    x, history, it = semismooth_newton(residual, jacobian, np.concatenate(x0), target, cfg.max_outer,
-                                       solve=solve)
-    u = x[:n]
-    # final exact density solve for the converged rate (restores exact
-    # nonnegativity through the M-matrix structure)
-    sigma = _ramp(u / band)
-    m = _shifted_factor(grid, sigma / epsilon, 1.0)(rho_v)
-    r_u = float(np.max(np.abs(a @ u + np.maximum(u, 0.0) / epsilon - cost.evaluate(m))))
-    converged = r_u <= cfg.tol_pde
-    if strict and not converged:
-        raise CoupledNonConvergence("coupled Newton did not converge", history)
-    return PenalizedTriple(
-        u=ScalarField(grid, u), m=ScalarField(grid, m),
-        alpha=ScalarField(grid, sigma), epsilon=epsilon,
-        iterations=it, residual_history=history,
-        delta_band=band, converged=converged,
-    )
+        u, warm_band = _base_factor(grid, 1.0)(cost.evaluate(m)), None
+    u, m, stage = _penalized_stage(cost, None, np.zeros((1, grid.n_total)), None, grid,
+                                   np.stack([rho.values, m]), 1.0, epsilon, 0, cfg, u[None],
+                                   warm_band, strict)
+    return PenalizedTriple(u=ScalarField(grid, u[0]), m=ScalarField(grid, m[1]),
+                           alpha=ScalarField(grid, _ramp(u[0] / stage["delta_band"])), **stage)
 
 
 def default_eps_schedule(start: float = 0.1, factor: float = 4.0, stages: int = 8) -> list[float]:
@@ -451,7 +405,7 @@ def uniqueness_probe(
     solutions.
     """
     grid = rho.grid
-    m_base = _lu_solve(elliptic_matrix(grid), rho.values)
+    m_base = _base_factor(grid, 1.0)(rho.values)
 
     def solve(s):
         sol, _ = continuation_solve(cost, rho, eps_schedule, m_init=ScalarField(grid, s * m_base))
@@ -490,9 +444,8 @@ def euler_lagrange_certificate(
     m itself; every member lies in {m' >= 0, A m' <= rho}.
     """
     grid = m.grid
-    a = elliptic_matrix(grid)
     f_m = cost(m)
-    battery = [np.zeros(grid.n_total), _lu_solve(a, rho.values)]
+    battery = [np.zeros(grid.n_total), _base_factor(grid, 1.0)(rho.values)]
     rng = np.random.default_rng(seed)
     for _ in range(4):
         mask = NodeMask(grid, rng.random(grid.n_total) < 0.5)

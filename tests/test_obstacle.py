@@ -198,12 +198,18 @@ def test_singular_registered_jacobian_gives_nan():
     assert np.allclose(mat @ _lu_solve(assemble([0.0]), b), b)
 
 
-def test_singular_matrix_in_2d_obstacle_raises_convergence_error():
+def test_singular_matrix_in_2d_obstacle_raises_convergence_error(monkeypatch):
+    # the solve takes a singular matrix for A; its start, A^-1 f from the
+    # kept factor of the true A (with_zero_order=False builds it), lies
+    # below the obstacle for f < 0, so the first Jacobian is the
+    # singular matrix itself
     g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (3, 3))
     singular = sp.csr_matrix(np.ones((9, 9)))
+    elliptic = obstacle.elliptic_matrix
+    monkeypatch.setattr(obstacle, "elliptic_matrix", lambda grid, with_zero_order=True: (
+        singular if with_zero_order else elliptic(grid, with_zero_order)))
     with pytest.raises(ObstacleConvergenceError, match="residual nan"):
-        solve_obstacle_penalized(ScalarField.constant(g, 1.0), ScalarField.zeros(g), 1e-3,
-                                 u0=ScalarField.constant(g, -1.0), matrix=singular)
+        solve_obstacle_penalized(ScalarField.constant(g, -1.0), ScalarField.zeros(g), 1e-3)
 
 
 def pattern_key(matrix):
@@ -244,7 +250,9 @@ def test_every_factorization_uses_the_symmetric_ordering(monkeypatch):
                                        obstacle_op=ObstacleOperator.zero(g, tg)),
         lambda: solve_obstacle_stationary(ScalarField(g, rng.uniform(-2.0, 2.0, 81)),
                                           ScalarField(g, 0.1 * rng.normal(size=81))),
-        lambda: variational_minimize(cost.potential(), raised_cosine_bump(g)),
+        # at peak 1 the starts of the variational route solve it, and
+        # no step is taken; at peak 100 A^-1 rho exceeds the cap 0.5
+        lambda: variational_minimize(cost.potential(), raised_cosine_bump(g, peak=100.0)),
     ):
         solve()
         counts.append(len(calls))
@@ -253,11 +261,12 @@ def test_every_factorization_uses_the_symmetric_ordering(monkeypatch):
     ordered = {key for spec, key in calls if spec == "MMD_AT_PLUS_A"}
     assert all(key in ordered for spec, key in calls if spec == "NATURAL")
     # one MMD ordering per distinct registered pattern: one in the 2D
-    # continuation (A + diag: the cold start, the two diagonal blocks of
-    # every Newton step and the density solves, over all stages), none
-    # in the forward-backward solve, whose slice blocks B + diag have
-    # A's pattern and find its order cached; the active-set Jacobians of
-    # the last two solves are not registered, and each is ordered afresh
+    # continuation (A + diag: the cold start and the two diagonal blocks
+    # of every Newton step, over all stages), none in the
+    # forward-backward solve, whose slice blocks B + diag have A's
+    # pattern and find its order cached; the starts of the last two
+    # solves take A's kept factor, and their active-set Jacobians are
+    # not registered, each ordered afresh
     natural = [{key for spec, key in calls[a:b] if spec == "NATURAL"}
                for a, b in zip(counts, counts[1:])]
     assert [len(keys) for keys in natural] == [1, 1, 0, 0] and natural[0] == natural[1]
@@ -352,8 +361,10 @@ def test_registered_orders_fill_like_a_fresh_ordering(monkeypatch, problem):
         monkeypatch.setattr(_coupled, "_schur_step", lambda *args: args[-1]())
         osmfg_continuation(cost, ObstacleOperator.zero(g, tg), gaussian_density(g), tg)
     else:
+        # at f0 = -0.005 the continuation factors 10 times on registered
+        # orders, at -0.5 only 8 times
         g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (31, 31))
-        cost = CostOperator.local_power(g, 1.0, 1.0, ScalarField.constant(g, -0.5))
+        cost = CostOperator.local_power(g, 1.0, 1.0, ScalarField.constant(g, -0.005))
         continuation_solve(cost, raised_cosine_bump(g))
     assert len(fills) >= 10
     assert any(zeros_stored) == (problem == "osmfg_15x15_k3")

@@ -2,8 +2,9 @@
 __all__ entry resolves, the package __init__ imports only names its
 modules export, no module imports a name it never uses, every direct
 solve goes through the one factorization entry point, the
-Hamiltonian data of the controlled system has one source, and every
-verifier takes its residuals from the one residual core."""
+Hamiltonian data of the controlled system has one source, every
+verifier takes its residuals from the one residual core, and every
+coupled Newton solve runs in the one penalty stage."""
 
 import ast
 import importlib
@@ -164,3 +165,19 @@ def test_hamiltonian_state_is_made_only_by_the_solver_the_core_and_face_drift():
              for where, line in _references(_tree(module), module, {"_hamiltonian_state"})]
     assert {where for where, _ in found} == {"_coupled._frozen_system", "_coupled._residuals",
                                              "control.face_drift"}, found
+
+
+# the one penalty stage of the coupled systems: only it builds their
+# Newton system, and the two public stage solvers, its one-slice and
+# K-slice calls, run no Newton of their own
+STAGE_SOLVERS = {"stationary.penalized_coupled_solve", "_coupled.forward_backward_solve"}
+
+
+def test_every_coupled_newton_runs_in_the_one_penalized_stage():
+    builders = {where for module in MODULES
+                for where, _ in _references(_tree(module), module, {"_frozen_system"})}
+    assert builders == {"_coupled._penalized_stage"}, builders
+    functions = {name: node for module in MODULES for name, node in _functions(module).items()}
+    for name in STAGE_SOLVERS:
+        assert not list(_references(functions[name], name, {"semismooth_newton"})), name
+        assert list(_references(functions[name], name, {"_penalized_stage"})), name

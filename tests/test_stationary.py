@@ -313,7 +313,8 @@ def test_2d_continuation_without_penalty_factors_a_once(monkeypatch):
     # vanishes: A is factored once, at the cold start of the first
     # stage, and every such block of every stage solves with that
     # factor. The other factorizations are the density blocks with a
-    # rate and the final density solves with one
+    # rate; a stage returns its Newton iterate, with no density solve
+    # after it
     g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (9, 9))
     cost = CostOperator.local_power(g, 1.0, 1.0, ScalarField.constant(g, -0.5))
     a = _shifted_operator(g, 1.0)(np.zeros(g.n_total))
@@ -348,8 +349,8 @@ def test_2d_continuation_without_penalty_factors_a_once(monkeypatch):
     assert all(solve_u is base for solve_u, _ in blocks)
     assert [solve_m is base for _, solve_m in blocks] == [False, False, False, True]
     assert factored[0] and factored.count(True) == 1
-    # A, the three density blocks with a rate, one final density solve
-    assert len(factored) == 1 + 3 + 1
+    # A and the three density blocks with a rate
+    assert len(factored) == 1 + 3
 
 
 def flat_continuation(cost, rho, schedule=None):
