@@ -58,7 +58,8 @@ As _frozen_system is the one builder of the Newton systems,
 _residuals is the one residual core of their verifiers: the stationary
 verify_mixed is its one-slice call, verify_mixed_evolutive and
 verify_cosmfg its K-slice calls, each after the one grid check
-_candidate_grid.
+_candidate_grid, which also checks the data and warm start of every
+stage solver before its first Newton step.
 """
 
 from __future__ import annotations
@@ -258,50 +259,6 @@ def _ramp(s):
     return np.clip(0.5 * (s + 1.0), 0.0, 1.0)
 
 
-def _node_gradients(grid: Grid, u: np.ndarray):
-    """Per-axis forward and backward differences with Dirichlet closure
-    of the slices u, shaped (..., N)."""
-    one_sided, _ = _gradient_matrices(grid)
-    fwd = [(f @ u.T).T for _, f in one_sided]
-    bwd = [(b @ u.T).T for b, _ in one_sided]
-    return fwd, bwd
-
-
-def _upwind_hamiltonian(grid: Grid, hamiltonian, u: np.ndarray):
-    """Upwind nodal H(x, Du) of the slices u (..., N): the difference
-    choice follows the sign of D_pH.
-
-    The selection is iterated to a fixed point from p = 0, for at most
-    four passes, so that the solver and the verifier resolve it
-    identically. Returns the values, the selected gradient p and, per
-    axis, the mask of the nodes that take the backward difference.
-    """
-    fwd, bwd = _node_gradients(grid, u)
-    p = [np.zeros(u.shape) for _ in range(grid.dim)]
-    backward = None
-    for _ in range(4):
-        v = hamiltonian.gradient(p)
-        backward = [v[a] > 0 for a in range(grid.dim)]
-        p_new = [np.where(backward[a], bwd[a], fwd[a]) for a in range(grid.dim)]
-        settled = all(np.array_equal(p_new[a], p[a]) for a in range(grid.dim))
-        p = p_new
-        if settled:
-            break
-    return hamiltonian.value(p), p, backward
-
-
-def _face_gradients(grid: Grid, u: np.ndarray):
-    """Per axis, the gradient components on that axis' faces of the
-    slices u (..., N), shaped (..., *axis face shape): the normal one
-    from the face difference, the transverse one (2D) averaged from
-    nodal central differences."""
-    _, face_grad = _gradient_matrices(grid)
-    out = []
-    for axis, mats in enumerate(face_grad):
-        out.append([(g @ u.T).T.reshape(u.shape[:-1] + grid.face_shape(axis)) for g in mats])
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class _HamiltonianState:
     """The Hamiltonian data of value slices u (K, N), made once by
@@ -331,16 +288,33 @@ class _HamiltonianState:
 
 def _hamiltonian_state(grid: Grid, hamiltonian, u: np.ndarray) -> _HamiltonianState:
     """The _HamiltonianState of the value slices u (K, N): the one place
-    that evaluates the upwind H, the face gradients and the face drift."""
-    values, p, backward = _upwind_hamiltonian(grid, hamiltonian, u)
-    face_p = _face_gradients(grid, u)
+    that evaluates the upwind H, the face gradients and the face drift.
+
+    The upwind choice is made in one pass: along each axis a, a node
+    takes the backward difference where D_pH(x, q)_a > 0, q the vector
+    of the forward differences of u (Dirichlet closure), and the forward
+    difference q_a elsewhere; H and the slope D_pH are then evaluated
+    once at the selected gradient p. For both kinds D_pH(x, p)_a has the
+    sign of p_a where beta > 0 and is 0 where beta = 0, so the backward
+    difference is taken where q_a > 0 and beta > 0. At a local minimum
+    along a (forward difference > 0 >= backward difference) neither
+    difference has a D_pH of its own sign, and the rule takes the
+    backward one. D_pH is evaluated 2 + dim times: for the choice, for
+    the slope and for the drift on the faces of each axis.
+    """
+    one_sided, face_grad = _gradient_matrices(grid)
+    fwd = [(f @ u.T).T for _, f in one_sided]
+    backward = [v > 0 for v in hamiltonian.gradient(fwd)]
+    p = [np.where(bw, (b @ u.T).T, d) for (b, _), bw, d in zip(one_sided, backward, fwd)]
+    face_p = [[(g @ u.T).T.reshape(u.shape[:-1] + grid.face_shape(axis)) for g in mats]
+              for axis, mats in enumerate(face_grad)]
     face_weight = [hamiltonian.face_weight(grid, axis) for axis in range(grid.dim)]
     drift = tuple(hamiltonian.gradient(p_face, weight=beta)[axis]
                   for axis, (p_face, beta) in enumerate(zip(face_p, face_weight)))
     pattern = _drift_pattern(grid, len(u))
     drift_values = pattern.values(drift)
-    return _HamiltonianState(values, hamiltonian.gradient(p), backward, face_p, face_weight,
-                             drift, drift_values, pattern.matrix(drift_values))
+    return _HamiltonianState(hamiltonian.value(p), hamiltonian.gradient(p), backward, face_p,
+                             face_weight, drift, drift_values, pattern.matrix(drift_values))
 
 
 def _pair_stencil(a, b):
@@ -363,7 +337,7 @@ def _hamiltonian_positions(grid: Grid, k_steps: int):
     n_u = K N), and the stencils that _hamiltonian_values fills in:
 
     - value rows, u_k: D_pH(x, p) . D_sel, with p and the upwind
-      differences D_sel selected by _upwind_hamiltonian;
+      differences D_sel selected by _hamiltonian_state;
     - density rows, u_k: per face the slope of the upwind flux in b
       (m on the side the flux takes) times D_ppH times the stencils of
       the face gradient (the face difference, and in 2D the transverse
@@ -413,18 +387,18 @@ def _hamiltonian_values(grid: Grid, hamiltonian, state: _HamiltonianState, m: np
     return np.concatenate(vals + [state.drift_values], axis=None)
 
 
-def _candidate_grid(u, *data):
-    """The grid of a verifier's candidate u, after checking that every
-    item of data (the density, fields, trajectories, costs,
-    Hamiltonians; None skipped) lies on it and that every trajectory
-    among them has the time grid of u; raises ValueError otherwise."""
-    timegrid = getattr(u, "timegrid", None)
+def _candidate_grid(grid: Grid, timegrid: TimeGrid | None, *data):
+    """grid, after checking that every item of data (candidates,
+    densities, fields, trajectories, costs, Hamiltonians; None skipped)
+    lies on it and that every trajectory among them has the time grid
+    timegrid (None for the stationary system); raises ValueError
+    otherwise. The verifiers check their candidate (u, m) and data, the
+    stage solvers their data and warm start before any Newton step."""
     for item in data:
-        if item is not None and (item.grid != u.grid
+        if item is not None and (item.grid != grid
                                  or getattr(item, "timegrid", timegrid) != timegrid):
-            raise ValueError("the candidate (u, m) and the data must share one grid "
-                             "and time grid")
-    return u.grid
+            raise ValueError("(u, m) and the data must share one grid and time grid")
+    return grid
 
 
 def _residuals(grid: Grid, dt: float, lag: int, cost: CostOperator, hamiltonian, u_arr, m_arr,
@@ -558,7 +532,10 @@ def forward_backward_solve(
 
     The start is the density trajectory m_traj_init (default m0 in
     every slice) and w = 0; a warm start, the previous stage's solution,
-    replaces both by its m and w = u - psi(m). strict=False returns the
+    replaces both by its m and w = u - psi(m). The cost, the obstacle's
+    psi and g, the Hamiltonian and the warm start must lie on the grid
+    of m0, and trajectories on timegrid, or ValueError is raised before
+    any Newton step (_candidate_grid). strict=False returns the
     last iterate with converged=False instead of raising (used for
     warm-up continuation stages).
     """
@@ -567,7 +544,8 @@ def forward_backward_solve(
     if not cost.is_local:
         raise ValueError("time-dependent solvers require a local cost operator")
     cfg = config or CoupledConfig()
-    grid = m0.grid
+    grid = _candidate_grid(m0.grid, timegrid, cost, obstacle_op.psi, obstacle_op.g_cost,
+                           hamiltonian, getattr(warm, "u", None), getattr(warm, "m", None))
     if np.any(m0.values < -1e-12):
         raise ValueError("m0 must be nonnegative")
     steps = timegrid.n_steps

@@ -129,12 +129,6 @@ class Hamiltonian:
             self._face_weights[(grid, axis)] = weight
         return weight
 
-    def radial(self, beta_value: float, r: np.ndarray | float):
-        """H as a function of |p| at one point (both kinds are radial)."""
-        if self.kind == "smoothed_norm":
-            return beta_value * (np.sqrt(1.0 + np.square(r)) - 1.0)
-        return 0.5 * np.square(r)
-
 
 @dataclass(frozen=True)
 class ControlMixedReport:
@@ -206,7 +200,7 @@ def verify_cosmfg(
     cost, m0 and the Hamiltonian must share one grid, or ValueError is
     raised.
     """
-    grid = _candidate_grid(u, m, cost, m0, hamiltonian)
+    grid = _candidate_grid(u.grid, u.timegrid, m, cost, m0, hamiltonian)
     u_arr = u.array()
     m_arr = m.array()
     zero = np.zeros_like(u_arr)
@@ -228,7 +222,7 @@ def face_drift(hamiltonian: Hamiltonian, u: FieldTrajectory) -> tuple[FaceVeloci
     """The face drift D_pH(x, grad u_k) of the value slices u_0..u_{K-1}
     of u, one FaceVelocities per time step k: the drift of their one
     _hamiltonian_state, as the controlled solver and verifier make it."""
-    grid = _candidate_grid(u, hamiltonian)
+    grid = _candidate_grid(u.grid, u.timegrid, hamiltonian)
     steps = u.timegrid.n_steps
     drift = _hamiltonian_state(grid, hamiltonian, u.array()[:steps]).drift
     return tuple(FaceVelocities(grid, tuple(b[k] for b in drift)) for k in range(steps))
@@ -264,7 +258,7 @@ def fenchel_conjugate(hamiltonian: Hamiltonian, node: int, velocity) -> float:
         return np.inf
 
     def objective(r):
-        return speed * r - hamiltonian.radial(beta if beta is not None else 0.0, r)
+        return speed * r - hamiltonian.value([r], weight=beta)
 
     r_hi = 1.0
     for _ in range(80):

@@ -174,7 +174,7 @@ def verify_mixed_evolutive(
     cost, m0 and the obstacle's data must share one grid (and u, m and
     a fixed obstacle one time grid), or ValueError is raised.
     """
-    grid = _candidate_grid(u, m, cost, m0, obstacle_op.psi, obstacle_op.g_cost)
+    grid = _candidate_grid(u.grid, u.timegrid, m, cost, m0, obstacle_op.psi, obstacle_op.g_cost)
     u_arr = u.array()
     m_arr = m.array()
     psi_arr, g_arr = obstacle_op.apply_arrays(grid, u.timegrid, m_arr)

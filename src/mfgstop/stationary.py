@@ -137,13 +137,16 @@ def penalized_coupled_solve(
     unconstrained equation for f(m), both solved with the factor of A
     that the process keeps per grid (obstacle._base_factor at dt = 1). A
     warm start, the previous stage's solution, replaces both by its
-    (u, m). strict=False returns the last iterate with converged=False
-    instead of raising (used for warm-up continuation stages).
+    (u, m). The cost, m_init and the warm start must lie on the grid of
+    rho, or ValueError is raised before any Newton step (_candidate_grid).
+    strict=False returns the last iterate with converged=False instead
+    of raising (used for warm-up continuation stages).
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     cfg = config or CoupledConfig()
-    grid = rho.grid
+    grid = _candidate_grid(rho.grid, None, cost, m_init, getattr(warm, "u", None),
+                           getattr(warm, "m", None))
     if np.any(rho.values < -1e-12):
         raise ValueError("rho must be nonnegative")
     if warm is not None:
@@ -380,7 +383,7 @@ def verify_mixed(
     m, the cost, rho and psi must share one grid, or ValueError is
     raised. The contact threshold actually used is recorded.
     """
-    grid = _candidate_grid(u, m, cost, rho, psi)
+    grid = _candidate_grid(u.grid, None, m, cost, rho, psi)
     zero = np.zeros(grid.n_total)
     psi_vals = zero if psi is None else psi.values
     g = zero if psi is None else -(elliptic_matrix(grid) @ psi_vals)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mfgstop import _coupled
-from mfgstop._coupled import forward_backward_solve
+from mfgstop._coupled import _hamiltonian_state, forward_backward_solve
 from mfgstop.control import (
     Hamiltonian,
     control_objective,
@@ -18,6 +18,7 @@ from mfgstop.evolutive import ObstacleOperator, osmfg_continuation, verify_mixed
 from mfgstop.grid import (
     FieldTrajectory,
     ScalarField,
+    _gradient_matrices,
     build_grid,
     build_timegrid,
 )
@@ -176,7 +177,7 @@ def test_each_residual_evaluates_the_hamiltonian_once(setup, monkeypatch):
     # iterate; beyond the residuals, each stage evaluates them once, in
     # its verify_cosmfg
     grid, _, m0 = setup
-    counts = dict.fromkeys(("upwind", "residual", "jacobian"), 0)
+    counts = dict.fromkeys(("state", "residual", "jacobian"), 0)
 
     def counted(key, func):
         def call(*args, **kwargs):
@@ -190,15 +191,105 @@ def test_each_residual_evaluates_the_hamiltonian_once(setup, monkeypatch):
         residual, jacobian, solve, unstack = frozen_system(*args, **kwargs)
         return counted("residual", residual), counted("jacobian", jacobian), solve, unstack
 
-    monkeypatch.setattr(_coupled, "_upwind_hamiltonian",
-                        counted("upwind", _coupled._upwind_hamiltonian))
+    monkeypatch.setattr(_coupled, "_hamiltonian_state",
+                        counted("state", _coupled._hamiltonian_state))
     monkeypatch.setattr(_coupled, "_frozen_system", counted_system)
     cost = CostOperator.local_power(grid, 1.0, 1.0, ScalarField.constant(grid, -0.5))
     ham = Hamiltonian.smoothed_norm(ScalarField.constant(grid, 1.0))
     _, stages = cosmfg_coupled_solve(cost, ham, m0, build_timegrid(0.5, 4),
                                      default_eps_schedule(stages=3))
     assert len(stages) == 3 and counts["jacobian"] > len(stages)
-    assert counts["upwind"] == counts["residual"] + len(stages), counts
+    assert counts["state"] == counts["residual"] + len(stages), counts
+
+
+def four_pass_upwind(grid, ham, u):
+    # the reference: the upwind choice iterated from p = 0 to a fixed
+    # point, for at most four passes; returns the values, the selected
+    # gradient, the backward masks and the number of passes
+    one_sided, _ = _gradient_matrices(grid)
+    fwd = [(f @ u.T).T for _, f in one_sided]
+    bwd = [(b @ u.T).T for b, _ in one_sided]
+    p = [np.zeros(u.shape) for _ in range(grid.dim)]
+    for passes in range(1, 5):
+        backward = [v > 0 for v in ham.gradient(p)]
+        p_new = [np.where(bw, b, f) for bw, b, f in zip(backward, bwd, fwd)]
+        settled = all(np.array_equal(new, old) for new, old in zip(p_new, p))
+        p = p_new
+        if settled:
+            break
+    return ham.value(p), p, backward, passes
+
+
+def upwind_case(shape, kind, profile):
+    # K = 3 value slices: random ones (local minima along every axis, so
+    # the loop flips to its cap), a positive bump times the slice index
+    # (concave along each axis: no local minimum, the loop settles at
+    # its third pass) or zero (settled at the first); beta is zero at
+    # about a quarter of the nodes
+    dim = len(shape)
+    grid = build_grid(dim, [(0.0, 1.0)] * dim, list(shape))
+    rng = np.random.default_rng(29)
+    if kind == "smoothed_norm":
+        beta = rng.uniform(0.5, 1.5, grid.n_total) * (rng.random(grid.n_total) > 0.25)
+        assert np.any(beta == 0.0)
+        ham = Hamiltonian.smoothed_norm(ScalarField(grid, beta))
+    else:
+        ham = Hamiltonian.quadratic(grid, outside_assumptions=True)
+    if profile == "random":
+        u = rng.normal(size=(3, grid.n_total))
+    else:
+        bump = np.prod(np.sin(np.pi * grid.coordinates()), axis=1)
+        u = np.arange(1, 4)[:, None] * bump if profile == "bump" else np.zeros((3, grid.n_total))
+    return grid, ham, u
+
+
+UPWIND_CASES = [(shape, kind, profile) for shape in ((31,), (7, 7))
+                for kind in ("smoothed_norm", "quadratic") for profile in ("random", "bump", "zero")]
+
+
+@pytest.mark.parametrize("shape, kind, profile", UPWIND_CASES,
+                         ids=[f"{len(s)}d-{k}-{p}" for s, k, p in UPWIND_CASES])
+def test_one_pass_upwind_choice_equals_the_four_pass_loop(shape, kind, profile):
+    # the fourth pass of the loop returns its second, and an early stop
+    # returns the second pass's choice as well, so the one-pass choice
+    # gives the loop's backward masks, slope and values bitwise
+    grid, ham, u = upwind_case(shape, kind, profile)
+    values, p, backward, passes = four_pass_upwind(grid, ham, u)
+    assert passes == {"random": 4, "bump": 3, "zero": 1}[profile]
+    state = _hamiltonian_state(grid, ham, u)
+    assert state.values.tobytes() == values.tobytes()
+    for a in range(grid.dim):
+        assert np.array_equal(state.backward[a], backward[a])
+        assert state.slope[a].tobytes() == ham.gradient(p)[a].tobytes()
+    if profile != "random":
+        return
+    # at a local minimum along an axis neither difference has a slope
+    # of its own sign; the backward one is taken wherever beta > 0
+    positive = (np.ones(grid.n_total, dtype=bool) if ham.beta is None
+                else ham.beta.values > 0)
+    for a, (b_mat, f_mat) in enumerate(_gradient_matrices(grid)[0]):
+        minimum = ((f_mat @ u.T).T > 0) & ((b_mat @ u.T).T <= 0)
+        assert np.any(minimum & positive)
+        assert np.all(state.backward[a][minimum & positive])
+        assert not np.any(state.backward[a][:, ~positive])
+
+
+@pytest.mark.parametrize("shape", [(31,), (7, 7)], ids=["1d", "2d"])
+def test_a_hamiltonian_state_evaluates_d_ph_once_per_use(shape, monkeypatch):
+    # D_pH once for the upwind choice, once for the slope at the
+    # selected gradient and once for the drift on the faces of each
+    # axis: 3 calls per state in 1D
+    grid, ham, u = upwind_case(shape, "smoothed_norm", "random")
+    calls = []
+    gradient = Hamiltonian.gradient
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return gradient(self, *args, **kwargs)
+
+    monkeypatch.setattr(Hamiltonian, "gradient", counted)
+    _hamiltonian_state(grid, ham, u)
+    assert len(calls) == 2 + grid.dim
 
 
 @pytest.mark.parametrize("scale", [1.0, 1.0 - 1e-4, 1.0 + 1e-4])

@@ -4,7 +4,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from mfgstop import _coupled
-from mfgstop._coupled import _ramp
+from mfgstop._coupled import PenalizedTriple, _ramp, forward_backward_solve
+from mfgstop.control import Hamiltonian, cosmfg_coupled_solve
 from mfgstop.costs import CostOperator
 from mfgstop.density import solve_density_parabolic
 from mfgstop.evolutive import (
@@ -28,6 +29,7 @@ from mfgstop.stationary import (
     CoupledNonConvergence,
     continuation_solve,
     default_eps_schedule,
+    penalized_coupled_solve,
     penalty_continuation,
 )
 
@@ -321,3 +323,76 @@ def test_nonconvergence_reports_newton_norms(setup):
     assert not sol.converged
     assert sol.iterations == 1
     assert sol.residual_history == norms
+
+
+def stage_call(solver, moved):
+    # one call of a stage solver (or of a continuation through it) on a
+    # 1D grid and time grid, with the item named moved on a grid of the
+    # same node count on (0, 2), or with "psi-time" a fixed obstacle on
+    # a time grid of the same K on (0, 1): every array would fit
+    grid, tg = build_grid(1, (0.0, 1.0), 15), build_timegrid(0.5, 4)
+    other = build_grid(1, (0.0, 2.0), 15)
+    n, k_steps = grid.n_total, tg.n_steps
+
+    def on(name):
+        return other if name == moved else grid
+
+    cost = CostOperator.local_power(on("cost"), 1.0, 1.0, ScalarField.constant(on("cost"), -0.5))
+    if solver in ("penalized_coupled_solve", "continuation_solve"):
+        rho = ScalarField.constant(on("rho"), 1.0)
+        if solver == "continuation_solve":
+            return lambda: continuation_solve(cost, rho, default_eps_schedule(stages=2))
+        warm = None
+        if moved in ("warm.u", "warm.m"):
+            warm = PenalizedTriple(
+                u=ScalarField(on("warm.u"), np.full(n, -0.1)),
+                m=ScalarField(on("warm.m"), np.ones(n)), alpha=ScalarField.zeros(grid),
+                epsilon=0.1, iterations=1, residual_history=[0.0], delta_band=1e-3)
+        m_init = ScalarField.constant(on("m_init"), 1.0)
+        return lambda: penalized_coupled_solve(cost, rho, 0.1, m_init=m_init, warm=warm)
+    m0 = ScalarField(on("m0"), gaussian_density(grid).values)
+    psi_grid, psi_tg = on("psi"), build_timegrid(1.0, 4) if moved == "psi-time" else tg
+    op = ObstacleOperator.constant(FieldTrajectory(psi_grid, psi_tg, np.zeros((k_steps + 1, n))))
+    if moved == "g_cost":
+        op = ObstacleOperator.heat_source(
+            CostOperator.local_power(other, 0.5, 1.0, ScalarField.zeros(other)))
+    ham = Hamiltonian.smoothed_norm(ScalarField.constant(on("hamiltonian"), 1.0))
+    if solver == "osmfg_continuation":
+        return lambda: osmfg_continuation(cost, op, m0, tg, default_eps_schedule(stages=2))
+    if solver == "cosmfg_coupled_solve":
+        return lambda: cosmfg_coupled_solve(cost, ham, m0, tg, default_eps_schedule(stages=2))
+    warm = None
+    if moved in ("warm.u", "warm.m"):
+        warm = PenalizedTriple(
+            u=FieldTrajectory(on("warm.u"), tg, np.full((k_steps + 1, n), -0.1)),
+            m=FieldTrajectory(on("warm.m"), tg, np.ones((k_steps + 1, n))),
+            alpha=FieldTrajectory.constant(grid, tg, 0.0), epsilon=0.1, iterations=1,
+            residual_history=[0.0], delta_band=1e-3)
+    return lambda: forward_backward_solve(cost, m0, tg, 0.1, obstacle_op=op, warm=warm,
+                                          hamiltonian=ham if moved == "hamiltonian" else None)
+
+
+STAGE_CASES = (
+    [("penalized_coupled_solve", moved) for moved in ("cost", "rho", "m_init", "warm.u", "warm.m")]
+    + [("forward_backward_solve", moved) for moved in ("cost", "m0", "warm.u", "warm.m", "psi",
+                                                         "psi-time", "g_cost", "hamiltonian")]
+    + [("continuation_solve", "cost"), ("osmfg_continuation", "psi"),
+       ("osmfg_continuation", "psi-time"), ("cosmfg_coupled_solve", "hamiltonian")])
+
+
+@pytest.mark.parametrize("solver, moved", STAGE_CASES, ids=[f"{s}-{m}" for s, m in STAGE_CASES])
+def test_stage_solvers_reject_data_on_another_grid_before_newton(solver, moved, monkeypatch):
+    calls = []
+    newton = _coupled.semismooth_newton
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(_coupled, "semismooth_newton", counted)
+    stage_call(solver, None)()
+    assert calls
+    calls.clear()
+    with pytest.raises(ValueError, match="one grid and time grid"):
+        stage_call(solver, moved)()
+    assert calls == []

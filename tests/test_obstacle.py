@@ -7,10 +7,9 @@ from mfgstop import _coupled, obstacle
 from mfgstop._coupled import (
     _frozen_system,
     _hamiltonian_positions,
+    _hamiltonian_state,
     _jacobian_assembler,
-    _node_gradients,
     _ramp,
-    _upwind_hamiltonian,
     forward_backward_solve,
 )
 from mfgstop.control import Hamiltonian, face_drift
@@ -20,6 +19,7 @@ from mfgstop.evolutive import ObstacleOperator, osmfg_continuation
 from mfgstop.grid import (
     FieldTrajectory,
     ScalarField,
+    _gradient_matrices,
     build_grid,
     build_timegrid,
     elliptic_matrix,
@@ -463,11 +463,11 @@ def band_offsets(rng, shape, band):
 def hamiltonian_blocks_1d(g, ham, u_k, m_next):
     # derivatives of H(x, D_sel u_k) and of -div(m_{k+1} b(u_k)) in u_k,
     # written out per node and per face on a 1D grid: the upwind choice
-    # of _upwind_hamiltonian, and on face f between nodes L = f - 1 and
+    # of _hamiltonian_state, and on face f between nodes L = f - 1 and
     # R = f the flux F = b+ m_R + b- m_L with b = D_pH((u_R - u_L)/h)
     n, h = g.n_total, g.spacing[0]
-    _, p, backward = _upwind_hamiltonian(g, ham, u_k)
-    slope, bw = ham.gradient(p)[0], backward[0]
+    state = _hamiltonian_state(g, ham, u_k[None])
+    slope, bw = state.slope[0][0], state.backward[0][0]
     d_value = sp.diags([np.where(bw, -slope, 0.0)[1:] / h, np.where(bw, slope, -slope) / h,
                         np.where(bw, 0.0, slope)[:-1] / h], [-1, 0, 1])
     beta = ham.face_weight(g, 0)
@@ -516,7 +516,7 @@ def test_frozen_jacobian_matches_block_assembly(drift, heat):
     if drift:
         div_ops = [drift_divergence_matrix(g, d)
                    for d in face_drift(ham, FieldTrajectory(g, tg, u))]
-        h_vals = np.stack([_upwind_hamiltonian(g, ham, u[k])[0] for k in range(k_steps)])
+        h_vals = _hamiltonian_state(g, ham, u[:k_steps]).values
     residual, jacobian, _, unstack = _frozen_system(
         cost, g_cost, g_arr[:k_steps], ham, g, m[0], dt, eps, band, lag=1)
     x = np.concatenate([w[:k_steps].ravel(), m[1:].ravel()])
@@ -598,12 +598,12 @@ def test_hamiltonian_jacobian_matches_finite_differences(shape, kind):
     w = np.vstack([w, np.zeros((1, n))])
     m = rng.uniform(0.2, 1.0, size=(k_steps + 1, n))
     margin = 1e-3
-    _, p, backward = _upwind_hamiltonian(g, ham, w[:k_steps])
-    fwd, bwd = _node_gradients(g, w[:k_steps])
-    for a in range(dim):
-        # the selection is strict and settled on both candidates
-        assert np.all(np.abs(ham.gradient(p)[a]) > margin)
-        assert np.all(np.abs(fwd[a] - bwd[a]) > margin)
+    state = _hamiltonian_state(g, ham, w[:k_steps])
+    for a, (bwd, fwd) in enumerate(_gradient_matrices(g)[0]):
+        # the slope at the selected difference is off 0, and the two
+        # candidate differences are apart, both by more than the step
+        assert np.all(np.abs(state.slope[a]) > margin)
+        assert np.all(np.abs((fwd @ w[:k_steps].T) - (bwd @ w[:k_steps].T)) > margin)
     tg = build_timegrid(k_steps * dt, k_steps)
     assert all(np.all(np.abs(b) > margin)
                for d in face_drift(ham, FieldTrajectory(g, tg, w)) for b in d.components)

@@ -126,17 +126,25 @@ def test_newton_steps_are_taken_only_by_the_one_system_builder():
 
 
 # the Hamiltonian data of the controlled system: only the one state
-# builder evaluates the upwind H and the face gradients, and only the
-# drift pattern builder lays out the drift triplets, so the residual,
-# the Jacobian and the verifier read one source of H
-HAMILTONIAN_DATA = {"_upwind_hamiltonian", "_face_gradients", "_drift_triplets"}
+# builder applies the difference matrices to u, only the positions
+# builder lays out their stencils and only the drift pattern builder
+# lays out the drift triplets, so the residual, the Jacobian and the
+# verifier read one source of H
+HAMILTONIAN_DATA = {"_gradient_matrices", "_drift_triplets"}
 
 
 def test_hamiltonian_data_is_evaluated_only_by_the_state_and_pattern_builders():
     found = [(where, line) for module in MODULES
              for where, line in _references(_tree(module), module, HAMILTONIAN_DATA)]
     assert {where for where, _ in found} == {"_coupled._hamiltonian_state",
+                                             "_coupled._hamiltonian_positions",
                                              "density._drift_pattern"}, found
+
+
+def test_hamiltonian_state_selects_the_upwind_difference_without_a_loop():
+    state = _functions("_coupled")["_coupled._hamiltonian_state"]
+    assert not any(isinstance(node, (ast.For, ast.AsyncFor, ast.While))
+                   for node in ast.walk(state))
 
 
 # the verifiers and the one residual core behind them
