@@ -298,6 +298,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {err}")
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}:{err.lineno}:{err.colno}: invalid JSON: {err.msg}")
+    except RecursionError:
+        raise ConfigError(f"{path}: invalid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     try:
@@ -306,6 +308,8 @@ def load_config(path) -> RunConfig:
         # a value of the wrong JSON type, such as null for a number, an
         # integer too large for a float, or sizes too large to allocate
         raise ConfigError(f"{path}: {err}")
+    except RecursionError:
+        raise ConfigError(f"{path}: config nested too deeply") from None
 
 
 def _json_dump(obj, path):
@@ -441,12 +445,12 @@ def _run_band(u_path: str, cfg: RunConfig) -> float | None:
     the manifest.json beside it, if that manifest's config_sha256 is
     cfg's and its delta_c is finite and positive; None (the verifier's
     default) for anything else, a missing or unreadable manifest
-    included."""
+    included: one nested too deeply to parse as well."""
     path = os.path.join(os.path.dirname(os.path.abspath(u_path)), "manifest.json")
     try:
         with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
         return None
     if not isinstance(manifest, dict) or manifest.get("config_sha256") != cfg.sha256:
         return None
@@ -474,7 +478,7 @@ def cmd_verify(u_path: str, m_path: str, config_path: str) -> int:
             if u.timegrid != cfg.timegrid or m.timegrid != cfg.timegrid:
                 raise ValueError(f"trajectory time grid differs from the config's {cfg.timegrid}")
         report = verify_problem(cfg, u, m, delta_c)
-    except (OSError, ValueError, json.JSONDecodeError) as err:
+    except (OSError, ValueError, RecursionError) as err:
         print(f"cannot verify: {err}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     report_dict = report.to_dict()

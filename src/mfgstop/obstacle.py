@@ -14,7 +14,6 @@ The complementarity residual is reported in min form,
 from __future__ import annotations
 
 import functools
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,25 +77,6 @@ def complementarity_residual(matrix, u: np.ndarray, f: np.ndarray, psi: np.ndarr
     return float(np.max(np.abs(r))) if r.size else 0.0
 
 
-class _Pattern:
-    """A square sparsity pattern in canonical CSC form, the key of the
-    elimination-order cache: equal and hashed by a digest of its shape,
-    indptr and indices."""
-
-    def __init__(self, shape, indptr, indices):
-        self.shape, self.indptr, self.indices = shape, indptr, indices
-        self.digest = hashlib.blake2b(
-            np.asarray(shape, dtype=np.int64).tobytes()
-            + np.asarray(indptr, dtype=np.int64).tobytes()
-            + np.asarray(indices, dtype=np.int64).tobytes()).digest()
-
-    def __hash__(self):
-        return hash(self.digest)
-
-    def __eq__(self, other):
-        return isinstance(other, _Pattern) and self.digest == other.digest
-
-
 @dataclass(frozen=True, eq=False)
 class _EliminationOrder:
     """The fill-reducing order of a pattern: matrix[perm][:, perm] has
@@ -108,9 +88,8 @@ class _EliminationOrder:
     gather: np.ndarray
 
 
-@functools.lru_cache(maxsize=8)
-def _elimination_order(pattern: _Pattern) -> _EliminationOrder:
-    """MMD_AT_PLUS_A order of pattern, computed once per pattern.
+def _elimination_order(shape, indptr, indices) -> _EliminationOrder:
+    """MMD_AT_PLUS_A order of the square CSC pattern (indptr, indices).
 
     SuperLU orders a stand-in matrix: the pattern with unit entries and
     a dominant diagonal, so the order depends on the pattern alone and
@@ -118,14 +97,14 @@ def _elimination_order(pattern: _Pattern) -> _EliminationOrder:
     postorder the ordering, so factoring matrix[perm][:, perm] with the
     NATURAL order is this factorization of matrix up to round-off.
     """
-    n = pattern.shape[0]
-    entry_cols = np.repeat(np.arange(n), np.diff(pattern.indptr))
-    stand_in = sp.csc_matrix((np.where(pattern.indices == entry_cols, float(n), 1.0),
-                              pattern.indices, pattern.indptr), shape=pattern.shape)
+    n = shape[0]
+    entry_cols = np.repeat(np.arange(n), np.diff(indptr))
+    stand_in = sp.csc_matrix((np.where(indices == entry_cols, float(n), 1.0),
+                              indices, indptr), shape=shape)
     # perm_c[j] is the position that row and column j take
     perm_c = spla.splu(stand_in, permc_spec="MMD_AT_PLUS_A",
                        options={"SymmetricMode": True}).perm_c
-    rows, cols = perm_c[pattern.indices], perm_c[entry_cols]
+    rows, cols = perm_c[indices], perm_c[entry_cols]
     gather = np.lexsort((rows, cols))
     arrays = (np.argsort(perm_c),
               np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))]).astype(np.int32),
@@ -148,20 +127,21 @@ def _lu_factor(matrix):
     diagonal pivots preferred: the Newton Jacobians have a symmetric or
     nearly symmetric pattern, on which this ordering makes about half
     the fill of the default COLAMD. A matrix built by diagonal_update
-    names its registered pattern, whose elimination order is computed
-    once and cached; the matrix is factored symmetrically permuted into
-    that order, with the NATURAL column order, every time, so a solve
-    does not depend on whether the order was just computed or found in
-    the cache. Any other matrix is ordered afresh. Every call factors
-    anew: the one factor per base operator (B = -lap + I/dt per dt,
-    which is A = -lap + id at dt = 1) that the solves of a grid share is
-    kept by _base_factor, not here. An exactly singular matrix gives NaNs, so a
-    Newton solve ends in non-convergence rather than an exception.
+    carries its assembler's elimination_order, which computes the order
+    of the assembler's pattern at its first call and keeps it; the
+    matrix is factored symmetrically permuted into that order, with the
+    NATURAL column order, every time, so a solve does not depend on
+    whether the order was just computed or kept. Any other matrix is
+    ordered afresh. Every call factors anew: the one factor per base
+    operator (B = -lap + I/dt per dt, which is A = -lap + id at dt = 1)
+    that the solves of a grid share is kept by _base_factor, not here.
+    An exactly singular matrix gives NaNs, so a Newton solve ends in
+    non-convergence rather than an exception.
     """
-    pattern = getattr(matrix, "registered_pattern", None)
-    if pattern is None:
+    elimination_order = getattr(matrix, "elimination_order", None)
+    if elimination_order is None:
         return _splu_factor(sp.csc_matrix(matrix), "MMD_AT_PLUS_A")
-    order = _elimination_order(pattern)
+    order = elimination_order()
     permuted = sp.csc_matrix((matrix.data[order.gather], order.indices, order.indptr),
                              shape=matrix.shape)
     solve_permuted = _splu_factor(permuted, "NATURAL")
@@ -176,10 +156,11 @@ def _lu_factor(matrix):
 
 @functools.lru_cache(maxsize=8)
 def _shifted_operator(grid, dt):
-    """Assembler of B + diag(d) on B's registered pattern, for
-    B = -lap + I/dt, one implicit Euler step of the time-dependent
-    systems; dt = 1 gives A = -lap + id of the stationary ones, bitwise.
-    Built once per (grid, dt), like the matrix itself."""
+    """Assembler of B + diag(d) on B's pattern, for B = -lap + I/dt,
+    one implicit Euler step of the time-dependent systems; dt = 1 gives
+    A = -lap + id of the stationary ones, bitwise. Built once per
+    (grid, dt), like the matrix itself, so the elimination order of its
+    pattern is computed at most once per (grid, dt)."""
     eye_dt = sp.identity(grid.n_total, format="csr") / dt
     diag = np.arange(grid.n_total)
     return diagonal_update(elliptic_matrix(grid, with_zero_order=False) + eye_dt, diag, diag)
@@ -295,7 +276,7 @@ def semismooth_newton(residual, jacobian, x0, target, max_iter, full_steps=False
     primal-dual active-set view of Hintermueller-Ito-Kunisch), and
     solve(jacobian(x), -residual(x)) the Newton step. By default the
     Jacobian is a sparse matrix and solve is _lu_solve, which factors it
-    on the cached elimination order of its pattern for a matrix built by
+    on the elimination order its assembler keeps for a matrix built by
     diagonal_update; a solver-specific solve takes whatever form its
     jacobian returns (on grids of dim >= 2 the stationary coupled system
     solves its two diagonal blocks, and the time-dependent one without
@@ -352,9 +333,10 @@ def diagonal_update(static, rows, cols):
     static + sparse(vals at (rows, cols)) in canonical CSC form on one
     fixed pattern: every stored entry of static, every named position
     and the diagonal, zeros stored. Every call shares that pattern's
-    indptr and indices (read-only arrays) and names it as its
-    registered_pattern, so that _lu_factor factors the matrix on the
-    pattern's elimination order.
+    indptr and indices (read-only arrays) and carries the assembler's
+    elimination_order, which _lu_factor calls: it orders the pattern at
+    its first call and keeps the order, so the assembler orders once,
+    at the first factorization of one of its matrices, or never.
     """
     static = sp.coo_matrix(static)
     n = static.shape[0]
@@ -367,7 +349,8 @@ def diagonal_update(static, rows, cols):
     indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))]).astype(np.int32)
     indices = (keys % n).astype(np.int32)
     indptr.flags.writeable = indices.flags.writeable = False
-    pattern = _Pattern(static.shape, indptr, indices)
+    elimination_order = functools.cache(
+        lambda: _elimination_order(static.shape, indptr, indices))
     base = np.bincount(slots[:static.nnz], weights=static.data, minlength=nnz)
     value_slots = slots[static.nnz:static.nnz + len(rows)]
 
@@ -375,7 +358,7 @@ def diagonal_update(static, rows, cols):
         data = np.bincount(value_slots, weights=vals, minlength=nnz)
         data += base
         matrix = sp.csc_matrix((data, indices, indptr), shape=static.shape)
-        matrix.registered_pattern = pattern
+        matrix.elimination_order = elimination_order
         return matrix
 
     return assemble
@@ -430,7 +413,6 @@ def solve_obstacle_penalized(
     source: ScalarField,
     obstacle: ScalarField,
     epsilon: float,
-    config: ObstacleSolveConfig | None = None,
 ) -> ScalarField:
     """Solve the penalized problem A u + (u - psi)^+ / eps = f,
     A = -lap + id, by semismooth Newton from the solution without
@@ -441,14 +423,13 @@ def solve_obstacle_penalized(
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    config = config or ObstacleSolveConfig()
+    config = ObstacleSolveConfig()
     grid = source.grid
     if obstacle.grid != grid:
         raise ValueError("source and obstacle must share one grid")
     a = elliptic_matrix(grid)
     f, psi = source.values, obstacle.values
-    diag = np.arange(grid.n_total)
-    assemble = diagonal_update(a, diag, diag)
+    assemble = _shifted_operator(grid, 1.0)
     u, norms, it = semismooth_newton(
         lambda v: a @ v + np.maximum(v - psi, 0.0) / epsilon - f,
         lambda v: assemble((v > psi).astype(float) / epsilon),
@@ -463,7 +444,6 @@ def solve_obstacle_parabolic(
     obstacle: FieldTrajectory,
     terminal: ScalarField,
     timegrid: TimeGrid,
-    config: ObstacleSolveConfig | None = None,
 ) -> FieldTrajectory:
     """Backward implicit Euler for max(-du/dt - lap u - f, u - psi) = 0.
 
@@ -471,7 +451,6 @@ def solve_obstacle_parabolic(
     B = id/dt - lap and source u_{k+1}/dt + f_k. The terminal slice must
     equal psi at t = T.
     """
-    config = config or ObstacleSolveConfig()
     grid = source.grid
     if obstacle.grid != grid or terminal.grid != grid:
         raise ValueError("trajectories must share one grid")
@@ -486,5 +465,6 @@ def solve_obstacle_parabolic(
     u_arr[-1] = terminal.values
     for k in range(timegrid.n_steps - 1, -1, -1):
         rhs = u_arr[k + 1] / dt + source.array()[k]
-        u_arr[k] = _obstacle_newton(b, rhs, obstacle.array()[k], u_arr[k + 1], config)
+        u_arr[k] = _obstacle_newton(b, rhs, obstacle.array()[k], u_arr[k + 1],
+                                    ObstacleSolveConfig())
     return FieldTrajectory(grid, timegrid, u_arr)

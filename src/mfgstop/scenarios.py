@@ -403,14 +403,14 @@ def verify_problem(spec, u, m, delta_c: float | None = None):
 # Evidence runs of the registry scenarios (used by `mfgstop scenario`)
 
 
-def run_scenario_evidence(scenario: Scenario, config: CoupledConfig | None = None) -> dict:
+def run_scenario_evidence(scenario: Scenario) -> dict:
     """Solve a registry scenario by penalty continuation (solve_problem).
 
     Returns a dict with the final solution, the verifier report of the
     last stage, the stage list, the minimum density and the largest mass
     increase between time slices (0 for the stationary problem).
     """
-    sol, stages = solve_problem(scenario, config)
+    sol, stages = solve_problem(scenario)
     m_arr = np.atleast_2d(sol.m.values)
     masses = m_arr.sum(axis=1) * scenario.grid.cell_volume
     return {"name": scenario.name, "problem": scenario.problem,

@@ -6,16 +6,22 @@ import pytest
 from mfgstop import _coupled
 from mfgstop.control import cosmfg_coupled_solve
 from mfgstop.evolutive import osmfg_continuation
-from mfgstop.obstacle import _base_factor
+from mfgstop.obstacle import _base_factor, _shifted_operator, _space_time_operator
 from mfgstop.scenarios import scenario_standard
 from mfgstop.stationary import continuation_solve
 
 
+KEPT = (_base_factor, _shifted_operator, _space_time_operator, _coupled._jacobian_assembler)
+
+
 @pytest.fixture(autouse=True)
-def fresh_base_factors():
-    """Every test starts without kept factors of the base operators, so
-    that factor counts do not depend on the tests run before it."""
-    _base_factor.cache_clear()
+def fresh_factors_and_orders():
+    """Every test starts without kept factors of the base operators and
+    without kept assemblers, each of which keeps the elimination order
+    of its pattern, so that factor and ordering counts do not depend on
+    the tests run before it."""
+    for cache in KEPT:
+        cache.cache_clear()
 
 
 @pytest.fixture(scope="session")

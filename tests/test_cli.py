@@ -114,6 +114,39 @@ def test_malformed_json_rejected(tmp_path):
     assert main(["run", "--config", str(path)]) == 2
 
 
+# a JSON text nested deeper than Python's recursion limit
+DEEP = "[" * 3000 + "]" * 3000
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_deeply_nested_config_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    path = tmp_path / "deep.json"
+    path.write_text('{"problem": "sosmfg", "output_dir": %s, "x": %s}'
+                    % (json.dumps(str(out)), DEEP))
+    argv = (["run", "--config", str(path)] if command == "run" else
+            ["verify", "--u", str(tmp_path / "u.csv"), "--m", str(tmp_path / "m.csv"),
+             "--config", str(path)])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "nested too deeply" in err
+    assert err.count("\n") == 1 and not out.exists()
+
+
+def test_config_too_deep_to_check_exits_2(tmp_path, monkeypatch, capsys):
+    # a parser whose nesting limit exceeds the recursion limit hands the
+    # config check a structure deeper than it can walk
+    nested = []
+    for _ in range(100_000):
+        nested = [nested]
+    cfg = write_config(tmp_path)
+    monkeypatch.setattr(cli.json, "loads", lambda text: {**BASE_CONFIG, "x": nested})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "nested too deeply" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_acceptance_thresholds_rejected(tmp_path):
     cfg = write_config(tmp_path, {"tolerances": {"outer": 1e-9, "pde": 1e-8}})
     assert main(["run", "--config", str(cfg)]) == 2
@@ -134,6 +167,28 @@ def test_verify_round_trip_and_corruption(tmp_path):
     bad.write_text("\n".join(lines) + "\n")
     assert main(["verify", "--u", str(out / "u.csv"), "--m", str(bad),
                  "--config", str(cfg)]) == 1
+
+
+def test_verify_rejects_an_invalid_config(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"output_dir": str(out)})
+    assert main(["run", "--config", str(cfg)]) == 0
+    bad = write_config(tmp_path, {"tolerances": tolerances(r_dualty=1e-6)}, name="bad.json")
+    capsys.readouterr()
+    assert main(["verify", "--u", str(out / "u.csv"), "--m", str(out / "m.csv"),
+                 "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "r_dualty" in err
+
+
+def test_run_failing_its_acceptance_exits_1_after_writing_its_artifacts(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"tolerances": tolerances(r_duality=1e-30),
+                                  "output_dir": str(out)})
+    assert main(["run", "--config", str(cfg)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("acceptance failed: r_duality = ") and line.endswith("> 1.000e-30")
+    assert (out / "report.json").exists() and (out / "convergence.csv").exists()
 
 
 def test_verify_empty_file_rejected(tmp_path):
@@ -256,6 +311,16 @@ def test_verify_rejects_bad_trajectory_manifest(tmp_path, edit):
                  "--config", str(cfg)]) == 2
 
 
+def test_verify_rejects_a_trajectory_manifest_nested_too_deeply(tmp_path, capsys):
+    out = tmp_path / "osm"
+    cfg = write_config(tmp_path, {**OSMFG_RUN, "output_dir": str(out)})
+    assert main(["run", "--config", str(cfg)]) == 0
+    (out / "u_manifest.json").write_text(DEEP)
+    assert main(["verify", "--u", str(out / "u_manifest.json"),
+                 "--m", str(out / "m_manifest.json"), "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("cannot verify:")
+
+
 def test_verify_rejects_malformed_field_file(tmp_path, capsys, bad_field_edit):
     cfg = write_config(tmp_path, {"grid": {"dim": 1, "bounds": [[0.0, 1.0]], "n_interior": [5]}})
     grid = cli.load_config(str(cfg)).grid
@@ -302,6 +367,44 @@ COSMFG_RUN = {
 }
 
 
+def constant(value):
+    return {"kind": "constant", "value": value}
+
+
+def run_artifacts(tmp_path, name, overrides):
+    """The bytes of every artifact but manifest.json, which names the
+    config's hash, of a run of BASE_CONFIG with overrides."""
+    out = tmp_path / name
+    cfg = write_config(tmp_path, {**overrides, "output_dir": str(out)}, name=f"{name}.json")
+    assert main(["run", "--config", str(cfg)]) == 0
+    return {path.name: path.read_bytes() for path in out.iterdir() if path.name != "manifest.json"}
+
+
+@pytest.mark.parametrize("overrides, equivalent", [
+    ({**OSMFG_RUN, "obstacle": {"kind": "constant_field", "psi": constant(0.0)}}, OSMFG_RUN),
+    ({"cost": {"kind": "local_affine_shifted", "base": constant(-0.5), "m_ref": constant(0.0)}},
+     {}),
+], ids=["constant_field-zero", "local_affine_shifted"])
+def test_config_kinds_run_as_their_equivalents(tmp_path, overrides, equivalent):
+    # a zero constant_field obstacle is the zero obstacle, and an affine
+    # cost shifted by m_ref = 0 the local power cost m - 0.5 at p = 1
+    artifacts = run_artifacts(tmp_path, "kind", overrides)
+    assert "report.json" in artifacts
+    assert artifacts == run_artifacts(tmp_path, "equivalent", equivalent)
+
+
+@pytest.mark.parametrize("overrides", [
+    {**OSMFG_RUN, "obstacle": {"kind": "constant_field", "psi": constant(-0.01)}},
+    {**COSMFG_RUN, "hamiltonian": {"kind": "quadratic", "outside_assumptions": True}},
+], ids=["constant_field", "quadratic-hamiltonian"])
+def test_config_kinds_run_and_verify(tmp_path, overrides):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {**overrides, "output_dir": str(out)})
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert main(["verify", "--u", str(out / "u_manifest.json"),
+                 "--m", str(out / "m_manifest.json"), "--config", str(cfg)]) == 0
+
+
 # mfgstop verify classifies contact with the band the run used, the
 # delta_c of the manifest.json it wrote, so every residual of the
 # verify output equals report.json's
@@ -330,9 +433,10 @@ def test_verify_reproduces_report(tmp_path, capsys, overrides):
     lambda manifest: {**manifest, "delta_c": float("nan")},
     lambda manifest: {**manifest, "delta_c": 10**400},
     lambda manifest: [manifest],
+    lambda manifest: DEEP,
     None,
 ], ids=["other_config", "negative", "null", "bool", "nan", "huge_int", "not_an_object",
-        "missing"])
+        "nested_too_deeply", "missing"])
 def test_verify_takes_the_default_threshold_without_a_matching_manifest(tmp_path, capsys,
                                                                        edit):
     out = tmp_path / "out"
@@ -342,7 +446,8 @@ def test_verify_takes_the_default_threshold_without_a_matching_manifest(tmp_path
     if edit is None:
         manifest_path.unlink()
     else:
-        manifest_path.write_text(json.dumps(edit(json.loads(manifest_path.read_text()))))
+        edited = edit(json.loads(manifest_path.read_text()))
+        manifest_path.write_text(edited if isinstance(edited, str) else json.dumps(edited))
     argv = ["verify", "--u", str(out / "u_manifest.json"), "--m", str(out / "m_manifest.json"),
             "--config", str(cfg)]
     assert main(argv) == 0
@@ -385,14 +490,14 @@ def test_run_is_bitwise_deterministic(tmp_path, overrides):
 def test_run_is_bitwise_deterministic_with_kept_factors(tmp_path, overrides):
     # the process keeps one factor per base operator: a second run in
     # the process finds those of the first, a third runs after every
-    # cache of factors and orders is cleared, and all three write the
-    # same bytes
+    # kept factor and assembler, and with them every kept elimination
+    # order, is cleared, and all three write the same bytes
     cfg = write_config(tmp_path, overrides)
     infos = []
     for name in ("a", "b", "c"):
         if name == "c":
             for cache in (obstacle._base_factor, obstacle._shifted_operator,
-                          obstacle._space_time_operator, obstacle._elimination_order):
+                          obstacle._space_time_operator, _coupled._jacobian_assembler):
                 cache.cache_clear()
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
         infos.append(obstacle._base_factor.cache_info())
@@ -508,6 +613,13 @@ NAN, INF = float("nan"), float("inf")
     ({"cost": {**BASE_CONFIG["cost"], "f0": {"kind": "constant", "value": -INF}}}, "cost.f0"),
     ({**OSMFG, "m0": {"kind": "values", "values": [0.1] * 30 + [NAN]}}, "m0"),
     ({"grid": {"dim": 1, "bounds": [[0.0, NAN]], "n_interior": [31]}}, "grid.bounds"),
+    ({"problem": "mfg"}, "problem must be one of"),
+    ({"rho": 1.0}, "rho: field spec must be an object"),
+    ({"rho": {"kind": "bump"}}, "unknown field kind 'bump'"),
+    ({**OSMFG, "obstacle": {"kind": "wall"}}, "unknown obstacle kind 'wall'"),
+    ({**COSMFG, "hamiltonian": {"kind": "cubic"}}, "unknown hamiltonian kind 'cubic'"),
+    ({"tolerances": tolerances()}, "tolerances.acceptance must map"),
+    ({"tolerances": tolerances(r_duality=0.0)}, "tolerances.acceptance['r_duality'] must be"),
 ], ids=["acceptance-typo", "acceptance-not-in-report", "acceptance-null",
         "nonlocal-osmfg", "nonlocal-cosmfg", "empty-schedule", "flat-schedule",
         "increasing-schedule", "zero-factor-schedule", "negative-rho", "negative-m0",
@@ -515,12 +627,23 @@ NAN, INF = float("nan"), float("inf")
         "variational-on-nonlocal-cost",
         "nan-horizon", "inf-horizon", "inf-n_steps", "huge-horizon", "nan-eps-entry",
         "inf-eps-start", "nan-pde-tol", "inf-outer-tol", "inf-acceptance", "nan-cost-a",
-        "inf-cost-f0", "nan-m0-value", "nan-grid-bound"])
+        "inf-cost-f0", "nan-m0-value", "nan-grid-bound", "unknown-problem",
+        "field-spec-not-an-object", "unknown-field-kind", "unknown-obstacle-kind",
+        "unknown-hamiltonian-kind", "empty-acceptance", "zero-threshold"])
 def test_invalid_input_rejected_before_solving(tmp_path, capsys, overrides, reason):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, {**overrides, "output_dir": str(out)})
     assert main(["run", "--config", str(cfg)]) == 2
     assert reason in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_that_is_not_an_object_rejected(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([{**BASE_CONFIG, "output_dir": str(out)}]))
+    assert main(["run", "--config", str(path)]) == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -647,7 +770,7 @@ def test_obstacle_nonconvergence_exits_3(tmp_path, monkeypatch, command):
 
 
 def test_singular_registered_jacobian_exits_3(tmp_path, monkeypatch):
-    # every space-time Jacobian is exactly singular, on its registered
+    # every space-time Jacobian is exactly singular, on its assembler's
     # pattern: the factorization on the pattern's order gives NaN, each
     # stage's Newton ends short of its target, and the strict last stage
     # fails the run. The assemblers kept per structure are swapped for a

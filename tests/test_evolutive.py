@@ -22,7 +22,6 @@ from mfgstop.grid import (
     build_timegrid,
     elliptic_matrix,
 )
-from mfgstop.obstacle import _elimination_order
 from mfgstop.scenarios import gaussian_density, scenario_standard
 from mfgstop.stationary import (
     CoupledConfig,
@@ -80,9 +79,8 @@ def test_heat_obstacle_factors_b_once_per_grid_and_dt(monkeypatch):
     # on a 2D grid the K backward heat steps solve with the factor of
     # B = A0 + I/dt kept per (grid, dt): the first call factors B once
     # (after ordering the stand-in of its pattern), a repeat call not at
-    # all, and another dt on the same grid once more, on the cached
-    # order; each step is solved to round-off
-    _elimination_order.cache_clear()
+    # all, and another dt on the same grid once more, after ordering the
+    # pattern of its own B; each step is solved to round-off
     grid = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (9, 9))
     n = grid.n_total
     op = ObstacleOperator.heat_source(
@@ -96,7 +94,7 @@ def test_heat_obstacle_factors_b_once_per_grid_and_dt(monkeypatch):
     monkeypatch.setattr(spla, "splu", recording_splu)
     for tg, factored in ((build_timegrid(1.0, 5), ["MMD_AT_PLUS_A", "NATURAL"]),
                          (build_timegrid(1.0, 5), []),
-                         (build_timegrid(1.0, 4), ["NATURAL"])):
+                         (build_timegrid(1.0, 4), ["MMD_AT_PLUS_A", "NATURAL"])):
         steps = tg.n_steps
         m = np.random.default_rng(2).uniform(0.0, 2.0, size=(steps + 1, n))
         del specs[:]

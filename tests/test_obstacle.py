@@ -28,7 +28,6 @@ from mfgstop.obstacle import (
     ObstacleConvergenceError,
     ObstacleSolveConfig,
     _base_factor,
-    _elimination_order,
     _lu_solve,
     _shifted_operator,
     _space_time_operator,
@@ -186,7 +185,7 @@ def test_singular_jacobian_ends_newton_without_raising():
 
 
 def test_singular_registered_jacobian_gives_nan():
-    # the factorization on a registered pattern's order keeps the NaN
+    # the factorization on an assembler's kept order keeps the NaN
     # contract: an exactly singular Jacobian ends the Newton short of target
     mat = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 3.0]]))
     assemble = diagonal_update(mat, [1], [1])
@@ -199,15 +198,16 @@ def test_singular_registered_jacobian_gives_nan():
 
 
 def test_singular_matrix_in_2d_obstacle_raises_convergence_error(monkeypatch):
-    # the solve takes a singular matrix for A; its start, A^-1 f from the
-    # kept factor of the true A (with_zero_order=False builds it), lies
-    # below the obstacle for f < 0, so the first Jacobian is the
-    # singular matrix itself
+    # the solve takes a singular matrix for A, in its residual and in its
+    # Jacobian assembler; its start, A^-1 f from the factor of the true A
+    # kept before the swap, lies below the obstacle for f < 0, so the
+    # first Jacobian is the singular matrix itself
     g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (3, 3))
     singular = sp.csr_matrix(np.ones((9, 9)))
-    elliptic = obstacle.elliptic_matrix
-    monkeypatch.setattr(obstacle, "elliptic_matrix", lambda grid, with_zero_order=True: (
-        singular if with_zero_order else elliptic(grid, with_zero_order)))
+    _base_factor(g, 1.0)
+    monkeypatch.setattr(obstacle, "elliptic_matrix", lambda grid: singular)
+    monkeypatch.setattr(obstacle, "_shifted_operator", lambda grid, dt: diagonal_update(
+        singular, np.arange(9), np.arange(9)))
     with pytest.raises(ObstacleConvergenceError, match="residual nan"):
         solve_obstacle_penalized(ScalarField.constant(g, -1.0), ScalarField.zeros(g), 1e-3)
 
@@ -238,7 +238,6 @@ def test_every_factorization_uses_the_symmetric_ordering(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", recording_splu)
     monkeypatch.setattr(spla, "spsolve", no_spsolve)
-    _elimination_order.cache_clear()
     g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (9, 9))
     cost = CostOperator.local_power(g, 1.0, 1.0, ScalarField.constant(g, -0.5))
     rng = np.random.default_rng(3)
@@ -260,17 +259,17 @@ def test_every_factorization_uses_the_symmetric_ordering(monkeypatch):
     assert {spec for spec, _ in calls} == {"MMD_AT_PLUS_A", "NATURAL"}
     ordered = {key for spec, key in calls if spec == "MMD_AT_PLUS_A"}
     assert all(key in ordered for spec, key in calls if spec == "NATURAL")
-    # one MMD ordering per distinct registered pattern: one in the 2D
-    # continuation (A + diag: the cold start and the two diagonal blocks
-    # of every Newton step, over all stages), none in the
-    # forward-backward solve, whose slice blocks B + diag have A's
-    # pattern and find its order cached; the starts of the last two
-    # solves take A's kept factor, and their active-set Jacobians are
-    # not registered, each ordered afresh
+    # one MMD ordering per assembler factored: one in the 2D
+    # continuation (A + diag, kept per grid: the cold start and the two
+    # diagonal blocks of every Newton step, over all stages), one in the
+    # forward-backward solve (B + diag, kept per (grid, dt): its slice
+    # blocks, on A's pattern and so in A's order); the starts of the
+    # last two solves take A's kept factor, and their active-set
+    # Jacobians are built by no diagonal_update, each ordered afresh
     natural = [{key for spec, key in calls[a:b] if spec == "NATURAL"}
                for a, b in zip(counts, counts[1:])]
     assert [len(keys) for keys in natural] == [1, 1, 0, 0] and natural[0] == natural[1]
-    for a, b, orderings in zip(counts, counts[1:], [1, 0, None, None]):
+    for a, b, orderings in zip(counts, counts[1:], [1, 1, None, None]):
         specs = [spec for spec, _ in calls[a:b]]
         assert specs.count("MMD_AT_PLUS_A") == (b - a if orderings is None else orderings)
 
@@ -279,10 +278,23 @@ def solution_arrays(sol):
     return [f.values if isinstance(f, ScalarField) else f.array() for f in (sol.u, sol.m)]
 
 
+def recorded_orderings(monkeypatch):
+    """The permc_spec of every SuperLU call from now on, in call order."""
+    specs, splu = [], spla.splu
+
+    def recording_splu(matrix, permc_spec=None, **kwargs):
+        specs.append(permc_spec)
+        return splu(matrix, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    return specs
+
+
 @pytest.mark.parametrize("problem", ["sosmfg", "osmfg"])
-def test_cold_and_warm_order_cache_give_bitwise_identical_runs(problem):
-    # a registered matrix is factored on its pattern's order whether the
-    # order was just computed or found in the cache
+def test_cold_and_warm_order_cache_give_bitwise_identical_runs(monkeypatch, problem):
+    # a matrix of a diagonal_update assembler is factored on its
+    # pattern's order whether the assembler just computed the order or
+    # kept it from an earlier run
     g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (9, 9))
     cost = CostOperator.local_power(g, 1.0, 1.0, ScalarField.constant(g, -0.5))
     schedule = [1e-1, 1e-2, 1e-3]
@@ -295,41 +307,45 @@ def test_cold_and_warm_order_cache_give_bitwise_identical_runs(problem):
         def run():
             return osmfg_continuation(cost, ObstacleOperator.zero(g, tg),
                                       gaussian_density(g, sigma=0.15), tg, schedule)[0]
-    _elimination_order.cache_clear()
+    # the autouse fixture of conftest starts the test without kept
+    # assemblers, so the first run is cold
+    specs = recorded_orderings(monkeypatch)
     cold = solution_arrays(run())
-    misses = _elimination_order.cache_info().misses
+    cold_orderings = specs.count("MMD_AT_PLUS_A")
+    del specs[:]
     warm = solution_arrays(run())
-    info = _elimination_order.cache_info()
-    assert misses >= 1 and info.misses == misses and info.hits >= misses
+    assert cold_orderings >= 1 and specs.count("MMD_AT_PLUS_A") == 0
     for a, b in zip(cold, warm):
         assert a.tobytes() == b.tobytes()
 
 
-def test_order_cache_stays_bounded():
-    # more registered patterns than the cache holds, solved in turn
-    # twice: the cache keeps the most recent orders, and a pattern whose
-    # order was evicted is ordered again, to the same solution bits
-    _elimination_order.cache_clear()
-    limit = _elimination_order.cache_info().maxsize
-    sizes = range(3, 3 + limit + 3)
+def test_an_assembler_orders_its_pattern_once_at_its_first_factorization(monkeypatch):
+    # an assembler computes its pattern's elimination order lazily, at
+    # the first factorization of one of its matrices, and keeps it; two
+    # assemblers of one static matrix order one pattern each, to the
+    # same order and so to the same solution bits
+    n = 12
+    static = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(n, n))
+    rhs = np.arange(1.0, n + 1.0)
+    specs = recorded_orderings(monkeypatch)
+    diagonal_update(static, np.arange(n), np.arange(n))(np.ones(n))
+    assert specs == []
     solutions = []
     for _ in range(2):
-        for n in sizes:
-            assemble = diagonal_update(sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(n, n)),
-                                       np.arange(n), np.arange(n))
-            mat, rhs = assemble(np.linspace(0.0, 1.0, n)), np.arange(1.0, n + 1.0)
+        assemble = diagonal_update(static, np.arange(n), np.arange(n))
+        for vals in (np.linspace(0.0, 1.0, n), np.linspace(1.0, 2.0, n), np.zeros(n)):
+            mat = assemble(vals)
             solutions.append(_lu_solve(mat, rhs))
             assert np.allclose(mat @ solutions[-1], rhs, rtol=1e-14, atol=0.0)
-            assert _elimination_order.cache_info().currsize <= limit
-    info = _elimination_order.cache_info()
-    assert info.currsize == limit and info.misses == 2 * len(sizes) and info.hits == 0
-    for a, b in zip(solutions, solutions[len(sizes):]):
+        assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 3
+        del specs[:]
+    for a, b in zip(solutions, solutions[3:]):
         assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("problem", ["osmfg_15x15_k3", "sosmfg_31x31"])
 def test_registered_orders_fill_like_a_fresh_ordering(monkeypatch, problem):
-    # every factorization on a registered pattern's order (NATURAL
+    # every factorization on an assembler's kept order (NATURAL
     # column order on the permuted matrix) against a fresh
     # MMD_AT_PLUS_A factorization of the same matrix with its zeros
     # dropped: over the run the fill is at most 5% more. One step may
@@ -361,7 +377,7 @@ def test_registered_orders_fill_like_a_fresh_ordering(monkeypatch, problem):
         monkeypatch.setattr(_coupled, "_schur_step", lambda *args: args[-1]())
         osmfg_continuation(cost, ObstacleOperator.zero(g, tg), gaussian_density(g), tg)
     else:
-        # at f0 = -0.005 the continuation factors 10 times on registered
+        # at f0 = -0.005 the continuation factors 10 times on kept
         # orders, at -0.5 only 8 times
         g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (31, 31))
         cost = CostOperator.local_power(g, 1.0, 1.0, ScalarField.constant(g, -0.005))

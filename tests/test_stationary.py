@@ -7,7 +7,6 @@ from mfgstop.grid import ScalarField, build_grid, coarsen, elliptic_matrix, inne
 from mfgstop import _coupled
 from mfgstop.obstacle import (
     _base_factor,
-    _elimination_order,
     _shifted_operator,
     solve_obstacle_stationary,
 )
@@ -318,7 +317,7 @@ def test_2d_continuation_without_penalty_factors_a_once(monkeypatch):
     g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (9, 9))
     cost = CostOperator.local_power(g, 1.0, 1.0, ScalarField.constant(g, -0.5))
     a = _shifted_operator(g, 1.0)(np.zeros(g.n_total))
-    a_permuted = a.data[_elimination_order(a.registered_pattern).gather]
+    a_permuted = a.data[a.elimination_order().gather]
     factored, steps, factors = [], [], []
     splu, schur, shifted_factor = spla.splu, _coupled._schur_step, _coupled._shifted_factor
 
@@ -433,19 +432,27 @@ def test_nested_continuation_raises_at_the_fine_stage_only():
     assert err.value.stage == 7
 
 
-def test_nested_solve_finds_its_factors_and_orders_kept():
+def test_nested_solve_finds_its_factors_and_orders_kept(monkeypatch):
     # the 63x63 continuation and the 1D scenarios of the stationary
     # benchmark workload, twice in one process: the second pass makes no
     # new elimination order and no new base factor, so the three grid
-    # levels and the 1D grids do not evict each other from the caches
+    # levels and the 1D grids do not evict each other's assemblers or
+    # factors from the caches
     g = grid_2d(63)
     cost, rho = local_cost(g, -0.5), raised_cosine_bump(g)
-    caches = (_elimination_order, _base_factor)
-    misses = []
+    orderings, splu = [], spla.splu
+
+    def recording_splu(matrix, permc_spec=None, **kwargs):
+        orderings.append(permc_spec == "MMD_AT_PLUS_A")
+        return splu(matrix, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    counts = []
     for _ in range(2):
+        del orderings[:]
         continuation_solve(cost, rho)
         for name in ("monotone_1d", "anti_monotone_1d"):
             run_scenario_evidence(scenario_standard(name))
         scenario_nonexistence()
-        misses.append([cache.cache_info().misses for cache in caches])
-    assert misses[1] == misses[0]
+        counts.append((sum(orderings), _base_factor.cache_info().misses))
+    assert counts[0][0] >= 1 and counts[1] == (0, counts[0][1])
