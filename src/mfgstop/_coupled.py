@@ -57,9 +57,9 @@ assembler of the Jacobian is kept per structure (_jacobian_assembler).
 As _frozen_system is the one builder of the Newton systems,
 _residuals is the one residual core of their verifiers: the stationary
 verify_mixed is its one-slice call, verify_mixed_evolutive and
-verify_cosmfg its K-slice calls, each after the one grid check
-_candidate_grid, which also checks the data and warm start of every
-stage solver before its first Newton step.
+verify_cosmfg its K-slice calls, each after the package's one grid
+check, grid._on_grid, which also checks the data and warm start of
+every stage solver before its first Newton step.
 """
 
 from __future__ import annotations
@@ -81,6 +81,7 @@ from .grid import (
     TimeGrid,
     _face_nodes,
     _gradient_matrices,
+    _on_grid,
     default_contact_threshold,
     elliptic_matrix,
 )
@@ -387,20 +388,6 @@ def _hamiltonian_values(grid: Grid, hamiltonian, state: _HamiltonianState, m: np
     return np.concatenate(vals + [state.drift_values], axis=None)
 
 
-def _candidate_grid(grid: Grid, timegrid: TimeGrid | None, *data):
-    """grid, after checking that every item of data (candidates,
-    densities, fields, trajectories, costs, Hamiltonians; None skipped)
-    lies on it and that every trajectory among them has the time grid
-    timegrid (None for the stationary system); raises ValueError
-    otherwise. The verifiers check their candidate (u, m) and data, the
-    stage solvers their data and warm start before any Newton step."""
-    for item in data:
-        if item is not None and (item.grid != grid
-                                 or getattr(item, "timegrid", timegrid) != timegrid):
-            raise ValueError("(u, m) and the data must share one grid and time grid")
-    return grid
-
-
 def _residuals(grid: Grid, dt: float, lag: int, cost: CostOperator, hamiltonian, u_arr, m_arr,
                psi_arr, g_arr, delta_c: float | None) -> dict:
     """The residual core of every verifier, on whole (K, N) arrays: the
@@ -535,7 +522,7 @@ def forward_backward_solve(
     replaces both by its m and w = u - psi(m). The cost, the obstacle's
     psi and g, the Hamiltonian and the warm start must lie on the grid
     of m0, and trajectories on timegrid, or ValueError is raised before
-    any Newton step (_candidate_grid). strict=False returns the
+    any Newton step (grid._on_grid). strict=False returns the
     last iterate with converged=False instead of raising (used for
     warm-up continuation stages).
     """
@@ -544,8 +531,8 @@ def forward_backward_solve(
     if not cost.is_local:
         raise ValueError("time-dependent solvers require a local cost operator")
     cfg = config or CoupledConfig()
-    grid = _candidate_grid(m0.grid, timegrid, cost, obstacle_op.psi, obstacle_op.g_cost,
-                           hamiltonian, getattr(warm, "u", None), getattr(warm, "m", None))
+    grid = _on_grid(m0.grid, timegrid, cost, obstacle_op.psi, obstacle_op.g_cost, hamiltonian,
+                    getattr(warm, "u", None), getattr(warm, "m", None))
     if np.any(m0.values < -1e-12):
         raise ValueError("m0 must be nonnegative")
     steps = timegrid.n_steps

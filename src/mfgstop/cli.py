@@ -31,6 +31,7 @@ from .evolutive import EvolutiveMixedReport, ObstacleOperator
 from .grid import (
     FieldTrajectory,
     ScalarField,
+    _on_grid,
     build_grid,
     build_timegrid,
     read_field_csv,
@@ -475,8 +476,7 @@ def cmd_verify(u_path: str, m_path: str, config_path: str) -> int:
         else:
             u = read_trajectory_csv(cfg.grid, u_path)
             m = read_trajectory_csv(cfg.grid, m_path)
-            if u.timegrid != cfg.timegrid or m.timegrid != cfg.timegrid:
-                raise ValueError(f"trajectory time grid differs from the config's {cfg.timegrid}")
+            _on_grid(cfg.grid, cfg.timegrid, u, m)
         report = verify_problem(cfg, u, m, delta_c)
     except (OSError, ValueError, RecursionError) as err:
         print(f"cannot verify: {err}", file=sys.stderr)

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._coupled import _candidate_grid, _hamiltonian_state, _residuals, forward_backward_solve
+from ._coupled import _hamiltonian_state, _residuals, forward_backward_solve
 from .costs import CostOperator, PotentialOperator
 from .density import FaceVelocities, drift_divergence_matrix
 from .evolutive import ObstacleOperator
@@ -28,6 +28,7 @@ from .grid import (
     ScalarField,
     TimeGrid,
     _face_nodes,
+    _on_grid,
     elliptic_matrix,
 )
 from .stationary import CoupledConfig, penalty_continuation
@@ -62,9 +63,10 @@ class Hamiltonian:
     def __post_init__(self):
         if self.kind not in ("smoothed_norm", "quadratic"):
             raise ValueError(f"unknown Hamiltonian kind {self.kind!r}")
+        _on_grid(self.grid, None, self.beta)
         if self.kind == "smoothed_norm":
-            if self.beta is None or self.beta.grid != self.grid:
-                raise ValueError("smoothed_norm needs a beta field on the grid")
+            if self.beta is None:
+                raise ValueError("smoothed_norm needs a beta field")
             if np.any(self.beta.values < 0):
                 raise ValueError("beta must be nonnegative")
         if self.kind == "quadratic" and not self.outside_assumptions:
@@ -115,11 +117,13 @@ class Hamiltonian:
     def face_weight(self, grid: Grid, axis: int):
         """beta averaged onto axis faces (boundary faces copy the
         interior neighbor), computed once per (grid, axis) and kept
-        read-only; None for beta-free kinds."""
+        read-only; None for beta-free kinds. grid must be the
+        Hamiltonian's own, or ValueError is raised."""
         if self.kind != "smoothed_norm":
             return None
         weight = self._face_weights.get((grid, axis))
         if weight is None:
+            _on_grid(grid, None, self)
             left, right = _face_nodes(grid, axis)
             beta = self.beta.values
             weight = 0.5 * (beta[np.where(left >= 0, left, right)]
@@ -200,7 +204,7 @@ def verify_cosmfg(
     cost, m0 and the Hamiltonian must share one grid, or ValueError is
     raised.
     """
-    grid = _candidate_grid(u.grid, u.timegrid, m, cost, m0, hamiltonian)
+    grid = _on_grid(u.grid, u.timegrid, m, cost, m0, hamiltonian)
     u_arr = u.array()
     m_arr = m.array()
     zero = np.zeros_like(u_arr)
@@ -222,7 +226,7 @@ def face_drift(hamiltonian: Hamiltonian, u: FieldTrajectory) -> tuple[FaceVeloci
     """The face drift D_pH(x, grad u_k) of the value slices u_0..u_{K-1}
     of u, one FaceVelocities per time step k: the drift of their one
     _hamiltonian_state, as the controlled solver and verifier make it."""
-    grid = _candidate_grid(u.grid, u.timegrid, hamiltonian)
+    grid = _on_grid(u.grid, u.timegrid, hamiltonian)
     steps = u.timegrid.n_steps
     drift = _hamiltonian_state(grid, hamiltonian, u.array()[:steps]).drift
     return tuple(FaceVelocities(grid, tuple(b[k] for b in drift)) for k in range(steps))
@@ -302,9 +306,10 @@ def control_objective(
     The pair must satisfy the discrete inequality
     dm/dt - lap m - div(a m) <= 1e-8 nodewise; violating
     slices are reported in the raised error. The conjugate L is
-    evaluated at face velocities averaged onto nodes.
+    evaluated at face velocities averaged onto nodes. Data off the grid
+    of m, or m off timegrid, raises ValueError.
     """
-    grid = m.grid
+    grid = _on_grid(m.grid, timegrid, m, *drift, potential, hamiltonian)
     steps = timegrid.n_steps
     dt = timegrid.dt
     a0 = elliptic_matrix(grid, with_zero_order=False)

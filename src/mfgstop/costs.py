@@ -1,7 +1,6 @@
 """Cost operators m -> f(x, m) with monotonicity metadata, the optional
 antiderivative whose integral the variational route minimizes, and the
-per-node zero crossing that drives the exit-rate equilibration on mixed
-nodes.
+per-node zero crossing that seeds that route's start.
 
 Monotonicity tags are derived from parameter signs at construction:
 local power laws with a > 0 are strictly monotone in the order sense
@@ -14,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .grid import Grid, ScalarField
+from .grid import Grid, ScalarField, _on_grid
 
 __all__ = ["CostOperator", "PotentialOperator"]
 
@@ -43,24 +42,21 @@ class CostOperator:
     base: ScalarField | None = None
     m_ref: ScalarField | None = None
 
+    def __post_init__(self):
+        _on_grid(self.grid, None, self.f0, self.weight, self.base, self.m_ref)
+
     @staticmethod
     def local_power(grid: Grid, a: float, p: float, f0: ScalarField) -> "CostOperator":
         if p < 1:
             raise ValueError("exponent p must be >= 1")
-        if f0.grid != grid:
-            raise ValueError("f0 must live on the grid")
         return CostOperator(kind="local_power", grid=grid, a=float(a), p=float(p), f0=f0)
 
     @staticmethod
     def nonlocal_affine(grid: Grid, c0: float, c1: float, weight: ScalarField) -> "CostOperator":
-        if weight.grid != grid:
-            raise ValueError("weight must live on the grid")
         return CostOperator(kind="nonlocal_affine", grid=grid, c0=float(c0), c1=float(c1), weight=weight)
 
     @staticmethod
     def local_affine_shifted(grid: Grid, base: ScalarField, m_ref: ScalarField) -> "CostOperator":
-        if base.grid != grid or m_ref.grid != grid:
-            raise ValueError("base and m_ref must live on the grid")
         return CostOperator(kind="local_affine_shifted", grid=grid, base=base, m_ref=m_ref)
 
     @property
@@ -97,9 +93,7 @@ class CostOperator:
         return np.full(m_values.shape, np.expand_dims(self.c0 + self.c1 * pairing, -1))
 
     def __call__(self, m: ScalarField) -> ScalarField:
-        if m.grid != self.grid:
-            raise ValueError("field must live on the cost's grid")
-        return ScalarField(self.grid, self.evaluate(m.values))
+        return ScalarField(_on_grid(self.grid, None, m), self.evaluate(m.values))
 
     def level_set(self, c: np.ndarray) -> np.ndarray | None:
         """Per-node tau >= 0 with f(x, tau) = c(x), for local kinds.

@@ -22,6 +22,7 @@ from .grid import (
     ScalarField,
     TimeGrid,
     _face_nodes,
+    _on_grid,
     elliptic_matrix,
 )
 from .obstacle import _lu_solve
@@ -48,8 +49,7 @@ class KillingData:
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.alpha.grid != self.active.grid:
-            raise ValueError("alpha and active mask must share one grid")
+        _on_grid(self.alpha.grid, None, self.active)
         v = self.alpha.values
         if np.any(v < -1e-15) or np.any(v > 1 + 1e-15):
             raise ValueError("alpha must take values in [0, 1]")
@@ -100,9 +100,7 @@ def solve_density_on_set(omega: NodeMask, source: ScalarField) -> ScalarField:
     Off-set nodes are eliminated exactly (not penalized), so m = 0 there
     holds to machine precision.
     """
-    grid = source.grid
-    if omega.grid != grid:
-        raise ValueError("mask and source must share one grid")
+    grid = _on_grid(source.grid, None, omega)
     _require_nonnegative(source.values, "rho")
     m = np.zeros(grid.n_total)
     idx = np.flatnonzero(omega.mask)
@@ -114,9 +112,7 @@ def solve_density_on_set(omega: NodeMask, source: ScalarField) -> ScalarField:
 
 def solve_density_penalized(killing: KillingData, source: ScalarField) -> ScalarField:
     """Solve (-lap + id + diag(alpha/eps on active)) m = rho."""
-    grid = source.grid
-    if killing.alpha.grid != grid:
-        raise ValueError("killing data and source must share one grid")
+    grid = _on_grid(source.grid, None, killing.alpha)
     _require_nonnegative(source.values, "rho")
     a = elliptic_matrix(grid) + sp.diags(killing.rate())
     return ScalarField(grid, _lu_solve(a, source.values))
@@ -124,26 +120,20 @@ def solve_density_penalized(killing: KillingData, source: ScalarField) -> Scalar
 
 def check_subsolution(m: ScalarField, source: ScalarField) -> ScalarField:
     """Slack rho - (-lap + id) m; nonnegative slack certifies a subsolution."""
-    if m.grid != source.grid:
-        raise ValueError("fields must share one grid")
-    a = elliptic_matrix(m.grid)
-    return ScalarField(m.grid, source.values - a @ m.values)
+    grid = _on_grid(m.grid, None, source)
+    return ScalarField(grid, source.values - elliptic_matrix(grid) @ m.values)
 
 
-@functools.lru_cache(maxsize=None)
 def _drift_stencil(grid: Grid, axis: int):
     """The entries of the axis-face fluxes, by kind in the order of
     _flux_coefficients: the row and column nodes and the faces of the
-    entries whose two nodes are inside the grid. Cached, read-only."""
+    entries whose two nodes are inside the grid."""
     left, right = _face_nodes(grid, axis)
     out = []
     for row, col in ((left, right), (left, left), (right, right), (right, left)):
         faces = np.flatnonzero((row >= 0) & (col >= 0))
-        entries = (row[faces], col[faces], faces)
-        for arr in entries:
-            arr.flags.writeable = False
-        out.append(entries)
-    return tuple(out)
+        out.append((row[faces], col[faces], faces))
+    return out
 
 
 def _flux_coefficients(b, h: float):
@@ -243,18 +233,17 @@ def drift_divergence_matrix(grid: Grid, faces: FaceVelocities) -> sp.csr_matrix:
     """Matrix of m -> -div(m b) with conservative upwind face fluxes, on
     the one-slice drift pattern of the grid (its index arrays are the
     pattern's, read-only)."""
-    if faces.grid != grid:
-        raise ValueError("faces must live on the grid")
-    pattern = _drift_pattern(grid, 1)
+    pattern = _drift_pattern(_on_grid(grid, None, faces), 1)
     return pattern.matrix(pattern.values([c[None] for c in faces.components]))
 
 
-def _step_data(traj, single: type, k: int):
-    """The data of time step k: traj itself when it is None or one
-    object of type single (time-constant data), traj[k] otherwise."""
+def _per_step(traj, single: type, steps: int) -> list:
+    """The data of each of the time steps 0..steps-1: traj itself when
+    it is None or one object of type single (time-constant data),
+    traj[k] at step k otherwise."""
     if traj is None or isinstance(traj, single):
-        return traj
-    return traj[k]
+        return [traj] * steps
+    return [traj[k] for k in range(steps)]
 
 
 def solve_density_parabolic(
@@ -267,21 +256,22 @@ def solve_density_parabolic(
 
     killing_traj / drift_traj give per-step data (step k advances slice k
     to k+1); a single object means time-constant data. Implicit stepping
-    is unconditionally stable and preserves nonnegativity.
+    is unconditionally stable and preserves nonnegativity. Data off the
+    grid of m0 raises ValueError before the first step.
     """
-    grid = m0.grid
+    killing = _per_step(killing_traj, KillingData, timegrid.n_steps)
+    drift = _per_step(drift_traj, FaceVelocities, timegrid.n_steps)
+    grid = _on_grid(m0.grid, None, *(kd.alpha for kd in killing if kd is not None), *drift)
     _require_nonnegative(m0.values, "m0")
     dt = timegrid.dt
     base = (elliptic_matrix(grid, with_zero_order=False)
             + sp.identity(grid.n_total, format="csr") / dt).tocsr()
     m_arr = np.empty((timegrid.n_steps + 1, grid.n_total))
     m_arr[0] = m0.values
-    for k in range(timegrid.n_steps):
+    for k, (kd, dv) in enumerate(zip(killing, drift)):
         mat = base
-        kd = _step_data(killing_traj, KillingData, k)
         if kd is not None:
             mat = mat + sp.diags(kd.rate())
-        dv = _step_data(drift_traj, FaceVelocities, k)
         if dv is not None:
             mat = mat + drift_divergence_matrix(grid, dv)
         m_arr[k + 1] = _lu_solve(mat, m_arr[k] / dt)

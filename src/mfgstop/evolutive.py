@@ -15,13 +15,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._coupled import _candidate_grid, _residuals, forward_backward_solve
+from ._coupled import _residuals, forward_backward_solve
 from .costs import CostOperator
 from .grid import (
     FieldTrajectory,
     Grid,
     ScalarField,
     TimeGrid,
+    _on_grid,
     elliptic_matrix,
 )
 from .obstacle import _base_factor
@@ -101,13 +102,15 @@ def apply_obstacle_operator(op: ObstacleOperator, m: FieldTrajectory):
     heat_from_g integrates d psi/dt = -lap psi + g(m) backward from
     psi(T) = 0 by implicit Euler and returns the source g(m) itself as
     the second component (no differencing). constant_field returns the
-    stored trajectory and its discrete (d/dt + lap) image.
+    stored trajectory and its discrete (d/dt + lap) image. A psi or g
+    off the grid of m (psi off its time grid) raises ValueError.
     """
+    grid = _on_grid(m.grid, m.timegrid, op.psi, op.g_cost)
     if op.kind == "heat_from_g" and np.any(m.array() < -1e-12):
         raise ValueError("density trajectory must be nonnegative")
-    psi_arr, g_arr = op.apply_arrays(m.grid, m.timegrid, m.array())
-    return (FieldTrajectory(m.grid, m.timegrid, psi_arr),
-            FieldTrajectory(m.grid, m.timegrid, g_arr))
+    psi_arr, g_arr = op.apply_arrays(grid, m.timegrid, m.array())
+    return (FieldTrajectory(grid, m.timegrid, psi_arr),
+            FieldTrajectory(grid, m.timegrid, g_arr))
 
 
 @dataclass(frozen=True)
@@ -174,7 +177,7 @@ def verify_mixed_evolutive(
     cost, m0 and the obstacle's data must share one grid (and u, m and
     a fixed obstacle one time grid), or ValueError is raised.
     """
-    grid = _candidate_grid(u.grid, u.timegrid, m, cost, m0, obstacle_op.psi, obstacle_op.g_cost)
+    grid = _on_grid(u.grid, u.timegrid, m, cost, m0, obstacle_op.psi, obstacle_op.g_cost)
     u_arr = u.array()
     m_arr = m.array()
     psi_arr, g_arr = obstacle_op.apply_arrays(grid, u.timegrid, m_arr)

@@ -98,12 +98,20 @@ class Grid:
         }
 
 
+def _count(value, what: str) -> int:
+    """value, a Python or NumPy integer (no bool, float or string), as an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def build_grid(dim, bounds, n_interior) -> Grid:
     """Validate and construct a Grid.
 
     bounds: (a, b) in 1D or a sequence of per-axis (a, b) pairs.
     n_interior: int or per-axis sequence, at least 3 nodes per axis.
     """
+    dim = _count(dim, "dim")
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
     b = np.asarray(bounds, dtype=float)
@@ -112,9 +120,9 @@ def build_grid(dim, bounds, n_interior) -> Grid:
     if b.shape != (dim, 2):
         raise ValueError(f"bounds must give one (a, b) pair per axis, got {bounds!r}")
     if np.isscalar(n_interior):
-        n = (int(n_interior),) * dim
+        n = (_count(n_interior, "n_interior"),) * dim
     else:
-        n = tuple(int(k) for k in n_interior)
+        n = tuple(_count(k, "n_interior") for k in n_interior)
     if len(n) != dim:
         raise ValueError("n_interior must match dim")
     if any(k < 3 for k in n):
@@ -140,7 +148,7 @@ class TimeGrid:
 
 
 def build_timegrid(horizon: float, n_steps: int) -> TimeGrid:
-    if not (0 < horizon < np.inf and n_steps >= 1):
+    if not (0 < horizon < np.inf and _count(n_steps, "n_steps") >= 1):
         raise ValueError(f"need a finite horizon > 0 and n_steps >= 1, got {horizon}, {n_steps}")
     return TimeGrid(horizon=float(horizon), n_steps=int(n_steps))
 
@@ -223,7 +231,21 @@ class NodeMask:
         return NodeMask(self.grid, ~self.mask)
 
 
-@lru_cache(maxsize=None)
+def _on_grid(grid: Grid, timegrid: TimeGrid | None, *items) -> Grid:
+    """The one grid check of the package: grid, after checking that every
+    item with a grid (None skipped) lies on grid and has the time grid
+    timegrid if it has one (None: no trajectory); else a ValueError that
+    names the first grid or time grid that differs."""
+    for item in items:
+        if item is None:
+            continue
+        for have, want in ((item.grid, grid), (getattr(item, "timegrid", timegrid), timegrid)):
+            if have != want:
+                raise ValueError(f"the data must share one grid and time grid: {have} "
+                                 f"differs from {want}")
+    return grid
+
+
 def _neg_laplacian(grid: Grid) -> sp.csr_matrix:
     """-lap with the 3-point (1D) / 5-point (2D) stencil, Dirichlet closure."""
     blocks = []
@@ -265,9 +287,11 @@ def coarsen(grid: Grid):
     every_second = (slice(1, None, 2),) * grid.dim
 
     def restrict(field: ScalarField) -> ScalarField:
+        _on_grid(grid, None, field)
         return ScalarField(coarse, field.values.reshape(grid.shape)[every_second].ravel())
 
     def prolong(field: ScalarField) -> ScalarField:
+        _on_grid(coarse, None, field)
         return ScalarField(grid, interpolate @ field.values)
 
     return coarse, restrict, prolong
@@ -353,9 +377,8 @@ def apply_elliptic(field: ScalarField) -> ScalarField:
 
 def inner(f: ScalarField, g: ScalarField) -> float:
     """Discrete L2 pairing: sum of products times the cell volume."""
-    if f.grid != g.grid:
-        raise ValueError("inner product requires fields on one grid")
-    return float(np.dot(f.values, g.values) * f.grid.cell_volume)
+    grid = _on_grid(f.grid, None, g)
+    return float(np.dot(f.values, g.values) * grid.cell_volume)
 
 
 def default_contact_threshold(u_values: np.ndarray, psi_values: np.ndarray) -> float:
@@ -373,8 +396,7 @@ def classify_nodes(u: ScalarField, psi: ScalarField | None = None, delta_c: floa
     equality u = psi is never reliable in floating point.
     """
     psi_values = np.zeros_like(u.values) if psi is None else psi.values
-    if psi is not None and psi.grid != u.grid:
-        raise ValueError("u and psi must share one grid")
+    _on_grid(u.grid, None, psi)
     if delta_c is None:
         delta_c = default_contact_threshold(u.values, psi_values)
     if delta_c < 0:

@@ -25,6 +25,7 @@ from .grid import (
     FieldTrajectory,
     ScalarField,
     TimeGrid,
+    _on_grid,
     elliptic_matrix,
 )
 
@@ -216,9 +217,7 @@ def solve_obstacle_stationary(
     starting from the solution without obstacle.
     """
     config = config or ObstacleSolveConfig()
-    grid = source.grid
-    if obstacle.grid != grid:
-        raise ValueError("source and obstacle must share one grid")
+    grid = _on_grid(source.grid, None, obstacle)
     start = _base_factor(grid, 1.0)(source.values)
     return ScalarField(grid, _obstacle_newton(elliptic_matrix(grid), source.values,
                                               obstacle.values, start, config))
@@ -237,7 +236,7 @@ def obstacle_oracle(
     to 1e-9) for M = -lap + id. Independent of the iterative path;
     requires <= 16 nodes.
     """
-    grid = source.grid
+    grid = _on_grid(source.grid, None, obstacle)
     n = grid.n_total
     if n > 16:
         raise ValueError(f"oracle is exponential; refuse n = {n} > 16")
@@ -424,9 +423,7 @@ def solve_obstacle_penalized(
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     config = ObstacleSolveConfig()
-    grid = source.grid
-    if obstacle.grid != grid:
-        raise ValueError("source and obstacle must share one grid")
+    grid = _on_grid(source.grid, None, obstacle)
     a = elliptic_matrix(grid)
     f, psi = source.values, obstacle.values
     assemble = _shifted_operator(grid, 1.0)
@@ -451,11 +448,7 @@ def solve_obstacle_parabolic(
     B = id/dt - lap and source u_{k+1}/dt + f_k. The terminal slice must
     equal psi at t = T.
     """
-    grid = source.grid
-    if obstacle.grid != grid or terminal.grid != grid:
-        raise ValueError("trajectories must share one grid")
-    if source.timegrid != timegrid or obstacle.timegrid != timegrid:
-        raise ValueError("trajectories must live on the given timegrid")
+    grid = _on_grid(source.grid, timegrid, source, obstacle, terminal)
     if np.max(np.abs(terminal.values - obstacle.array()[-1])) > 1e-12:
         raise ValueError("terminal slice must equal the obstacle at t = T")
     dt = timegrid.dt

@@ -30,7 +30,6 @@ from ._coupled import (
     CoupledConfig,
     CoupledNonConvergence,
     PenalizedTriple,
-    _candidate_grid,
     _penalized_stage,
     _ramp,
     _residuals,
@@ -40,6 +39,7 @@ from .density import solve_density_on_set
 from .grid import (
     NodeMask,
     ScalarField,
+    _on_grid,
     classify_nodes,
     coarsen,
     elliptic_matrix,
@@ -138,15 +138,15 @@ def penalized_coupled_solve(
     that the process keeps per grid (obstacle._base_factor at dt = 1). A
     warm start, the previous stage's solution, replaces both by its
     (u, m). The cost, m_init and the warm start must lie on the grid of
-    rho, or ValueError is raised before any Newton step (_candidate_grid).
+    rho, or ValueError is raised before any Newton step (grid._on_grid).
     strict=False returns the last iterate with converged=False instead
     of raising (used for warm-up continuation stages).
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     cfg = config or CoupledConfig()
-    grid = _candidate_grid(rho.grid, None, cost, m_init, getattr(warm, "u", None),
-                           getattr(warm, "m", None))
+    grid = _on_grid(rho.grid, None, cost, m_init, getattr(warm, "u", None),
+                    getattr(warm, "m", None))
     if np.any(rho.values < -1e-12):
         raise ValueError("rho must be nonnegative")
     if warm is not None:
@@ -227,12 +227,14 @@ def continuation_solve(
     where the stages are cheap. The time-dependent continuations do not
     nest: one fine stage from a coarse 2D osmfg start did not converge.
     Coarse stages are warm-up stages like every stage but the last, so
-    only the final fine stage can raise.
+    only the final fine stage can raise; a cost or m_init off the grid
+    of rho raises ValueError before any stage.
 
     Returns (solution, stages): the final PenalizedTriple and one
     StageReport per stage, with the verify_mixed report of its (u, m)
     on the grid the stage ran on.
     """
+    _on_grid(rho.grid, None, cost, m_init)
     return _continuation(cost, rho, _checked_schedule(eps_schedule), config, m_init, strict=True)
 
 
@@ -318,12 +320,13 @@ def variational_minimize(potential: PotentialOperator, rho: ScalarField) -> Scal
     and the LU keeps to the fill of the ordering. The start is the
     density capped at the cost's zero crossing (an obstacle problem) and
     the value of the obstacle problem for its cost. The potential must be
-    strictly convex (cost strictly increasing in m).
+    strictly convex (cost strictly increasing in m; not None, as for a
+    nonlocal cost) and on the grid of rho, or ValueError is raised.
     """
-    cost = potential.cost
-    if cost.monotonicity != STRICT_MONOTONE:
+    if potential is None or potential.cost.monotonicity != STRICT_MONOTONE:
         raise ValueError("variational route requires a strictly monotone local cost")
-    grid = rho.grid
+    cost = potential.cost
+    grid = _on_grid(rho.grid, None, potential)
     a = elliptic_matrix(grid)
     n = grid.n_total
     d = a.diagonal()
@@ -383,7 +386,7 @@ def verify_mixed(
     m, the cost, rho and psi must share one grid, or ValueError is
     raised. The contact threshold actually used is recorded.
     """
-    grid = _candidate_grid(u.grid, None, m, cost, rho, psi)
+    grid = _on_grid(u.grid, None, m, cost, rho, psi)
     zero = np.zeros(grid.n_total)
     psi_vals = zero if psi is None else psi.values
     g = zero if psi is None else -(elliptic_matrix(grid) @ psi_vals)

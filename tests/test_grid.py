@@ -64,6 +64,20 @@ def test_build_grid_rejects_small_and_bad_input():
         build_grid(1, (1.0, 1.0), 5)
 
 
+@pytest.mark.parametrize("count", [31.7, 31.0, "31", True, np.float64(31.0)])
+def test_grid_builders_take_integer_counts_only(count):
+    # a count is never truncated, parsed or read from a bool
+    for build in (lambda: build_grid(1, (0.0, 1.0), count),
+                  lambda: build_grid(2, ((0.0, 1.0),) * 2, (31, count)),
+                  lambda: build_timegrid(1.0, count)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build()
+    with pytest.raises(ValueError, match="must be an integer"):
+        build_grid(True, (0.0, 1.0), 31)
+    assert build_grid(np.int64(1), (0.0, 1.0), np.int32(31)).n_interior == (31,)
+    assert build_timegrid(1.0, np.int64(4)).n_steps == 4
+
+
 def test_apply_elliptic_linearity_zero():
     g = build_grid(1, (0.0, 1.0), 7)
     z = ScalarField.zeros(g)

@@ -1,0 +1,152 @@
+"""The one grid check of the package, grid._on_grid, at the public
+entry points that take data of several grids.
+
+Each entry point is called once on data of one grid, and once with one
+item moved to a grid of the same node count on other bounds (or a time
+grid of the same step count and another horizon), so that every array
+would still fit: it must raise the check's ValueError, which names the
+grid that differs, before it computes anything.
+"""
+
+import numpy as np
+import pytest
+
+from mfgstop import density, stationary
+from mfgstop.control import Hamiltonian, control_objective
+from mfgstop.costs import CostOperator
+from mfgstop.density import FaceVelocities, KillingData, solve_density_parabolic
+from mfgstop.evolutive import ObstacleOperator, apply_obstacle_operator
+from mfgstop.grid import (
+    FieldTrajectory,
+    NodeMask,
+    ScalarField,
+    build_grid,
+    build_timegrid,
+    coarsen,
+)
+from mfgstop.obstacle import obstacle_oracle
+from mfgstop.scenarios import gaussian_density, raised_cosine_bump
+from mfgstop.stationary import continuation_solve, variational_minimize
+
+GRID = build_grid(1, (0.0, 1.0), 7)
+OTHER = build_grid(1, (0.0, 2.0), 7)
+TG = build_timegrid(1.0, 3)
+OTHER_TG = build_timegrid(2.0, 3)
+MISMATCH = "one grid and time grid: .* differs from"
+
+
+def on(grid, value=0.5):
+    return ScalarField.constant(grid, value)
+
+
+def local_cost(grid):
+    return CostOperator.local_power(grid, 1.0, 1.0, on(grid, -0.5))
+
+
+def test_obstacle_oracle():
+    obstacle_oracle(on(GRID, 1.0), on(GRID, 0.0))
+    with pytest.raises(ValueError, match=MISMATCH):
+        obstacle_oracle(on(GRID, 1.0), on(OTHER, 0.0))
+
+
+@pytest.mark.parametrize("moved", [None, "killing", "drift"])
+def test_solve_density_parabolic_before_the_first_step(moved, monkeypatch):
+    # the data on the other grid is that of the last step only
+    solves = []
+    lu_solve = density._lu_solve
+    monkeypatch.setattr(density, "_lu_solve", lambda *args: solves.append(1) or lu_solve(*args))
+    killing = [KillingData(on(g), NodeMask.all(g), 0.1)
+               for g in (GRID, GRID, OTHER if moved == "killing" else GRID)]
+    drift = [FaceVelocities.zeros(g) for g in (GRID, GRID, OTHER if moved == "drift" else GRID)]
+    if moved is None:
+        assert solve_density_parabolic(on(GRID), killing, TG, drift).grid == GRID
+        assert len(solves) == TG.n_steps
+        return
+    with pytest.raises(ValueError, match=MISMATCH):
+        solve_density_parabolic(on(GRID), killing, TG, drift)
+    assert solves == []
+
+
+OPERATORS = {
+    None: lambda: ObstacleOperator.constant(FieldTrajectory.constant(GRID, TG, 0.0)),
+    "psi": lambda: ObstacleOperator.constant(FieldTrajectory.constant(OTHER, TG, 0.0)),
+    "psi time grid": lambda: ObstacleOperator.constant(
+        FieldTrajectory.constant(GRID, OTHER_TG, 0.0)),
+    "g": lambda: ObstacleOperator.heat_source(local_cost(OTHER)),
+}
+
+
+@pytest.mark.parametrize("moved", list(OPERATORS))
+def test_apply_obstacle_operator(moved):
+    m = FieldTrajectory.constant(GRID, TG, 0.1)
+    if moved is None:
+        psi, g = apply_obstacle_operator(OPERATORS[moved](), m)
+        assert psi.grid == g.grid == GRID
+        return
+    with pytest.raises(ValueError, match=MISMATCH):
+        apply_obstacle_operator(OPERATORS[moved](), m)
+
+
+@pytest.mark.parametrize("moved", [None, "drift", "potential", "hamiltonian", "timegrid"])
+def test_control_objective(moved):
+    # the heat flow with zero drift is a feasible pair
+    m = solve_density_parabolic(gaussian_density(GRID), None, TG)
+    drift = [FaceVelocities.zeros(GRID) for _ in range(TG.n_steps)]
+    potential = local_cost(GRID).potential()
+    hamiltonian = Hamiltonian.smoothed_norm(on(GRID, 1.0))
+    timegrid = TG
+    if moved == "drift":
+        drift[-1] = FaceVelocities.zeros(OTHER)
+    elif moved == "potential":
+        potential = local_cost(OTHER).potential()
+    elif moved == "hamiltonian":
+        hamiltonian = Hamiltonian.smoothed_norm(on(OTHER, 1.0))
+    elif moved == "timegrid":
+        timegrid = OTHER_TG
+    if moved is None:
+        assert np.isfinite(control_objective(m, tuple(drift), potential, hamiltonian, timegrid))
+        return
+    with pytest.raises(ValueError, match=MISMATCH):
+        control_objective(m, tuple(drift), potential, hamiltonian, timegrid)
+
+
+def test_face_weight_takes_only_the_hamiltonians_grid():
+    hamiltonian = Hamiltonian.smoothed_norm(on(GRID, 1.0))
+    assert hamiltonian.face_weight(GRID, 0).shape == GRID.face_shape(0)
+    with pytest.raises(ValueError, match=MISMATCH):
+        hamiltonian.face_weight(OTHER, 0)
+    assert (OTHER, 0) not in hamiltonian._face_weights
+
+
+def test_coarsen_maps_only_fields_of_its_two_grids():
+    coarse, restrict, prolong = coarsen(GRID)
+    assert prolong(restrict(on(GRID))).grid == GRID
+    with pytest.raises(ValueError, match=MISMATCH):
+        restrict(on(OTHER))
+    with pytest.raises(ValueError, match=MISMATCH):
+        prolong(on(coarsen(OTHER)[0]))
+
+
+@pytest.mark.parametrize("moved", ["cost", "m_init"])
+def test_continuation_solve_checks_before_any_stage(moved, monkeypatch):
+    # 31 x 31 nests: every stage but the last would run on coarser grids
+    fine = build_grid(2, ((0.0, 1.0),) * 2, (31, 31))
+    other = build_grid(2, ((0.0, 2.0),) * 2, (31, 31))
+    rho = raised_cosine_bump(fine)
+    cost = local_cost(other if moved == "cost" else fine)
+    m_init = on(other if moved == "m_init" else fine, 0.1)
+    assert stationary._nests(cost, fine, stationary.default_eps_schedule())
+    calls = []
+    solve = stationary.penalized_coupled_solve
+    monkeypatch.setattr(stationary, "penalized_coupled_solve",
+                        lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
+    with pytest.raises(ValueError, match=MISMATCH):
+        continuation_solve(cost, rho, m_init=m_init)
+    assert calls == []
+
+
+def test_variational_minimize():
+    rho = raised_cosine_bump(GRID)
+    assert variational_minimize(local_cost(GRID).potential(), rho).grid == GRID
+    with pytest.raises(ValueError, match=MISMATCH):
+        variational_minimize(local_cost(OTHER).potential(), rho)

@@ -1,6 +1,7 @@
 """Static checks of the package, read from the sources with ast: every
-__all__ entry resolves, the package __init__ imports only names its
-modules export, no module imports a name it never uses, every direct
+__all__ entry resolves and has a caller, the package __init__ imports
+only names its modules export, no module imports a name it never uses,
+every grid comparison is the one grid check, every direct
 solve goes through the one factorization entry point, the
 Hamiltonian data of the controlled system has one source, every
 verifier takes its residuals from the one residual core, and every
@@ -39,6 +40,23 @@ def test_every_exported_name_resolves(module):
     assert missing == []
 
 
+def test_every_exported_name_has_a_caller():
+    # a use is a name or an attribute read anywhere in src/, tests/ or
+    # demos/; the def, the __all__ string and the imports are not uses
+    root = PACKAGE.parent.parent
+    used = set()
+    for path in [*PACKAGE.glob("*.py"), *(root / "tests").glob("*.py"),
+                 *(root / "demos").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    uncalled = [f"{module}.{name}" for module in MODULES + ["__init__"]
+                for name in _exports(_tree(module)) if name not in used]
+    assert uncalled == []
+
+
 def test_package_imports_only_exported_names():
     unexported = []
     for node in ast.walk(_tree("__init__")):
@@ -65,6 +83,30 @@ def test_no_unused_import(module):
             imported.update(alias.asname or alias.name for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used - set(_exports(tree))) == []
+
+
+def _grid_comparisons(node, module, scope=None):
+    """(function, line) of each comparison below node with a .grid or
+    .timegrid attribute as an operand; function is module.name of the
+    enclosing module-level function or class."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if scope is None and isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{module}.{child.name}"
+        if isinstance(child, ast.Compare) and any(
+                isinstance(operand, ast.Attribute) and operand.attr in ("grid", "timegrid")
+                for operand in [child.left, *child.comparators]):
+            yield inner or module, child.lineno
+        yield from _grid_comparisons(child, module, inner)
+
+
+def test_every_grid_comparison_is_the_one_grid_check():
+    found = [(where, line) for module in MODULES
+             for where, line in _grid_comparisons(_tree(module), module)
+             if where != "grid._on_grid"]
+    assert found == [], found
+    check = _functions("grid")["grid._on_grid"]
+    assert any(isinstance(node, ast.Compare) for node in ast.walk(check))
 
 
 # the direct solvers of numpy and scipy, and the functions that may call

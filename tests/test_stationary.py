@@ -237,6 +237,13 @@ def test_variational_requires_strict_monotone(grid, rho):
             grid, -1.0, 1.0, ScalarField.constant(grid, 1.0)).potential(), rho)
 
 
+def test_variational_rejects_a_nonlocal_cost(grid, rho):
+    # a nonlocal cost has no potential: potential() is None
+    nonlocal_cost = CostOperator.nonlocal_affine(grid, 0.0, 1.0, ScalarField.constant(grid, 1.0))
+    with pytest.raises(ValueError, match="strictly monotone local cost"):
+        variational_minimize(nonlocal_cost.potential(), rho)
+
+
 def test_verify_mixed_flags_constructed_violation(grid, rho):
     # (0, A^-1 rho) with f negative somewhere: the value equation residual shows
     cost = local_cost(grid, -0.5)
