@@ -76,10 +76,11 @@ class ObstacleOperator:
         The K backward heat steps of heat_from_g solve with the factor of
         B = A0 + I/dt that the process keeps per (grid, dt)
         (obstacle._base_factor), shared with the solver's sweeps and
-        with every later call."""
+        with every later call. A psi or g off grid and timegrid raises
+        ValueError."""
+        _on_grid(grid, timegrid, self.psi, self.g_cost)
         steps = timegrid.n_steps
         dt = timegrid.dt
-        a0 = elliptic_matrix(grid, with_zero_order=False)
         if self.kind == "heat_from_g":
             g_arr = self.g_cost.evaluate(m_arr)
             psi_arr = np.zeros_like(m_arr)
@@ -90,6 +91,7 @@ class ObstacleOperator:
         psi_arr = self.psi.array()
         if psi_arr.shape != m_arr.shape:
             raise ValueError("fixed obstacle trajectory does not match the timegrid/grid")
+        a0 = elliptic_matrix(grid, with_zero_order=False)
         g_arr = np.empty_like(psi_arr)
         g_arr[:steps] = (psi_arr[1:] - psi_arr[:-1]) / dt - (a0 @ psi_arr[:-1].T).T
         g_arr[steps] = (psi_arr[steps] - psi_arr[steps - 1]) / dt - a0 @ psi_arr[steps]

@@ -119,7 +119,7 @@ def build_grid(dim, bounds, n_interior) -> Grid:
         b = b[None, :]
     if b.shape != (dim, 2):
         raise ValueError(f"bounds must give one (a, b) pair per axis, got {bounds!r}")
-    if np.isscalar(n_interior):
+    if np.ndim(n_interior) == 0:
         n = (_count(n_interior, "n_interior"),) * dim
     else:
         n = tuple(_count(k, "n_interior") for k in n_interior)

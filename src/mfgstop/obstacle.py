@@ -78,15 +78,22 @@ def complementarity_residual(matrix, u: np.ndarray, f: np.ndarray, psi: np.ndarr
     return float(np.max(np.abs(r))) if r.size else 0.0
 
 
+# Fill per column of an elimination order's stand-in factor below which
+# _lu_factor factors with SuperLU panels one column wide (see _lu_factor)
+_NARROW_PANEL_FILL = 128.0
+
+
 @dataclass(frozen=True, eq=False)
 class _EliminationOrder:
     """The fill-reducing order of a pattern: matrix[perm][:, perm] has
-    CSC structure (indptr, indices) and data matrix.data[gather]."""
+    CSC structure (indptr, indices) and data matrix.data[gather]; fill
+    is (L.nnz + U.nnz) / n of the stand-in's factor in this order."""
 
     perm: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     gather: np.ndarray
+    fill: float
 
 
 def _elimination_order(shape, indptr, indices) -> _EliminationOrder:
@@ -96,15 +103,19 @@ def _elimination_order(shape, indptr, indices) -> _EliminationOrder:
     a dominant diagonal, so the order depends on the pattern alone and
     the stand-in always factors. In SymmetricMode SuperLU does not
     postorder the ordering, so factoring matrix[perm][:, perm] with the
-    NATURAL order is this factorization of matrix up to round-off.
+    NATURAL order is this factorization of matrix up to round-off. The
+    stand-in's factor also gives the fill per column of the order, on
+    which _lu_factor chooses its panel width: the stand-in pivots on its
+    diagonal, so this is the fill of the pattern itself, without the
+    rows that partial pivoting of a matrix's values may swap in.
     """
     n = shape[0]
     entry_cols = np.repeat(np.arange(n), np.diff(indptr))
     stand_in = sp.csc_matrix((np.where(indices == entry_cols, float(n), 1.0),
                               indices, indptr), shape=shape)
+    lu = spla.splu(stand_in, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
     # perm_c[j] is the position that row and column j take
-    perm_c = spla.splu(stand_in, permc_spec="MMD_AT_PLUS_A",
-                       options={"SymmetricMode": True}).perm_c
+    perm_c = lu.perm_c
     rows, cols = perm_c[indices], perm_c[entry_cols]
     gather = np.lexsort((rows, cols))
     arrays = (np.argsort(perm_c),
@@ -112,7 +123,7 @@ def _elimination_order(shape, indptr, indices) -> _EliminationOrder:
               rows[gather].astype(np.int32), gather)
     for array in arrays:
         array.flags.writeable = False
-    return _EliminationOrder(*arrays)
+    return _EliminationOrder(*arrays, fill=(lu.L.nnz + lu.U.nnz) / n)
 
 
 def _lu_solve(matrix, rhs) -> np.ndarray:
@@ -138,6 +149,17 @@ def _lu_factor(matrix):
     that the solves of a grid share is kept by _base_factor, not here.
     An exactly singular matrix gives NaNs, so a Newton solve ends in
     non-convergence rather than an exception.
+
+    The kept order also sets SuperLU's panel width: one column where
+    its stand-in fills fewer than _NARROW_PANEL_FILL entries of L + U
+    per column, SuperLU's default of 10 columns otherwise. The panel
+    width changes only the order of arithmetic inside SuperLU, not the
+    order or the pivoting rule; on every matrix measured below the
+    constant the fill was the same entry for entry. Panels of 10
+    columns serve large supernodes. On the Newton matrices of the
+    package that fill 15 to 40 entries per column, one-column panels
+    factored 17-48% faster; the 2D cosmfg whole Jacobians broke even at
+    162 per column and were 42% slower at 458 (BENCH_29.json).
     """
     elimination_order = getattr(matrix, "elimination_order", None)
     if elimination_order is None:
@@ -145,7 +167,8 @@ def _lu_factor(matrix):
     order = elimination_order()
     permuted = sp.csc_matrix((matrix.data[order.gather], order.indices, order.indptr),
                              shape=matrix.shape)
-    solve_permuted = _splu_factor(permuted, "NATURAL")
+    solve_permuted = _splu_factor(permuted, "NATURAL",
+                                  1 if order.fill < _NARROW_PANEL_FILL else None)
 
     def solve(rhs):
         x = np.empty(matrix.shape[0])
@@ -198,11 +221,14 @@ def _shifted_factor(grid, d, dt):
     return _base_factor(grid, dt)
 
 
-def _splu_factor(matrix, permc_spec):
+def _splu_factor(matrix, permc_spec, panel_size=None):
     """SuperLU factorization in SymmetricMode with the given column
-    ordering, as its solve; NaNs for an exactly singular matrix."""
+    ordering, as its solve; NaNs for an exactly singular matrix.
+    panel_size None keeps SuperLU's default panel of 10 columns;
+    _lu_factor passes 1 for a low-fill kept order."""
     try:
-        lu = spla.splu(matrix, permc_spec=permc_spec, options={"SymmetricMode": True})
+        lu = spla.splu(matrix, permc_spec=permc_spec, panel_size=panel_size,
+                       options={"SymmetricMode": True})
     except RuntimeError:
         return lambda rhs: np.full(matrix.shape[0], np.nan)
     return lu.solve

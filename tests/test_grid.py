@@ -64,7 +64,7 @@ def test_build_grid_rejects_small_and_bad_input():
         build_grid(1, (1.0, 1.0), 5)
 
 
-@pytest.mark.parametrize("count", [31.7, 31.0, "31", True, np.float64(31.0)])
+@pytest.mark.parametrize("count", [31.7, 31.0, "31", True, np.float64(31.0), None])
 def test_grid_builders_take_integer_counts_only(count):
     # a count is never truncated, parsed or read from a bool
     for build in (lambda: build_grid(1, (0.0, 1.0), count),

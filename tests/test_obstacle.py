@@ -433,6 +433,52 @@ def test_lu_solve_matches_spsolve_on_nonsymmetric_values():
     assert np.max(np.abs(_lu_solve(jac, rhs) - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+def low_and_high_fill_matrix(pattern, rng):
+    # a matrix of a diagonal_update assembler and whether its kept order
+    # fills below obstacle._NARROW_PANEL_FILL per column: the 1D K=5
+    # space-time Jacobian (15 per column), the 2D 15x15 slice block B +
+    # diag (16) and the 2D cosmfg 15x15 K=5 Jacobian (162)
+    if pattern == "slice_2d":
+        g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (15, 15))
+        return _shifted_operator(g, 0.2)(rng.uniform(0.0, 100.0, g.n_total)), True
+    with_h = pattern == "cosmfg_2d"
+    g = (build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (15, 15)) if with_h
+         else build_grid(1, (0.0, 1.0), 31))
+    n_u = 5 * g.n_total
+    n_vals = 4 * n_u - g.n_total + (len(_hamiltonian_positions(g, 5)[0]) if with_h else 0)
+    return _jacobian_assembler(g, 0.2, 5, 1, with_h, False)(rng.uniform(-1.0, 1.0, n_vals)), not with_h
+
+
+@pytest.mark.parametrize("pattern", ["space_time_1d", "slice_2d", "cosmfg_2d"])
+def test_panel_width_follows_the_fill_of_the_kept_order(monkeypatch, pattern):
+    # a kept order below the fill constant factors with one-column
+    # SuperLU panels, one above it with SuperLU's default panel; the
+    # panel width changes only the order of arithmetic inside SuperLU,
+    # so the L + U fill is the default panel's, entry for entry, and two
+    # factorizations of one matrix solve to the same bits
+    calls, splu = [], spla.splu
+
+    def recording_splu(matrix, permc_spec=None, **kwargs):
+        lu = splu(matrix, permc_spec=permc_spec, **kwargs)
+        if permc_spec == "NATURAL":
+            default = splu(matrix, permc_spec="NATURAL", options={"SymmetricMode": True})
+            calls.append((kwargs.get("panel_size"), lu.L.nnz + lu.U.nnz,
+                          default.L.nnz + default.U.nnz))
+        return lu
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    rng = np.random.default_rng(29)
+    matrix, narrow = low_and_high_fill_matrix(pattern, rng)
+    assert (matrix.elimination_order().fill < obstacle._NARROW_PANEL_FILL) == narrow
+    rhs = rng.normal(size=matrix.shape[0])
+    solutions = [_lu_solve(matrix, rhs) for _ in range(2)]
+    assert solutions[0].tobytes() == solutions[1].tobytes()
+    expected = spla.spsolve(matrix, rhs)
+    assert np.linalg.norm(solutions[0] - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert [panel for panel, _, _ in calls] == [1 if narrow else None] * 2
+    assert all(fill == default for _, fill, default in calls)
+
+
 @pytest.mark.parametrize("shape", [(9,), (7, 5)], ids=["1d", "2d"])
 def test_unit_time_step_operator_is_the_stationary_operator(shape):
     # the stationary system is the one-slice case of the time-dependent

@@ -87,6 +87,18 @@ def test_apply_obstacle_operator(moved):
         apply_obstacle_operator(OPERATORS[moved](), m)
 
 
+@pytest.mark.parametrize("moved", list(OPERATORS))
+def test_obstacle_operator_apply_arrays(moved):
+    # the arrays method, called without apply_obstacle_operator's check
+    m_arr = FieldTrajectory.constant(GRID, TG, 0.1).array()
+    if moved is None:
+        psi_arr, g_arr = OPERATORS[moved]().apply_arrays(GRID, TG, m_arr)
+        assert psi_arr.shape == g_arr.shape == m_arr.shape
+        return
+    with pytest.raises(ValueError, match=MISMATCH):
+        OPERATORS[moved]().apply_arrays(GRID, TG, m_arr)
+
+
 @pytest.mark.parametrize("moved", [None, "drift", "potential", "hamiltonian", "timegrid"])
 def test_control_objective(moved):
     # the heat flow with zero drift is a feasible pair
