@@ -46,13 +46,17 @@ integrands with m_{k+1}.
 
 The controlled system is the evolutive one with the zero obstacle plus
 a Hamiltonian term and its induced drift, in the solver and in the
-verifier alike: _hamiltonian_state is the one source of H, of the face
-drift and of the drift operator. The state is made once per Newton
-iterate, by the residual, and the Jacobian at that iterate reuses it;
-the drift operator is assembled on a CSR pattern kept per (grid, K)
-(density._drift_pattern), and the positions of the Hamiltonian entries
-of the Jacobian are kept per (grid, K) as well. The diagonal_update
-assembler of the Jacobian is kept per structure (_jacobian_assembler).
+verifier alike: _hamiltonian_state is the one source of H and of the
+face drift. The state is made once per Newton iterate, by the residual,
+and the Jacobian at that iterate reuses it. The drift term
+-div(m_k b_k) is applied to the density slices by their upwind face
+fluxes, without a matrix (_divergence); in the Jacobian it is
+D^T (diag(b+) S_R + diag(b-) S_L) per axis, laid out from the face
+difference D and the face-node selectors S_L, S_R of
+grid._gradient_matrices like the other Hamiltonian entries, whose
+positions are kept per (grid, K) (_hamiltonian_positions). The
+diagonal_update assembler of the Jacobian is kept per structure
+(_jacobian_assembler).
 
 As _frozen_system is the one builder of the Newton systems,
 _residuals is the one residual core of their verifiers: the stationary
@@ -72,7 +76,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .costs import CostOperator
-from .density import _drift_pattern
 from .grid import (
     DELTA_C_FLOOR,
     FieldTrajectory,
@@ -271,10 +274,8 @@ class _HamiltonianState:
       and the nodes that take the backward difference;
     - face_p, face_weight, drift: per axis the face gradient components,
       beta on the faces (None for beta-free kinds) and the face drift
-      b_k = D_pH(x, grad u_k), (K, *axis face shape);
-    - drift_values, div: the entries of the block-diagonal operator
-      m_k -> -div(m_k b_k) in _drift_triplets order, and the operator
-      on the CSR pattern kept per (grid, K) by density._drift_pattern.
+      b_k = D_pH(x, grad u_k), (K, *axis face shape), which _divergence
+      applies to density slices.
     """
 
     values: np.ndarray
@@ -283,8 +284,6 @@ class _HamiltonianState:
     face_p: list
     face_weight: list
     drift: tuple
-    drift_values: np.ndarray
-    div: sp.csr_matrix
 
 
 def _hamiltonian_state(grid: Grid, hamiltonian, u: np.ndarray) -> _HamiltonianState:
@@ -303,7 +302,7 @@ def _hamiltonian_state(grid: Grid, hamiltonian, u: np.ndarray) -> _HamiltonianSt
     backward one. D_pH is evaluated 2 + dim times: for the choice, for
     the slope and for the drift on the faces of each axis.
     """
-    one_sided, face_grad = _gradient_matrices(grid)
+    one_sided, face_grad, _ = _gradient_matrices(grid)
     fwd = [(f @ u.T).T for _, f in one_sided]
     backward = [v > 0 for v in hamiltonian.gradient(fwd)]
     p = [np.where(bw, (b @ u.T).T, d) for (b, _), bw, d in zip(one_sided, backward, fwd)]
@@ -312,10 +311,35 @@ def _hamiltonian_state(grid: Grid, hamiltonian, u: np.ndarray) -> _HamiltonianSt
     face_weight = [hamiltonian.face_weight(grid, axis) for axis in range(grid.dim)]
     drift = tuple(hamiltonian.gradient(p_face, weight=beta)[axis]
                   for axis, (p_face, beta) in enumerate(zip(face_p, face_weight)))
-    pattern = _drift_pattern(grid, len(u))
-    drift_values = pattern.values(drift)
     return _HamiltonianState(hamiltonian.value(p), hamiltonian.gradient(p), backward, face_p,
-                             face_weight, drift, drift_values, pattern.matrix(drift_values))
+                             face_weight, drift)
+
+
+def _upwind_density(grid: Grid, drift, m: np.ndarray) -> list:
+    """Per axis the density that the upwind flux through each face takes
+    from the slices m (K, N) under the face drift b = drift[axis]: m_R
+    where b > 0 and m_L elsewhere, 0 outside the grid; (K, faces)
+    arrays. The flux b+ m_R + b- m_L is b times it, and its derivative
+    in b is it."""
+    # m with a zero column last, so that index -1 (outside) reads 0
+    m_pad = np.zeros((len(m), m.shape[1] + 1))
+    m_pad[:, :-1] = m
+    out = []
+    for axis, b in enumerate(drift):
+        left, right = _face_nodes(grid, axis)
+        out.append(np.where(b.reshape(len(m), -1) > 0, m_pad[:, right], m_pad[:, left]))
+    return out
+
+
+def _divergence(grid: Grid, drift, m: np.ndarray) -> np.ndarray:
+    """-div(m_k b_k) of the density slices m (K, N) under the face drift
+    b_k = drift[axis][k] (K, *axis face shape), without a matrix: the
+    upwind fluxes F = b m_up (_upwind_density), and -diff(F) / h along
+    each axis; (K, N)."""
+    out = np.zeros((len(m),) + grid.shape)
+    for axis, (b, m_up) in enumerate(zip(drift, _upwind_density(grid, drift, m))):
+        out -= np.diff(b * m_up.reshape(b.shape), axis=axis + 1) / grid.spacing[axis]
+    return out.reshape(len(m), -1)
 
 
 def _pair_stencil(a, b):
@@ -343,24 +367,27 @@ def _hamiltonian_positions(grid: Grid, k_steps: int):
       (m on the side the flux takes) times D_ppH times the stencils of
       the face gradient (the face difference, and in 2D the transverse
       average of central differences);
-    - density rows, m_{k+1}: the drift operator div_k itself.
+    - density rows, m_{k+1}: the drift operator div_k itself, per axis
+      D^T diag(b-) S_L + D^T diag(b+) S_R with the face difference D
+      and the face-node selectors S_L, S_R.
 
-    Built once per (grid, K) and kept, like the drift pattern.
+    Built once per (grid, K) and kept.
     """
     n = grid.n_total
-    one_sided, face_grad = _gradient_matrices(grid)
+    one_sided, face_grad, selectors = _gradient_matrices(grid)
     identity = sp.identity(n, format="csr")
     stencils = ([_pair_stencil(identity, d) for pair in one_sided for d in pair]
                 + [_pair_stencil(mats[axis], g) for axis, mats in enumerate(face_grad)
-                   for g in mats])
-    n_nodes = 2 * grid.dim  # the node stencils come first
+                   for g in mats]
+                + [_pair_stencil(mats[axis], s) for axis, mats in enumerate(face_grad)
+                   for s in selectors[axis]])
+    n_nodes = n_drift = 2 * grid.dim  # the node stencils come first, the drift last
     n_u = k_steps * n
     offset = n * np.arange(k_steps)[:, None]
-    pattern = _drift_pattern(grid, k_steps)
     rows = np.concatenate([(offset + s[0]).ravel() for s in stencils[:n_nodes]]
-                          + [(n_u + offset + s[0]).ravel() for s in stencils[n_nodes:]]
-                          + [n_u + pattern.rows])
-    cols = np.concatenate([(offset + s[1]).ravel() for s in stencils] + [n_u + pattern.cols])
+                          + [(n_u + offset + s[0]).ravel() for s in stencils[n_nodes:]])
+    cols = np.concatenate([(offset + s[1]).ravel() for s in stencils[:-n_drift]]
+                          + [(n_u + offset + s[1]).ravel() for s in stencils[-n_drift:]])
     for arr in (rows, cols, *(a for s in stencils for a in s)):
         arr.flags.writeable = False
     return rows, cols, stencils
@@ -369,23 +396,22 @@ def _hamiltonian_positions(grid: Grid, k_steps: int):
 def _hamiltonian_values(grid: Grid, hamiltonian, state: _HamiltonianState, m: np.ndarray):
     """The values at the positions of _hamiltonian_positions of the
     derivatives of the Hamiltonian terms at the state of the value slices
-    u_0..u_{K-1} and the density slices m_1..m_K: only D_ppH and the
-    flux slope are computed, the rest is read from the state."""
+    u_0..u_{K-1} and the density slices m_1..m_K: only D_ppH, the flux
+    slope and the parts b+, b- of the face drift are computed, the rest
+    is read from the state."""
     k_steps = len(m)
     weights = []
     for slope, backward in zip(state.slope, state.backward):
         weights += [np.where(backward, slope, 0.0), np.where(backward, 0.0, slope)]
-    # m with a zero column last, so that index -1 (outside) reads 0
-    m_pad = np.zeros((k_steps, m.shape[1] + 1))
-    m_pad[:, :-1] = m
-    for axis, (p_face, b) in enumerate(zip(state.face_p, state.drift)):
+    for axis, (p_face, flux_slope) in enumerate(
+            zip(state.face_p, _upwind_density(grid, state.drift, m))):
         hess = hamiltonian.hessian(p_face, weight=state.face_weight[axis])[axis]
-        left, right = _face_nodes(grid, axis)
-        flux_slope = np.where(b.reshape(k_steps, -1) > 0, m_pad[:, right], m_pad[:, left])
         weights += [flux_slope * h_c.reshape(k_steps, -1) for h_c in hess]
+    for b in state.drift:
+        b = b.reshape(k_steps, -1)
+        weights += [np.minimum(b, 0.0), np.maximum(b, 0.0)]
     stencils = _hamiltonian_positions(grid, k_steps)[2]
-    vals = [s[2] * w[:, s[3]] for s, w in zip(stencils, weights)]
-    return np.concatenate(vals + [state.drift_values], axis=None)
+    return np.concatenate([s[2] * w[:, s[3]] for s, w in zip(stencils, weights)], axis=None)
 
 
 def _residuals(grid: Grid, dt: float, lag: int, cost: CostOperator, hamiltonian, u_arr, m_arr,
@@ -397,8 +423,9 @@ def _residuals(grid: Grid, dt: float, lag: int, cost: CostOperator, hamiltonian,
 
     u_arr, m_arr, psi_arr and g_arr hold the slices 0..K. With
     f_k = f(m_{k+1-lag}), L u_k = (u_k - u_{k+1})/dt + A0 u_k + H_k and
-    r_k = (m_{k+1} - m_k)/dt + (A0 + div_k) m_{k+1}, H_k and div_k from
-    one _hamiltonian_state of u_0..u_{K-1} (zero without a Hamiltonian),
+    r_k = (m_{k+1} - m_k)/dt + A0 m_{k+1} + div_k m_{k+1}, H_k and the
+    face drift of div_k (_divergence) from one _hamiltonian_state of
+    u_0..u_{K-1} (zero without a Hamiltonian),
     returns the report fields, maxima and sums over all slices and nodes:
 
     - r_obstacle: max |min(psi_k - u_k, f_k - L u_k)|;
@@ -409,8 +436,8 @@ def _residuals(grid: Grid, dt: float, lag: int, cost: CostOperator, hamiltonian,
     - delta_c (grid.default_contact_threshold of u_arr and psi_arr for
       None) and the grid metadata;
     - with a Hamiltonian, pairing: the signed integration-by-parts
-      pairing with phi = u, sum_k dt <(u_k - u_{k+1})/dt + A0 u_k
-      + div_k^T u_k, m_{k+1}> - <u_0 - psi_0, m_0>.
+      pairing with phi = u, sum_k dt (<(u_k - u_{k+1})/dt + A0 u_k,
+      m_{k+1}> + <u_k, div_k m_{k+1}>) - <u_0 - psi_0, m_0>.
 
     Pairings are sums times the cell volume.
     """
@@ -427,10 +454,10 @@ def _residuals(grid: Grid, dt: float, lag: int, cost: CostOperator, hamiltonian,
     out = {}
     if hamiltonian is not None:
         state = _hamiltonian_state(grid, hamiltonian, u)
-        adjoint = (state.div.T @ u.ravel()).reshape(steps, -1)
-        out["pairing"] = dt * float(np.sum((l_u + adjoint) * m)) * vol - start
+        div_m = _divergence(grid, state.drift, m)
+        out["pairing"] = dt * float(np.sum(l_u * m + u * div_m)) * vol - start
         l_u = l_u + state.values
-        r_m = r_m + (state.div @ m.ravel()).reshape(steps, -1)
+        r_m = r_m + div_m
     continuation = u - psi < -delta_c
     integrand = (f + g_arr[:steps]) * m
     return dict(
@@ -647,7 +674,7 @@ def _frozen_system(cost, g_cost, g_arr, hamiltonian, grid, m0_vals, dt, epsilon,
         nodewise = [np.maximum(w[:k_steps], 0.0) / epsilon + h_vals - source(x, m),
                     _ramp(w[:k_steps] / band) / epsilon * m[1:]]
         if hamiltonian is not None:
-            nodewise[1] = nodewise[1] + (last[1].div @ m[1:].ravel()).reshape(k_steps, n)
+            nodewise[1] = nodewise[1] + _divergence(grid, last[1].drift, m[1:])
         r = static @ x[:2 * n_u] + const + np.concatenate(nodewise, axis=None)
         return r if pair is None else np.append(r, x[-1] - pair @ m[1])
 

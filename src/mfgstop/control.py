@@ -18,9 +18,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._coupled import _hamiltonian_state, _residuals, forward_backward_solve
+from ._coupled import _divergence, _hamiltonian_state, _residuals, forward_backward_solve
 from .costs import CostOperator, PotentialOperator
-from .density import FaceVelocities, drift_divergence_matrix
+from .density import FaceVelocities
 from .evolutive import ObstacleOperator
 from .grid import (
     FieldTrajectory,
@@ -304,25 +304,28 @@ def control_objective(
     sum over time of F(m) + L(x, a) m (H(x, 0) = 0 for both kinds).
 
     The pair must satisfy the discrete inequality
-    dm/dt - lap m - div(a m) <= 1e-8 nodewise; violating
-    slices are reported in the raised error. The conjugate L is
-    evaluated at face velocities averaged onto nodes. Data off the grid
-    of m, or m off timegrid, raises ValueError.
+    dm/dt - lap m - div(a m) <= 1e-8 nodewise at every slice, checked
+    for all slices before any conjugate is evaluated; the violating
+    slices are listed in the raised ValueError. drift holds one
+    FaceVelocities per time step. The conjugate L is evaluated at face
+    velocities averaged onto nodes, and a pair with mass where L is
+    infinite costs inf. Data off the grid of m, m off timegrid, or a
+    drift of another length raises ValueError.
     """
     grid = _on_grid(m.grid, timegrid, m, *drift, potential, hamiltonian)
     steps = timegrid.n_steps
+    if len(drift) != steps:
+        raise ValueError(f"one drift per time step required: {steps}, got {len(drift)}")
     dt = timegrid.dt
     a0 = elliptic_matrix(grid, with_zero_order=False)
     m_arr = m.array()
-    bad_slices = []
+    b = [np.stack([d.components[axis] for d in drift]) for axis in range(grid.dim)]
+    resid = (m_arr[1:] - m_arr[:-1]) / dt + (a0 @ m_arr[1:].T).T + _divergence(grid, b, m_arr[1:])
+    bad_slices = np.flatnonzero(np.max(resid, axis=1) > 1e-8)
+    if bad_slices.size:
+        raise ValueError(f"control/density pair infeasible at slices {bad_slices.tolist()}")
     total = 0.0
-    vol = grid.cell_volume
     for k in range(steps):
-        div_k = drift_divergence_matrix(grid, drift[k])
-        resid = (m_arr[k + 1] - m_arr[k]) / dt + (a0 + div_k) @ m_arr[k + 1]
-        if float(np.max(resid, initial=0.0)) > 1e-8:
-            bad_slices.append(k)
-            continue
         nodal = _faces_to_nodes(grid, drift[k])
         l_vals = np.array([
             fenchel_closed_form(hamiltonian, i, [c[i] for c in nodal])
@@ -332,7 +335,5 @@ def control_objective(
         if np.any(np.isinf(l_vals) & (mass > 1e-14)):
             return np.inf
         l_term = np.where(mass > 1e-14, l_vals * mass, 0.0)
-        total += dt * float(np.sum(potential.evaluate(mass) + l_term)) * vol
-    if bad_slices:
-        raise ValueError(f"control/density pair infeasible at slices {bad_slices}")
+        total += dt * float(np.sum(potential.evaluate(mass) + l_term)) * grid.cell_volume
     return total

@@ -1,6 +1,9 @@
 """Density-side solvers: the exclusion-set elliptic equation, penalized
 killing-potential solves, the drifted forward equation by implicit Euler
-with conservative upwind fluxes, and the subsolution slack check.
+with conservative upwind fluxes, and the subsolution slack check. The
+drift operator is built from the face difference and the face-node
+selectors of grid._gradient_matrices; the Newton systems of the
+controlled problem apply it without a matrix (_coupled._divergence).
 
 All system matrices are M-matrices, so every produced density is
 nonnegative (up to roundoff) and total mass is non-increasing in time.
@@ -8,7 +11,6 @@ nonnegative (up to roundoff) and total mass is non-increasing in time.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,7 +23,7 @@ from .grid import (
     NodeMask,
     ScalarField,
     TimeGrid,
-    _face_nodes,
+    _gradient_matrices,
     _on_grid,
     elliptic_matrix,
 )
@@ -124,117 +126,22 @@ def check_subsolution(m: ScalarField, source: ScalarField) -> ScalarField:
     return ScalarField(grid, source.values - elliptic_matrix(grid) @ m.values)
 
 
-def _drift_stencil(grid: Grid, axis: int):
-    """The entries of the axis-face fluxes, by kind in the order of
-    _flux_coefficients: the row and column nodes and the faces of the
-    entries whose two nodes are inside the grid."""
-    left, right = _face_nodes(grid, axis)
-    out = []
-    for row, col in ((left, right), (left, left), (right, right), (right, left)):
-        faces = np.flatnonzero((row >= 0) & (col >= 0))
-        out.append((row[faces], col[faces], faces))
-    return out
-
-
-def _flux_coefficients(b, h: float):
-    """The upwind flux F = b+ m_R + b- m_L through faces of velocity b
-    enters row L as -F/h and row R as +F/h: the coefficients of the
-    entries (L, R), (L, L), (R, R) and (R, L), the outside value 0."""
-    bp = np.maximum(b, 0.0) / h
-    bm = np.minimum(b, 0.0) / h
-    return -bp, -bm, bp, bm
-
-
-def _drift_triplets(grid: Grid, components):
-    """Rows, columns and values of the block-diagonal matrix of
-    m_k -> -div(m_k b_k), one block per slice k of the face velocities
-    components[axis], arrays shaped (K, *axis face shape).
-
-    The flux through a face with velocity b takes m from the side the
-    mass moves away from, so off-diagonal entries stay nonpositive and
-    column sums telescope to boundary outflow only (mass can only leak).
-    The rows and columns depend on the grid and K only: _drift_pattern
-    keeps them, and the matrix, per (grid, K).
-    """
-    rows, cols, vals = [], [], []
-    for axis, b in enumerate(components):
-        b = b.reshape(len(b), -1)
-        offset = grid.n_total * np.arange(len(b))[:, None]
-        for (row, col, faces), val in zip(_drift_stencil(grid, axis),
-                                          _flux_coefficients(b, grid.spacing[axis])):
-            rows.append((row + offset).ravel())
-            cols.append((col + offset).ravel())
-            vals.append(val[:, faces].ravel())
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-
-
-@dataclass(frozen=True, eq=False)
-class _DriftPattern:
-    """The block-diagonal drift operator of K slices on one grid by its
-    fixed positions: rows and cols of its entries in _drift_triplets
-    order, gathers, per axis the positions of their values in the
-    stacked _flux_coefficients of the axis faces (of the grid spacing),
-    and the CSR structure (indptr, indices) of
-    sp.csr_matrix((vals, (rows, cols))) with slots, the position in it
-    of every entry."""
-
-    size: int
-    spacing: tuple
-    rows: np.ndarray
-    cols: np.ndarray
-    gathers: tuple
-    indptr: np.ndarray
-    indices: np.ndarray
-    slots: np.ndarray
-
-    def values(self, components) -> np.ndarray:
-        """The entries of the operator of the face velocities
-        components[axis], (K, *axis face shape), in _drift_triplets
-        order."""
-        return np.concatenate([
-            np.stack(_flux_coefficients(b, h)).ravel()[gather]
-            for b, h, gather in zip(components, self.spacing, self.gathers)])
-
-    def matrix(self, vals: np.ndarray) -> sp.csr_matrix:
-        """The operator with entries vals, duplicates summed in the
-        order of vals from -0.0, the identity of floating-point addition,
-        as the COO build sums them; the matrix shares the kept indptr and
-        indices."""
-        data = np.full(len(self.indices), -0.0)
-        np.add.at(data, self.slots, vals)
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.size, self.size))
-
-
-@functools.lru_cache(maxsize=8)
-def _drift_pattern(grid: Grid, k_steps: int) -> _DriftPattern:
-    """The _DriftPattern of K slices on grid, built once per (grid, K)
-    and kept for the process; its arrays are read-only."""
-    size = k_steps * grid.n_total
-    rows, cols, _ = _drift_triplets(
-        grid, [np.zeros((k_steps,) + grid.face_shape(axis)) for axis in range(grid.dim)])
-    gathers = []
-    for axis in range(grid.dim):
-        n_faces = int(np.prod(grid.face_shape(axis)))
-        per_slice = n_faces * np.arange(k_steps)[:, None]
-        gathers.append(np.concatenate([(kind * k_steps * n_faces + per_slice + faces).ravel()
-                                       for kind, (_, _, faces)
-                                       in enumerate(_drift_stencil(grid, axis))]))
-    # row-major keys, so that sorted keys are the canonical CSR order
-    keys, slots = np.unique(rows.astype(np.int64) * size + cols, return_inverse=True)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // size, minlength=size))])
-    pattern = _DriftPattern(size, grid.spacing, rows, cols, tuple(gathers),
-                            indptr.astype(np.int32), (keys % size).astype(np.int32), slots)
-    for arr in (rows, cols, *gathers, pattern.indptr, pattern.indices, slots):
-        arr.flags.writeable = False
-    return pattern
-
-
 def drift_divergence_matrix(grid: Grid, faces: FaceVelocities) -> sp.csr_matrix:
-    """Matrix of m -> -div(m b) with conservative upwind face fluxes, on
-    the one-slice drift pattern of the grid (its index arrays are the
-    pattern's, read-only)."""
-    pattern = _drift_pattern(_on_grid(grid, None, faces), 1)
-    return pattern.matrix(pattern.values([c[None] for c in faces.components]))
+    """Matrix of m -> -div(m b) with conservative upwind face fluxes:
+    the sum over axes of D^T (diag(b+) S_R + diag(b-) S_L), with D the
+    face difference and S_L, S_R the selectors of the nodes left and
+    right of the faces (grid._gradient_matrices).
+
+    The flux F = b+ m_R + b- m_L through a face takes m from the side
+    the mass moves away from, so off-diagonal entries stay nonpositive
+    and column sums telescope to boundary outflow only (mass can only
+    leak).
+    """
+    _, face_grad, selectors = _gradient_matrices(_on_grid(grid, None, faces))
+    return sum(mats[axis].T @ (sp.diags(np.maximum(b, 0.0).ravel()) @ right
+                               + sp.diags(np.minimum(b, 0.0).ravel()) @ left)
+               for axis, (b, mats, (left, right))
+               in enumerate(zip(faces.components, face_grad, selectors))).tocsr()
 
 
 def _per_step(traj, single: type, steps: int) -> list:

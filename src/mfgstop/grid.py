@@ -333,22 +333,23 @@ def _gradient_matrices(grid: Grid):
     cached and shared, so callers must not modify them.
 
     Returns per axis a: the backward and forward differences along a at
-    the nodes (N x N), and the gradient on the faces of axis a, one
-    (faces x N) matrix per component: the face difference along a and,
-    across it (2D), the mean of the nodal central differences of the
-    face's two nodes (a boundary face takes its one node).
+    the nodes (N x N); the gradient on the faces of axis a, one
+    (faces x N) matrix per component: the face difference
+    D = (S_R - S_L) / h along a and, across it (2D), the mean of the
+    nodal central differences of the face's two nodes (a boundary face
+    takes its one node); and the selectors (S_L, S_R) of the node left
+    and right of every face (faces x N, zero rows outside the grid).
     """
     n = grid.n_total
-    face_diff, one_sided = [], []
+    face_diff, one_sided, selectors = [], [], []
     for axis in range(grid.dim):
-        h = grid.spacing[axis]
-        left, right = _face_nodes(grid, axis)
-        faces = np.arange(len(left))
-        keep_l, keep_r = left >= 0, right >= 0
-        face_diff.append(sp.csr_matrix(
-            (np.concatenate([np.full(keep_r.sum(), 1.0 / h), np.full(keep_l.sum(), -1.0 / h)]),
-             (np.concatenate([faces[keep_r], faces[keep_l]]),
-              np.concatenate([right[keep_r], left[keep_l]]))), shape=(len(faces), n)))
+        nodes = _face_nodes(grid, axis)
+        faces = np.arange(len(nodes[0]))
+        selectors.append(tuple(
+            sp.csr_matrix((np.ones(np.count_nonzero(side >= 0)),
+                           (faces[side >= 0], side[side >= 0])), shape=(len(faces), n))
+            for side in nodes))
+        face_diff.append((selectors[axis][1] - selectors[axis][0]) / grid.spacing[axis])
         # the difference on the face left and on the face right of a node
         face_idx = faces.reshape(grid.face_shape(axis))
         n_axis = grid.shape[axis]
@@ -366,7 +367,7 @@ def _gradient_matrices(grid: Grid):
             face_diff[axis] if other == axis
             else (mean @ (0.5 * (one_sided[other][0] + one_sided[other][1]))).tocsr()
             for other in range(grid.dim)))
-    return tuple(one_sided), tuple(face_grad)
+    return tuple(one_sided), tuple(face_grad), tuple(selectors)
 
 
 def apply_elliptic(field: ScalarField) -> ScalarField:

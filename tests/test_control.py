@@ -13,7 +13,7 @@ from mfgstop.control import (
     verify_cosmfg,
 )
 from mfgstop.costs import CostOperator
-from mfgstop.density import solve_density_parabolic
+from mfgstop.density import FaceVelocities, solve_density_parabolic
 from mfgstop.evolutive import ObstacleOperator, osmfg_continuation, verify_mixed_evolutive
 from mfgstop.grid import (
     FieldTrajectory,
@@ -206,7 +206,7 @@ def four_pass_upwind(grid, ham, u):
     # the reference: the upwind choice iterated from p = 0 to a fixed
     # point, for at most four passes; returns the values, the selected
     # gradient, the backward masks and the number of passes
-    one_sided, _ = _gradient_matrices(grid)
+    one_sided = _gradient_matrices(grid)[0]
     fwd = [(f @ u.T).T for _, f in one_sided]
     bwd = [(b @ u.T).T for b, _ in one_sided]
     p = [np.zeros(u.shape) for _ in range(grid.dim)]
@@ -406,6 +406,39 @@ def test_control_objective_trivial_and_feasibility(control_solution):
     assert offset == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
+@pytest.fixture(scope="module")
+def fast_drift_pair():
+    # slice 0 moves mass at speed 2 > beta = 1, whose conjugate is
+    # infinite, and the density flow of that drift is scaled by 3 at
+    # slice 3, which makes slice 2 infeasible
+    grid = build_grid(1, (0.0, 1.0), 7)
+    tg = build_timegrid(0.5, 3)
+    fast = FaceVelocities(grid, (np.full(grid.face_shape(0), 2.0),))
+    drift = (fast, FaceVelocities.zeros(grid), FaceVelocities.zeros(grid))
+    arr = solve_density_parabolic(gaussian_density(grid), None, tg, drift).array().copy()
+    arr[3] *= 3.0
+    ham = Hamiltonian.smoothed_norm(ScalarField.constant(grid, 1.0))
+    cost = CostOperator.local_power(grid, 1.0, 1.0, ScalarField.constant(grid, -0.5))
+    return FieldTrajectory(grid, tg, arr), drift, cost.potential(), ham, tg
+
+
+def test_control_objective_checks_every_slice_before_the_conjugates(fast_drift_pair):
+    m, drift, potential, ham, tg = fast_drift_pair
+    with pytest.raises(ValueError, match=r"infeasible at slices \[2\]$"):
+        control_objective(m, drift, potential, ham, tg)
+    # feasible, with mass where the conjugate is infinite
+    flow = FieldTrajectory(m.grid, tg, np.vstack([m.array()[:3], m.array()[3] / 3.0]))
+    assert control_objective(flow, drift, potential, ham, tg) == np.inf
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_control_objective_takes_one_drift_per_step(fast_drift_pair, count):
+    m, drift, potential, ham, tg = fast_drift_pair
+    drift = (drift + (FaceVelocities.zeros(m.grid),))[:count]
+    with pytest.raises(ValueError, match="one drift per time step"):
+        control_objective(m, drift, potential, ham, tg)
+
+
 def test_control_objective_rejects_infeasible(setup):
     grid, tg, m0 = setup
     cost = CostOperator.local_power(grid, 1.0, 1.0, ScalarField.constant(grid, -0.5))
@@ -413,8 +446,6 @@ def test_control_objective_rejects_infeasible(setup):
     # growing density violates the subsolution inequality
     arr = np.tile(m0.values, (tg.n_steps + 1, 1)) * np.linspace(1, 2, tg.n_steps + 1)[:, None]
     bad = FieldTrajectory(grid, tg, arr)
-    from mfgstop.density import FaceVelocities
-
     drift = tuple(FaceVelocities.zeros(grid) for _ in range(tg.n_steps))
     with pytest.raises(ValueError):
         control_objective(bad, drift, cost.potential(), ham, tg)

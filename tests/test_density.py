@@ -5,11 +5,10 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfgstop._coupled import _divergence
 from mfgstop.density import (
     FaceVelocities,
     KillingData,
-    _drift_pattern,
-    _drift_triplets,
     check_subsolution,
     drift_divergence_matrix,
     solve_density_on_set,
@@ -224,37 +223,59 @@ def test_drift_matrix_column_sums_nonnegative():
     assert np.all(col >= -1e-14)
 
 
+def _face_pairs(shape, axis):
+    """(left, right) flat node indices of every axis face in the face
+    order of FaceVelocities, None outside the grid: face j along axis
+    lies between nodes j - 1 and j."""
+    face_shape = tuple(n + (a == axis) for a, n in enumerate(shape))
+    for face in np.ndindex(face_shape):
+        j = face[axis]
+        left = face[:axis] + (j - 1,) + face[axis + 1:]
+        yield (np.ravel_multi_index(left, shape) if j >= 1 else None,
+               np.ravel_multi_index(face, shape) if j < shape[axis] else None)
+
+
+def _drift_reference(g, comps, m):
+    """Node-by-node -div(m b) and its matrix: through each face of
+    velocity b the flux F = b+ m_R + b- m_L enters the left node as
+    -F/h and the right node as +F/h, 0 outside the grid."""
+    div = np.zeros(g.n_total)
+    mat = np.zeros((g.n_total, g.n_total))
+    for axis, comp in enumerate(comps):
+        h = g.spacing[axis]
+        for (left, right), b in zip(_face_pairs(g.shape, axis), comp.ravel()):
+            up, down = max(b, 0.0), min(b, 0.0)
+            flux = (up * m[right] if right is not None else 0.0) + (
+                down * m[left] if left is not None else 0.0)
+            for node, sign in ((left, -1.0), (right, 1.0)):
+                if node is None:
+                    continue
+                div[node] += sign * flux / h
+                for col, coef in ((right, up), (left, down)):
+                    if col is not None:
+                        mat[node, col] += sign * coef / h
+    return div, mat
+
+
 @pytest.mark.parametrize("k_steps", [1, 3])
 @pytest.mark.parametrize("shape", [(31,), (9, 9), (15, 15)], ids=["31", "9x9", "15x15"])
-def test_kept_drift_pattern_matches_the_coo_build(shape, k_steps):
-    # signed face velocities with exact zeros, whose entries are -0.0
+def test_drift_operator_matches_the_node_by_node_reference(shape, k_steps):
+    # signed face velocities with exact zeros, on axes of unequal spacing
     dim = len(shape)
-    g = build_grid(dim, [(0.0, 1.0)] * dim, list(shape))
+    g = build_grid(dim, [(0.0, 1.0 + axis) for axis in range(dim)], list(shape))
     rng = np.random.default_rng(k_steps)
     comps = []
     for axis in range(dim):
         size = (k_steps,) + g.face_shape(axis)
         comps.append(rng.normal(size=size) * (rng.random(size) < 0.7))
     assert all(np.any(c == 0.0) for c in comps)
-    rows, cols, vals = _drift_triplets(g, comps)
-    n = k_steps * g.n_total
-    coo = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    pattern = _drift_pattern(g, k_steps)
-    assert _drift_pattern(g, k_steps) is pattern
-    assert np.array_equal(pattern.rows, rows) and np.array_equal(pattern.cols, cols)
-    assert pattern.values(comps).tobytes() == vals.tobytes()
-    kept = pattern.matrix(vals)
-    assert np.array_equal(kept.indptr, coo.indptr) and np.array_equal(kept.indices, coo.indices)
-    if dim == 1:
-        assert kept.data.tobytes() == coo.data.tobytes()
-    else:
-        # up to four fluxes sum on a diagonal entry
-        assert np.max(np.abs(kept.data - coo.data)) <= 1e-15 * np.max(np.abs(coo.data))
-    if k_steps == 1:
-        # the one-slice operator is drift_divergence_matrix
-        d = drift_divergence_matrix(g, FaceVelocities(g, tuple(c[0] for c in comps)))
-        assert np.array_equal(d.indptr, coo.indptr) and np.array_equal(d.indices, coo.indices)
-        assert d.data.tobytes() == kept.data.tobytes()
+    m = rng.uniform(0.1, 2.0, size=(k_steps, g.n_total))
+    div = _divergence(g, comps, m)
+    for k in range(k_steps):
+        ref_div, ref_mat = _drift_reference(g, [c[k] for c in comps], m[k])
+        mat = drift_divergence_matrix(g, FaceVelocities(g, tuple(c[k] for c in comps)))
+        assert np.max(np.abs(mat.toarray() - ref_mat)) <= 1e-15 * np.max(np.abs(ref_mat))
+        assert np.max(np.abs(div[k] - ref_div)) <= 1e-13 * np.max(np.abs(ref_div))
 
 
 def test_killing_monotonicity():

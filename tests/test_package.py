@@ -3,7 +3,8 @@ __all__ entry resolves and has a caller, the package __init__ imports
 only names its modules export, no module imports a name it never uses,
 every grid comparison is the one grid check, every direct
 solve goes through the one factorization entry point, the
-Hamiltonian data of the controlled system has one source, every
+Hamiltonian data of the controlled system has one source, no Newton
+system or verifier builds a drift matrix, every
 verifier takes its residuals from the one residual core, and every
 coupled Newton solve runs in the one penalty stage."""
 
@@ -169,10 +170,10 @@ def test_newton_steps_are_taken_only_by_the_one_system_builder():
 
 # the Hamiltonian data of the controlled system: only the one state
 # builder applies the difference matrices to u, only the positions
-# builder lays out their stencils and only the drift pattern builder
-# lays out the drift triplets, so the residual, the Jacobian and the
-# verifier read one source of H
-HAMILTONIAN_DATA = {"_gradient_matrices", "_drift_triplets"}
+# builder lays out their stencils (the drift's among them) and only the
+# public drift matrix builds the drift from them, so the residual, the
+# Jacobian and the verifier read one source of H and of the drift
+HAMILTONIAN_DATA = {"_gradient_matrices"}
 
 
 def test_hamiltonian_data_is_evaluated_only_by_the_state_and_pattern_builders():
@@ -180,7 +181,16 @@ def test_hamiltonian_data_is_evaluated_only_by_the_state_and_pattern_builders():
              for where, line in _references(_tree(module), module, HAMILTONIAN_DATA)]
     assert {where for where, _ in found} == {"_coupled._hamiltonian_state",
                                              "_coupled._hamiltonian_positions",
-                                             "density._drift_pattern"}, found
+                                             "density.drift_divergence_matrix"}, found
+
+
+def test_the_newton_loop_builds_no_drift_matrix():
+    # the Newton systems and the verifiers apply the drift by its face
+    # fluxes (_coupled._divergence); only the forward density stepping
+    # assembles the matrix
+    found = [(where, line) for module in MODULES
+             for where, line in _references(_tree(module), module, {"drift_divergence_matrix"})]
+    assert {where for where, _ in found} == {"density.solve_density_parabolic"}, found
 
 
 def test_hamiltonian_state_selects_the_upwind_difference_without_a_loop():

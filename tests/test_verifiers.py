@@ -77,14 +77,18 @@ def below(rng, psi):
     return psi - gap
 
 
-def reference_residuals(shape, spacing, dt, u, m, f, psi, g, lap_u, delta_c):
+def reference_residuals(shape, spacing, dt, u, m, f, psi, g, lap_u, delta_c, div_m=None):
     """The five conditions of the K-slice system, node by node: u, m with
     slices 0..K, f, psi, g and L u (without the time difference) with
-    slices 0..K-1; the duality pairs against the slice-0 data."""
+    slices 0..K-1, and the drift term -div(m_{k+1} b_k) of the density
+    equations (None for none); the duality pairs against the slice-0
+    data."""
     volume = float(np.prod(spacing))
     r_obs = r_cont = r_sub = contact = total = 0.0
     for k in range(len(f)):
         lap_m = neg_laplacian(shape, spacing, m[k + 1])
+        if div_m is not None:
+            lap_m = lap_m + div_m[k]
         for i in range(len(m[k])):
             l_u = (u[k][i] - u[k + 1][i]) / dt + lap_u[k][i]
             r_obs = max(r_obs, abs(min(psi[k][i] - u[k][i], f[k][i] - l_u)))
@@ -99,6 +103,67 @@ def reference_residuals(shape, spacing, dt, u, m, f, psi, g, lap_u, delta_c):
     start = pairing(u[0] - psi[0], m[0], volume)
     return {"r_obstacle": r_obs, "r_continuation": r_cont, "r_subsolution": r_sub,
             "r_contact": abs(contact), "r_duality": abs(total - start)}
+
+
+def hamiltonian_terms(shape, spacing, beta, u, m):
+    """H(x, D_sel u) and the drift term -div(m b) node by node, for the
+    smoothed norm H = beta (sqrt(1 + |p|^2) - 1) or, with beta None, the
+    quadratic H = |p|^2 / 2, values outside the grid 0:
+
+    - along each axis a node takes the backward difference where
+      D_pH(x, q)_a > 0 at the forward differences q, the forward one
+      elsewhere, and H is evaluated at the selected gradient;
+    - on the face between nodes L and R of axis a the gradient is
+      (u_R - u_L)/h_a along a and, across it, the mean of the nodal
+      central differences of the face's nodes inside the grid, and beta
+      is the mean of theirs;
+    - the face drift is b = D_pH(face beta, face gradient)_a, and the
+      upwind flux F = b+ m_R + b- m_L enters L as -F/h_a and R as +F/h_a.
+    """
+    dim = len(shape)
+
+    def inside(node):
+        return all(0 <= c < n for c, n in zip(node, shape))
+
+    def at(v, node):
+        return v[np.ravel_multi_index(node, shape)] if inside(node) else 0.0
+
+    def step(node, axis, by):
+        return node[:axis] + (node[axis] + by,) + node[axis + 1:]
+
+    def d_ph(p, weight):
+        if beta is None:
+            return list(p)
+        return [weight * x / np.sqrt(1.0 + sum(y * y for y in p)) for x in p]
+
+    def value(p, weight):
+        sq = sum(x * x for x in p)
+        return 0.5 * sq if beta is None else weight * (np.sqrt(1.0 + sq) - 1.0)
+
+    h_vals, div = np.zeros(len(u)), np.zeros(len(u))
+    for node in np.ndindex(*shape):
+        i = np.ravel_multi_index(node, shape)
+        weight = None if beta is None else beta[i]
+        fwd = [(at(u, step(node, a, 1)) - u[i]) / spacing[a] for a in range(dim)]
+        bwd = [(u[i] - at(u, step(node, a, -1))) / spacing[a] for a in range(dim)]
+        p = [b if s > 0 else f for b, f, s in zip(bwd, fwd, d_ph(fwd, weight))]
+        h_vals[i] = value(p, weight)
+    for axis in range(dim):
+        h = spacing[axis]
+        for right in np.ndindex(*(n + (a == axis) for a, n in enumerate(shape))):
+            left = step(right, axis, -1)
+            nodes = [x for x in (left, right) if inside(x)]
+            grad = [(at(u, right) - at(u, left)) / h if c == axis
+                    else sum((at(u, step(x, c, 1)) - at(u, step(x, c, -1))) / (2 * spacing[c])
+                             for x in nodes) / len(nodes)
+                    for c in range(dim)]
+            weight = None if beta is None else sum(at(beta, x) for x in nodes) / len(nodes)
+            b = d_ph(grad, weight)[axis]
+            flux = max(b, 0.0) * at(m, right) + min(b, 0.0) * at(m, left)
+            for x, sign in ((left, -1.0), (right, 1.0)):
+                if inside(x):
+                    div[np.ravel_multi_index(x, shape)] += sign * flux / h
+    return h_vals, div
 
 
 def assert_matches(report, expected):
@@ -206,6 +271,49 @@ def test_controlled_verifier_without_h_matches_the_reference(shape):
                            cost_operator(grid, spec),
                            Hamiltonian.smoothed_norm(ScalarField.zeros(grid)),
                            ScalarField(grid, m[0]), delta_c=DELTA_C)
+    assert_matches(report, expected)
+    assert report.duality_diagnostic == pytest.approx(diagnostic, **TOL)
+
+
+@pytest.mark.parametrize("kind", ["smoothed_norm", "quadratic"])
+@pytest.mark.parametrize("shape", GRIDS.values(), ids=GRIDS.keys())
+def test_controlled_verifier_matches_the_reference_hamiltonian_terms(shape, kind):
+    # H(x, D_sel u_k) in the value equations and -div(m_{k+1} b_k) in the
+    # density equations, from hamiltonian_terms; the pairing with phi = u
+    # is sum_k dt (<(u_k - u_{k+1})/dt - lap u_k, m_{k+1}>
+    # + <u_k, -div(m_{k+1} b_k)>) - <u_0, m_0>
+    grid = make_grid(shape)
+    n, spacing, k_steps = grid.n_total, grid.spacing, 3
+    tg = build_timegrid(0.3, k_steps)
+    rng = np.random.default_rng(53)
+    spec = cost_spec(rng, n, True)
+    zero = np.zeros((k_steps + 1, n))
+    u = below(rng, zero)
+    # some nodes above the obstacle, so that boundary faces carry flux
+    above = rng.random(u.shape) < 0.2
+    u[above] = rng.uniform(0.01, 0.3, np.count_nonzero(above))
+    m = rng.uniform(0.0, 1.0, (k_steps + 1, n))
+    if kind == "smoothed_norm":
+        beta = rng.uniform(0.5, 2.0, n) * (rng.random(n) < 0.8)
+        ham = Hamiltonian.smoothed_norm(ScalarField(grid, beta))
+    else:
+        beta, ham = None, Hamiltonian.quadratic(grid, outside_assumptions=True)
+    terms = [hamiltonian_terms(shape, spacing, beta, u[k], m[k + 1]) for k in range(k_steps)]
+    lap_u = [neg_laplacian(shape, spacing, u[k]) for k in range(k_steps)]
+    f = [cost_of(spec, m[k], grid.cell_volume) for k in range(k_steps)]
+    expected = reference_residuals(shape, spacing, tg.dt, u, m, f, zero, zero,
+                                   [lap + h_vals for lap, (h_vals, _) in zip(lap_u, terms)],
+                                   DELTA_C, div_m=[div for _, div in terms])
+    expected["r_hjb"] = expected.pop("r_obstacle")
+    del expected["r_duality"]
+    diagnostic = -pairing(u[0], m[0], grid.cell_volume)
+    for k, (_, div) in enumerate(terms):
+        l_u = (u[k] - u[k + 1]) / tg.dt + lap_u[k]
+        diagnostic += tg.dt * (pairing(l_u, m[k + 1], grid.cell_volume)
+                               + pairing(u[k], div, grid.cell_volume))
+    report = verify_cosmfg(FieldTrajectory(grid, tg, u), FieldTrajectory(grid, tg, m),
+                           cost_operator(grid, spec), ham, ScalarField(grid, m[0]),
+                           delta_c=DELTA_C)
     assert_matches(report, expected)
     assert report.duality_diagnostic == pytest.approx(diagnostic, **TOL)
 
