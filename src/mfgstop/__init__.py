@@ -66,7 +66,6 @@ from .control import (
     cosmfg_coupled_solve,
     verify_cosmfg,
     face_drift,
-    fenchel_conjugate,
     control_objective,
 )
 from . import scenarios

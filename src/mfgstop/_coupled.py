@@ -272,17 +272,16 @@ class _HamiltonianState:
     - values: the upwind H(x, D_sel u_k), (K, N);
     - slope, backward: per axis D_pH(x, p) at the selected gradient p,
       and the nodes that take the backward difference;
-    - face_p, face_weight, drift: per axis the face gradient components,
-      beta on the faces (None for beta-free kinds) and the face drift
-      b_k = D_pH(x, grad u_k), (K, *axis face shape), which _divergence
-      applies to density slices.
+    - face_p, drift: per axis the face gradient components and the face
+      drift b_k = D_pH(x, grad u_k), (K, *axis face shape), at the
+      Hamiltonian's face weights; _divergence applies the drift to
+      density slices.
     """
 
     values: np.ndarray
     slope: list
     backward: list
     face_p: list
-    face_weight: list
     drift: tuple
 
 
@@ -308,11 +307,10 @@ def _hamiltonian_state(grid: Grid, hamiltonian, u: np.ndarray) -> _HamiltonianSt
     p = [np.where(bw, (b @ u.T).T, d) for (b, _), bw, d in zip(one_sided, backward, fwd)]
     face_p = [[(g @ u.T).T.reshape(u.shape[:-1] + grid.face_shape(axis)) for g in mats]
               for axis, mats in enumerate(face_grad)]
-    face_weight = [hamiltonian.face_weight(grid, axis) for axis in range(grid.dim)]
     drift = tuple(hamiltonian.gradient(p_face, weight=beta)[axis]
-                  for axis, (p_face, beta) in enumerate(zip(face_p, face_weight)))
+                  for axis, (p_face, beta) in enumerate(zip(face_p, hamiltonian.face_weights)))
     return _HamiltonianState(hamiltonian.value(p), hamiltonian.gradient(p), backward, face_p,
-                             face_weight, drift)
+                             drift)
 
 
 def _upwind_density(grid: Grid, drift, m: np.ndarray) -> list:
@@ -405,7 +403,7 @@ def _hamiltonian_values(grid: Grid, hamiltonian, state: _HamiltonianState, m: np
         weights += [np.where(backward, slope, 0.0), np.where(backward, 0.0, slope)]
     for axis, (p_face, flux_slope) in enumerate(
             zip(state.face_p, _upwind_density(grid, state.drift, m))):
-        hess = hamiltonian.hessian(p_face, weight=state.face_weight[axis])[axis]
+        hess = hamiltonian.hessian(p_face, weight=hamiltonian.face_weights[axis])[axis]
         weights += [flux_slope * h_c.reshape(k_steps, -1) for h_c in hess]
     for b in state.drift:
         b = b.reshape(k_steps, -1)

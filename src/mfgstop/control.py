@@ -1,6 +1,7 @@
 """The controlled system: Hamilton-Jacobi-Bellman obstacle equation with
 a convex Hamiltonian, drifted forward equation with killing, the coupled
-solver, its verifier, and the Fenchel-conjugate control objective.
+solver, its verifier, and the control objective, whose running cost is
+the Hamiltonian's own Fenchel conjugate (Hamiltonian.conjugate).
 
 The system is the evolutive one with the zero obstacle plus the
 Hamiltonian term and its drift: the solver runs the evolutive path with
@@ -39,26 +40,32 @@ __all__ = [
     "cosmfg_coupled_solve",
     "verify_cosmfg",
     "face_drift",
-    "fenchel_conjugate",
-    "fenchel_closed_form",
     "control_objective",
 ]
 
 
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
-    """Convex Hamiltonian H(x, p) with gradient D_pH and Hessian D_ppH.
+    """Convex Hamiltonian H(x, p) with gradient D_pH, Hessian D_ppH and
+    Fenchel conjugate L(x, a) = sup_p (a . p - H(x, p)).
 
-    smoothed_norm: H = beta(x) (sqrt(1 + |p|^2) - 1), Lipschitz in p.
-    quadratic:     H = |p|^2 / 2; not globally Lipschitz, construction
-                   requires outside_assumptions=True to acknowledge it.
+    smoothed_norm: H = beta(x) (sqrt(1 + |p|^2) - 1), Lipschitz in p;
+                   L = beta (1 - sqrt(1 - (|a| / beta)^2)) on |a| <= beta,
+                   +inf outside.
+    quadratic:     H = |p|^2 / 2, L = |a|^2 / 2; not globally Lipschitz,
+                   construction requires outside_assumptions=True to
+                   acknowledge it.
+
+    face_weights holds per axis beta averaged onto the axis faces (a
+    boundary face copies its interior neighbour), computed once here and
+    read-only; None per axis for beta-free kinds.
     """
 
     kind: str
     grid: Grid
     beta: ScalarField | None = None
     outside_assumptions: bool = False
-    _face_weights: dict = field(default_factory=dict, init=False, repr=False)
+    face_weights: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("smoothed_norm", "quadratic"):
@@ -73,6 +80,16 @@ class Hamiltonian:
             raise ValueError(
                 "quadratic Hamiltonian is not globally Lipschitz; "
                 "pass outside_assumptions=True to use it anyway")
+        weights = [None] * self.grid.dim
+        if self.kind == "smoothed_norm":
+            beta = self.beta.values
+            for axis in range(self.grid.dim):
+                left, right = _face_nodes(self.grid, axis)
+                weight = 0.5 * (beta[np.where(left >= 0, left, right)]
+                                + beta[np.where(right >= 0, right, left)])
+                weights[axis] = weight.reshape(self.grid.face_shape(axis))
+                weights[axis].flags.writeable = False
+        object.__setattr__(self, "face_weights", tuple(weights))
 
     @staticmethod
     def smoothed_norm(beta: ScalarField) -> "Hamiltonian":
@@ -114,24 +131,19 @@ class Hamiltonian:
         return [[scale * (float(a == c) - p_components[a] * p_components[c] / s2)
                  for c in range(dim)] for a in range(dim)]
 
-    def face_weight(self, grid: Grid, axis: int):
-        """beta averaged onto axis faces (boundary faces copy the
-        interior neighbor), computed once per (grid, axis) and kept
-        read-only; None for beta-free kinds. grid must be the
-        Hamiltonian's own, or ValueError is raised."""
-        if self.kind != "smoothed_norm":
-            return None
-        weight = self._face_weights.get((grid, axis))
-        if weight is None:
-            _on_grid(grid, None, self)
-            left, right = _face_nodes(grid, axis)
-            beta = self.beta.values
-            weight = 0.5 * (beta[np.where(left >= 0, left, right)]
-                            + beta[np.where(right >= 0, right, left)])
-            weight = weight.reshape(grid.face_shape(axis))
-            weight.flags.writeable = False
-            self._face_weights[(grid, axis)] = weight
-        return weight
+    def conjugate(self, a_components, weight=None) -> np.ndarray:
+        """L(x, a) = sup_p (a . p - H(x, p)) for per-axis arrays of a
+        components. For smoothed_norm the supremum is approached as
+        |p| -> inf on the sphere |a| = beta, where it is beta, and is
+        +inf outside the ball (so beta = 0 gives 0 at a = 0 only)."""
+        sq = sum(np.asarray(a, dtype=float) ** 2 for a in a_components)
+        if self.kind == "quadratic":
+            return 0.5 * sq
+        beta = self._weight(weight)
+        speed = np.sqrt(sq)
+        inside = speed <= beta
+        ratio = np.divide(speed, beta, out=np.zeros(np.shape(inside)), where=inside & (beta > 0))
+        return np.where(inside, beta * (1.0 - np.sqrt(1.0 - ratio ** 2)), np.inf)
 
 
 @dataclass(frozen=True)
@@ -232,67 +244,6 @@ def face_drift(hamiltonian: Hamiltonian, u: FieldTrajectory) -> tuple[FaceVeloci
     return tuple(FaceVelocities(grid, tuple(b[k] for b in drift)) for k in range(steps))
 
 
-def fenchel_closed_form(hamiltonian: Hamiltonian, node: int, velocity) -> float:
-    """Closed-form conjugate, the oracle for the lattice routine."""
-    speed = float(np.linalg.norm(np.atleast_1d(np.asarray(velocity, dtype=float))))
-    if hamiltonian.kind == "quadratic":
-        return 0.5 * speed**2
-    beta = float(hamiltonian.beta.values[node])
-    if speed == 0.0:
-        return 0.0
-    if speed >= beta:
-        return np.inf
-    return beta * (1.0 - np.sqrt(1.0 - (speed / beta) ** 2))
-
-
-def fenchel_conjugate(hamiltonian: Hamiltonian, node: int, velocity) -> float:
-    """L(x, a) = sup_p (a . p - H(x, p)) by radial lattice search plus
-    local refinement; returns +inf when the supremum is unbounded.
-
-    Both supported Hamiltonians are radial in p, so the supremum
-    reduces to a scalar maximization along the direction of a.
-    """
-    from scipy.optimize import minimize_scalar
-
-    speed = float(np.linalg.norm(np.atleast_1d(np.asarray(velocity, dtype=float))))
-    beta = float(hamiltonian.beta.values[node]) if hamiltonian.kind == "smoothed_norm" else None
-    if speed == 0.0:
-        return 0.0
-    if beta is not None and speed >= beta - 1e-15:
-        return np.inf
-
-    def objective(r):
-        return speed * r - hamiltonian.value([r], weight=beta)
-
-    r_hi = 1.0
-    for _ in range(80):
-        lattice = np.linspace(0.0, r_hi, 129)
-        vals = objective(lattice)
-        best = int(np.argmax(vals))
-        if best < len(lattice) - 1:
-            break
-        r_hi *= 2.0
-        if r_hi > 1e12:
-            return np.inf
-    lo = lattice[max(best - 1, 0)]
-    hi = lattice[min(best + 1, len(lattice) - 1)]
-    res = minimize_scalar(lambda r: -objective(r), bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    return float(max(-res.fun, objective(lattice[best])))
-
-
-def _faces_to_nodes(grid: Grid, faces: FaceVelocities):
-    """Average the two adjacent faces per axis onto each node."""
-    out = []
-    for axis in range(grid.dim):
-        comp = faces.components[axis]
-        n = grid.shape[axis]
-        lower = np.take(comp, range(0, n), axis=axis)
-        upper = np.take(comp, range(1, n + 1), axis=axis)
-        out.append((0.5 * (lower + upper)).ravel())
-    return out
-
-
 def control_objective(
     m: FieldTrajectory,
     drift: tuple[FaceVelocities, ...],
@@ -307,10 +258,12 @@ def control_objective(
     dm/dt - lap m - div(a m) <= 1e-8 nodewise at every slice, checked
     for all slices before any conjugate is evaluated; the violating
     slices are listed in the raised ValueError. drift holds one
-    FaceVelocities per time step. The conjugate L is evaluated at face
-    velocities averaged onto nodes, and a pair with mass where L is
-    infinite costs inf. Data off the grid of m, m off timegrid, or a
-    drift of another length raises ValueError.
+    FaceVelocities per time step. The conjugate L is evaluated, in one
+    Hamiltonian.conjugate call for all slices, at the face velocities
+    averaged onto the nodes along each axis. Nodes with mass <= 1e-14
+    contribute 0, and a pair with more mass where L is infinite costs
+    inf. Data off the grid of m, m off timegrid, or a drift of another
+    length raises ValueError.
     """
     grid = _on_grid(m.grid, timegrid, m, *drift, potential, hamiltonian)
     steps = timegrid.n_steps
@@ -324,16 +277,14 @@ def control_objective(
     bad_slices = np.flatnonzero(np.max(resid, axis=1) > 1e-8)
     if bad_slices.size:
         raise ValueError(f"control/density pair infeasible at slices {bad_slices.tolist()}")
-    total = 0.0
-    for k in range(steps):
-        nodal = _faces_to_nodes(grid, drift[k])
-        l_vals = np.array([
-            fenchel_closed_form(hamiltonian, i, [c[i] for c in nodal])
-            for i in range(grid.n_total)
-        ])
-        mass = m_arr[k + 1]
-        if np.any(np.isinf(l_vals) & (mass > 1e-14)):
-            return np.inf
-        l_term = np.where(mass > 1e-14, l_vals * mass, 0.0)
-        total += dt * float(np.sum(potential.evaluate(mass) + l_term)) * grid.cell_volume
-    return total
+    # per axis the mean of the two faces of each node, (K, N)
+    nodal = [0.5 * (np.take(c, range(n), axis=axis + 1)
+                    + np.take(c, range(1, n + 1), axis=axis + 1)).reshape(steps, -1)
+             for axis, (c, n) in enumerate(zip(b, grid.shape))]
+    l_vals = hamiltonian.conjugate(nodal)
+    mass = m_arr[1:]
+    carried = mass > 1e-14
+    if np.any(np.isinf(l_vals) & carried):
+        return np.inf
+    l_term = mass * np.where(carried, l_vals, 0.0)
+    return dt * float(np.sum(potential.evaluate(mass) + l_term)) * grid.cell_volume

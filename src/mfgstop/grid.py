@@ -148,9 +148,15 @@ class TimeGrid:
 
 
 def build_timegrid(horizon: float, n_steps: int) -> TimeGrid:
+    """ValueError unless horizon is a number in (0, inf) that a float
+    can hold (an integer past the float range is not) and n_steps an
+    integer >= 1."""
     if not (0 < horizon < np.inf and _count(n_steps, "n_steps") >= 1):
         raise ValueError(f"need a finite horizon > 0 and n_steps >= 1, got {horizon}, {n_steps}")
-    return TimeGrid(horizon=float(horizon), n_steps=int(n_steps))
+    try:
+        return TimeGrid(horizon=float(horizon), n_steps=int(n_steps))
+    except OverflowError:
+        raise ValueError("the horizon is too large for a float") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -490,16 +496,19 @@ def write_trajectory_csv(traj: FieldTrajectory, directory, prefix: str) -> str:
 
 def read_trajectory_csv(grid: Grid, manifest_path) -> FieldTrajectory:
     """Read a trajectory written by write_trajectory_csv; ValueError on a
-    manifest that lacks a list `files`, an int `n_steps`, a number `horizon`."""
+    manifest that lacks a list `files` of plain file names in the
+    manifest's directory, an int `n_steps`, a number `horizon`."""
     with open(manifest_path, "r", encoding="ascii") as fh:
         manifest = json.load(fh)
     if not (isinstance(manifest, dict)
             and isinstance(manifest.get("files"), list)
-            and all(isinstance(name, str) for name in manifest["files"])
+            and all(isinstance(name, str) and os.path.basename(name) == name
+                    and name not in ("", ".", "..") for name in manifest["files"])
             and type(manifest.get("n_steps")) is int
             and type(manifest.get("horizon")) in (int, float)):
         raise ValueError(f"malformed trajectory manifest {manifest_path}: need an object "
-                         "with a list 'files', an integer 'n_steps' and a number 'horizon'")
+                         "with a list 'files' of plain file names, an integer 'n_steps' "
+                         "and a number 'horizon'")
     tg = build_timegrid(manifest["horizon"], manifest["n_steps"])
     base = os.path.dirname(manifest_path)
     paths = [os.path.join(base, name) for name in manifest["files"]]

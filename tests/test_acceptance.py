@@ -15,7 +15,6 @@ from mfgstop.control import (
     control_objective,
     cosmfg_coupled_solve,
     face_drift,
-    fenchel_closed_form,
 )
 from mfgstop.costs import CostOperator
 from mfgstop.density import (
@@ -281,7 +280,8 @@ def test_c12_control_reduction_fenchel_objective(evolutive_psi0_solution,
         a = rng.uniform(-0.999, 0.999) * beta[node]
         h_val = float(sc_c.hamiltonian.value([np.array([p])],
                                              weight=beta[node:node + 1])[0])
-        l_val = fenchel_closed_form(sc_c.hamiltonian, node, [a])
+        l_val = float(sc_c.hamiltonian.conjugate([np.array([a])],
+                                                 weight=beta[node:node + 1])[0])
         worst_fy = max(worst_fy, a * p - h_val - l_val)
     assert worst_fy <= 1e-10
 

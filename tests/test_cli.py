@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -51,8 +52,8 @@ def write_config(tmp_path, overrides=None, name="cfg.json"):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # only control.fenchel_conjugate needs scipy.optimize; no command
-    # should pay for importing it at start-up
+    # no command should pay for importing scipy.optimize at start-up,
+    # which the package itself never imports
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -297,6 +298,8 @@ def test_osmfg_run_and_verify(tmp_path):
     pytest.param(lambda u, m: u.update(n_steps=str(u["n_steps"])), id="string-n_steps"),
     pytest.param(lambda u, m: (u.update(horizon=50.0), m.update(horizon=50.0)),
                  id="other-horizon"),
+    pytest.param(lambda u, m: (u.update(horizon=10**400), m.update(horizon=10**400)),
+                 id="horizon-past-float"),
 ])
 def test_verify_rejects_bad_trajectory_manifest(tmp_path, edit):
     out = tmp_path / "osm"
@@ -309,6 +312,28 @@ def test_verify_rejects_bad_trajectory_manifest(tmp_path, edit):
         path.write_text(json.dumps(manifest))
     assert main(["verify", "--u", str(paths[0]), "--m", str(paths[1]),
                  "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(lambda copy: str(copy / "u_0003.csv"), id="absolute"),
+    pytest.param(lambda copy: f"../{copy.name}/u_0003.csv", id="other-directory"),
+    pytest.param(lambda copy: "..", id="parent"),
+])
+def test_verify_reads_slices_only_beside_the_manifest(tmp_path, capsys, name):
+    # a slice named by path, here of an identical copy of the run that
+    # would verify, is a malformed manifest
+    out = tmp_path / "osm"
+    cfg = write_config(tmp_path, {**OSMFG_RUN, "output_dir": str(out)})
+    assert main(["run", "--config", str(cfg)]) == 0
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    path = out / "u_manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["files"][3] = name(copy)
+    path.write_text(json.dumps(manifest))
+    assert main(["verify", "--u", str(path), "--m", str(out / "m_manifest.json"),
+                 "--config", str(cfg)]) == 2
+    assert "plain file names" in capsys.readouterr().err
 
 
 def test_verify_rejects_a_trajectory_manifest_nested_too_deeply(tmp_path, capsys):

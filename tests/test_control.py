@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,6 @@ from mfgstop.control import (
     control_objective,
     cosmfg_coupled_solve,
     face_drift,
-    fenchel_closed_form,
-    fenchel_conjugate,
     verify_cosmfg,
 )
 from mfgstop.costs import CostOperator
@@ -160,7 +160,7 @@ def test_face_drift_is_the_drift_of_each_value_slice(control_solution):
     sc, sol, _ = control_solution
     u = sol.u.array()
     h = sc.grid.spacing[0]
-    beta = sc.hamiltonian.face_weight(sc.grid, 0)
+    beta = sc.hamiltonian.face_weights[0]
     drift = face_drift(sc.hamiltonian, sol.u)
     assert len(drift) == sc.timegrid.n_steps
     for k, faces in enumerate(drift):
@@ -355,27 +355,51 @@ def test_verifier_zero_initial_density(setup):
 def test_fenchel_values(setup):
     grid, _, _ = setup
     ham = Hamiltonian.smoothed_norm(ScalarField.constant(grid, 1.0))
-    assert fenchel_conjugate(ham, 0, [0.0]) == 0.0
-    val = fenchel_conjugate(ham, 0, [0.6])
-    assert val == pytest.approx(0.2, abs=1e-6)
-    assert fenchel_closed_form(ham, 0, [0.6]) == pytest.approx(1.0 - 0.8, rel=1e-14)
-    assert fenchel_conjugate(ham, 0, [1.0]) == np.inf
-    assert fenchel_conjugate(ham, 0, [1.5]) == np.inf
+
+    def conjugate(speed):
+        return ham.conjugate([np.full(grid.n_total, speed)])
+
+    assert np.all(conjugate(0.0) == 0.0)
+    assert np.max(np.abs(conjugate(0.6) - (1.0 - 0.8))) <= 1e-14
+    # on the sphere |a| = beta the supremum of a p - H(p) is beta,
+    # approached as |p| -> inf; outside the ball it is unbounded
+    assert np.all(conjugate(1.0) == 1.0)
+    assert np.all(conjugate(-1.0) == 1.0)
+    p = np.array([1e2, 1e4, 1e6])
+    gain = p - ham.value([p], weight=1.0)
+    assert np.all(np.diff(gain) > 0) and np.all(gain < 1.0)
+    assert np.all(conjugate(1.5) == np.inf)
+    frozen = Hamiltonian.smoothed_norm(ScalarField.zeros(grid))
+    assert np.all(frozen.conjugate([np.zeros(grid.n_total)]) == 0.0)
+    assert np.all(frozen.conjugate([np.full(grid.n_total, 1e-3)]) == np.inf)
 
 
-def test_fenchel_lattice_matches_closed_form(setup):
-    grid, _, _ = setup
-    rng = np.random.default_rng(2)
-    beta = ScalarField(grid, rng.uniform(0.5, 2.0, grid.n_total))
-    ham = Hamiltonian.smoothed_norm(beta)
-    hamq = Hamiltonian.quadratic(grid, outside_assumptions=True)
-    for _ in range(25):
-        node = int(rng.integers(0, grid.n_total))
-        speed = rng.uniform(0.0, 0.95) * beta.values[node]
-        assert fenchel_conjugate(ham, node, [speed]) == pytest.approx(
-            fenchel_closed_form(ham, node, [speed]), abs=1e-6)
-        a = rng.uniform(0, 3.0)
-        assert fenchel_conjugate(hamq, node, [a]) == pytest.approx(0.5 * a * a, abs=1e-6)
+@pytest.mark.parametrize("shape", [(9,), (7, 5)])
+def test_conjugate_is_attained_at_the_analytic_maximizer(shape):
+    # for smoothed_norm D_pH(x, p*) = a at p* = a / sqrt(beta^2 - |a|^2),
+    # for quadratic at p* = a; L(x, a) = a . p* - H(x, p*) by concavity
+    # of p -> a . p - H(x, p), and no point of a p lattice exceeds it
+    dim = len(shape)
+    grid = build_grid(dim, ((0.0, 1.0),) * dim, shape)
+    rng = np.random.default_rng(2 + dim)
+    beta = rng.uniform(0.5, 2.0, grid.n_total)
+    direction = rng.normal(size=(dim, grid.n_total))
+    a = beta * rng.uniform(0.0, 0.95, grid.n_total) * direction / np.linalg.norm(direction, axis=0)
+    lattice = np.meshgrid(*[np.linspace(-8.0, 8.0, 801 if dim == 1 else 161)] * dim)
+    lattice = [c.ravel()[:, None] for c in lattice]
+    for ham, p_star in (
+            (Hamiltonian.smoothed_norm(ScalarField(grid, beta)),
+             a / np.sqrt(beta**2 - np.sum(a**2, axis=0))),
+            (Hamiltonian.quadratic(grid, outside_assumptions=True), a)):
+        for got, want in zip(ham.gradient(list(p_star)), a):
+            assert np.max(np.abs(got - want)) <= 1e-12
+        l_vals = ham.conjugate(list(a))
+        assert l_vals.shape == (grid.n_total,)
+        expected = np.sum(a * p_star, axis=0) - ham.value(list(p_star))
+        assert np.max(np.abs(l_vals - expected)) <= 1e-12
+        on_lattice = sum(c * a_c for c, a_c in zip(lattice, a)) - ham.value(lattice)
+        assert np.all(np.max(on_lattice, axis=0) <= l_vals + 1e-12)
+        assert np.all(np.max(on_lattice, axis=0) >= l_vals - 0.01)
 
 
 def test_fenchel_young_inequality(setup):
@@ -388,7 +412,7 @@ def test_fenchel_young_inequality(setup):
         p = rng.normal(scale=2.0)
         a = rng.uniform(-0.99, 0.99) * beta.values[node]
         h_val = float(ham.value([np.full(1, p)], weight=beta.values[node:node + 1])[0])
-        l_val = fenchel_closed_form(ham, node, [a])
+        l_val = float(ham.conjugate([np.full(1, a)], weight=beta.values[node:node + 1])[0])
         assert a * p <= h_val + l_val + 1e-10
 
 
@@ -404,6 +428,74 @@ def test_control_objective_trivial_and_feasibility(control_solution):
     expected = (np.sum(pot.evaluate(np.zeros(sc.grid.n_total))) * sc.grid.cell_volume
                 * sc.timegrid.horizon)
     assert offset == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+
+def objective_by_node(m, drift, potential, hamiltonian, timegrid):
+    # per slice and node: the mean of the node's two faces along each
+    # axis, the scalar closed-form conjugate at that velocity and the
+    # mass-weighted sum, nodes with mass <= 1e-14 left out of L m
+    grid = m.grid
+    total = 0.0
+    for k, faces in enumerate(drift):
+        mass = m.array()[k + 1]
+        slice_sum = float(np.sum(potential.evaluate(mass)))
+        for i, node in enumerate(np.ndindex(grid.shape)):
+            velocity = [0.5 * (comp[node] + comp[node[:axis] + (node[axis] + 1,) + node[axis + 1:]])
+                        for axis, comp in enumerate(faces.components)]
+            speed = math.sqrt(sum(v * v for v in velocity))
+            if hamiltonian.kind == "quadratic":
+                l_val = 0.5 * speed**2
+            else:
+                beta = float(hamiltonian.beta.values[i])
+                l_val = (0.0 if speed == 0.0 else math.inf if speed > beta
+                         else beta * (1.0 - math.sqrt(1.0 - (speed / beta) ** 2)))
+            if mass[i] > 1e-14:
+                slice_sum += l_val * mass[i]
+        total += timegrid.dt * slice_sum * grid.cell_volume
+    return total
+
+
+@pytest.mark.parametrize("shape", [(15,), (7, 5)])
+@pytest.mark.parametrize("kind", ["smoothed_norm", "quadratic"])
+def test_control_objective_matches_a_node_by_node_sum(shape, kind):
+    # the density flow of a random face drift, killed at the last slice,
+    # where the drift is fast enough for an infinite smoothed-norm L
+    dim = len(shape)
+    grid = build_grid(dim, ((0.0, 1.0),) * dim, shape)
+    tg = build_timegrid(0.3, 3)
+    rng = np.random.default_rng(7 + dim)
+    beta = ScalarField(grid, rng.uniform(0.5, 2.0, grid.n_total))
+    ham = (Hamiltonian.smoothed_norm(beta) if kind == "smoothed_norm"
+           else Hamiltonian.quadratic(grid, outside_assumptions=True))
+    drift = [FaceVelocities(grid, tuple(rng.uniform(-0.3, 0.3, grid.face_shape(axis))
+                                        for axis in range(dim)))
+             for _ in range(tg.n_steps - 1)]
+    drift.append(FaceVelocities(grid, tuple(np.full(grid.face_shape(axis), 3.0)
+                                            for axis in range(dim))))
+    arr = solve_density_parabolic(gaussian_density(grid), None, tg, tuple(drift)).array().copy()
+    arr[-1] = 0.0
+    m = FieldTrajectory(grid, tg, arr)
+    cost = CostOperator.local_power(grid, 1.0, 1.0, ScalarField(grid, rng.uniform(-1.0, 0.0,
+                                                                                  grid.n_total)))
+    got = control_objective(m, tuple(drift), cost.potential(), ham, tg)
+    expected = objective_by_node(m, drift, cost.potential(), ham, tg)
+    assert np.isfinite(expected) and expected != 0.0
+    assert abs(got - expected) <= 1e-14 * abs(expected)
+
+
+def test_control_objective_leaves_out_infinite_l_on_nodes_without_mass():
+    # each boundary node averages its outer face (speed 3) with an inner
+    # one (0): speed 1.5 > beta = 1, where L is infinite, but no mass
+    grid = build_grid(1, (0.0, 1.0), 7)
+    tg = build_timegrid(0.5, 1)
+    faces = np.zeros(grid.face_shape(0))
+    faces[0], faces[-1] = -3.0, 3.0
+    ham = Hamiltonian.smoothed_norm(ScalarField.constant(grid, 1.0))
+    assert ham.conjugate([0.5 * (faces[:-1] + faces[1:])])[[0, -1]].tolist() == [np.inf, np.inf]
+    cost = CostOperator.local_power(grid, 1.0, 1.0, ScalarField.constant(grid, -0.5))
+    zero = FieldTrajectory.constant(grid, tg, 0.0)
+    assert control_objective(zero, (FaceVelocities(grid, (faces,)),), cost.potential(), ham,
+                             tg) == 0.0
 
 
 @pytest.fixture(scope="module")

@@ -78,6 +78,14 @@ def test_grid_builders_take_integer_counts_only(count):
     assert build_timegrid(1.0, np.int64(4)).n_steps == 4
 
 
+@pytest.mark.parametrize("horizon", [0.0, -1.0, np.inf, np.nan, 10**400],
+                         ids=["zero", "negative", "inf", "nan", "int-past-float"])
+def test_timegrid_horizon_is_a_positive_float(horizon):
+    with pytest.raises(ValueError):
+        build_timegrid(horizon, 4)
+    assert build_timegrid(2, 4).horizon == 2.0
+
+
 def test_apply_elliptic_linearity_zero():
     g = build_grid(1, (0.0, 1.0), 7)
     z = ScalarField.zeros(g)

@@ -532,7 +532,7 @@ def hamiltonian_blocks_1d(g, ham, u_k, m_next):
     slope, bw = state.slope[0][0], state.backward[0][0]
     d_value = sp.diags([np.where(bw, -slope, 0.0)[1:] / h, np.where(bw, slope, -slope) / h,
                         np.where(bw, 0.0, slope)[:-1] / h], [-1, 0, 1])
-    beta = ham.face_weight(g, 0)
+    beta = ham.face_weights[0]
     u_pad, m_pad = np.pad(u_k, 1), np.pad(m_next, 1)
     d_drift = np.zeros((n, n))
     for f in range(n + 1):

@@ -122,14 +122,6 @@ def test_control_objective(moved):
         control_objective(m, tuple(drift), potential, hamiltonian, timegrid)
 
 
-def test_face_weight_takes_only_the_hamiltonians_grid():
-    hamiltonian = Hamiltonian.smoothed_norm(on(GRID, 1.0))
-    assert hamiltonian.face_weight(GRID, 0).shape == GRID.face_shape(0)
-    with pytest.raises(ValueError, match=MISMATCH):
-        hamiltonian.face_weight(OTHER, 0)
-    assert (OTHER, 0) not in hamiltonian._face_weights
-
-
 def test_coarsen_maps_only_fields_of_its_two_grids():
     coarse, restrict, prolong = coarsen(GRID)
     assert prolong(restrict(on(GRID))).grid == GRID

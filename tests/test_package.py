@@ -1,7 +1,8 @@
 """Static checks of the package, read from the sources with ast: every
 __all__ entry resolves and has a caller, the package __init__ imports
-only names its modules export, no module imports a name it never uses,
-every grid comparison is the one grid check, every direct
+only names its modules export, no module imports a name it never uses
+or scipy.optimize, every grid comparison is the one grid check, only
+the Hamiltonian tells its kinds apart, every direct
 solve goes through the one factorization entry point, the
 Hamiltonian data of the controlled system has one source, no Newton
 system or verifier builds a drift matrix, every
@@ -86,28 +87,66 @@ def test_no_unused_import(module):
     assert sorted(imported - used - set(_exports(tree))) == []
 
 
-def _grid_comparisons(node, module, scope=None):
-    """(function, line) of each comparison below node with a .grid or
-    .timegrid attribute as an operand; function is module.name of the
-    enclosing module-level function or class."""
+def _comparisons(node, module, matches, scope=None):
+    """(function, line) of each comparison below node for which
+    matches(operands) holds; function is module.name of the enclosing
+    module-level function or class."""
     for child in ast.iter_child_nodes(node):
         inner = scope
         if scope is None and isinstance(child, (ast.FunctionDef, ast.ClassDef)):
             inner = f"{module}.{child.name}"
-        if isinstance(child, ast.Compare) and any(
-                isinstance(operand, ast.Attribute) and operand.attr in ("grid", "timegrid")
-                for operand in [child.left, *child.comparators]):
+        if isinstance(child, ast.Compare) and matches([child.left, *child.comparators]):
             yield inner or module, child.lineno
-        yield from _grid_comparisons(child, module, inner)
+        yield from _comparisons(child, module, matches, inner)
+
+
+def _compares_a_grid(operands):
+    return any(isinstance(operand, ast.Attribute) and operand.attr in ("grid", "timegrid")
+               for operand in operands)
 
 
 def test_every_grid_comparison_is_the_one_grid_check():
     found = [(where, line) for module in MODULES
-             for where, line in _grid_comparisons(_tree(module), module)
+             for where, line in _comparisons(_tree(module), module, _compares_a_grid)
              if where != "grid._on_grid"]
     assert found == [], found
     check = _functions("grid")["grid._on_grid"]
     assert any(isinstance(node, ast.Compare) for node in ast.walk(check))
+
+
+# the kinds of Hamiltonian: only the class tells them apart, so a new
+# kind needs no case outside its own methods (value, gradient, hessian,
+# conjugate and the face weights)
+HAMILTONIAN_KINDS = {"smoothed_norm", "quadratic"}
+
+
+def _compares_a_hamiltonian_kind(operands):
+    strings = {node.value for operand in operands for node in ast.walk(operand)
+               if isinstance(node, ast.Constant)}
+    return (any(isinstance(operand, ast.Attribute) and operand.attr == "kind"
+                for operand in operands)
+            and bool(strings & HAMILTONIAN_KINDS))
+
+
+def test_hamiltonian_kinds_are_told_apart_only_inside_the_hamiltonian():
+    found = [(where, line) for module in MODULES
+             for where, line in _comparisons(_tree(module), module, _compares_a_hamiltonian_kind)]
+    assert found and {where for where, _ in found} == {"control.Hamiltonian"}, found
+
+
+def test_no_module_imports_scipy_optimize():
+    found = []
+    for module in MODULES + ["__init__"]:
+        for node in ast.walk(_tree(module)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name.startswith("scipy.optimize") for name in names):
+                found.append((module, node.lineno))
+    assert found == [], found
 
 
 # the direct solvers of numpy and scipy, and the functions that may call
