@@ -41,14 +41,19 @@ beta = sc.hamiltonian.beta.values
 node = sc.grid.n_total // 2
 print(f"  beta = {beta[node]:.4f} at the centre node")
 speeds = np.array([0.0, 0.3, 0.6, 0.9, 1.0, 1.1]) * beta[node]
-for speed, l_val in zip(speeds, sc.hamiltonian.conjugate([speeds], weight=beta[node])):
+for speed in speeds:
+    l_val = sc.hamiltonian.conjugate([np.full(sc.grid.n_total, speed)])[node]
     print(f"  |a| = {speed:.4f}: L = {l_val:.8f}")
 
 rng = np.random.default_rng(0)
 i = rng.integers(0, sc.grid.n_total, 1000)
 p, a = rng.normal(scale=3.0, size=1000), rng.uniform(-0.99, 0.99, 1000) * beta[i]
-defect = max(0.0, float(np.max(a * p - sc.hamiltonian.value([p], weight=beta[i])
-                                - sc.hamiltonian.conjugate([a], weight=beta[i]))))
+# sample s puts its a at node i[s] of row s; the conjugate reads beta per node
+rows = np.arange(1000)
+a_nodes = np.zeros((1000, sc.grid.n_total))
+a_nodes[rows, i] = a
+l_vals = sc.hamiltonian.conjugate([a_nodes])[rows, i]
+defect = max(0.0, float(np.max(a * p - sc.hamiltonian.value([p], weight=beta[i]) - l_vals)))
 print(f"  Fenchel-Young defect over 1000 samples: {defect:.2e}")
 
 print("\n=== control objective: equilibrium drift vs perturbations ===")

@@ -131,19 +131,20 @@ class Hamiltonian:
         return [[scale * (float(a == c) - p_components[a] * p_components[c] / s2)
                  for c in range(dim)] for a in range(dim)]
 
-    def conjugate(self, a_components, weight=None) -> np.ndarray:
+    def conjugate(self, a_components) -> np.ndarray:
         """L(x, a) = sup_p (a . p - H(x, p)) for per-axis arrays of a
-        components. For smoothed_norm the supremum is approached as
-        |p| -> inf on the sphere |a| = beta, where it is beta, and is
-        +inf outside the ball (so beta = 0 gives 0 at a = 0 only)."""
+        components whose last axis runs over the grid nodes. For
+        smoothed_norm the supremum is approached as |p| -> inf on the
+        sphere |a| = beta, where it is beta, and is +inf outside the ball
+        (so beta = 0 gives 0 at a = 0 only); a NaN a or beta gives NaN."""
         sq = sum(np.asarray(a, dtype=float) ** 2 for a in a_components)
         if self.kind == "quadratic":
             return 0.5 * sq
-        beta = self._weight(weight)
+        beta = self.beta.values
         speed = np.sqrt(sq)
-        inside = speed <= beta
-        ratio = np.divide(speed, beta, out=np.zeros(np.shape(inside)), where=inside & (beta > 0))
-        return np.where(inside, beta * (1.0 - np.sqrt(1.0 - ratio ** 2)), np.inf)
+        outside = speed > beta
+        ratio = np.divide(speed, beta, out=np.zeros(np.shape(outside)), where=~outside & (speed != 0))
+        return np.where(outside, np.inf, beta * (1.0 - np.sqrt(1.0 - ratio ** 2)))
 
 
 @dataclass(frozen=True)

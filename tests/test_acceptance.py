@@ -280,8 +280,7 @@ def test_c12_control_reduction_fenchel_objective(evolutive_psi0_solution,
         a = rng.uniform(-0.999, 0.999) * beta[node]
         h_val = float(sc_c.hamiltonian.value([np.array([p])],
                                              weight=beta[node:node + 1])[0])
-        l_val = float(sc_c.hamiltonian.conjugate([np.array([a])],
-                                                 weight=beta[node:node + 1])[0])
+        l_val = float(sc_c.hamiltonian.conjugate([np.full(sc_c.grid.n_total, a)])[node])
         worst_fy = max(worst_fy, a * p - h_val - l_val)
     assert worst_fy <= 1e-10
 

@@ -372,6 +372,8 @@ def test_fenchel_values(setup):
     frozen = Hamiltonian.smoothed_norm(ScalarField.zeros(grid))
     assert np.all(frozen.conjugate([np.zeros(grid.n_total)]) == 0.0)
     assert np.all(frozen.conjugate([np.full(grid.n_total, 1e-3)]) == np.inf)
+    # a NaN velocity stays NaN rather than reading as outside the ball
+    assert np.all(np.isnan(ham.conjugate([np.full(grid.n_total, np.nan)])))
 
 
 @pytest.mark.parametrize("shape", [(9,), (7, 5)])
@@ -412,7 +414,7 @@ def test_fenchel_young_inequality(setup):
         p = rng.normal(scale=2.0)
         a = rng.uniform(-0.99, 0.99) * beta.values[node]
         h_val = float(ham.value([np.full(1, p)], weight=beta.values[node:node + 1])[0])
-        l_val = float(ham.conjugate([np.full(1, a)], weight=beta.values[node:node + 1])[0])
+        l_val = float(ham.conjugate([np.full(grid.n_total, a)])[node])
         assert a * p <= h_val + l_val + 1e-10
 
 
