@@ -31,7 +31,9 @@ On grids of dim >= 2 without a Hamiltonian, each linear Newton step of
 the joint system (not a split of the nonlinear one) is solved by time
 sweeps: the value block of the Jacobian is block upper bidiagonal in
 time and the density block block lower bidiagonal, so each is inverted
-by one backward or forward sweep of N x N slice solves, and the
+by one backward or forward sweep of N x N slice solves
+(obstacle._shifted_factor factors the slice blocks B + diag(d), which
+are symmetric positive definite, by banded Cholesky), and the
 coupling is eliminated through the density Schur complement
 (_schur_step), as in the iterative strategies of Achdou and
 Perez for linearized discrete MFG systems (Netw. Heterog. Media 7(2),
@@ -628,8 +630,11 @@ def _frozen_system(cost, g_cost, g_arr, hamiltonian, grid, m0_vals, dt, epsilon,
     nonlocal cost eliminates ds = r_s + <w, dm> first, so
     F dm = -c1 <w, dm> 1 and r_u gains c1 r_s. Slice blocks are factored
     through obstacle._shifted_factor, the blocks with d = 0 sharing the
-    factor of B kept per (grid, dt). On a GMRES miss, on 1D grids and
-    with a Hamiltonian, the step is the LU of the whole Jacobian.
+    factor of B kept per (grid, dt): by banded Cholesky on B's band
+    storage, also kept per (grid, dt), up to a half-bandwidth (last
+    axis) of obstacle._BAND_MAX nodes, by SuperLU on B's kept order
+    above it. On a GMRES miss, on 1D grids and with a Hamiltonian, the
+    step is the LU of the whole Jacobian.
     """
     n = grid.n_total
     k_steps = len(g_arr)

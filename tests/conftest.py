@@ -3,23 +3,29 @@
 import numpy as np
 import pytest
 
-from mfgstop import _coupled
+from mfgstop import _coupled, obstacle
 from mfgstop.control import cosmfg_coupled_solve
 from mfgstop.evolutive import osmfg_continuation
-from mfgstop.obstacle import _base_factor, _shifted_operator, _space_time_operator
+from mfgstop.obstacle import (
+    _base_factor,
+    _shifted_band,
+    _shifted_operator,
+    _space_time_operator,
+)
 from mfgstop.scenarios import scenario_standard
 from mfgstop.stationary import continuation_solve
 
 
-KEPT = (_base_factor, _shifted_operator, _space_time_operator, _coupled._jacobian_assembler)
+KEPT = (_base_factor, _shifted_band, _shifted_operator, _space_time_operator,
+        _coupled._jacobian_assembler)
 
 
 @pytest.fixture(autouse=True)
 def fresh_factors_and_orders():
-    """Every test starts without kept factors of the base operators and
-    without kept assemblers, each of which keeps the elimination order
-    of its pattern, so that factor and ordering counts do not depend on
-    the tests run before it."""
+    """Every test starts without kept factors and band storage of the
+    base operators and without kept assemblers, each of which keeps the
+    elimination order of its pattern, so that factor and ordering counts
+    do not depend on the tests run before it."""
     for cache in KEPT:
         cache.cache_clear()
 
@@ -60,6 +66,21 @@ def control_solution():
     sol, stages = cosmfg_coupled_solve(sc.cost, sc.hamiltonian, sc.m0,
                                        sc.timegrid, list(sc.eps_schedule))
     return sc, sol, stages[-1].report
+
+
+@pytest.fixture
+def band_factors(monkeypatch):
+    """(band, d) of every banded Cholesky factorization of a shifted
+    operator B + diag(d) from now on (obstacle._band_factor, with B in
+    band storage), in call order."""
+    band_factor, calls = obstacle._band_factor, []
+
+    def recording_band_factor(band, d):
+        calls.append((band, np.array(d, dtype=float)))
+        return band_factor(band, d)
+
+    monkeypatch.setattr(obstacle, "_band_factor", recording_band_factor)
+    return calls
 
 
 @pytest.fixture

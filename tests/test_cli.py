@@ -515,14 +515,15 @@ def test_run_is_bitwise_deterministic(tmp_path, overrides):
 def test_run_is_bitwise_deterministic_with_kept_factors(tmp_path, overrides):
     # the process keeps one factor per base operator: a second run in
     # the process finds those of the first, a third runs after every
-    # kept factor and assembler, and with them every kept elimination
-    # order, is cleared, and all three write the same bytes
+    # kept factor, band storage and assembler, and with them every kept
+    # elimination order, is cleared, and all three write the same bytes
     cfg = write_config(tmp_path, overrides)
     infos = []
     for name in ("a", "b", "c"):
         if name == "c":
-            for cache in (obstacle._base_factor, obstacle._shifted_operator,
-                          obstacle._space_time_operator, _coupled._jacobian_assembler):
+            for cache in (obstacle._base_factor, obstacle._shifted_band,
+                          obstacle._shifted_operator, obstacle._space_time_operator,
+                          _coupled._jacobian_assembler):
                 cache.cache_clear()
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
         infos.append(obstacle._base_factor.cache_info())

@@ -75,12 +75,12 @@ def test_obstacle_operator_matches_dense_space_time_oracle():
     assert np.allclose(g_psi.array(), 1.0)
 
 
-def test_heat_obstacle_factors_b_once_per_grid_and_dt(monkeypatch):
+def test_heat_obstacle_factors_b_once_per_grid_and_dt(monkeypatch, band_factors):
     # on a 2D grid the K backward heat steps solve with the factor of
     # B = A0 + I/dt kept per (grid, dt): the first call factors B once
-    # (after ordering the stand-in of its pattern), a repeat call not at
-    # all, and another dt on the same grid once more, after ordering the
-    # pattern of its own B; each step is solved to round-off
+    # by banded Cholesky (half-bandwidth 9, d = 0), a repeat call not
+    # at all, and another dt on the same grid once more, on its own B;
+    # nothing calls SuperLU, and each step is solved to round-off
     grid = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (9, 9))
     n = grid.n_total
     op = ObstacleOperator.heat_source(
@@ -92,19 +92,23 @@ def test_heat_obstacle_factors_b_once_per_grid_and_dt(monkeypatch):
         return splu(matrix, permc_spec=permc_spec, **kwargs)
 
     monkeypatch.setattr(spla, "splu", recording_splu)
-    for tg, factored in ((build_timegrid(1.0, 5), ["MMD_AT_PLUS_A", "NATURAL"]),
-                         (build_timegrid(1.0, 5), []),
-                         (build_timegrid(1.0, 4), ["MMD_AT_PLUS_A", "NATURAL"])):
+    bands = []
+    for tg, factored in ((build_timegrid(1.0, 5), 1), (build_timegrid(1.0, 5), 0),
+                         (build_timegrid(1.0, 4), 1)):
         steps = tg.n_steps
         m = np.random.default_rng(2).uniform(0.0, 2.0, size=(steps + 1, n))
-        del specs[:]
+        del band_factors[:]
         psi, g_arr = op.apply_arrays(grid, tg, m)
-        assert specs == [(spec, (n, n)) for spec in factored]
+        assert len(band_factors) == factored and specs == []
+        assert all(band.shape == (10, n) and not np.any(d) for band, d in band_factors)
+        bands += [band for band, _ in band_factors]
         b_op = (elliptic_matrix(grid, with_zero_order=False) + sp.identity(n) / tg.dt).tocsc()
         assert np.max(np.abs(psi[steps])) == 0.0
         for k in range(steps):
             expected = spla.spsolve(b_op, psi[k + 1] / tg.dt - g_arr[k])
             assert np.max(np.abs(psi[k] - expected)) <= 1e-12 * np.max(np.abs(expected))
+    # the two factorizations are of the two dt's own B
+    assert not np.array_equal(bands[0], bands[1])
 
 
 def test_constant_zero_obstacle_has_zero_source(setup):

@@ -7,7 +7,7 @@ from mfgstop.grid import ScalarField, build_grid, coarsen, elliptic_matrix, inne
 from mfgstop import _coupled
 from mfgstop.obstacle import (
     _base_factor,
-    _shifted_operator,
+    _shifted_band,
     solve_obstacle_stationary,
 )
 from mfgstop.scenarios import (
@@ -312,7 +312,7 @@ def test_every_density_passes_subsolution(grid, rho):
         assert m.values.min() >= -1e-12
 
 
-def test_2d_continuation_without_penalty_factors_a_once(monkeypatch):
+def test_2d_continuation_without_penalty_factors_a_once(monkeypatch, band_factors):
     # u stays below the obstacle at every Newton iterate of this 2D
     # continuation, so every step's value block Ju is A itself, and so
     # is the density block Jm of the last stage's step, whose exit rate
@@ -320,18 +320,13 @@ def test_2d_continuation_without_penalty_factors_a_once(monkeypatch):
     # stage, and every such block of every stage solves with that
     # factor. The other factorizations are the density blocks with a
     # rate; a stage returns its Newton iterate, with no density solve
-    # after it
+    # after it. Every one is a banded Cholesky factorization of A's band
+    # storage plus the block's diagonal update d, and nothing calls
+    # SuperLU (no step falls back to the whole Jacobian)
     g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (9, 9))
     cost = CostOperator.local_power(g, 1.0, 1.0, ScalarField.constant(g, -0.5))
-    a = _shifted_operator(g, 1.0)(np.zeros(g.n_total))
-    a_permuted = a.data[a.elimination_order().gather]
-    factored, steps, factors = [], [], []
+    steps, factors, superlu = [], [], []
     splu, schur, shifted_factor = spla.splu, _coupled._schur_step, _coupled._shifted_factor
-
-    def recording_splu(matrix, permc_spec=None, **kwargs):
-        if permc_spec == "NATURAL":
-            factored.append(np.array_equal(matrix.data, a_permuted))
-        return splu(matrix, permc_spec=permc_spec, **kwargs)
 
     def recording_schur(*args):
         steps.append(args)
@@ -343,7 +338,8 @@ def test_2d_continuation_without_penalty_factors_a_once(monkeypatch):
         factors.append(shifted_factor(*args))
         return factors[-1]
 
-    monkeypatch.setattr(spla, "splu", recording_splu)
+    monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: superlu.append(1)
+                        or splu(*args, **kwargs))
     monkeypatch.setattr(_coupled, "_schur_step", recording_schur)
     monkeypatch.setattr(_coupled, "_shifted_factor", recording_shifted_factor)
     sol, stages = continuation_solve(cost, raised_cosine_bump(g, peak=2.0), [1e-1, 1e-2, 1e-3])
@@ -354,9 +350,11 @@ def test_2d_continuation_without_penalty_factors_a_once(monkeypatch):
     assert len(factors) == 2 * len(steps) and len(blocks) == 4
     assert all(solve_u is base for solve_u, _ in blocks)
     assert [solve_m is base for _, solve_m in blocks] == [False, False, False, True]
+    assert all(band is _shifted_band(g, 1.0) for band, _ in band_factors)
+    factored = [not np.any(d) for _, d in band_factors]
     assert factored[0] and factored.count(True) == 1
     # A and the three density blocks with a rate
-    assert len(factored) == 1 + 3
+    assert len(factored) == 1 + 3 and superlu == []
 
 
 def flat_continuation(cost, rho, schedule=None):
