@@ -632,9 +632,9 @@ def _frozen_system(cost, g_cost, g_arr, hamiltonian, grid, m0_vals, dt, epsilon,
     through obstacle._shifted_factor, the blocks with d = 0 sharing the
     factor of B kept per (grid, dt): by banded Cholesky on B's band
     storage, also kept per (grid, dt), up to a half-bandwidth (last
-    axis) of obstacle._BAND_MAX nodes, by SuperLU on B's kept order
-    above it. On a GMRES miss, on 1D grids and with a Hamiltonian, the
-    step is the LU of the whole Jacobian.
+    axis) of obstacle._BAND_MAX nodes, by obstacle._lu_factor on B's
+    kept order above it. On a GMRES miss, on 1D grids and with a
+    Hamiltonian, the step is the LU of the whole Jacobian.
     """
     n = grid.n_total
     k_steps = len(g_arr)
@@ -699,11 +699,13 @@ def _frozen_system(cost, g_cost, g_arr, hamiltonian, grid, m0_vals, dt, epsilon,
             slope=np.where(np.abs(v) < band, 0.5 / band, 0.0) * m[1:] / epsilon,
             rate=_ramp(v / band) / epsilon, fprime=fprime, structure=structure, extra=extra)
 
-    # in 1D the LU of the whole Jacobian beats the sweeps and the Schur
-    # step: through them the perfbench evolutive_heat_g solve took
-    # 0.124 s against 0.087 s, the registry evolutive_psi0 0.81 s against
-    # 0.52 s and scenario_nonexistence 0.034 s against 0.023 s, with
-    # equal Newton counts (2-vCPU host)
+    # in 1D at K = 5 the banded LU of the whole Jacobian beats the
+    # sweeps and the Schur step: through them the perfbench
+    # evolutive_heat_g seed-0 solve took 0.018 s against 0.008-0.013 s
+    # and scenario_nonexistence 0.010-0.011 s against 0.005 s. At the
+    # registry's K = 50, whose whole Jacobian keeps SuperLU, the sweeps
+    # were faster: evolutive_psi0 0.115-0.118 s against 0.195-0.202 s.
+    # Newton counts were equal (in-process best of 3-5, 2-vCPU host)
     if grid.dim < 2 or hamiltonian is not None:
         return residual, jacobian, _whole_step, unstack
 

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import block_diag as dense_block_diag
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 
 from .grid import (
     FieldTrajectory,
@@ -87,6 +87,11 @@ _NARROW_PANEL_FILL = 128.0
 # by banded Cholesky rather than SuperLU (see _fresh_shifted_factor)
 _BAND_MAX = 64
 
+# Half-bandwidth, below and above the diagonal, of a pattern in its
+# reverse Cuthill-McKee order up to which _lu_factor factors its
+# matrices by banded LU rather than SuperLU (see _lu_factor)
+_LU_BAND_MAX = 50
+
 
 @dataclass(frozen=True, eq=False)
 class _EliminationOrder:
@@ -101,21 +106,80 @@ class _EliminationOrder:
     fill: float
 
 
-def _elimination_order(shape, indptr, indices) -> _EliminationOrder:
-    """MMD_AT_PLUS_A order of the square CSC pattern (indptr, indices).
+@dataclass(frozen=True, eq=False)
+class _BandOrder:
+    """The bandwidth-reducing order of a pattern: matrix[perm][:, perm]
+    has kl entries below and ku above the diagonal, and its LAPACK band
+    storage for dgbtrf, the Fortran-ordered (2 kl + ku + 1, n) array
+    with row kl + ku + i - j of column j holding entry (i, j), is zero
+    but at the flat positions scatter, which take matrix.data."""
 
-    SuperLU orders a stand-in matrix: the pattern with unit entries and
-    a dominant diagonal, so the order depends on the pattern alone and
-    the stand-in always factors. In SymmetricMode SuperLU does not
-    postorder the ordering, so factoring matrix[perm][:, perm] with the
-    NATURAL order is this factorization of matrix up to round-off. The
-    stand-in's factor also gives the fill per column of the order, on
-    which _lu_factor chooses its panel width: the stand-in pivots on its
-    diagonal, so this is the fill of the pattern itself, without the
-    rows that partial pivoting of a matrix's values may swap in.
+    perm: np.ndarray
+    kl: int
+    ku: int
+    scatter: np.ndarray
+
+
+def _cuthill_mckee(indptr, indices):
+    """Reverse Cuthill-McKee order of the symmetric CSR pattern
+    (indptr, indices): breadth first from a node of least degree in each
+    connected component, the unvisited neighbours of each level taken
+    in the order of their parents and, per parent, by degree, and the
+    whole order reversed (Cuthill and McKee, 1969; George, 1971)."""
+    n = len(indptr) - 1
+    degree = np.diff(indptr)
+    order = np.empty(n, dtype=np.int64)
+    visited = np.zeros(n, dtype=bool)
+    filled = 0
+    while filled < n:
+        unvisited = np.flatnonzero(~visited)
+        level = unvisited[[np.argmin(degree[unvisited])]]
+        while level.size:
+            visited[level] = True
+            order[filled:filled + level.size] = level
+            filled += level.size
+            counts = degree[level]
+            starts = np.repeat(indptr[level] - np.cumsum(counts) + counts, counts)
+            neighbours = indices[starts + np.arange(len(starts))]
+            parents = np.repeat(np.arange(level.size), counts)
+            new = ~visited[neighbours]
+            neighbours, parents = neighbours[new], parents[new]
+            neighbours = neighbours[np.lexsort((neighbours, degree[neighbours], parents))]
+            _, first = np.unique(neighbours, return_index=True)
+            level = neighbours[np.sort(first)]
+    return order[::-1]
+
+
+def _elimination_order(shape, indptr, indices):
+    """The order in which _lu_factor factors the matrices of the square
+    CSC pattern (indptr, indices): a _BandOrder where the reverse
+    Cuthill-McKee order of the pattern of A + A^T leaves at most
+    _LU_BAND_MAX entries below and above the diagonal, the
+    MMD_AT_PLUS_A _EliminationOrder otherwise.
+
+    For the latter SuperLU orders a stand-in matrix: the pattern with
+    unit entries and a dominant diagonal, so the order depends on the
+    pattern alone and the stand-in always factors. In SymmetricMode
+    SuperLU does not postorder the ordering, so factoring
+    matrix[perm][:, perm] with the NATURAL order is this factorization
+    of matrix up to round-off. The stand-in's factor also gives the fill
+    per column of the order, on which _lu_factor chooses its panel
+    width: the stand-in pivots on its diagonal, so this is the fill of
+    the pattern itself, without the rows that partial pivoting of a
+    matrix's values may swap in.
     """
     n = shape[0]
     entry_cols = np.repeat(np.arange(n), np.diff(indptr))
+    pattern = sp.csr_matrix((np.ones(len(indices)), (indices, entry_cols)), shape=shape)
+    symmetric = (pattern + pattern.T).tocsr()
+    perm = _cuthill_mckee(symmetric.indptr, symmetric.indices)
+    position = np.argsort(perm)
+    rows, cols = position[indices], position[entry_cols]
+    kl, ku = int(np.max(rows - cols)), int(np.max(cols - rows))
+    if max(kl, ku) <= _LU_BAND_MAX:
+        scatter = cols * (2 * kl + ku + 1) + kl + ku + rows - cols
+        perm.flags.writeable = scatter.flags.writeable = False
+        return _BandOrder(perm, kl, ku, scatter)
     stand_in = sp.csc_matrix((np.where(indices == entry_cols, float(n), 1.0),
                               indices, indptr), shape=shape)
     lu = spla.splu(stand_in, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
@@ -144,40 +208,55 @@ def _lu_factor(matrix):
     active-set Jacobians, the GMRES fallbacks, and the shifted
     operators of wider grids.
 
-    SuperLU with minimum-degree ordering on the pattern of A^T + A and
-    diagonal pivots preferred: the Newton Jacobians have a symmetric or
-    nearly symmetric pattern, on which this ordering makes about half
-    the fill of the default COLAMD. A matrix built by diagonal_update
-    carries its assembler's elimination_order, which computes the order
-    of the assembler's pattern at its first call and keeps it; the
-    matrix is factored symmetrically permuted into that order, with the
-    NATURAL column order, every time, so a solve does not depend on
-    whether the order was just computed or kept. Any other matrix is
-    ordered afresh. Every call factors anew: the one factor per base
-    operator (B = -lap + I/dt per dt, which is A = -lap + id at dt = 1)
-    that the solves of a grid share is kept by _base_factor, not here.
-    An exactly singular matrix gives NaNs, so a Newton solve ends in
-    non-convergence rather than an exception.
+    A matrix built by diagonal_update carries its assembler's
+    elimination_order, which computes the order of the assembler's
+    pattern at its first call and keeps it; the matrix is factored
+    symmetrically permuted into that order every time, so a solve does
+    not depend on whether the order was just computed or kept. Any other
+    matrix is ordered afresh by SuperLU. Every call factors anew: the
+    one factor per base operator (B = -lap + I/dt per dt, which is
+    A = -lap + id at dt = 1) that the solves of a grid share is kept by
+    _base_factor, not here. An exactly singular matrix gives NaNs, so a
+    Newton solve ends in non-convergence rather than an exception.
 
-    The kept order also sets SuperLU's panel width: one column where
-    its stand-in fills fewer than _NARROW_PANEL_FILL entries of L + U
-    per column, SuperLU's default of 10 columns otherwise. The panel
-    width changes only the order of arithmetic inside SuperLU, not the
-    order or the pivoting rule; on every matrix measured below the
-    constant the fill was the same entry for entry. Panels of 10
-    columns serve large supernodes. On the Newton matrices of the
-    package that fill 15 to 40 entries per column, one-column panels
-    factored 17-48% faster; the 2D cosmfg whole Jacobians broke even at
-    162 per column and were 42% slower at 458 (BENCH_29.json).
+    A pattern narrow in its reverse Cuthill-McKee order (a _BandOrder:
+    the 1D Newton Jacobians, half-bandwidth 12 at 31 nodes and K = 5, 2
+    for the stationary one) is factored by LAPACK's banded LU with
+    partial pivoting, _band_lu_factor. Per factorization and solve it
+    took 0.13-0.56 of the time of SuperLU on the kept MMD order up to a
+    half-bandwidth of 54 and 0.57-0.9 from 58 to 70, on 1D Jacobians of
+    31 nodes (K = 1 to 50) and 2D stationary ones (5x5 to 35x35); on
+    another host it was slower from 54 on. _LU_BAND_MAX lies below both
+    crossovers, and keeps the 1D Jacobians of K = 50 (62) on SuperLU
+    (BENCH_33.json).
+
+    Every wider pattern is factored by SuperLU, with minimum-degree
+    ordering on the pattern of A^T + A and diagonal pivots preferred:
+    the Newton Jacobians have a symmetric or nearly symmetric pattern,
+    on which this ordering makes about half the fill of the default
+    COLAMD; a kept order is factored with the NATURAL column order. The
+    kept order also sets SuperLU's panel width: one column where its
+    stand-in fills fewer than _NARROW_PANEL_FILL entries of L + U per
+    column, SuperLU's default of 10 columns otherwise. The panel width
+    changes only the order of arithmetic inside SuperLU, not the order
+    or the pivoting rule; on every matrix measured below the constant
+    the fill was the same entry for entry. Panels of 10 columns serve
+    large supernodes. On the Newton matrices of the package that fill
+    15 to 40 entries per column, one-column panels factored 17-48%
+    faster; the 2D cosmfg whole Jacobians broke even at 162 per column
+    and were 42% slower at 458 (BENCH_29.json).
     """
     elimination_order = getattr(matrix, "elimination_order", None)
     if elimination_order is None:
         return _splu_factor(sp.csc_matrix(matrix), "MMD_AT_PLUS_A")
     order = elimination_order()
-    permuted = sp.csc_matrix((matrix.data[order.gather], order.indices, order.indptr),
-                             shape=matrix.shape)
-    solve_permuted = _splu_factor(permuted, "NATURAL",
-                                  1 if order.fill < _NARROW_PANEL_FILL else None)
+    if isinstance(order, _BandOrder):
+        solve_permuted = _band_lu_factor(matrix.data, order)
+    else:
+        permuted = sp.csc_matrix((matrix.data[order.gather], order.indices, order.indptr),
+                                 shape=matrix.shape)
+        solve_permuted = _splu_factor(permuted, "NATURAL",
+                                      1 if order.fill < _NARROW_PANEL_FILL else None)
 
     def solve(rhs):
         x = np.empty(matrix.shape[0])
@@ -185,6 +264,22 @@ def _lu_factor(matrix):
         return x
 
     return solve
+
+
+def _band_lu_factor(data, order):
+    """LAPACK banded LU with partial pivoting (dgbtrf) of the matrix
+    with CSC data on the pattern of the _BandOrder order, permuted into
+    that order, as its solve (dgbtrs) of permuted right-hand sides. An
+    exactly singular matrix gives NaNs, as with _splu_factor."""
+    n = len(order.perm)
+    rows = 2 * order.kl + order.ku + 1
+    band = np.zeros(rows * n)
+    band[order.scatter] = data
+    factor, pivots, info = dgbtrf(band.reshape((rows, n), order="F"), order.kl, order.ku,
+                                  overwrite_ab=1)
+    if info != 0:
+        return lambda rhs: np.full(n, np.nan)
+    return lambda rhs: dgbtrs(factor, order.kl, order.ku, rhs, pivots)[0]
 
 
 @functools.lru_cache(maxsize=8)
@@ -416,15 +511,17 @@ def diagonal_update(static, rows, cols):
     diagonals.
 
     static, the iterate-independent part, is converted once; rows and
-    cols name the value-dependent positions, and values at a position
-    named more than once are summed. The returned assemble(vals) gives
-    static + sparse(vals at (rows, cols)) in canonical CSC form on one
-    fixed pattern: every stored entry of static, every named position
-    and the diagonal, zeros stored. Every call shares that pattern's
-    indptr and indices (read-only arrays) and carries the assembler's
-    elimination_order, which _lu_factor calls: it orders the pattern at
-    its first call and keeps the order, so the assembler orders once,
-    at the first factorization of one of its matrices, or never.
+    cols name the value-dependent positions, possibly none, and values
+    at a position named more than once are summed. The returned
+    assemble(vals) gives static + sparse(vals at (rows, cols)) in
+    canonical CSC form on one fixed pattern: every stored entry of
+    static, every named position and the diagonal, zeros stored. Every
+    call shares that pattern's indptr and indices (read-only arrays) and
+    carries the assembler's elimination_order, which _lu_factor calls:
+    it orders the pattern at its first call, in a band order for banded
+    LU or in a minimum-degree order for SuperLU (_elimination_order),
+    and keeps the order, so the assembler orders once, at the first
+    factorization of one of its matrices, or never.
     """
     static = sp.coo_matrix(static)
     n = static.shape[0]
@@ -443,8 +540,8 @@ def diagonal_update(static, rows, cols):
     value_slots = slots[static.nnz:static.nnz + len(rows)]
 
     def assemble(vals):
-        data = np.bincount(value_slots, weights=vals, minlength=nnz)
-        data += base
+        # base first: bincount of no positions is an integer array
+        data = base + np.bincount(value_slots, weights=vals, minlength=nnz)
         matrix = sp.csc_matrix((data, indices, indptr), shape=static.shape)
         matrix.elimination_order = elimination_order
         return matrix

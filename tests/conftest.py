@@ -84,6 +84,27 @@ def band_factors(monkeypatch):
 
 
 @pytest.fixture
+def lu_factors(monkeypatch):
+    """(kind, n) of every LU factorization from now on, in call order:
+    ("superlu", n) at obstacle._splu_factor and ("band", n) at
+    obstacle._band_lu_factor, the two factor functions behind
+    obstacle._lu_factor."""
+    splu_factor, band_lu_factor, calls = obstacle._splu_factor, obstacle._band_lu_factor, []
+
+    def recording_splu_factor(matrix, *args):
+        calls.append(("superlu", matrix.shape[0]))
+        return splu_factor(matrix, *args)
+
+    def recording_band_lu_factor(data, order):
+        calls.append(("band", len(order.perm)))
+        return band_lu_factor(data, order)
+
+    monkeypatch.setattr(obstacle, "_splu_factor", recording_splu_factor)
+    monkeypatch.setattr(obstacle, "_band_lu_factor", recording_band_lu_factor)
+    return calls
+
+
+@pytest.fixture
 def newton_targets(monkeypatch):
     """The residual target of every Newton solve of the time-dependent
     solver, in call order."""

@@ -187,17 +187,45 @@ def test_singular_jacobian_ends_newton_without_raising():
     assert norms[0] == 1.0 and np.isnan(norms[-1])
 
 
-def test_singular_registered_jacobian_gives_nan():
-    # the factorization on an assembler's kept order keeps the NaN
-    # contract: an exactly singular Jacobian ends the Newton short of target
-    mat = sp.csc_matrix(np.array([[1.0, 2.0], [2.0, 3.0]]))
-    assemble = diagonal_update(mat, [1], [1])
-    b = np.array([1.0, 0.0])
-    assert np.all(np.isnan(_lu_solve(assemble([1.0]), b)))
-    _, norms, _ = semismooth_newton(lambda x: mat @ x - b, lambda x: assemble([1.0]),
-                                    np.zeros(2), 1e-10, 10)
+def tridiagonal(wide):
+    # a diagonally dominant tridiagonal matrix, which factors by banded
+    # LU on its kept order; wide, bordered by a dense last row and
+    # column, which leaves a half-bandwidth of at least (n - 1) / 2 in
+    # any order, so that it factors by SuperLU on its kept MMD order
+    n = 2 * obstacle._LU_BAND_MAX + 4 if wide else 12
+    static = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(n, n)).tolil()
+    if wide:
+        static[-1, :-1] = -0.01
+        static[:-1, -1] = -0.01
+    return static.tocsr()
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["band", "superlu"])
+def test_singular_registered_jacobian_gives_nan(lu_factors, wide):
+    # the factorization on an assembler's kept order, by banded LU or by
+    # SuperLU, keeps the NaN contract: an exactly singular Jacobian (here
+    # with a zero first row) ends the Newton short of target
+    static = tridiagonal(wide)
+    n = static.shape[0]
+    first = static[[0]].tocoo()
+    assemble = diagonal_update(static, first.row, first.col)
+    b = np.ones(n)
+    assert np.all(np.isnan(_lu_solve(assemble(-first.data), b)))
+    _, norms, _ = semismooth_newton(lambda x: static @ x - b, lambda x: assemble(-first.data),
+                                    np.zeros(n), 1e-10, 10)
     assert norms[0] == 1.0 and np.isnan(norms[-1])
-    assert np.allclose(mat @ _lu_solve(assemble([0.0]), b), b)
+    assert np.allclose(static @ _lu_solve(assemble(np.zeros(first.nnz)), b), b)
+    assert lu_factors == [("superlu" if wide else "band", n)] * 3
+
+
+def rcm_half_bandwidth(matrix):
+    # the larger half-bandwidth of matrix in the reverse Cuthill-McKee
+    # order of the pattern of matrix + matrix^T
+    coo = sp.coo_matrix(matrix)
+    pattern = sp.csr_matrix((np.ones(coo.nnz), (coo.row, coo.col)), shape=coo.shape)
+    symmetric = (pattern + pattern.T).tocsr()
+    position = np.argsort(obstacle._cuthill_mckee(symmetric.indptr, symmetric.indices))
+    return int(np.max(np.abs(position[coo.row] - position[coo.col])))
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (3, obstacle._BAND_MAX + 1)], ids=["band", "wide"])
@@ -206,8 +234,9 @@ def test_singular_matrix_in_2d_obstacle_raises_convergence_error(monkeypatch, sh
     # operator of its Jacobians A + diag((u > psi) / eps); its start,
     # A^-1 f from the factor of the true A kept before the swap, lies
     # above the obstacle psi = 0 for f > 0, so the first Jacobian is the
-    # zero matrix, which neither banded Cholesky nor SuperLU (on the
-    # grid wider than obstacle._BAND_MAX) factors
+    # zero matrix, which neither banded Cholesky nor, on the grid wider
+    # than obstacle._BAND_MAX, _lu_factor (by banded LU, its pattern
+    # being diagonal) factors
     g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), shape)
     n, eps = g.n_total, 1e-3
     negative = sp.csr_matrix(sp.identity(n) * (-1.0 / eps))
@@ -223,10 +252,15 @@ def test_singular_matrix_in_2d_obstacle_raises_convergence_error(monkeypatch, sh
 
 def wide_grid():
     # a 2D grid whose shifted operators B + diag(d) have a half-bandwidth
-    # (the last axis's node count) above obstacle._BAND_MAX, so that
-    # _shifted_factor factors them by SuperLU on their kept orders
-    g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (3, obstacle._BAND_MAX + 1))
+    # (the last axis's node count) above obstacle._BAND_MAX, and above
+    # obstacle._LU_BAND_MAX in the reverse Cuthill-McKee order (about
+    # the smaller axis's node count), so that _shifted_factor factors
+    # them by SuperLU on their kept MMD orders
+    g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)),
+                   (obstacle._LU_BAND_MAX, obstacle._BAND_MAX + 1))
     assert _shifted_band(g, 1.0) is None
+    b_op = _shifted_operator(g, 1.0)(np.zeros(g.n_total))
+    assert rcm_half_bandwidth(b_op) > obstacle._LU_BAND_MAX
     return g
 
 
@@ -256,8 +290,8 @@ def test_every_factorization_uses_the_symmetric_ordering(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", recording_splu)
     monkeypatch.setattr(spla, "spsolve", no_spsolve)
-    # the last axis is wider than obstacle._BAND_MAX, so the shifted
-    # operators factor by SuperLU on their kept orders, not by Cholesky
+    # the shifted operators of this grid factor by SuperLU on their kept
+    # orders, neither by banded Cholesky nor by banded LU
     g = wide_grid()
     n = g.n_total
     cost = CostOperator.local_power(g, 1.0, 1.0, ScalarField.constant(g, -0.5))
@@ -341,17 +375,23 @@ def test_cold_and_warm_order_cache_give_bitwise_identical_runs(monkeypatch, prob
         assert a.tobytes() == b.tobytes()
 
 
-def test_an_assembler_orders_its_pattern_once_at_its_first_factorization(monkeypatch):
+@pytest.mark.parametrize("wide", [False, True], ids=["band", "superlu"])
+def test_an_assembler_orders_its_pattern_once_at_its_first_factorization(monkeypatch,
+                                                                        lu_factors, wide):
     # an assembler computes its pattern's elimination order lazily, at
     # the first factorization of one of its matrices, and keeps it; two
     # assemblers of one static matrix order one pattern each, to the
-    # same order and so to the same solution bits
-    n = 12
-    static = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(n, n))
+    # same order and so to the same solution bits, by banded LU or by
+    # SuperLU
+    static = tridiagonal(wide)
+    n = static.shape[0]
     rhs = np.arange(1.0, n + 1.0)
     specs = recorded_orderings(monkeypatch)
+    elimination_order, orders = obstacle._elimination_order, []
+    monkeypatch.setattr(obstacle, "_elimination_order",
+                        lambda *args: orders.append(args) or elimination_order(*args))
     diagonal_update(static, np.arange(n), np.arange(n))(np.ones(n))
-    assert specs == []
+    assert specs == [] and orders == [] and lu_factors == []
     solutions = []
     for _ in range(2):
         assemble = diagonal_update(static, np.arange(n), np.arange(n))
@@ -359,13 +399,15 @@ def test_an_assembler_orders_its_pattern_once_at_its_first_factorization(monkeyp
             mat = assemble(vals)
             solutions.append(_lu_solve(mat, rhs))
             assert np.allclose(mat @ solutions[-1], rhs, rtol=1e-14, atol=0.0)
-        assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 3
-        del specs[:]
+        assert len(orders) == 1
+        assert lu_factors == [("superlu" if wide else "band", n)] * 3
+        assert specs == (["MMD_AT_PLUS_A"] + ["NATURAL"] * 3 if wide else [])
+        del specs[:], orders[:], lu_factors[:]
     for a, b in zip(solutions, solutions[3:]):
         assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("problem", ["osmfg_15x15_k3", "sosmfg_15x65"])
+@pytest.mark.parametrize("problem", ["osmfg_15x15_k3", "sosmfg_wide"])
 def test_registered_orders_fill_like_a_fresh_ordering(monkeypatch, problem):
     # every factorization on an assembler's kept order (NATURAL
     # column order on the permuted matrix) against a fresh
@@ -377,8 +419,7 @@ def test_registered_orders_fill_like_a_fresh_ordering(monkeypatch, problem):
     # one step, where partial pivoting adds fill to both). The osmfg run
     # takes every Newton step by the whole-Jacobian fallback of its
     # Schur step, and the 2D stationary solve factors only A + diag,
-    # whose pattern is A's, on a grid wider than obstacle._BAND_MAX so
-    # that it factors by SuperLU
+    # whose pattern is A's, on wide_grid() so that it factors by SuperLU
     splu = spla.splu
     fills, zeros_stored = [], []
 
@@ -400,10 +441,10 @@ def test_registered_orders_fill_like_a_fresh_ordering(monkeypatch, problem):
         monkeypatch.setattr(_coupled, "_schur_step", lambda *args: args[-1]())
         osmfg_continuation(cost, ObstacleOperator.zero(g, tg), gaussian_density(g), tg)
     else:
-        # at f0 = -0.005 the continuation factors 13 times on kept
-        # orders, at -0.5 only 9 times; 15 nodes on the first axis do
-        # not nest the continuation on a coarser grid
-        g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (15, obstacle._BAND_MAX + 1))
+        # at f0 = -0.005 the continuation factors 18 times on kept
+        # orders; an even node count on the first axis does not nest the
+        # continuation on a coarser grid
+        g = wide_grid()
         cost = CostOperator.local_power(g, 1.0, 1.0, ScalarField.constant(g, -0.005))
         continuation_solve(cost, raised_cosine_bump(g))
     assert len(fills) >= 10
@@ -458,19 +499,22 @@ def test_lu_solve_matches_spsolve_on_nonsymmetric_values():
 
 
 def low_and_high_fill_matrix(pattern, rng):
-    # a matrix of a diagonal_update assembler and whether its kept order
-    # fills below obstacle._NARROW_PANEL_FILL per column: the 1D K=5
-    # space-time Jacobian (15 per column), the 2D 15x15 slice block B +
-    # diag (16) and the 2D cosmfg 15x15 K=5 Jacobian (162)
+    # a matrix of a diagonal_update assembler too wide for banded LU and
+    # whether its kept order fills below obstacle._NARROW_PANEL_FILL per
+    # column: the 1D K=30 space-time Jacobian (half-bandwidth 61, 36 per
+    # column), the slice block B + diag of wide_grid() (30) and the 2D
+    # cosmfg 15x15 K=5 Jacobian (162)
     if pattern == "slice_2d":
-        g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (15, 15))
+        g = wide_grid()
         return _shifted_operator(g, 0.2)(rng.uniform(0.0, 100.0, g.n_total)), True
     with_h = pattern == "cosmfg_2d"
     g = (build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (15, 15)) if with_h
          else build_grid(1, (0.0, 1.0), 31))
-    n_u = 5 * g.n_total
+    k_steps = 5 if with_h else 30
+    n_u = k_steps * g.n_total
     n_vals = 4 * n_u - g.n_total + (len(_hamiltonian_positions(g, 5)[0]) if with_h else 0)
-    return _jacobian_assembler(g, 0.2, 5, 1, with_h, False)(rng.uniform(-1.0, 1.0, n_vals)), not with_h
+    return (_jacobian_assembler(g, 0.2, k_steps, 1, with_h, False)(rng.uniform(-1.0, 1.0, n_vals)),
+            not with_h)
 
 
 @pytest.mark.parametrize("pattern", ["space_time_1d", "slice_2d", "cosmfg_2d"])
@@ -493,7 +537,9 @@ def test_panel_width_follows_the_fill_of_the_kept_order(monkeypatch, pattern):
     monkeypatch.setattr(spla, "splu", recording_splu)
     rng = np.random.default_rng(29)
     matrix, narrow = low_and_high_fill_matrix(pattern, rng)
-    assert (matrix.elimination_order().fill < obstacle._NARROW_PANEL_FILL) == narrow
+    order = matrix.elimination_order()
+    assert isinstance(order, obstacle._EliminationOrder)
+    assert (order.fill < obstacle._NARROW_PANEL_FILL) == narrow
     rhs = rng.normal(size=matrix.shape[0])
     solutions = [_lu_solve(matrix, rhs) for _ in range(2)]
     assert solutions[0].tobytes() == solutions[1].tobytes()
@@ -501,6 +547,94 @@ def test_panel_width_follows_the_fill_of_the_kept_order(monkeypatch, pattern):
     assert np.linalg.norm(solutions[0] - expected) <= 1e-12 * np.linalg.norm(expected)
     assert [panel for panel, _, _ in calls] == [1 if narrow else None] * 2
     assert all(fill == default for _, fill, default in calls)
+
+
+@pytest.mark.parametrize("k_steps, lag, with_h, half_bandwidth", [
+    (5, 1, False, 12), (5, 1, True, 12), (5, 0, False, 11), (1, 0, False, 2), (50, 1, False, 62),
+], ids=["space_time", "space_time_hamiltonian", "space_time_lag0", "stationary", "k50"])
+def test_band_lu_factor_matches_spsolve(lu_factors, k_steps, lag, with_h, half_bandwidth):
+    # the 1D Newton Jacobians of 31 nodes keep the reverse Cuthill-McKee
+    # order of their pattern, and those of a half-bandwidth up to
+    # obstacle._LU_BAND_MAX in it factor by banded LU: the K=5
+    # space-time Jacobians, with and without a Hamiltonian and with lag
+    # 1 and 0, and the stationary one. The K=50 one of the registry
+    # scenarios keeps SuperLU. Either solves as spsolve does, to
+    # round-off, and two factorizations of one matrix solve to the same
+    # bits
+    g = build_grid(1, (0.0, 1.0), 31)
+    n_u = k_steps * g.n_total
+    n_vals = (4 * n_u - lag * g.n_total
+              + (len(_hamiltonian_positions(g, k_steps)[0]) if with_h else 0))
+    rng = np.random.default_rng(33)
+    vals = rng.uniform(-1.0, 1.0, n_vals) * 10.0 ** rng.integers(0, 4, n_vals)
+    matrix = _jacobian_assembler(g, 1.0 / k_steps, k_steps, lag, with_h, False)(vals)
+    assert rcm_half_bandwidth(matrix) == half_bandwidth
+    narrow = half_bandwidth <= obstacle._LU_BAND_MAX
+    order = matrix.elimination_order()
+    assert isinstance(order, obstacle._BandOrder) == narrow
+    if narrow:
+        assert max(order.kl, order.ku) == half_bandwidth
+    rhs = rng.normal(size=matrix.shape[0])
+    solutions = [_lu_solve(matrix, rhs) for _ in range(2)]
+    assert lu_factors == [("band" if narrow else "superlu", matrix.shape[0])] * 2
+    assert solutions[0].tobytes() == solutions[1].tobytes()
+    expected = spla.spsolve(matrix, rhs)
+    assert np.max(np.abs(solutions[0] - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("pattern, half_bandwidth", [
+    ("space_time_1d", 12), ("stationary_1d", 2), ("shifted_15x65", 16), ("shifted_79x79", 79),
+])
+def test_cuthill_mckee_order_is_as_narrow_as_scipys(pattern, half_bandwidth):
+    # the numpy reverse Cuthill-McKee order is a permutation, and leaves
+    # the half-bandwidth of scipy.sparse.csgraph's on the 1D K=5
+    # space-time and stationary Jacobian patterns and on two shifted
+    # operators B
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+    if pattern.startswith("shifted"):
+        shape = (15, 65) if pattern == "shifted_15x65" else (79, 79)
+        g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), shape)
+        matrix = _shifted_operator(g, 0.2)(np.ones(g.n_total))
+    else:
+        k_steps, lag = (5, 1) if pattern == "space_time_1d" else (1, 0)
+        g = build_grid(1, (0.0, 1.0), 31)
+        n_vals = 4 * k_steps * g.n_total - lag * g.n_total
+        matrix = _jacobian_assembler(g, 1.0 / k_steps, k_steps, lag, False, False)(np.ones(n_vals))
+    coo = matrix.tocoo()
+    symmetric = (abs(matrix) + abs(matrix.T)).tocsr()
+    perm = obstacle._cuthill_mckee(symmetric.indptr, symmetric.indices)
+    assert np.array_equal(np.sort(perm), np.arange(matrix.shape[0]))
+    for order in (perm, reverse_cuthill_mckee(symmetric, symmetric_mode=True)):
+        position = np.argsort(order)
+        assert np.max(np.abs(position[coo.row] - position[coo.col])) == half_bandwidth
+
+
+@pytest.mark.parametrize("excess", [0, 1], ids=["at", "above"])
+def test_band_constant_splits_banded_lu_from_superlu(lu_factors, excess):
+    # a matrix that stores every diagonal within half-bandwidth b, which
+    # no order narrows: banded LU at b = obstacle._LU_BAND_MAX, SuperLU
+    # just above it
+    b = obstacle._LU_BAND_MAX + excess
+    n = 4 * b
+    rng = np.random.default_rng(37)
+    offsets = list(range(-b, b + 1))
+    static = sp.diags([rng.uniform(-1.0, 1.0, n - abs(k)) for k in offsets], offsets)
+    matrix = diagonal_update(static, np.arange(n), np.arange(n))(rng.uniform(b, 2 * b, n))
+    rhs = rng.normal(size=n)
+    expected = spla.spsolve(matrix, rhs)
+    assert np.max(np.abs(_lu_solve(matrix, rhs) - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert lu_factors == [("superlu" if excess else "band", n)]
+
+
+def test_diagonal_update_without_value_positions_gives_the_static_matrix():
+    # no value-dependent positions: every call gives static, on its
+    # pattern plus the diagonal, with float values
+    static = sp.csr_matrix(np.array([[2.0, -1.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 0.0]]))
+    matrix = diagonal_update(static, [], [])(np.array([]))
+    assert matrix.dtype == np.float64 and matrix.nnz == 4
+    assert np.array_equal(matrix.toarray(), static.toarray())
+    identity = diagonal_update(sp.identity(3), [], [])(np.array([]))
+    assert np.array_equal(_lu_solve(identity, np.arange(3.0)), np.arange(3.0))
 
 
 def shifted_system(bounds, shape, dt, shift, seed):
@@ -973,47 +1107,38 @@ def test_stationary_block_solve_matches_the_whole_jacobian(monkeypatch, local, b
 
 
 @pytest.mark.parametrize("local", [True, False], ids=["local", "nonlocal"])
-def test_stationary_block_solve_falls_back_on_a_gmres_miss(monkeypatch, local):
+def test_stationary_block_solve_falls_back_on_a_gmres_miss(monkeypatch, lu_factors, local):
     # a GMRES that reports a miss: the step is the LU solve of the whole
-    # Jacobian, on the assembler kept for its structure
+    # Jacobian, on the assembler kept for its structure (by banded LU
+    # for a local cost; the dense border of a nonlocal one takes SuperLU)
     g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (9, 9))
     n, eps, band = 81, 1e-4, 0.02
     rng = np.random.default_rng(17)
     uv = band_offsets(rng, n, band)
     mv = rng.choice([-0.2, 0.0, 0.3, 1.1], size=n)
     _, x, (_, jacobian, solve, _), oracle = stationary_system(g, local, eps, band, uv, mv)
-    sizes, splu = [], spla.splu
-
-    def recording_splu(matrix, **kwargs):
-        sizes.append(matrix.shape[0])
-        return splu(matrix, **kwargs)
-
     monkeypatch.setattr(spla, "gmres", lambda op, b, **kwargs: (np.zeros_like(b), 50))
-    monkeypatch.setattr(spla, "splu", recording_splu)
     rhs = rng.normal(size=len(x))
     expected = spla.spsolve(oracle, rhs)
     step = solve(jacobian(x), rhs)
     assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))
-    assert len(x) in sizes and sizes[-1] == len(x)
+    assert lu_factors == [("band" if local else "superlu", len(x))]
 
 
 def test_stationary_block_solve_restarts_gmres_instead_of_falling_back(monkeypatch,
-                                                                       band_factors):
+                                                                       band_factors,
+                                                                       lu_factors):
     # a stand-in gmres whose first cycle misses once, as a happy
     # breakdown just above rtol does where round-off brings one about,
     # and which then delegates: the Schur step restarts GMRES from the
     # missed cycle's iterate, the solve converges, and no step factors
     # the whole 2N Jacobian: every factorization, by banded Cholesky or
-    # SuperLU, is of an N x N block. The stages run on this grid, one
+    # LU, is of an N x N block. The stages run on this grid, one
     # penalized_coupled_solve each, where continuation_solve would nest
     g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (31, 31))
     cost = CostOperator.local_power(g, 1.0, 1.0, ScalarField.constant(g, -0.5))
     rho = raised_cosine_bump(g, peak=250.0)
-    sizes, starts, missed, splu, gmres = [], [], [], spla.splu, spla.gmres
-
-    def recording_splu(matrix, **kwargs):
-        sizes.append(matrix.shape[0])
-        return splu(matrix, **kwargs)
+    starts, missed, gmres = [], [], spla.gmres
 
     def missing_once_gmres(*args, **kwargs):
         x, info = gmres(*args, **kwargs)
@@ -1023,14 +1148,13 @@ def test_stationary_block_solve_restarts_gmres_instead_of_falling_back(monkeypat
             return x, 1
         return x, info
 
-    monkeypatch.setattr(spla, "splu", recording_splu)
     monkeypatch.setattr(spla, "gmres", missing_once_gmres)
     sol, _ = penalty_continuation(
         lambda eps, warm, strict: penalized_coupled_solve(cost, rho, eps, strict=strict, warm=warm),
         lambda triple: None)
     assert sol.converged
     assert len(starts) >= 2 and starts[0] is None and starts[1] is missed[0]
-    assert set(sizes) | {band.shape[1] for band, _ in band_factors} == {g.n_total}
+    assert {n for _, n in lu_factors} | {band.shape[1] for band, _ in band_factors} == {g.n_total}
 
 
 def space_time_system(obstacle, band_nodes, zero_slice=None):
@@ -1110,27 +1234,20 @@ def test_time_dependent_block_solve_matches_the_whole_jacobian(monkeypatch, obst
     assert len(calls) == band_nodes and all(info == 0 for _, info in calls)
 
 
-def test_time_dependent_block_solve_falls_back_on_a_gmres_miss(monkeypatch):
+def test_time_dependent_block_solve_falls_back_on_a_gmres_miss(monkeypatch, lu_factors):
     # a GMRES that reports a miss: the step is the LU solve of the whole
     # space-time Jacobian, on the assembler kept for its structure
     x, (_, jacobian, solve, _), oracle = space_time_system("constant_field", True)
-    sizes, splu = [], spla.splu
-
-    def recording_splu(matrix, **kwargs):
-        sizes.append(matrix.shape[0])
-        return splu(matrix, **kwargs)
-
     monkeypatch.setattr(spla, "gmres", lambda op, b, **kwargs: (np.zeros_like(b), 50))
-    monkeypatch.setattr(spla, "splu", recording_splu)
     rhs = np.random.default_rng(29).normal(size=len(x))
     expected = spla.spsolve(oracle, rhs)
     step = solve(jacobian(x), rhs)
     assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))
-    assert len(x) in sizes and sizes[-1] == len(x)
+    assert [n for _, n in lu_factors] == [len(x)]
 
 
 @pytest.mark.parametrize("band_nodes", [True, False], ids=["band", "no_band"])
-def test_time_dependent_block_solve_factors_each_nonzero_block_once(monkeypatch, band_factors,
+def test_time_dependent_block_solve_factors_each_nonzero_block_once(band_factors, lu_factors,
                                                                    band_nodes):
     # one factorization per slice block B + diag(d) with d != 0, and one
     # of B shared by the blocks with d = 0 (here the penalty and the
@@ -1138,8 +1255,7 @@ def test_time_dependent_block_solve_factors_each_nonzero_block_once(monkeypatch,
     # the stage, and a later system on the same grid and dt (here one
     # with a heat_from_g obstacle, whose heat steps solve with B too),
     # factor B no more. On this 7x7 grid every slice block factors by
-    # banded Cholesky, and nothing calls SuperLU
-    specs = recorded_orderings(monkeypatch)
+    # banded Cholesky, and nothing factors by LU
     for obstacle, b_factored in (("zero", (1, 0)), ("heat_from_g", (0, 0))):
         del band_factors[:]
         x, (_, jacobian, solve, _), oracle = space_time_system(obstacle, band_nodes,
@@ -1157,7 +1273,7 @@ def test_time_dependent_block_solve_factors_each_nonzero_block_once(monkeypatch,
             assert [np.any(d) for _, d in band_factors].count(True) == nonzero
             assert len(band_factors) == nonzero + b_count
             assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))
-    assert specs == []
+    assert lu_factors == []
 
 
 @pytest.mark.parametrize("obstacle", ["zero", "heat_from_g"])

@@ -150,13 +150,15 @@ def test_no_module_imports_scipy_optimize():
 
 
 # the direct solvers of numpy and scipy, and the functions that may call
-# them: the SuperLU call behind obstacle._lu_factor, the banded Cholesky
-# of the shifted operators, the ordering of a pattern, and the dense
-# solves of the brute-force oracle
+# them: the SuperLU call and the banded LU behind obstacle._lu_factor, the
+# banded Cholesky of the shifted operators, the ordering of a pattern,
+# and the dense solves of the brute-force oracle
 DIRECT_SOLVERS = {"splu", "spilu", "spsolve", "factorized", "solve_banded", "solveh_banded",
-                  "cholesky_banded", "cho_solve_banded", "dpbtrf", "dpbtrs", "inv"}
-FACTORING_FUNCTIONS = {"obstacle._splu_factor", "obstacle._band_factor",
-                       "obstacle._elimination_order", "obstacle.obstacle_oracle"}
+                  "cholesky_banded", "cho_solve_banded", "dpbtrf", "dpbtrs", "dgbtrf",
+                  "dgbtrs", "inv"}
+FACTORING_FUNCTIONS = {"obstacle._splu_factor", "obstacle._band_lu_factor",
+                       "obstacle._band_factor", "obstacle._elimination_order",
+                       "obstacle.obstacle_oracle"}
 
 
 def _direct_solves(node, module, scope=None):

@@ -4,7 +4,7 @@ import scipy.sparse.linalg as spla
 
 from mfgstop.costs import CostOperator
 from mfgstop.grid import ScalarField, build_grid, coarsen, elliptic_matrix, inner
-from mfgstop import _coupled
+from mfgstop import _coupled, obstacle
 from mfgstop.obstacle import (
     _base_factor,
     _shifted_band,
@@ -312,7 +312,7 @@ def test_every_density_passes_subsolution(grid, rho):
         assert m.values.min() >= -1e-12
 
 
-def test_2d_continuation_without_penalty_factors_a_once(monkeypatch, band_factors):
+def test_2d_continuation_without_penalty_factors_a_once(monkeypatch, band_factors, lu_factors):
     # u stays below the obstacle at every Newton iterate of this 2D
     # continuation, so every step's value block Ju is A itself, and so
     # is the density block Jm of the last stage's step, whose exit rate
@@ -321,12 +321,12 @@ def test_2d_continuation_without_penalty_factors_a_once(monkeypatch, band_factor
     # factor. The other factorizations are the density blocks with a
     # rate; a stage returns its Newton iterate, with no density solve
     # after it. Every one is a banded Cholesky factorization of A's band
-    # storage plus the block's diagonal update d, and nothing calls
-    # SuperLU (no step falls back to the whole Jacobian)
+    # storage plus the block's diagonal update d, and nothing factors by
+    # LU (no step falls back to the whole Jacobian)
     g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (9, 9))
     cost = CostOperator.local_power(g, 1.0, 1.0, ScalarField.constant(g, -0.5))
-    steps, factors, superlu = [], [], []
-    splu, schur, shifted_factor = spla.splu, _coupled._schur_step, _coupled._shifted_factor
+    steps, factors = [], []
+    schur, shifted_factor = _coupled._schur_step, _coupled._shifted_factor
 
     def recording_schur(*args):
         steps.append(args)
@@ -338,8 +338,6 @@ def test_2d_continuation_without_penalty_factors_a_once(monkeypatch, band_factor
         factors.append(shifted_factor(*args))
         return factors[-1]
 
-    monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: superlu.append(1)
-                        or splu(*args, **kwargs))
     monkeypatch.setattr(_coupled, "_schur_step", recording_schur)
     monkeypatch.setattr(_coupled, "_shifted_factor", recording_shifted_factor)
     sol, stages = continuation_solve(cost, raised_cosine_bump(g, peak=2.0), [1e-1, 1e-2, 1e-3])
@@ -354,7 +352,7 @@ def test_2d_continuation_without_penalty_factors_a_once(monkeypatch, band_factor
     factored = [not np.any(d) for _, d in band_factors]
     assert factored[0] and factored.count(True) == 1
     # A and the three density blocks with a rate
-    assert len(factored) == 1 + 3 and superlu == []
+    assert len(factored) == 1 + 3 and lu_factors == []
 
 
 def flat_continuation(cost, rho, schedule=None):
@@ -440,18 +438,21 @@ def test_nested_continuation_raises_at_the_fine_stage_only():
 def test_nested_solve_finds_its_factors_and_orders_kept(monkeypatch):
     # the 63x63 continuation and the 1D scenarios of the stationary
     # benchmark workload, twice in one process: the second pass makes no
-    # new elimination order and no new base factor, so the three grid
-    # levels and the 1D grids do not evict each other's assemblers or
-    # factors from the caches
+    # new elimination order (no kept order, banded or MMD, and no fresh
+    # MMD ordering) and no new base factor, so the three grid levels and
+    # the 1D grids do not evict each other's assemblers or factors from
+    # the caches
     g = grid_2d(63)
     cost, rho = local_cost(g, -0.5), raised_cosine_bump(g)
-    orderings, splu = [], spla.splu
+    orderings, splu, elimination_order = [], spla.splu, obstacle._elimination_order
 
     def recording_splu(matrix, permc_spec=None, **kwargs):
         orderings.append(permc_spec == "MMD_AT_PLUS_A")
         return splu(matrix, permc_spec=permc_spec, **kwargs)
 
     monkeypatch.setattr(spla, "splu", recording_splu)
+    monkeypatch.setattr(obstacle, "_elimination_order",
+                        lambda *args: orderings.append(True) or elimination_order(*args))
     counts = []
     for _ in range(2):
         del orderings[:]
