@@ -22,7 +22,6 @@ from .grid import (
     read_trajectory_csv,
 )
 from .obstacle import (
-    ObstacleSolveConfig,
     ObstacleConvergenceError,
     solve_obstacle_stationary,
     obstacle_oracle,
@@ -39,7 +38,6 @@ from .density import (
 )
 from .costs import CostOperator, PotentialOperator
 from .stationary import (
-    CoupledConfig,
     PenalizedTriple,
     MixedSolutionReport,
     CoupledNonConvergence,

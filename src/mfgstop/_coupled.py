@@ -11,9 +11,8 @@ stationary one, which is its one-slice case: dt = 1, m_0 = rho, and
 the value source paired with the new density. One function,
 _penalized_stage, runs a penalty stage of either: forward_backward_solve
 is its K-slice call and stationary.penalized_coupled_solve its
-one-slice call. The records of every coupled solve (CoupledConfig,
-PenalizedTriple, CoupledNonConvergence) live here; stationary exports
-them.
+one-slice call. The records of every coupled solve (PenalizedTriple,
+CoupledNonConvergence) live here; stationary exports them.
 
 Every obstacle is solved in the shifted value w = u - psi(m): with
 L u_k = (u_k - u_{k+1})/dt + A0 u_k, both obstacle kinds give
@@ -101,30 +100,17 @@ from .obstacle import (
 __all__ = ["forward_backward_solve"]
 
 
-@dataclass
-class CoupledConfig:
-    """Controls for the coupled penalized solvers.
+# Newton step cap of every coupled solve, stationary or time-dependent
+_MAX_OUTER = 3000
 
-    tol_pde bounds the penalized residuals of a converged solve, and
-    max_outer caps the Newton steps of every coupled solve, stationary
-    or time-dependent. The classification band around u = psi is fixed
-    once per penalty stage, from the stage-entry iterate, by band(); the
-    band actually used is recorded on the result and fed to the verifier
-    as its contact threshold.
-    """
 
-    tol_pde: float = 1e-8
-    max_outer: int = 3000
-
-    def __post_init__(self):
-        if not self.tol_pde > 0:
-            raise ValueError("tolerances must be positive")
-
-    @staticmethod
-    def band(epsilon: float, scale: float) -> float:
-        """The classification band at penalty epsilon for the source
-        scale |ftilde|_inf: max(DELTA_C_FLOOR, epsilon * scale / 2)."""
-        return max(DELTA_C_FLOOR, 0.5 * epsilon * scale)
+def _band(epsilon: float, scale: float) -> float:
+    """The classification band around w = 0 at penalty epsilon for the
+    source scale |ftilde|_inf: max(DELTA_C_FLOOR, epsilon * scale / 2).
+    It is fixed once per penalty stage, from the stage-entry iterate;
+    the band actually used is recorded on the result and fed to the
+    verifier as its contact threshold."""
+    return max(DELTA_C_FLOOR, 0.5 * epsilon * scale)
 
 
 class CoupledNonConvergence(RuntimeError):
@@ -470,8 +456,8 @@ def _residuals(grid: Grid, dt: float, lag: int, cost: CostOperator, hamiltonian,
         delta_c=float(delta_c), grid=grid.metadata())
 
 
-def _penalized_stage(cost, g_cost, g_arr, hamiltonian, grid, m_arr, dt, epsilon, lag, cfg,
-                     w_start, warm_band, strict):
+def _penalized_stage(cost, g_cost, g_arr, hamiltonian, grid, m_arr, dt, epsilon, lag,
+                     tol_pde, w_start, warm_band, strict):
     """One penalty stage of a coupled system: one semismooth Newton solve
     of _frozen_system in the shifted value w = u - psi(m), for the
     K-slice system (lag 1) and for the stationary one as its one-slice
@@ -480,7 +466,7 @@ def _penalized_stage(cost, g_cost, g_arr, hamiltonian, grid, m_arr, dt, epsilon,
     The start is the density slices m_arr (0..K, row 0 the data m_0)
     with the g slices g_arr (0..K-1) at them, and the value slices
     w_start (0..K-1). The classification band is fixed from it by
-    config.band, with the scale max over k < K of |f(m_{k+1-lag}) + g_k|.
+    _band, with the scale max over k < K of |f(m_{k+1-lag}) + g_k|.
     A warm start, the solution of the stage with band warm_band (None
     for a cold start), has its band nodes rescaled to the new band, so
     that the ramp position of w, hence the exit rate, stays continuous.
@@ -489,9 +475,9 @@ def _penalized_stage(cost, g_cost, g_arr, hamiltonian, grid, m_arr, dt, epsilon,
     the solve of _frozen_system (time sweeps and a density Schur
     complement on grids of dim >= 2 without a Hamiltonian, the LU of
     the whole Jacobian otherwise), with the Hamiltonian terms evaluated
-    once per iterate. The stage has converged when its last residual
-    norm is at most config.tol_pde, and strict raises
-    CoupledNonConvergence otherwise.
+    once per iterate, for at most _MAX_OUTER steps. The stage has
+    converged when its last residual norm is at most tol_pde, and strict
+    raises CoupledNonConvergence otherwise.
 
     Returns the w and m slices 0..K of the last iterate and the other
     fields of the stage's PenalizedTriple (epsilon, iterations,
@@ -499,7 +485,7 @@ def _penalized_stage(cost, g_cost, g_arr, hamiltonian, grid, m_arr, dt, epsilon,
     """
     steps = len(m_arr) - 1
     f_arr = cost.evaluate(m_arr[1 - lag:])
-    band = cfg.band(epsilon, float(np.max(np.abs(f_arr[:steps] + g_arr))))
+    band = _band(epsilon, float(np.max(np.abs(f_arr[:steps] + g_arr))))
     w_arr = np.array(w_start, dtype=float)
     if warm_band is not None:
         w_arr[np.abs(w_arr) <= warm_band] *= band / warm_band
@@ -508,10 +494,10 @@ def _penalized_stage(cost, g_cost, g_arr, hamiltonian, grid, m_arr, dt, epsilon,
         x0.append([(cost.weight.values * grid.cell_volume) @ m_arr[1]])
     residual, jacobian, solve, unstack = _frozen_system(
         cost, g_cost, g_arr, hamiltonian, grid, m_arr[0], dt, epsilon, band, lag)
-    target = min(cfg.tol_pde, 1e-10) * (1.0 + float(np.max(np.abs(f_arr))))
+    target = min(tol_pde, 1e-10) * (1.0 + float(np.max(np.abs(f_arr))))
     x, norms, iterations = semismooth_newton(residual, jacobian, np.concatenate(x0), target,
-                                             cfg.max_outer, solve=solve)
-    converged = norms[-1] <= cfg.tol_pde
+                                             _MAX_OUTER, solve=solve)
+    converged = norms[-1] <= tol_pde
     if strict and not converged:
         raise CoupledNonConvergence("penalized Newton did not converge", norms)
     return (*unstack(x), dict(epsilon=epsilon, iterations=iterations, residual_history=norms,
@@ -523,7 +509,7 @@ def forward_backward_solve(
     m0: ScalarField,
     timegrid: TimeGrid,
     epsilon: float,
-    config: CoupledConfig | None = None,
+    tol_pde: float = 1e-8,
     *,
     obstacle_op,
     hamiltonian=None,
@@ -549,15 +535,15 @@ def forward_backward_solve(
     replaces both by its m and w = u - psi(m). The cost, the obstacle's
     psi and g, the Hamiltonian and the warm start must lie on the grid
     of m0, and trajectories on timegrid, or ValueError is raised before
-    any Newton step (grid._on_grid). strict=False returns the
-    last iterate with converged=False instead of raising (used for
-    warm-up continuation stages).
+    any Newton step (grid._on_grid). The solve has converged when its
+    residual norm is at most tol_pde; strict=False returns the last
+    iterate with converged=False instead of raising (used for warm-up
+    continuation stages).
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if not cost.is_local:
         raise ValueError("time-dependent solvers require a local cost operator")
-    cfg = config or CoupledConfig()
     grid = _on_grid(m0.grid, timegrid, cost, obstacle_op.psi, obstacle_op.g_cost, hamiltonian,
                     getattr(warm, "u", None), getattr(warm, "m", None))
     if np.any(m0.values < -1e-12):
@@ -579,8 +565,8 @@ def forward_backward_solve(
         w_start, warm_band = warm.u.array()[:steps] - psi_arr[:steps], warm.delta_band
 
     w_arr, m_arr, stage = _penalized_stage(
-        cost, g_cost, g_arr[:steps], hamiltonian, grid, m_arr, timegrid.dt, epsilon, 1, cfg,
-        w_start, warm_band, strict)
+        cost, g_cost, g_arr[:steps], hamiltonian, grid, m_arr, timegrid.dt, epsilon, 1,
+        tol_pde, w_start, warm_band, strict)
     u_arr = w_arr + obstacle_op.apply_arrays(grid, timegrid, m_arr)[0]
     rate = _ramp(w_arr[:steps] / stage["delta_band"]) / epsilon
     return PenalizedTriple(

@@ -53,7 +53,6 @@ from .scenarios import (
     verify_problem,
 )
 from .stationary import (
-    CoupledConfig,
     CoupledNonConvergence,
     MixedSolutionReport,
     _checked_schedule,
@@ -283,7 +282,9 @@ class RunConfig:
                                   f"{self.problem!r}; choose from {sorted(residuals)}")
             if not _number(val, f"tolerances.acceptance[{key!r}]") > 0:
                 raise ConfigError(f"tolerances.acceptance[{key!r}] must be positive")
-        self.coupled = CoupledConfig(tol_pde=_number(tols.get("pde", 1e-8), "tolerances.pde"))
+        self.tol_pde = _number(tols.get("pde", 1e-8), "tolerances.pde")
+        if not self.tol_pde > 0:
+            raise ConfigError("tolerances.pde must be positive")
         self.seed = _integer(raw.get("seed", 0), "seed")
         self.output_dir = raw.get("output_dir")
         if self.output_dir is not None and not isinstance(self.output_dir, str):
@@ -388,7 +389,7 @@ def cmd_run(config_path: str, out_override: str | None = None) -> int:
 def _solve(cfg: RunConfig):
     """Solve cfg by its method: (u, m, report, stage_rows)."""
     if cfg.method == "continuation":
-        sol, stages = solve_problem(cfg, cfg.coupled)
+        sol, stages = solve_problem(cfg, cfg.tol_pde)
         return (sol.u, sol.m, stages[-1].report,
                 [(sr.stage, sr.epsilon, sr.iterations, sr.report) for sr in stages])
     # the two direct routes of sosmfg

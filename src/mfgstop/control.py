@@ -32,7 +32,7 @@ from .grid import (
     _on_grid,
     elliptic_matrix,
 )
-from .stationary import CoupledConfig, penalty_continuation
+from .stationary import penalty_continuation
 
 __all__ = [
     "Hamiltonian",
@@ -171,7 +171,7 @@ def cosmfg_coupled_solve(
     m0: ScalarField,
     timegrid: TimeGrid,
     eps_schedule=None,
-    config: CoupledConfig | None = None,
+    tol_pde: float = 1e-8,
     m_traj_init: np.ndarray | None = None,
 ):
     """Penalty continuation for the controlled system: the evolutive
@@ -188,7 +188,7 @@ def cosmfg_coupled_solve(
     zero = ObstacleOperator.zero(m0.grid, timegrid)
 
     def solve_stage(eps, warm, strict):
-        return forward_backward_solve(cost, m0, timegrid, eps, config, obstacle_op=zero,
+        return forward_backward_solve(cost, m0, timegrid, eps, tol_pde, obstacle_op=zero,
                                       hamiltonian=hamiltonian, m_traj_init=m_traj_init,
                                       warm=warm, strict=strict)
 

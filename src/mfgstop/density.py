@@ -27,7 +27,7 @@ from .grid import (
     _on_grid,
     elliptic_matrix,
 )
-from .obstacle import _lu_solve
+from .obstacle import _lu_solve, _shifted_operator
 
 __all__ = [
     "KillingData",
@@ -171,8 +171,9 @@ def solve_density_parabolic(
     grid = _on_grid(m0.grid, None, *(kd.alpha for kd in killing if kd is not None), *drift)
     _require_nonnegative(m0.values, "m0")
     dt = timegrid.dt
-    base = (elliptic_matrix(grid, with_zero_order=False)
-            + sp.identity(grid.n_total, format="csr") / dt).tocsr()
+    # B without its assembler's kept order: every step matrix is ordered
+    # afresh, so a zero drift or killing rate leaves the steps unchanged
+    base = sp.csc_matrix(_shifted_operator(grid, dt)(np.zeros(grid.n_total)))
     m_arr = np.empty((timegrid.n_steps + 1, grid.n_total))
     m_arr[0] = m0.values
     for k, (kd, dv) in enumerate(zip(killing, drift)):

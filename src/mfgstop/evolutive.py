@@ -26,7 +26,7 @@ from .grid import (
     elliptic_matrix,
 )
 from .obstacle import _base_factor
-from .stationary import CoupledConfig, _probe_gap, penalty_continuation
+from .stationary import _probe_gap, penalty_continuation
 
 __all__ = [
     "ObstacleOperator",
@@ -139,7 +139,7 @@ def osmfg_continuation(
     m0: ScalarField,
     timegrid: TimeGrid,
     eps_schedule=None,
-    config: CoupledConfig | None = None,
+    tol_pde: float = 1e-8,
     m_traj_init: np.ndarray | None = None,
 ):
     """Penalty continuation for the evolutive system: warm-started
@@ -152,7 +152,7 @@ def osmfg_continuation(
     """
 
     def solve_stage(eps, warm, strict):
-        return forward_backward_solve(cost, m0, timegrid, eps, config, obstacle_op=obstacle_op,
+        return forward_backward_solve(cost, m0, timegrid, eps, tol_pde, obstacle_op=obstacle_op,
                                       m_traj_init=m_traj_init, warm=warm, strict=strict)
 
     def verify(sol):
@@ -197,7 +197,6 @@ def evolutive_uniqueness_probe(
     n_starts: int = 3,
     seed: int = 0,
     eps_schedule=None,
-    start_scales=None,
 ) -> float:
     """Max pairwise trajectory gap over continuation runs with scaled
     initial density-trajectory guesses (m0 itself stays fixed); scales
@@ -210,4 +209,4 @@ def evolutive_uniqueness_probe(
                                     m_traj_init=init)
         return sol.m.array()
 
-    return _probe_gap(solve, n_starts, seed, start_scales)
+    return _probe_gap(solve, n_starts, seed)

@@ -395,20 +395,15 @@ def default_contact_threshold(u_values: np.ndarray, psi_values: np.ndarray) -> f
     return max(DELTA_C_FLOOR, DELTA_C_REL * gap)
 
 
-def classify_nodes(u: ScalarField, psi: ScalarField | None = None, delta_c: float | None = None):
-    """Split nodes into (continuation, contact) by u < psi - delta_c.
+def classify_nodes(u: ScalarField):
+    """Split nodes into (continuation, contact) by u < -delta_c.
 
-    Returns two complementary NodeMasks. delta_c defaults to a small
-    fraction of the obstacle gap, floored at an absolute level; exact
-    equality u = psi is never reliable in floating point.
+    Returns two complementary NodeMasks. delta_c is the
+    default_contact_threshold of u against the zero obstacle, a small
+    fraction of |u|_inf floored at an absolute level; exact equality
+    u = 0 is never reliable in floating point.
     """
-    psi_values = np.zeros_like(u.values) if psi is None else psi.values
-    _on_grid(u.grid, None, psi)
-    if delta_c is None:
-        delta_c = default_contact_threshold(u.values, psi_values)
-    if delta_c < 0:
-        raise ValueError("delta_c must be nonnegative")
-    cont = u.values < psi_values - delta_c
+    cont = u.values < -default_contact_threshold(u.values, np.zeros_like(u.values))
     return NodeMask(u.grid, cont), NodeMask(u.grid, ~cont)
 
 

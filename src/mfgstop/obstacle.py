@@ -21,6 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import block_diag as dense_block_diag
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .grid import (
     FieldTrajectory,
@@ -31,7 +32,6 @@ from .grid import (
 )
 
 __all__ = [
-    "ObstacleSolveConfig",
     "ObstacleConvergenceError",
     "solve_obstacle_stationary",
     "obstacle_oracle",
@@ -42,28 +42,6 @@ __all__ = [
     "row_select",
     "complementarity_residual",
 ]
-
-
-@dataclass
-class ObstacleSolveConfig:
-    """Residual tolerance and Newton step cap of the obstacle solvers.
-
-    The exact complementarity solves scale tol by the size of their
-    data, 1 + max(|f| + |M| max(|u0|, |psi|)) for the source f, the
-    operator M, the start u0 and the obstacle psi: the round-off of
-    f - M u grows with diag(M) ~ 2/h^2, so a fixed absolute gate fails
-    converged solves on fine grids. The penalized solve gates its
-    residual on tol itself.
-    """
-
-    tol: float = 1e-10
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if not self.max_iter >= 1:
-            raise ValueError("max_iter must be positive")
 
 
 class ObstacleConvergenceError(RuntimeError):
@@ -78,6 +56,11 @@ def complementarity_residual(matrix, u: np.ndarray, f: np.ndarray, psi: np.ndarr
     r = np.minimum(psi - u, f - matrix @ u)
     return float(np.max(np.abs(r))) if r.size else 0.0
 
+
+# Residual tolerance and Newton step cap of the obstacle solves (see
+# _obstacle_newton for how the exact solves scale the tolerance)
+_TOL = 1e-10
+_MAX_ITER = 200
 
 # Fill per column of an elimination order's stand-in factor below which
 # _lu_factor factors with SuperLU panels one column wide (see _lu_factor)
@@ -120,36 +103,6 @@ class _BandOrder:
     scatter: np.ndarray
 
 
-def _cuthill_mckee(indptr, indices):
-    """Reverse Cuthill-McKee order of the symmetric CSR pattern
-    (indptr, indices): breadth first from a node of least degree in each
-    connected component, the unvisited neighbours of each level taken
-    in the order of their parents and, per parent, by degree, and the
-    whole order reversed (Cuthill and McKee, 1969; George, 1971)."""
-    n = len(indptr) - 1
-    degree = np.diff(indptr)
-    order = np.empty(n, dtype=np.int64)
-    visited = np.zeros(n, dtype=bool)
-    filled = 0
-    while filled < n:
-        unvisited = np.flatnonzero(~visited)
-        level = unvisited[[np.argmin(degree[unvisited])]]
-        while level.size:
-            visited[level] = True
-            order[filled:filled + level.size] = level
-            filled += level.size
-            counts = degree[level]
-            starts = np.repeat(indptr[level] - np.cumsum(counts) + counts, counts)
-            neighbours = indices[starts + np.arange(len(starts))]
-            parents = np.repeat(np.arange(level.size), counts)
-            new = ~visited[neighbours]
-            neighbours, parents = neighbours[new], parents[new]
-            neighbours = neighbours[np.lexsort((neighbours, degree[neighbours], parents))]
-            _, first = np.unique(neighbours, return_index=True)
-            level = neighbours[np.sort(first)]
-    return order[::-1]
-
-
 def _elimination_order(shape, indptr, indices):
     """The order in which _lu_factor factors the matrices of the square
     CSC pattern (indptr, indices): a _BandOrder where the reverse
@@ -172,7 +125,7 @@ def _elimination_order(shape, indptr, indices):
     entry_cols = np.repeat(np.arange(n), np.diff(indptr))
     pattern = sp.csr_matrix((np.ones(len(indices)), (indices, entry_cols)), shape=shape)
     symmetric = (pattern + pattern.T).tocsr()
-    perm = _cuthill_mckee(symmetric.indptr, symmetric.indices)
+    perm = reverse_cuthill_mckee(symmetric, symmetric_mode=True)
     position = np.argsort(perm)
     rows, cols = position[indices], position[entry_cols]
     kl, ku = int(np.max(rows - cols)), int(np.max(cols - rows))
@@ -395,16 +348,14 @@ def _splu_factor(matrix, permc_spec, panel_size=None):
 def solve_obstacle_stationary(
     source: ScalarField,
     obstacle: ScalarField,
-    config: ObstacleSolveConfig | None = None,
 ) -> ScalarField:
     """Solve max((-lap + id) u - f, u - psi) = 0 by semismooth Newton,
     starting from the solution without obstacle.
     """
-    config = config or ObstacleSolveConfig()
     grid = _on_grid(source.grid, None, obstacle)
     start = _base_factor(grid, 1.0)(source.values)
     return ScalarField(grid, _obstacle_newton(elliptic_matrix(grid), source.values,
-                                              obstacle.values, start, config))
+                                              obstacle.values, start))
 
 
 def obstacle_oracle(
@@ -569,7 +520,7 @@ def row_select(first, second):
     return assemble
 
 
-def _obstacle_newton(matrix, f, psi, u0, config) -> np.ndarray:
+def _obstacle_newton(matrix, f, psi, u0) -> np.ndarray:
     """Semismooth Newton on min(D (psi - u), f - M u) = 0, D = diag(M).
 
     Each step is a whole primal-dual active-set step: u = psi on the
@@ -577,17 +528,20 @@ def _obstacle_newton(matrix, f, psi, u0, config) -> np.ndarray:
     rows scaled by D give the active rows the diagonal of M, so the
     Jacobian keeps M's diagonal and its LU fills no more than M's; the
     scaling does not move the zeros of the min. Convergence is judged on
-    the unscaled complementarity_residual, both gates scaled by the size
-    of the data (see ObstacleSolveConfig).
+    the unscaled complementarity_residual. Both gates are _TOL scaled by
+    the size of the data, 1 + max(|f| + |M| max(|u0|, |psi|)): the
+    round-off of f - M u grows with diag(M) ~ 2/h^2, so a fixed absolute
+    gate fails converged solves on fine grids. The penalized solve gates
+    its residual on _TOL itself.
     """
     d = matrix.diagonal()
     assemble = row_select(sp.diags(-d), -matrix)
-    tol = config.tol * (1.0 + float(np.max(
+    tol = _TOL * (1.0 + float(np.max(
         np.abs(f) + abs(matrix) @ np.maximum(np.abs(u0), np.abs(psi)), initial=0.0)))
     u, _, it = semismooth_newton(
         lambda v: np.minimum(d * (psi - v), f - matrix @ v),
         lambda v: assemble(d * (psi - v) <= f - matrix @ v),
-        u0, tol, config.max_iter, full_steps=True)
+        u0, tol, _MAX_ITER, full_steps=True)
     res = complementarity_residual(matrix, u, f, psi)
     if res <= tol:
         return u
@@ -609,16 +563,15 @@ def solve_obstacle_penalized(
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    config = ObstacleSolveConfig()
     grid = _on_grid(source.grid, None, obstacle)
     a = elliptic_matrix(grid)
     f, psi = source.values, obstacle.values
     u, norms, it = semismooth_newton(
         lambda v: a @ v + np.maximum(v - psi, 0.0) / epsilon - f,
         lambda v: (v > psi).astype(float) / epsilon,
-        _base_factor(grid, 1.0)(f), config.tol, config.max_iter,
+        _base_factor(grid, 1.0)(f), _TOL, _MAX_ITER,
         solve=lambda d, rhs: _shifted_factor(grid, d, 1.0)(rhs))
-    if norms[-1] <= config.tol:
+    if norms[-1] <= _TOL:
         return ScalarField(grid, u)
     raise ObstacleConvergenceError("penalized Newton did not converge", norms[-1], it)
 
@@ -639,12 +592,10 @@ def solve_obstacle_parabolic(
     if np.max(np.abs(terminal.values - obstacle.array()[-1])) > 1e-12:
         raise ValueError("terminal slice must equal the obstacle at t = T")
     dt = timegrid.dt
-    b = (elliptic_matrix(grid, with_zero_order=False)
-         + sp.identity(grid.n_total, format="csr") / dt).tocsr()
+    b = _shifted_operator(grid, dt)(np.zeros(grid.n_total))
     u_arr = np.empty((timegrid.n_steps + 1, grid.n_total))
     u_arr[-1] = terminal.values
     for k in range(timegrid.n_steps - 1, -1, -1):
         rhs = u_arr[k + 1] / dt + source.array()[k]
-        u_arr[k] = _obstacle_newton(b, rhs, obstacle.array()[k], u_arr[k + 1],
-                                    ObstacleSolveConfig())
+        u_arr[k] = _obstacle_newton(b, rhs, obstacle.array()[k], u_arr[k + 1])
     return FieldTrajectory(grid, timegrid, u_arr)

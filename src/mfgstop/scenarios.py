@@ -26,7 +26,6 @@ from .grid import (
 )
 from .obstacle import _base_factor
 from .stationary import (
-    CoupledConfig,
     MixedSolutionReport,
     continuation_solve,
     default_eps_schedule,
@@ -85,8 +84,8 @@ class Scenario:
     eps_schedule: tuple[float, ...] = field(default_factory=lambda: tuple(default_eps_schedule()))
 
 
-def _monotone_cost(grid: Grid, f0_value: float = -0.5) -> CostOperator:
-    return CostOperator.local_power(grid, a=1.0, p=1.0, f0=ScalarField.constant(grid, f0_value))
+def _monotone_cost(grid: Grid) -> CostOperator:
+    return CostOperator.local_power(grid, a=1.0, p=1.0, f0=ScalarField.constant(grid, -0.5))
 
 
 def _build_monotone_1d() -> Scenario:
@@ -193,7 +192,7 @@ class NonuniquenessEvidence:
     gap: float
 
 
-def scenario_nonuniqueness(delta_c: float | None = None) -> NonuniquenessEvidence:
+def scenario_nonuniqueness() -> NonuniquenessEvidence:
     """Two verified solutions for one non-monotone nonlocal cost.
 
     The cost f(m) = 1 - 2 <w, m> / <w, m*> (w the distance to the
@@ -217,8 +216,7 @@ def scenario_nonuniqueness(delta_c: float | None = None) -> NonuniquenessEvidenc
         raise AssertionError("cost normalization failed: expected f(m*) = -1, f(0) = +1")
     u_star = ScalarField(grid, solve(f_star))
     zero = ScalarField.zeros(grid)
-    if delta_c is None:
-        delta_c = default_contact_threshold(u_star.values, zero.values)
+    delta_c = default_contact_threshold(u_star.values, zero.values)
     if np.any(u_star.values >= -delta_c):
         raise RuntimeError("contact set of u* is nonempty; refine the grid")
     report_zero = verify_mixed(zero, zero, cost, rho, delta_c=delta_c)
@@ -321,21 +319,17 @@ class ObstacleNonuniquenessEvidence:
     gap: float
 
 
-def scenario_obstacle_nonuniqueness(
-    cost: CostOperator | None = None,
-) -> ObstacleNonuniquenessEvidence:
-    """For a strictly monotone cost, an m-dependent obstacle that admits
-    two verified solutions: the interpolation psi(m) between u* (at
-    m = m*) and u_low (at m = 0) makes both endpoints solve the system.
-    The grid has 31 interior nodes on (0, 1); nodes where m* is below
-    1e-10 max(m*) take psi = u_low.
+def scenario_obstacle_nonuniqueness() -> ObstacleNonuniquenessEvidence:
+    """For the strictly monotone cost of the registry scenarios, an
+    m-dependent obstacle that admits two verified solutions: the
+    interpolation psi(m) between u* (at m = m*) and u_low (at m = 0)
+    makes both endpoints solve the system. The grid has 31 interior
+    nodes on (0, 1); nodes where m* is below 1e-10 max(m*) take
+    psi = u_low.
     """
     grid = build_grid(1, (0.0, 1.0), 31)
     rho = raised_cosine_bump(grid)
-    if cost is None:
-        cost = _monotone_cost(grid)
-    if cost.monotonicity != "strict_monotone":
-        raise ValueError("this construction requires a strictly monotone cost")
+    cost = _monotone_cost(grid)
     solve = _base_factor(grid, 1.0)
     m_star_vals = solve(rho.values)
     m_star = ScalarField(grid, m_star_vals)
@@ -374,17 +368,18 @@ def scenario_obstacle_nonuniqueness(
 # timegrid, obstacle_op, hamiltonian and eps_schedule
 
 
-def solve_problem(spec, config: CoupledConfig | None = None):
+def solve_problem(spec, tol_pde: float = 1e-8):
     """The penalty continuation of spec's problem along its eps_schedule:
     continuation_solve (sosmfg), osmfg_continuation (osmfg) or
-    cosmfg_coupled_solve (cosmfg). Returns its (solution, stages)."""
+    cosmfg_coupled_solve (cosmfg), a stage converged at a residual norm
+    of at most tol_pde. Returns its (solution, stages)."""
     if spec.problem == "sosmfg":
-        return continuation_solve(spec.cost, spec.rho, spec.eps_schedule, config)
+        return continuation_solve(spec.cost, spec.rho, spec.eps_schedule, tol_pde)
     if spec.problem == "osmfg":
         return osmfg_continuation(spec.cost, spec.obstacle_op, spec.m0, spec.timegrid,
-                                  spec.eps_schedule, config)
+                                  spec.eps_schedule, tol_pde)
     return cosmfg_coupled_solve(spec.cost, spec.hamiltonian, spec.m0, spec.timegrid,
-                                spec.eps_schedule, config)
+                                spec.eps_schedule, tol_pde)
 
 
 def verify_problem(spec, u, m, delta_c: float | None = None):

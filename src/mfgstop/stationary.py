@@ -13,8 +13,8 @@ r_duality.
 
 The penalized system is the one-slice case of the time-dependent one,
 and each penalty stage of it is run by the same _coupled._penalized_stage
-(dt = 1, m_0 = rho, lag 0); CoupledConfig, PenalizedTriple and
-CoupledNonConvergence live in _coupled and are exported here.
+(dt = 1, m_0 = rho, lag 0); PenalizedTriple and CoupledNonConvergence
+live in _coupled and are exported here.
 continuation_solve runs the early penalty stages of a strictly monotone
 2D continuation on coarser grids.
 """
@@ -27,7 +27,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._coupled import (
-    CoupledConfig,
     CoupledNonConvergence,
     PenalizedTriple,
     _penalized_stage,
@@ -46,7 +45,8 @@ from .grid import (
     inner,
 )
 from .obstacle import (
-    ObstacleSolveConfig,
+    _MAX_ITER,
+    _TOL,
     _base_factor,
     row_select,
     semismooth_newton,
@@ -54,7 +54,6 @@ from .obstacle import (
 )
 
 __all__ = [
-    "CoupledConfig",
     "PenalizedTriple",
     "MixedSolutionReport",
     "StageReport",
@@ -114,7 +113,7 @@ def penalized_coupled_solve(
     cost: CostOperator,
     rho: ScalarField,
     epsilon: float,
-    config: CoupledConfig | None = None,
+    tol_pde: float = 1e-8,
     m_init: ScalarField | None = None,
     strict: bool = True,
     warm: PenalizedTriple | None = None,
@@ -139,12 +138,12 @@ def penalized_coupled_solve(
     warm start, the previous stage's solution, replaces both by its
     (u, m). The cost, m_init and the warm start must lie on the grid of
     rho, or ValueError is raised before any Newton step (grid._on_grid).
+    The solve has converged when its residual norm is at most tol_pde;
     strict=False returns the last iterate with converged=False instead
     of raising (used for warm-up continuation stages).
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    cfg = config or CoupledConfig()
     grid = _on_grid(rho.grid, None, cost, m_init, getattr(warm, "u", None),
                     getattr(warm, "m", None))
     if np.any(rho.values < -1e-12):
@@ -156,7 +155,7 @@ def penalized_coupled_solve(
         # cold start from the unconstrained value equation
         u, warm_band = _base_factor(grid, 1.0)(cost.evaluate(m)), None
     u, m, stage = _penalized_stage(cost, None, np.zeros((1, grid.n_total)), None, grid,
-                                   np.stack([rho.values, m]), 1.0, epsilon, 0, cfg, u[None],
+                                   np.stack([rho.values, m]), 1.0, epsilon, 0, tol_pde, u[None],
                                    warm_band, strict)
     return PenalizedTriple(u=ScalarField(grid, u[0]), m=ScalarField(grid, m[1]),
                            alpha=ScalarField(grid, _ramp(u[0] / stage["delta_band"])), **stage)
@@ -204,7 +203,7 @@ def continuation_solve(
     cost: CostOperator,
     rho: ScalarField,
     eps_schedule=None,
-    config: CoupledConfig | None = None,
+    tol_pde: float = 1e-8,
     m_init: ScalarField | None = None,
 ):
     """Penalty continuation for the stationary system: warm-started
@@ -235,7 +234,7 @@ def continuation_solve(
     on the grid the stage ran on.
     """
     _on_grid(rho.grid, None, cost, m_init)
-    return _continuation(cost, rho, _checked_schedule(eps_schedule), config, m_init, strict=True)
+    return _continuation(cost, rho, _checked_schedule(eps_schedule), tol_pde, m_init, strict=True)
 
 
 def _nests(cost: CostOperator, grid, schedule) -> bool:
@@ -244,7 +243,7 @@ def _nests(cost: CostOperator, grid, schedule) -> bool:
             and len(schedule) >= 2 and cost.monotonicity == STRICT_MONOTONE)
 
 
-def _continuation(cost, rho, schedule, config, m_init, strict):
+def _continuation(cost, rho, schedule, tol_pde, m_init, strict):
     """continuation_solve on a checked schedule, its last stage strict
     only when strict."""
 
@@ -253,18 +252,18 @@ def _continuation(cost, rho, schedule, config, m_init, strict):
 
     if not _nests(cost, rho.grid, schedule):
         def solve_stage(eps, warm, last):
-            return penalized_coupled_solve(cost, rho, eps, config, m_init=m_init,
+            return penalized_coupled_solve(cost, rho, eps, tol_pde, m_init=m_init,
                                            strict=strict and last, warm=warm)
 
         return penalty_continuation(solve_stage, verify, schedule)
     coarse, restrict, prolong = coarsen(rho.grid)
     warm, stages = _continuation(cost.restricted(coarse, restrict), restrict(rho), schedule[:-1],
-                                 config, None if m_init is None else restrict(m_init),
+                                 tol_pde, None if m_init is None else restrict(m_init),
                                  strict=False)
     warm = replace(warm, u=prolong(warm.u), m=prolong(warm.m), alpha=prolong(warm.alpha))
     stage = len(schedule) - 1
     try:
-        sol = penalized_coupled_solve(cost, rho, schedule[-1], config, strict=strict, warm=warm)
+        sol = penalized_coupled_solve(cost, rho, schedule[-1], tol_pde, strict=strict, warm=warm)
     except CoupledNonConvergence as err:
         raise CoupledNonConvergence(err.message, err.residual_history, stage=stage) from err
     return sol, stages + [StageReport(stage=stage, solution=sol, report=verify(sol))]
@@ -358,12 +357,11 @@ def variational_minimize(potential: PotentialOperator, rho: ScalarField) -> Scal
 
     m0 = solve_obstacle_stationary(rho, ScalarField(grid, cost.zero_crossing()))
     u0 = solve_obstacle_stationary(cost(m0), ScalarField.zeros(grid))
-    config = ObstacleSolveConfig()
     x, norms, _ = semismooth_newton(residual, jacobian, np.concatenate([u0.values, m0.values]),
-                                    config.tol, config.max_iter, full_steps=True)
+                                    _TOL, _MAX_ITER, full_steps=True)
     u, m = x[:n], x[n:]
     kkt = np.concatenate([np.minimum(-u, rho_v - a @ m), np.minimum(m, cost.evaluate(m) - a @ u)])
-    if not float(np.max(np.abs(kkt))) <= config.tol:
+    if not float(np.max(np.abs(kkt))) <= _TOL:
         raise CoupledNonConvergence("variational Newton did not converge", norms)
     return ScalarField(grid, np.maximum(m, 0.0))
 
@@ -401,14 +399,12 @@ def uniqueness_probe(
     n_starts: int = 5,
     seed: int = 0,
     eps_schedule=None,
-    start_scales=None,
 ) -> float:
     """Max pairwise density gap over continuation runs from scaled starts.
 
     Starts are s_k * (A^-1 rho) with deterministic s_k ~ U[0, 2) from
-    the seed (or explicit start_scales). Strictly monotone costs give a
-    gap at solver precision; non-monotone costs can land on distinct
-    solutions.
+    the seed. Strictly monotone costs give a gap at solver precision;
+    non-monotone costs can land on distinct solutions.
     """
     grid = rho.grid
     m_base = _base_factor(grid, 1.0)(rho.values)
@@ -417,21 +413,15 @@ def uniqueness_probe(
         sol, _ = continuation_solve(cost, rho, eps_schedule, m_init=ScalarField(grid, s * m_base))
         return sol.m.values
 
-    return _probe_gap(solve, n_starts, seed, start_scales)
+    return _probe_gap(solve, n_starts, seed)
 
 
-def _probe_gap(solve, n_starts: int, seed: int, start_scales) -> float:
-    """Max pairwise max-norm gap of solve(s) over the start scales s:
-    n_starts draws s ~ U[0, 2) from the seed, or the explicit
-    start_scales."""
+def _probe_gap(solve, n_starts: int, seed: int) -> float:
+    """Max pairwise max-norm gap of solve(s) over the start scales s,
+    n_starts draws s ~ U[0, 2) from the seed."""
     if n_starts < 2:
         raise ValueError("need at least two starts")
-    if start_scales is None:
-        scales = np.random.default_rng(seed).uniform(0.0, 2.0, n_starts)
-    else:
-        scales = np.asarray(start_scales, dtype=float)
-        if len(scales) != n_starts:
-            raise ValueError("start_scales must have n_starts entries")
+    scales = np.random.default_rng(seed).uniform(0.0, 2.0, n_starts)
     results = [solve(s) for s in scales]
     return max(0.0, *(float(np.max(np.abs(a - b)))
                       for i, a in enumerate(results) for b in results[i + 1:]))
@@ -441,18 +431,18 @@ def euler_lagrange_certificate(
     cost: CostOperator,
     m: ScalarField,
     rho: ScalarField,
-    seed: int = 0,
 ) -> float:
     """Min of <f(m), m' - m> over a documented battery of feasible m'.
 
     The battery holds 0, the unconstrained solve A^-1 rho, exclusion-set
-    solves on four seeded random node sets, and convex combinations with
-    m itself; every member lies in {m' >= 0, A m' <= rho}.
+    solves on four random node sets drawn from seed 0, and convex
+    combinations with m itself; every member lies in
+    {m' >= 0, A m' <= rho}.
     """
     grid = m.grid
     f_m = cost(m)
     battery = [np.zeros(grid.n_total), _base_factor(grid, 1.0)(rho.values)]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for _ in range(4):
         mask = NodeMask(grid, rng.random(grid.n_total) < 0.5)
         battery.append(solve_density_on_set(mask, rho).values)

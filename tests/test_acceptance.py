@@ -246,7 +246,7 @@ def test_c10_variational_consistency(monotone_1d_solution):
     m_var = variational_minimize(sc.cost.potential(), sc.rho)
     gap = float(np.max(np.abs(m_var.values - m_cont.values)))
     assert gap <= 1e-4
-    certificate = euler_lagrange_certificate(sc.cost, m_var, sc.rho, seed=110)
+    certificate = euler_lagrange_certificate(sc.cost, m_var, sc.rho)
     assert certificate >= -1e-6
     report(10, f"route gap {gap:.2e}, Euler-Lagrange certificate {certificate:.2e}")
 

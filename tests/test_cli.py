@@ -20,7 +20,7 @@ from mfgstop.grid import (
 )
 from mfgstop.obstacle import ObstacleConvergenceError
 from mfgstop.scenarios import STANDARD_NAMES
-from mfgstop.stationary import CoupledConfig, CoupledNonConvergence
+from mfgstop.stationary import CoupledNonConvergence
 
 BASE_CONFIG = {
     "problem": "sosmfg",
@@ -573,12 +573,13 @@ def test_stage_nonconvergence_reports_its_stage(tmp_path, monkeypatch):
     solve = evolutive.forward_backward_solve
     stage_epsilons = []
 
-    def second_stage_fails(cost, m0, timegrid, epsilon, config=None, **kwargs):
+    def second_stage_fails(cost, m0, timegrid, epsilon, tol_pde, **kwargs):
         stage_epsilons.append(epsilon)
-        if len(stage_epsilons) == 2:
-            config = CoupledConfig(max_outer=1, tol_pde=1e-16)
-            kwargs["strict"] = True
-        return solve(cost, m0, timegrid, epsilon, config, **kwargs)
+        if len(stage_epsilons) != 2:
+            return solve(cost, m0, timegrid, epsilon, tol_pde, **kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(_coupled, "_MAX_OUTER", 1)
+            return solve(cost, m0, timegrid, epsilon, 1e-16, **{**kwargs, "strict": True})
 
     monkeypatch.setattr(evolutive, "forward_backward_solve", second_stage_fails)
     out = tmp_path / "osm"
@@ -592,7 +593,7 @@ def test_stage_nonconvergence_reports_its_stage(tmp_path, monkeypatch):
     run = cli.load_config(cfg)
     with pytest.raises(CoupledNonConvergence) as err:
         evolutive.osmfg_continuation(run.cost, run.obstacle_op, run.m0, run.timegrid,
-                                     run.eps_schedule, run.coupled)
+                                     run.eps_schedule, run.tol_pde)
     assert err.value.stage == 1
 
 
@@ -632,6 +633,10 @@ NAN, INF = float("nan"), float("inf")
     ({"eps_schedule": {"start": INF, "factor": 4.0, "stages": 3}}, "eps_schedule.start"),
     ({"tolerances": {"outer": 1e-9, "pde": NAN, "acceptance": {"r_duality": 1e-6}}},
      "tolerances.pde"),
+    ({"tolerances": {"outer": 1e-9, "pde": 0.0, "acceptance": {"r_duality": 1e-6}}},
+     "tolerances.pde"),
+    ({"tolerances": {"outer": 1e-9, "pde": -1e-8, "acceptance": {"r_duality": 1e-6}}},
+     "tolerances.pde"),
     ({"tolerances": {"outer": INF, "pde": 1e-8, "acceptance": {"r_duality": 1e-6}}},
      "tolerances.outer"),
     ({"tolerances": tolerances(r_duality=INF)}, "tolerances.acceptance"),
@@ -652,8 +657,8 @@ NAN, INF = float("nan"), float("inf")
         "monotone-iteration-on-monotone-cost", "variational-on-anti-monotone-cost",
         "variational-on-nonlocal-cost",
         "nan-horizon", "inf-horizon", "inf-n_steps", "huge-horizon", "nan-eps-entry",
-        "inf-eps-start", "nan-pde-tol", "inf-outer-tol", "inf-acceptance", "nan-cost-a",
-        "inf-cost-f0", "nan-m0-value", "nan-grid-bound", "unknown-problem",
+        "inf-eps-start", "nan-pde-tol", "zero-pde-tol", "negative-pde-tol", "inf-outer-tol",
+        "inf-acceptance", "nan-cost-a", "inf-cost-f0", "nan-m0-value", "nan-grid-bound", "unknown-problem",
         "field-spec-not-an-object", "unknown-field-kind", "unknown-obstacle-kind",
         "unknown-hamiltonian-kind", "empty-acceptance", "zero-threshold"])
 def test_invalid_input_rejected_before_solving(tmp_path, capsys, overrides, reason):

@@ -149,13 +149,13 @@ def test_discrete_maximum_principle():
 
 def test_classify_nodes_examples():
     g = build_grid(1, (0.0, 1.0), 3)
-    psi = ScalarField.zeros(g)
-    cont, contact = classify_nodes(ScalarField.constant(g, -1.0), psi, delta_c=1e-8)
+    cont, contact = classify_nodes(ScalarField.constant(g, -1.0))
     assert cont.mask.all() and not contact.mask.any()
-    cont2, contact2 = classify_nodes(psi, psi, delta_c=1e-8)
+    cont2, contact2 = classify_nodes(ScalarField.zeros(g))
     assert contact2.mask.all() and not cont2.mask.any()
+    # the threshold is DELTA_C_REL |u|_inf = 1e-8 here
     u = ScalarField(g, [-1.0, -1e-9, 0.0])
-    cont3, contact3 = classify_nodes(u, psi, delta_c=1e-8)
+    cont3, contact3 = classify_nodes(u)
     assert cont3.mask.tolist() == [True, False, False]
     assert np.all(cont3.mask ^ contact3.mask)
 

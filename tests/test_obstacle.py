@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from mfgstop import _coupled, obstacle
 from mfgstop._coupled import (
@@ -26,7 +27,6 @@ from mfgstop.grid import (
 )
 from mfgstop.obstacle import (
     ObstacleConvergenceError,
-    ObstacleSolveConfig,
     _base_factor,
     _lu_factor,
     _lu_solve,
@@ -54,15 +54,6 @@ from mfgstop.stationary import (
 def cosh_profile(x):
     # closed form for -u'' + u = -1 on (0, 1), u(0) = u(1) = 0
     return -(1.0 - np.cosh(x - 0.5) / np.cosh(0.5))
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        ObstacleSolveConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        ObstacleSolveConfig(tol=float("nan"))
-    with pytest.raises(ValueError):
-        ObstacleSolveConfig(max_iter=0)
 
 
 def test_nonnegative_source_gives_zero():
@@ -224,7 +215,7 @@ def rcm_half_bandwidth(matrix):
     coo = sp.coo_matrix(matrix)
     pattern = sp.csr_matrix((np.ones(coo.nnz), (coo.row, coo.col)), shape=coo.shape)
     symmetric = (pattern + pattern.T).tocsr()
-    position = np.argsort(obstacle._cuthill_mckee(symmetric.indptr, symmetric.indices))
+    position = np.argsort(reverse_cuthill_mckee(symmetric, symmetric_mode=True))
     return int(np.max(np.abs(position[coo.row] - position[coo.col])))
 
 
@@ -585,12 +576,12 @@ def test_band_lu_factor_matches_spsolve(lu_factors, k_steps, lag, with_h, half_b
 @pytest.mark.parametrize("pattern, half_bandwidth", [
     ("space_time_1d", 12), ("stationary_1d", 2), ("shifted_15x65", 16), ("shifted_79x79", 79),
 ])
-def test_cuthill_mckee_order_is_as_narrow_as_scipys(pattern, half_bandwidth):
-    # the numpy reverse Cuthill-McKee order is a permutation, and leaves
-    # the half-bandwidth of scipy.sparse.csgraph's on the 1D K=5
-    # space-time and stationary Jacobian patterns and on two shifted
-    # operators B
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
+def test_elimination_order_kind_and_half_bandwidths(pattern, half_bandwidth):
+    # the reverse Cuthill-McKee order leaves these half-bandwidths on the
+    # 1D K=5 space-time and stationary Jacobian patterns and on two
+    # shifted operators B; the patterns within obstacle._LU_BAND_MAX get
+    # a _BandOrder of that many entries below and above the diagonal, B
+    # on 79x79 the MMD _EliminationOrder
     if pattern.startswith("shifted"):
         shape = (15, 65) if pattern == "shifted_15x65" else (79, 79)
         g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), shape)
@@ -600,13 +591,14 @@ def test_cuthill_mckee_order_is_as_narrow_as_scipys(pattern, half_bandwidth):
         g = build_grid(1, (0.0, 1.0), 31)
         n_vals = 4 * k_steps * g.n_total - lag * g.n_total
         matrix = _jacobian_assembler(g, 1.0 / k_steps, k_steps, lag, False, False)(np.ones(n_vals))
-    coo = matrix.tocoo()
-    symmetric = (abs(matrix) + abs(matrix.T)).tocsr()
-    perm = obstacle._cuthill_mckee(symmetric.indptr, symmetric.indices)
-    assert np.array_equal(np.sort(perm), np.arange(matrix.shape[0]))
-    for order in (perm, reverse_cuthill_mckee(symmetric, symmetric_mode=True)):
-        position = np.argsort(order)
-        assert np.max(np.abs(position[coo.row] - position[coo.col])) == half_bandwidth
+    assert rcm_half_bandwidth(matrix) == half_bandwidth
+    order = matrix.elimination_order()
+    assert np.array_equal(np.sort(order.perm), np.arange(matrix.shape[0]))
+    if half_bandwidth <= obstacle._LU_BAND_MAX:
+        assert isinstance(order, obstacle._BandOrder)
+        assert (order.kl, order.ku) == (half_bandwidth, half_bandwidth)
+    else:
+        assert isinstance(order, obstacle._EliminationOrder)
 
 
 @pytest.mark.parametrize("excess", [0, 1], ids=["at", "above"])
@@ -1318,7 +1310,7 @@ def test_comparison_principle():
     assert np.all(u1.values <= u2.values + 1e-9)
 
 
-def test_nonconvergence_reports_residual():
+def test_nonconvergence_reports_residual(monkeypatch):
     # from the solution without obstacle this source needs three
     # active-set steps; two are allowed. No node is near a tie: the start
     # is at least 0.02 from the obstacle, and the two branches of the min
@@ -1326,11 +1318,14 @@ def test_nonconvergence_reports_residual():
     # sets do not depend on the round-off of the factorization
     g = build_grid(1, (0.0, 1.0), 15)
     f = ScalarField(g, 10.0 * np.sin(3 * np.pi * g.coordinates()[:, 0]))
-    cfg = ObstacleSolveConfig(tol=1e-12, max_iter=2)
+    monkeypatch.setattr(obstacle, "_TOL", 1e-12)
+    monkeypatch.setattr(obstacle, "_MAX_ITER", 2)
     with pytest.raises(ObstacleConvergenceError) as err:
-        solve_obstacle_stationary(f, ScalarField.zeros(g), cfg)
+        solve_obstacle_stationary(f, ScalarField.zeros(g))
     assert err.value.residual > 0 and err.value.iterations == 2
-    solve_obstacle_stationary(f, ScalarField.zeros(g), ObstacleSolveConfig(max_iter=3))
+    monkeypatch.undo()
+    monkeypatch.setattr(obstacle, "_MAX_ITER", 3)
+    solve_obstacle_stationary(f, ScalarField.zeros(g))
 
 
 def test_fine_grid_obstacle_takes_whole_active_set_steps():

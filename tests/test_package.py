@@ -1,16 +1,18 @@
 """Static checks of the package, read from the sources with ast: every
-__all__ entry resolves and has a caller, the package __init__ imports
-only names its modules export, no module imports a name it never uses
-or scipy.optimize, every grid comparison is the one grid check, only
-the Hamiltonian tells its kinds apart, every direct
-solve goes through the one factorization entry point, the
-Hamiltonian data of the controlled system has one source, no Newton
-system or verifier builds a drift matrix, every
-verifier takes its residuals from the one residual core, and every
-coupled Newton solve runs in the one penalty stage."""
+__all__ entry resolves and has a caller, every defaulted parameter of
+an exported callable is passed by a program call, the package __init__
+imports only names its modules export, no module imports a name it
+never uses or scipy.optimize, every grid comparison is the one grid
+check, only the Hamiltonian tells its kinds apart, every direct solve
+goes through the one factorization entry point, the Hamiltonian data
+of the controlled system has one source, no Newton system or verifier
+builds a drift matrix, every verifier takes its residuals from the one
+residual core, and every coupled Newton solve runs in the one penalty
+stage."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -57,6 +59,76 @@ def test_every_exported_name_has_a_caller():
     uncalled = [f"{module}.{name}" for module in MODULES + ["__init__"]
                 for name in _exports(_tree(module)) if name not in used]
     assert uncalled == []
+
+
+# defaulted parameters that no program call passes, each kept for the
+# test named
+UNPASSED_DEFAULTS = {
+    "obstacle.obstacle_oracle(require_unique)": "test_obstacle.py::test_oracle_unique_candidate",
+    "control.cosmfg_coupled_solve(m_traj_init)":
+        "test_acceptance.py::test_c06_uniqueness_under_strict_monotonicity",
+    # kept to mirror stationary.uniqueness_probe, whose n_starts, seed and
+    # eps_schedule a demo sets
+    "evolutive.evolutive_uniqueness_probe(n_starts)":
+        "test_acceptance.py::test_c06_uniqueness_under_strict_monotonicity",
+    "evolutive.evolutive_uniqueness_probe(seed)":
+        "test_evolutive.py::test_evolutive_uniqueness_probe_deterministic",
+    "evolutive.evolutive_uniqueness_probe(eps_schedule)":
+        "test_evolutive.py::test_evolutive_uniqueness_probe_deterministic",
+}
+
+
+def _defaulted_parameters():
+    """module.callable(parameter) of every defaulted parameter of every
+    exported function, constructor and public method, mapped to the
+    name a call uses, the parameter's position among those a call
+    passes and the parameter."""
+    out = {}
+    for module in MODULES:
+        mod = importlib.import_module(f"mfgstop.{module}")
+        for name in _exports(_tree(module)):
+            obj = getattr(mod, name)
+            if not callable(obj):
+                continue
+            targets = [(name, name, inspect.signature(obj))]
+            if inspect.isclass(obj):
+                targets += [(f"{name}.{attr}", attr, inspect.signature(getattr(obj, attr)))
+                            for attr, value in vars(obj).items()
+                            if not attr.startswith("_")
+                            and inspect.isfunction(getattr(value, "__func__", value))]
+            for qualified, callee, signature in targets:
+                params = [p for p in signature.parameters.values() if p.name != "self"]
+                for position, param in enumerate(params):
+                    if param.default is not param.empty:
+                        out[f"{module}.{qualified}({param.name})"] = (callee, position, param)
+    return out
+
+
+def _passes(call: ast.Call, position: int, param) -> bool:
+    """Whether call passes param, by keyword, by position or through a
+    * or ** argument."""
+    if any(keyword.arg in (None, param.name) for keyword in call.keywords):
+        return True
+    return param.kind != param.KEYWORD_ONLY and (
+        len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_defaulted_parameter_is_passed_by_a_program_call():
+    # a call is one in src/, demos/ or perfbench/ by the callable's name,
+    # as a name or an attribute; a default that no program call passes
+    # is a setting with one value in use
+    root = PACKAGE.parent.parent
+    calls = {}
+    for path in [*PACKAGE.glob("*.py"), *(root / "demos").glob("*.py"),
+                 *(root / "perfbench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = sorted(key for key, (callee, position, param) in _defaulted_parameters().items()
+                      if not any(_passes(call, position, param) for call in calls.get(callee, [])))
+    assert unpassed == sorted(UNPASSED_DEFAULTS)
 
 
 def test_package_imports_only_exported_names():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mfgstop import scenarios
 from mfgstop.grid import ScalarField
 from mfgstop.scenarios import (
     STANDARD_NAMES,
@@ -63,9 +64,10 @@ def test_nonuniqueness_construction_and_reports():
     assert ev.gap >= 0.5 * np.max(np.abs(ev.m_star.values))
 
 
-def test_nonuniqueness_coarse_contact_guard():
+def test_nonuniqueness_coarse_contact_guard(monkeypatch):
+    monkeypatch.setattr(scenarios, "default_contact_threshold", lambda u, psi: 1.0)
     with pytest.raises(RuntimeError):
-        scenario_nonuniqueness(delta_c=1.0)
+        scenario_nonuniqueness()
 
 
 def test_nonexistence_construction():
@@ -110,12 +112,3 @@ def test_obstacle_nonuniqueness_endpoints_and_reports():
     assert ev.report_low.max_residual <= 1e-8
     assert ev.gap > 0
 
-
-def test_obstacle_nonuniqueness_requires_strict_monotone():
-    from mfgstop.costs import CostOperator
-    from mfgstop.grid import build_grid
-
-    g = build_grid(1, (0.0, 1.0), 31)
-    anti = CostOperator.local_power(g, -1.0, 1.0, ScalarField.constant(g, 1.0))
-    with pytest.raises(ValueError):
-        scenario_obstacle_nonuniqueness(cost=anti)

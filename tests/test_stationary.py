@@ -17,7 +17,6 @@ from mfgstop.scenarios import (
     scenario_standard,
 )
 from mfgstop.stationary import (
-    CoupledConfig,
     CoupledNonConvergence,
     continuation_solve,
     default_eps_schedule,
@@ -273,8 +272,6 @@ def test_uniqueness_probe_determinism(grid, rho):
     gap1 = uniqueness_probe(cost, rho, n_starts=3, seed=11)
     gap2 = uniqueness_probe(cost, rho, n_starts=3, seed=11)
     assert gap1 == gap2
-    assert uniqueness_probe(cost, rho, n_starts=2, seed=0,
-                            start_scales=[1.0, 1.0]) == 0.0
 
 
 def test_uniqueness_probe_requires_two_starts(grid, rho):
@@ -282,11 +279,11 @@ def test_uniqueness_probe_requires_two_starts(grid, rho):
         uniqueness_probe(local_cost(grid, -0.5), rho, n_starts=1)
 
 
-def test_nonconvergence_reports_history(grid, rho):
+def test_nonconvergence_reports_history(grid, rho, monkeypatch):
     cost = local_cost(grid, -0.005)
-    cfg = CoupledConfig(max_outer=1, tol_pde=1e-16)
+    monkeypatch.setattr(_coupled, "_MAX_OUTER", 1)
     with pytest.raises(CoupledNonConvergence) as err:
-        penalized_coupled_solve(cost, rho, 1e-5, cfg)
+        penalized_coupled_solve(cost, rho, 1e-5, 1e-16)
     assert len(err.value.residual_history) >= 1
 
 
@@ -298,7 +295,7 @@ def test_stalled_newton_stops_early(grid, rho):
     with pytest.raises(CoupledNonConvergence) as err:
         penalized_coupled_solve(cost, rho, 1e-5)
     norms = err.value.residual_history
-    assert len(norms) - 1 <= 40 < CoupledConfig().max_outer
+    assert len(norms) - 1 <= 40 < _coupled._MAX_OUTER
     assert norms[-1] > 0.5 * norms[-21]
 
 
@@ -425,13 +422,13 @@ def test_continuation_stays_flat_where_it_does_not_nest(case):
     assert {sr.solution.u.grid for sr in stages} == {grid}
 
 
-def test_nested_continuation_raises_at_the_fine_stage_only():
+def test_nested_continuation_raises_at_the_fine_stage_only(monkeypatch):
     # the coarse stages are warm-up stages and return their last iterate;
     # the final fine stage is strict and reports its index
     g = grid_2d(31)
-    cfg = CoupledConfig(max_outer=1, tol_pde=1e-16)
+    monkeypatch.setattr(_coupled, "_MAX_OUTER", 1)
     with pytest.raises(CoupledNonConvergence) as err:
-        continuation_solve(local_cost(g, -0.5), raised_cosine_bump(g), None, cfg)
+        continuation_solve(local_cost(g, -0.5), raised_cosine_bump(g), None, 1e-16)
     assert err.value.stage == 7
 
 
