@@ -540,8 +540,8 @@ def forward_backward_solve(
     iterate with converged=False instead of raising (used for warm-up
     continuation stages).
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise ValueError("epsilon must be positive and finite")
     if not cost.is_local:
         raise ValueError("time-dependent solvers require a local cost operator")
     grid = _on_grid(m0.grid, timegrid, cost, obstacle_op.psi, obstacle_op.g_cost, hamiltonian,
@@ -615,12 +615,9 @@ def _frozen_system(cost, g_cost, g_arr, hamiltonian, grid, m0_vals, dt, epsilon,
     S = diag(slope_k m_{k+1}) and F sits at (w_k, m_{k+1-lag}). A
     nonlocal cost eliminates ds = r_s + <w, dm> first, so
     F dm = -c1 <w, dm> 1 and r_u gains c1 r_s. Slice blocks are factored
-    through obstacle._shifted_factor, the blocks with d = 0 sharing the
-    factor of B kept per (grid, dt): by banded Cholesky on B's band
-    storage, also kept per (grid, dt), up to a half-bandwidth (last
-    axis) of obstacle._BAND_MAX nodes, by obstacle._lu_factor on B's
-    kept order above it. On a GMRES miss, on 1D grids and with a
-    Hamiltonian, the step is the LU of the whole Jacobian.
+    by obstacle._shifted_factor, the blocks with d = 0 sharing the
+    factor of B kept per (grid, dt). On a GMRES miss, on 1D grids and
+    with a Hamiltonian, the step is the LU of the whole Jacobian.
     """
     n = grid.n_total
     k_steps = len(g_arr)

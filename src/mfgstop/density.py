@@ -27,7 +27,7 @@ from .grid import (
     _on_grid,
     elliptic_matrix,
 )
-from .obstacle import _lu_solve, _shifted_operator
+from .obstacle import _lu_factor, _lu_solve, _shifted_factor, _shifted_matrix
 
 __all__ = [
     "KillingData",
@@ -49,8 +49,8 @@ class KillingData:
     epsilon: float
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
         _on_grid(self.alpha.grid, None, self.active)
         v = self.alpha.values
         if np.any(v < -1e-15) or np.any(v > 1 + 1e-15):
@@ -113,11 +113,10 @@ def solve_density_on_set(omega: NodeMask, source: ScalarField) -> ScalarField:
 
 
 def solve_density_penalized(killing: KillingData, source: ScalarField) -> ScalarField:
-    """Solve (-lap + id + diag(alpha/eps on active)) m = rho."""
+    """Solve (-lap + id + diag(alpha/eps on active)) m = rho by obstacle._shifted_factor."""
     grid = _on_grid(source.grid, None, killing.alpha)
     _require_nonnegative(source.values, "rho")
-    a = elliptic_matrix(grid) + sp.diags(killing.rate())
-    return ScalarField(grid, _lu_solve(a, source.values))
+    return ScalarField(grid, _shifted_factor(grid, killing.rate(), 1.0)(source.values))
 
 
 def check_subsolution(m: ScalarField, source: ScalarField) -> ScalarField:
@@ -165,22 +164,27 @@ def solve_density_parabolic(
     to k+1); a single object means time-constant data. Implicit stepping
     is unconditionally stable and preserves nonnegativity. Data off the
     grid of m0 raises ValueError before the first step.
+
+    A step without drift (None, or zero on every face) factors B +
+    diag(V) by obstacle._shifted_factor, a drifted step by LU; a step
+    with the data objects of the step before reuses its factor.
     """
     killing = _per_step(killing_traj, KillingData, timegrid.n_steps)
     drift = _per_step(drift_traj, FaceVelocities, timegrid.n_steps)
     grid = _on_grid(m0.grid, None, *(kd.alpha for kd in killing if kd is not None), *drift)
     _require_nonnegative(m0.values, "m0")
     dt = timegrid.dt
-    # B without its assembler's kept order: every step matrix is ordered
-    # afresh, so a zero drift or killing rate leaves the steps unchanged
-    base = sp.csc_matrix(_shifted_operator(grid, dt)(np.zeros(grid.n_total)))
     m_arr = np.empty((timegrid.n_steps + 1, grid.n_total))
     m_arr[0] = m0.values
-    for k, (kd, dv) in enumerate(zip(killing, drift)):
-        mat = base
-        if kd is not None:
-            mat = mat + sp.diags(kd.rate())
-        if dv is not None:
-            mat = mat + drift_divergence_matrix(grid, dv)
-        m_arr[k + 1] = _lu_solve(mat, m_arr[k] / dt)
+    step = solve = None
+    for k, data in enumerate(zip(killing, drift)):
+        if data != step:
+            kd, dv = step = data
+            rate = np.zeros(grid.n_total) if kd is None else kd.rate()
+            if dv is None or not any(np.any(b) for b in dv.components):
+                solve = _shifted_factor(grid, rate, dt)
+            else:
+                solve = _lu_factor(_shifted_matrix(grid, rate, dt)
+                                   + drift_divergence_matrix(grid, dv))
+        m_arr[k + 1] = solve(m_arr[k] / dt)
     return FieldTrajectory(grid, timegrid, m_arr)

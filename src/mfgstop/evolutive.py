@@ -25,7 +25,7 @@ from .grid import (
     _on_grid,
     elliptic_matrix,
 )
-from .obstacle import _base_factor
+from .obstacle import _shifted_factor
 from .stationary import _probe_gap, penalty_continuation
 
 __all__ = [
@@ -75,7 +75,7 @@ class ObstacleOperator:
         """(psi, g_psi) as (K+1, N) arrays; see apply_obstacle_operator.
         The K backward heat steps of heat_from_g solve with the factor of
         B = A0 + I/dt that the process keeps per (grid, dt)
-        (obstacle._base_factor), shared with the solver's sweeps and
+        (obstacle._shifted_factor), shared with the solver's sweeps and
         with every later call. A psi or g off grid and timegrid raises
         ValueError."""
         _on_grid(grid, timegrid, self.psi, self.g_cost)
@@ -84,7 +84,7 @@ class ObstacleOperator:
         if self.kind == "heat_from_g":
             g_arr = self.g_cost.evaluate(m_arr)
             psi_arr = np.zeros_like(m_arr)
-            solve = _base_factor(grid, dt)
+            solve = _shifted_factor(grid, 0.0, dt)
             for k in range(steps - 1, -1, -1):
                 psi_arr[k] = solve(psi_arr[k + 1] / dt - g_arr[k])
             return psi_arr, g_arr

@@ -67,7 +67,7 @@ _MAX_ITER = 200
 _NARROW_PANEL_FILL = 128.0
 
 # Half-bandwidth of B = -lap + I/dt up to which B + diag(d) is factored
-# by banded Cholesky rather than SuperLU (see _fresh_shifted_factor)
+# by banded Cholesky rather than SuperLU (see _shifted_factor)
 _BAND_MAX = 64
 
 # Half-bandwidth, below and above the diagonal, of a pattern in its
@@ -169,7 +169,7 @@ def _lu_factor(matrix):
     matrix is ordered afresh by SuperLU. Every call factors anew: the
     one factor per base operator (B = -lap + I/dt per dt, which is
     A = -lap + id at dt = 1) that the solves of a grid share is kept by
-    _base_factor, not here. An exactly singular matrix gives NaNs, so a
+    _shifted_factor, not here. An exactly singular matrix gives NaNs, so a
     Newton solve ends in non-convergence rather than an exception.
 
     A pattern narrow in its reverse Cuthill-McKee order (a _BandOrder:
@@ -235,16 +235,45 @@ def _band_lu_factor(data, order):
     return lambda rhs: dgbtrs(factor, order.kl, order.ku, rhs, pivots)[0]
 
 
+@dataclass(eq=False)
+class _BaseOperator:
+    """B = -lap + I/dt, one implicit Euler step of the time-dependent
+    systems (dt = 1 gives A = -lap + id of the stationary ones, bitwise).
+    assemble(d) gives B + diag(d) on B's pattern (a diagonal_update
+    assembler, which keeps the elimination order of the pattern). band
+    is B in LAPACK's upper band storage, (kd + 1, N) with B[i, j] at row
+    kd + i - j, column j for j - kd <= i <= j, read-only; kd, the
+    half-bandwidth of the lexicographic node order, is 1 in 1D and the
+    last axis's node count in 2D, and band is None above _BAND_MAX.
+    factor is B's own factor, made at the first solve with d = 0."""
+
+    assemble: object
+    band: np.ndarray | None
+    factor: object = None
+
+
 @functools.lru_cache(maxsize=8)
-def _shifted_operator(grid, dt):
-    """Assembler of B + diag(d) on B's pattern, for B = -lap + I/dt,
-    one implicit Euler step of the time-dependent systems; dt = 1 gives
-    A = -lap + id of the stationary ones, bitwise. Built once per
-    (grid, dt), like the matrix itself, so the elimination order of its
-    pattern is computed at most once per (grid, dt)."""
-    eye_dt = sp.identity(grid.n_total, format="csr") / dt
-    diag = np.arange(grid.n_total)
-    return diagonal_update(elliptic_matrix(grid, with_zero_order=False) + eye_dt, diag, diag)
+def _base_operator(grid, dt):
+    """The _BaseOperator of (grid, dt), kept so that B's pattern is
+    ordered and B factored at most once per (grid, dt)."""
+    n = grid.n_total
+    diag = np.arange(n)
+    assemble = diagonal_update(elliptic_matrix(grid, with_zero_order=False)
+                               + sp.identity(n, format="csr") / dt, diag, diag)
+    kd = n // grid.shape[0]
+    if kd > _BAND_MAX:
+        return _BaseOperator(assemble, None)
+    b = sp.coo_matrix(assemble(np.zeros(n)))
+    upper = b.row <= b.col
+    band = np.zeros((kd + 1, n))
+    band[kd + b.row[upper] - b.col[upper], b.col[upper]] = b.data[upper]
+    band.flags.writeable = False
+    return _BaseOperator(assemble, band)
+
+
+def _shifted_matrix(grid, d, dt):
+    """B + diag(d) for B = -lap + I/dt, on B's pattern."""
+    return _base_operator(grid, dt).assemble(d)
 
 
 @functools.lru_cache(maxsize=8)
@@ -254,56 +283,20 @@ def _space_time_operator(grid, dt, k_steps):
     -I/dt above it for w (w_{k+1} in the rows of slice k) and below it
     for m (m_k in the rows of m_{k+1}). Built once per (grid, dt, K);
     callers must not modify it."""
-    b_op = _shifted_operator(grid, dt)(np.zeros(grid.n_total))
+    b_op = _shifted_matrix(grid, np.zeros(grid.n_total), dt)
     upper = np.eye(k_steps, k=1)
     return (sp.kron(sp.identity(2 * k_steps), b_op)
             - sp.kron(dense_block_diag(upper, upper.T), sp.identity(grid.n_total) / dt)).tocsr()
 
 
-@functools.lru_cache(maxsize=8)
-def _shifted_band(grid, dt):
-    """The base operator B of _shifted_operator(grid, dt) in LAPACK's
-    upper band storage, (kd + 1, N) with B[i, j] at row kd + i - j,
-    column j for j - kd <= i <= j; kept per (grid, dt), read-only. The
-    half-bandwidth kd of the lexicographic node order is the node count
-    of the axes after the first: 1 in 1D, the last axis's in 2D. None
-    where kd exceeds _BAND_MAX."""
-    kd = grid.n_total // grid.shape[0]
-    if kd > _BAND_MAX:
-        return None
-    b = sp.coo_matrix(_shifted_operator(grid, dt)(np.zeros(grid.n_total)))
-    upper = b.row <= b.col
-    band = np.zeros((kd + 1, grid.n_total))
-    band[kd + b.row[upper] - b.col[upper], b.col[upper]] = b.data[upper]
-    band.flags.writeable = False
-    return band
-
-
-@functools.lru_cache(maxsize=8)
-def _base_factor(grid, dt):
-    """The factor of the base operator B of _shifted_operator(grid, dt)
-    itself (d = 0; see _fresh_shifted_factor), factored once per
-    (grid, dt) and kept for the process: the stationary cold start and
-    every Newton block or heat step whose diagonal update vanishes
-    share it."""
-    return _fresh_shifted_factor(grid, np.zeros(grid.n_total), dt)
-
-
 def _shifted_factor(grid, d, dt):
-    """The factor of B + diag(d), d >= 0, for the base operator B of
-    _shifted_operator(grid, dt), as its solve: the cached _base_factor
-    where d vanishes, _fresh_shifted_factor otherwise. Every
-    factorization of a shifted operator goes through here or through
-    _base_factor."""
-    if np.any(d):
-        return _fresh_shifted_factor(grid, d, dt)
-    return _base_factor(grid, dt)
-
-
-def _fresh_shifted_factor(grid, d, dt):
-    """B + diag(d) factored anew: by banded Cholesky (_band_factor) on
-    B's kept band storage where B's half-bandwidth is at most _BAND_MAX,
-    by _lu_factor on B's kept elimination order above it.
+    """The factor of B + diag(d), d >= 0 (an array, or a scalar zero),
+    for B = -lap + I/dt, as its solve; the one function that factors
+    these operators. Where d vanishes it is B's own factor, kept in
+    _base_operator(grid, dt) from its first use on. Otherwise B + diag(d)
+    is factored anew: by banded Cholesky (_band_factor) on B's kept band
+    storage where B's half-bandwidth is at most _BAND_MAX, by _lu_factor
+    on B's kept elimination order above it.
 
     B = -lap + I/dt is symmetric positive definite (the 3/5-point -lap
     is symmetric, 1/dt > 0) and d >= 0 (penalty indicator, exit rate),
@@ -312,10 +305,14 @@ def _fresh_shifted_factor(grid, d, dt):
     0.36 per solve at 15x15, 0.92-0.97 and 0.82 at 63x63; at 79x79 its
     factorization was 7-24% slower (BENCH_32.json).
     """
-    band = _shifted_band(grid, dt)
-    if band is None:
-        return _lu_factor(_shifted_operator(grid, dt)(d))
-    return _band_factor(band, d)
+    base, kept = _base_operator(grid, dt), not np.any(d)
+    if kept and base.factor is not None:
+        return base.factor
+    d = np.zeros(grid.n_total) if kept else d
+    solve = _lu_factor(base.assemble(d)) if base.band is None else _band_factor(base.band, d)
+    if kept:
+        base.factor = solve
+    return solve
 
 
 def _band_factor(band, d):
@@ -353,7 +350,7 @@ def solve_obstacle_stationary(
     starting from the solution without obstacle.
     """
     grid = _on_grid(source.grid, None, obstacle)
-    start = _base_factor(grid, 1.0)(source.values)
+    start = _shifted_factor(grid, 0.0, 1.0)(source.values)
     return ScalarField(grid, _obstacle_newton(elliptic_matrix(grid), source.values,
                                               obstacle.values, start))
 
@@ -561,15 +558,15 @@ def solve_obstacle_penalized(
     M-matrices. Its Jacobian A + diag((u > psi) / eps) is the shifted
     operator of dt = 1, factored by _shifted_factor.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise ValueError("epsilon must be positive and finite")
     grid = _on_grid(source.grid, None, obstacle)
     a = elliptic_matrix(grid)
     f, psi = source.values, obstacle.values
     u, norms, it = semismooth_newton(
         lambda v: a @ v + np.maximum(v - psi, 0.0) / epsilon - f,
         lambda v: (v > psi).astype(float) / epsilon,
-        _base_factor(grid, 1.0)(f), _TOL, _MAX_ITER,
+        _shifted_factor(grid, 0.0, 1.0)(f), _TOL, _MAX_ITER,
         solve=lambda d, rhs: _shifted_factor(grid, d, 1.0)(rhs))
     if norms[-1] <= _TOL:
         return ScalarField(grid, u)
@@ -592,7 +589,7 @@ def solve_obstacle_parabolic(
     if np.max(np.abs(terminal.values - obstacle.array()[-1])) > 1e-12:
         raise ValueError("terminal slice must equal the obstacle at t = T")
     dt = timegrid.dt
-    b = _shifted_operator(grid, dt)(np.zeros(grid.n_total))
+    b = _shifted_matrix(grid, np.zeros(grid.n_total), dt)
     u_arr = np.empty((timegrid.n_steps + 1, grid.n_total))
     u_arr[-1] = terminal.values
     for k in range(timegrid.n_steps - 1, -1, -1):

@@ -24,7 +24,7 @@ from .grid import (
     elliptic_matrix,
     inner,
 )
-from .obstacle import _base_factor
+from .obstacle import _shifted_factor
 from .stationary import (
     MixedSolutionReport,
     continuation_solve,
@@ -112,7 +112,7 @@ def _build_anti_monotone_1d() -> Scenario:
     grid = build_grid(1, (0.0, 1.0), 31)
     rho = raised_cosine_bump(grid)
     weight = raised_cosine_bump(grid)
-    m_star = ScalarField(grid, _base_factor(grid, 1.0)(rho.values))
+    m_star = ScalarField(grid, _shifted_factor(grid, 0.0, 1.0)(rho.values))
     pairing = inner(weight, m_star)
     c0 = 0.25
     c1 = -(c0 + 0.5) / pairing
@@ -203,7 +203,7 @@ def scenario_nonuniqueness() -> NonuniquenessEvidence:
     """
     grid = build_grid(1, (0.0, 1.0), 31)
     rho = raised_cosine_bump(grid)
-    solve = _base_factor(grid, 1.0)
+    solve = _shifted_factor(grid, 0.0, 1.0)
     m_star = ScalarField(grid, solve(rho.values))
     coords = grid.coordinates()
     centre = np.array([(lo + hi) / 2 for lo, hi in grid.bounds])
@@ -264,7 +264,7 @@ def scenario_nonexistence(ball_radius: float = 0.0) -> NonexistenceEvidence:
     grid = build_grid(1, (0.0, 1.0), 31)
     rho = raised_cosine_bump(grid)
     a = elliptic_matrix(grid)
-    m_star_vals = _base_factor(grid, 1.0)(rho.values)
+    m_star_vals = _shifted_factor(grid, 0.0, 1.0)(rho.values)
     if np.any(m_star_vals <= 0):
         raise AssertionError("m* must be strictly positive at interior nodes")
     m_star = ScalarField(grid, m_star_vals)
@@ -330,7 +330,7 @@ def scenario_obstacle_nonuniqueness() -> ObstacleNonuniquenessEvidence:
     grid = build_grid(1, (0.0, 1.0), 31)
     rho = raised_cosine_bump(grid)
     cost = _monotone_cost(grid)
-    solve = _base_factor(grid, 1.0)
+    solve = _shifted_factor(grid, 0.0, 1.0)
     m_star_vals = solve(rho.values)
     m_star = ScalarField(grid, m_star_vals)
     u_star = ScalarField(grid, solve(cost(m_star).values))

@@ -47,7 +47,7 @@ from .grid import (
 from .obstacle import (
     _MAX_ITER,
     _TOL,
-    _base_factor,
+    _shifted_factor,
     row_select,
     semismooth_newton,
     solve_obstacle_stationary,
@@ -134,7 +134,7 @@ def penalized_coupled_solve(
 
     The start is m_init (default A^-1 rho) and the value of the
     unconstrained equation for f(m), both solved with the factor of A
-    that the process keeps per grid (obstacle._base_factor at dt = 1). A
+    that the process keeps per grid (obstacle._shifted_factor at dt = 1). A
     warm start, the previous stage's solution, replaces both by its
     (u, m). The cost, m_init and the warm start must lie on the grid of
     rho, or ValueError is raised before any Newton step (grid._on_grid).
@@ -142,8 +142,8 @@ def penalized_coupled_solve(
     strict=False returns the last iterate with converged=False instead
     of raising (used for warm-up continuation stages).
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise ValueError("epsilon must be positive and finite")
     grid = _on_grid(rho.grid, None, cost, m_init, getattr(warm, "u", None),
                     getattr(warm, "m", None))
     if np.any(rho.values < -1e-12):
@@ -151,9 +151,9 @@ def penalized_coupled_solve(
     if warm is not None:
         m, u, warm_band = warm.m.values, warm.u.values, warm.delta_band
     else:
-        m = _base_factor(grid, 1.0)(rho.values) if m_init is None else m_init.values
+        m = _shifted_factor(grid, 0.0, 1.0)(rho.values) if m_init is None else m_init.values
         # cold start from the unconstrained value equation
-        u, warm_band = _base_factor(grid, 1.0)(cost.evaluate(m)), None
+        u, warm_band = _shifted_factor(grid, 0.0, 1.0)(cost.evaluate(m)), None
     u, m, stage = _penalized_stage(cost, None, np.zeros((1, grid.n_total)), None, grid,
                                    np.stack([rho.values, m]), 1.0, epsilon, 0, tol_pde, u[None],
                                    warm_band, strict)
@@ -168,12 +168,13 @@ def default_eps_schedule(start: float = 0.1, factor: float = 4.0, stages: int = 
 def _checked_schedule(eps_schedule=None) -> list[float]:
     """The penalty schedule as a list of floats, default_eps_schedule()
     for None; raises ValueError unless it is nonempty, strictly
-    decreasing and positive."""
+    decreasing, positive and finite (a NaN fails every comparison)."""
     schedule = (default_eps_schedule() if eps_schedule is None
                 else [float(e) for e in eps_schedule])
-    if not schedule or schedule[-1] <= 0 or any(e2 >= e1 for e1, e2 in zip(schedule, schedule[1:])):
+    if not (schedule and np.inf > schedule[0] and schedule[-1] > 0
+            and all(e1 > e2 for e1, e2 in zip(schedule, schedule[1:]))):
         raise ValueError("eps schedule must be a nonempty, strictly decreasing sequence "
-                         "of positive penalties")
+                         "of positive, finite penalties")
     return schedule
 
 
@@ -407,7 +408,7 @@ def uniqueness_probe(
     non-monotone costs can land on distinct solutions.
     """
     grid = rho.grid
-    m_base = _base_factor(grid, 1.0)(rho.values)
+    m_base = _shifted_factor(grid, 0.0, 1.0)(rho.values)
 
     def solve(s):
         sol, _ = continuation_solve(cost, rho, eps_schedule, m_init=ScalarField(grid, s * m_base))
@@ -441,7 +442,7 @@ def euler_lagrange_certificate(
     """
     grid = m.grid
     f_m = cost(m)
-    battery = [np.zeros(grid.n_total), _base_factor(grid, 1.0)(rho.values)]
+    battery = [np.zeros(grid.n_total), _shifted_factor(grid, 0.0, 1.0)(rho.values)]
     rng = np.random.default_rng(0)
     for _ in range(4):
         mask = NodeMask(grid, rng.random(grid.n_total) < 0.5)

@@ -6,26 +6,20 @@ import pytest
 from mfgstop import _coupled, obstacle
 from mfgstop.control import cosmfg_coupled_solve
 from mfgstop.evolutive import osmfg_continuation
-from mfgstop.obstacle import (
-    _base_factor,
-    _shifted_band,
-    _shifted_operator,
-    _space_time_operator,
-)
+from mfgstop.obstacle import _base_operator, _space_time_operator
 from mfgstop.scenarios import scenario_standard
 from mfgstop.stationary import continuation_solve
 
 
-KEPT = (_base_factor, _shifted_band, _shifted_operator, _space_time_operator,
-        _coupled._jacobian_assembler)
+KEPT = (_base_operator, _space_time_operator, _coupled._jacobian_assembler)
 
 
 @pytest.fixture(autouse=True)
 def fresh_factors_and_orders():
-    """Every test starts without kept factors and band storage of the
-    base operators and without kept assemblers, each of which keeps the
-    elimination order of its pattern, so that factor and ordering counts
-    do not depend on the tests run before it."""
+    """Every test starts without kept base operators (with their
+    factors and band storage) and without kept assemblers, each of which
+    keeps the elimination order of its pattern, so that factor and
+    ordering counts do not depend on the tests run before it."""
     for cache in KEPT:
         cache.cache_clear()
 

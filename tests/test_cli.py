@@ -513,20 +513,20 @@ def test_run_is_bitwise_deterministic(tmp_path, overrides):
 @pytest.mark.parametrize("overrides", [SOSMFG_2D, {**OSMFG_2D, "obstacle": HEAT_FROM_G}],
                          ids=["sosmfg-2d", "osmfg-2d-heat_from_g"])
 def test_run_is_bitwise_deterministic_with_kept_factors(tmp_path, overrides):
-    # the process keeps one factor per base operator: a second run in
-    # the process finds those of the first, a third runs after every
-    # kept factor, band storage and assembler, and with them every kept
-    # elimination order, is cleared, and all three write the same bytes
+    # the process keeps one base operator, with its factor, per grid and
+    # dt: a second run in the process finds those of the first, a third
+    # runs after every kept base operator and assembler, and with them
+    # every kept factor and elimination order, is cleared, and all three
+    # write the same bytes
     cfg = write_config(tmp_path, overrides)
     infos = []
     for name in ("a", "b", "c"):
         if name == "c":
-            for cache in (obstacle._base_factor, obstacle._shifted_band,
-                          obstacle._shifted_operator, obstacle._space_time_operator,
+            for cache in (obstacle._base_operator, obstacle._space_time_operator,
                           _coupled._jacobian_assembler):
                 cache.cache_clear()
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
-        infos.append(obstacle._base_factor.cache_info())
+        infos.append(obstacle._base_operator.cache_info())
     assert infos[0].misses == infos[1].misses == 1 and infos[1].hits > infos[0].hits
     files = sorted(path.name for path in (tmp_path / "a").iterdir())
     assert {"report.json", "convergence.csv", "manifest.json"} <= set(files)

@@ -141,8 +141,9 @@ def test_killing_data_validation():
     g = build_grid(1, (0.0, 1.0), 5)
     with pytest.raises(ValueError):
         KillingData(ScalarField.constant(g, 2.0), NodeMask.all(g), 1e-3)
-    with pytest.raises(ValueError):
-        KillingData(ScalarField.zeros(g), NodeMask.all(g), 0.0)
+    for epsilon in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            KillingData(ScalarField.zeros(g), NodeMask.all(g), epsilon)
 
 
 def test_subsolution_slack_of_exclusion_solves():
@@ -194,6 +195,37 @@ def test_zero_drift_matches_heat_flow():
     plain = solve_density_parabolic(m0, None, tg)
     drifted = solve_density_parabolic(m0, None, tg, FaceVelocities.zeros(g))
     assert np.array_equal(plain.array(), drifted.array())
+
+
+@pytest.mark.parametrize("killing", [False, True], ids=["heat", "constant_killing"])
+def test_parabolic_steps_without_drift_factor_once_by_cholesky(lu_factors, band_factors,
+                                                               killing):
+    # 20 steps of B + diag(V) on 31x31 with no drift and time-constant
+    # data solve with one banded Cholesky factor (B's own without
+    # killing) and call no LU
+    g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (31, 31))
+    tg = build_timegrid(0.5, 20)
+    kd = KillingData(ScalarField.constant(g, 1.0), NodeMask.all(g), 1e-2) if killing else None
+    traj = solve_density_parabolic(raised_cosine_bump(g), kd, tg)
+    assert lu_factors == [] and len(band_factors) == 1
+    assert np.any(band_factors[0][1]) == killing
+    # the steps solve B + diag(V) m_{k+1} = m_k / dt
+    b = elliptic_matrix(g, with_zero_order=False) + sp.identity(g.n_total) / tg.dt
+    if kd is not None:
+        b = b + sp.diags(kd.rate())
+    m = traj.array()
+    assert np.max(np.abs(m[1:] @ b.T - m[:-1] / tg.dt)) <= 1e-10 * np.max(m[0]) / tg.dt
+
+
+def test_penalized_density_factors_once_by_cholesky(lu_factors, band_factors):
+    g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (31, 31))
+    x = g.coordinates()[:, 0]
+    kd = KillingData(ScalarField.constant(g, 1.0), NodeMask(g, x > 0.6), 1e-3)
+    rho = raised_cosine_bump(g)
+    m = solve_density_penalized(kd, rho)
+    assert lu_factors == [] and len(band_factors) == 1
+    a = elliptic_matrix(g) + sp.diags(kd.rate())
+    assert np.max(np.abs(a @ m.values - rho.values)) <= 1e-10 * np.max(rho.values)
 
 
 def test_drift_preserves_positivity_and_mass_monotonicity():

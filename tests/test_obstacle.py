@@ -27,12 +27,11 @@ from mfgstop.grid import (
 )
 from mfgstop.obstacle import (
     ObstacleConvergenceError,
-    _base_factor,
+    _base_operator,
     _lu_factor,
     _lu_solve,
-    _shifted_band,
     _shifted_factor,
-    _shifted_operator,
+    _shifted_matrix,
     _space_time_operator,
     complementarity_residual,
     diagonal_update,
@@ -108,6 +107,18 @@ def test_oracle_refuses_large_grids():
     g = build_grid(1, (0.0, 1.0), 17)
     with pytest.raises(ValueError):
         obstacle_oracle(ScalarField.zeros(g), ScalarField.zeros(g))
+
+
+@pytest.mark.parametrize("epsilon", [0.0, float("nan"), float("inf")])
+def test_penalized_solvers_reject_a_penalty_that_is_not_positive_and_finite(epsilon):
+    g = build_grid(1, (0.0, 1.0), 9)
+    tg = build_timegrid(0.5, 2)
+    with pytest.raises(ValueError, match="positive and finite"):
+        solve_obstacle_penalized(ScalarField.constant(g, 1.0), ScalarField.zeros(g), epsilon)
+    with pytest.raises(ValueError, match="positive and finite"):
+        forward_backward_solve(CostOperator.local_power(g, 1.0, 1.0, ScalarField.zeros(g)),
+                               gaussian_density(g), tg, epsilon,
+                               obstacle_op=ObstacleOperator.zero(g, tg))
 
 
 def test_penalized_inactive_is_exact_linear_solve():
@@ -231,12 +242,15 @@ def test_singular_matrix_in_2d_obstacle_raises_convergence_error(monkeypatch, sh
     g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), shape)
     n, eps = g.n_total, 1e-3
     negative = sp.csr_matrix(sp.identity(n) * (-1.0 / eps))
-    _base_factor(g, 1.0)
-    # the band storage of the true A goes, the factor of A stays
-    _shifted_band.cache_clear()
+    # the factor of the true A stays, its assembler and band storage go
+    _shifted_factor(g, 0.0, 1.0)
+    base = _base_operator(g, 1.0)
     monkeypatch.setattr(obstacle, "elliptic_matrix", lambda grid: negative)
-    monkeypatch.setattr(obstacle, "_shifted_operator", lambda grid, dt: diagonal_update(
-        negative, np.arange(n), np.arange(n)))
+    monkeypatch.setattr(base, "assemble", diagonal_update(negative, np.arange(n), np.arange(n)))
+    if base.band is not None:
+        band = np.zeros(base.band.shape)
+        band[-1] = -1.0 / eps
+        monkeypatch.setattr(base, "band", band)
     with pytest.raises(ObstacleConvergenceError, match="residual nan"):
         solve_obstacle_penalized(ScalarField.constant(g, 1.0), ScalarField.zeros(g), eps)
 
@@ -249,8 +263,8 @@ def wide_grid():
     # them by SuperLU on their kept MMD orders
     g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)),
                    (obstacle._LU_BAND_MAX, obstacle._BAND_MAX + 1))
-    assert _shifted_band(g, 1.0) is None
-    b_op = _shifted_operator(g, 1.0)(np.zeros(g.n_total))
+    assert _base_operator(g, 1.0).band is None
+    b_op = _shifted_matrix(g, np.zeros(g.n_total), 1.0)
     assert rcm_half_bandwidth(b_op) > obstacle._LU_BAND_MAX
     return g
 
@@ -497,7 +511,7 @@ def low_and_high_fill_matrix(pattern, rng):
     # cosmfg 15x15 K=5 Jacobian (162)
     if pattern == "slice_2d":
         g = wide_grid()
-        return _shifted_operator(g, 0.2)(rng.uniform(0.0, 100.0, g.n_total)), True
+        return _shifted_matrix(g, rng.uniform(0.0, 100.0, g.n_total), 0.2), True
     with_h = pattern == "cosmfg_2d"
     g = (build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (15, 15)) if with_h
          else build_grid(1, (0.0, 1.0), 31))
@@ -585,7 +599,7 @@ def test_elimination_order_kind_and_half_bandwidths(pattern, half_bandwidth):
     if pattern.startswith("shifted"):
         shape = (15, 65) if pattern == "shifted_15x65" else (79, 79)
         g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), shape)
-        matrix = _shifted_operator(g, 0.2)(np.ones(g.n_total))
+        matrix = _shifted_matrix(g, np.ones(g.n_total), 0.2)
     else:
         k_steps, lag = (5, 1) if pattern == "space_time_1d" else (1, 0)
         g = build_grid(1, (0.0, 1.0), 31)
@@ -655,10 +669,10 @@ def test_band_factor_of_a_shifted_operator_matches_lu_factor(band_factors, bound
     # the SuperLU factorization on B's kept order does, to round-off
     g, d, rhs = shifted_system(bounds, shape, dt, shift, seed=32)
     solve = _shifted_factor(g, d, dt)
-    assert len(band_factors) == 1 and band_factors[0][0] is _shifted_band(g, dt)
+    assert len(band_factors) == 1 and band_factors[0][0] is _base_operator(g, dt).band
     # half-bandwidth: 1 in 1D, the last axis's node count in 2D
     assert band_factors[0][0].shape == ((shape[1] if len(shape) == 2 else 1) + 1, g.n_total)
-    expected = _lu_factor(_shifted_operator(g, dt)(d))(rhs)
+    expected = _lu_factor(_shifted_matrix(g, d, dt))(rhs)
     assert np.max(np.abs(solve(rhs) - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
@@ -676,7 +690,7 @@ def test_shifted_operator_wider_than_the_band_constant_factors_by_lu(monkeypatch
 
     monkeypatch.setattr(obstacle, "_lu_factor", recording_lu_factor)
     for shift in (d, np.zeros(g.n_total)):
-        b_op = _shifted_operator(g, 0.2)(shift)
+        b_op = _shifted_matrix(g, shift, 0.2)
         expected = spla.spsolve(b_op, rhs)
         step = _shifted_factor(g, shift, 0.2)(rhs)
         assert np.array_equal(factored[-1], b_op.data)
@@ -693,7 +707,7 @@ def test_nan_in_the_shift_gives_a_nan_solve(wide):
     g, d, rhs = shifted_system([(0.0, 1.0), (0.0, 1.0)], shape, 0.2, "random", seed=34)
     d[g.n_total // 2] = np.nan
     assert np.any(np.isnan(_shifted_factor(g, d, 0.2)(rhs)))
-    b_op = _shifted_operator(g, 0.2)(np.zeros(g.n_total))
+    b_op = _shifted_matrix(g, np.zeros(g.n_total), 0.2)
     _, norms, it = semismooth_newton(
         lambda x: b_op @ x - rhs, lambda x: d, np.zeros(g.n_total), 1e-10, 10,
         solve=lambda shift, r: _shifted_factor(g, shift, 0.2)(r))
@@ -707,14 +721,15 @@ def test_unit_time_step_operator_is_the_stationary_operator(shape):
     # pattern and values, so the factor of B kept for dt = 1 is A's
     dim = len(shape)
     g = build_grid(dim, [(0.0, 1.0)] * dim, list(shape))
-    b = _shifted_operator(g, 1.0)(np.zeros(g.n_total))
+    b = _shifted_matrix(g, np.zeros(g.n_total), 1.0)
     a = elliptic_matrix(g).tocsc()
     assert a.has_canonical_format and b.has_canonical_format
     assert np.array_equal(b.indptr, a.indptr) and np.array_equal(b.indices, a.indices)
     assert np.array_equal(b.data, a.data)
     rhs = np.random.default_rng(23).normal(size=g.n_total)
     expected = spla.spsolve(a, rhs)
-    assert np.max(np.abs(_base_factor(g, 1.0)(rhs) - expected)) <= 1e-13 * np.max(np.abs(expected))
+    solve = _shifted_factor(g, 0.0, 1.0)
+    assert np.max(np.abs(solve(rhs) - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def assert_on_fixed_pattern(jacobian, x, oracle, rtol=0.0):

@@ -51,10 +51,14 @@ def test_obstacle_oracle():
 
 @pytest.mark.parametrize("moved", [None, "killing", "drift"])
 def test_solve_density_parabolic_before_the_first_step(moved, monkeypatch):
-    # the data on the other grid is that of the last step only
+    # the data on the other grid is that of the last step only; every
+    # step has its own data, and the zero drift makes it a shifted
+    # operator
     solves = []
-    lu_solve = density._lu_solve
-    monkeypatch.setattr(density, "_lu_solve", lambda *args: solves.append(1) or lu_solve(*args))
+    for name in ("_lu_factor", "_shifted_factor"):
+        solve = getattr(density, name)
+        monkeypatch.setattr(density, name,
+                            lambda *args, solve=solve: solves.append(1) or solve(*args))
     killing = [KillingData(on(g), NodeMask.all(g), 0.1)
                for g in (GRID, GRID, OTHER if moved == "killing" else GRID)]
     drift = [FaceVelocities.zeros(g) for g in (GRID, GRID, OTHER if moved == "drift" else GRID)]

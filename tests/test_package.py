@@ -4,8 +4,10 @@ an exported callable is passed by a program call, the package __init__
 imports only names its modules export, no module imports a name it
 never uses or scipy.optimize, every grid comparison is the one grid
 check, only the Hamiltonian tells its kinds apart, every direct solve
-goes through the one factorization entry point, the Hamiltonian data
-of the controlled system has one source, no Newton system or verifier
+goes through the one factorization entry point, only obstacle keeps
+the base operators B = -lap + I/dt and only three solves outside it
+factor by LU, the Hamiltonian data of the controlled system has one
+source, no Newton system or verifier
 builds a drift matrix, every verifier takes its residuals from the one
 residual core, and every coupled Newton solve runs in the one penalty
 stage."""
@@ -305,6 +307,24 @@ def test_the_newton_loop_builds_no_drift_matrix():
     found = [(where, line) for module in MODULES
              for where, line in _references(_tree(module), module, {"drift_divergence_matrix"})]
     assert {where for where, _ in found} == {"density.solve_density_parabolic"}, found
+
+
+# the record of B = -lap + I/dt kept per grid and time step, through
+# which obstacle._shifted_factor factors every B + diag(d)
+BASE_OPERATOR = {"_BaseOperator", "_base_operator"}
+# the matrices factored by LU outside obstacle: the whole Jacobian of the
+# coupled systems, the exclusion-set operator and the drifted steps
+LU_OUTSIDE_OBSTACLE = {"_coupled._whole_step", "density.solve_density_on_set",
+                       "density.solve_density_parabolic"}
+
+
+def test_the_base_operators_are_kept_and_factored_only_in_obstacle():
+    found = [(where, line) for module in MODULES
+             for where, line in _references(_tree(module), module, BASE_OPERATOR)]
+    assert found and {where.split(".")[0] for where, _ in found} == {"obstacle"}, found
+    found = [(where, line) for module in MODULES if module != "obstacle"
+             for where, line in _references(_tree(module), module, {"_lu_solve", "_lu_factor"})]
+    assert {where for where, _ in found} == LU_OUTSIDE_OBSTACLE, found
 
 
 def test_hamiltonian_state_selects_the_upwind_difference_without_a_loop():

@@ -5,11 +5,7 @@ import scipy.sparse.linalg as spla
 from mfgstop.costs import CostOperator
 from mfgstop.grid import ScalarField, build_grid, coarsen, elliptic_matrix, inner
 from mfgstop import _coupled, obstacle
-from mfgstop.obstacle import (
-    _base_factor,
-    _shifted_band,
-    solve_obstacle_stationary,
-)
+from mfgstop.obstacle import _base_operator, _shifted_factor, solve_obstacle_stationary
 from mfgstop.scenarios import (
     raised_cosine_bump,
     run_scenario_evidence,
@@ -127,11 +123,16 @@ def test_continuation_single_stage_equals_single_solve(grid, rho):
 
 
 def test_continuation_rejects_bad_schedule(grid, rho):
+    # a NaN passes no comparison, so each of these fails the check
+    # before any stage is solved, as does an infinite penalty
     cost = local_cost(grid, -0.5)
-    with pytest.raises(ValueError):
-        continuation_solve(cost, rho, [1e-3, 1e-3])
-    with pytest.raises(ValueError):
-        continuation_solve(cost, rho, [])
+    nan, inf = float("nan"), float("inf")
+    for schedule in ([1e-3, 1e-3], [], [nan], [0.1, nan], [nan, 0.1], [inf, 0.1], [0.1, -1.0]):
+        with pytest.raises(ValueError, match="finite penalties"):
+            continuation_solve(cost, rho, schedule)
+    for epsilon in (nan, inf, 0.0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            penalized_coupled_solve(cost, rho, epsilon)
 
 
 def test_continuation_contact_residuals_decrease(grid, rho):
@@ -338,14 +339,14 @@ def test_2d_continuation_without_penalty_factors_a_once(monkeypatch, band_factor
     monkeypatch.setattr(_coupled, "_schur_step", recording_schur)
     monkeypatch.setattr(_coupled, "_shifted_factor", recording_shifted_factor)
     sol, stages = continuation_solve(cost, raised_cosine_bump(g, peak=2.0), [1e-1, 1e-2, 1e-3])
-    base = _base_factor(g, 1.0)
+    base = _shifted_factor(g, 0.0, 1.0)
     blocks = list(zip(factors[::2], factors[1::2]))
     assert np.max(sol.u.values) < 0.0
     assert [s.iterations for s in stages] == [3, 3, 1] and len(steps) == 4
     assert len(factors) == 2 * len(steps) and len(blocks) == 4
     assert all(solve_u is base for solve_u, _ in blocks)
     assert [solve_m is base for _, solve_m in blocks] == [False, False, False, True]
-    assert all(band is _shifted_band(g, 1.0) for band, _ in band_factors)
+    assert all(band is _base_operator(g, 1.0).band for band, _ in band_factors)
     factored = [not np.any(d) for _, d in band_factors]
     assert factored[0] and factored.count(True) == 1
     # A and the three density blocks with a rate
@@ -457,5 +458,5 @@ def test_nested_solve_finds_its_factors_and_orders_kept(monkeypatch):
         for name in ("monotone_1d", "anti_monotone_1d"):
             run_scenario_evidence(scenario_standard(name))
         scenario_nonexistence()
-        counts.append((sum(orderings), _base_factor.cache_info().misses))
+        counts.append((sum(orderings), _base_operator.cache_info().misses))
     assert counts[0][0] >= 1 and counts[1] == (0, counts[0][1])
