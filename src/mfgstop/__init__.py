@@ -12,7 +12,6 @@ from .grid import (
     NodeMask,
     build_grid,
     build_timegrid,
-    apply_elliptic,
     elliptic_matrix,
     inner,
     classify_nodes,
@@ -24,16 +23,11 @@ from .grid import (
 from .obstacle import (
     ObstacleConvergenceError,
     solve_obstacle_stationary,
-    obstacle_oracle,
-    solve_obstacle_penalized,
-    solve_obstacle_parabolic,
 )
 from .density import (
     KillingData,
     FaceVelocities,
     solve_density_on_set,
-    solve_density_penalized,
-    check_subsolution,
     solve_density_parabolic,
 )
 from .costs import CostOperator, PotentialOperator
@@ -48,15 +42,12 @@ from .stationary import (
     variational_minimize,
     verify_mixed,
     uniqueness_probe,
-    euler_lagrange_certificate,
 )
 from .evolutive import (
     ObstacleOperator,
     EvolutiveMixedReport,
-    apply_obstacle_operator,
     osmfg_continuation,
     verify_mixed_evolutive,
-    evolutive_uniqueness_probe,
 )
 from .control import (
     Hamiltonian,

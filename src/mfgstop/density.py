@@ -1,9 +1,9 @@
-"""Density-side solvers: the exclusion-set elliptic equation, penalized
-killing-potential solves, the drifted forward equation by implicit Euler
-with conservative upwind fluxes, and the subsolution slack check. The
-drift operator is built from the face difference and the face-node
-selectors of grid._gradient_matrices; the Newton systems of the
-controlled problem apply it without a matrix (_coupled._divergence).
+"""Density-side solvers: the exclusion-set elliptic equation and the
+killed, drifted forward equation by implicit Euler with conservative
+upwind fluxes. The drift operator is built from the face difference
+and the face-node selectors of grid._gradient_matrices; the Newton
+systems of the controlled problem apply it without a matrix
+(_coupled._divergence).
 
 All system matrices are M-matrices, so every produced density is
 nonnegative (up to roundoff) and total mass is non-increasing in time.
@@ -33,8 +33,6 @@ __all__ = [
     "KillingData",
     "FaceVelocities",
     "solve_density_on_set",
-    "solve_density_penalized",
-    "check_subsolution",
     "solve_density_parabolic",
     "drift_divergence_matrix",
 ]
@@ -53,7 +51,7 @@ class KillingData:
             raise ValueError("epsilon must be positive and finite")
         _on_grid(self.alpha.grid, None, self.active)
         v = self.alpha.values
-        if np.any(v < -1e-15) or np.any(v > 1 + 1e-15):
+        if not np.all((v >= -1e-15) & (v <= 1 + 1e-15)):
             raise ValueError("alpha must take values in [0, 1]")
 
     def rate(self) -> np.ndarray:
@@ -110,19 +108,6 @@ def solve_density_on_set(omega: NodeMask, source: ScalarField) -> ScalarField:
         a = elliptic_matrix(grid).tocsc()
         m[idx] = _lu_solve(a[np.ix_(idx, idx)], source.values[idx])
     return ScalarField(grid, m)
-
-
-def solve_density_penalized(killing: KillingData, source: ScalarField) -> ScalarField:
-    """Solve (-lap + id + diag(alpha/eps on active)) m = rho by obstacle._shifted_factor."""
-    grid = _on_grid(source.grid, None, killing.alpha)
-    _require_nonnegative(source.values, "rho")
-    return ScalarField(grid, _shifted_factor(grid, killing.rate(), 1.0)(source.values))
-
-
-def check_subsolution(m: ScalarField, source: ScalarField) -> ScalarField:
-    """Slack rho - (-lap + id) m; nonnegative slack certifies a subsolution."""
-    grid = _on_grid(m.grid, None, source)
-    return ScalarField(grid, source.values - elliptic_matrix(grid) @ m.values)
 
 
 def drift_divergence_matrix(grid: Grid, faces: FaceVelocities) -> sp.csr_matrix:

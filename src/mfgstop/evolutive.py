@@ -1,7 +1,8 @@
 """The time-dependent system with m-dependent obstacles: obstacle
 operators (fixed trajectories, or obstacles generated from a local
-source by the backward heat equation), the forward-backward penalized
-solver, and the evolutive mixed-solution verifier.
+source by the backward heat equation), the penalty continuation of the
+forward-backward penalized solver, and the evolutive mixed-solution
+verifier.
 
 For obstacles built from a source g, the quantity (d/dt + lap) psi(m)
 is returned as g(m) exactly rather than by differencing psi, so the
@@ -26,15 +27,13 @@ from .grid import (
     elliptic_matrix,
 )
 from .obstacle import _shifted_factor
-from .stationary import _probe_gap, penalty_continuation
+from .stationary import penalty_continuation
 
 __all__ = [
     "ObstacleOperator",
     "EvolutiveMixedReport",
-    "apply_obstacle_operator",
     "osmfg_continuation",
     "verify_mixed_evolutive",
-    "evolutive_uniqueness_probe",
 ]
 
 
@@ -72,12 +71,17 @@ class ObstacleOperator:
         return ObstacleOperator(kind="heat_from_g", g_cost=g_cost)
 
     def apply_arrays(self, grid: Grid, timegrid: TimeGrid, m_arr: np.ndarray):
-        """(psi, g_psi) as (K+1, N) arrays; see apply_obstacle_operator.
-        The K backward heat steps of heat_from_g solve with the factor of
-        B = A0 + I/dt that the process keeps per (grid, dt)
-        (obstacle._shifted_factor), shared with the solver's sweeps and
-        with every later call. A psi or g off grid and timegrid raises
-        ValueError."""
+        """(psi(m), (d/dt + lap) psi(m)) as (K+1, N) arrays on the
+        density slices m_arr.
+
+        heat_from_g integrates d psi/dt = -lap psi + g(m) backward from
+        psi(T) = 0 by implicit Euler and returns the source g(m) itself
+        as the second array (no differencing); constant_field returns
+        the stored trajectory and its discrete (d/dt + lap) image. The K
+        backward heat steps solve with the factor of B = A0 + I/dt that
+        the process keeps per (grid, dt) (obstacle._shifted_factor),
+        shared with the solver's sweeps and with every later call. A psi
+        or g off grid and timegrid raises ValueError."""
         _on_grid(grid, timegrid, self.psi, self.g_cost)
         steps = timegrid.n_steps
         dt = timegrid.dt
@@ -96,23 +100,6 @@ class ObstacleOperator:
         g_arr[:steps] = (psi_arr[1:] - psi_arr[:-1]) / dt - (a0 @ psi_arr[:-1].T).T
         g_arr[steps] = (psi_arr[steps] - psi_arr[steps - 1]) / dt - a0 @ psi_arr[steps]
         return psi_arr, g_arr
-
-
-def apply_obstacle_operator(op: ObstacleOperator, m: FieldTrajectory):
-    """Evaluate (psi(m), (d/dt + lap) psi(m)) on a density trajectory.
-
-    heat_from_g integrates d psi/dt = -lap psi + g(m) backward from
-    psi(T) = 0 by implicit Euler and returns the source g(m) itself as
-    the second component (no differencing). constant_field returns the
-    stored trajectory and its discrete (d/dt + lap) image. A psi or g
-    off the grid of m (psi off its time grid) raises ValueError.
-    """
-    grid = _on_grid(m.grid, m.timegrid, op.psi, op.g_cost)
-    if op.kind == "heat_from_g" and np.any(m.array() < -1e-12):
-        raise ValueError("density trajectory must be nonnegative")
-    psi_arr, g_arr = op.apply_arrays(grid, m.timegrid, m.array())
-    return (FieldTrajectory(grid, m.timegrid, psi_arr),
-            FieldTrajectory(grid, m.timegrid, g_arr))
 
 
 @dataclass(frozen=True)
@@ -140,11 +127,10 @@ def osmfg_continuation(
     timegrid: TimeGrid,
     eps_schedule=None,
     tol_pde: float = 1e-8,
-    m_traj_init: np.ndarray | None = None,
 ):
     """Penalty continuation for the evolutive system: warm-started
     forward_backward_solve stages along a decreasing schedule, the first
-    from the density trajectory m_traj_init.
+    from m0 in every slice.
 
     Returns (solution, stages): the final PenalizedTriple, whose fields
     are trajectories, and one StageReport per stage, with the
@@ -153,7 +139,7 @@ def osmfg_continuation(
 
     def solve_stage(eps, warm, strict):
         return forward_backward_solve(cost, m0, timegrid, eps, tol_pde, obstacle_op=obstacle_op,
-                                      m_traj_init=m_traj_init, warm=warm, strict=strict)
+                                      warm=warm, strict=strict)
 
     def verify(sol):
         return verify_mixed_evolutive(sol.u, sol.m, cost, obstacle_op, m0, delta_c=sol.delta_band)
@@ -187,26 +173,3 @@ def verify_mixed_evolutive(
         **_residuals(grid, u.timegrid.dt, 1, cost, None, u_arr, m_arr, psi_arr, g_arr, delta_c),
         r_terminal=float(np.max(np.abs(u_arr[-1] - psi_arr[-1]))),
         r_initial=float(np.max(np.abs(m_arr[0] - m0.values))))
-
-
-def evolutive_uniqueness_probe(
-    cost: CostOperator,
-    obstacle_op: ObstacleOperator,
-    m0: ScalarField,
-    timegrid: TimeGrid,
-    n_starts: int = 3,
-    seed: int = 0,
-    eps_schedule=None,
-) -> float:
-    """Max pairwise trajectory gap over continuation runs with scaled
-    initial density-trajectory guesses (m0 itself stays fixed); scales
-    as in stationary.uniqueness_probe."""
-
-    def solve(s):
-        init = np.tile(m0.values, (timegrid.n_steps + 1, 1)) * s
-        init[0] = m0.values
-        sol, _ = osmfg_continuation(cost, obstacle_op, m0, timegrid, eps_schedule,
-                                    m_traj_init=init)
-        return sol.m.array()
-
-    return _probe_gap(solve, n_starts, seed)

@@ -26,7 +26,6 @@ __all__ = [
     "build_timegrid",
     "coarsen",
     "elliptic_matrix",
-    "apply_elliptic",
     "inner",
     "classify_nodes",
     "default_contact_threshold",
@@ -226,15 +225,8 @@ class NodeMask:
         object.__setattr__(self, "mask", m)
 
     @staticmethod
-    def none(grid: Grid) -> "NodeMask":
-        return NodeMask(grid, np.zeros(grid.n_total, dtype=bool))
-
-    @staticmethod
     def all(grid: Grid) -> "NodeMask":
         return NodeMask(grid, np.ones(grid.n_total, dtype=bool))
-
-    def complement(self) -> "NodeMask":
-        return NodeMask(self.grid, ~self.mask)
 
 
 def _on_grid(grid: Grid, timegrid: TimeGrid | None, *items) -> Grid:
@@ -374,12 +366,6 @@ def _gradient_matrices(grid: Grid):
             else (mean @ (0.5 * (one_sided[other][0] + one_sided[other][1]))).tocsr()
             for other in range(grid.dim)))
     return tuple(one_sided), tuple(face_grad), tuple(selectors)
-
-
-def apply_elliptic(field: ScalarField) -> ScalarField:
-    """Apply -lap + id to a field; missing neighbors count as 0."""
-    a = elliptic_matrix(field.grid)
-    return ScalarField(field.grid, a @ field.values)
 
 
 def inner(f: ScalarField, g: ScalarField) -> float:

@@ -1,9 +1,8 @@
-"""Obstacle problems for the value function: the stationary
-complementarity system by semismooth Newton on its min form, a
-brute-force active-set oracle, a penalized variant, the semismooth
-Newton driver shared by every solve of the package with its two
-Jacobian assemblers, and the backward parabolic problem by implicit
-Euler.
+"""The stationary obstacle problem for the value function, by
+semismooth Newton on its min form; the semismooth Newton driver shared
+by every solve of the package, with its two Jacobian assemblers; and
+the factorizations behind every direct solve: banded Cholesky of the
+shifted operators B + diag(d), banded LU and SuperLU of the rest.
 
 Sign convention throughout: solve max(L u - f, u - psi) = 0, i.e.
 u <= psi, L u - f <= 0, with equality in at least one branch per node.
@@ -23,20 +22,11 @@ from scipy.linalg import block_diag as dense_block_diag
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .grid import (
-    FieldTrajectory,
-    ScalarField,
-    TimeGrid,
-    _on_grid,
-    elliptic_matrix,
-)
+from .grid import ScalarField, _on_grid, elliptic_matrix
 
 __all__ = [
     "ObstacleConvergenceError",
     "solve_obstacle_stationary",
-    "obstacle_oracle",
-    "solve_obstacle_penalized",
-    "solve_obstacle_parabolic",
     "semismooth_newton",
     "diagonal_update",
     "row_select",
@@ -355,49 +345,6 @@ def solve_obstacle_stationary(
                                               obstacle.values, start))
 
 
-def obstacle_oracle(
-    source: ScalarField,
-    obstacle: ScalarField,
-    require_unique: bool = False,
-) -> ScalarField:
-    """Exhaustive active-set solve, for verification on tiny grids.
-
-    Enumerates every subset S of nodes, pins u = psi on S, solves the
-    linear system on the complement, and returns the u that passes the
-    complementarity test (u <= psi everywhere, M u - f <= 0 on S, both
-    to 1e-9) for M = -lap + id. Independent of the iterative path;
-    requires <= 16 nodes.
-    """
-    grid = _on_grid(source.grid, None, obstacle)
-    n = grid.n_total
-    if n > 16:
-        raise ValueError(f"oracle is exponential; refuse n = {n} > 16")
-    a = elliptic_matrix(grid).toarray()
-    f = source.values
-    psi = obstacle.values
-    found = None
-    for mask_bits in range(1 << n):
-        active = np.array([(mask_bits >> i) & 1 for i in range(n)], dtype=bool)
-        free = ~active
-        u = psi.copy()
-        if free.any():
-            sub = a[np.ix_(free, free)]
-            rhs = f[free] - a[np.ix_(free, active)] @ psi[active]
-            u[free] = np.linalg.solve(sub, rhs)
-        if np.any(u > psi + 1e-9):
-            continue
-        if active.any() and np.any((a @ u - f)[active] > 1e-9):
-            continue
-        if not require_unique:
-            return ScalarField(grid, u)
-        if found is not None and not np.allclose(found, u, atol=1e-8):
-            raise RuntimeError("oracle found two distinct complementarity solutions")
-        found = u
-    if found is None:
-        raise RuntimeError("oracle found no complementarity solution; inconsistent data")
-    return ScalarField(grid, found)
-
-
 def semismooth_newton(residual, jacobian, x0, target, max_iter, full_steps=False,
                       solve=_lu_solve):
     """Semismooth Newton with Armijo backtracking in the max norm.
@@ -528,8 +475,7 @@ def _obstacle_newton(matrix, f, psi, u0) -> np.ndarray:
     the unscaled complementarity_residual. Both gates are _TOL scaled by
     the size of the data, 1 + max(|f| + |M| max(|u0|, |psi|)): the
     round-off of f - M u grows with diag(M) ~ 2/h^2, so a fixed absolute
-    gate fails converged solves on fine grids. The penalized solve gates
-    its residual on _TOL itself.
+    gate fails converged solves on fine grids.
     """
     d = matrix.diagonal()
     assemble = row_select(sp.diags(-d), -matrix)
@@ -543,56 +489,3 @@ def _obstacle_newton(matrix, f, psi, u0) -> np.ndarray:
     if res <= tol:
         return u
     raise ObstacleConvergenceError("semismooth Newton did not converge", res, it)
-
-
-def solve_obstacle_penalized(
-    source: ScalarField,
-    obstacle: ScalarField,
-    epsilon: float,
-) -> ScalarField:
-    """Solve the penalized problem A u + (u - psi)^+ / eps = f,
-    A = -lap + id, by semismooth Newton from the solution without
-    obstacle.
-
-    The active-set linearization converges in finitely many steps for
-    M-matrices. Its Jacobian A + diag((u > psi) / eps) is the shifted
-    operator of dt = 1, factored by _shifted_factor.
-    """
-    if not 0 < epsilon < np.inf:
-        raise ValueError("epsilon must be positive and finite")
-    grid = _on_grid(source.grid, None, obstacle)
-    a = elliptic_matrix(grid)
-    f, psi = source.values, obstacle.values
-    u, norms, it = semismooth_newton(
-        lambda v: a @ v + np.maximum(v - psi, 0.0) / epsilon - f,
-        lambda v: (v > psi).astype(float) / epsilon,
-        _shifted_factor(grid, 0.0, 1.0)(f), _TOL, _MAX_ITER,
-        solve=lambda d, rhs: _shifted_factor(grid, d, 1.0)(rhs))
-    if norms[-1] <= _TOL:
-        return ScalarField(grid, u)
-    raise ObstacleConvergenceError("penalized Newton did not converge", norms[-1], it)
-
-
-def solve_obstacle_parabolic(
-    source: FieldTrajectory,
-    obstacle: FieldTrajectory,
-    terminal: ScalarField,
-    timegrid: TimeGrid,
-) -> FieldTrajectory:
-    """Backward implicit Euler for max(-du/dt - lap u - f, u - psi) = 0.
-
-    Each step solves a stationary obstacle problem with operator
-    B = id/dt - lap and source u_{k+1}/dt + f_k. The terminal slice must
-    equal psi at t = T.
-    """
-    grid = _on_grid(source.grid, timegrid, source, obstacle, terminal)
-    if np.max(np.abs(terminal.values - obstacle.array()[-1])) > 1e-12:
-        raise ValueError("terminal slice must equal the obstacle at t = T")
-    dt = timegrid.dt
-    b = _shifted_matrix(grid, np.zeros(grid.n_total), dt)
-    u_arr = np.empty((timegrid.n_steps + 1, grid.n_total))
-    u_arr[-1] = terminal.values
-    for k in range(timegrid.n_steps - 1, -1, -1):
-        rhs = u_arr[k + 1] / dt + source.array()[k]
-        u_arr[k] = _obstacle_newton(b, rhs, obstacle.array()[k], u_arr[k + 1])
-    return FieldTrajectory(grid, timegrid, u_arr)

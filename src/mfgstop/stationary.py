@@ -35,15 +35,7 @@ from ._coupled import (
 )
 from .costs import ANTI_MONOTONE, STRICT_MONOTONE, CostOperator, PotentialOperator
 from .density import solve_density_on_set
-from .grid import (
-    NodeMask,
-    ScalarField,
-    _on_grid,
-    classify_nodes,
-    coarsen,
-    elliptic_matrix,
-    inner,
-)
+from .grid import ScalarField, _on_grid, classify_nodes, coarsen, elliptic_matrix
 from .obstacle import (
     _MAX_ITER,
     _TOL,
@@ -66,7 +58,6 @@ __all__ = [
     "variational_minimize",
     "verify_mixed",
     "uniqueness_probe",
-    "euler_lagrange_certificate",
 ]
 
 
@@ -403,53 +394,16 @@ def uniqueness_probe(
 ) -> float:
     """Max pairwise density gap over continuation runs from scaled starts.
 
-    Starts are s_k * (A^-1 rho) with deterministic s_k ~ U[0, 2) from
-    the seed. Strictly monotone costs give a gap at solver precision;
-    non-monotone costs can land on distinct solutions.
+    Starts are s_k * (A^-1 rho) with n_starts deterministic draws
+    s_k ~ U[0, 2) from the seed. Strictly monotone costs give a gap at
+    solver precision; non-monotone costs can land on distinct solutions.
     """
-    grid = rho.grid
-    m_base = _shifted_factor(grid, 0.0, 1.0)(rho.values)
-
-    def solve(s):
-        sol, _ = continuation_solve(cost, rho, eps_schedule, m_init=ScalarField(grid, s * m_base))
-        return sol.m.values
-
-    return _probe_gap(solve, n_starts, seed)
-
-
-def _probe_gap(solve, n_starts: int, seed: int) -> float:
-    """Max pairwise max-norm gap of solve(s) over the start scales s,
-    n_starts draws s ~ U[0, 2) from the seed."""
     if n_starts < 2:
         raise ValueError("need at least two starts")
-    scales = np.random.default_rng(seed).uniform(0.0, 2.0, n_starts)
-    results = [solve(s) for s in scales]
+    grid = rho.grid
+    m_base = _shifted_factor(grid, 0.0, 1.0)(rho.values)
+    results = [continuation_solve(cost, rho, eps_schedule,
+                                  m_init=ScalarField(grid, s * m_base))[0].m.values
+               for s in np.random.default_rng(seed).uniform(0.0, 2.0, n_starts)]
     return max(0.0, *(float(np.max(np.abs(a - b)))
                       for i, a in enumerate(results) for b in results[i + 1:]))
-
-
-def euler_lagrange_certificate(
-    cost: CostOperator,
-    m: ScalarField,
-    rho: ScalarField,
-) -> float:
-    """Min of <f(m), m' - m> over a documented battery of feasible m'.
-
-    The battery holds 0, the unconstrained solve A^-1 rho, exclusion-set
-    solves on four random node sets drawn from seed 0, and convex
-    combinations with m itself; every member lies in
-    {m' >= 0, A m' <= rho}.
-    """
-    grid = m.grid
-    f_m = cost(m)
-    battery = [np.zeros(grid.n_total), _shifted_factor(grid, 0.0, 1.0)(rho.values)]
-    rng = np.random.default_rng(0)
-    for _ in range(4):
-        mask = NodeMask(grid, rng.random(grid.n_total) < 0.5)
-        battery.append(solve_density_on_set(mask, rho).values)
-    combos = [0.5 * (battery[0] + battery[1]), 0.5 * (m.values + battery[1])]
-    battery.extend(combos)
-    worst = np.inf
-    for mp in battery:
-        worst = min(worst, inner(f_m, ScalarField(grid, mp - m.values)))
-    return float(worst)

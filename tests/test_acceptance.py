@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from mfgstop._coupled import forward_backward_solve
 from mfgstop.control import (
     Hamiltonian,
     control_objective,
@@ -20,25 +21,12 @@ from mfgstop.costs import CostOperator
 from mfgstop.density import (
     FaceVelocities,
     KillingData,
-    check_subsolution,
     solve_density_on_set,
     solve_density_parabolic,
-    solve_density_penalized,
 )
-from mfgstop.evolutive import evolutive_uniqueness_probe, osmfg_continuation
-from mfgstop.grid import (
-    NodeMask,
-    ScalarField,
-    apply_elliptic,
-    build_grid,
-    elliptic_matrix,
-    inner,
-)
-from mfgstop.obstacle import (
-    obstacle_oracle,
-    solve_obstacle_penalized,
-    solve_obstacle_stationary,
-)
+from mfgstop.evolutive import osmfg_continuation
+from mfgstop.grid import NodeMask, ScalarField, build_grid, inner
+from mfgstop.obstacle import solve_obstacle_stationary
 from mfgstop.scenarios import (
     raised_cosine_bump,
     run_scenario_evidence,
@@ -49,11 +37,13 @@ from mfgstop.scenarios import (
 from mfgstop.stationary import (
     continuation_solve,
     default_eps_schedule,
-    euler_lagrange_certificate,
     monotone_iteration_solve,
+    penalty_continuation,
     uniqueness_probe,
     variational_minimize,
 )
+from oracles import killed_density, obstacle_oracle, operator, penalized_obstacle
+from test_stationary import euler_lagrange_certificate
 
 
 def report(criterion, detail):
@@ -102,7 +92,7 @@ def test_c03_penalization_limits_monotone():
     eps_values = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
     u_gaps = []
     for eps in eps_values:
-        u_eps = solve_obstacle_penalized(f, psi, eps)
+        u_eps = penalized_obstacle(f, psi, eps)
         u_gaps.append(float(np.max(np.abs(u_eps.values - u_limit.values))))
     assert all(a >= b for a, b in zip(u_gaps, u_gaps[1:]))
     assert u_gaps[-1] <= 1e-6
@@ -110,11 +100,10 @@ def test_c03_penalization_limits_monotone():
     rho = raised_cosine_bump(grid, peak=0.25)
     x = grid.coordinates()[:, 0]
     active = NodeMask(grid, x > 0.75)
-    m_limit = solve_density_on_set(active.complement(), rho)
+    m_limit = solve_density_on_set(NodeMask(grid, ~active.mask), rho)
     m_gaps = []
     for eps in eps_values:
-        kd = KillingData(ScalarField.constant(grid, 1.0), active, eps)
-        m_eps = solve_density_penalized(kd, rho)
+        m_eps = killed_density(active.mask / eps, rho)
         m_gaps.append(float(np.max(np.abs(m_eps.values - m_limit.values))))
     assert all(a >= b for a, b in zip(m_gaps, m_gaps[1:]))
     assert m_gaps[-1] <= 1e-6
@@ -137,7 +126,7 @@ def test_c04_discrete_duality_inequality():
             # supported inside omega: the pairing must be an equality
             u_vals = np.where(omega.mask, u_vals, 0.0)
         u = ScalarField(grid, u_vals)
-        gap = inner(apply_elliptic(u), m) - inner(u, rho)
+        gap = inner(ScalarField(grid, operator(grid) @ u_vals), m) - inner(u, rho)
         worst_gap = min(worst_gap, gap)
         if trial % 2 == 0:
             worst_eq = max(worst_eq, abs(gap))
@@ -162,31 +151,47 @@ def test_c05_mixed_solution_existence(monotone_1d_solution, monotone_2d_solution
               f"(1d duality {rep1.r_duality:.1e})")
 
 
+def scaled_start_gap(solve, m0, timegrid, scales, kept=()):
+    """The evolutive uniqueness probe: the max pairwise max-norm gap of
+    the density trajectories in kept and of solve(init) over the scales
+    s, init being s m0 on every slice but the first, m0 itself."""
+    results = list(kept)
+    for s in scales:
+        init = np.tile(m0.values, (timegrid.n_steps + 1, 1)) * s
+        init[0] = m0.values
+        results.append(solve(init).m.array())
+    return max(float(np.max(np.abs(a - b))) for i, a in enumerate(results)
+               for b in results[i + 1:])
+
+
 def test_c06_uniqueness_under_strict_monotonicity(evolutive_psi0_solution,
                                                   control_solution):
     sc = scenario_standard("monotone_1d")
     gap = uniqueness_probe(sc.cost, sc.rho, n_starts=5, seed=106)
     assert gap <= 1e-5
 
+    # the evolutive probe: the stages of osmfg_continuation, the first
+    # from the start, at five scales drawn as uniqueness_probe draws them
     ev = evolutive_psi0_solution[0]
-    gap_ev = evolutive_uniqueness_probe(ev.cost, ev.obstacle_op, ev.m0, ev.timegrid,
-                                        n_starts=5, seed=106,
-                                        eps_schedule=list(ev.eps_schedule))
+
+    def solve_evolutive(init):
+        def stage(eps, warm, strict):
+            return forward_backward_solve(ev.cost, ev.m0, ev.timegrid, eps,
+                                          obstacle_op=ev.obstacle_op, m_traj_init=init,
+                                          warm=warm, strict=strict)
+
+        return penalty_continuation(stage, lambda sol: None, list(ev.eps_schedule))[0]
+
+    gap_ev = scaled_start_gap(solve_evolutive, ev.m0, ev.timegrid,
+                              np.random.default_rng(106).uniform(0.0, 2.0, 5))
     assert gap_ev <= 1e-4
 
-    # control analogue: scaled initial trajectory guesses; the cached
-    # solution is the unit-scale start
+    # control analogue; the cached solution is the unit-scale start
     sc_c, sol_base, _ = control_solution
-    results = [sol_base.m.array()]
-    for scale in (0.1, 0.5, 1.5, 1.9):
-        init = np.tile(sc_c.m0.values, (sc_c.timegrid.n_steps + 1, 1)) * scale
-        init[0] = sc_c.m0.values
-        sol, _ = cosmfg_coupled_solve(sc_c.cost, sc_c.hamiltonian, sc_c.m0,
-                                      sc_c.timegrid, list(sc_c.eps_schedule),
-                                      m_traj_init=init)
-        results.append(sol.m.array())
-    gap_c = max(float(np.max(np.abs(results[i] - results[j])))
-                for i in range(5) for j in range(i + 1, 5))
+    gap_c = scaled_start_gap(
+        lambda init: cosmfg_coupled_solve(sc_c.cost, sc_c.hamiltonian, sc_c.m0, sc_c.timegrid,
+                                          list(sc_c.eps_schedule), m_traj_init=init)[0],
+        sc_c.m0, sc_c.timegrid, (0.1, 0.5, 1.5, 1.9), kept=[sol_base.m.array()])
     assert gap_c <= 1e-4
     report(6, f"gaps: stationary {gap:.1e}, evolutive {gap_ev:.1e}, control {gap_c:.1e}")
 
@@ -319,7 +324,7 @@ def test_c13_structural_invariants_all_scenarios(monotone_1d_solution,
     # stationary scenarios: positivity, subsolution slack, determinism
     for sc, u, m, reports in (monotone_1d_solution, monotone_2d_solution):
         assert m.values.min() >= -1e-12
-        assert check_subsolution(m, sc.rho).values.min() >= -1e-9
+        assert np.min(sc.rho.values - operator(sc.grid) @ m.values) >= -1e-9
         sol, _ = continuation_solve(sc.cost, sc.rho, list(sc.eps_schedule))
         u2, m2 = sol.u, sol.m
         assert np.array_equal(m2.values, m.values)
@@ -331,7 +336,7 @@ def test_c13_structural_invariants_all_scenarios(monotone_1d_solution,
     u_b, m_b, _ = monotone_iteration_solve(sc_a.cost, sc_a.rho)
     assert np.array_equal(m_a.values, m_b.values)
     assert m_a.values.min() >= -1e-12
-    assert check_subsolution(m_a, sc_a.rho).values.min() >= -1e-9
+    assert np.min(sc_a.rho.values - operator(sc_a.grid) @ m_a.values) >= -1e-9
     checked.append(sc_a.name)
 
     # time-dependent scenarios: positivity, mass monotonicity, determinism

@@ -22,9 +22,9 @@ from mfgstop.grid import (
     build_grid,
     build_timegrid,
 )
-from mfgstop.obstacle import solve_obstacle_parabolic
 from mfgstop.scenarios import gaussian_density, scenario_standard
 from mfgstop.stationary import default_eps_schedule
+from oracles import parabolic_obstacle
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +76,7 @@ def test_hjb_reduces_to_parabolic_obstacle_when_h_zero(setup):
     f_traj = FieldTrajectory(
         grid, tg, np.tile(cost.evaluate(np.full(15, 0.2)), (tg.n_steps + 1, 1)))
     psi = FieldTrajectory.constant(grid, tg, 0.0)
-    u_ref = solve_obstacle_parabolic(f_traj, psi, ScalarField.zeros(grid), tg)
+    u_ref = parabolic_obstacle(f_traj, psi)
     assert np.max(np.abs(u.array() - u_ref.array())) <= 1e-10
 
 

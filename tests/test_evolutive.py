@@ -10,8 +10,6 @@ from mfgstop.costs import CostOperator
 from mfgstop.density import solve_density_parabolic
 from mfgstop.evolutive import (
     ObstacleOperator,
-    apply_obstacle_operator,
-    evolutive_uniqueness_probe,
     osmfg_continuation,
     verify_mixed_evolutive,
 )
@@ -30,6 +28,7 @@ from mfgstop.stationary import (
     penalized_coupled_solve,
     penalty_continuation,
 )
+from oracles import operator
 
 
 @pytest.fixture(scope="module")
@@ -44,34 +43,32 @@ def test_obstacle_operator_zero_source(setup):
     grid, tg, m0 = setup
     g_cost = CostOperator.local_power(grid, 0.0, 1.0, ScalarField.zeros(grid))
     op = ObstacleOperator.heat_source(g_cost)
-    m = FieldTrajectory.constant(grid, tg, 0.5)
-    psi, g_psi = apply_obstacle_operator(op, m)
-    assert np.max(np.abs(psi.array())) == 0.0
-    assert np.max(np.abs(g_psi.array())) == 0.0
+    psi, g_psi = op.apply_arrays(grid, tg, FieldTrajectory.constant(grid, tg, 0.5).array())
+    assert np.max(np.abs(psi)) == 0.0
+    assert np.max(np.abs(g_psi)) == 0.0
 
 
 def test_obstacle_operator_matches_dense_space_time_oracle():
     # independent check: assemble the full backward-Euler system densely
+    # on the test stencil
     grid = build_grid(1, (0.0, 1.0), 3)
     tg = build_timegrid(1.0, 3)
     g_cost = CostOperator.local_power(grid, 0.0, 1.0, ScalarField.constant(grid, 1.0))
     op = ObstacleOperator.heat_source(g_cost)
-    m = FieldTrajectory.constant(grid, tg, 0.2)
-    psi, g_psi = apply_obstacle_operator(op, m)
+    psi, g_psi = op.apply_arrays(grid, tg, FieldTrajectory.constant(grid, tg, 0.2).array())
     n, steps, dt = 3, 3, tg.dt
-    a0 = elliptic_matrix(grid, with_zero_order=False).toarray()
     big = np.zeros((n * steps, n * steps))
     rhs = np.zeros(n * steps)
     for k in range(steps):
         sl = slice(k * n, (k + 1) * n)
-        big[sl, sl] = a0 + np.eye(n) / dt
+        big[sl, sl] = operator(grid, 1.0 / dt)
         if k + 1 < steps:
             big[sl, (k + 1) * n:(k + 2) * n] = -np.eye(n) / dt
         rhs[sl] = -np.ones(n)
     dense = np.linalg.solve(big, rhs).reshape(steps, n)
-    assert np.max(np.abs(psi.array()[:steps] - dense)) <= 1e-10
-    assert np.max(np.abs(psi.array()[-1])) == 0.0
-    assert np.allclose(g_psi.array(), 1.0)
+    assert np.max(np.abs(psi[:steps] - dense)) <= 1e-10
+    assert np.max(np.abs(psi[-1])) == 0.0
+    assert np.allclose(g_psi, 1.0)
 
 
 def test_heat_obstacle_factors_b_once_per_grid_and_dt(monkeypatch, band_factors):
@@ -113,10 +110,9 @@ def test_heat_obstacle_factors_b_once_per_grid_and_dt(monkeypatch, band_factors)
 def test_constant_zero_obstacle_has_zero_source(setup):
     grid, tg, _ = setup
     op = ObstacleOperator.zero(grid, tg)
-    m = FieldTrajectory.constant(grid, tg, 1.0)
-    psi, g_psi = apply_obstacle_operator(op, m)
-    assert np.max(np.abs(psi.array())) == 0.0
-    assert np.max(np.abs(g_psi.array())) == 0.0
+    psi, g_psi = op.apply_arrays(grid, tg, FieldTrajectory.constant(grid, tg, 1.0).array())
+    assert np.max(np.abs(psi)) == 0.0
+    assert np.max(np.abs(g_psi)) == 0.0
 
 
 def test_obstacle_operator_validation(setup):
@@ -229,16 +225,6 @@ def test_two_dimensional_forward_backward():
     marr = sol.m.array()
     assert marr.min() >= -1e-12
     assert np.all(np.diff(marr.sum(axis=1)) <= 1e-12)
-
-
-def test_evolutive_uniqueness_probe_deterministic(setup):
-    grid, tg, m0 = setup
-    cost = CostOperator.local_power(grid, 1.0, 1.0, ScalarField.constant(grid, -0.5))
-    op = ObstacleOperator.zero(grid, tg)
-    schedule = default_eps_schedule(stages=5)
-    g1 = evolutive_uniqueness_probe(cost, op, m0, tg, n_starts=2, seed=5, eps_schedule=schedule)
-    g2 = evolutive_uniqueness_probe(cost, op, m0, tg, n_starts=2, seed=5, eps_schedule=schedule)
-    assert g1 == g2
 
 
 def test_newton_obstacle_is_the_backward_heat_image(monkeypatch):

@@ -10,7 +10,6 @@ from mfgstop.grid import (
     FieldTrajectory,
     NodeMask,
     ScalarField,
-    apply_elliptic,
     build_grid,
     build_timegrid,
     classify_nodes,
@@ -23,25 +22,7 @@ from mfgstop.grid import (
     write_trajectory_csv,
     _elliptic_matrix,
 )
-
-
-def dense_operator(grid, with_zero_order=True):
-    """Independent dense assembly straight from the stencil formula."""
-    n = grid.n_total
-    a = np.zeros((n, n))
-    shape = grid.shape
-    for flat in range(n):
-        idx = np.unravel_index(flat, shape)
-        a[flat, flat] += 1.0 if with_zero_order else 0.0
-        for axis in range(grid.dim):
-            h = grid.spacing[axis]
-            a[flat, flat] += 2.0 / h**2
-            for step in (-1, 1):
-                nbr = list(idx)
-                nbr[axis] += step
-                if 0 <= nbr[axis] < shape[axis]:
-                    a[flat, np.ravel_multi_index(nbr, shape)] -= 1.0 / h**2
-    return a
+from oracles import operator
 
 
 def test_build_grid_1d_spacing_and_nodes():
@@ -86,21 +67,9 @@ def test_timegrid_horizon_is_a_positive_float(horizon):
     assert build_timegrid(2, 4).horizon == 2.0
 
 
-def test_apply_elliptic_linearity_zero():
-    g = build_grid(1, (0.0, 1.0), 7)
-    z = ScalarField.zeros(g)
-    assert np.all(apply_elliptic(z).values == 0.0)
-
-
-def test_apply_elliptic_stencil_values():
-    g = build_grid(1, (0.0, 1.0), 3)
-    m = ScalarField(g, [0.0, 1.0, 0.0])
-    assert np.allclose(apply_elliptic(m).values, [-16.0, 33.0, -16.0])
-
-
 def test_operator_positive_definite_dense_oracle():
     g = build_grid(1, (0.0, 1.0), 5)
-    a = dense_operator(g)
+    a = operator(g)
     assert np.allclose(elliptic_matrix(g).toarray(), a)
     eigs = np.linalg.eigvalsh(a)
     assert eigs.min() > 0
@@ -112,8 +81,8 @@ def test_operator_positive_definite_dense_oracle():
 
 def test_operator_2d_matches_dense():
     g = build_grid(2, ((0.0, 1.0), (0.0, 2.0)), (3, 4))
-    assert np.allclose(elliptic_matrix(g).toarray(), dense_operator(g))
-    assert np.allclose(elliptic_matrix(g, False).toarray(), dense_operator(g, False))
+    assert np.allclose(elliptic_matrix(g).toarray(), operator(g))
+    assert np.allclose(elliptic_matrix(g, False).toarray(), operator(g, 0.0))
 
 
 def test_inner_quadrature_and_symmetry():
@@ -131,8 +100,9 @@ def test_inner_adjointness_of_operator():
     rng = np.random.default_rng(2)
     u = ScalarField(g, rng.normal(size=16))
     m = ScalarField(g, rng.normal(size=16))
-    lhs = inner(apply_elliptic(u), m)
-    rhs = inner(u, apply_elliptic(m))
+    a = elliptic_matrix(g)
+    lhs = inner(ScalarField(g, a @ u.values), m)
+    rhs = inner(u, ScalarField(g, a @ m.values))
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 

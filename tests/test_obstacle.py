@@ -35,14 +35,13 @@ from mfgstop.obstacle import (
     _space_time_operator,
     complementarity_residual,
     diagonal_update,
-    obstacle_oracle,
     semismooth_newton,
-    solve_obstacle_parabolic,
-    solve_obstacle_penalized,
     solve_obstacle_stationary,
 )
 from mfgstop.scenarios import gaussian_density, raised_cosine_bump
+from oracles import obstacle_oracle, parabolic_obstacle, penalized_obstacle
 from mfgstop.stationary import (
+    CoupledNonConvergence,
     continuation_solve,
     penalized_coupled_solve,
     penalty_continuation,
@@ -84,6 +83,7 @@ def test_projected_sor_matches_active_set_oracle():
 
 
 def test_oracle_trivial_branches():
+    # the exhaustive oracle of oracles.py: every node active, and none
     g = build_grid(1, (0.0, 1.0), 3)
     psi = ScalarField.zeros(g)
     u0 = obstacle_oracle(ScalarField.constant(g, 0.5), psi)
@@ -94,27 +94,10 @@ def test_oracle_trivial_branches():
     assert np.allclose(u.values, free, atol=1e-12)
 
 
-def test_oracle_unique_candidate():
-    g = build_grid(1, (0.0, 1.0), 10)
-    rng = np.random.default_rng(7)
-    f = ScalarField(g, rng.uniform(-2.0, 2.0, 10))
-    u = obstacle_oracle(f, ScalarField.zeros(g), require_unique=True)
-    assert complementarity_residual(elliptic_matrix(g), u.values, f.values,
-                                    np.zeros(10)) <= 1e-9
-
-
-def test_oracle_refuses_large_grids():
-    g = build_grid(1, (0.0, 1.0), 17)
-    with pytest.raises(ValueError):
-        obstacle_oracle(ScalarField.zeros(g), ScalarField.zeros(g))
-
-
 @pytest.mark.parametrize("epsilon", [0.0, float("nan"), float("inf")])
 def test_penalized_solvers_reject_a_penalty_that_is_not_positive_and_finite(epsilon):
     g = build_grid(1, (0.0, 1.0), 9)
     tg = build_timegrid(0.5, 2)
-    with pytest.raises(ValueError, match="positive and finite"):
-        solve_obstacle_penalized(ScalarField.constant(g, 1.0), ScalarField.zeros(g), epsilon)
     with pytest.raises(ValueError, match="positive and finite"):
         forward_backward_solve(CostOperator.local_power(g, 1.0, 1.0, ScalarField.zeros(g)),
                                gaussian_density(g), tg, epsilon,
@@ -122,10 +105,11 @@ def test_penalized_solvers_reject_a_penalty_that_is_not_positive_and_finite(epsi
 
 
 def test_penalized_inactive_is_exact_linear_solve():
+    # the penalized reference of oracles.py with no node above psi
     g = build_grid(1, (0.0, 1.0), 8)
     rng = np.random.default_rng(1)
     f = ScalarField(g, -np.abs(rng.normal(size=8)) - 0.1)
-    u = solve_obstacle_penalized(f, ScalarField.zeros(g), 1e-3)
+    u = penalized_obstacle(f, ScalarField.zeros(g), 1e-3)
     free = spla.spsolve(elliptic_matrix(g).tocsc(), f.values)
     assert np.max(np.abs(u.values - free)) <= 1e-11
 
@@ -138,18 +122,19 @@ def test_penalized_monotone_limit():
     u = solve_obstacle_stationary(f, psi)
     gaps = []
     for eps in [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6]:
-        ue = solve_obstacle_penalized(f, psi, eps)
+        ue = penalized_obstacle(f, psi, eps)
         gaps.append(np.max(np.abs(ue.values - u.values)))
     assert all(a >= b for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] <= 1e-6
 
 
 def test_penalized_positive_source_order_eps():
+    # the penalized reference with every node above psi
     g = build_grid(1, (0.0, 1.0), 3)
     psi = ScalarField.zeros(g)
     a = elliptic_matrix(g).toarray()
     for eps in [1e-2, 1e-4]:
-        u = solve_obstacle_penalized(ScalarField.constant(g, 1.0), psi, eps)
+        u = penalized_obstacle(ScalarField.constant(g, 1.0), psi, eps)
         expected = np.linalg.solve(a + np.eye(3) / eps, np.ones(3))
         assert np.allclose(u.values, expected, atol=1e-12)
         assert np.max(np.abs(u.values)) <= eps
@@ -232,27 +217,29 @@ def rcm_half_bandwidth(matrix):
 
 @pytest.mark.parametrize("shape", [(3, 3), (3, obstacle._BAND_MAX + 1)], ids=["band", "wide"])
 def test_singular_matrix_in_2d_obstacle_raises_convergence_error(monkeypatch, shape):
-    # the solve takes -I / eps for A, in its residual and as the base
-    # operator of its Jacobians A + diag((u > psi) / eps); its start,
-    # A^-1 f from the factor of the true A kept before the swap, lies
-    # above the obstacle psi = 0 for f > 0, so the first Jacobian is the
-    # zero matrix, which neither banded Cholesky nor, on the grid wider
+    # the 2D stationary coupled solve takes -I / eps for A in its
+    # residual and as the base operator of its slice blocks
+    # A + diag(d), d the penalty indicator and the exit rate; its start,
+    # from the factor of the true A kept before the swap, has w > 0 for
+    # f > 0, so both blocks of the first step are the zero matrix or
+    # indefinite, which neither banded Cholesky nor, on the grid wider
     # than obstacle._BAND_MAX, _lu_factor (by banded LU, its pattern
-    # being diagonal) factors
+    # being diagonal) factors: the step is NaN and the solve ends short
+    # of its target
     g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), shape)
     n, eps = g.n_total, 1e-3
     negative = sp.csr_matrix(sp.identity(n) * (-1.0 / eps))
     # the factor of the true A stays, its assembler and band storage go
     _shifted_factor(g, 0.0, 1.0)
     base = _base_operator(g, 1.0)
-    monkeypatch.setattr(obstacle, "elliptic_matrix", lambda grid: negative)
     monkeypatch.setattr(base, "assemble", diagonal_update(negative, np.arange(n), np.arange(n)))
     if base.band is not None:
         band = np.zeros(base.band.shape)
         band[-1] = -1.0 / eps
         monkeypatch.setattr(base, "band", band)
-    with pytest.raises(ObstacleConvergenceError, match="residual nan"):
-        solve_obstacle_penalized(ScalarField.constant(g, 1.0), ScalarField.zeros(g), eps)
+    cost = CostOperator.local_power(g, 1.0, 1.0, ScalarField.constant(g, 1.0))
+    with pytest.raises(CoupledNonConvergence, match=r"nan\]"):
+        penalized_coupled_solve(cost, ScalarField.constant(g, 1.0), eps)
 
 
 def wide_grid():
@@ -1369,11 +1356,13 @@ def test_fine_grid_obstacle_gate_scales_with_the_operator(n):
 
 
 def test_parabolic_zero_when_source_nonnegative():
+    # the parabolic reference of oracles.py, against which
+    # test_control.py judges the controlled solve with H = 0
     g = build_grid(1, (0.0, 1.0), 9)
     tg = build_timegrid(1.0, 20)
     f = FieldTrajectory.constant(g, tg, 0.3)
     psi = FieldTrajectory.constant(g, tg, 0.0)
-    u = solve_obstacle_parabolic(f, psi, ScalarField.zeros(g), tg)
+    u = parabolic_obstacle(f, psi)
     assert np.max(np.abs(u.array())) <= 1e-10
 
 
@@ -1384,7 +1373,7 @@ def test_parabolic_long_horizon_approaches_stationary():
     tg = build_timegrid(5.0, 100)
     f = FieldTrajectory.constant(g, tg, -0.7)
     psi = FieldTrajectory.constant(g, tg, 0.0)
-    u = solve_obstacle_parabolic(f, psi, ScalarField.zeros(g), tg)
+    u = parabolic_obstacle(f, psi)
     a0 = elliptic_matrix(g, with_zero_order=False)
     assert complementarity_residual(a0, u.array()[0], f.array()[0], psi.array()[0]) <= 1e-6
 
@@ -1398,21 +1387,12 @@ def test_parabolic_slice0_cauchy_in_dt():
         tg = build_timegrid(0.5, n_steps)
         f = FieldTrajectory(g, tg, np.tile(fvals, (n_steps + 1, 1)))
         psi = FieldTrajectory.constant(g, tg, 0.0)
-        return solve_obstacle_parabolic(f, psi, ScalarField.zeros(g), tg).array()[0]
+        return parabolic_obstacle(f, psi).array()[0]
 
     u1, u2, u4 = solve(10), solve(20), solve(40)
     gap12 = np.max(np.abs(u1 - u2))
     gap24 = np.max(np.abs(u2 - u4))
     assert gap24 <= 0.75 * gap12  # first-order stepping contracts the gaps
-
-
-def test_parabolic_rejects_bad_terminal():
-    g = build_grid(1, (0.0, 1.0), 5)
-    tg = build_timegrid(1.0, 4)
-    f = FieldTrajectory.constant(g, tg, 0.0)
-    psi = FieldTrajectory.constant(g, tg, 0.0)
-    with pytest.raises(ValueError):
-        solve_obstacle_parabolic(f, psi, ScalarField.constant(g, 1e-6), tg)
 
 
 def test_converged_solution_satisfies_complementarity_bounds():

@@ -15,7 +15,7 @@ from mfgstop import density, stationary
 from mfgstop.control import Hamiltonian, control_objective
 from mfgstop.costs import CostOperator
 from mfgstop.density import FaceVelocities, KillingData, solve_density_parabolic
-from mfgstop.evolutive import ObstacleOperator, apply_obstacle_operator
+from mfgstop.evolutive import ObstacleOperator
 from mfgstop.grid import (
     FieldTrajectory,
     NodeMask,
@@ -24,7 +24,6 @@ from mfgstop.grid import (
     build_timegrid,
     coarsen,
 )
-from mfgstop.obstacle import obstacle_oracle
 from mfgstop.scenarios import gaussian_density, raised_cosine_bump
 from mfgstop.stationary import continuation_solve, variational_minimize
 
@@ -41,12 +40,6 @@ def on(grid, value=0.5):
 
 def local_cost(grid):
     return CostOperator.local_power(grid, 1.0, 1.0, on(grid, -0.5))
-
-
-def test_obstacle_oracle():
-    obstacle_oracle(on(GRID, 1.0), on(GRID, 0.0))
-    with pytest.raises(ValueError, match=MISMATCH):
-        obstacle_oracle(on(GRID, 1.0), on(OTHER, 0.0))
 
 
 @pytest.mark.parametrize("moved", [None, "killing", "drift"])
@@ -81,19 +74,7 @@ OPERATORS = {
 
 
 @pytest.mark.parametrize("moved", list(OPERATORS))
-def test_apply_obstacle_operator(moved):
-    m = FieldTrajectory.constant(GRID, TG, 0.1)
-    if moved is None:
-        psi, g = apply_obstacle_operator(OPERATORS[moved](), m)
-        assert psi.grid == g.grid == GRID
-        return
-    with pytest.raises(ValueError, match=MISMATCH):
-        apply_obstacle_operator(OPERATORS[moved](), m)
-
-
-@pytest.mark.parametrize("moved", list(OPERATORS))
 def test_obstacle_operator_apply_arrays(moved):
-    # the arrays method, called without apply_obstacle_operator's check
     m_arr = FieldTrajectory.constant(GRID, TG, 0.1).array()
     if moved is None:
         psi_arr, g_arr = OPERATORS[moved]().apply_arrays(GRID, TG, m_arr)

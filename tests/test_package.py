@@ -1,16 +1,26 @@
-"""Static checks of the package, read from the sources with ast: every
-__all__ entry resolves and has a caller, every defaulted parameter of
-an exported callable is passed by a program call, the package __init__
-imports only names its modules export, no module imports a name it
-never uses or scipy.optimize, every grid comparison is the one grid
-check, only the Hamiltonian tells its kinds apart, every direct solve
-goes through the one factorization entry point, only obstacle keeps
-the base operators B = -lap + I/dt and only three solves outside it
-factor by LU, the Hamiltonian data of the controlled system has one
-source, no Newton system or verifier
-builds a drift matrix, every verifier takes its residuals from the one
-residual core, and every coupled Newton solve runs in the one penalty
-stage."""
+"""Static checks of the package and its test oracles, read from the
+sources with ast:
+
+- every __all__ entry resolves and has a caller in a program file (the
+  package modules but __init__, the demos and the perfbench harness but
+  its tests), and so does every public method and property of an
+  exported class;
+- every defaulted parameter of an exported callable is passed by a
+  program call, but for an allowlist naming the test that needs each;
+- the package __init__ imports only names its modules export, and no
+  module imports a name it never uses or scipy.optimize;
+- every grid comparison is the one grid check, and only the
+  Hamiltonian tells its kinds apart;
+- every direct solve goes through the factor functions of obstacle,
+  only obstacle keeps the base operators B = -lap + I/dt, and only
+  three solves outside it factor by LU;
+- the Hamiltonian data of the controlled system has one source, and no
+  Newton system or verifier builds a drift matrix;
+- every verifier takes its residuals from the one residual core, and
+  every coupled Newton solve runs in the one penalty stage;
+- tests/oracles.py takes from the package only the grid's data types
+  and builders.
+"""
 
 import ast
 import importlib
@@ -46,37 +56,62 @@ def test_every_exported_name_resolves(module):
     assert missing == []
 
 
-def test_every_exported_name_has_a_caller():
-    # a use is a name or an attribute read anywhere in src/, tests/ or
-    # demos/; the def, the __all__ string and the imports are not uses
+def _uses(tree: ast.AST) -> set[str]:
+    """Every name read as a name or an attribute below tree, but within
+    a def or class of that same name (its own definition)."""
+    found = set()
+
+    def visit(node, owners):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owners = owners | {node.name}
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if name is not None and name not in owners:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owners)
+
+    visit(tree, frozenset())
+    return found
+
+
+def _program_files():
+    """The program's sources: the package modules but __init__, the
+    demos, and the perfbench harness but its tests."""
     root = PACKAGE.parent.parent
+    return [*(PACKAGE / f"{module}.py" for module in MODULES), *(root / "demos").glob("*.py"),
+            *(path for path in (root / "perfbench").glob("*.py")
+              if path.name != "test_perfbench.py")]
+
+
+def test_every_exported_name_has_a_caller():
+    # a use is a name or an attribute read in a program file outside the
+    # name's own definition; the __all__ strings, the imports and the
+    # tests are not uses. The public methods and properties of an
+    # exported class are held to the same rule
     used = set()
-    for path in [*PACKAGE.glob("*.py"), *(root / "tests").glob("*.py"),
-                 *(root / "demos").glob("*.py")]:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    uncalled = [f"{module}.{name}" for module in MODULES + ["__init__"]
-                for name in _exports(_tree(module)) if name not in used]
+    for path in _program_files():
+        used |= _uses(ast.parse(path.read_text(encoding="utf-8")))
+    uncalled = []
+    for module in MODULES:
+        mod = importlib.import_module(f"mfgstop.{module}")
+        for name in _exports(_tree(module)):
+            obj = getattr(mod, name)
+            members = [(name, name)]
+            if inspect.isclass(obj):
+                members += [(f"{name}.{attr}", attr) for attr, value in vars(obj).items()
+                            if not attr.startswith("_") and (
+                                isinstance(value, property)
+                                or inspect.isfunction(getattr(value, "__func__", value)))]
+            uncalled += [f"{module}.{member}" for member, use in members if use not in used]
     assert uncalled == []
 
 
 # defaulted parameters that no program call passes, each kept for the
 # test named
 UNPASSED_DEFAULTS = {
-    "obstacle.obstacle_oracle(require_unique)": "test_obstacle.py::test_oracle_unique_candidate",
     "control.cosmfg_coupled_solve(m_traj_init)":
         "test_acceptance.py::test_c06_uniqueness_under_strict_monotonicity",
-    # kept to mirror stationary.uniqueness_probe, whose n_starts, seed and
-    # eps_schedule a demo sets
-    "evolutive.evolutive_uniqueness_probe(n_starts)":
-        "test_acceptance.py::test_c06_uniqueness_under_strict_monotonicity",
-    "evolutive.evolutive_uniqueness_probe(seed)":
-        "test_evolutive.py::test_evolutive_uniqueness_probe_deterministic",
-    "evolutive.evolutive_uniqueness_probe(eps_schedule)":
-        "test_evolutive.py::test_evolutive_uniqueness_probe_deterministic",
 }
 
 
@@ -116,13 +151,11 @@ def _passes(call: ast.Call, position: int, param) -> bool:
 
 
 def test_every_defaulted_parameter_is_passed_by_a_program_call():
-    # a call is one in src/, demos/ or perfbench/ by the callable's name,
-    # as a name or an attribute; a default that no program call passes
-    # is a setting with one value in use
-    root = PACKAGE.parent.parent
+    # a call is one in a program file by the callable's name, as a name
+    # or an attribute; a default that no program call passes is a
+    # setting with one value in use
     calls = {}
-    for path in [*PACKAGE.glob("*.py"), *(root / "demos").glob("*.py"),
-                 *(root / "perfbench").glob("*.py")]:
+    for path in _program_files():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call):
                 func = node.func
@@ -225,14 +258,12 @@ def test_no_module_imports_scipy_optimize():
 
 # the direct solvers of numpy and scipy, and the functions that may call
 # them: the SuperLU call and the banded LU behind obstacle._lu_factor, the
-# banded Cholesky of the shifted operators, the ordering of a pattern,
-# and the dense solves of the brute-force oracle
+# banded Cholesky of the shifted operators and the ordering of a pattern
 DIRECT_SOLVERS = {"splu", "spilu", "spsolve", "factorized", "solve_banded", "solveh_banded",
                   "cholesky_banded", "cho_solve_banded", "dpbtrf", "dpbtrs", "dgbtrf",
                   "dgbtrs", "inv"}
 FACTORING_FUNCTIONS = {"obstacle._splu_factor", "obstacle._band_lu_factor",
-                       "obstacle._band_factor", "obstacle._elimination_order",
-                       "obstacle.obstacle_oracle"}
+                       "obstacle._band_factor", "obstacle._elimination_order"}
 
 
 def _direct_solves(node, module, scope=None):
@@ -375,3 +406,22 @@ def test_every_coupled_newton_runs_in_the_one_penalized_stage():
     for name in STAGE_SOLVERS:
         assert not list(_references(functions[name], name, {"semismooth_newton"})), name
         assert list(_references(functions[name], name, {"_penalized_stage"})), name
+
+
+# what tests/oracles.py may import from the package: the grid's data
+# types and builders, so that no reference shares the assembly or the
+# factorizations of the solves it judges
+ORACLE_IMPORTS = {f"mfgstop.grid.{name}" for name in (
+    "Grid", "TimeGrid", "ScalarField", "FieldTrajectory", "NodeMask", "build_grid",
+    "build_timegrid")}
+
+
+def test_the_oracles_import_only_the_grid_data_types_and_builders():
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            taken |= {alias.name for alias in node.names if alias.name.split(".")[0] == "mfgstop"}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mfgstop":
+            taken |= {f"{node.module}.{alias.name}" for alias in node.names}
+    assert taken and taken <= ORACLE_IMPORTS, taken

@@ -2,9 +2,9 @@
 
 The reference shares no code with the package's residual core: it
 applies the 3-point (1D) / 5-point (2D) stencil of -lap with zero
-Dirichlet values outside node by node, evaluates the costs and the
-obstacles from their formulas, and sums the pairings over slices and
-nodes in Python loops. The candidates are seeded random pairs with
+Dirichlet values outside node by node (oracles.neg_laplacian),
+evaluates the costs and the obstacles from their formulas, and sums
+the pairings over slices and nodes in Python loops. The candidates are seeded random pairs with
 some nodes in contact, so that no residual is zero.
 """
 
@@ -16,6 +16,7 @@ from mfgstop.costs import CostOperator
 from mfgstop.evolutive import ObstacleOperator, verify_mixed_evolutive
 from mfgstop.grid import FieldTrajectory, ScalarField, build_grid, build_timegrid
 from mfgstop.stationary import verify_mixed
+from oracles import neg_laplacian, operator
 
 GRIDS = {"1d": (15,), "2d": (7, 7)}
 DELTA_C = 1e-3
@@ -25,22 +26,6 @@ TOL = {"rel": 1e-12, "abs": 1e-12}
 def make_grid(shape, upper=1.0):
     dim = len(shape)
     return build_grid(dim, [(0.0, upper)] * dim, list(shape))
-
-
-def neg_laplacian(shape, spacing, v):
-    """-lap v, node by node on the 3/5-point stencil, zero outside."""
-    index = np.arange(int(np.prod(shape))).reshape(shape)
-    out = np.zeros(len(v))
-    for node in np.ndindex(*shape):
-        total = 0.0
-        for axis, h in enumerate(spacing):
-            for step in (-1, 1):
-                near = list(node)
-                near[axis] += step
-                outside = not 0 <= near[axis] < shape[axis]
-                total += (v[index[node]] - (0.0 if outside else v[index[tuple(near)]])) / h**2
-        out[index[node]] = total
-    return out
 
 
 def pairing(a, b, volume):
@@ -199,12 +184,10 @@ def test_stationary_verifier_matches_the_reference(shape, local, with_psi):
     assert report.delta_c == DELTA_C
 
 
-def backward_heat(shape, spacing, dt, g):
+def backward_heat(grid, dt, g):
     """psi_K = 0 and (psi_k - psi_{k+1})/dt - lap psi_k = -g_k, by dense
     solves of the stencil's matrix."""
-    n = g.shape[1]
-    matrix = np.column_stack([neg_laplacian(shape, spacing, e) for e in np.eye(n)])
-    matrix += np.eye(n) / dt
+    matrix = operator(grid, 1.0 / dt)
     psi = np.zeros_like(g)
     for k in range(len(g) - 2, -1, -1):
         psi[k] = np.linalg.solve(matrix, psi[k + 1] / dt - g[k])
@@ -225,7 +208,7 @@ def test_evolutive_verifier_matches_the_reference(shape, obstacle):
     if obstacle == "heat_from_g":
         g_spec = {"kind": "local_power", "a": 0.5, "p": 1.0, "f0": rng.uniform(-0.5, 0.5, n)}
         g = np.stack([cost_of(g_spec, m_k, grid.cell_volume) for m_k in m])
-        psi = backward_heat(shape, spacing, dt, g)
+        psi = backward_heat(grid, dt, g)
         op = ObstacleOperator.heat_source(cost_operator(grid, g_spec))
     else:
         psi = rng.uniform(-0.3, 0.3, (k_steps + 1, n))
