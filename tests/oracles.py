@@ -50,11 +50,11 @@ def _pinned(matrix, f, psi, active):
     return u
 
 
-def obstacle_oracle(source, obstacle):
-    """The solution of min(psi - u, f - A u) = 0, A = -lap + id, by
-    trying every active set of at most 16 nodes: the first u that passes
-    the complementarity test, u <= psi and A u - f <= 0 on the active
-    set, both to 1e-9."""
+def obstacle_candidates(source, obstacle):
+    """Every u of min(psi - u, f - A u) = 0, A = -lap + id, found by
+    trying every active set of at most 16 nodes: each u that passes the
+    complementarity test, u <= psi and A u - f <= 0 on the active set,
+    both to 1e-9, in the order of the sets."""
     grid = source.grid
     n = grid.n_total
     assert n <= 16, "the oracle tries all 2^n active sets"
@@ -63,7 +63,13 @@ def obstacle_oracle(source, obstacle):
         active = (bits >> np.arange(n)) & 1 == 1
         u = _pinned(a, f, psi, active)
         if not (np.any(u > psi + 1e-9) or np.any((a @ u - f)[active] > 1e-9)):
-            return ScalarField(grid, u)
+            yield ScalarField(grid, u)
+
+
+def obstacle_oracle(source, obstacle):
+    """The first of obstacle_candidates."""
+    for u in obstacle_candidates(source, obstacle):
+        return u
     raise AssertionError("no active set passes the complementarity test")
 
 

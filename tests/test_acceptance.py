@@ -8,7 +8,6 @@ here, none deferred to runtime configuration.
 import time
 
 import numpy as np
-import pytest
 
 from mfgstop._coupled import forward_backward_solve
 from mfgstop.control import (
@@ -17,7 +16,6 @@ from mfgstop.control import (
     cosmfg_coupled_solve,
     face_drift,
 )
-from mfgstop.costs import CostOperator
 from mfgstop.density import (
     FaceVelocities,
     KillingData,
@@ -29,14 +27,12 @@ from mfgstop.grid import NodeMask, ScalarField, build_grid, inner
 from mfgstop.obstacle import solve_obstacle_stationary
 from mfgstop.scenarios import (
     raised_cosine_bump,
-    run_scenario_evidence,
     scenario_nonexistence,
     scenario_nonuniqueness,
     scenario_standard,
 )
 from mfgstop.stationary import (
     continuation_solve,
-    default_eps_schedule,
     monotone_iteration_solve,
     penalty_continuation,
     uniqueness_probe,

@@ -14,7 +14,7 @@ from mfgstop.control import (
 )
 from mfgstop.costs import CostOperator
 from mfgstop.density import FaceVelocities, solve_density_parabolic
-from mfgstop.evolutive import ObstacleOperator, osmfg_continuation, verify_mixed_evolutive
+from mfgstop.evolutive import ObstacleOperator, verify_mixed_evolutive
 from mfgstop.grid import (
     FieldTrajectory,
     ScalarField,

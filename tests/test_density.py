@@ -18,8 +18,8 @@ from mfgstop.grid import (
     build_grid,
     build_timegrid,
     elliptic_matrix,
-    inner,
 )
+from mfgstop.obstacle import _shifted_factor
 from mfgstop.scenarios import raised_cosine_bump
 from oracles import killed_density, operator
 
@@ -173,6 +173,30 @@ def test_zero_drift_matches_heat_flow():
     plain = solve_density_parabolic(m0, None, tg)
     drifted = solve_density_parabolic(m0, None, tg, FaceVelocities.zeros(g))
     assert np.array_equal(plain.array(), drifted.array())
+
+
+def test_zero_alpha_kills_nothing():
+    # alpha = 0 on every node gives a zero rate: the heat flow, bitwise
+    g = build_grid(1, (0.0, 1.0), 15)
+    tg = build_timegrid(0.5, 20)
+    m0 = raised_cosine_bump(g)
+    kd = KillingData(ScalarField.zeros(g), NodeMask.all(g), 1e-6)
+    assert not np.any(kd.rate())
+    plain = solve_density_parabolic(m0, None, tg)
+    assert np.array_equal(solve_density_parabolic(m0, kd, tg).array(), plain.array())
+
+
+def test_killed_density_factors_once_by_cholesky(lu_factors, band_factors):
+    # the stationary killed density (A + diag(rate)) m = rho on 31x31, as
+    # the dt = 1 shifted operator: one banded Cholesky factor and no LU
+    g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (31, 31))
+    x = g.coordinates()[:, 0]
+    kd = KillingData(ScalarField.constant(g, 1.0), NodeMask(g, x > 0.6), 1e-3)
+    rho = raised_cosine_bump(g)
+    m = _shifted_factor(g, kd.rate(), 1.0)(rho.values)
+    assert lu_factors == [] and len(band_factors) == 1
+    a = elliptic_matrix(g) + sp.diags(kd.rate())
+    assert np.max(np.abs(a @ m - rho.values)) <= 1e-10 * np.max(rho.values)
 
 
 @pytest.mark.parametrize("killing", [False, True], ids=["heat", "constant_killing"])

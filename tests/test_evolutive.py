@@ -115,6 +115,26 @@ def test_constant_zero_obstacle_has_zero_source(setup):
     assert np.max(np.abs(g_psi)) == 0.0
 
 
+def test_scaled_start_continuation_is_deterministic(setup):
+    # the evolutive uniqueness probe of C06 compares continuations from
+    # scaled starts; one start must give one trajectory, bitwise
+    grid, tg, m0 = setup
+    cost = CostOperator.local_power(grid, 1.0, 1.0, ScalarField.constant(grid, -0.5))
+    op = ObstacleOperator.zero(grid, tg)
+    init = np.tile(m0.values, (tg.n_steps + 1, 1)) * 1.5
+    init[0] = m0.values
+
+    def solve():
+        def stage(eps, warm, strict):
+            return forward_backward_solve(cost, m0, tg, eps, obstacle_op=op, m_traj_init=init,
+                                          warm=warm, strict=strict)
+
+        return penalty_continuation(stage, lambda sol: None,
+                                    default_eps_schedule(stages=5))[0].m.array()
+
+    assert np.array_equal(solve(), solve())
+
+
 def test_obstacle_operator_validation(setup):
     grid, tg, _ = setup
     with pytest.raises(ValueError):

@@ -85,6 +85,15 @@ def test_operator_2d_matches_dense():
     assert np.allclose(elliptic_matrix(g, False).toarray(), operator(g, 0.0))
 
 
+def test_elliptic_stencil_values():
+    # 3 nodes on (0, 1): h = 1/4, so A e_1 = (-1/h^2, 2/h^2 + 1, -1/h^2),
+    # from the package's matrix and from the test stencil alike
+    g = build_grid(1, (0.0, 1.0), 3)
+    e1 = np.array([0.0, 1.0, 0.0])
+    assert np.allclose(elliptic_matrix(g) @ e1, [-16.0, 33.0, -16.0])
+    assert np.allclose(operator(g) @ e1, [-16.0, 33.0, -16.0])
+
+
 def test_inner_quadrature_and_symmetry():
     g = build_grid(1, (0.0, 1.0), 3)
     one = ScalarField.constant(g, 1.0)

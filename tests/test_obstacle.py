@@ -39,7 +39,12 @@ from mfgstop.obstacle import (
     solve_obstacle_stationary,
 )
 from mfgstop.scenarios import gaussian_density, raised_cosine_bump
-from oracles import obstacle_oracle, parabolic_obstacle, penalized_obstacle
+from oracles import (
+    obstacle_candidates,
+    obstacle_oracle,
+    parabolic_obstacle,
+    penalized_obstacle,
+)
 from mfgstop.stationary import (
     CoupledNonConvergence,
     continuation_solve,
@@ -92,6 +97,24 @@ def test_oracle_trivial_branches():
     u = obstacle_oracle(f, psi)
     free = spla.spsolve(elliptic_matrix(g).tocsc(), f.values)
     assert np.allclose(u.values, free, atol=1e-12)
+
+
+def test_oracle_refuses_large_grids():
+    g = build_grid(1, (0.0, 1.0), 17)
+    with pytest.raises(AssertionError, match="2\\^n active sets"):
+        obstacle_oracle(ScalarField.zeros(g), ScalarField.zeros(g))
+
+
+def test_oracle_unique_candidate():
+    # on the M-matrix A every active set that passes the test gives the
+    # one solution, which the package's residual accepts
+    g = build_grid(1, (0.0, 1.0), 10)
+    rng = np.random.default_rng(7)
+    f = ScalarField(g, rng.uniform(-2.0, 2.0, 10))
+    u, *others = obstacle_candidates(f, ScalarField.zeros(g))
+    assert all(np.max(np.abs(v.values - u.values)) <= 1e-9 for v in others)
+    assert complementarity_residual(elliptic_matrix(g), u.values, f.values,
+                                    np.zeros(10)) <= 1e-9
 
 
 @pytest.mark.parametrize("epsilon", [0.0, float("nan"), float("inf")])

@@ -15,7 +15,7 @@ from mfgstop import density, stationary
 from mfgstop.control import Hamiltonian, control_objective
 from mfgstop.costs import CostOperator
 from mfgstop.density import FaceVelocities, KillingData, solve_density_parabolic
-from mfgstop.evolutive import ObstacleOperator
+from mfgstop.evolutive import ObstacleOperator, verify_mixed_evolutive
 from mfgstop.grid import (
     FieldTrajectory,
     NodeMask,
@@ -24,6 +24,7 @@ from mfgstop.grid import (
     build_timegrid,
     coarsen,
 )
+from mfgstop.obstacle import solve_obstacle_stationary
 from mfgstop.scenarios import gaussian_density, raised_cosine_bump
 from mfgstop.stationary import continuation_solve, variational_minimize
 
@@ -82,6 +83,23 @@ def test_obstacle_operator_apply_arrays(moved):
         return
     with pytest.raises(ValueError, match=MISMATCH):
         OPERATORS[moved]().apply_arrays(GRID, TG, m_arr)
+
+
+@pytest.mark.parametrize("moved", list(OPERATORS))
+def test_verify_mixed_evolutive(moved):
+    u, m = FieldTrajectory.constant(GRID, TG, 0.0), FieldTrajectory.constant(GRID, TG, 0.1)
+    if moved is None:
+        report = verify_mixed_evolutive(u, m, local_cost(GRID), OPERATORS[moved](), on(GRID))
+        assert report.grid == GRID.metadata()
+        return
+    with pytest.raises(ValueError, match=MISMATCH):
+        verify_mixed_evolutive(u, m, local_cost(GRID), OPERATORS[moved](), on(GRID))
+
+
+def test_solve_obstacle_stationary():
+    assert solve_obstacle_stationary(on(GRID, 1.0), on(GRID, 0.0)).grid == GRID
+    with pytest.raises(ValueError, match=MISMATCH):
+        solve_obstacle_stationary(on(GRID, 1.0), on(OTHER, 0.0))
 
 
 @pytest.mark.parametrize("moved", [None, "drift", "potential", "hamiltonian", "timegrid"])

@@ -7,8 +7,9 @@ sources with ast:
   exported class;
 - every defaulted parameter of an exported callable is passed by a
   program call, but for an allowlist naming the test that needs each;
-- the package __init__ imports only names its modules export, and no
-  module imports a name it never uses or scipy.optimize;
+- the package __init__ imports only names its modules export, no
+  module imports a name it never uses or scipy.optimize, and no test
+  file imports a name it never uses;
 - every grid comparison is the one grid check, and only the
   Hamiltonian tells its kinds apart;
 - every direct solve goes through the factor functions of obstacle,
@@ -181,9 +182,8 @@ def test_package_imports_only_exported_names():
     assert unexported == []
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_no_unused_import(module):
-    tree = _tree(module)
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """The names tree imports and never reads, but for its __all__."""
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -191,7 +191,18 @@ def test_no_unused_import(module):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(alias.asname or alias.name for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    assert sorted(imported - used - set(_exports(tree))) == []
+    return sorted(imported - used - set(_exports(tree)))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_import(module):
+    assert _unused_imports(_tree(module)) == []
+
+
+def test_no_test_file_imports_a_name_it_never_uses():
+    unused = {path.name: _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+              for path in sorted(Path(__file__).parent.glob("*.py"))}
+    assert {name: names for name, names in unused.items() if names} == {}
 
 
 def _comparisons(node, module, matches, scope=None):

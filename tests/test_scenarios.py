@@ -5,7 +5,6 @@ from mfgstop import scenarios
 from mfgstop.grid import ScalarField
 from mfgstop.scenarios import (
     STANDARD_NAMES,
-    raised_cosine_bump,
     scenario_nonexistence,
     scenario_nonuniqueness,
     scenario_obstacle_nonuniqueness,

@@ -287,6 +287,15 @@ def test_duality_identity_on_converged_solution(grid, rho):
         assert reports[-1].report.r_duality <= 1e-6
 
 
+def test_subsolution_trivial_and_violating(grid, rho):
+    # A m <= rho holds for m = 0 and fails by rho for m = 2 A^-1 rho
+    cost, zero = local_cost(grid, -0.5), ScalarField.zeros(grid)
+    assert verify_mixed(zero, zero, cost, rho).r_subsolution == 0.0
+    m_big = ScalarField(grid, 2.0 * np.linalg.solve(operator(grid), rho.values))
+    slack = verify_mixed(zero, m_big, cost, rho).r_subsolution
+    assert abs(slack - np.max(rho.values)) <= 1e-9 * np.max(rho.values)
+
+
 def test_uniqueness_probe_determinism(grid, rho):
     cost = local_cost(grid, -0.5)
     gap1 = uniqueness_probe(cost, rho, n_starts=3, seed=11)
