@@ -37,7 +37,10 @@ coupling is eliminated through the density Schur complement
 (_schur_step), as in the iterative strategies of Achdou and
 Perez for linearized discrete MFG systems (Netw. Heterog. Media 7(2),
 2012); the stationary step is the one-slice case of the same solve.
-1D grids and the controlled system factor the whole Jacobian.
+The Schur complement is solved by the module's own restarted GMRES
+(_gmres), whose last operator apply leaves the density step and the
+value correction of the Newton step behind. 1D grids and the
+controlled system factor the whole Jacobian.
 
 Discrete pairing conventions (they close the duality identity exactly,
 see the verifiers): the value equation at slice k uses source f(m_k)
@@ -70,11 +73,11 @@ every stage solver before its first Newton step.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .costs import CostOperator
 from .grid import (
@@ -213,37 +216,89 @@ def _whole_step(jac, rhs):
     return _lu_solve(jac.matrix(), rhs)
 
 
+def _gmres(apply, b):
+    """x with |b - apply(x)| <= 1e-13 |b| by GMRES from x = 0, or None.
+
+    Up to two cycles of 50 Arnoldi steps, the second restarted from the
+    first's iterate. Each Arnoldi step orthogonalizes apply(v) against
+    the kept basis rows by classical Gram-Schmidt done twice; Givens
+    rotations on Python floats reduce the Hessenberg column, and a cycle
+    ends when the rotated residual is at most the tolerance (a happy
+    breakdown among them) or after 50 steps, by back substitution on
+    the triangle and the true residual b - apply(x). So the last call
+    of apply is at the returned x. None if both cycles miss, and at once
+    if a norm is not finite or a rotated column vanishes. b is nonzero.
+    """
+    norm = np.linalg.norm(b)
+    tol = 1e-13 * norm
+    x, r = np.zeros_like(b), b
+    for _cycle in range(2):
+        basis = np.empty((51, len(b)))
+        basis[0] = r / norm
+        rhs, rotations, columns = [float(norm)], [], []
+        for j in range(50):
+            w = apply(basis[j])
+            h = basis[:j + 1] @ w
+            w = w - h @ basis[:j + 1]
+            h2 = basis[:j + 1] @ w
+            w -= h2 @ basis[:j + 1]
+            h_next = float(np.linalg.norm(w))
+            col = (h + h2).tolist()
+            for i, (c, s) in enumerate(rotations):
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            d = math.hypot(col[j], h_next)
+            if not 0.0 < d < math.inf:
+                return None
+            c, s = col[j] / d, h_next / d
+            rotations.append((c, s))
+            columns.append(col[:j] + [d])
+            rhs[j:] = c * rhs[j], -s * rhs[j]
+            if abs(rhs[j + 1]) <= tol:
+                break
+            basis[j + 1] = w / h_next
+        y = rhs[:len(columns)]
+        for i in range(len(y) - 1, -1, -1):
+            y[i] = (y[i] - sum(columns[k][i] * y[k] for k in range(i + 1, len(y)))) / columns[i][i]
+        x = x + np.asarray(y) @ basis[:len(y)]
+        r = b - apply(x)
+        norm = np.linalg.norm(r)
+        if norm <= tol:
+            return x
+        if not np.isfinite(norm):
+            return None
+    return None
+
+
 def _schur_step(solve_u, solve_m, slope, apply_f, r_u, r_m, fallback):
     """Newton step (du, dm) of a block system [[Ju, F], [S, Jm]] with
     S = diag(slope), from the solves of its diagonal blocks.
 
     With du = Ju^-1 (r_u - F dm), dm solves the Schur complement
-    (Jm - S Ju^-1 F) dm = r_m - S Ju^-1 r_u. GMRES solves it right-
+    (Jm - S Ju^-1 F) dm = r_m - S Ju^-1 r_u. _gmres solves it right-
     preconditioned by Jm, dm = Jm^-1 y, where the operator
     y -> y - S Ju^-1 F Jm^-1 y is the identity plus a matrix of rank at
-    most the number of nonzeros of slope; without them it is the
-    identity and GMRES is not called. GMRES runs to rtol 1e-13 in up to
-    two cycles of 50 iterations, the second restarted from the first's
-    iterate: scipy's gmres returns a miss, without a further cycle, when
-    a happy breakdown leaves the true residual just above rtol. If both
-    cycles miss, the step is fallback().
+    most the number of nonzeros of slope. Each apply of the operator
+    keeps dm = Jm^-1 y and z = Ju^-1 F dm, and the last apply of _gmres
+    is at the y it returns, so the step is (Ju^-1 r_u - z, dm) with no
+    further sweep. Without nonzeros of slope, or at y = 0, the step is
+    one apply at y and _gmres is not called. If _gmres returns None,
+    the step is fallback().
     """
-    y = r_m - slope * solve_u(r_u)
-    if np.any(slope):
-        n = len(y)
-        schur = spla.LinearOperator(
-            (n, n), matvec=lambda v: v - slope * solve_u(apply_f(solve_m(v))), dtype=float)
-        start = None
-        for _cycle in range(2):
-            start, info = spla.gmres(schur, y, x0=start, rtol=1e-13, atol=0.0, restart=50,
-                                     maxiter=1)
-            if info == 0:
-                break
-        else:
-            return fallback()
-        y = start
-    dm = solve_m(y)
-    return solve_u(r_u - apply_f(dm)), dm
+    u_r = solve_u(r_u)
+    kept = []
+
+    def schur(y):
+        dm = solve_m(y)
+        kept[:] = dm, solve_u(apply_f(dm))
+        return y - slope * kept[1]
+
+    y = r_m - slope * u_r
+    if not (np.any(slope) and np.any(y)):
+        schur(y)
+    elif _gmres(schur, y) is None:
+        return fallback()
+    dm, z = kept
+    return u_r - z, dm
 
 
 def _ramp(s):
@@ -616,8 +671,9 @@ def _frozen_system(cost, g_cost, g_arr, hamiltonian, grid, m0_vals, dt, epsilon,
     nonlocal cost eliminates ds = r_s + <w, dm> first, so
     F dm = -c1 <w, dm> 1 and r_u gains c1 r_s. Slice blocks are factored
     by obstacle._shifted_factor, the blocks with d = 0 sharing the
-    factor of B kept per (grid, dt). On a GMRES miss, on 1D grids and
-    with a Hamiltonian, the step is the LU of the whole Jacobian.
+    factor of B kept per (grid, dt). Where _gmres returns None, on 1D
+    grids and with a Hamiltonian, the step is the LU of the whole
+    Jacobian.
     """
     n = grid.n_total
     k_steps = len(g_arr)

@@ -1107,25 +1107,25 @@ def test_stationary_block_solve_matches_the_whole_jacobian(monkeypatch, local, b
     uv = band_offsets(rng, n, band) if band_nodes else band * rng.choice([-3.0, 3.0], size=n)
     mv = rng.choice([-0.2, 0.0, 0.3, 1.1], size=n)
     _, x, (_, jacobian, solve, _), oracle = stationary_system(g, local, eps, band, uv, mv)
-    gmres, calls = spla.gmres, []
+    gmres, calls = _coupled._gmres, []
 
-    def recording_gmres(*args, **kwargs):
-        calls.append(gmres(*args, **kwargs))
+    def recording_gmres(*args):
+        calls.append(gmres(*args))
         return calls[-1]
 
-    monkeypatch.setattr(spla, "gmres", recording_gmres)
+    monkeypatch.setattr(_coupled, "_gmres", recording_gmres)
     monkeypatch.setattr(sp, "bmat", None)
     assert np.any(np.abs(uv) < band) == band_nodes
     rhs = rng.normal(size=len(x))
     expected = spla.spsolve(oracle, rhs)
     step = solve(jacobian(x), rhs)
     assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))
-    assert len(calls) == band_nodes and all(info == 0 for _, info in calls)
+    assert len(calls) == band_nodes and all(y is not None for y in calls)
 
 
 @pytest.mark.parametrize("local", [True, False], ids=["local", "nonlocal"])
 def test_stationary_block_solve_falls_back_on_a_gmres_miss(monkeypatch, lu_factors, local):
-    # a GMRES that reports a miss: the step is the LU solve of the whole
+    # a _gmres that returns None: the step is the LU solve of the whole
     # Jacobian, on the assembler kept for its structure (by banded LU
     # for a local cost; the dense border of a nonlocal one takes SuperLU)
     g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (9, 9))
@@ -1134,7 +1134,7 @@ def test_stationary_block_solve_falls_back_on_a_gmres_miss(monkeypatch, lu_facto
     uv = band_offsets(rng, n, band)
     mv = rng.choice([-0.2, 0.0, 0.3, 1.1], size=n)
     _, x, (_, jacobian, solve, _), oracle = stationary_system(g, local, eps, band, uv, mv)
-    monkeypatch.setattr(spla, "gmres", lambda op, b, **kwargs: (np.zeros_like(b), 50))
+    monkeypatch.setattr(_coupled, "_gmres", lambda apply, b: None)
     rhs = rng.normal(size=len(x))
     expected = spla.spsolve(oracle, rhs)
     step = solve(jacobian(x), rhs)
@@ -1142,36 +1142,99 @@ def test_stationary_block_solve_falls_back_on_a_gmres_miss(monkeypatch, lu_facto
     assert lu_factors == [("band" if local else "superlu", len(x))]
 
 
-def test_stationary_block_solve_restarts_gmres_instead_of_falling_back(monkeypatch,
-                                                                       band_factors,
-                                                                       lu_factors):
-    # a stand-in gmres whose first cycle misses once, as a happy
-    # breakdown just above rtol does where round-off brings one about,
-    # and which then delegates: the Schur step restarts GMRES from the
-    # missed cycle's iterate, the solve converges, and no step factors
-    # the whole 2N Jacobian: every factorization, by banded Cholesky or
-    # LU, is of an N x N block. The stages run on this grid, one
-    # penalized_coupled_solve each, where continuation_solve would nest
+def test_schur_step_restarts_a_missed_gmres_cycle_instead_of_falling_back(band_factors,
+                                                                         lu_factors):
+    # with Ju = Jm = I, F = -I and S = diag(0..59) the Schur operator is
+    # diag(1..60), on which 50 Arnoldi steps leave the true residual
+    # above 1e-13: the second cycle starts from the first's iterate (its
+    # first apply is at the normalized true residual there, not at the
+    # right-hand side), converges, and the step is the solution of the
+    # block system, with no fallback. Then on a 31x31 stationary
+    # continuation no step falls back: every factorization, by banded
+    # Cholesky or LU, is of an N x N block. The stages run on this grid,
+    # one penalized_coupled_solve each, where continuation_solve would nest
+    n = 60
+    slope = np.arange(float(n))
+    rng = np.random.default_rng(43)
+    r_u, r_m = rng.normal(size=n), rng.normal(size=n)
+    applied = []
+
+    def solve_m(v):
+        applied.append(v.copy())
+        return v
+
+    def fallback():
+        raise AssertionError("fell back")
+
+    du, dm = _coupled._schur_step(lambda v: v, solve_m, slope, lambda v: -v, r_u, r_m, fallback)
+    whole = np.block([[np.eye(n), -np.eye(n)], [np.diag(slope), np.eye(n)]])
+    expected = np.linalg.solve(whole, np.concatenate([r_u, r_m]))
+    assert np.max(np.abs(np.concatenate([du, dm]) - expected)) <= 1e-12 * np.max(np.abs(expected))
+    b, first = r_m - slope * r_u, applied[50]
+    miss = b - (first - slope * -first)
+    assert np.linalg.norm(miss) > 1e-13 * np.linalg.norm(b)
+    assert np.array_equal(applied[51], miss / np.linalg.norm(miss))
+    assert 52 < len(applied) <= 102
+
     g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (31, 31))
     cost = CostOperator.local_power(g, 1.0, 1.0, ScalarField.constant(g, -0.5))
     rho = raised_cosine_bump(g, peak=250.0)
-    starts, missed, gmres = [], [], spla.gmres
-
-    def missing_once_gmres(*args, **kwargs):
-        x, info = gmres(*args, **kwargs)
-        starts.append(kwargs["x0"])
-        if len(starts) == 1:
-            missed.append(x)
-            return x, 1
-        return x, info
-
-    monkeypatch.setattr(spla, "gmres", missing_once_gmres)
     sol, _ = penalty_continuation(
         lambda eps, warm, strict: penalized_coupled_solve(cost, rho, eps, strict=strict, warm=warm),
         lambda triple: None)
     assert sol.converged
-    assert len(starts) >= 2 and starts[0] is None and starts[1] is missed[0]
     assert {n for _, n in lu_factors} | {band.shape[1] for band, _ in band_factors} == {g.n_total}
+
+
+def identity_plus_rank(rank, n=200):
+    # I + U V^T with random U, V (n x rank), and a random right-hand side
+    rng = np.random.default_rng(41 + rank)
+    return (np.eye(n) + rng.normal(size=(n, rank)) @ rng.normal(size=(rank, n)) / np.sqrt(n),
+            rng.normal(size=n))
+
+
+def recording(a, applied):
+    # the operator v -> a v, appending a copy of every v to applied
+    def apply(v):
+        applied.append(v.copy())
+        return a @ v
+
+    return apply
+
+
+@pytest.mark.parametrize("rank", [1, 3, 8])
+def test_gmres_solves_identity_plus_rank_r_in_r_plus_two_applies(rank):
+    # the form of the density Schur complement: r + 1 Arnoldi steps and
+    # the true residual, whose apply is at the returned x
+    a, b = identity_plus_rank(rank)
+    applied = []
+    x = _coupled._gmres(recording(a, applied), b)
+    expected = np.linalg.solve(a, b)
+    assert len(applied) <= rank + 2 and np.array_equal(applied[-1], x)
+    assert np.linalg.norm(b - a @ x) <= 1e-13 * np.linalg.norm(b)
+    assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_gmres_gives_none_after_one_apply_of_a_nan_operator():
+    applied = []
+    assert _coupled._gmres(recording(np.full((30, 30), np.nan), applied), np.ones(30)) is None
+    assert len(applied) == 1
+
+
+def test_gmres_gives_none_where_two_cycles_cannot_solve():
+    # the cyclic shift of 120 nodes from e_0: no Krylov space of a cycle
+    # reaches the solution e_119, so both cycles of 50 steps miss
+    n, applied = 120, []
+    b = np.zeros(n)
+    b[0] = 1.0
+    assert _coupled._gmres(recording(np.roll(np.eye(n), 1, axis=0), applied), b) is None
+    assert len(applied) == 2 * 51
+
+
+def test_gmres_is_bitwise_deterministic():
+    a, b = identity_plus_rank(8)
+    first, second = (_coupled._gmres(recording(a, []), b) for _ in range(2))
+    assert first.tobytes() == second.tobytes()
 
 
 def space_time_system(obstacle, band_nodes, zero_slice=None):
@@ -1233,29 +1296,29 @@ def test_time_dependent_block_solve_matches_the_whole_jacobian(monkeypatch, obst
     # the whole oracle Jacobian, which the solve does not assemble;
     # without band nodes GMRES is not called
     x, (_, jacobian, solve, _), oracle = space_time_system(obstacle, band_nodes)
-    gmres, calls = spla.gmres, []
+    gmres, calls = _coupled._gmres, []
 
-    def recording_gmres(*args, **kwargs):
-        calls.append(gmres(*args, **kwargs))
+    def recording_gmres(*args):
+        calls.append(gmres(*args))
         return calls[-1]
 
     def no_assembly(*args):
         raise AssertionError("whole Jacobian assembled")
 
-    monkeypatch.setattr(spla, "gmres", recording_gmres)
+    monkeypatch.setattr(_coupled, "_gmres", recording_gmres)
     monkeypatch.setattr(_coupled, "diagonal_update", no_assembly)
     rhs = np.random.default_rng(23).normal(size=len(x))
     expected = spla.spsolve(oracle, rhs)
     step = solve(jacobian(x), rhs)
     assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))
-    assert len(calls) == band_nodes and all(info == 0 for _, info in calls)
+    assert len(calls) == band_nodes and all(y is not None for y in calls)
 
 
 def test_time_dependent_block_solve_falls_back_on_a_gmres_miss(monkeypatch, lu_factors):
-    # a GMRES that reports a miss: the step is the LU solve of the whole
+    # a _gmres that returns None: the step is the LU solve of the whole
     # space-time Jacobian, on the assembler kept for its structure
     x, (_, jacobian, solve, _), oracle = space_time_system("constant_field", True)
-    monkeypatch.setattr(spla, "gmres", lambda op, b, **kwargs: (np.zeros_like(b), 50))
+    monkeypatch.setattr(_coupled, "_gmres", lambda apply, b: None)
     rhs = np.random.default_rng(29).normal(size=len(x))
     expected = spla.spsolve(oracle, rhs)
     step = solve(jacobian(x), rhs)

@@ -12,6 +12,8 @@ sources with ast:
   file imports a name it never uses;
 - every grid comparison is the one grid check, and only the
   Hamiltonian tells its kinds apart;
+- no module calls a Krylov solver of scipy, the one GMRES being
+  _coupled._gmres;
 - every direct solve goes through the factor functions of obstacle,
   only obstacle keeps the base operators B = -lap + I/dt, and only
   three solves outside it factor by LU;
@@ -265,6 +267,24 @@ def test_no_module_imports_scipy_optimize():
             if any(name.startswith("scipy.optimize") for name in names):
                 found.append((module, node.lineno))
     assert found == [], found
+
+
+# the Krylov solvers of scipy.sparse.linalg and its operator wrappers:
+# the package's one GMRES is its own _coupled._gmres
+KRYLOV = {"gmres", "lgmres", "gcrotmk", "bicg", "bicgstab", "cg", "cgs", "minres", "qmr",
+          "tfqmr", "lsqr", "lsmr", "LinearOperator", "aslinearoperator"}
+
+
+def test_no_module_calls_a_scipy_krylov_solver():
+    found = [(where, line) for module in MODULES + ["__init__"]
+             for where, line in _references(_tree(module), module, KRYLOV)]
+    found += [(module, node.lineno) for module in MODULES + ["__init__"]
+              for node in ast.walk(_tree(module)) if isinstance(node, ast.ImportFrom)
+              and any(alias.name in KRYLOV for alias in node.names)]
+    assert found == [], found
+    defined = [f"{module}.{node.name}" for module in MODULES for node in ast.walk(_tree(module))
+               if isinstance(node, ast.FunctionDef) and "gmres" in node.name.lower()]
+    assert defined == ["_coupled._gmres"], defined
 
 
 # the direct solvers of numpy and scipy, and the functions that may call
