@@ -40,7 +40,8 @@ Perez for linearized discrete MFG systems (Netw. Heterog. Media 7(2),
 The Schur complement is solved by the module's own restarted GMRES
 (_gmres), whose last operator apply leaves the density step and the
 value correction of the Newton step behind. 1D grids and the
-controlled system factor the whole Jacobian.
+controlled system factor the whole Jacobian, by banded LU on 1D grids
+of up to 31 nodes at any K (obstacle._lu_factor).
 
 Discrete pairing conventions (they close the duality identity exactly,
 see the verifiers): the value equation at slice k uses source f(m_k)
@@ -738,13 +739,13 @@ def _frozen_system(cost, g_cost, g_arr, hamiltonian, grid, m0_vals, dt, epsilon,
             slope=np.where(np.abs(v) < band, 0.5 / band, 0.0) * m[1:] / epsilon,
             rate=_ramp(v / band) / epsilon, fprime=fprime, structure=structure, extra=extra)
 
-    # in 1D at K = 5 the banded LU of the whole Jacobian beats the
-    # sweeps and the Schur step: through them the perfbench
-    # evolutive_heat_g seed-0 solve took 0.018 s against 0.008-0.013 s
-    # and scenario_nonexistence 0.010-0.011 s against 0.005 s. At the
-    # registry's K = 50, whose whole Jacobian keeps SuperLU, the sweeps
-    # were faster: evolutive_psi0 0.115-0.118 s against 0.195-0.202 s.
-    # Newton counts were equal (in-process best of 3-5, 2-vCPU host)
+    # on 31 nodes the 1D whole Jacobian takes banded LU at any K. At
+    # K = 5 that beats the sweeps and the Schur step: through them the
+    # perfbench evolutive_heat_g seed-0 solve took 0.018 s against
+    # 0.008-0.013 s and scenario_nonexistence 0.010-0.011 s against
+    # 0.005 s. At the registry's K = 50 the sweeps were faster:
+    # evolutive_psi0 0.11-0.14 s against 0.16-0.26 s, with equal Newton
+    # counts (in-process best of 3-5, 2-vCPU host; BENCH_38.json)
     if grid.dim < 2 or hamiltonian is not None:
         return residual, jacobian, _whole_step, unstack
 

@@ -345,13 +345,14 @@ def _write_convergence_table(rows, path):
             fh.write(",".join(cells) + "\n")
 
 
-def _check_acceptance(report_dict: dict, acceptance: dict):
-    """Thresholds not met; a missing or non-finite residual fails."""
-    failures = {}
-    for key, threshold in acceptance.items():
-        value = report_dict.get(key, float("nan"))
-        if not abs(value) <= float(threshold):
-            failures[key] = (value, float(threshold))
+def _check_acceptance(report_dict: dict, acceptance: dict) -> list[str]:
+    """One line per threshold not met, in key order, naming the magnitude
+    compared with it; a missing or non-finite residual fails."""
+    failures = []
+    for key, threshold in sorted(acceptance.items()):
+        value = abs(report_dict.get(key, float("nan")))
+        if not value <= float(threshold):
+            failures.append(f"|{key}| = {value:.3e} > {float(threshold):.3e}")
     return failures
 
 
@@ -437,8 +438,8 @@ def _write_run(cfg: RunConfig, u, m, report, stage_rows, out: str) -> int:
     }
     _json_dump(manifest, os.path.join(out, "manifest.json"))
     failures = _check_acceptance(report_dict, cfg.acceptance)
-    for key, (value, threshold) in sorted(failures.items()):
-        print(f"acceptance failed: {key} = {value:.3e} > {threshold:.3e}", file=sys.stderr)
+    for failure in failures:
+        print(f"acceptance failed: {failure}", file=sys.stderr)
     return EXIT_OK if not failures else EXIT_VERIFY_FAILED
 
 
@@ -485,8 +486,8 @@ def cmd_verify(u_path: str, m_path: str, config_path: str) -> int:
     report_dict = report.to_dict()
     print(json.dumps(report_dict, sort_keys=True, indent=1))
     failures = _check_acceptance(report_dict, cfg.acceptance)
-    for key, (value, threshold) in sorted(failures.items()):
-        print(f"verification failed: {key} = {value:.3e} > {threshold:.3e}", file=sys.stderr)
+    for failure in failures:
+        print(f"verification failed: {failure}", file=sys.stderr)
     return EXIT_OK if not failures else EXIT_VERIFY_FAILED
 
 

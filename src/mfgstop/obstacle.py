@@ -56,14 +56,12 @@ _MAX_ITER = 200
 # _lu_factor factors with SuperLU panels one column wide (see _lu_factor)
 _NARROW_PANEL_FILL = 128.0
 
-# Half-bandwidth of B = -lap + I/dt up to which B + diag(d) is factored
-# by banded Cholesky rather than SuperLU (see _shifted_factor)
+# Half-bandwidth up to which a matrix is factored by banded LAPACK
+# rather than SuperLU: B + diag(d), B = -lap + I/dt in the lexicographic
+# node order, by banded Cholesky (see _shifted_factor), and a
+# diagonal_update pattern in its reverse Cuthill-McKee order, below and
+# above the diagonal, by banded LU (see _lu_factor)
 _BAND_MAX = 64
-
-# Half-bandwidth, below and above the diagonal, of a pattern in its
-# reverse Cuthill-McKee order up to which _lu_factor factors its
-# matrices by banded LU rather than SuperLU (see _lu_factor)
-_LU_BAND_MAX = 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,8 +95,8 @@ def _elimination_order(shape, indptr, indices):
     """The order in which _lu_factor factors the matrices of the square
     CSC pattern (indptr, indices): a _BandOrder where the reverse
     Cuthill-McKee order of the pattern of A + A^T leaves at most
-    _LU_BAND_MAX entries below and above the diagonal, the
-    MMD_AT_PLUS_A _EliminationOrder otherwise.
+    _BAND_MAX entries below and above the diagonal, the MMD_AT_PLUS_A
+    _EliminationOrder otherwise.
 
     For the latter SuperLU orders a stand-in matrix: the pattern with
     unit entries and a dominant diagonal, so the order depends on the
@@ -119,7 +117,7 @@ def _elimination_order(shape, indptr, indices):
     position = np.argsort(perm)
     rows, cols = position[indices], position[entry_cols]
     kl, ku = int(np.max(rows - cols)), int(np.max(cols - rows))
-    if max(kl, ku) <= _LU_BAND_MAX:
+    if max(kl, ku) <= _BAND_MAX:
         scatter = cols * (2 * kl + ku + 1) + kl + ku + rows - cols
         perm.flags.writeable = scatter.flags.writeable = False
         return _BandOrder(perm, kl, ku, scatter)
@@ -162,16 +160,15 @@ def _lu_factor(matrix):
     _shifted_factor, not here. An exactly singular matrix gives NaNs, so a
     Newton solve ends in non-convergence rather than an exception.
 
-    A pattern narrow in its reverse Cuthill-McKee order (a _BandOrder:
-    the 1D Newton Jacobians, half-bandwidth 12 at 31 nodes and K = 5, 2
-    for the stationary one) is factored by LAPACK's banded LU with
-    partial pivoting, _band_lu_factor. Per factorization and solve it
-    took 0.13-0.56 of the time of SuperLU on the kept MMD order up to a
-    half-bandwidth of 54 and 0.57-0.9 from 58 to 70, on 1D Jacobians of
-    31 nodes (K = 1 to 50) and 2D stationary ones (5x5 to 35x35); on
-    another host it was slower from 54 on. _LU_BAND_MAX lies below both
-    crossovers, and keeps the 1D Jacobians of K = 50 (62) on SuperLU
-    (BENCH_33.json).
+    A pattern whose reverse Cuthill-McKee order leaves at most
+    _BAND_MAX entries below and above the diagonal (a _BandOrder) is
+    factored by LAPACK's banded LU with partial pivoting,
+    _band_lu_factor: every 1D Newton Jacobian of up to 31 nodes, whose
+    half-bandwidth stops growing near 62 at any K (12 at K = 5, 62 at
+    K = 50 and 200), and the stationary ones (2, 59 with a nonlocal
+    border). From 51 to 64 it took 0.46-0.85 of the time of SuperLU on
+    the kept MMD order per factorization and solve, in the median
+    (BENCH_38.json).
 
     Every wider pattern is factored by SuperLU, with minimum-degree
     ordering on the pattern of A^T + A and diagonal pivots preferred:

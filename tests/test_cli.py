@@ -188,8 +188,25 @@ def test_run_failing_its_acceptance_exits_1_after_writing_its_artifacts(tmp_path
                                   "output_dir": str(out)})
     assert main(["run", "--config", str(cfg)]) == 1
     [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith("acceptance failed: r_duality = ") and line.endswith("> 1.000e-30")
+    assert line.startswith("acceptance failed: |r_duality| = ") and line.endswith("> 1.000e-30")
     assert (out / "report.json").exists() and (out / "convergence.csv").exists()
+
+
+def test_failed_gate_prints_the_magnitude_it_compared(tmp_path, capsys):
+    # a signed residual is gated by its magnitude, and on a failed gate
+    # run and verify both print that magnitude, named as such, so the
+    # printed inequality holds
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {**COSMFG_RUN, "output_dir": str(out),
+                                  "tolerances": tolerances(duality_diagnostic=1e-5)})
+    assert main(["run", "--config", str(cfg)]) == 1
+    value = json.loads((out / "report.json").read_text())["duality_diagnostic"]
+    assert -1e-3 < value < -1e-5
+    gate = f"|duality_diagnostic| = {-value:.3e} > 1.000e-05"
+    assert capsys.readouterr().err.splitlines() == [f"acceptance failed: {gate}"]
+    assert main(["verify", "--u", str(out / "u_manifest.json"),
+                 "--m", str(out / "m_manifest.json"), "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"verification failed: {gate}"]
 
 
 def test_verify_empty_file_rejected(tmp_path):

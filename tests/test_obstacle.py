@@ -202,7 +202,7 @@ def tridiagonal(wide):
     # LU on its kept order; wide, bordered by a dense last row and
     # column, which leaves a half-bandwidth of at least (n - 1) / 2 in
     # any order, so that it factors by SuperLU on its kept MMD order
-    n = 2 * obstacle._LU_BAND_MAX + 4 if wide else 12
+    n = 2 * obstacle._BAND_MAX + 4 if wide else 12
     static = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(n, n)).tolil()
     if wide:
         static[-1, :-1] = -0.01
@@ -267,15 +267,14 @@ def test_singular_matrix_in_2d_obstacle_raises_convergence_error(monkeypatch, sh
 
 def wide_grid():
     # a 2D grid whose shifted operators B + diag(d) have a half-bandwidth
-    # (the last axis's node count) above obstacle._BAND_MAX, and above
-    # obstacle._LU_BAND_MAX in the reverse Cuthill-McKee order (about
+    # above obstacle._BAND_MAX both in the lexicographic order (the last
+    # axis's node count) and in the reverse Cuthill-McKee order (about
     # the smaller axis's node count), so that _shifted_factor factors
     # them by SuperLU on their kept MMD orders
-    g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)),
-                   (obstacle._LU_BAND_MAX, obstacle._BAND_MAX + 1))
+    g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (obstacle._BAND_MAX, obstacle._BAND_MAX + 1))
     assert _base_operator(g, 1.0).band is None
     b_op = _shifted_matrix(g, np.zeros(g.n_total), 1.0)
-    assert rcm_half_bandwidth(b_op) > obstacle._LU_BAND_MAX
+    assert rcm_half_bandwidth(b_op) > obstacle._BAND_MAX
     return g
 
 
@@ -516,20 +515,20 @@ def test_lu_solve_matches_spsolve_on_nonsymmetric_values():
 def low_and_high_fill_matrix(pattern, rng):
     # a matrix of a diagonal_update assembler too wide for banded LU and
     # whether its kept order fills below obstacle._NARROW_PANEL_FILL per
-    # column: the 1D K=30 space-time Jacobian (half-bandwidth 61, 36 per
-    # column), the slice block B + diag of wide_grid() (30) and the 2D
-    # cosmfg 15x15 K=5 Jacobian (162)
+    # column: the 1D K=50 space-time Jacobian of 63 nodes (half-bandwidth
+    # 102, 50 per column), the slice block B + diag of wide_grid() (32)
+    # and the 2D cosmfg 15x15 K=5 Jacobian (162)
     if pattern == "slice_2d":
         g = wide_grid()
         return _shifted_matrix(g, rng.uniform(0.0, 100.0, g.n_total), 0.2), True
     with_h = pattern == "cosmfg_2d"
     g = (build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (15, 15)) if with_h
-         else build_grid(1, (0.0, 1.0), 31))
-    k_steps = 5 if with_h else 30
+         else build_grid(1, (0.0, 1.0), 63))
+    k_steps = 5 if with_h else 50
     n_u = k_steps * g.n_total
     n_vals = 4 * n_u - g.n_total + (len(_hamiltonian_positions(g, 5)[0]) if with_h else 0)
-    return (_jacobian_assembler(g, 0.2, k_steps, 1, with_h, False)(rng.uniform(-1.0, 1.0, n_vals)),
-            not with_h)
+    return (_jacobian_assembler(g, 1.0 / k_steps, k_steps, 1, with_h, False)(
+        rng.uniform(-1.0, 1.0, n_vals)), not with_h)
 
 
 @pytest.mark.parametrize("pattern", ["space_time_1d", "slice_2d", "cosmfg_2d"])
@@ -564,19 +563,22 @@ def test_panel_width_follows_the_fill_of_the_kept_order(monkeypatch, pattern):
     assert all(fill == default for _, fill, default in calls)
 
 
-@pytest.mark.parametrize("k_steps, lag, with_h, half_bandwidth", [
-    (5, 1, False, 12), (5, 1, True, 12), (5, 0, False, 11), (1, 0, False, 2), (50, 1, False, 62),
-], ids=["space_time", "space_time_hamiltonian", "space_time_lag0", "stationary", "k50"])
-def test_band_lu_factor_matches_spsolve(lu_factors, k_steps, lag, with_h, half_bandwidth):
-    # the 1D Newton Jacobians of 31 nodes keep the reverse Cuthill-McKee
-    # order of their pattern, and those of a half-bandwidth up to
-    # obstacle._LU_BAND_MAX in it factor by banded LU: the K=5
+@pytest.mark.parametrize("nodes, k_steps, lag, with_h, half_bandwidth", [
+    (31, 5, 1, False, 12), (31, 5, 1, True, 12), (31, 5, 0, False, 11), (31, 1, 0, False, 2),
+    (31, 50, 1, False, 62), (31, 50, 1, True, 63), (63, 50, 1, False, 102),
+], ids=["space_time", "space_time_hamiltonian", "space_time_lag0", "stationary", "k50",
+        "k50_hamiltonian", "k50_63_nodes"])
+def test_band_lu_factor_matches_spsolve(lu_factors, nodes, k_steps, lag, with_h,
+                                        half_bandwidth):
+    # the 1D Newton Jacobians keep the reverse Cuthill-McKee order of
+    # their pattern, and those of a half-bandwidth up to
+    # obstacle._BAND_MAX in it factor by banded LU: on 31 nodes the K=5
     # space-time Jacobians, with and without a Hamiltonian and with lag
-    # 1 and 0, and the stationary one. The K=50 one of the registry
-    # scenarios keeps SuperLU. Either solves as spsolve does, to
-    # round-off, and two factorizations of one matrix solve to the same
-    # bits
-    g = build_grid(1, (0.0, 1.0), 31)
+    # 1 and 0, the stationary one and the K=50 ones of the registry
+    # scenarios. The K=50 one of 63 nodes is wider and takes SuperLU.
+    # Either solves as spsolve does, to round-off, and two
+    # factorizations of one matrix solve to the same bits
+    g = build_grid(1, (0.0, 1.0), nodes)
     n_u = k_steps * g.n_total
     n_vals = (4 * n_u - lag * g.n_total
               + (len(_hamiltonian_positions(g, k_steps)[0]) if with_h else 0))
@@ -584,7 +586,7 @@ def test_band_lu_factor_matches_spsolve(lu_factors, k_steps, lag, with_h, half_b
     vals = rng.uniform(-1.0, 1.0, n_vals) * 10.0 ** rng.integers(0, 4, n_vals)
     matrix = _jacobian_assembler(g, 1.0 / k_steps, k_steps, lag, with_h, False)(vals)
     assert rcm_half_bandwidth(matrix) == half_bandwidth
-    narrow = half_bandwidth <= obstacle._LU_BAND_MAX
+    narrow = half_bandwidth <= obstacle._BAND_MAX
     order = matrix.elimination_order()
     assert isinstance(order, obstacle._BandOrder) == narrow
     if narrow:
@@ -603,7 +605,7 @@ def test_band_lu_factor_matches_spsolve(lu_factors, k_steps, lag, with_h, half_b
 def test_elimination_order_kind_and_half_bandwidths(pattern, half_bandwidth):
     # the reverse Cuthill-McKee order leaves these half-bandwidths on the
     # 1D K=5 space-time and stationary Jacobian patterns and on two
-    # shifted operators B; the patterns within obstacle._LU_BAND_MAX get
+    # shifted operators B; the patterns within obstacle._BAND_MAX get
     # a _BandOrder of that many entries below and above the diagonal, B
     # on 79x79 the MMD _EliminationOrder
     if pattern.startswith("shifted"):
@@ -618,7 +620,7 @@ def test_elimination_order_kind_and_half_bandwidths(pattern, half_bandwidth):
     assert rcm_half_bandwidth(matrix) == half_bandwidth
     order = matrix.elimination_order()
     assert np.array_equal(np.sort(order.perm), np.arange(matrix.shape[0]))
-    if half_bandwidth <= obstacle._LU_BAND_MAX:
+    if half_bandwidth <= obstacle._BAND_MAX:
         assert isinstance(order, obstacle._BandOrder)
         assert (order.kl, order.ku) == (half_bandwidth, half_bandwidth)
     else:
@@ -628,9 +630,9 @@ def test_elimination_order_kind_and_half_bandwidths(pattern, half_bandwidth):
 @pytest.mark.parametrize("excess", [0, 1], ids=["at", "above"])
 def test_band_constant_splits_banded_lu_from_superlu(lu_factors, excess):
     # a matrix that stores every diagonal within half-bandwidth b, which
-    # no order narrows: banded LU at b = obstacle._LU_BAND_MAX, SuperLU
-    # just above it
-    b = obstacle._LU_BAND_MAX + excess
+    # no order narrows: banded LU at b = obstacle._BAND_MAX, SuperLU just
+    # above it
+    b = obstacle._BAND_MAX + excess
     n = 4 * b
     rng = np.random.default_rng(37)
     offsets = list(range(-b, b + 1))

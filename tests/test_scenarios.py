@@ -5,6 +5,7 @@ from mfgstop import scenarios
 from mfgstop.grid import ScalarField
 from mfgstop.scenarios import (
     STANDARD_NAMES,
+    run_scenario_evidence,
     scenario_nonexistence,
     scenario_nonuniqueness,
     scenario_obstacle_nonuniqueness,
@@ -27,6 +28,17 @@ def test_registry_names_and_lookup():
     assert ev.timegrid.horizon == 1.0
     mass = ev.m0.values.sum() * ev.grid.cell_volume
     assert mass == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", STANDARD_NAMES)
+def test_registry_scenario_reaches_no_superlu(lu_factors, band_factors, name):
+    # every matrix a registry scenario factors lies within
+    # obstacle._BAND_MAX in its band order: its shifted operators take
+    # banded Cholesky and its Newton Jacobians (the 1D K=50 ones and the
+    # bordered one of a nonlocal cost too) banded LU, never SuperLU
+    run_scenario_evidence(scenario_standard(name))
+    assert lu_factors or band_factors
+    assert all(kind == "band" for kind, _ in lu_factors)
 
 
 def test_unknown_scenario_rejected():
