@@ -9,7 +9,10 @@ conservative upwind form, so mass stays nonnegative and non-increasing.
 Prints the verification report, a table of the conjugate L(x, a) of
 the Hamiltonian (Hamiltonian.conjugate), confirms Fenchel-Young on
 random samples, and compares the control objective of the equilibrium
-drift against perturbed controls.
+drift against perturbed controls: each perturbed drift, one
+FaceVelocities record of all time steps, moves the density under the
+equilibrium exit rate (KillingData of the solution's alpha), and the
+objective is taken on that density.
 """
 
 import numpy as np
@@ -20,7 +23,6 @@ from mfgstop.control import (
     face_drift,
 )
 from mfgstop.density import FaceVelocities, KillingData, solve_density_parabolic
-from mfgstop.grid import NodeMask, ScalarField
 from mfgstop.scenarios import scenario_standard
 
 sc = scenario_standard("control_smoothnorm")
@@ -62,15 +64,13 @@ drift = face_drift(sc.hamiltonian, sol.u)
 base = control_objective(sol.m, drift, pot, sc.hamiltonian, sc.timegrid)
 print(f"  equilibrium objective: {base:+.8f}")
 x_faces = np.linspace(0, 1, sc.grid.n_interior[0] + 1)
-killing = [KillingData(ScalarField(sc.grid, sol.alpha.array()[k]), NodeMask.all(sc.grid),
-                       sol.epsilon)
-           for k in range(sc.timegrid.n_steps)]
+# the equilibrium exit rate alpha / epsilon of every step
+killing = KillingData(sol.alpha, sol.epsilon)
 for label, shape in (("sin", np.sin(np.pi * x_faces)),
                      ("skew", np.sin(2 * np.pi * x_faces)),
                      ("uniform", np.ones_like(x_faces))):
-    drift_p = tuple(FaceVelocities(sc.grid,
-                                   (np.clip(d.components[0] + 0.05 * shape, -0.99, 0.99),))
-                    for d in drift)
+    drift_p = FaceVelocities(sc.grid, sc.timegrid,
+                             (np.clip(drift.components[0] + 0.05 * shape, -0.99, 0.99),))
     m_p = solve_density_parabolic(sc.m0, killing, sc.timegrid, drift_p)
     obj = control_objective(m_p, drift_p, pot, sc.hamiltonian, sc.timegrid)
     print(f"  perturbed ({label:<7}): {obj:+.8f}  (excess {obj - base:+.2e})")

@@ -59,7 +59,8 @@ fluxes, without a matrix (_divergence); in the Jacobian it is
 D^T (diag(b+) S_R + diag(b-) S_L) per axis, laid out from the face
 difference D and the face-node selectors S_L, S_R of
 grid._gradient_matrices like the other Hamiltonian entries, whose
-positions are kept per (grid, K) (_hamiltonian_positions). The
+positions are kept per (grid, K) (_hamiltonian_positions), with its
+values from _drift_values, which the drifted density steps share. The
 diagonal_update assembler of the Jacobian is kept per structure
 (_jacobian_assembler).
 
@@ -449,11 +450,25 @@ def _hamiltonian_values(grid: Grid, hamiltonian, state: _HamiltonianState, m: np
             zip(state.face_p, _upwind_density(grid, state.drift, m))):
         hess = hamiltonian.hessian(p_face, weight=hamiltonian.face_weights[axis])[axis]
         weights += [flux_slope * h_c.reshape(k_steps, -1) for h_c in hess]
-    for b in state.drift:
-        b = b.reshape(k_steps, -1)
-        weights += [np.minimum(b, 0.0), np.maximum(b, 0.0)]
     stencils = _hamiltonian_positions(grid, k_steps)[2]
-    return np.concatenate([s[2] * w[:, s[3]] for s, w in zip(stencils, weights)], axis=None)
+    return np.concatenate([s[2] * w[:, s[3]] for s, w in zip(stencils, weights)]
+                          + _drift_values(grid, state.drift), axis=None)
+
+
+def _drift_values(grid: Grid, drift) -> list:
+    """The values of the drift operators div_k of the face drift b_k =
+    drift[axis][k] (K, *axis face shape) at the drift stencils of
+    _hamiltonian_positions (its last 2 dim), for the Jacobian and the
+    drifted density steps: per stencil its coefficients times b- (S_L)
+    or b+ (S_R) at its faces, (K, entries)."""
+    k_steps = len(drift[0])
+    stencils = _hamiltonian_positions(grid, k_steps)[2][-2 * grid.dim:]
+    out = []
+    for b, left, right in zip(drift, stencils[::2], stencils[1::2]):
+        b = b.reshape(k_steps, -1)
+        out += [left[2] * np.minimum(b, 0.0)[:, left[3]],
+                right[2] * np.maximum(b, 0.0)[:, right[3]]]
+    return out
 
 
 def _residuals(grid: Grid, dt: float, lag: int, cost: CostOperator, hamiltonian, u_arr, m_arr,
@@ -624,12 +639,11 @@ def forward_backward_solve(
         cost, g_cost, g_arr[:steps], hamiltonian, grid, m_arr, timegrid.dt, epsilon, 1,
         tol_pde, w_start, warm_band, strict)
     u_arr = w_arr + obstacle_op.apply_arrays(grid, timegrid, m_arr)[0]
-    rate = _ramp(w_arr[:steps] / stage["delta_band"]) / epsilon
+    alpha = _ramp(w_arr[:steps] / stage["delta_band"])
     return PenalizedTriple(
         u=FieldTrajectory(grid, timegrid, u_arr),
         m=FieldTrajectory(grid, timegrid, m_arr),
-        alpha=FieldTrajectory(grid, timegrid,
-                              np.clip(np.vstack([rate, rate[-1:]]) * epsilon, 0.0, 1.0)),
+        alpha=FieldTrajectory(grid, timegrid, np.vstack([alpha, alpha[-1:]])),
         **stage)
 
 

@@ -553,9 +553,12 @@ def _scenario(name: str, out: str) -> int:
                 "min_density": evidence["min_density"],
                 "mass_monotone_violation": evidence["mass_monotone_violation"],
             }
+            # the controlled problem reports its duality signed
+            duality = report.to_dict().get(
+                "duality_diagnostic" if evidence["problem"] == "cosmfg" else "r_duality", math.nan)
             ok = (evidence["min_density"] >= -1e-12
                   and evidence["mass_monotone_violation"] <= 1e-12
-                  and report.to_dict().get("r_duality", 0.0) <= 1e-4)
+                  and abs(duality) <= 1e-4)
     except (CoupledNonConvergence, ObstacleConvergenceError) as err:
         print(f"scenario solver did not converge: {err}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

@@ -235,19 +235,18 @@ def verify_cosmfg(
     )
 
 
-def face_drift(hamiltonian: Hamiltonian, u: FieldTrajectory) -> tuple[FaceVelocities, ...]:
+def face_drift(hamiltonian: Hamiltonian, u: FieldTrajectory) -> FaceVelocities:
     """The face drift D_pH(x, grad u_k) of the value slices u_0..u_{K-1}
-    of u, one FaceVelocities per time step k: the drift of their one
-    _hamiltonian_state, as the controlled solver and verifier make it."""
+    of u at the time steps k: the drift of their one _hamiltonian_state,
+    as the controlled solver and verifier make it."""
     grid = _on_grid(u.grid, u.timegrid, hamiltonian)
-    steps = u.timegrid.n_steps
-    drift = _hamiltonian_state(grid, hamiltonian, u.array()[:steps]).drift
-    return tuple(FaceVelocities(grid, tuple(b[k] for b in drift)) for k in range(steps))
+    drift = _hamiltonian_state(grid, hamiltonian, u.array()[:u.timegrid.n_steps]).drift
+    return FaceVelocities(grid, u.timegrid, drift)
 
 
 def control_objective(
     m: FieldTrajectory,
-    drift: tuple[FaceVelocities, ...],
+    drift: FaceVelocities,
     potential: PotentialOperator,
     hamiltonian: Hamiltonian,
     timegrid: TimeGrid,
@@ -258,22 +257,20 @@ def control_objective(
     The pair must satisfy the discrete inequality
     dm/dt - lap m - div(a m) <= 1e-8 nodewise at every slice, checked
     for all slices before any conjugate is evaluated; the violating
-    slices are listed in the raised ValueError. drift holds one
-    FaceVelocities per time step. The conjugate L is evaluated, in one
+    slices are listed in the raised ValueError. The drift of step k
+    acts on slice k + 1. The conjugate L is evaluated, in one
     Hamiltonian.conjugate call for all slices, at the face velocities
     averaged onto the nodes along each axis. Nodes with mass <= 1e-14
     contribute 0, and a pair with more mass where L is infinite costs
-    inf. Data off the grid of m, m off timegrid, or a drift of another
-    length raises ValueError.
+    inf. Data off the grid of m, or m or the drift off timegrid, raises
+    ValueError.
     """
-    grid = _on_grid(m.grid, timegrid, m, *drift, potential, hamiltonian)
+    grid = _on_grid(m.grid, timegrid, m, drift, potential, hamiltonian)
     steps = timegrid.n_steps
-    if len(drift) != steps:
-        raise ValueError(f"one drift per time step required: {steps}, got {len(drift)}")
     dt = timegrid.dt
     a0 = elliptic_matrix(grid, with_zero_order=False)
     m_arr = m.array()
-    b = [np.stack([d.components[axis] for d in drift]) for axis in range(grid.dim)]
+    b = drift.components
     resid = (m_arr[1:] - m_arr[:-1]) / dt + (a0 @ m_arr[1:].T).T + _divergence(grid, b, m_arr[1:])
     bad_slices = np.flatnonzero(np.max(resid, axis=1) > 1e-8)
     if bad_slices.size:

@@ -1,9 +1,8 @@
 """Density-side solvers: the exclusion-set elliptic equation and the
 killed, drifted forward equation by implicit Euler with conservative
-upwind fluxes. The drift operator is built from the face difference
-and the face-node selectors of grid._gradient_matrices; the Newton
-systems of the controlled problem apply it without a matrix
-(_coupled._divergence).
+upwind fluxes, whose killing data and face drift of the K time steps are
+one record each. A drifted step is assembled on the drift stencils of
+the controlled problem's Newton Jacobian (_coupled._drift_values).
 
 All system matrices are M-matrices, so every produced density is
 nonnegative (up to roundoff) and total mass is non-increasing in time.
@@ -11,63 +10,63 @@ nonnegative (up to roundoff) and total mass is non-increasing in time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
+from ._coupled import _drift_values, _hamiltonian_positions
 from .grid import (
     FieldTrajectory,
     Grid,
     NodeMask,
     ScalarField,
     TimeGrid,
-    _gradient_matrices,
     _on_grid,
     elliptic_matrix,
 )
-from .obstacle import _lu_factor, _lu_solve, _shifted_factor, _shifted_matrix
+from .obstacle import _lu_factor, _lu_solve, _shifted_factor, _shifted_matrix, diagonal_update
 
 __all__ = [
     "KillingData",
     "FaceVelocities",
     "solve_density_on_set",
     "solve_density_parabolic",
-    "drift_divergence_matrix",
 ]
 
 
 @dataclass(frozen=True, eq=False)
 class KillingData:
-    """Exit-rate data: rate alpha/epsilon acts on the active node set."""
+    """Exit rate alpha_k / epsilon at time step k of alpha's time grid
+    (row K of alpha is not read, as in PenalizedTriple.alpha)."""
 
-    alpha: ScalarField
-    active: NodeMask
+    alpha: FieldTrajectory
     epsilon: float
 
     def __post_init__(self):
         if not 0 < self.epsilon < np.inf:
             raise ValueError("epsilon must be positive and finite")
-        _on_grid(self.alpha.grid, None, self.active)
         v = self.alpha.values
         if not np.all((v >= -1e-15) & (v <= 1 + 1e-15)):
             raise ValueError("alpha must take values in [0, 1]")
 
     def rate(self) -> np.ndarray:
-        """Nodal killing rate alpha/epsilon, zero off the active set."""
-        return np.where(self.active.mask, self.alpha.values / self.epsilon, 0.0)
+        """The nodal killing rates alpha_k / epsilon of the steps, (K, N)."""
+        return self.alpha.values[:-1] / self.epsilon
 
 
 @dataclass(frozen=True, eq=False)
 class FaceVelocities:
-    """Per-axis velocities on cell faces (including boundary faces).
+    """Velocities on the cell faces (including boundary faces) of the K
+    steps of a time grid.
 
-    Axis k carries an array shaped like the grid with axis k extended by
-    one: faces between consecutive nodes plus the two boundary faces.
+    Axis k carries a read-only (K, *face shape) array, the face shape
+    being the grid's with axis k extended by one: faces between
+    consecutive nodes plus the two boundary faces.
     """
 
     grid: Grid
+    timegrid: TimeGrid
     components: tuple[np.ndarray, ...]
 
     def __post_init__(self):
@@ -75,18 +74,13 @@ class FaceVelocities:
             raise ValueError("one component per axis required")
         comps = []
         for axis, comp in enumerate(self.components):
-            shape = self.grid.face_shape(axis)
+            shape = (self.timegrid.n_steps,) + self.grid.face_shape(axis)
             c = np.array(comp, dtype=float, copy=True)
             if c.shape != shape:
                 raise ValueError(f"axis {axis} faces must have shape {shape}, got {c.shape}")
             c.setflags(write=False)
             comps.append(c)
         object.__setattr__(self, "components", tuple(comps))
-
-    @staticmethod
-    def zeros(grid: Grid) -> "FaceVelocities":
-        return FaceVelocities(grid, tuple(np.zeros(grid.face_shape(axis))
-                                          for axis in range(grid.dim)))
 
 
 def _require_nonnegative(values: np.ndarray, what: str) -> None:
@@ -110,66 +104,51 @@ def solve_density_on_set(omega: NodeMask, source: ScalarField) -> ScalarField:
     return ScalarField(grid, m)
 
 
-def drift_divergence_matrix(grid: Grid, faces: FaceVelocities) -> sp.csr_matrix:
-    """Matrix of m -> -div(m b) with conservative upwind face fluxes:
-    the sum over axes of D^T (diag(b+) S_R + diag(b-) S_L), with D the
-    face difference and S_L, S_R the selectors of the nodes left and
-    right of the faces (grid._gradient_matrices).
-
-    The flux F = b+ m_R + b- m_L through a face takes m from the side
-    the mass moves away from, so off-diagonal entries stay nonpositive
-    and column sums telescope to boundary outflow only (mass can only
-    leak).
-    """
-    _, face_grad, selectors = _gradient_matrices(_on_grid(grid, None, faces))
-    return sum(mats[axis].T @ (sp.diags(np.maximum(b, 0.0).ravel()) @ right
-                               + sp.diags(np.minimum(b, 0.0).ravel()) @ left)
-               for axis, (b, mats, (left, right))
-               in enumerate(zip(faces.components, face_grad, selectors))).tocsr()
-
-
-def _per_step(traj, single: type, steps: int) -> list:
-    """The data of each of the time steps 0..steps-1: traj itself when
-    it is None or one object of type single (time-constant data),
-    traj[k] at step k otherwise."""
-    if traj is None or isinstance(traj, single):
-        return [traj] * steps
-    return [traj[k] for k in range(steps)]
+@functools.lru_cache(maxsize=8)
+def _drifted_step(grid: Grid, dt: float):
+    """The diagonal_update assembler of the drifted density steps
+    B + diag(rate) + div, B = -lap + I/dt, kept per (grid, dt) with the
+    elimination order of its pattern: its values are the rate on the
+    diagonal, then those of _coupled._drift_values at the drift
+    stencils of _coupled._hamiltonian_positions."""
+    n = grid.n_total
+    stencils = _hamiltonian_positions(grid, 1)[2][-2 * grid.dim:]
+    return diagonal_update(_shifted_matrix(grid, np.zeros(n), dt),
+                           np.concatenate([np.arange(n)] + [s[0] for s in stencils]),
+                           np.concatenate([np.arange(n)] + [s[1] for s in stencils]))
 
 
 def solve_density_parabolic(
     m0: ScalarField,
-    killing_traj: Sequence[KillingData] | KillingData | None,
+    killing: KillingData | None,
     timegrid: TimeGrid,
-    drift_traj: Sequence[FaceVelocities] | FaceVelocities | None = None,
+    drift: FaceVelocities | None = None,
 ) -> FieldTrajectory:
     """Forward implicit Euler for dm/dt - lap m + V m - div(m b) = 0.
 
-    killing_traj / drift_traj give per-step data (step k advances slice k
-    to k+1); a single object means time-constant data. Implicit stepping
-    is unconditionally stable and preserves nonnegativity. Data off the
-    grid of m0 raises ValueError before the first step.
+    Step k advances slice k to k + 1 with the killing rate and the face
+    drift of step k (None: none). Implicit stepping is unconditionally
+    stable and preserves nonnegativity. Data off the grid of m0 or off
+    timegrid raises ValueError before the first step.
 
-    A step without drift (None, or zero on every face) factors B +
-    diag(V) by obstacle._shifted_factor, a drifted step by LU; a step
-    with the data objects of the step before reuses its factor.
+    A step whose drift operator vanishes factors B + diag(V) by
+    obstacle._shifted_factor; a drifted step factors its _drifted_step
+    matrix by LU on the assembler's kept order. A step whose rate and
+    drift values equal those of the step before reuses its factor.
     """
-    killing = _per_step(killing_traj, KillingData, timegrid.n_steps)
-    drift = _per_step(drift_traj, FaceVelocities, timegrid.n_steps)
-    grid = _on_grid(m0.grid, None, *(kd.alpha for kd in killing if kd is not None), *drift)
+    grid = _on_grid(m0.grid, timegrid, None if killing is None else killing.alpha, drift)
     _require_nonnegative(m0.values, "m0")
-    dt = timegrid.dt
-    m_arr = np.empty((timegrid.n_steps + 1, grid.n_total))
+    n, dt = grid.n_total, timegrid.dt
+    rates = np.zeros((timegrid.n_steps, n)) if killing is None else killing.rate()
+    # per step the values of the drifted step: the rate, then the drift's
+    steps = rates if drift is None else np.hstack([rates, *_drift_values(grid, drift.components)])
+    m_arr = np.empty((timegrid.n_steps + 1, n))
     m_arr[0] = m0.values
-    step = solve = None
-    for k, data in enumerate(zip(killing, drift)):
-        if data != step:
-            kd, dv = step = data
-            rate = np.zeros(grid.n_total) if kd is None else kd.rate()
-            if dv is None or not any(np.any(b) for b in dv.components):
-                solve = _shifted_factor(grid, rate, dt)
-            else:
-                solve = _lu_factor(_shifted_matrix(grid, rate, dt)
-                                   + drift_divergence_matrix(grid, dv))
+    kept = solve = None
+    for k, values in enumerate(steps):
+        if kept is None or not np.array_equal(values, kept):
+            kept = values
+            solve = (_lu_factor(_drifted_step(grid, dt)(values)) if np.any(values[n:])
+                     else _shifted_factor(grid, values[:n], dt))
         m_arr[k + 1] = solve(m_arr[k] / dt)
     return FieldTrajectory(grid, timegrid, m_arr)

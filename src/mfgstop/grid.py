@@ -224,10 +224,6 @@ class NodeMask:
             raise ValueError(f"expected {self.grid.n_total} flags, got shape {m.shape}")
         object.__setattr__(self, "mask", m)
 
-    @staticmethod
-    def all(grid: Grid) -> "NodeMask":
-        return NodeMask(grid, np.ones(grid.n_total, dtype=bool))
-
 
 def _on_grid(grid: Grid, timegrid: TimeGrid | None, *items) -> Grid:
     """The one grid check of the package: grid, after checking that every
@@ -312,8 +308,8 @@ def _elliptic_matrix(grid: Grid, with_zero_order: bool) -> sp.csr_matrix:
 @lru_cache(maxsize=None)
 def _face_nodes(grid: Grid, axis: int):
     """Flat indices of the nodes left and right of every axis face (in
-    the face order of FaceVelocities), -1 for outside the grid; cached,
-    read-only."""
+    the face order of one time step of a FaceVelocities component), -1
+    for outside the grid; cached, read-only."""
     flat = np.arange(grid.n_total).reshape(grid.shape)
     padded = np.pad(flat, [(1, 1) if d == axis else (0, 0) for d in range(grid.dim)],
                     constant_values=-1)

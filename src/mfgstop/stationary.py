@@ -75,8 +75,9 @@ class MixedSolutionReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.r_obstacle, self.r_continuation, self.r_subsolution,
-                   self.r_contact, self.r_duality)
+        # np.max, not max: a NaN anywhere is the result
+        return float(np.max([self.r_obstacle, self.r_continuation, self.r_subsolution,
+                             self.r_contact, self.r_duality]))
 
     def to_dict(self) -> dict:
         return asdict(self)

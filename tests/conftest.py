@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mfgstop import _coupled, obstacle
+from mfgstop import _coupled, density, obstacle
 from mfgstop.control import cosmfg_coupled_solve
 from mfgstop.evolutive import osmfg_continuation
 from mfgstop.obstacle import _base_operator, _space_time_operator
@@ -11,7 +11,8 @@ from mfgstop.scenarios import scenario_standard
 from mfgstop.stationary import continuation_solve
 
 
-KEPT = (_base_operator, _space_time_operator, _coupled._jacobian_assembler)
+KEPT = (_base_operator, _space_time_operator, _coupled._jacobian_assembler,
+        density._drifted_step)
 
 
 @pytest.fixture(autouse=True)

@@ -114,3 +114,38 @@ def killed_density(rate, source):
     """m with (A + diag(rate)) m = rho, A = -lap + id."""
     grid = source.grid
     return ScalarField(grid, np.linalg.solve(operator(grid) + np.diag(rate), source.values))
+
+
+def _face_pairs(shape, axis):
+    """(left, right) flat node indices of every axis face in the face
+    order of a time step of a FaceVelocities component, None outside the
+    grid: face j along axis lies between nodes j - 1 and j."""
+    face_shape = tuple(n + (a == axis) for a, n in enumerate(shape))
+    for face in np.ndindex(face_shape):
+        j = face[axis]
+        left = face[:axis] + (j - 1,) + face[axis + 1:]
+        yield (np.ravel_multi_index(left, shape) if j >= 1 else None,
+               np.ravel_multi_index(face, shape) if j < shape[axis] else None)
+
+
+def drift_reference(grid, comps, m):
+    """Node-by-node -div(m b) and its matrix for the face velocities
+    comps (per axis, one time step): through each face of velocity b the
+    flux F = b+ m_R + b- m_L enters the left node as -F/h and the right
+    node as +F/h, 0 outside the grid."""
+    div = np.zeros(grid.n_total)
+    mat = np.zeros((grid.n_total, grid.n_total))
+    for axis, comp in enumerate(comps):
+        h = grid.spacing[axis]
+        for (left, right), b in zip(_face_pairs(grid.shape, axis), np.ravel(comp)):
+            up, down = max(b, 0.0), min(b, 0.0)
+            flux = (up * m[right] if right is not None else 0.0) + (
+                down * m[left] if left is not None else 0.0)
+            for node, sign in ((left, -1.0), (right, 1.0)):
+                if node is None:
+                    continue
+                div[node] += sign * flux / h
+                for col, coef in ((right, up), (left, down)):
+                    if col is not None:
+                        mat[node, col] += sign * coef / h
+    return div, mat

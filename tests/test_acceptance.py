@@ -262,7 +262,7 @@ def test_c11_evolutive_duality_identity(evolutive_psi0_solution,
 
 
 def test_c12_control_reduction_fenchel_objective(evolutive_psi0_solution,
-                                                 control_solution):
+                                                 control_solution, lu_factors):
     sc, sol_o, _, _ = evolutive_psi0_solution
     ham0 = Hamiltonian.smoothed_norm(ScalarField.zeros(sc.grid))
     sol_c, _ = cosmfg_coupled_solve(sc.cost, ham0, sc.m0, sc.timegrid,
@@ -290,9 +290,7 @@ def test_c12_control_reduction_fenchel_objective(evolutive_psi0_solution,
     base = control_objective(sol.m, drift, pot, sc_c.hamiltonian, sc_c.timegrid)
     tg = sc_c.timegrid
     x_faces = np.linspace(0, 1, sc_c.grid.n_interior[0] + 1)
-    killing = [KillingData(ScalarField(sc_c.grid, sol.alpha.array()[k]), NodeMask.all(sc_c.grid),
-                           sol.epsilon)
-               for k in range(tg.n_steps)]
+    killing = KillingData(sol.alpha, sol.epsilon)
     checked = 0
     for shape_i, shape in enumerate([np.sin(np.pi * x_faces),
                                      np.sin(2 * np.pi * x_faces),
@@ -300,13 +298,13 @@ def test_c12_control_reduction_fenchel_objective(evolutive_psi0_solution,
                                      x_faces * (1 - x_faces),
                                      np.ones_like(x_faces)]):
         delta = 0.05 * shape
-        drift_p = tuple(
-            FaceVelocities(sc_c.grid, (np.clip(d.components[0] + delta, -0.995, 0.995),))
-            for d in drift)
+        drift_p = FaceVelocities(sc_c.grid, tg,
+                                 (np.clip(drift.components[0] + delta, -0.995, 0.995),))
         m_p = solve_density_parabolic(sc_c.m0, killing, tg, drift_p)
         obj_p = control_objective(m_p, drift_p, pot, sc_c.hamiltonian, tg)
         assert base <= obj_p + 1e-6, (shape_i, base, obj_p)
         checked += 1
+    assert lu_factors and all(kind == "band" for kind, _ in lu_factors)
     report(12, f"reduction gap {max(red_u, red_m):.1e}, Fenchel-Young defect "
                f"{worst_fy:.1e}, objective optimal vs {checked} perturbed controls")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import os
@@ -225,6 +226,24 @@ def test_scenario_counterexamples(tmp_path, name):
     assert main(["scenario", name, "--out", str(tmp_path)]) == 0
     bundle = json.loads((tmp_path / f"scenario_{name}.json").read_text())
     assert bundle["confirmed"] is True
+
+
+@pytest.mark.parametrize("value", [1.0, float("nan")])
+def test_control_scenario_gates_its_duality_diagnostic(tmp_path, monkeypatch, value):
+    # the controlled report carries its duality signed, as
+    # duality_diagnostic: past 1e-4 in size, or NaN, the scenario is not
+    # confirmed
+    evidence = cli.run_scenario_evidence
+
+    def patched(scenario):
+        found = evidence(scenario)
+        return {**found, "report": dataclasses.replace(found["report"],
+                                                       duality_diagnostic=value)}
+
+    monkeypatch.setattr(cli, "run_scenario_evidence", patched)
+    assert main(["scenario", "control_smoothnorm", "--out", str(tmp_path)]) == 1
+    bundle = json.loads((tmp_path / "scenario_control_smoothnorm.json").read_text())
+    assert bundle["confirmed"] is False
 
 
 def test_scenario_unknown_name(tmp_path):

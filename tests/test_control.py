@@ -13,7 +13,7 @@ from mfgstop.control import (
     verify_cosmfg,
 )
 from mfgstop.costs import CostOperator
-from mfgstop.density import FaceVelocities, solve_density_parabolic
+from mfgstop.density import FaceVelocities, KillingData, solve_density_parabolic
 from mfgstop.evolutive import ObstacleOperator, verify_mixed_evolutive
 from mfgstop.grid import (
     FieldTrajectory,
@@ -154,22 +154,45 @@ def test_control_scenario_residuals(control_solution):
 
 
 def test_face_drift_is_the_drift_of_each_value_slice(control_solution):
-    # one FaceVelocities per time step k, the smoothed-norm drift
-    # beta q / sqrt(1 + q^2) at the face difference q of u_k (zero
-    # Dirichlet values outside), written out on the 1D faces
+    # at each time step k the smoothed-norm drift beta q / sqrt(1 + q^2)
+    # at the face difference q of u_k (zero Dirichlet values outside),
+    # written out on the 1D faces
     sc, sol, _ = control_solution
     u = sol.u.array()
     h = sc.grid.spacing[0]
     beta = sc.hamiltonian.face_weights[0]
     drift = face_drift(sc.hamiltonian, sol.u)
-    assert len(drift) == sc.timegrid.n_steps
-    for k, faces in enumerate(drift):
+    assert drift.timegrid == sc.timegrid
+    for k, faces in enumerate(drift.components[0]):
         q = np.diff(np.pad(u[k], 1)) / h
         expected = beta * q / np.sqrt(1.0 + q * q)
-        assert np.max(np.abs(faces.components[0] - expected)) <= 1e-14 * np.max(np.abs(expected))
+        assert np.max(np.abs(faces - expected)) <= 1e-14 * np.max(np.abs(expected))
     other = build_grid(1, (0.0, 2.0), sc.grid.n_interior[0])
     with pytest.raises(ValueError, match="one grid"):
         face_drift(Hamiltonian.smoothed_norm(ScalarField.constant(other, 1.0)), sol.u)
+
+
+def test_the_density_is_the_flow_of_the_exit_rate_and_the_face_drift(control_solution):
+    # the solution's alpha / epsilon is the solver's exit rate and
+    # face_drift its drift, so the density solve with both reproduces
+    # the solution's density
+    sc, sol, _ = control_solution
+    m = solve_density_parabolic(sc.m0, KillingData(sol.alpha, sol.epsilon), sc.timegrid,
+                                face_drift(sc.hamiltonian, sol.u))
+    assert np.max(np.abs(m.array() - sol.m.array())) <= 1e-12 * np.max(sol.m.array())
+
+
+def test_a_perturbed_density_solve_factors_no_step_by_superlu(control_solution, lu_factors):
+    # the equilibrium exit rate under a perturbed drift, as the control
+    # objective is compared: every drifted step of the K = 50 steps on 31
+    # nodes factors on its assembler's kept band order
+    sc, sol, _ = control_solution
+    drift = face_drift(sc.hamiltonian, sol.u)
+    x_faces = np.linspace(0, 1, sc.grid.n_interior[0] + 1)
+    perturbed = FaceVelocities(sc.grid, sc.timegrid, (np.clip(
+        drift.components[0] + 0.05 * np.sin(np.pi * x_faces), -0.99, 0.99),))
+    solve_density_parabolic(sc.m0, KillingData(sol.alpha, sol.epsilon), sc.timegrid, perturbed)
+    assert lu_factors == [("band", sc.grid.n_total)] * sc.timegrid.n_steps
 
 
 def test_each_residual_evaluates_the_hamiltonian_once(setup, monkeypatch):
@@ -438,12 +461,13 @@ def objective_by_node(m, drift, potential, hamiltonian, timegrid):
     # mass-weighted sum, nodes with mass <= 1e-14 left out of L m
     grid = m.grid
     total = 0.0
-    for k, faces in enumerate(drift):
+    for k in range(timegrid.n_steps):
         mass = m.array()[k + 1]
         slice_sum = float(np.sum(potential.evaluate(mass)))
         for i, node in enumerate(np.ndindex(grid.shape)):
-            velocity = [0.5 * (comp[node] + comp[node[:axis] + (node[axis] + 1,) + node[axis + 1:]])
-                        for axis, comp in enumerate(faces.components)]
+            velocity = [0.5 * (comp[k][node]
+                               + comp[k][node[:axis] + (node[axis] + 1,) + node[axis + 1:]])
+                        for axis, comp in enumerate(drift.components)]
             speed = math.sqrt(sum(v * v for v in velocity))
             if hamiltonian.kind == "quadratic":
                 l_val = 0.5 * speed**2
@@ -469,17 +493,16 @@ def test_control_objective_matches_a_node_by_node_sum(shape, kind):
     beta = ScalarField(grid, rng.uniform(0.5, 2.0, grid.n_total))
     ham = (Hamiltonian.smoothed_norm(beta) if kind == "smoothed_norm"
            else Hamiltonian.quadratic(grid, outside_assumptions=True))
-    drift = [FaceVelocities(grid, tuple(rng.uniform(-0.3, 0.3, grid.face_shape(axis))
-                                        for axis in range(dim)))
-             for _ in range(tg.n_steps - 1)]
-    drift.append(FaceVelocities(grid, tuple(np.full(grid.face_shape(axis), 3.0)
-                                            for axis in range(dim))))
-    arr = solve_density_parabolic(gaussian_density(grid), None, tg, tuple(drift)).array().copy()
+    comps = [np.stack([rng.uniform(-0.3, 0.3, grid.face_shape(axis))
+                       for _ in range(tg.n_steps - 1)] + [np.full(grid.face_shape(axis), 3.0)])
+             for axis in range(dim)]
+    drift = FaceVelocities(grid, tg, comps)
+    arr = solve_density_parabolic(gaussian_density(grid), None, tg, drift).array().copy()
     arr[-1] = 0.0
     m = FieldTrajectory(grid, tg, arr)
     cost = CostOperator.local_power(grid, 1.0, 1.0, ScalarField(grid, rng.uniform(-1.0, 0.0,
                                                                                   grid.n_total)))
-    got = control_objective(m, tuple(drift), cost.potential(), ham, tg)
+    got = control_objective(m, drift, cost.potential(), ham, tg)
     expected = objective_by_node(m, drift, cost.potential(), ham, tg)
     assert np.isfinite(expected) and expected != 0.0
     assert abs(got - expected) <= 1e-14 * abs(expected)
@@ -496,8 +519,8 @@ def test_control_objective_leaves_out_infinite_l_on_nodes_without_mass():
     assert ham.conjugate([0.5 * (faces[:-1] + faces[1:])])[[0, -1]].tolist() == [np.inf, np.inf]
     cost = CostOperator.local_power(grid, 1.0, 1.0, ScalarField.constant(grid, -0.5))
     zero = FieldTrajectory.constant(grid, tg, 0.0)
-    assert control_objective(zero, (FaceVelocities(grid, (faces,)),), cost.potential(), ham,
-                             tg) == 0.0
+    assert control_objective(zero, FaceVelocities(grid, tg, (faces[None],)), cost.potential(),
+                             ham, tg) == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -507,8 +530,9 @@ def fast_drift_pair():
     # slice 3, which makes slice 2 infeasible
     grid = build_grid(1, (0.0, 1.0), 7)
     tg = build_timegrid(0.5, 3)
-    fast = FaceVelocities(grid, (np.full(grid.face_shape(0), 2.0),))
-    drift = (fast, FaceVelocities.zeros(grid), FaceVelocities.zeros(grid))
+    faces = np.zeros((tg.n_steps,) + grid.face_shape(0))
+    faces[0] = 2.0
+    drift = FaceVelocities(grid, tg, (faces,))
     arr = solve_density_parabolic(gaussian_density(grid), None, tg, drift).array().copy()
     arr[3] *= 3.0
     ham = Hamiltonian.smoothed_norm(ScalarField.constant(grid, 1.0))
@@ -527,10 +551,14 @@ def test_control_objective_checks_every_slice_before_the_conjugates(fast_drift_p
 
 @pytest.mark.parametrize("count", [2, 4])
 def test_control_objective_takes_one_drift_per_step(fast_drift_pair, count):
+    # a drift of another step count, or of the same count on another
+    # horizon, is off the time grid
     m, drift, potential, ham, tg = fast_drift_pair
-    drift = (drift + (FaceVelocities.zeros(m.grid),))[:count]
-    with pytest.raises(ValueError, match="one drift per time step"):
-        control_objective(m, drift, potential, ham, tg)
+    for other in (build_timegrid(tg.horizon * count / tg.n_steps, count),
+                  build_timegrid(2.0 * tg.horizon, tg.n_steps)):
+        zero = np.zeros((other.n_steps,) + m.grid.face_shape(0))
+        with pytest.raises(ValueError, match="one grid and time grid"):
+            control_objective(m, FaceVelocities(m.grid, other, (zero,)), potential, ham, tg)
 
 
 def test_control_objective_rejects_infeasible(setup):
@@ -540,6 +568,6 @@ def test_control_objective_rejects_infeasible(setup):
     # growing density violates the subsolution inequality
     arr = np.tile(m0.values, (tg.n_steps + 1, 1)) * np.linspace(1, 2, tg.n_steps + 1)[:, None]
     bad = FieldTrajectory(grid, tg, arr)
-    drift = tuple(FaceVelocities.zeros(grid) for _ in range(tg.n_steps))
+    drift = FaceVelocities(grid, tg, (np.zeros((tg.n_steps,) + grid.face_shape(0)),))
     with pytest.raises(ValueError):
         control_objective(bad, drift, cost.potential(), ham, tg)

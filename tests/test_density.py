@@ -4,15 +4,16 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfgstop._coupled import _divergence
+from mfgstop import density
+from mfgstop._coupled import _divergence, _drift_values, _hamiltonian_positions
 from mfgstop.density import (
     FaceVelocities,
     KillingData,
-    drift_divergence_matrix,
     solve_density_on_set,
     solve_density_parabolic,
 )
 from mfgstop.grid import (
+    FieldTrajectory,
     NodeMask,
     ScalarField,
     build_grid,
@@ -21,7 +22,7 @@ from mfgstop.grid import (
 )
 from mfgstop.obstacle import _shifted_factor
 from mfgstop.scenarios import raised_cosine_bump
-from oracles import killed_density, operator
+from oracles import drift_reference, killed_density, operator
 
 
 def test_empty_set_gives_zero():
@@ -32,7 +33,7 @@ def test_empty_set_gives_zero():
 
 def test_full_set_matches_cosh_closed_form():
     g = build_grid(1, (0.0, 1.0), 31)
-    m = solve_density_on_set(NodeMask.all(g), ScalarField.constant(g, 1.0))
+    m = solve_density_on_set(NodeMask(g, np.ones(g.n_total, bool)), ScalarField.constant(g, 1.0))
     x = g.coordinates()[:, 0]
     exact = 1.0 - np.cosh(x - 0.5) / np.cosh(0.5)
     assert np.max(np.abs(m.values - exact)) < 2e-4
@@ -88,9 +89,11 @@ rates = st.lists(st.floats(0.0, 1.0), min_size=25, max_size=25).map(np.array)
 def test_parabolic_solve_never_gains_mass(m0_vals, mask, alpha, eps, faces):
     # killing only removes mass and the Dirichlet closure only lets it
     # leak, whatever the drift
+    # time-constant data: alpha = 0 off the node mask
     tg = build_timegrid(0.4, 4)
-    killing = KillingData(ScalarField(GRID_5X5, alpha), NodeMask(GRID_5X5, mask), eps)
-    drift = FaceVelocities(GRID_5X5, (faces[:30].reshape(6, 5), faces[30:].reshape(5, 6)))
+    killing = KillingData(FieldTrajectory(GRID_5X5, tg, np.tile(alpha * mask, (5, 1))), eps)
+    drift = FaceVelocities(GRID_5X5, tg, (np.broadcast_to(faces[:30].reshape(6, 5), (4, 6, 5)),
+                                          np.broadcast_to(faces[30:].reshape(5, 6), (4, 5, 6))))
     traj = solve_density_parabolic(ScalarField(GRID_5X5, m0_vals), killing, tg, drift)
     masses = traj.array().sum(axis=1) * GRID_5X5.cell_volume
     assert np.all(np.diff(masses) <= 1e-12 * max(1.0, masses[0]))
@@ -99,14 +102,14 @@ def test_parabolic_solve_never_gains_mass(m0_vals, mask, alpha, eps, faces):
 def test_rejects_negative_source():
     g = build_grid(1, (0.0, 1.0), 5)
     with pytest.raises(ValueError):
-        solve_density_on_set(NodeMask.all(g), ScalarField.constant(g, -1.0))
+        solve_density_on_set(NodeMask(g, np.ones(g.n_total, bool)), ScalarField.constant(g, -1.0))
 
 
 def test_penalized_with_empty_active_set_matches_full_solve():
     g = build_grid(1, (0.0, 1.0), 15)
     rho = raised_cosine_bump(g)
     m = killed_density(np.zeros(15), rho)
-    m_full = solve_density_on_set(NodeMask.all(g), rho)
+    m_full = solve_density_on_set(NodeMask(g, np.ones(g.n_total, bool)), rho)
     assert np.max(np.abs(m.values - m_full.values)) <= 1e-12
 
 
@@ -126,12 +129,13 @@ def test_penalized_limit_is_exclusion_solve():
 
 def test_killing_data_validation():
     g = build_grid(1, (0.0, 1.0), 5)
+    tg = build_timegrid(1.0, 2)
     for alpha in (2.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match=r"alpha must take values in \[0, 1\]"):
-            KillingData(ScalarField.constant(g, alpha), NodeMask.all(g), 1e-3)
+            KillingData(FieldTrajectory.constant(g, tg, alpha), 1e-3)
     for epsilon in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="positive and finite"):
-            KillingData(ScalarField.zeros(g), NodeMask.all(g), epsilon)
+            KillingData(FieldTrajectory.constant(g, tg, 0.0), epsilon)
 
 
 def test_subsolution_slack_of_exclusion_solves():
@@ -160,7 +164,7 @@ def test_parabolic_strong_killing_wipes_first_slice():
     tg = build_timegrid(1.0, 50)
     x = g.coordinates()[:, 0]
     m0 = ScalarField(g, np.sin(np.pi * x))
-    kd = KillingData(ScalarField.constant(g, 1.0), NodeMask.all(g), 1e-8)
+    kd = KillingData(FieldTrajectory.constant(g, tg, 1.0), 1e-8)
     traj = solve_density_parabolic(m0, kd, tg)
     assert np.max(np.abs(traj.array()[1])) <= 1e-6 * np.max(np.abs(m0.values))
 
@@ -171,7 +175,8 @@ def test_zero_drift_matches_heat_flow():
     x = g.coordinates()[:, 0]
     m0 = ScalarField(g, np.sin(np.pi * x))
     plain = solve_density_parabolic(m0, None, tg)
-    drifted = solve_density_parabolic(m0, None, tg, FaceVelocities.zeros(g))
+    zero = FaceVelocities(g, tg, (np.zeros((tg.n_steps,) + g.face_shape(0)),))
+    drifted = solve_density_parabolic(m0, None, tg, zero)
     assert np.array_equal(plain.array(), drifted.array())
 
 
@@ -180,7 +185,7 @@ def test_zero_alpha_kills_nothing():
     g = build_grid(1, (0.0, 1.0), 15)
     tg = build_timegrid(0.5, 20)
     m0 = raised_cosine_bump(g)
-    kd = KillingData(ScalarField.zeros(g), NodeMask.all(g), 1e-6)
+    kd = KillingData(FieldTrajectory.constant(g, tg, 0.0), 1e-6)
     assert not np.any(kd.rate())
     plain = solve_density_parabolic(m0, None, tg)
     assert np.array_equal(solve_density_parabolic(m0, kd, tg).array(), plain.array())
@@ -190,12 +195,11 @@ def test_killed_density_factors_once_by_cholesky(lu_factors, band_factors):
     # the stationary killed density (A + diag(rate)) m = rho on 31x31, as
     # the dt = 1 shifted operator: one banded Cholesky factor and no LU
     g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (31, 31))
-    x = g.coordinates()[:, 0]
-    kd = KillingData(ScalarField.constant(g, 1.0), NodeMask(g, x > 0.6), 1e-3)
+    rate = (g.coordinates()[:, 0] > 0.6) / 1e-3
     rho = raised_cosine_bump(g)
-    m = _shifted_factor(g, kd.rate(), 1.0)(rho.values)
+    m = _shifted_factor(g, rate, 1.0)(rho.values)
     assert lu_factors == [] and len(band_factors) == 1
-    a = elliptic_matrix(g) + sp.diags(kd.rate())
+    a = elliptic_matrix(g) + sp.diags(rate)
     assert np.max(np.abs(a @ m - rho.values)) <= 1e-10 * np.max(rho.values)
 
 
@@ -207,14 +211,14 @@ def test_parabolic_steps_without_drift_factor_once_by_cholesky(lu_factors, band_
     # killing) and call no LU
     g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (31, 31))
     tg = build_timegrid(0.5, 20)
-    kd = KillingData(ScalarField.constant(g, 1.0), NodeMask.all(g), 1e-2) if killing else None
+    kd = KillingData(FieldTrajectory.constant(g, tg, 1.0), 1e-2) if killing else None
     traj = solve_density_parabolic(raised_cosine_bump(g), kd, tg)
     assert lu_factors == [] and len(band_factors) == 1
     assert np.any(band_factors[0][1]) == killing
     # the steps solve B + diag(V) m_{k+1} = m_k / dt
     b = elliptic_matrix(g, with_zero_order=False) + sp.identity(g.n_total) / tg.dt
     if kd is not None:
-        b = b + sp.diags(kd.rate())
+        b = b + sp.diags(kd.rate()[0])
     m = traj.array()
     assert np.max(np.abs(m[1:] @ b.T - m[:-1] / tg.dt)) <= 1e-10 * np.max(m[0]) / tg.dt
 
@@ -227,8 +231,8 @@ def test_drift_preserves_positivity_and_mass_monotonicity():
     for axis in range(2):
         shape = [7, 7]
         shape[axis] += 1
-        comps.append(rng.normal(scale=2.0, size=tuple(shape)))
-    faces = FaceVelocities(g, tuple(comps))
+        comps.append(np.broadcast_to(rng.normal(scale=2.0, size=tuple(shape)), (15, *shape)))
+    faces = FaceVelocities(g, tg, tuple(comps))
     m0 = raised_cosine_bump(g)
     traj = solve_density_parabolic(m0, None, tg, faces)
     masses = traj.array().sum(axis=1) * g.cell_volume
@@ -236,54 +240,33 @@ def test_drift_preserves_positivity_and_mass_monotonicity():
     assert np.all(np.diff(masses) <= 1e-14)
 
 
+def drift_matrix(grid, comps):
+    """The drift operator div of each time step of the face velocities
+    comps (per axis, (K, *face shape)) as one dense (K, N, N) array, at
+    the drift stencils of the Newton Jacobian with their values."""
+    stencils = _hamiltonian_positions(grid, 1)[2][-2 * grid.dim:]
+    rows = np.concatenate([s[0] for s in stencils])
+    cols = np.concatenate([s[1] for s in stencils])
+    shape = (grid.n_total, grid.n_total)
+    return np.array([sp.csr_matrix((values, (rows, cols)), shape=shape).toarray()
+                     for values in np.hstack(_drift_values(grid, comps))])
+
+
 def test_drift_matrix_column_sums_nonnegative():
     # column sums = net boundary outflow per unit density; mass can only leak
     g = build_grid(1, (0.0, 1.0), 9)
     rng = np.random.default_rng(2)
-    faces = FaceVelocities(g, (rng.normal(size=10),))
-    d = drift_divergence_matrix(g, faces)
-    col = np.asarray(d.sum(axis=0)).ravel()
+    col = drift_matrix(g, (rng.normal(size=(1, 10)),))[0].sum(axis=0)
     assert np.all(col >= -1e-14)
-
-
-def _face_pairs(shape, axis):
-    """(left, right) flat node indices of every axis face in the face
-    order of FaceVelocities, None outside the grid: face j along axis
-    lies between nodes j - 1 and j."""
-    face_shape = tuple(n + (a == axis) for a, n in enumerate(shape))
-    for face in np.ndindex(face_shape):
-        j = face[axis]
-        left = face[:axis] + (j - 1,) + face[axis + 1:]
-        yield (np.ravel_multi_index(left, shape) if j >= 1 else None,
-               np.ravel_multi_index(face, shape) if j < shape[axis] else None)
-
-
-def _drift_reference(g, comps, m):
-    """Node-by-node -div(m b) and its matrix: through each face of
-    velocity b the flux F = b+ m_R + b- m_L enters the left node as
-    -F/h and the right node as +F/h, 0 outside the grid."""
-    div = np.zeros(g.n_total)
-    mat = np.zeros((g.n_total, g.n_total))
-    for axis, comp in enumerate(comps):
-        h = g.spacing[axis]
-        for (left, right), b in zip(_face_pairs(g.shape, axis), comp.ravel()):
-            up, down = max(b, 0.0), min(b, 0.0)
-            flux = (up * m[right] if right is not None else 0.0) + (
-                down * m[left] if left is not None else 0.0)
-            for node, sign in ((left, -1.0), (right, 1.0)):
-                if node is None:
-                    continue
-                div[node] += sign * flux / h
-                for col, coef in ((right, up), (left, down)):
-                    if col is not None:
-                        mat[node, col] += sign * coef / h
-    return div, mat
 
 
 @pytest.mark.parametrize("k_steps", [1, 3])
 @pytest.mark.parametrize("shape", [(31,), (9, 9), (15, 15)], ids=["31", "9x9", "15x15"])
 def test_drift_operator_matches_the_node_by_node_reference(shape, k_steps):
-    # signed face velocities with exact zeros, on axes of unequal spacing
+    # signed face velocities with exact zeros, on axes of unequal spacing:
+    # the matrix-free divergence of the Newton residuals, the drift
+    # stencils with their values, and the assembled drifted density step
+    # B + diag(rate) + div of each time step
     dim = len(shape)
     g = build_grid(dim, [(0.0, 1.0 + axis) for axis in range(dim)], list(shape))
     rng = np.random.default_rng(k_steps)
@@ -294,11 +277,17 @@ def test_drift_operator_matches_the_node_by_node_reference(shape, k_steps):
     assert all(np.any(c == 0.0) for c in comps)
     m = rng.uniform(0.1, 2.0, size=(k_steps, g.n_total))
     div = _divergence(g, comps, m)
+    mats = drift_matrix(g, comps)
+    dt = 0.1
+    rate = rng.uniform(0.0, 10.0, size=(k_steps, g.n_total))
+    values = np.hstack([rate, *_drift_values(g, comps)])
     for k in range(k_steps):
-        ref_div, ref_mat = _drift_reference(g, [c[k] for c in comps], m[k])
-        mat = drift_divergence_matrix(g, FaceVelocities(g, tuple(c[k] for c in comps)))
-        assert np.max(np.abs(mat.toarray() - ref_mat)) <= 1e-15 * np.max(np.abs(ref_mat))
+        ref_div, ref_mat = drift_reference(g, [c[k] for c in comps], m[k])
+        assert np.max(np.abs(mats[k] - ref_mat)) <= 1e-15 * np.max(np.abs(ref_mat))
         assert np.max(np.abs(div[k] - ref_div)) <= 1e-13 * np.max(np.abs(ref_div))
+        ref_step = operator(g, 1.0 / dt) + np.diag(rate[k]) + ref_mat
+        step = density._drifted_step(g, dt)(values[k]).toarray()
+        assert np.max(np.abs(step - ref_step)) <= 1e-15 * np.max(np.abs(ref_step))
 
 
 def test_killing_monotonicity():
@@ -308,8 +297,8 @@ def test_killing_monotonicity():
     alpha1 = rng.uniform(0.0, 0.5, 15)
     alpha2 = alpha1 + rng.uniform(0.0, 0.5, 15)
     tg = build_timegrid(1.0, 5)
-    m1, m2 = (solve_density_parabolic(rho, KillingData(ScalarField(g, alpha), NodeMask.all(g),
-                                                       1e-3), tg).array()
+    m1, m2 = (solve_density_parabolic(
+        rho, KillingData(FieldTrajectory(g, tg, np.tile(alpha, (6, 1))), 1e-3), tg).array()
               for alpha in (alpha1, alpha2))
     assert np.all(m2 <= m1 + 1e-14)
 
@@ -325,7 +314,9 @@ def test_discrete_parabolic_pairing_inequality():
     x = g.coordinates()[:, 0]
     m0 = ScalarField(g, np.sin(np.pi * x))
     rng = np.random.default_rng(4)
-    kd = KillingData(ScalarField(g, rng.uniform(0, 1, 11)), NodeMask(g, x > 0.5), 1e-2)
+    # alpha = 0 off x > 0.5
+    alpha = rng.uniform(0, 1, 11) * (x > 0.5)
+    kd = KillingData(FieldTrajectory(g, tg, np.tile(alpha, (tg.n_steps + 1, 1))), 1e-2)
     for killing in (None, kd):
         traj = solve_density_parabolic(m0, killing, tg)
         marr = traj.array()

@@ -145,7 +145,7 @@ def test_fields_are_read_only():
     with pytest.raises(ValueError):
         f.values[0] = 2.0
     with pytest.raises(ValueError):
-        NodeMask.all(g).mask[0] = False
+        NodeMask(g, np.ones(3, dtype=bool)).mask[0] = False
 
 
 def test_field_csv_round_trip(tmp_path):

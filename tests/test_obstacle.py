@@ -15,7 +15,6 @@ from mfgstop._coupled import (
 )
 from mfgstop.control import Hamiltonian, face_drift
 from mfgstop.costs import CostOperator
-from mfgstop.density import drift_divergence_matrix
 from mfgstop.evolutive import ObstacleOperator, osmfg_continuation
 from mfgstop.grid import (
     FieldTrajectory,
@@ -40,6 +39,7 @@ from mfgstop.obstacle import (
 )
 from mfgstop.scenarios import gaussian_density, raised_cosine_bump
 from oracles import (
+    drift_reference,
     obstacle_candidates,
     obstacle_oracle,
     parabolic_obstacle,
@@ -824,8 +824,9 @@ def test_frozen_jacobian_matches_block_assembly(drift, heat):
     div_ops = [None] * k_steps
     h_vals = np.zeros((k_steps, n))
     if drift:
-        div_ops = [drift_divergence_matrix(g, d)
-                   for d in face_drift(ham, FieldTrajectory(g, tg, u))]
+        faces = face_drift(ham, FieldTrajectory(g, tg, u)).components
+        div_ops = [sp.csr_matrix(drift_reference(g, [c[k] for c in faces], m[k + 1])[1])
+                   for k in range(k_steps)]
         h_vals = _hamiltonian_state(g, ham, u[:k_steps]).values
     residual, jacobian, _, unstack = _frozen_system(
         cost, g_cost, g_arr[:k_steps], ham, g, m[0], dt, eps, band, lag=1)
@@ -916,7 +917,7 @@ def test_hamiltonian_jacobian_matches_finite_differences(shape, kind):
         assert np.all(np.abs((fwd @ w[:k_steps].T) - (bwd @ w[:k_steps].T)) > margin)
     tg = build_timegrid(k_steps * dt, k_steps)
     assert all(np.all(np.abs(b) > margin)
-               for d in face_drift(ham, FieldTrajectory(g, tg, w)) for b in d.components)
+               for b in face_drift(ham, FieldTrajectory(g, tg, w)).components)
 
     residual, jacobian, _, _ = _frozen_system(
         cost, None, np.zeros(size), ham, g, m[0], dt, eps, band, lag=1)

@@ -18,7 +18,6 @@ from mfgstop.density import FaceVelocities, KillingData, solve_density_parabolic
 from mfgstop.evolutive import ObstacleOperator, verify_mixed_evolutive
 from mfgstop.grid import (
     FieldTrajectory,
-    NodeMask,
     ScalarField,
     build_grid,
     build_timegrid,
@@ -39,23 +38,33 @@ def on(grid, value=0.5):
     return ScalarField.constant(grid, value)
 
 
+def zero_drift(grid, timegrid):
+    return FaceVelocities(grid, timegrid, (np.zeros((timegrid.n_steps,) + grid.face_shape(0)),))
+
+
 def local_cost(grid):
     return CostOperator.local_power(grid, 1.0, 1.0, on(grid, -0.5))
 
 
-@pytest.mark.parametrize("moved", [None, "killing", "drift"])
+@pytest.mark.parametrize("moved", [None, "killing", "drift", "killing_timegrid",
+                                   "drift_timegrid"])
 def test_solve_density_parabolic_before_the_first_step(moved, monkeypatch):
-    # the data on the other grid is that of the last step only; every
-    # step has its own data, and the zero drift makes it a shifted
-    # operator
+    # the killing data or the drift moved to the other grid or time
+    # grid; every step has its own exit rate, and the zero drift makes
+    # it a shifted operator
     solves = []
     for name in ("_lu_factor", "_shifted_factor"):
         solve = getattr(density, name)
         monkeypatch.setattr(density, name,
                             lambda *args, solve=solve: solves.append(1) or solve(*args))
-    killing = [KillingData(on(g), NodeMask.all(g), 0.1)
-               for g in (GRID, GRID, OTHER if moved == "killing" else GRID)]
-    drift = [FaceVelocities.zeros(g) for g in (GRID, GRID, OTHER if moved == "drift" else GRID)]
+
+    def place(data):
+        return (OTHER if moved == data else GRID, OTHER_TG if moved == f"{data}_timegrid" else TG)
+
+    grid, tg = place("killing")
+    alpha = np.repeat(np.linspace(0.1, 0.4, tg.n_steps + 1)[:, None], grid.n_total, axis=1)
+    killing = KillingData(FieldTrajectory(grid, tg, alpha), 0.1)
+    drift = zero_drift(*place("drift"))
     if moved is None:
         assert solve_density_parabolic(on(GRID), killing, TG, drift).grid == GRID
         assert len(solves) == TG.n_steps
@@ -102,16 +111,19 @@ def test_solve_obstacle_stationary():
         solve_obstacle_stationary(on(GRID, 1.0), on(OTHER, 0.0))
 
 
-@pytest.mark.parametrize("moved", [None, "drift", "potential", "hamiltonian", "timegrid"])
+@pytest.mark.parametrize("moved", [None, "drift", "drift_timegrid", "potential", "hamiltonian",
+                                   "timegrid"])
 def test_control_objective(moved):
     # the heat flow with zero drift is a feasible pair
     m = solve_density_parabolic(gaussian_density(GRID), None, TG)
-    drift = [FaceVelocities.zeros(GRID) for _ in range(TG.n_steps)]
+    drift = zero_drift(GRID, TG)
     potential = local_cost(GRID).potential()
     hamiltonian = Hamiltonian.smoothed_norm(on(GRID, 1.0))
     timegrid = TG
     if moved == "drift":
-        drift[-1] = FaceVelocities.zeros(OTHER)
+        drift = zero_drift(OTHER, TG)
+    elif moved == "drift_timegrid":
+        drift = zero_drift(GRID, OTHER_TG)
     elif moved == "potential":
         potential = local_cost(OTHER).potential()
     elif moved == "hamiltonian":
@@ -119,10 +131,10 @@ def test_control_objective(moved):
     elif moved == "timegrid":
         timegrid = OTHER_TG
     if moved is None:
-        assert np.isfinite(control_objective(m, tuple(drift), potential, hamiltonian, timegrid))
+        assert np.isfinite(control_objective(m, drift, potential, hamiltonian, timegrid))
         return
     with pytest.raises(ValueError, match=MISMATCH):
-        control_objective(m, tuple(drift), potential, hamiltonian, timegrid)
+        control_objective(m, drift, potential, hamiltonian, timegrid)
 
 
 def test_coarsen_maps_only_fields_of_its_two_grids():

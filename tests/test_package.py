@@ -17,8 +17,9 @@ sources with ast:
 - every direct solve goes through the factor functions of obstacle,
   only obstacle keeps the base operators B = -lap + I/dt, and only
   three solves outside it factor by LU;
-- the Hamiltonian data of the controlled system has one source, and no
-  Newton system or verifier builds a drift matrix;
+- the Hamiltonian data of the controlled system has one source, and the
+  Jacobian and the drifted density steps take their drift from its one
+  stencil layout;
 - every verifier takes its residuals from the one residual core, and
   every coupled Newton solve runs in the one penalty stage;
 - tests/oracles.py takes from the package only the grid's data types
@@ -347,10 +348,10 @@ def test_newton_steps_are_taken_only_by_the_one_system_builder():
 
 
 # the Hamiltonian data of the controlled system: only the one state
-# builder applies the difference matrices to u, only the positions
-# builder lays out their stencils (the drift's among them) and only the
-# public drift matrix builds the drift from them, so the residual, the
-# Jacobian and the verifier read one source of H and of the drift
+# builder applies the difference matrices to u and only the positions
+# builder lays out their stencils (the drift's among them), so the
+# residual, the Jacobian, the verifier and the density steps read one
+# source of H and of the drift
 HAMILTONIAN_DATA = {"_gradient_matrices"}
 
 
@@ -358,17 +359,22 @@ def test_hamiltonian_data_is_evaluated_only_by_the_state_and_pattern_builders():
     found = [(where, line) for module in MODULES
              for where, line in _references(_tree(module), module, HAMILTONIAN_DATA)]
     assert {where for where, _ in found} == {"_coupled._hamiltonian_state",
-                                             "_coupled._hamiltonian_positions",
-                                             "density.drift_divergence_matrix"}, found
+                                             "_coupled._hamiltonian_positions"}, found
 
 
-def test_the_newton_loop_builds_no_drift_matrix():
-    # the Newton systems and the verifiers apply the drift by its face
-    # fluxes (_coupled._divergence); only the forward density stepping
-    # assembles the matrix
-    found = [(where, line) for module in MODULES
-             for where, line in _references(_tree(module), module, {"drift_divergence_matrix"})]
-    assert {where for where, _ in found} == {"density.solve_density_parabolic"}, found
+def test_the_jacobian_and_the_density_steps_take_their_drift_from_one_stencil_layout():
+    # the drift stencils are laid out by _hamiltonian_positions alone and
+    # given their values by _drift_values alone: the Jacobian's density
+    # rows and the drifted density steps read both, and nothing else
+    # builds a drift operator
+    found = {name: {where for module in MODULES
+                    for where, _ in _references(_tree(module), module, {name})}
+             for name in ("_hamiltonian_positions", "_drift_values")}
+    assert found == {
+        "_hamiltonian_positions": {"_coupled._jacobian_assembler", "_coupled._hamiltonian_values",
+                                   "_coupled._drift_values", "density._drifted_step"},
+        "_drift_values": {"_coupled._hamiltonian_values", "density.solve_density_parabolic"},
+    }, found
 
 
 # the record of B = -lap + I/dt kept per grid and time step, through

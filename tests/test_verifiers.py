@@ -15,7 +15,7 @@ from mfgstop.control import Hamiltonian, verify_cosmfg
 from mfgstop.costs import CostOperator
 from mfgstop.evolutive import ObstacleOperator, verify_mixed_evolutive
 from mfgstop.grid import FieldTrajectory, ScalarField, build_grid, build_timegrid
-from mfgstop.stationary import verify_mixed
+from mfgstop.stationary import MixedSolutionReport, verify_mixed
 from oracles import neg_laplacian, operator
 
 GRIDS = {"1d": (15,), "2d": (7, 7)}
@@ -366,3 +366,12 @@ def test_a_nan_in_the_candidate_shows_in_the_report(verifier):
         u = FieldTrajectory(grid, u.timegrid, values)
     report = func(u, *rest).to_dict()
     assert np.isnan(report["r_hjb" if verifier == "verify_cosmfg" else "r_obstacle"])
+
+
+@pytest.mark.parametrize("field", range(5))
+def test_max_residual_is_nan_for_a_nan_residual(field):
+    # a NaN in any of the five residuals, not only the first, so that no
+    # gate on max_residual confirms on it
+    residuals = [0.0] * 5
+    residuals[field] = float("nan")
+    assert np.isnan(MixedSolutionReport(*residuals, 1e-12, {}).max_residual)
