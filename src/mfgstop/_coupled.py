@@ -26,17 +26,22 @@ take the zero obstacle, on which w = u. Only the classification band
 is fixed, once per penalty stage from the stage-entry iterate; each
 stage is one Newton solve.
 
+The package steps time in one loop, _sweep, an implicit Euler sweep of
+N x N slice solves: the Newton step's block sweeps below, the backward
+heat image of a heat_from_g obstacle (evolutive.ObstacleOperator) and
+the density flow (density.solve_density_parabolic) are its calls.
+
 On grids of dim >= 2 without a Hamiltonian, each linear Newton step of
 the joint system (not a split of the nonlinear one) is solved by time
 sweeps: the value block of the Jacobian is block upper bidiagonal in
 time and the density block block lower bidiagonal, so each is inverted
-by one backward or forward sweep of N x N slice solves
-(obstacle._shifted_factor factors the slice blocks B + diag(d), which
-are symmetric positive definite, by banded Cholesky), and the
-coupling is eliminated through the density Schur complement
-(_schur_step), as in the iterative strategies of Achdou and
-Perez for linearized discrete MFG systems (Netw. Heterog. Media 7(2),
-2012); the stationary step is the one-slice case of the same solve.
+by one backward or forward _sweep (obstacle._shifted_factor factors the
+slice blocks B + diag(d), which are symmetric positive definite, by
+banded Cholesky), and the coupling is eliminated through the density
+Schur complement (_schur_step), as in the iterative strategies of
+Achdou and Perez for linearized discrete MFG systems (Netw. Heterog.
+Media 7(2), 2012); the stationary step is the one-slice case of the
+same solve.
 The Schur complement is solved by the module's own restarted GMRES
 (_gmres), whose last operator apply leaves the density step and the
 value correction of the Newton step behind. 1D grids and the
@@ -146,7 +151,7 @@ class PenalizedTriple:
 
     def __post_init__(self):
         a = self.alpha.values
-        if np.any(a < -1e-12) or np.any(a > 1 + 1e-12):
+        if not np.all((a >= -1e-12) & (a <= 1 + 1e-12)):
             raise ValueError("alpha must take values in [0, 1]")
 
 
@@ -216,6 +221,20 @@ def _jacobian_assembler(grid: Grid, dt: float, k_steps: int, lag: int, with_h: b
 def _whole_step(jac, rhs):
     """The Newton step by the LU of the whole Jacobian jac.matrix()."""
     return _lu_solve(jac.matrix(), rhs)
+
+
+def _sweep(factors, r, dt, backward):
+    """The package's one time loop, an implicit Euler sweep over the
+    slices of r (K, N): out_k = factors[k](r_k + out_prev / dt), out_prev
+    the slice solved just before (zero at the first), for k from K - 1
+    down to 0 (backward) or from 0 up (forward); (K, N). It inverts the
+    block bidiagonal matrix with the inverses of factors on the diagonal
+    and -I/dt above it (backward) or below it (forward)."""
+    out = np.empty_like(r)
+    prev = np.zeros(r.shape[1])
+    for k in range(len(r) - 1, -1, -1) if backward else range(len(r)):
+        prev = out[k] = factors[k](r[k] + prev / dt)
+    return out
 
 
 def _gmres(apply, b):
@@ -548,7 +567,9 @@ def _penalized_stage(cost, g_cost, g_arr, hamiltonian, grid, m_arr, dt, epsilon,
     the whole Jacobian otherwise), with the Hamiltonian terms evaluated
     once per iterate, for at most _MAX_OUTER steps. The stage has
     converged when its last residual norm is at most tol_pde, and strict
-    raises CoupledNonConvergence otherwise.
+    raises CoupledNonConvergence otherwise; a last norm that is not
+    finite raises it, strict or not, so no later stage starts from a
+    NaN iterate.
 
     Returns the w and m slices 0..K of the last iterate and the other
     fields of the stage's PenalizedTriple (epsilon, iterations,
@@ -569,7 +590,7 @@ def _penalized_stage(cost, g_cost, g_arr, hamiltonian, grid, m_arr, dt, epsilon,
     x, norms, iterations = semismooth_newton(residual, jacobian, np.concatenate(x0), target,
                                              _MAX_OUTER, solve=solve)
     converged = norms[-1] <= tol_pde
-    if strict and not converged:
+    if not np.isfinite(norms[-1]) or strict and not converged:
         raise CoupledNonConvergence("penalized Newton did not converge", norms)
     return (*unstack(x), dict(epsilon=epsilon, iterations=iterations, residual_history=norms,
                               delta_band=band, converged=converged))
@@ -584,7 +605,6 @@ def forward_backward_solve(
     *,
     obstacle_op,
     hamiltonian=None,
-    m_traj_init: np.ndarray | None = None,
     warm: PenalizedTriple | None = None,
     strict: bool = True,
 ) -> PenalizedTriple:
@@ -601,12 +621,12 @@ def forward_backward_solve(
     of the returned u). Local costs only; nonlocal couplings have no
     nodal derivative for the Newton blocks.
 
-    The start is the density trajectory m_traj_init (default m0 in
-    every slice) and w = 0; a warm start, the previous stage's solution,
-    replaces both by its m and w = u - psi(m). The cost, the obstacle's
-    psi and g, the Hamiltonian and the warm start must lie on the grid
-    of m0, and trajectories on timegrid, or ValueError is raised before
-    any Newton step (grid._on_grid). The solve has converged when its
+    The start is m0 in every slice and w = 0; a warm start, the
+    previous stage's solution, replaces both by its m and
+    w = u - psi(m). The cost, the obstacle's psi and g, the Hamiltonian
+    and the warm start must lie on the grid of m0, and trajectories on
+    timegrid, or ValueError is raised before any Newton step
+    (grid._on_grid). The solve has converged when its
     residual norm is at most tol_pde; strict=False returns the last
     iterate with converged=False instead of raising (used for warm-up
     continuation stages).
@@ -617,15 +637,12 @@ def forward_backward_solve(
         raise ValueError("time-dependent solvers require a local cost operator")
     grid = _on_grid(m0.grid, timegrid, cost, obstacle_op.psi, obstacle_op.g_cost, hamiltonian,
                     getattr(warm, "u", None), getattr(warm, "m", None))
-    if np.any(m0.values < -1e-12):
+    if not np.all(m0.values >= -1e-12):
         raise ValueError("m0 must be nonnegative")
     steps = timegrid.n_steps
     g_cost = obstacle_op.g_cost if obstacle_op.kind == "heat_from_g" else None
 
-    if warm is not None:
-        m_traj_init = warm.m.array()
-    m_arr = (np.tile(m0.values, (steps + 1, 1)) if m_traj_init is None
-             else np.array(m_traj_init, dtype=float, copy=True))
+    m_arr = np.tile(m0.values, (steps + 1, 1)) if warm is None else warm.m.array().copy()
     m_arr[0] = m0.values
     psi_arr, g_arr = obstacle_op.apply_arrays(grid, timegrid, m_arr)
     if hamiltonian is not None and np.any(psi_arr):
@@ -764,21 +781,10 @@ def _frozen_system(cost, g_cost, g_arr, hamiltonian, grid, m0_vals, dt, epsilon,
         return residual, jacobian, _whole_step, unstack
 
     def sweep(diagonals, backward):
-        # Ju^-1 (backward) or Jm^-1 (forward): per slice the solve of
-        # B + diag(d_k), B's cached factor where d_k vanishes, with the
-        # -I/dt coupling to the slice solved before it
+        # Ju^-1 (backward) or Jm^-1 (forward): _sweep on the factors of
+        # B + diag(d_k), B's kept factor where d_k vanishes
         factors = [_shifted_factor(grid, d, dt) for d in diagonals]
-        order = range(k_steps - 1, -1, -1) if backward else range(k_steps)
-
-        def solve(r):
-            r = r.reshape(k_steps, n)
-            out = np.empty_like(r)
-            carry = np.zeros(n)
-            for k in order:
-                carry = out[k] = factors[k](r[k] + carry / dt)
-            return out.ravel()
-
-        return solve
+        return lambda r: _sweep(factors, r.reshape(k_steps, n), dt, backward).ravel()
 
     def block_solve(jac, rhs):
         r_u, r_m = rhs[:n_u], rhs[n_u:2 * n_u]

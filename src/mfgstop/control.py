@@ -74,7 +74,7 @@ class Hamiltonian:
         if self.kind == "smoothed_norm":
             if self.beta is None:
                 raise ValueError("smoothed_norm needs a beta field")
-            if np.any(self.beta.values < 0):
+            if not np.all(self.beta.values >= 0):
                 raise ValueError("beta must be nonnegative")
         if self.kind == "quadratic" and not self.outside_assumptions:
             raise ValueError(
@@ -172,14 +172,13 @@ def cosmfg_coupled_solve(
     timegrid: TimeGrid,
     eps_schedule=None,
     tol_pde: float = 1e-8,
-    m_traj_init: np.ndarray | None = None,
 ):
     """Penalty continuation for the controlled system: the evolutive
     one with the zero obstacle and the Hamiltonian term, the first stage
-    from the density trajectory m_traj_init. H(x, Du) and the drift
-    D_pH(x, grad u) on faces are Newton terms, evaluated at every Newton
-    iterate; face_drift(hamiltonian, solution.u) is the drift of the
-    returned value trajectory.
+    from m0 in every slice. H(x, Du) and the drift D_pH(x, grad u) on
+    faces are Newton terms, evaluated at every Newton iterate;
+    face_drift(hamiltonian, solution.u) is the drift of the returned
+    value trajectory.
 
     Returns (solution, stages): the final PenalizedTriple, whose fields
     are trajectories, and one StageReport per stage, with the
@@ -189,8 +188,7 @@ def cosmfg_coupled_solve(
 
     def solve_stage(eps, warm, strict):
         return forward_backward_solve(cost, m0, timegrid, eps, tol_pde, obstacle_op=zero,
-                                      hamiltonian=hamiltonian, m_traj_init=m_traj_init,
-                                      warm=warm, strict=strict)
+                                      hamiltonian=hamiltonian, warm=warm, strict=strict)
 
     def verify(sol):
         return verify_cosmfg(sol.u, sol.m, cost, hamiltonian, m0, delta_c=sol.delta_band)

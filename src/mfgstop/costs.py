@@ -47,7 +47,7 @@ class CostOperator:
 
     @staticmethod
     def local_power(grid: Grid, a: float, p: float, f0: ScalarField) -> "CostOperator":
-        if p < 1:
+        if not p >= 1:
             raise ValueError("exponent p must be >= 1")
         return CostOperator(kind="local_power", grid=grid, a=float(a), p=float(p), f0=f0)
 
@@ -95,36 +95,25 @@ class CostOperator:
     def __call__(self, m: ScalarField) -> ScalarField:
         return ScalarField(_on_grid(self.grid, None, m), self.evaluate(m.values))
 
-    def level_set(self, c: np.ndarray) -> np.ndarray | None:
-        """Per-node tau >= 0 with f(x, tau) = c(x), for local kinds.
+    def zero_crossing(self) -> np.ndarray | None:
+        """Per-node m0 >= 0 with f(x, m0) = 0, for local kinds.
 
-        Nodes where f(x, 0) >= c get 0 (no mass supports that level);
-        nodes where the level is unreachable for any m >= 0 get +inf.
-        Returns None for nonlocal costs, which have no nodal level set.
+        Nodes where f(x, 0) >= 0 get 0; nodes where f(x, m) < 0 for
+        every m >= 0 get +inf. Returns None for nonlocal costs, which
+        have no nodal zero crossing.
         """
         if not self.is_local:
             return None
-        c = np.asarray(c, dtype=float)
         if self.kind == "local_affine_shifted":
-            return np.maximum(self.m_ref.values - self.base.values + c, 0.0)
+            return np.maximum(self.m_ref.values - self.base.values, 0.0)
         f0 = self.f0.values
         out = np.zeros(self.grid.n_total)
-        if self.a > 0:
-            reach = c > f0
-            out[reach] = np.power((c[reach] - f0[reach]) / self.a, 1.0 / self.p)
-        elif self.a < 0:
-            reach = c < f0
-            out[reach] = np.power((c[reach] - f0[reach]) / self.a, 1.0 / self.p)
-            out[c > f0] = np.inf
-        else:
-            out[c > f0] = np.inf
+        if self.a != 0:
+            reach = f0 < 0 if self.a > 0 else f0 > 0
+            out[reach] = np.power(-f0[reach] / self.a, 1.0 / self.p)
+        if self.a <= 0:
+            out[f0 < 0] = np.inf
         return out
-
-    def zero_crossing(self) -> np.ndarray | None:
-        """Per-node m0 >= 0 with f(x, m0) = 0 (level_set at level 0)."""
-        if not self.is_local:
-            return None
-        return self.level_set(np.zeros(self.grid.n_total))
 
     def derivative(self, m_values: np.ndarray) -> np.ndarray | None:
         """Nodewise df/dm for local kinds (None for nonlocal)."""
@@ -146,11 +135,7 @@ class CostOperator:
 
     def potential(self) -> "PotentialOperator | None":
         """Antiderivative in m, when one exists in closed form."""
-        if self.kind == "local_power":
-            return PotentialOperator(self)
-        if self.kind == "local_affine_shifted":
-            return PotentialOperator(self)
-        return None
+        return PotentialOperator(self) if self.is_local else None
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,8 +1,9 @@
 """Density-side solvers: the exclusion-set elliptic equation and the
 killed, drifted forward equation by implicit Euler with conservative
 upwind fluxes, whose killing data and face drift of the K time steps are
-one record each. A drifted step is assembled on the drift stencils of
-the controlled problem's Newton Jacobian (_coupled._drift_values).
+one record each. The K steps are one forward _coupled._sweep, and a
+drifted step is assembled on the drift stencils of the controlled
+problem's Newton Jacobian (_coupled._drift_values).
 
 All system matrices are M-matrices, so every produced density is
 nonnegative (up to roundoff) and total mass is non-increasing in time.
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._coupled import _drift_values, _hamiltonian_positions
+from ._coupled import _drift_values, _hamiltonian_positions, _sweep
 from .grid import (
     FieldTrajectory,
     Grid,
@@ -84,7 +85,7 @@ class FaceVelocities:
 
 
 def _require_nonnegative(values: np.ndarray, what: str) -> None:
-    if np.any(values < -1e-12):
+    if not np.all(values >= -1e-12):
         raise ValueError(f"{what} must be nonnegative, min = {values.min():.3e}")
 
 
@@ -131,10 +132,11 @@ def solve_density_parabolic(
     stable and preserves nonnegativity. Data off the grid of m0 or off
     timegrid raises ValueError before the first step.
 
-    A step whose drift operator vanishes factors B + diag(V) by
-    obstacle._shifted_factor; a drifted step factors its _drifted_step
-    matrix by LU on the assembler's kept order. A step whose rate and
-    drift values equal those of the step before reuses its factor.
+    Each step is factored once, and the K steps are one forward
+    _coupled._sweep from m0 / dt. A step whose drift operator vanishes
+    factors B + diag(V) by obstacle._shifted_factor (B's kept factor
+    where V vanishes too); a drifted step factors its _drifted_step
+    matrix by LU on the assembler's kept order.
     """
     grid = _on_grid(m0.grid, timegrid, None if killing is None else killing.alpha, drift)
     _require_nonnegative(m0.values, "m0")
@@ -142,13 +144,8 @@ def solve_density_parabolic(
     rates = np.zeros((timegrid.n_steps, n)) if killing is None else killing.rate()
     # per step the values of the drifted step: the rate, then the drift's
     steps = rates if drift is None else np.hstack([rates, *_drift_values(grid, drift.components)])
-    m_arr = np.empty((timegrid.n_steps + 1, n))
-    m_arr[0] = m0.values
-    kept = solve = None
-    for k, values in enumerate(steps):
-        if kept is None or not np.array_equal(values, kept):
-            kept = values
-            solve = (_lu_factor(_drifted_step(grid, dt)(values)) if np.any(values[n:])
-                     else _shifted_factor(grid, values[:n], dt))
-        m_arr[k + 1] = solve(m_arr[k] / dt)
-    return FieldTrajectory(grid, timegrid, m_arr)
+    factors = [_lu_factor(_drifted_step(grid, dt)(values)) if np.any(values[n:])
+               else _shifted_factor(grid, values[:n], dt) for values in steps]
+    r = np.zeros((timegrid.n_steps, n))
+    r[0] = m0.values / dt
+    return FieldTrajectory(grid, timegrid, np.vstack([m0.values, _sweep(factors, r, dt, False)]))

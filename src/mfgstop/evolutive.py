@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._coupled import _residuals, forward_backward_solve
+from ._coupled import _residuals, _sweep, forward_backward_solve
 from .costs import CostOperator
 from .grid import (
     FieldTrajectory,
@@ -78,19 +78,19 @@ class ObstacleOperator:
         psi(T) = 0 by implicit Euler and returns the source g(m) itself
         as the second array (no differencing); constant_field returns
         the stored trajectory and its discrete (d/dt + lap) image. The K
-        backward heat steps solve with the factor of B = A0 + I/dt that
-        the process keeps per (grid, dt) (obstacle._shifted_factor),
-        shared with the solver's sweeps and with every later call. A psi
-        or g off grid and timegrid raises ValueError."""
+        backward heat steps are one backward _coupled._sweep of -g_k
+        with the factor of B = A0 + I/dt that the process keeps per
+        (grid, dt) (obstacle._shifted_factor), shared with the solver's
+        sweeps and with every later call. A psi or g off grid and
+        timegrid raises ValueError."""
         _on_grid(grid, timegrid, self.psi, self.g_cost)
         steps = timegrid.n_steps
         dt = timegrid.dt
         if self.kind == "heat_from_g":
             g_arr = self.g_cost.evaluate(m_arr)
             psi_arr = np.zeros_like(m_arr)
-            solve = _shifted_factor(grid, 0.0, dt)
-            for k in range(steps - 1, -1, -1):
-                psi_arr[k] = solve(psi_arr[k + 1] / dt - g_arr[k])
+            psi_arr[:steps] = _sweep([_shifted_factor(grid, 0.0, dt)] * steps, -g_arr[:steps], dt,
+                                     True)
             return psi_arr, g_arr
         psi_arr = self.psi.array()
         if psi_arr.shape != m_arr.shape:

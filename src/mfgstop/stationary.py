@@ -138,7 +138,7 @@ def penalized_coupled_solve(
         raise ValueError("epsilon must be positive and finite")
     grid = _on_grid(rho.grid, None, cost, m_init, getattr(warm, "u", None),
                     getattr(warm, "m", None))
-    if np.any(rho.values < -1e-12):
+    if not np.all(rho.values >= -1e-12):
         raise ValueError("rho must be nonnegative")
     if warm is not None:
         m, u, warm_band = warm.m.values, warm.u.values, warm.delta_band

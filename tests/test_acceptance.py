@@ -9,7 +9,6 @@ import time
 
 import numpy as np
 
-from mfgstop._coupled import forward_backward_solve
 from mfgstop.control import (
     Hamiltonian,
     control_objective,
@@ -22,7 +21,7 @@ from mfgstop.density import (
     solve_density_on_set,
     solve_density_parabolic,
 )
-from mfgstop.evolutive import osmfg_continuation
+from mfgstop.evolutive import ObstacleOperator, osmfg_continuation
 from mfgstop.grid import NodeMask, ScalarField, build_grid, inner
 from mfgstop.obstacle import solve_obstacle_stationary
 from mfgstop.scenarios import (
@@ -34,11 +33,11 @@ from mfgstop.scenarios import (
 from mfgstop.stationary import (
     continuation_solve,
     monotone_iteration_solve,
-    penalty_continuation,
     uniqueness_probe,
     variational_minimize,
 )
 from oracles import killed_density, obstacle_oracle, operator, penalized_obstacle
+from test_evolutive import continuation_from
 from test_stationary import euler_lagrange_certificate
 
 
@@ -169,24 +168,19 @@ def test_c06_uniqueness_under_strict_monotonicity(evolutive_psi0_solution,
     # the evolutive probe: the stages of osmfg_continuation, the first
     # from the start, at five scales drawn as uniqueness_probe draws them
     ev = evolutive_psi0_solution[0]
-
-    def solve_evolutive(init):
-        def stage(eps, warm, strict):
-            return forward_backward_solve(ev.cost, ev.m0, ev.timegrid, eps,
-                                          obstacle_op=ev.obstacle_op, m_traj_init=init,
-                                          warm=warm, strict=strict)
-
-        return penalty_continuation(stage, lambda sol: None, list(ev.eps_schedule))[0]
-
-    gap_ev = scaled_start_gap(solve_evolutive, ev.m0, ev.timegrid,
-                              np.random.default_rng(106).uniform(0.0, 2.0, 5))
+    gap_ev = scaled_start_gap(
+        lambda init: continuation_from(init, ev.cost, ev.m0, ev.timegrid,
+                                       list(ev.eps_schedule), ev.obstacle_op),
+        ev.m0, ev.timegrid, np.random.default_rng(106).uniform(0.0, 2.0, 5))
     assert gap_ev <= 1e-4
 
-    # control analogue; the cached solution is the unit-scale start
+    # control analogue, the stages of cosmfg_coupled_solve; the cached
+    # solution is the unit-scale start
     sc_c, sol_base, _ = control_solution
+    zero = ObstacleOperator.zero(sc_c.m0.grid, sc_c.timegrid)
     gap_c = scaled_start_gap(
-        lambda init: cosmfg_coupled_solve(sc_c.cost, sc_c.hamiltonian, sc_c.m0, sc_c.timegrid,
-                                          list(sc_c.eps_schedule), m_traj_init=init)[0],
+        lambda init: continuation_from(init, sc_c.cost, sc_c.m0, sc_c.timegrid,
+                                       list(sc_c.eps_schedule), zero, sc_c.hamiltonian),
         sc_c.m0, sc_c.timegrid, (0.1, 0.5, 1.5, 1.9), kept=[sol_base.m.array()])
     assert gap_c <= 1e-4
     report(6, f"gaps: stationary {gap:.1e}, evolutive {gap_ev:.1e}, control {gap_c:.1e}")

@@ -838,9 +838,9 @@ def test_obstacle_nonconvergence_exits_3(tmp_path, monkeypatch, command):
 
 def test_singular_registered_jacobian_exits_3(tmp_path, monkeypatch):
     # every space-time Jacobian is exactly singular, on its assembler's
-    # pattern: the factorization on the pattern's order gives NaN, each
-    # stage's Newton ends short of its target, and the strict last stage
-    # fails the run. The assemblers kept per structure are swapped for a
+    # pattern: the factorization on the pattern's order gives NaN, and
+    # the first stage's Newton ends at a NaN residual, which fails the
+    # run there, though the stage is not strict. The assemblers kept per structure are swapped for a
     # cache of this test's own, so that no kept one is used here and none
     # made here is kept
     def singular(static, rows, cols):
@@ -861,7 +861,7 @@ def test_singular_registered_jacobian_exits_3(tmp_path, monkeypatch):
                                   "eps_schedule": {"start": 0.1, "factor": 4.0, "stages": 2}})
     assert main(["run", "--config", str(cfg)]) == 3
     failure = json.loads((out / "failure.json").read_text())
-    assert failure["stage"] == 1 and np.isnan(failure["residual_history"][-1])
+    assert failure["stage"] == 0 and np.isnan(failure["residual_history"][-1])
 
 
 KILLING_COST = {"kind": "local_power", "a": 1.0, "p": 1.0,

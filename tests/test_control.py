@@ -43,6 +43,14 @@ def test_quadratic_requires_acknowledgement(setup):
     assert h.kind == "quadratic"
 
 
+def test_smoothed_norm_rejects_a_nan_beta(setup):
+    grid, _, _ = setup
+    beta = np.ones(grid.n_total)
+    beta[3] = np.nan
+    with pytest.raises(ValueError, match="beta must be nonnegative"):
+        Hamiltonian.smoothed_norm(ScalarField(grid, beta))
+
+
 def test_hamiltonian_convexity_midpoints(setup):
     grid, _, _ = setup
     rng = np.random.default_rng(0)

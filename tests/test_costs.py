@@ -36,10 +36,10 @@ def test_nonlocal_affine_evaluation(grid):
     m = ScalarField.constant(grid, 1.0)
     pairing = 9 * grid.cell_volume
     assert np.allclose(cost(m).values, 1.0 - 2.0 * pairing)
-    assert cost.level_set(np.zeros(9)) is None
+    assert cost.zero_crossing() is None
 
 
-def test_level_set_and_zero_crossing(grid):
+def test_zero_crossing_and_shifted_level(grid):
     f0 = ScalarField(grid, np.linspace(-1.0, 1.0, 9))
     cost = CostOperator.local_power(grid, 2.0, 1.0, f0)
     m0 = cost.zero_crossing()
@@ -47,20 +47,21 @@ def test_level_set_and_zero_crossing(grid):
     crossing = f0.values < 0
     assert np.allclose(f_at[crossing], 0.0, atol=1e-14)
     assert np.all(m0[~crossing] == 0.0)
-    c = np.full(9, 0.3)
-    tau = cost.level_set(c)
-    reach = c > f0.values
+    # the level 0.3 of f is the zero crossing of f - 0.3
+    shifted = CostOperator.local_power(grid, 2.0, 1.0, ScalarField(grid, f0.values - 0.3))
+    tau = shifted.zero_crossing()
+    reach = 0.3 > f0.values
     assert np.allclose(cost.evaluate(tau)[reach], 0.3, atol=1e-14)
     assert np.all(tau[~reach] == 0.0)
 
 
-def test_level_set_power_two(grid):
+def test_zero_crossing_power_two(grid):
     cost = CostOperator.local_power(grid, 1.0, 2.0, ScalarField.constant(grid, -0.25))
     m0 = cost.zero_crossing()
     assert np.allclose(m0, 0.5)
 
 
-def test_shifted_level_set(grid):
+def test_affine_shifted_zero_crossing(grid):
     base = ScalarField(grid, np.linspace(0.0, 0.2, 9))
     m_ref = ScalarField.constant(grid, 0.1)
     cost = CostOperator.local_affine_shifted(grid, base, m_ref)
@@ -95,6 +96,12 @@ def test_nonlocal_has_no_potential(grid):
 def test_exponent_below_one_rejected(grid):
     with pytest.raises(ValueError):
         CostOperator.local_power(grid, 1.0, 0.5, ScalarField.zeros(grid))
+
+
+def test_nan_exponent_rejected(grid):
+    # a NaN passes no comparison, so only p >= 1 is accepted
+    with pytest.raises(ValueError, match="exponent p must be >= 1"):
+        CostOperator.local_power(grid, 1.0, float("nan"), ScalarField.zeros(grid))
 
 
 def test_restricted_cost_injects_every_field(grid):

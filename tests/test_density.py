@@ -105,6 +105,15 @@ def test_rejects_negative_source():
         solve_density_on_set(NodeMask(g, np.ones(g.n_total, bool)), ScalarField.constant(g, -1.0))
 
 
+def test_rejects_a_nan_source_or_start():
+    g = build_grid(1, (0.0, 1.0), 5)
+    nan = ScalarField(g, np.array([0.1, np.nan, 0.1, 0.1, 0.1]))
+    with pytest.raises(ValueError, match="rho must be nonnegative"):
+        solve_density_on_set(NodeMask(g, np.ones(g.n_total, bool)), nan)
+    with pytest.raises(ValueError, match="m0 must be nonnegative"):
+        solve_density_parabolic(nan, None, build_timegrid(1.0, 2))
+
+
 def test_penalized_with_empty_active_set_matches_full_solve():
     g = build_grid(1, (0.0, 1.0), 15)
     rho = raised_cosine_bump(g)
@@ -206,15 +215,15 @@ def test_killed_density_factors_once_by_cholesky(lu_factors, band_factors):
 @pytest.mark.parametrize("killing", [False, True], ids=["heat", "constant_killing"])
 def test_parabolic_steps_without_drift_factor_once_by_cholesky(lu_factors, band_factors,
                                                                killing):
-    # 20 steps of B + diag(V) on 31x31 with no drift and time-constant
-    # data solve with one banded Cholesky factor (B's own without
-    # killing) and call no LU
+    # 20 steps of B + diag(V) on 31x31 with no drift factor each step
+    # once by banded Cholesky and call no LU; without killing every step
+    # takes B's own factor, kept after its first use
     g = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (31, 31))
     tg = build_timegrid(0.5, 20)
     kd = KillingData(FieldTrajectory.constant(g, tg, 1.0), 1e-2) if killing else None
     traj = solve_density_parabolic(raised_cosine_bump(g), kd, tg)
-    assert lu_factors == [] and len(band_factors) == 1
-    assert np.any(band_factors[0][1]) == killing
+    assert lu_factors == [] and len(band_factors) == (tg.n_steps if killing else 1)
+    assert all(np.any(d) == killing for _, d in band_factors)
     # the steps solve B + diag(V) m_{k+1} = m_k / dt
     b = elliptic_matrix(g, with_zero_order=False) + sp.identity(g.n_total) / tg.dt
     if kd is not None:

@@ -20,6 +20,7 @@ from mfgstop.grid import (
     build_timegrid,
     elliptic_matrix,
 )
+from mfgstop.obstacle import _shifted_factor
 from mfgstop.scenarios import gaussian_density, scenario_standard
 from mfgstop.stationary import (
     CoupledNonConvergence,
@@ -107,12 +108,56 @@ def test_heat_obstacle_factors_b_once_per_grid_and_dt(monkeypatch, band_factors)
     assert not np.array_equal(bands[0], bands[1])
 
 
+@pytest.mark.parametrize("backward", [True, False], ids=["backward", "forward"])
+@pytest.mark.parametrize("k_steps", [1, 4])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sweep_solves_the_block_bidiagonal_system(dim, k_steps, backward):
+    # _sweep against a dense solve of the block bidiagonal matrix with
+    # B + diag(d_k) on the diagonal and -I/dt above it (backward) or below
+    # it (forward); d_0 = 0 takes B's kept factor
+    grid = (build_grid(1, (0.0, 1.0), 7) if dim == 1
+            else build_grid(2, ((0.0, 1.0), (0.0, 2.0)), (4, 5)))
+    n, dt = grid.n_total, 0.1
+    rng = np.random.default_rng(10 * dim + k_steps)
+    d = rng.uniform(0.0, 5.0, (k_steps, n))
+    d[0] = 0.0
+    r = rng.normal(size=(k_steps, n))
+    dense = np.zeros((k_steps * n, k_steps * n))
+    for k in range(k_steps):
+        dense[k * n:(k + 1) * n, k * n:(k + 1) * n] = operator(grid, 1.0 / dt) + np.diag(d[k])
+        j = k + 1 if backward else k - 1
+        if 0 <= j < k_steps:
+            dense[k * n:(k + 1) * n, j * n:(j + 1) * n] = -np.eye(n) / dt
+    expected = np.linalg.solve(dense, r.ravel()).reshape(k_steps, n)
+    out = _coupled._sweep([_shifted_factor(grid, dk, dt) for dk in d], r, dt, backward)
+    assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
 def test_constant_zero_obstacle_has_zero_source(setup):
     grid, tg, _ = setup
     op = ObstacleOperator.zero(grid, tg)
     psi, g_psi = op.apply_arrays(grid, tg, FieldTrajectory.constant(grid, tg, 1.0).array())
     assert np.max(np.abs(psi)) == 0.0
     assert np.max(np.abs(g_psi)) == 0.0
+
+
+def continuation_from(init, cost, m0, tg, schedule, obstacle_op, hamiltonian=None):
+    """The last stage of the penalty continuation of forward_backward_solve
+    along schedule with the first stage started from the density slices
+    init (init[0] = m0): a warm start with m = init and u = psi(init), so
+    that its shifted value w = u - psi(m) is 0, as in a cold start."""
+    grid = m0.grid
+    start = PenalizedTriple(
+        u=FieldTrajectory(grid, tg, obstacle_op.apply_arrays(grid, tg, init)[0]),
+        m=FieldTrajectory(grid, tg, init), alpha=FieldTrajectory.constant(grid, tg, 0.0),
+        epsilon=schedule[0], iterations=0, residual_history=[], delta_band=1.0)
+
+    def stage(eps, warm, strict):
+        return forward_backward_solve(cost, m0, tg, eps, obstacle_op=obstacle_op,
+                                      hamiltonian=hamiltonian,
+                                      warm=start if warm is None else warm, strict=strict)
+
+    return penalty_continuation(stage, lambda sol: None, schedule)[0]
 
 
 def test_scaled_start_continuation_is_deterministic(setup):
@@ -125,14 +170,29 @@ def test_scaled_start_continuation_is_deterministic(setup):
     init[0] = m0.values
 
     def solve():
-        def stage(eps, warm, strict):
-            return forward_backward_solve(cost, m0, tg, eps, obstacle_op=op, m_traj_init=init,
-                                          warm=warm, strict=strict)
-
-        return penalty_continuation(stage, lambda sol: None,
-                                    default_eps_schedule(stages=5))[0].m.array()
+        return continuation_from(init, cost, m0, tg, default_eps_schedule(stages=5),
+                                 op).m.array()
 
     assert np.array_equal(solve(), solve())
+
+
+def test_nan_m0_is_rejected(setup):
+    grid, tg, m0 = setup
+    vals = m0.values.copy()
+    vals[4] = np.nan
+    cost = CostOperator.local_power(grid, 1.0, 1.0, ScalarField.constant(grid, -0.5))
+    with pytest.raises(ValueError, match="m0 must be nonnegative"):
+        forward_backward_solve(cost, ScalarField(grid, vals), tg, 0.1,
+                               obstacle_op=ObstacleOperator.zero(grid, tg), strict=False)
+
+
+def test_penalized_triple_rejects_a_nan_alpha(setup):
+    grid, tg, m0 = setup
+    alpha = np.zeros(grid.n_total)
+    alpha[1] = np.nan
+    with pytest.raises(ValueError, match=r"alpha must take values in \[0, 1\]"):
+        PenalizedTriple(u=m0, m=m0, alpha=ScalarField(grid, alpha), epsilon=0.1, iterations=0,
+                        residual_history=[], delta_band=1.0)
 
 
 def test_obstacle_operator_validation(setup):

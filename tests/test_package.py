@@ -6,7 +6,7 @@ sources with ast:
   its tests), and so does every public method and property of an
   exported class;
 - every defaulted parameter of an exported callable is passed by a
-  program call, but for an allowlist naming the test that needs each;
+  program call;
 - the package __init__ imports only names its modules export, no
   module imports a name it never uses or scipy.optimize, and no test
   file imports a name it never uses;
@@ -22,6 +22,7 @@ sources with ast:
   stencil layout;
 - every verifier takes its residuals from the one residual core, and
   every coupled Newton solve runs in the one penalty stage;
+- time is stepped in one loop, _coupled._sweep;
 - tests/oracles.py takes from the package only the grid's data types
   and builders.
 """
@@ -111,14 +112,6 @@ def test_every_exported_name_has_a_caller():
     assert uncalled == []
 
 
-# defaulted parameters that no program call passes, each kept for the
-# test named
-UNPASSED_DEFAULTS = {
-    "control.cosmfg_coupled_solve(m_traj_init)":
-        "test_acceptance.py::test_c06_uniqueness_under_strict_monotonicity",
-}
-
-
 def _defaulted_parameters():
     """module.callable(parameter) of every defaulted parameter of every
     exported function, constructor and public method, mapped to the
@@ -167,7 +160,7 @@ def test_every_defaulted_parameter_is_passed_by_a_program_call():
                 calls.setdefault(name, []).append(node)
     unpassed = sorted(key for key, (callee, position, param) in _defaulted_parameters().items()
                       if not any(_passes(call, position, param) for call in calls.get(callee, [])))
-    assert unpassed == sorted(UNPASSED_DEFAULTS)
+    assert unpassed == []
 
 
 def test_package_imports_only_exported_names():
@@ -399,6 +392,36 @@ def test_hamiltonian_state_selects_the_upwind_difference_without_a_loop():
     state = _functions("_coupled")["_coupled._hamiltonian_state"]
     assert not any(isinstance(node, (ast.For, ast.AsyncFor, ast.While))
                    for node in ast.walk(state))
+
+
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def _divides_by_dt(node) -> bool:
+    """Whether node divides by dt, a name or an attribute."""
+    return any(isinstance(child, ast.BinOp) and isinstance(child.op, ast.Div)
+               and "dt" in (getattr(child.right, "id", None), getattr(child.right, "attr", None))
+               for child in ast.walk(node))
+
+
+def test_time_is_stepped_only_by_the_one_sweep():
+    # a loop that divides by dt steps time; the one that may is
+    # _coupled._sweep, and every implicit Euler sweep of the package is
+    # a call of it. Functions are the module-level ones and the methods
+    # of module-level classes, each with the functions nested in it
+    defs = {}
+    for module in MODULES:
+        for node in _tree(module).body:
+            if isinstance(node, ast.FunctionDef):
+                defs[f"{module}.{node.name}"] = node
+            elif isinstance(node, ast.ClassDef):
+                defs.update({f"{module}.{node.name}.{item.name}": item for item in node.body
+                             if isinstance(item, ast.FunctionDef)})
+    found = sorted(name for name, node in defs.items()
+                   if any(isinstance(loop, LOOPS) and _divides_by_dt(loop)
+                          for loop in ast.walk(node)))
+    assert found == ["_coupled._sweep"], found
 
 
 # the verifiers and the one residual core behind them

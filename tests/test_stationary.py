@@ -135,6 +135,26 @@ def test_continuation_rejects_bad_schedule(grid, rho):
             penalized_coupled_solve(cost, rho, epsilon)
 
 
+def test_nan_rho_is_rejected_strict_or_not(grid, rho):
+    # a NaN passes no comparison, so only rho >= 0 is accepted, also by
+    # a non-strict solve
+    vals = rho.values.copy()
+    vals[2] = np.nan
+    for strict in (True, False):
+        with pytest.raises(ValueError, match="rho must be nonnegative"):
+            penalized_coupled_solve(local_cost(grid, -0.5), ScalarField(grid, vals), 0.1,
+                                    strict=strict)
+
+
+def test_a_warm_up_stage_with_a_nan_residual_raises(grid, rho):
+    # a non-strict stage may end short of tol_pde, but not at a NaN
+    # residual, from which the next stage would start
+    cost = CostOperator.local_power(grid, 1.0, 1.0, ScalarField.constant(grid, np.nan))
+    with pytest.raises(CoupledNonConvergence) as err:
+        penalized_coupled_solve(cost, rho, 0.1, strict=False)
+    assert np.isnan(err.value.residual_history[-1])
+
+
 def test_continuation_contact_residuals_decrease(grid, rho):
     cost = local_cost(grid, -0.005)
     _, reports = continuation_solve(cost, rho, default_eps_schedule(stages=10))
