@@ -329,7 +329,8 @@ def _output_root(cfg_dir: str | None) -> str:
 
 def _report_residuals(report) -> dict:
     """The r_* entries of a report, in field order."""
-    return {k: v for k, v in report.to_dict().items() if k.startswith("r_")}
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)
+            if f.name.startswith("r_")}
 
 
 def _write_convergence_table(rows, path):

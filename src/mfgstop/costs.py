@@ -47,12 +47,17 @@ class CostOperator:
 
     @staticmethod
     def local_power(grid: Grid, a: float, p: float, f0: ScalarField) -> "CostOperator":
-        if not p >= 1:
-            raise ValueError("exponent p must be >= 1")
+        if not 1 <= p < np.inf:
+            raise ValueError(f"exponent p must be >= 1 and finite, got {p!r}")
+        if not np.isfinite(a):
+            raise ValueError(f"coefficient a must be finite, got {a!r}")
         return CostOperator(kind="local_power", grid=grid, a=float(a), p=float(p), f0=f0)
 
     @staticmethod
     def nonlocal_affine(grid: Grid, c0: float, c1: float, weight: ScalarField) -> "CostOperator":
+        for name, c in (("c0", c0), ("c1", c1)):
+            if not np.isfinite(c):
+                raise ValueError(f"coefficient {name} must be finite, got {c!r}")
         return CostOperator(kind="nonlocal_affine", grid=grid, c0=float(c0), c1=float(c1), weight=weight)
 
     @staticmethod

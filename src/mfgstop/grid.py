@@ -393,18 +393,26 @@ def classify_nodes(u: ScalarField):
 # CSV serialization: header x[,y],value; one row per interior node,
 # lexicographic order; every cell "%.17g", so values read back exactly.
 # Blank lines are skipped; there is no comment syntax. Trajectories get
-# one CSV per slice plus a manifest.
+# one CSV per slice plus a manifest. The coordinate cells are formatted
+# once per grid and kept (_table_template); each file formats only its
+# values.
 
 def _csv_header(dim: int) -> str:
     return ",".join(["x", "y"][:dim] + ["value"])
 
 
-def _write_table(path, coords: np.ndarray, values: np.ndarray) -> None:
-    table = np.column_stack([coords, values])
-    n, cols = table.shape
-    row = ",".join(["%.17g"] * cols) + "\n"
+@lru_cache(maxsize=None)
+def _table_template(grid: Grid) -> str:
+    """The text of a field CSV on grid: the header, then one row per node
+    with its coordinates formatted and a "%.17g" slot for its value."""
+    row = "%.17g," * grid.dim + "%%.17g\n"
+    body = row * grid.n_total % tuple(grid.coordinates().ravel().tolist())
+    return _csv_header(grid.dim) + "\n" + body
+
+
+def _write_table(path, grid: Grid, values: np.ndarray) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(_csv_header(coords.shape[1]) + "\n" + row * n % tuple(table.ravel().tolist()))
+        fh.write(_table_template(grid) % tuple(values.tolist()))
 
 
 def _read_table(grid: Grid, path) -> np.ndarray:
@@ -440,7 +448,7 @@ def _check_coordinates(grid: Grid, tables: np.ndarray, paths) -> None:
 
 
 def write_field_csv(field: ScalarField, path) -> None:
-    _write_table(path, field.grid.coordinates(), field.values)
+    _write_table(path, field.grid, field.values)
 
 
 def read_field_csv(grid: Grid, path) -> ScalarField:
@@ -452,11 +460,10 @@ def read_field_csv(grid: Grid, path) -> ScalarField:
 def write_trajectory_csv(traj: FieldTrajectory, directory, prefix: str) -> str:
     """Write slice CSVs plus a JSON manifest; returns the manifest path."""
     os.makedirs(directory, exist_ok=True)
-    coords = traj.grid.coordinates()
     files = []
     for k, row in enumerate(traj.array()):
         name = f"{prefix}_{k:04d}.csv"
-        _write_table(os.path.join(directory, name), coords, row)
+        _write_table(os.path.join(directory, name), traj.grid, row)
         files.append(name)
     manifest = {
         "prefix": prefix,

@@ -104,6 +104,24 @@ def test_nan_exponent_rejected(grid):
         CostOperator.local_power(grid, 1.0, float("nan"), ScalarField.zeros(grid))
 
 
+@pytest.mark.parametrize("a, p, name", [
+    (float("nan"), 1.0, "coefficient a"), (float("inf"), 1.0, "coefficient a"),
+    (-float("inf"), 2.0, "coefficient a"), (1.0, float("inf"), "exponent p")])
+def test_local_power_rejects_non_finite_parameters(grid, a, p, name):
+    # a NaN coefficient used to be accepted, tagged "neither", and made
+    # every evaluation NaN
+    with pytest.raises(ValueError, match=name):
+        CostOperator.local_power(grid, a, p, ScalarField.zeros(grid))
+
+
+@pytest.mark.parametrize("c0, c1, name", [
+    (float("nan"), 1.0, "c0"), (float("inf"), 1.0, "c0"),
+    (1.0, float("nan"), "c1"), (1.0, -float("inf"), "c1")])
+def test_nonlocal_affine_rejects_non_finite_coefficients(grid, c0, c1, name):
+    with pytest.raises(ValueError, match=f"coefficient {name} "):
+        CostOperator.nonlocal_affine(grid, c0, c1, ScalarField.constant(grid, 1.0))
+
+
 def test_restricted_cost_injects_every_field(grid):
     # each field parameter is taken to the coarse nodes; the scalars and
     # the kind stay, and so does the value at every coarse node

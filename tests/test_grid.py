@@ -205,6 +205,14 @@ def test_field_csv_accepts_blank_lines_and_crlf(tmp_path):
     assert np.array_equal(read_field_csv(g, path).values, f.values)
 
 
+def _row_by_row_csv(grid, values) -> bytes:
+    """A field CSV rendered one row at a time, every cell "%.17g"."""
+    lines = [",".join(["x", "y"][: grid.dim] + ["value"])]
+    lines += [",".join("%.17g" % c for c in [*xy, v])
+              for xy, v in zip(grid.coordinates().tolist(), np.asarray(values).tolist())]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
 _EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                  1.7976931348623157e308, -1.7976931348623157e308]
 
@@ -225,15 +233,52 @@ def _field_on_grid(draw):
 @given(_field_on_grid())
 def test_field_csv_writer_matches_per_value_format_and_round_trips(field):
     g = field.grid
-    reference = ",".join(["x", "y"][: g.dim] + ["value"]) + "\n" + "".join(
-        ",".join(format(c, ".17g") for c in [*row, v]) + "\n"
-        for row, v in zip(g.coordinates(), field.values))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "f.csv"
         write_field_csv(field, path)
-        assert path.read_bytes() == reference.encode("ascii")
+        assert path.read_bytes() == _row_by_row_csv(g, field.values)
         back = read_field_csv(g, path)
     assert np.array_equal(back.values.view(np.int64), field.values.view(np.int64))
+
+
+_WRITER_GRIDS = [(1, (0.0, 1.0), 31),
+                 (2, ((0.0, 1.0), (0.0, 1.0)), (15, 15)),
+                 (2, ((-1.0, 2.5), (0.1, 0.3)), (7, 5))]
+_SPECIAL_DOUBLES = [-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e300]
+
+
+@pytest.mark.parametrize("spec", _WRITER_GRIDS)
+def test_csv_writer_bytes_match_row_by_row_rendering(tmp_path, spec):
+    g = build_grid(*spec)
+    rng = np.random.default_rng(g.n_total)
+    values = rng.normal(size=g.n_total)
+    values[: len(_SPECIAL_DOUBLES)] = _SPECIAL_DOUBLES
+    slices = np.array([np.roll(values, k) for k in range(3)])
+    field_path = tmp_path / "f.csv"
+    write_field_csv(ScalarField(g, values), field_path)
+    manifest = write_trajectory_csv(FieldTrajectory(g, build_timegrid(1.0, 2), slices),
+                                    tmp_path, "m")
+    assert field_path.read_bytes() == _row_by_row_csv(g, values)
+    for k, row in enumerate(slices):
+        assert (tmp_path / f"m_{k:04d}.csv").read_bytes() == _row_by_row_csv(g, row)
+    # bit for bit, -0.0 and the one NaN included
+    back = read_field_csv(g, field_path).values
+    assert np.array_equal(back.view(np.int64), values.view(np.int64))
+    back = read_trajectory_csv(g, manifest).array()
+    assert np.array_equal(back.view(np.int64), slices.view(np.int64))
+
+
+def test_csv_writer_keeps_coordinates_apart_for_grids_of_one_size(tmp_path):
+    # same node count and shape, different bounds: each file carries its
+    # own grid's coordinates, in whichever order the grids are written
+    grids = [build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (7, 5)),
+             build_grid(2, ((-1.0, 2.5), (0.1, 0.3)), (7, 5))]
+    values = np.linspace(-1.0, 1.0, 35)
+    for i, g in enumerate(grids + grids[::-1]):
+        path = tmp_path / f"f{i}.csv"
+        write_field_csv(ScalarField(g, values), path)
+        assert path.read_bytes() == _row_by_row_csv(g, values)
+        assert np.array_equal(read_field_csv(g, path).values, values)
 
 
 def test_trajectory_rejects_one_shifted_slice(tmp_path):
