@@ -25,15 +25,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .control import ControlMixedReport, Hamiltonian
-from .costs import ANTI_MONOTONE, STRICT_MONOTONE, CostOperator
-from .evolutive import EvolutiveMixedReport, ObstacleOperator
+from .control import ControlMixedReport
+from .costs import ANTI_MONOTONE, STRICT_MONOTONE
+from .evolutive import EvolutiveMixedReport
 from .grid import (
-    FieldTrajectory,
     ScalarField,
     _on_grid,
-    build_grid,
-    build_timegrid,
     read_field_csv,
     read_trajectory_csv,
     write_field_csv,
@@ -42,8 +39,12 @@ from .grid import (
 from .obstacle import ObstacleConvergenceError, solve_obstacle_stationary
 from .scenarios import (
     STANDARD_NAMES,
-    gaussian_density,
-    raised_cosine_bump,
+    ConfigError,
+    Scenario,
+    _integer,
+    _number,
+    _require,
+    problem_from_config,
     run_scenario_evidence,
     scenario_nonexistence,
     scenario_nonuniqueness,
@@ -55,8 +56,6 @@ from .scenarios import (
 from .stationary import (
     CoupledNonConvergence,
     MixedSolutionReport,
-    _checked_schedule,
-    default_eps_schedule,
     monotone_iteration_solve,
     variational_minimize,
 )
@@ -71,224 +70,57 @@ _METHODS = {"continuation", "monotone_iteration", "variational"}
 # grid are the residuals an acceptance threshold may name
 _REPORTS = {"sosmfg": MixedSolutionReport, "osmfg": EvolutiveMixedReport,
             "cosmfg": ControlMixedReport}
-_PROBLEMS = set(_REPORTS)
 
 
-class ConfigError(ValueError):
-    pass
+@dataclasses.dataclass(frozen=True, eq=False, kw_only=True)
+class RunConfig(Scenario):
+    """A config file's problem (scenarios.problem_from_config) with its
+    run settings (see README for the schema); sha256 is the hex SHA-256
+    of the file's bytes."""
+
+    method: str
+    acceptance: dict
+    tol_pde: float
+    seed: int
+    output_dir: str | None
+    sha256: str
 
 
-def _require(cfg: dict, key: str, where: str = "config"):
-    if key not in cfg:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    return cfg[key]
-
-
-def _integer(value, where: str) -> int:
-    """value if it is a JSON integer; a float or a bool, which int()
-    would truncate silently, raises ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return value
-
-
-def _number(value, where: str) -> float:
-    """value as a float if it is a finite JSON number; a string or a
-    bool, which float() would read ("inf", true), raises ConfigError,
-    as does a NaN, an infinity or an integer past the float range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {type(value).__name__} {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        raise ConfigError(f"{where} is too large for a float") from None
-    if not math.isfinite(number):
-        raise ConfigError(f"{where} must be finite, got {value!r}")
-    return number
-
-
-def _numbers(values, where: str) -> np.ndarray:
-    """values as a float array if it is a JSON list whose entries are
-    numbers that _number takes, or lists of them; anything else raises
-    ConfigError."""
-    if not isinstance(values, list):
-        raise ConfigError(f"{where} must be a list of numbers, got "
-                          f"{type(values).__name__} {values!r}")
-    # a long list of floats passes in one C-level sweep of its types
-    if set(map(type, values)) - {float}:
-        for i, value in enumerate(values):
-            if isinstance(value, list):
-                _numbers(value, f"{where}[{i}]")
-            else:
-                _number(value, f"{where}[{i}]")
-    numbers = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(numbers)):
-        raise ConfigError(f"{where} must hold finite numbers")
-    return numbers
-
-
-def _reject_non_finite(node, where: str = "config"):
-    """Raise ConfigError at a NaN or infinite number anywhere in a parsed
-    config; Python's json reads the tokens NaN, Infinity and 1e999."""
-    if isinstance(node, dict):
-        for key, value in node.items():
-            _reject_non_finite(value, f"{where}.{key}")
-    elif isinstance(node, list):
-        try:  # a long list of finite numbers passes in one C-level sweep
-            if all(map(math.isfinite, node)):
-                return
-        except (TypeError, OverflowError):  # it holds more than floats
-            pass
-        for i, value in enumerate(node):
-            _reject_non_finite(value, f"{where}[{i}]")
-    elif isinstance(node, float) and not math.isfinite(node):
-        raise ConfigError(f"{where} must be finite, got {node!r}")
-
-
-def _build_field(grid, spec, what: str) -> ScalarField:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"{what}: field spec must be an object with a 'kind'")
-    kind = spec["kind"]
-    if kind == "constant":
-        return ScalarField.constant(grid, _number(_require(spec, "value", what), f"{what}.value"))
-    if kind == "raised_cosine":
-        return raised_cosine_bump(grid, peak=_number(spec.get("peak", 1.0), f"{what}.peak"))
-    if kind == "gaussian":
-        return gaussian_density(grid, sigma=_number(spec.get("sigma", 0.1), f"{what}.sigma"),
-                                mass=_number(spec.get("mass", 1.0), f"{what}.mass"))
-    if kind == "values":
-        return ScalarField(grid, _numbers(_require(spec, "values", what), f"{what}.values"))
-    raise ConfigError(f"{what}: unknown field kind {kind!r}")
-
-
-def _build_cost(grid, spec) -> CostOperator:
-    kind = _require(spec, "kind", "cost")
-    if kind == "local_power":
-        return CostOperator.local_power(
-            grid, a=_number(_require(spec, "a", "cost"), "cost.a"),
-            p=_number(spec.get("p", 1.0), "cost.p"),
-            f0=_build_field(grid, _require(spec, "f0", "cost"), "cost.f0"))
-    if kind == "nonlocal_affine":
-        return CostOperator.nonlocal_affine(
-            grid, c0=_number(_require(spec, "c0", "cost"), "cost.c0"),
-            c1=_number(_require(spec, "c1", "cost"), "cost.c1"),
-            weight=_build_field(grid, _require(spec, "weight", "cost"), "cost.weight"))
-    if kind == "local_affine_shifted":
-        return CostOperator.local_affine_shifted(
-            grid, base=_build_field(grid, _require(spec, "base", "cost"), "cost.base"),
-            m_ref=_build_field(grid, _require(spec, "m_ref", "cost"), "cost.m_ref"))
-    raise ConfigError(f"unknown cost kind {kind!r}")
-
-
-class RunConfig:
-    """Validated run configuration (see README for the schema); sha256
-    is the hex SHA-256 of the config file's bytes."""
-
-    def __init__(self, raw: dict, sha256: str):
-        _reject_non_finite(raw)
-        self.raw = raw
-        self.sha256 = sha256
-        self.problem = _require(raw, "problem")
-        if self.problem not in _PROBLEMS:
-            raise ConfigError(f"problem must be one of {sorted(_PROBLEMS)}")
-        self.method = raw.get("method", "continuation")
-        if self.method not in _METHODS:
-            raise ConfigError(f"method must be one of {sorted(_METHODS)}")
-        if self.method != "continuation" and self.problem != "sosmfg":
-            raise ConfigError(f"method {self.method!r} is only available for problem 'sosmfg'")
-        gspec = _require(raw, "grid")
-        n_interior = _require(gspec, "n_interior", "grid")
-        for k in n_interior if isinstance(n_interior, list) else [n_interior]:
-            _integer(k, "grid.n_interior")
-        self.grid = build_grid(_integer(_require(gspec, "dim", "grid"), "grid.dim"),
-                               _numbers(_require(gspec, "bounds", "grid"), "grid.bounds"),
-                               n_interior)
-        self.timegrid = None
-        if self.problem in ("osmfg", "cosmfg"):
-            tspec = _require(raw, "timegrid")
-            self.timegrid = build_timegrid(_number(_require(tspec, "horizon", "timegrid"),
-                                                   "timegrid.horizon"),
-                                           _integer(_require(tspec, "n_steps", "timegrid"),
-                                                    "timegrid.n_steps"))
-        self.cost = _build_cost(self.grid, _require(raw, "cost"))
-        if self.problem != "sosmfg" and not self.cost.is_local:
-            raise ConfigError(f"problem {self.problem!r} needs a local cost, "
-                              f"got {self.cost.kind!r}")
-        if self.method == "monotone_iteration" and self.cost.monotonicity != ANTI_MONOTONE:
-            raise ConfigError("method 'monotone_iteration' needs an anti-monotone cost, "
-                              f"got {self.cost.monotonicity!r}")
-        if self.method == "variational" and (self.cost.monotonicity != STRICT_MONOTONE
-                                             or not self.cost.is_local):
-            raise ConfigError("method 'variational' needs a strictly monotone local cost")
-        what = "rho" if self.problem == "sosmfg" else "m0"
-        source = _build_field(self.grid, _require(raw, what), what)
-        if np.any(source.values < -1e-12):
-            raise ConfigError(f"{what} must be nonnegative")
-        self.rho = source if what == "rho" else None
-        self.m0 = source if what == "m0" else None
-        self.obstacle_op = None
-        if self.problem == "osmfg":
-            ospec = raw.get("obstacle", {"kind": "zero"})
-            okind = _require(ospec, "kind", "obstacle")
-            if okind == "zero":
-                self.obstacle_op = ObstacleOperator.zero(self.grid, self.timegrid)
-            elif okind == "constant_field":
-                psi = _build_field(self.grid, _require(ospec, "psi", "obstacle"), "obstacle.psi")
-                self.obstacle_op = ObstacleOperator.constant(FieldTrajectory(
-                    self.grid, self.timegrid, np.tile(psi.values, (self.timegrid.n_steps + 1, 1))))
-            elif okind == "heat_from_g":
-                self.obstacle_op = ObstacleOperator.heat_source(
-                    _build_cost(self.grid, _require(ospec, "g", "obstacle")))
-            else:
-                raise ConfigError(f"unknown obstacle kind {okind!r}")
-        self.hamiltonian = None
-        if self.problem == "cosmfg":
-            hspec = _require(raw, "hamiltonian")
-            hkind = _require(hspec, "kind", "hamiltonian")
-            if hkind == "smoothed_norm":
-                beta = _build_field(self.grid, _require(hspec, "beta", "hamiltonian"), "hamiltonian.beta")
-                self.hamiltonian = Hamiltonian.smoothed_norm(beta)
-            elif hkind == "quadratic":
-                outside = hspec.get("outside_assumptions", False)
-                if not isinstance(outside, bool):
-                    raise ConfigError("hamiltonian.outside_assumptions must be true or false, "
-                                      f"got {outside!r}")
-                self.hamiltonian = Hamiltonian.quadratic(self.grid, outside_assumptions=outside)
-            else:
-                raise ConfigError(f"unknown hamiltonian kind {hkind!r}")
-        es = raw.get("eps_schedule", {})
-        if isinstance(es, dict):
-            factor = _number(es.get("factor", 4.0), "eps_schedule.factor")
-            if not factor > 1:
-                raise ConfigError("eps_schedule.factor must exceed 1")
-            stages = _integer(es.get("stages", 8), "eps_schedule.stages")
-            es = default_eps_schedule(_number(es.get("start", 0.1), "eps_schedule.start"),
-                                      factor, stages)
-        elif es is not None:
-            es = _numbers(es, "eps_schedule")
-        try:
-            self.eps_schedule = _checked_schedule(es)
-        except ValueError:
-            raise ConfigError("eps_schedule must be a nonempty, strictly decreasing "
-                              "sequence of positive penalties") from None
-        tols = _require(raw, "tolerances")
-        self.acceptance = _require(tols, "acceptance", "tolerances")
-        if not isinstance(self.acceptance, dict) or not self.acceptance:
-            raise ConfigError("tolerances.acceptance must map residual names to thresholds")
-        residuals = {f.name for f in dataclasses.fields(_REPORTS[self.problem])} - {"delta_c", "grid"}
-        for key, val in self.acceptance.items():
-            if key not in residuals:
-                raise ConfigError(f"tolerances.acceptance: {key!r} is not a residual of problem "
-                                  f"{self.problem!r}; choose from {sorted(residuals)}")
-            if not _number(val, f"tolerances.acceptance[{key!r}]") > 0:
-                raise ConfigError(f"tolerances.acceptance[{key!r}] must be positive")
-        self.tol_pde = _number(tols.get("pde", 1e-8), "tolerances.pde")
-        if not self.tol_pde > 0:
-            raise ConfigError("tolerances.pde must be positive")
-        self.seed = _integer(raw.get("seed", 0), "seed")
-        self.output_dir = raw.get("output_dir")
-        if self.output_dir is not None and not isinstance(self.output_dir, str):
-            raise ConfigError("output_dir must be a string path")
+def _run_config(raw: dict, sha256: str) -> RunConfig:
+    """The problem of a parsed config and its run settings, checked."""
+    problem = problem_from_config(raw)
+    method = raw.get("method", "continuation")
+    if method not in _METHODS:
+        raise ConfigError(f"method must be one of {sorted(_METHODS)}")
+    if method != "continuation" and problem.problem != "sosmfg":
+        raise ConfigError(f"method {method!r} is only available for problem 'sosmfg'")
+    if method == "monotone_iteration" and problem.cost.monotonicity != ANTI_MONOTONE:
+        raise ConfigError("method 'monotone_iteration' needs an anti-monotone cost, "
+                          f"got {problem.cost.monotonicity!r}")
+    if method == "variational" and (problem.cost.monotonicity != STRICT_MONOTONE
+                                    or not problem.cost.is_local):
+        raise ConfigError("method 'variational' needs a strictly monotone local cost")
+    tols = _require(raw, "tolerances")
+    acceptance = _require(tols, "acceptance", "tolerances")
+    if not isinstance(acceptance, dict) or not acceptance:
+        raise ConfigError("tolerances.acceptance must map residual names to thresholds")
+    report = _REPORTS[problem.problem]
+    residuals = {f.name for f in dataclasses.fields(report)} - {"delta_c", "grid"}
+    for key, val in acceptance.items():
+        if key not in residuals:
+            raise ConfigError(f"tolerances.acceptance: {key!r} is not a residual of problem "
+                              f"{problem.problem!r}; choose from {sorted(residuals)}")
+        if not _number(val, f"tolerances.acceptance[{key!r}]") > 0:
+            raise ConfigError(f"tolerances.acceptance[{key!r}] must be positive")
+    tol_pde = _number(tols.get("pde", 1e-8), "tolerances.pde")
+    if not tol_pde > 0:
+        raise ConfigError("tolerances.pde must be positive")
+    seed = _integer(raw.get("seed", 0), "seed")
+    output_dir = raw.get("output_dir")
+    if output_dir is not None and not isinstance(output_dir, str):
+        raise ConfigError("output_dir must be a string path")
+    return RunConfig(**vars(problem), method=method, acceptance=acceptance, tol_pde=tol_pde,
+                     seed=seed, output_dir=output_dir, sha256=sha256)
 
 
 def load_config(path) -> RunConfig:
@@ -305,7 +137,7 @@ def load_config(path) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     try:
-        return RunConfig(raw, hashlib.sha256(data).hexdigest())
+        return _run_config(raw, hashlib.sha256(data).hexdigest())
     except (TypeError, OverflowError, MemoryError) as err:
         # a value of the wrong JSON type, such as null for a number, an
         # integer too large for a float, or sizes too large to allocate

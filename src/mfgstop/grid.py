@@ -9,6 +9,7 @@ nodes carry the value 0 and never appear in the unknown vector.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -66,11 +67,11 @@ class Grid:
 
     @property
     def n_total(self) -> int:
-        return int(np.prod(self.n_interior))
+        return math.prod(self.n_interior)
 
     @property
     def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
+        return math.prod(self.spacing)
 
     def face_shape(self, axis: int) -> tuple[int, ...]:
         """Shape of the faces across axis, boundary faces included: the

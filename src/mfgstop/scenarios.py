@@ -1,12 +1,14 @@
-"""Canonical instances and counterexample constructions, built
-programmatically and fed to the solvers and verifiers: a registry of
-standard regression fixtures plus the three special constructions
-(non-uniqueness, non-existence of classical solutions, and obstacle-
-induced non-uniqueness for strictly monotone costs).
+"""The one problem record (Scenario), built from a run config's problem
+part by problem_from_config and fed to the solvers and verifiers: a
+registry of standard regression fixtures, each a config body, plus the
+three special constructions (non-uniqueness, non-existence of classical
+solutions, and obstacle-induced non-uniqueness for strictly monotone
+costs).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +17,7 @@ from .control import Hamiltonian, cosmfg_coupled_solve, verify_cosmfg
 from .costs import CostOperator
 from .evolutive import ObstacleOperator, osmfg_continuation, verify_mixed_evolutive
 from .grid import (
+    FieldTrajectory,
     Grid,
     ScalarField,
     TimeGrid,
@@ -27,6 +30,7 @@ from .grid import (
 from .obstacle import _shifted_factor
 from .stationary import (
     MixedSolutionReport,
+    _checked_schedule,
     continuation_solve,
     default_eps_schedule,
     verify_mixed,
@@ -34,6 +38,7 @@ from .stationary import (
 
 __all__ = [
     "Scenario",
+    "problem_from_config",
     "STANDARD_NAMES",
     "scenario_standard",
     "scenario_nonuniqueness",
@@ -58,18 +63,19 @@ def raised_cosine_bump(grid: Grid, peak: float = 1.0) -> ScalarField:
 
 
 def gaussian_density(grid: Grid, sigma: float = 0.1, mass: float = 1.0) -> ScalarField:
-    """Gaussian bump at the domain centre, normalized to a discrete mass."""
+    """Gaussian bump at the domain centre, normalized to a discrete mass;
+    NaN where sigma is too narrow to leave mass on the grid."""
     coords = grid.coordinates()
     centre = np.array([(a + b) / 2 for a, b in grid.bounds])
     r2 = np.sum((coords - centre) ** 2, axis=1)
     vals = np.exp(-r2 / (2 * sigma**2))
-    total = float(np.sum(vals)) * grid.cell_volume
+    total = np.sum(vals) * grid.cell_volume
     return ScalarField(grid, vals * (mass / total))
 
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """A fully specified instance: grids, data, and the expected outcome."""
+    """A fully specified problem: grids, data, penalty schedule, and the expected outcome."""
 
     name: str
     problem: str  # "sosmfg" | "osmfg" | "cosmfg"
@@ -84,86 +90,235 @@ class Scenario:
     eps_schedule: tuple[float, ...] = field(default_factory=lambda: tuple(default_eps_schedule()))
 
 
-def _monotone_cost(grid: Grid) -> CostOperator:
-    return CostOperator.local_power(grid, a=1.0, p=1.0, f0=ScalarField.constant(grid, -0.5))
+# ---------------------------------------------------------------------------
+# The problem part of a run config (see README for the schema)
 
 
-def _build_monotone_1d() -> Scenario:
-    grid = build_grid(1, (0.0, 1.0), 31)
-    return Scenario(
-        name="monotone_1d", problem="sosmfg", grid=grid,
-        cost=_monotone_cost(grid), rho=raised_cosine_bump(grid),
-        expected_outcome="unique_mixed",
-    )
+class ConfigError(ValueError):
+    pass
 
 
-def _build_monotone_2d() -> Scenario:
-    grid = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (15, 15))
-    return Scenario(
-        name="monotone_2d", problem="sosmfg", grid=grid,
-        cost=_monotone_cost(grid), rho=raised_cosine_bump(grid),
-        expected_outcome="unique_mixed",
-    )
+def _require(cfg: dict, key: str, where: str = "config"):
+    if key not in cfg:
+        raise ConfigError(f"{where}: missing required key {key!r}")
+    return cfg[key]
 
 
-def _build_anti_monotone_1d() -> Scenario:
-    # bistable by construction: f(0) > 0 (so (0, 0) solves the system)
-    # while f at the unconstrained density is negative (so it solves too)
-    grid = build_grid(1, (0.0, 1.0), 31)
-    rho = raised_cosine_bump(grid)
-    weight = raised_cosine_bump(grid)
-    m_star = ScalarField(grid, _shifted_factor(grid, 0.0, 1.0)(rho.values))
-    pairing = inner(weight, m_star)
-    c0 = 0.25
-    c1 = -(c0 + 0.5) / pairing
-    cost = CostOperator.nonlocal_affine(grid, c0=c0, c1=c1, weight=weight)
-    return Scenario(
-        name="anti_monotone_1d", problem="sosmfg", grid=grid,
-        cost=cost, rho=rho, expected_outcome="multiple_classical",
-    )
+def _integer(value, where: str) -> int:
+    """value if it is a JSON integer; a float or a bool, which int()
+    would truncate silently, raises ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return value
 
 
-def _build_evolutive_psi0() -> Scenario:
-    grid = build_grid(1, (0.0, 1.0), 31)
-    tg = build_timegrid(1.0, 50)
-    return Scenario(
-        name="evolutive_psi0", problem="osmfg", grid=grid,
-        cost=_monotone_cost(grid), m0=gaussian_density(grid), timegrid=tg,
-        obstacle_op=ObstacleOperator.zero(grid, tg),
-        expected_outcome="unique_mixed",
-    )
+def _number(value, where: str) -> float:
+    """value as a float if it is a finite JSON number; a string or a
+    bool, which float() would read ("inf", true), raises ConfigError,
+    as does a NaN, an infinity or an integer past the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {type(value).__name__} {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(f"{where} is too large for a float") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return number
 
 
-def _build_evolutive_heat_g() -> Scenario:
-    grid = build_grid(1, (0.0, 1.0), 31)
-    tg = build_timegrid(1.0, 50)
-    g_cost = CostOperator.local_power(grid, a=0.5, p=1.0, f0=ScalarField.zeros(grid))
-    return Scenario(
-        name="evolutive_heat_g", problem="osmfg", grid=grid,
-        cost=_monotone_cost(grid), m0=gaussian_density(grid), timegrid=tg,
-        obstacle_op=ObstacleOperator.heat_source(g_cost),
-        expected_outcome="unique_mixed",
-    )
+def _numbers(values, where: str) -> np.ndarray:
+    """values as a float array if it is a JSON list whose entries are
+    numbers that _number takes, or lists of them; anything else raises
+    ConfigError."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{where} must be a list of numbers, got "
+                          f"{type(values).__name__} {values!r}")
+    # a long list of floats passes in one C-level sweep of its types
+    if set(map(type, values)) - {float}:
+        for i, value in enumerate(values):
+            if isinstance(value, list):
+                _numbers(value, f"{where}[{i}]")
+            else:
+                _number(value, f"{where}[{i}]")
+    numbers = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(numbers)):
+        raise ConfigError(f"{where} must hold finite numbers")
+    return numbers
 
 
-def _build_control_smoothnorm() -> Scenario:
-    grid = build_grid(1, (0.0, 1.0), 31)
-    tg = build_timegrid(1.0, 50)
-    return Scenario(
-        name="control_smoothnorm", problem="cosmfg", grid=grid,
-        cost=_monotone_cost(grid), m0=gaussian_density(grid), timegrid=tg,
-        hamiltonian=Hamiltonian.smoothed_norm(ScalarField.constant(grid, 1.0)),
-        expected_outcome="unique_mixed",
-    )
+def _reject_non_finite(node, where: str = "config"):
+    """Raise ConfigError at a NaN or infinite number anywhere in a parsed
+    config; Python's json reads the tokens NaN, Infinity and 1e999."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _reject_non_finite(value, f"{where}.{key}")
+    elif isinstance(node, list):
+        try:  # a long list of finite numbers passes in one C-level sweep
+            if all(map(math.isfinite, node)):
+                return
+        except (TypeError, OverflowError):  # it holds more than floats
+            pass
+        for i, value in enumerate(node):
+            _reject_non_finite(value, f"{where}[{i}]")
+    elif isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(f"{where} must be finite, got {node!r}")
 
+
+def _build_field(grid, spec, what: str) -> ScalarField:
+    """The field spec on grid; ConfigError unless every value is finite
+    (a gaussian too narrow for the grid is NaN)."""
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ConfigError(f"{what}: field spec must be an object with a 'kind'")
+    kind = spec["kind"]
+    with np.errstate(all="ignore"):
+        if kind == "constant":
+            built = ScalarField.constant(grid, _number(_require(spec, "value", what),
+                                                       f"{what}.value"))
+        elif kind == "raised_cosine":
+            built = raised_cosine_bump(grid, peak=_number(spec.get("peak", 1.0), f"{what}.peak"))
+        elif kind == "gaussian":
+            built = gaussian_density(grid, sigma=_number(spec.get("sigma", 0.1), f"{what}.sigma"),
+                                     mass=_number(spec.get("mass", 1.0), f"{what}.mass"))
+        elif kind == "values":
+            built = ScalarField(grid, _numbers(_require(spec, "values", what), f"{what}.values"))
+        else:
+            raise ConfigError(f"{what}: unknown field kind {kind!r}")
+    if not np.all(np.isfinite(built.values)):
+        raise ConfigError(f"{what} must hold finite values")
+    return built
+
+
+def _build_cost(grid, spec) -> CostOperator:
+    kind = _require(spec, "kind", "cost")
+    if kind == "local_power":
+        return CostOperator.local_power(
+            grid, a=_number(_require(spec, "a", "cost"), "cost.a"),
+            p=_number(spec.get("p", 1.0), "cost.p"),
+            f0=_build_field(grid, _require(spec, "f0", "cost"), "cost.f0"))
+    if kind == "nonlocal_affine":
+        return CostOperator.nonlocal_affine(
+            grid, c0=_number(_require(spec, "c0", "cost"), "cost.c0"),
+            c1=_number(_require(spec, "c1", "cost"), "cost.c1"),
+            weight=_build_field(grid, _require(spec, "weight", "cost"), "cost.weight"))
+    if kind == "local_affine_shifted":
+        return CostOperator.local_affine_shifted(
+            grid, base=_build_field(grid, _require(spec, "base", "cost"), "cost.base"),
+            m_ref=_build_field(grid, _require(spec, "m_ref", "cost"), "cost.m_ref"))
+    raise ConfigError(f"unknown cost kind {kind!r}")
+
+
+def problem_from_config(raw: dict, name: str = "config",
+                        expected_outcome: str = "unknown") -> Scenario:
+    """The problem a parsed run config describes (its keys problem, grid,
+    timegrid, cost, rho or m0, obstacle, hamiltonian and eps_schedule),
+    named name; ConfigError on a value the schema or the solvers reject."""
+    _reject_non_finite(raw)
+    problem = _require(raw, "problem")
+    if problem not in ("cosmfg", "osmfg", "sosmfg"):
+        raise ConfigError("problem must be one of ['cosmfg', 'osmfg', 'sosmfg']")
+    gspec = _require(raw, "grid")
+    n_interior = _require(gspec, "n_interior", "grid")
+    for k in n_interior if isinstance(n_interior, list) else [n_interior]:
+        _integer(k, "grid.n_interior")
+    grid = build_grid(_integer(_require(gspec, "dim", "grid"), "grid.dim"),
+                      _numbers(_require(gspec, "bounds", "grid"), "grid.bounds"), n_interior)
+    timegrid = None
+    if problem != "sosmfg":
+        tspec = _require(raw, "timegrid")
+        timegrid = build_timegrid(
+            _number(_require(tspec, "horizon", "timegrid"), "timegrid.horizon"),
+            _integer(_require(tspec, "n_steps", "timegrid"), "timegrid.n_steps"))
+    cost = _build_cost(grid, _require(raw, "cost"))
+    if problem != "sosmfg" and not cost.is_local:
+        raise ConfigError(f"problem {problem!r} needs a local cost, got {cost.kind!r}")
+    what = "rho" if problem == "sosmfg" else "m0"
+    source = _build_field(grid, _require(raw, what), what)
+    if not np.all(source.values >= -1e-12):
+        raise ConfigError(f"{what} must be nonnegative")
+    obstacle_op = None
+    if problem == "osmfg":
+        ospec = raw.get("obstacle", {"kind": "zero"})
+        okind = _require(ospec, "kind", "obstacle")
+        if okind == "zero":
+            obstacle_op = ObstacleOperator.zero(grid, timegrid)
+        elif okind == "constant_field":
+            psi = _build_field(grid, _require(ospec, "psi", "obstacle"), "obstacle.psi")
+            obstacle_op = ObstacleOperator.constant(FieldTrajectory(
+                grid, timegrid, np.tile(psi.values, (timegrid.n_steps + 1, 1))))
+        elif okind == "heat_from_g":
+            obstacle_op = ObstacleOperator.heat_source(
+                _build_cost(grid, _require(ospec, "g", "obstacle")))
+        else:
+            raise ConfigError(f"unknown obstacle kind {okind!r}")
+    hamiltonian = None
+    if problem == "cosmfg":
+        hspec = _require(raw, "hamiltonian")
+        hkind = _require(hspec, "kind", "hamiltonian")
+        if hkind == "smoothed_norm":
+            hamiltonian = Hamiltonian.smoothed_norm(
+                _build_field(grid, _require(hspec, "beta", "hamiltonian"), "hamiltonian.beta"))
+        elif hkind == "quadratic":
+            outside = hspec.get("outside_assumptions", False)
+            if not isinstance(outside, bool):
+                raise ConfigError("hamiltonian.outside_assumptions must be true or false, "
+                                  f"got {outside!r}")
+            hamiltonian = Hamiltonian.quadratic(grid, outside_assumptions=outside)
+        else:
+            raise ConfigError(f"unknown hamiltonian kind {hkind!r}")
+    es = raw.get("eps_schedule", {})
+    if isinstance(es, dict):
+        factor = _number(es.get("factor", 4.0), "eps_schedule.factor")
+        if not factor > 1:
+            raise ConfigError("eps_schedule.factor must exceed 1")
+        stages = _integer(es.get("stages", 8), "eps_schedule.stages")
+        es = default_eps_schedule(_number(es.get("start", 0.1), "eps_schedule.start"),
+                                  factor, stages)
+    elif es is not None:
+        es = _numbers(es, "eps_schedule")
+    try:
+        eps_schedule = tuple(_checked_schedule(es))
+    except ValueError:
+        raise ConfigError("eps_schedule must be a nonempty, strictly decreasing "
+                          "sequence of positive penalties") from None
+    return Scenario(name=name, problem=problem, grid=grid, cost=cost,
+                    expected_outcome=expected_outcome,
+                    rho=source if what == "rho" else None, m0=source if what == "m0" else None,
+                    timegrid=timegrid, obstacle_op=obstacle_op, hamiltonian=hamiltonian,
+                    eps_schedule=eps_schedule)
+
+
+# ---------------------------------------------------------------------------
+# The registry: one config body per scenario, with its expected outcome
+
+_UNIT_31 = {"dim": 1, "bounds": [[0.0, 1.0]], "n_interior": [31]}
+_MONOTONE_COST = {"kind": "local_power", "a": 1.0, "p": 1.0,
+                  "f0": {"kind": "constant", "value": -0.5}}
+_BUMP = {"kind": "raised_cosine"}
+_TIME_DEPENDENT = {"grid": _UNIT_31, "timegrid": {"horizon": 1.0, "n_steps": 50},
+                   "cost": _MONOTONE_COST, "m0": {"kind": "gaussian"}}
 
 _REGISTRY = {
-    "monotone_1d": _build_monotone_1d,
-    "monotone_2d": _build_monotone_2d,
-    "anti_monotone_1d": _build_anti_monotone_1d,
-    "evolutive_psi0": _build_evolutive_psi0,
-    "evolutive_heat_g": _build_evolutive_heat_g,
-    "control_smoothnorm": _build_control_smoothnorm,
+    "monotone_1d": ("unique_mixed", {
+        "problem": "sosmfg", "grid": _UNIT_31, "cost": _MONOTONE_COST, "rho": _BUMP}),
+    "monotone_2d": ("unique_mixed", {
+        "problem": "sosmfg", "grid": {"dim": 2, "bounds": [[0.0, 1.0], [0.0, 1.0]],
+                                      "n_interior": [15, 15]},
+        "cost": _MONOTONE_COST, "rho": _BUMP}),
+    # bistable by construction: f(0) = c0 > 0, so (0, 0) solves the
+    # system, while c1 = -(c0 + 0.5) / <weight, A^-1 rho> puts f at the
+    # unconstrained density A^-1 rho at -0.5, so it solves too
+    "anti_monotone_1d": ("multiple_classical", {
+        "problem": "sosmfg", "grid": _UNIT_31, "rho": _BUMP, "cost": {
+            "kind": "nonlocal_affine", "c0": 0.25, "c1": -136.65074987544517, "weight": _BUMP}}),
+    "evolutive_psi0": ("unique_mixed", {
+        "problem": "osmfg", **_TIME_DEPENDENT, "obstacle": {"kind": "zero"}}),
+    "evolutive_heat_g": ("unique_mixed", {
+        "problem": "osmfg", **_TIME_DEPENDENT, "obstacle": {"kind": "heat_from_g", "g": {
+            "kind": "local_power", "a": 0.5, "p": 1.0, "f0": {"kind": "constant", "value": 0.0}}}}),
+    "control_smoothnorm": ("unique_mixed", {
+        "problem": "cosmfg", **_TIME_DEPENDENT,
+        "hamiltonian": {"kind": "smoothed_norm", "beta": {"kind": "constant", "value": 1.0}}}),
 }
 
 STANDARD_NAMES = tuple(sorted(_REGISTRY))
@@ -172,10 +327,10 @@ STANDARD_NAMES = tuple(sorted(_REGISTRY))
 def scenario_standard(name: str) -> Scenario:
     """Deterministic fully specified instance from the registry."""
     try:
-        builder = _REGISTRY[name]
+        expected_outcome, config = _REGISTRY[name]
     except KeyError:
         raise ValueError(f"unknown scenario {name!r}; registered: {', '.join(STANDARD_NAMES)}")
-    return builder()
+    return problem_from_config(config, name, expected_outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +484,7 @@ def scenario_obstacle_nonuniqueness() -> ObstacleNonuniquenessEvidence:
     """
     grid = build_grid(1, (0.0, 1.0), 31)
     rho = raised_cosine_bump(grid)
-    cost = _monotone_cost(grid)
+    cost = _build_cost(grid, _MONOTONE_COST)
     solve = _shifted_factor(grid, 0.0, 1.0)
     m_star_vals = solve(rho.values)
     m_star = ScalarField(grid, m_star_vals)
@@ -363,35 +518,39 @@ def scenario_obstacle_nonuniqueness() -> ObstacleNonuniquenessEvidence:
 
 
 # ---------------------------------------------------------------------------
-# One problem, its continuation and its verifier; spec is a Scenario or a
-# cli.RunConfig, read by the fields the two share: problem, cost, rho, m0,
-# timegrid, obstacle_op, hamiltonian and eps_schedule
+# One problem, its continuation and its verifier
 
 
-def solve_problem(spec, tol_pde: float = 1e-8):
-    """The penalty continuation of spec's problem along its eps_schedule:
-    continuation_solve (sosmfg), osmfg_continuation (osmfg) or
-    cosmfg_coupled_solve (cosmfg), a stage converged at a residual norm
-    of at most tol_pde. Returns its (solution, stages)."""
-    if spec.problem == "sosmfg":
-        return continuation_solve(spec.cost, spec.rho, spec.eps_schedule, tol_pde)
-    if spec.problem == "osmfg":
-        return osmfg_continuation(spec.cost, spec.obstacle_op, spec.m0, spec.timegrid,
-                                  spec.eps_schedule, tol_pde)
-    return cosmfg_coupled_solve(spec.cost, spec.hamiltonian, spec.m0, spec.timegrid,
-                                spec.eps_schedule, tol_pde)
+def solve_problem(scenario: Scenario, tol_pde: float = 1e-8):
+    """The penalty continuation of the scenario's problem along its
+    eps_schedule: continuation_solve (sosmfg), osmfg_continuation (osmfg)
+    or cosmfg_coupled_solve (cosmfg), a stage converged at a residual
+    norm of at most tol_pde. Returns its (solution, stages)."""
+    if not isinstance(scenario, Scenario):
+        raise TypeError(f"solve_problem takes a Scenario, got {type(scenario).__name__}")
+    if scenario.problem == "sosmfg":
+        return continuation_solve(scenario.cost, scenario.rho, scenario.eps_schedule, tol_pde)
+    if scenario.problem == "osmfg":
+        return osmfg_continuation(scenario.cost, scenario.obstacle_op, scenario.m0,
+                                  scenario.timegrid, scenario.eps_schedule, tol_pde)
+    return cosmfg_coupled_solve(scenario.cost, scenario.hamiltonian, scenario.m0,
+                                scenario.timegrid, scenario.eps_schedule, tol_pde)
 
 
-def verify_problem(spec, u, m, delta_c: float | None = None):
-    """The report of spec's verifier on the candidate (u, m): verify_mixed
-    (sosmfg), verify_mixed_evolutive (osmfg) or verify_cosmfg (cosmfg),
-    with contact threshold delta_c (None for the verifier's default)."""
-    if spec.problem == "sosmfg":
-        return verify_mixed(u, m, spec.cost, spec.rho, delta_c=delta_c)
-    if spec.problem == "osmfg":
-        return verify_mixed_evolutive(u, m, spec.cost, spec.obstacle_op, spec.m0,
+def verify_problem(scenario: Scenario, u, m, delta_c: float | None = None):
+    """The report of the scenario's verifier on the candidate (u, m):
+    verify_mixed (sosmfg), verify_mixed_evolutive (osmfg) or
+    verify_cosmfg (cosmfg), with contact threshold delta_c (None for the
+    verifier's default)."""
+    if not isinstance(scenario, Scenario):
+        raise TypeError(f"verify_problem takes a Scenario, got {type(scenario).__name__}")
+    if scenario.problem == "sosmfg":
+        return verify_mixed(u, m, scenario.cost, scenario.rho, delta_c=delta_c)
+    if scenario.problem == "osmfg":
+        return verify_mixed_evolutive(u, m, scenario.cost, scenario.obstacle_op, scenario.m0,
                                       delta_c=delta_c)
-    return verify_cosmfg(u, m, spec.cost, spec.hamiltonian, spec.m0, delta_c=delta_c)
+    return verify_cosmfg(u, m, scenario.cost, scenario.hamiltonian, scenario.m0,
+                         delta_c=delta_c)
 
 
 # ---------------------------------------------------------------------------

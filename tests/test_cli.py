@@ -736,6 +736,25 @@ def test_sizes_too_large_to_allocate_exit_2(tmp_path, capsys, overrides):
 GRID_1D = {"dim": 1, "bounds": [[0.0, 1.0]]}
 
 
+# sigma**2 is 0.0 for both sigmas, which puts a NaN at the centre node;
+# on 16 nodes, none at the centre, sigma 1e-5 leaves no mass at any node
+@pytest.mark.parametrize("sigma, n", [(0.0, 15), (1e-200, 15), (1e-5, 16)])
+@pytest.mark.parametrize("problem, what", [(OSMFG_RUN, "m0"), ({}, "rho")], ids=["osmfg", "sosmfg"])
+def test_degenerate_gaussian_is_a_config_error(tmp_path, capsys, problem, what, sigma, n):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {**problem, "output_dir": str(out),
+                                  "grid": {**GRID_1D, "n_interior": [n]},
+                                  what: {"kind": "gaussian", "sigma": sigma}})
+    for argv in (["run", "--config", str(cfg)],
+                 ["verify", "--u", str(out / "u.csv"), "--m", str(out / "m.csv"),
+                  "--config", str(cfg)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {what} must hold finite values\n"
+        assert captured.out == ""
+    assert not out.exists()
+
+
 # int() would truncate these silently: 2.5 steps run as 2 and true as 1
 @pytest.mark.parametrize("overrides, key", [
     ({**OSMFG, "timegrid": {"horizon": 0.5, "n_steps": 2.5}}, "timegrid.n_steps"),

@@ -23,6 +23,8 @@ sources with ast:
 - every verifier takes its residuals from the one residual core, and
   every coupled Newton solve runs in the one penalty stage;
 - time is stepped in one loop, _coupled._sweep;
+- the CLI builds no problem object of its own, and the problem dispatch
+  takes the one problem record, scenarios.Scenario;
 - tests/oracles.py takes from the package only the grid's data types
   and builders.
 """
@@ -485,3 +487,36 @@ def test_the_oracles_import_only_the_grid_data_types_and_builders():
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mfgstop":
             taken |= {f"{node.module}.{alias.name}" for alias in node.names}
     assert taken and taken <= ORACLE_IMPORTS, taken
+
+
+# the one problem record: scenarios.problem_from_config builds every
+# problem a config describes, so the CLI makes no grid, operator or field
+# of its own, and the problem dispatch takes that record
+PROBLEM_BUILDERS = {"build_grid", "build_timegrid", "_build_field", "_build_cost",
+                    "raised_cosine_bump", "gaussian_density"}
+PROBLEM_OPERATORS = {"CostOperator", "ObstacleOperator", "Hamiltonian"}
+
+
+def test_the_cli_builds_no_problem_object():
+    built = []
+    for node in ast.walk(_tree("cli")):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        owner = func.value if isinstance(func, ast.Attribute) else func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in PROBLEM_BUILDERS or getattr(owner, "id", None) in PROBLEM_OPERATORS:
+            built.append((name, node.lineno))
+    assert built == []
+    functions = _functions("cli")
+    assert list(_references(functions["cli._run_config"], "cli", {"problem_from_config"}))
+
+
+@pytest.mark.parametrize("name", ["solve_problem", "verify_problem"])
+def test_the_problem_dispatch_takes_a_scenario(name):
+    node = _functions("scenarios")[f"scenarios.{name}"]
+    first = node.args.args[0]
+    assert ast.unparse(first.annotation) == "Scenario"
+    checks = [call for call in ast.walk(node) if isinstance(call, ast.Call)
+              and getattr(call.func, "id", None) == "isinstance"]
+    assert [ast.unparse(call) for call in checks] == [f"isinstance({first.arg}, Scenario)"]

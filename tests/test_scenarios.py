@@ -1,10 +1,17 @@
+import dataclasses
+import importlib.util
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from mfgstop import scenarios
-from mfgstop.grid import ScalarField
+from mfgstop import cli, scenarios
+from mfgstop.grid import ScalarField, inner
+from mfgstop.obstacle import _shifted_factor
 from mfgstop.scenarios import (
     STANDARD_NAMES,
+    problem_from_config,
     run_scenario_evidence,
     scenario_nonexistence,
     scenario_nonuniqueness,
@@ -39,6 +46,73 @@ def test_registry_scenario_reaches_no_superlu(lu_factors, band_factors, name):
     run_scenario_evidence(scenario_standard(name))
     assert lu_factors or band_factors
     assert all(kind == "band" for kind, _ in lu_factors)
+
+
+def _bitwise_equal(a, b) -> bool:
+    """Whether two records hold the same data bit for bit: field by field
+    for dataclasses, byte by byte for arrays and floats."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(_bitwise_equal(getattr(a, f.name), getattr(b, f.name))
+                                          for f in dataclasses.fields(a))
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_bitwise_equal, a, b))
+    if isinstance(a, (np.ndarray, float)):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    return a == b
+
+
+PROBLEM_FIELDS = ("problem", "grid", "cost", "rho", "m0", "timegrid", "obstacle_op",
+                  "hamiltonian", "eps_schedule")
+
+
+def _same_problem(a, b) -> list[str]:
+    """The fields of the problem that a and b do not hold bit for bit."""
+    return [name for name in PROBLEM_FIELDS
+            if not _bitwise_equal(getattr(a, name), getattr(b, name))]
+
+
+def _workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_registry_agrees_with_the_benchmark_configs():
+    workloads = _workloads()
+    configs = workloads.configs(0, workloads.REGISTRY_N_STEPS)
+    for name in ("evolutive_heat_g", "control_smoothnorm"):
+        assert _same_problem(problem_from_config(configs[name]), scenario_standard(name)) == []
+    # the literal c1 of anti_monotone_1d puts f(m*) at -0.5 for m* = A^-1 rho
+    sc = scenario_standard("anti_monotone_1d")
+    m_star = ScalarField(sc.grid, _shifted_factor(sc.grid, 0.0, 1.0)(sc.rho.values))
+    assert sc.cost.c1 == -(sc.cost.c0 + 0.5) / inner(sc.cost.weight, m_star)
+
+
+@pytest.mark.parametrize("name", STANDARD_NAMES)
+def test_registry_entry_is_a_run_config_body(tmp_path, name):
+    # with a tolerances block added, mfgstop run reads the same problem
+    expected_outcome, body = scenarios._REGISTRY[name]
+    gate = "duality_diagnostic" if body["problem"] == "cosmfg" else "r_duality"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**body, "tolerances": {"acceptance": {gate: 1e-4}}}))
+    run = cli.load_config(str(path))
+    sc = scenario_standard(name)
+    assert isinstance(run, scenarios.Scenario)
+    assert _same_problem(run, sc) == []
+    assert (sc.name, sc.expected_outcome) == (name, expected_outcome)
+
+
+@pytest.mark.parametrize("call", [lambda spec: scenarios.solve_problem(spec),
+                                  lambda spec: scenarios.verify_problem(spec, None, None)],
+                         ids=["solve_problem", "verify_problem"])
+def test_the_problem_dispatch_takes_only_a_scenario(call):
+    sc = scenario_standard("monotone_1d")
+    duck = type("Duck", (), {name: getattr(sc, name) for name in PROBLEM_FIELDS})()
+    with pytest.raises(TypeError, match="takes a Scenario"):
+        call(duck)
 
 
 def test_unknown_scenario_rejected():
