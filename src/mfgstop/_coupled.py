@@ -93,6 +93,7 @@ from .grid import (
     Grid,
     ScalarField,
     TimeGrid,
+    _checked,
     _face_nodes,
     _gradient_matrices,
     _on_grid,
@@ -150,9 +151,8 @@ class PenalizedTriple:
     converged: bool = True
 
     def __post_init__(self):
-        a = self.alpha.values
-        if not np.all((a >= -1e-12) & (a <= 1 + 1e-12)):
-            raise ValueError("alpha must take values in [0, 1]")
+        _checked(self.alpha.values, "alpha", 0, 1, slack=1e-12)
+        _checked(self.delta_band, "delta_band", 0, above=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -510,7 +510,8 @@ def _residuals(grid: Grid, dt: float, lag: int, cost: CostOperator, hamiltonian,
     - r_contact: |sum of dt <f_k + g_k, m_{k+1}> on the other nodes|;
     - r_duality: |that sum over all nodes - <u_0 - psi_0, m_0>|;
     - delta_c (grid.default_contact_threshold of u_arr and psi_arr for
-      None) and the grid metadata;
+      None) and the grid metadata; a NaN, infinite or negative delta_c
+      raises ValueError, as it would misclassify the contact nodes;
     - with a Hamiltonian, pairing: the signed integration-by-parts
       pairing with phi = u, sum_k dt (<(u_k - u_{k+1})/dt + A0 u_k,
       m_{k+1}> + <u_k, div_k m_{k+1}>) - <u_0 - psi_0, m_0>.
@@ -519,8 +520,8 @@ def _residuals(grid: Grid, dt: float, lag: int, cost: CostOperator, hamiltonian,
     """
     steps = len(m_arr) - 1
     u, m, psi = u_arr[:steps], m_arr[1:], psi_arr[:steps]
-    if delta_c is None:
-        delta_c = default_contact_threshold(u_arr, psi_arr)
+    delta_c = (default_contact_threshold(u_arr, psi_arr) if delta_c is None
+               else _checked(delta_c, "delta_c", 0))
     a0 = elliptic_matrix(grid, with_zero_order=False)
     vol = grid.cell_volume
     f = cost.evaluate(m_arr[1 - lag:steps + 1 - lag])
@@ -571,10 +572,15 @@ def _penalized_stage(cost, g_cost, g_arr, hamiltonian, grid, m_arr, dt, epsilon,
     finite raises it, strict or not, so no later stage starts from a
     NaN iterate.
 
+    An epsilon or tol_pde that is not positive and finite raises
+    ValueError before any Newton step (grid._checked).
+
     Returns the w and m slices 0..K of the last iterate and the other
     fields of the stage's PenalizedTriple (epsilon, iterations,
     residual_history, delta_band, converged).
     """
+    epsilon = _checked(epsilon, "epsilon", 0, above=True)
+    tol_pde = _checked(tol_pde, "tol_pde", 0, above=True)
     steps = len(m_arr) - 1
     f_arr = cost.evaluate(m_arr[1 - lag:])
     band = _band(epsilon, float(np.max(np.abs(f_arr[:steps] + g_arr))))
@@ -626,19 +632,17 @@ def forward_backward_solve(
     w = u - psi(m). The cost, the obstacle's psi and g, the Hamiltonian
     and the warm start must lie on the grid of m0, and trajectories on
     timegrid, or ValueError is raised before any Newton step
-    (grid._on_grid). The solve has converged when its
+    (grid._on_grid), as it is for an m0 that is not nonnegative and
+    finite (grid._checked). The solve has converged when its
     residual norm is at most tol_pde; strict=False returns the last
     iterate with converged=False instead of raising (used for warm-up
     continuation stages).
     """
-    if not 0 < epsilon < np.inf:
-        raise ValueError("epsilon must be positive and finite")
     if not cost.is_local:
         raise ValueError("time-dependent solvers require a local cost operator")
     grid = _on_grid(m0.grid, timegrid, cost, obstacle_op.psi, obstacle_op.g_cost, hamiltonian,
                     getattr(warm, "u", None), getattr(warm, "m", None))
-    if not np.all(m0.values >= -1e-12):
-        raise ValueError("m0 must be nonnegative")
+    _checked(m0.values, "m0", 0, slack=1e-12)
     steps = timegrid.n_steps
     g_cost = obstacle_op.g_cost if obstacle_op.kind == "heat_from_g" else None
 

@@ -30,6 +30,8 @@ from .costs import ANTI_MONOTONE, STRICT_MONOTONE
 from .evolutive import EvolutiveMixedReport
 from .grid import (
     ScalarField,
+    _checked,
+    _count,
     _on_grid,
     read_field_csv,
     read_trajectory_csv,
@@ -41,8 +43,6 @@ from .scenarios import (
     STANDARD_NAMES,
     ConfigError,
     Scenario,
-    _integer,
-    _number,
     _require,
     problem_from_config,
     run_scenario_evidence,
@@ -110,12 +110,9 @@ def _run_config(raw: dict, sha256: str) -> RunConfig:
         if key not in residuals:
             raise ConfigError(f"tolerances.acceptance: {key!r} is not a residual of problem "
                               f"{problem.problem!r}; choose from {sorted(residuals)}")
-        if not _number(val, f"tolerances.acceptance[{key!r}]") > 0:
-            raise ConfigError(f"tolerances.acceptance[{key!r}] must be positive")
-    tol_pde = _number(tols.get("pde", 1e-8), "tolerances.pde")
-    if not tol_pde > 0:
-        raise ConfigError("tolerances.pde must be positive")
-    seed = _integer(raw.get("seed", 0), "seed")
+        _checked(val, f"tolerances.acceptance[{key!r}]", 0, above=True)
+    tol_pde = _checked(tols.get("pde", 1e-8), "tolerances.pde", 0, above=True)
+    seed = _count(raw.get("seed", 0), "seed")
     output_dir = raw.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError("output_dir must be a string path")

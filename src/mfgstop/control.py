@@ -28,6 +28,7 @@ from .grid import (
     Grid,
     ScalarField,
     TimeGrid,
+    _checked,
     _face_nodes,
     _on_grid,
     elliptic_matrix,
@@ -74,8 +75,7 @@ class Hamiltonian:
         if self.kind == "smoothed_norm":
             if self.beta is None:
                 raise ValueError("smoothed_norm needs a beta field")
-            if not np.all(self.beta.values >= 0):
-                raise ValueError("beta must be nonnegative")
+            _checked(self.beta.values, "beta", 0)
         if self.kind == "quadratic" and not self.outside_assumptions:
             raise ValueError(
                 "quadratic Hamiltonian is not globally Lipschitz; "

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .grid import Grid, ScalarField, _on_grid
+from .grid import Grid, ScalarField, _checked, _on_grid
 
 __all__ = ["CostOperator", "PotentialOperator"]
 
@@ -43,22 +43,21 @@ class CostOperator:
     m_ref: ScalarField | None = None
 
     def __post_init__(self):
+        if self.kind not in ("local_power", "nonlocal_affine", "local_affine_shifted"):
+            raise ValueError(f"unknown cost kind {self.kind!r}")
         _on_grid(self.grid, None, self.f0, self.weight, self.base, self.m_ref)
+        # the scalars stored as floats: p >= 1, the others finite
+        for name, what, lo in (("a", "coefficient a", None), ("p", "exponent p", 1),
+                               ("c0", "coefficient c0", None), ("c1", "coefficient c1", None)):
+            object.__setattr__(self, name, _checked(getattr(self, name), what, lo))
 
     @staticmethod
     def local_power(grid: Grid, a: float, p: float, f0: ScalarField) -> "CostOperator":
-        if not 1 <= p < np.inf:
-            raise ValueError(f"exponent p must be >= 1 and finite, got {p!r}")
-        if not np.isfinite(a):
-            raise ValueError(f"coefficient a must be finite, got {a!r}")
-        return CostOperator(kind="local_power", grid=grid, a=float(a), p=float(p), f0=f0)
+        return CostOperator(kind="local_power", grid=grid, a=a, p=p, f0=f0)
 
     @staticmethod
     def nonlocal_affine(grid: Grid, c0: float, c1: float, weight: ScalarField) -> "CostOperator":
-        for name, c in (("c0", c0), ("c1", c1)):
-            if not np.isfinite(c):
-                raise ValueError(f"coefficient {name} must be finite, got {c!r}")
-        return CostOperator(kind="nonlocal_affine", grid=grid, c0=float(c0), c1=float(c1), weight=weight)
+        return CostOperator(kind="nonlocal_affine", grid=grid, c0=c0, c1=c1, weight=weight)
 
     @staticmethod
     def local_affine_shifted(grid: Grid, base: ScalarField, m_ref: ScalarField) -> "CostOperator":

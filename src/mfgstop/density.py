@@ -23,6 +23,7 @@ from .grid import (
     NodeMask,
     ScalarField,
     TimeGrid,
+    _checked,
     _on_grid,
     elliptic_matrix,
 )
@@ -45,11 +46,8 @@ class KillingData:
     epsilon: float
 
     def __post_init__(self):
-        if not 0 < self.epsilon < np.inf:
-            raise ValueError("epsilon must be positive and finite")
-        v = self.alpha.values
-        if not np.all((v >= -1e-15) & (v <= 1 + 1e-15)):
-            raise ValueError("alpha must take values in [0, 1]")
+        _checked(self.epsilon, "epsilon", 0, above=True)
+        _checked(self.alpha.values, "alpha", 0, 1, slack=1e-15)
 
     def rate(self) -> np.ndarray:
         """The nodal killing rates alpha_k / epsilon of the steps, (K, N)."""
@@ -84,11 +82,6 @@ class FaceVelocities:
         object.__setattr__(self, "components", tuple(comps))
 
 
-def _require_nonnegative(values: np.ndarray, what: str) -> None:
-    if not np.all(values >= -1e-12):
-        raise ValueError(f"{what} must be nonnegative, min = {values.min():.3e}")
-
-
 def solve_density_on_set(omega: NodeMask, source: ScalarField) -> ScalarField:
     """Solve (-lap + id) m = rho on omega with m = 0 elsewhere.
 
@@ -96,7 +89,7 @@ def solve_density_on_set(omega: NodeMask, source: ScalarField) -> ScalarField:
     holds to machine precision.
     """
     grid = _on_grid(source.grid, None, omega)
-    _require_nonnegative(source.values, "rho")
+    _checked(source.values, "rho", 0, slack=1e-12)
     m = np.zeros(grid.n_total)
     idx = np.flatnonzero(omega.mask)
     if idx.size:
@@ -139,7 +132,7 @@ def solve_density_parabolic(
     matrix by LU on the assembler's kept order.
     """
     grid = _on_grid(m0.grid, timegrid, None if killing is None else killing.alpha, drift)
-    _require_nonnegative(m0.values, "m0")
+    _checked(m0.values, "m0", 0, slack=1e-12)
     n, dt = grid.n_total, timegrid.dt
     rates = np.zeros((timegrid.n_steps, n)) if killing is None else killing.rate()
     # per step the values of the drifted step: the rate, then the drift's

@@ -98,10 +98,47 @@ class Grid:
         }
 
 
-def _count(value, what: str) -> int:
-    """value, a Python or NumPy integer (no bool, float or string), as an int."""
+def _checked(value, name: str, lo=None, hi=None, *, above=False, slack=0.0):
+    """The one range check of the package: value as a float (a list,
+    tuple or array as a float array) if it is finite and in [lo, hi]
+    (None: unbounded; lo excluded when above) up to slack, else a
+    ValueError that names it. A bool, a string or None is no number, an
+    integer past the float range no float, and a NaN fails every bound.
+    A scalar is checked without NumPy."""
+    array = isinstance(value, (list, tuple, np.ndarray))
+    if array:
+        x = np.asarray(value, dtype=float)
+        ok = np.isfinite(x)
+    elif isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {type(value).__name__} {value!r}")
+    else:
+        try:
+            x = float(value)
+        except OverflowError:
+            raise ValueError(f"{name} is too large for a float") from None
+        ok = math.isfinite(x)
+    if lo is not None:
+        ok &= x > lo - slack if above else x >= lo - slack
+    if hi is not None:
+        ok &= x <= hi + slack
+    if not (ok.all() if array else ok):
+        if hi is not None:
+            rule = f"must take values in {'(' if above else '['}{lo:g}, {hi:g}]"
+        elif lo is not None:
+            rule = ("must be " + (("positive" if above else "nonnegative") if lo == 0
+                                  else f"{'>' if above else '>='} {lo:g}") + " and finite")
+        else:
+            rule = "must hold finite values" if array else "must be finite"
+        raise ValueError(f"{name} {rule}" + ("" if array else f", got {value!r}"))
+    return x
+
+
+def _count(value, what: str, lo=None) -> int:
+    """value, a Python or NumPy integer (no bool, float or string) of at
+    least lo (None: any) that a float can hold, as an int."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{what} must be an integer, got {value!r}")
+    _checked(value, what, lo)
     return int(value)
 
 
@@ -114,20 +151,18 @@ def build_grid(dim, bounds, n_interior) -> Grid:
     dim = _count(dim, "dim")
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
-    b = np.asarray(bounds, dtype=float)
+    b = _checked(np.asarray(bounds, dtype=float), "bounds")
     if b.ndim == 1:
         b = b[None, :]
     if b.shape != (dim, 2):
         raise ValueError(f"bounds must give one (a, b) pair per axis, got {bounds!r}")
     if np.ndim(n_interior) == 0:
-        n = (_count(n_interior, "n_interior"),) * dim
+        n = (_count(n_interior, "n_interior", 3),) * dim
     else:
-        n = tuple(_count(k, "n_interior") for k in n_interior)
+        n = tuple(_count(k, "n_interior", 3) for k in n_interior)
     if len(n) != dim:
         raise ValueError("n_interior must match dim")
-    if any(k < 3 for k in n):
-        raise ValueError(f"need at least 3 interior nodes per axis, got {n}")
-    if not (np.all(np.isfinite(b)) and np.all(b[:, 1] > b[:, 0])):
+    if not np.all(b[:, 1] > b[:, 0]):
         raise ValueError(f"degenerate bounds {bounds!r}")
     return Grid(dim=dim, bounds=tuple((float(lo), float(hi)) for lo, hi in b), n_interior=n)
 
@@ -151,12 +186,8 @@ def build_timegrid(horizon: float, n_steps: int) -> TimeGrid:
     """ValueError unless horizon is a number in (0, inf) that a float
     can hold (an integer past the float range is not) and n_steps an
     integer >= 1."""
-    if not (0 < horizon < np.inf and _count(n_steps, "n_steps") >= 1):
-        raise ValueError(f"need a finite horizon > 0 and n_steps >= 1, got {horizon}, {n_steps}")
-    try:
-        return TimeGrid(horizon=float(horizon), n_steps=int(n_steps))
-    except OverflowError:
-        raise ValueError("the horizon is too large for a float") from None
+    return TimeGrid(horizon=_checked(horizon, "horizon", 0, above=True),
+                    n_steps=_count(n_steps, "n_steps", 1))
 
 
 @dataclass(frozen=True, eq=False)

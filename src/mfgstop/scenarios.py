@@ -21,6 +21,8 @@ from .grid import (
     Grid,
     ScalarField,
     TimeGrid,
+    _checked,
+    _count,
     build_grid,
     build_timegrid,
     default_contact_threshold,
@@ -104,51 +106,22 @@ def _require(cfg: dict, key: str, where: str = "config"):
     return cfg[key]
 
 
-def _integer(value, where: str) -> int:
-    """value if it is a JSON integer; a float or a bool, which int()
-    would truncate silently, raises ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return value
-
-
-def _number(value, where: str) -> float:
-    """value as a float if it is a finite JSON number; a string or a
-    bool, which float() would read ("inf", true), raises ConfigError,
-    as does a NaN, an infinity or an integer past the float range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {type(value).__name__} {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        raise ConfigError(f"{where} is too large for a float") from None
-    if not math.isfinite(number):
-        raise ConfigError(f"{where} must be finite, got {value!r}")
-    return number
-
-
 def _numbers(values, where: str) -> np.ndarray:
     """values as a float array if it is a JSON list whose entries are
-    numbers that _number takes, or lists of them; anything else raises
-    ConfigError."""
+    numbers that grid._checked takes, or lists of them; anything else
+    raises ValueError."""
     if not isinstance(values, list):
         raise ConfigError(f"{where} must be a list of numbers, got "
                           f"{type(values).__name__} {values!r}")
     # a long list of floats passes in one C-level sweep of its types
     if set(map(type, values)) - {float}:
         for i, value in enumerate(values):
-            if isinstance(value, list):
-                _numbers(value, f"{where}[{i}]")
-            else:
-                _number(value, f"{where}[{i}]")
-    numbers = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(numbers)):
-        raise ConfigError(f"{where} must hold finite numbers")
-    return numbers
+            (_numbers if isinstance(value, list) else _checked)(value, f"{where}[{i}]")
+    return _checked(values, where)
 
 
 def _reject_non_finite(node, where: str = "config"):
-    """Raise ConfigError at a NaN or infinite number anywhere in a parsed
+    """Raise ValueError at a NaN or infinite number anywhere in a parsed
     config; Python's json reads the tokens NaN, Infinity and 1e999."""
     if isinstance(node, dict):
         for key, value in node.items():
@@ -161,31 +134,30 @@ def _reject_non_finite(node, where: str = "config"):
             pass
         for i, value in enumerate(node):
             _reject_non_finite(value, f"{where}[{i}]")
-    elif isinstance(node, float) and not math.isfinite(node):
-        raise ConfigError(f"{where} must be finite, got {node!r}")
+    elif isinstance(node, float):
+        _checked(node, where)
 
 
 def _build_field(grid, spec, what: str) -> ScalarField:
-    """The field spec on grid; ConfigError unless every value is finite
+    """The field spec on grid; ValueError unless every value is finite
     (a gaussian too narrow for the grid is NaN)."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"{what}: field spec must be an object with a 'kind'")
     kind = spec["kind"]
     with np.errstate(all="ignore"):
         if kind == "constant":
-            built = ScalarField.constant(grid, _number(_require(spec, "value", what),
-                                                       f"{what}.value"))
+            built = ScalarField.constant(grid, _checked(_require(spec, "value", what),
+                                                        f"{what}.value"))
         elif kind == "raised_cosine":
-            built = raised_cosine_bump(grid, peak=_number(spec.get("peak", 1.0), f"{what}.peak"))
+            built = raised_cosine_bump(grid, peak=_checked(spec.get("peak", 1.0), f"{what}.peak"))
         elif kind == "gaussian":
-            built = gaussian_density(grid, sigma=_number(spec.get("sigma", 0.1), f"{what}.sigma"),
-                                     mass=_number(spec.get("mass", 1.0), f"{what}.mass"))
+            built = gaussian_density(grid, sigma=_checked(spec.get("sigma", 0.1), f"{what}.sigma"),
+                                     mass=_checked(spec.get("mass", 1.0), f"{what}.mass"))
         elif kind == "values":
             built = ScalarField(grid, _numbers(_require(spec, "values", what), f"{what}.values"))
         else:
             raise ConfigError(f"{what}: unknown field kind {kind!r}")
-    if not np.all(np.isfinite(built.values)):
-        raise ConfigError(f"{what} must hold finite values")
+    _checked(built.values, what)
     return built
 
 
@@ -193,13 +165,13 @@ def _build_cost(grid, spec) -> CostOperator:
     kind = _require(spec, "kind", "cost")
     if kind == "local_power":
         return CostOperator.local_power(
-            grid, a=_number(_require(spec, "a", "cost"), "cost.a"),
-            p=_number(spec.get("p", 1.0), "cost.p"),
+            grid, a=_checked(_require(spec, "a", "cost"), "cost.a"),
+            p=_checked(spec.get("p", 1.0), "cost.p"),
             f0=_build_field(grid, _require(spec, "f0", "cost"), "cost.f0"))
     if kind == "nonlocal_affine":
         return CostOperator.nonlocal_affine(
-            grid, c0=_number(_require(spec, "c0", "cost"), "cost.c0"),
-            c1=_number(_require(spec, "c1", "cost"), "cost.c1"),
+            grid, c0=_checked(_require(spec, "c0", "cost"), "cost.c0"),
+            c1=_checked(_require(spec, "c1", "cost"), "cost.c1"),
             weight=_build_field(grid, _require(spec, "weight", "cost"), "cost.weight"))
     if kind == "local_affine_shifted":
         return CostOperator.local_affine_shifted(
@@ -212,7 +184,9 @@ def problem_from_config(raw: dict, name: str = "config",
                         expected_outcome: str = "unknown") -> Scenario:
     """The problem a parsed run config describes (its keys problem, grid,
     timegrid, cost, rho or m0, obstacle, hamiltonian and eps_schedule),
-    named name; ConfigError on a value the schema or the solvers reject."""
+    named name; ValueError on a value the schema or the solvers reject,
+    a ConfigError where the schema names the fault (a missing key, an
+    unknown kind, a bad penalty schedule)."""
     _reject_non_finite(raw)
     problem = _require(raw, "problem")
     if problem not in ("cosmfg", "osmfg", "sosmfg"):
@@ -220,22 +194,21 @@ def problem_from_config(raw: dict, name: str = "config",
     gspec = _require(raw, "grid")
     n_interior = _require(gspec, "n_interior", "grid")
     for k in n_interior if isinstance(n_interior, list) else [n_interior]:
-        _integer(k, "grid.n_interior")
-    grid = build_grid(_integer(_require(gspec, "dim", "grid"), "grid.dim"),
+        _count(k, "grid.n_interior")
+    grid = build_grid(_count(_require(gspec, "dim", "grid"), "grid.dim"),
                       _numbers(_require(gspec, "bounds", "grid"), "grid.bounds"), n_interior)
     timegrid = None
     if problem != "sosmfg":
         tspec = _require(raw, "timegrid")
         timegrid = build_timegrid(
-            _number(_require(tspec, "horizon", "timegrid"), "timegrid.horizon"),
-            _integer(_require(tspec, "n_steps", "timegrid"), "timegrid.n_steps"))
+            _checked(_require(tspec, "horizon", "timegrid"), "timegrid.horizon"),
+            _count(_require(tspec, "n_steps", "timegrid"), "timegrid.n_steps"))
     cost = _build_cost(grid, _require(raw, "cost"))
     if problem != "sosmfg" and not cost.is_local:
         raise ConfigError(f"problem {problem!r} needs a local cost, got {cost.kind!r}")
     what = "rho" if problem == "sosmfg" else "m0"
     source = _build_field(grid, _require(raw, what), what)
-    if not np.all(source.values >= -1e-12):
-        raise ConfigError(f"{what} must be nonnegative")
+    _checked(source.values, what, 0, slack=1e-12)
     obstacle_op = None
     if problem == "osmfg":
         ospec = raw.get("obstacle", {"kind": "zero"})
@@ -267,17 +240,15 @@ def problem_from_config(raw: dict, name: str = "config",
         else:
             raise ConfigError(f"unknown hamiltonian kind {hkind!r}")
     es = raw.get("eps_schedule", {})
-    if isinstance(es, dict):
-        factor = _number(es.get("factor", 4.0), "eps_schedule.factor")
-        if not factor > 1:
-            raise ConfigError("eps_schedule.factor must exceed 1")
-        stages = _integer(es.get("stages", 8), "eps_schedule.stages")
-        es = default_eps_schedule(_number(es.get("start", 0.1), "eps_schedule.start"),
-                                  factor, stages)
+    spec = isinstance(es, dict)
+    if spec:
+        es = (_checked(es.get("start", 0.1), "eps_schedule.start"),
+              _checked(es.get("factor", 4.0), "eps_schedule.factor"),
+              _count(es.get("stages", 8), "eps_schedule.stages"))
     elif es is not None:
         es = _numbers(es, "eps_schedule")
     try:
-        eps_schedule = tuple(_checked_schedule(es))
+        eps_schedule = tuple(_checked_schedule(default_eps_schedule(*es) if spec else es))
     except ValueError:
         raise ConfigError("eps_schedule must be a nonempty, strictly decreasing "
                           "sequence of positive penalties") from None

@@ -35,7 +35,7 @@ from ._coupled import (
 )
 from .costs import ANTI_MONOTONE, STRICT_MONOTONE, CostOperator, PotentialOperator
 from .density import solve_density_on_set
-from .grid import ScalarField, _on_grid, classify_nodes, coarsen, elliptic_matrix
+from .grid import ScalarField, _checked, _count, _on_grid, classify_nodes, coarsen, elliptic_matrix
 from .obstacle import (
     _MAX_ITER,
     _TOL,
@@ -129,17 +129,15 @@ def penalized_coupled_solve(
     that the process keeps per grid (obstacle._shifted_factor at dt = 1). A
     warm start, the previous stage's solution, replaces both by its
     (u, m). The cost, m_init and the warm start must lie on the grid of
-    rho, or ValueError is raised before any Newton step (grid._on_grid).
+    rho, or ValueError is raised before any Newton step (grid._on_grid),
+    as it is for a rho that is not nonnegative and finite.
     The solve has converged when its residual norm is at most tol_pde;
     strict=False returns the last iterate with converged=False instead
     of raising (used for warm-up continuation stages).
     """
-    if not 0 < epsilon < np.inf:
-        raise ValueError("epsilon must be positive and finite")
     grid = _on_grid(rho.grid, None, cost, m_init, getattr(warm, "u", None),
                     getattr(warm, "m", None))
-    if not np.all(rho.values >= -1e-12):
-        raise ValueError("rho must be nonnegative")
+    _checked(rho.values, "rho", 0, slack=1e-12)
     if warm is not None:
         m, u, warm_band = warm.m.values, warm.u.values, warm.delta_band
     else:
@@ -154,18 +152,23 @@ def penalized_coupled_solve(
 
 
 def default_eps_schedule(start: float = 0.1, factor: float = 4.0, stages: int = 8) -> list[float]:
-    return [start / factor**j for j in range(stages)]
+    """The stages penalties start / factor**j, j = 0..stages-1; ValueError
+    unless start > 0, factor > 1 and stages >= 1."""
+    start = _checked(start, "start", 0, above=True)
+    factor = _checked(factor, "factor", 1, above=True)
+    return [start / factor**j for j in range(_count(stages, "stages", 1))]
 
 
 def _checked_schedule(eps_schedule=None) -> list[float]:
     """The penalty schedule as a list of floats, default_eps_schedule()
-    for None; raises ValueError unless it is nonempty, strictly
-    decreasing, positive and finite (a NaN fails every comparison)."""
+    for None; raises ValueError unless it is nonempty and
+    inf > e_0 > ... > e_last > 0 holds as one chain (a NaN fails every
+    comparison)."""
     schedule = (default_eps_schedule() if eps_schedule is None
                 else [float(e) for e in eps_schedule])
-    if not (schedule and np.inf > schedule[0] and schedule[-1] > 0
-            and all(e1 > e2 for e1, e2 in zip(schedule, schedule[1:]))):
-        raise ValueError("eps schedule must be a nonempty, strictly decreasing sequence "
+    chain = [np.inf, *schedule, 0.0]
+    if not (schedule and all(e1 > e2 for e1, e2 in zip(chain, chain[1:]))):
+        raise ValueError("eps_schedule must be a nonempty, strictly decreasing sequence "
                          "of positive, finite penalties")
     return schedule
 
@@ -399,8 +402,8 @@ def uniqueness_probe(
     s_k ~ U[0, 2) from the seed. Strictly monotone costs give a gap at
     solver precision; non-monotone costs can land on distinct solutions.
     """
-    if n_starts < 2:
-        raise ValueError("need at least two starts")
+    n_starts = _count(n_starts, "n_starts", 2)
+    seed = _count(seed, "seed", 0)
     grid = rho.grid
     m_base = _shifted_factor(grid, 0.0, 1.0)(rho.values)
     results = [continuation_solve(cost, rho, eps_schedule,

@@ -10,8 +10,9 @@ sources with ast:
 - the package __init__ imports only names its modules export, no
   module imports a name it never uses or scipy.optimize, and no test
   file imports a name it never uses;
-- every grid comparison is the one grid check, and only the
-  Hamiltonian tells its kinds apart;
+- every grid comparison is the one grid check, every range check of a
+  number the one range check, and only the Hamiltonian tells its kinds
+  apart;
 - no module calls a Krylov solver of scipy, the one GMRES being
   _coupled._gmres;
 - every direct solve goes through the factor functions of obstacle,
@@ -228,6 +229,47 @@ def test_every_grid_comparison_is_the_one_grid_check():
     assert found == [], found
     check = _functions("grid")["grid._on_grid"]
     assert any(isinstance(node, ast.Compare) for node in ast.walk(check))
+
+
+# the one range check: only grid._checked decides whether a number is
+# finite and in range, so no other if that raises a ValueError (or the
+# config's ConfigError) tests an ordering against a numeric bound or
+# calls isfinite
+ORDERINGS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def _is_bound(node) -> bool:
+    """Whether node is a numeric literal, signed or not, or np.inf."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        node = node.operand
+    return (isinstance(node, ast.Constant) and type(node.value) in (int, float)
+            or isinstance(node, ast.Attribute) and node.attr == "inf")
+
+
+def _checks_a_range(test) -> bool:
+    return any(isinstance(node, ast.Compare) and any(isinstance(op, ORDERINGS) for op in node.ops)
+               and any(map(_is_bound, [node.left, *node.comparators]))
+               or isinstance(node, ast.Call) and "isfinite" in (getattr(node.func, "id", None),
+                                                                getattr(node.func, "attr", None))
+               for node in ast.walk(test))
+
+
+def _raises_a_value_error(body) -> bool:
+    return any(isinstance(stmt, ast.Raise) and isinstance(stmt.exc, ast.Call)
+               and getattr(stmt.exc.func, "id", None) in ("ValueError", "ConfigError")
+               for stmt in body)
+
+
+def test_every_range_check_is_the_one_range_check():
+    found = [(f"{module}.{getattr(top, 'name', '')}", node.lineno) for module in MODULES
+             for top in _tree(module).body for node in ast.walk(top)
+             if isinstance(node, ast.If) and _raises_a_value_error(node.body)
+             and _checks_a_range(node.test)]
+    assert found == [], found
+    for test in ("not 0 < x < np.inf", "not np.all(v >= -1e-12)", "not math.isfinite(x)",
+                 "any(k < 3 for k in n)"):
+        assert _checks_a_range(ast.parse(test, mode="eval").body), test
+    assert not _checks_a_range(ast.parse("not np.all(b[:, 1] > b[:, 0])", mode="eval").body)
 
 
 # the kinds of Hamiltonian: only the class tells them apart, so a new
