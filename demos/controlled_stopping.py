@@ -17,17 +17,12 @@ objective is taken on that density.
 
 import numpy as np
 
-from mfgstop.control import (
-    control_objective,
-    cosmfg_coupled_solve,
-    face_drift,
-)
+from mfgstop.control import control_objective, face_drift
 from mfgstop.density import FaceVelocities, KillingData, solve_density_parabolic
-from mfgstop.scenarios import scenario_standard
+from mfgstop.scenarios import scenario_standard, solve_problem
 
 sc = scenario_standard("control_smoothnorm")
-sol, stages = cosmfg_coupled_solve(sc.cost, sc.hamiltonian, sc.m0, sc.timegrid,
-                                   list(sc.eps_schedule))
+sol, stages = solve_problem(sc)
 report = stages[-1].report
 print("=== controlled stopping equilibrium ===")
 for key, value in report.to_dict().items():

@@ -14,13 +14,11 @@ certificate sum (f + g) m dt = <u(0) - psi(0), m0>.
 
 import numpy as np
 
-from mfgstop.evolutive import osmfg_continuation
-from mfgstop.scenarios import scenario_standard
+from mfgstop.scenarios import scenario_standard, solve_problem
 
 for name in ("evolutive_psi0", "evolutive_heat_g"):
     sc = scenario_standard(name)
-    sol, stages = osmfg_continuation(sc.cost, sc.obstacle_op, sc.m0, sc.timegrid,
-                                     list(sc.eps_schedule))
+    sol, stages = solve_problem(sc)
     report = stages[-1].report
     marr = sol.m.array()
     masses = marr.sum(axis=1) * sc.grid.cell_volume

@@ -17,24 +17,18 @@ certificate <f(m), m> = <u, rho>.
 
 import numpy as np
 
-from mfgstop import (
-    CostOperator,
-    ScalarField,
-    build_grid,
-    continuation_solve,
-    default_eps_schedule,
-    inner,
-    uniqueness_probe,
-    variational_minimize,
-)
-from mfgstop.scenarios import raised_cosine_bump
+from mfgstop import inner, uniqueness_probe, variational_minimize
+from mfgstop.scenarios import problem_from_config, solve_problem
 
-grid = build_grid(1, (0.0, 1.0), 31)
-rho = raised_cosine_bump(grid)
-cost = CostOperator.local_power(grid, a=1.0, p=1.0, f0=ScalarField.constant(grid, -0.005))
+problem = problem_from_config({
+    "problem": "sosmfg", "grid": {"dim": 1, "bounds": [[0.0, 1.0]], "n_interior": [31]},
+    "cost": {"kind": "local_power", "a": 1.0, "p": 1.0,
+             "f0": {"kind": "constant", "value": -0.005}},
+    "rho": {"kind": "raised_cosine"}, "eps_schedule": {"stages": 10}})
+grid, cost, rho = problem.grid, problem.cost, problem.rho
 
 print("=== penalty continuation ===")
-sol, reports = continuation_solve(cost, rho, default_eps_schedule(stages=10))
+sol, reports = solve_problem(problem)
 u, m = sol.u, sol.m
 print(f"{'stage':>5} {'epsilon':>10} {'iters':>5} {'r_contact':>10} {'r_duality':>10}")
 for sr in reports:
@@ -64,6 +58,5 @@ for i in range(0, 31, 3):
     print(f"  x={x[i]:.3f}  m={m.values[i]:.4f}  free={free[i]:.4f}  {bar}")
 
 print("\n=== uniqueness probe (strictly monotone cost) ===")
-gap = uniqueness_probe(cost, rho, n_starts=4, seed=0,
-                       eps_schedule=default_eps_schedule(stages=10))
+gap = uniqueness_probe(cost, rho, n_starts=4, seed=0, eps_schedule=problem.eps_schedule)
 print(f"  max pairwise gap over scaled starts: {gap:.2e}")

@@ -36,7 +36,6 @@ from .stationary import (
     MixedSolutionReport,
     CoupledNonConvergence,
     penalized_coupled_solve,
-    continuation_solve,
     default_eps_schedule,
     monotone_iteration_solve,
     variational_minimize,
@@ -46,13 +45,11 @@ from .stationary import (
 from .evolutive import (
     ObstacleOperator,
     EvolutiveMixedReport,
-    osmfg_continuation,
     verify_mixed_evolutive,
 )
 from .control import (
     Hamiltonian,
     ControlMixedReport,
-    cosmfg_coupled_solve,
     verify_cosmfg,
     face_drift,
     control_objective,

@@ -1,12 +1,12 @@
 """The controlled system: Hamilton-Jacobi-Bellman obstacle equation with
-a convex Hamiltonian, drifted forward equation with killing, the coupled
-solver, its verifier, and the control objective, whose running cost is
-the Hamiltonian's own Fenchel conjugate (Hamiltonian.conjugate).
+a convex Hamiltonian, drifted forward equation with killing, its
+verifier, and the control objective, whose running cost is the
+Hamiltonian's own Fenchel conjugate (Hamiltonian.conjugate).
 
 The system is the evolutive one with the zero obstacle plus the
-Hamiltonian term and its drift: the solver runs the evolutive path with
-ObstacleOperator.zero, and the verifier the residual core of the
-evolutive verifier with psi = g = 0.
+Hamiltonian term and its drift: scenarios.solve_problem runs the
+evolutive solver with ObstacleOperator.zero and the Hamiltonian, and the
+verifier the residual core of the evolutive verifier with psi = g = 0.
 
 The drift fed to the density is D_pH(x, grad u) on faces; upwind
 differences keep every system matrix an M-matrix, so positivity and
@@ -19,10 +19,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._coupled import _divergence, _hamiltonian_state, _residuals, forward_backward_solve
+from ._coupled import _divergence, _hamiltonian_state, _residuals
 from .costs import CostOperator, PotentialOperator
 from .density import FaceVelocities
-from .evolutive import ObstacleOperator
 from .grid import (
     FieldTrajectory,
     Grid,
@@ -33,12 +32,10 @@ from .grid import (
     _on_grid,
     elliptic_matrix,
 )
-from .stationary import penalty_continuation
 
 __all__ = [
     "Hamiltonian",
     "ControlMixedReport",
-    "cosmfg_coupled_solve",
     "verify_cosmfg",
     "face_drift",
     "control_objective",
@@ -163,37 +160,6 @@ class ControlMixedReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def cosmfg_coupled_solve(
-    cost: CostOperator,
-    hamiltonian: Hamiltonian,
-    m0: ScalarField,
-    timegrid: TimeGrid,
-    eps_schedule=None,
-    tol_pde: float = 1e-8,
-):
-    """Penalty continuation for the controlled system: the evolutive
-    one with the zero obstacle and the Hamiltonian term, the first stage
-    from m0 in every slice. H(x, Du) and the drift D_pH(x, grad u) on
-    faces are Newton terms, evaluated at every Newton iterate;
-    face_drift(hamiltonian, solution.u) is the drift of the returned
-    value trajectory.
-
-    Returns (solution, stages): the final PenalizedTriple, whose fields
-    are trajectories, and one StageReport per stage, with the
-    verify_cosmfg report of its (u, m).
-    """
-    zero = ObstacleOperator.zero(m0.grid, timegrid)
-
-    def solve_stage(eps, warm, strict):
-        return forward_backward_solve(cost, m0, timegrid, eps, tol_pde, obstacle_op=zero,
-                                      hamiltonian=hamiltonian, warm=warm, strict=strict)
-
-    def verify(sol):
-        return verify_cosmfg(sol.u, sol.m, cost, hamiltonian, m0, delta_c=sol.delta_band)
-
-    return penalty_continuation(solve_stage, verify, eps_schedule)
 
 
 def verify_cosmfg(

@@ -46,6 +46,9 @@ class CostOperator:
         if self.kind not in ("local_power", "nonlocal_affine", "local_affine_shifted"):
             raise ValueError(f"unknown cost kind {self.kind!r}")
         _on_grid(self.grid, None, self.f0, self.weight, self.base, self.m_ref)
+        for name in ("f0", "weight", "base", "m_ref"):
+            if getattr(self, name) is not None:
+                _checked(getattr(self, name).values, name)
         # the scalars stored as floats: p >= 1, the others finite
         for name, what, lo in (("a", "coefficient a", None), ("p", "exponent p", 1),
                                ("c0", "coefficient c0", None), ("c1", "coefficient c1", None)):

@@ -1,8 +1,8 @@
 """The time-dependent system with m-dependent obstacles: obstacle
 operators (fixed trajectories, or obstacles generated from a local
-source by the backward heat equation), the penalty continuation of the
-forward-backward penalized solver, and the evolutive mixed-solution
-verifier.
+source by the backward heat equation) and the evolutive mixed-solution
+verifier. scenarios.solve_problem runs the penalty continuation of the
+forward-backward penalized solver, _coupled.forward_backward_solve.
 
 For obstacles built from a source g, the quantity (d/dt + lap) psi(m)
 is returned as g(m) exactly rather than by differencing psi, so the
@@ -16,23 +16,22 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._coupled import _residuals, _sweep, forward_backward_solve
+from ._coupled import _residuals, _sweep
 from .costs import CostOperator
 from .grid import (
     FieldTrajectory,
     Grid,
     ScalarField,
     TimeGrid,
+    _checked,
     _on_grid,
     elliptic_matrix,
 )
 from .obstacle import _shifted_factor
-from .stationary import penalty_continuation
 
 __all__ = [
     "ObstacleOperator",
     "EvolutiveMixedReport",
-    "osmfg_continuation",
     "verify_mixed_evolutive",
 ]
 
@@ -51,6 +50,8 @@ class ObstacleOperator:
             raise ValueError(f"unknown obstacle kind {self.kind!r}")
         if self.kind == "constant_field" and self.psi is None:
             raise ValueError("constant_field obstacle needs a trajectory")
+        if self.psi is not None:
+            _checked(self.psi.values, "psi")
         if self.kind == "heat_from_g":
             if self.g_cost is None:
                 raise ValueError("heat_from_g obstacle needs a source cost")
@@ -118,33 +119,6 @@ class EvolutiveMixedReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def osmfg_continuation(
-    cost: CostOperator,
-    obstacle_op: ObstacleOperator,
-    m0: ScalarField,
-    timegrid: TimeGrid,
-    eps_schedule=None,
-    tol_pde: float = 1e-8,
-):
-    """Penalty continuation for the evolutive system: warm-started
-    forward_backward_solve stages along a decreasing schedule, the first
-    from m0 in every slice.
-
-    Returns (solution, stages): the final PenalizedTriple, whose fields
-    are trajectories, and one StageReport per stage, with the
-    verify_mixed_evolutive report of its (u, m).
-    """
-
-    def solve_stage(eps, warm, strict):
-        return forward_backward_solve(cost, m0, timegrid, eps, tol_pde, obstacle_op=obstacle_op,
-                                      warm=warm, strict=strict)
-
-    def verify(sol):
-        return verify_mixed_evolutive(sol.u, sol.m, cost, obstacle_op, m0, delta_c=sol.delta_band)
-
-    return penalty_continuation(solve_stage, verify, eps_schedule)
 
 
 def verify_mixed_evolutive(

@@ -1,9 +1,10 @@
 """The one problem record (Scenario), built from a run config's problem
-part by problem_from_config and fed to the solvers and verifiers: a
-registry of standard regression fixtures, each a config body, plus the
-three special constructions (non-uniqueness, non-existence of classical
-solutions, and obstacle-induced non-uniqueness for strictly monotone
-costs).
+part by problem_from_config, and the one map from it to its solve and
+its verifier: solve_problem, the one entry of the penalty continuation
+of every problem, and verify_problem. Also a registry of standard
+regression fixtures, each a config body, plus the three special
+constructions (non-uniqueness, non-existence of classical solutions,
+and obstacle-induced non-uniqueness for strictly monotone costs).
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import Hamiltonian, cosmfg_coupled_solve, verify_cosmfg
+from ._coupled import forward_backward_solve
+from .control import Hamiltonian, verify_cosmfg
 from .costs import CostOperator
-from .evolutive import ObstacleOperator, osmfg_continuation, verify_mixed_evolutive
+from .evolutive import ObstacleOperator, verify_mixed_evolutive
 from .grid import (
     FieldTrajectory,
     Grid,
@@ -33,8 +35,9 @@ from .obstacle import _shifted_factor
 from .stationary import (
     MixedSolutionReport,
     _checked_schedule,
-    continuation_solve,
+    _continuation,
     default_eps_schedule,
+    penalty_continuation,
     verify_mixed,
 )
 
@@ -412,8 +415,10 @@ def scenario_nonexistence(ball_radius: float = 0.0) -> NonexistenceEvidence:
     if np.max(np.abs(cost(m_star).values - base.values)) > 1e-12:
         raise AssertionError("construction must satisfy A u* = f(m*) nodewise")
 
+    scenario = Scenario(name="nonexistence", problem="sosmfg", grid=grid, cost=cost,
+                        rho=rho, expected_outcome="no_classical_mixed_exists")
     # tabulate the contact-band mass of every stage's solution against epsilon
-    triple, stages = continuation_solve(cost, rho)
+    triple, stages = solve_problem(scenario)
     stage_rows = []
     for sr in stages:
         contact = sr.solution.u.values >= -sr.solution.delta_band
@@ -421,9 +426,6 @@ def scenario_nonexistence(ball_radius: float = 0.0) -> NonexistenceEvidence:
         stage_rows.append(NonexistenceStage(
             epsilon=sr.epsilon, report=sr.report, contact_mass=contact_mass,
             ratio=contact_mass / max(sr.report.r_contact, 1e-30)))
-    scenario = Scenario(name="nonexistence", problem="sosmfg", grid=grid, cost=cost,
-                        rho=rho, expected_outcome="no_classical_mixed_exists",
-                        eps_schedule=tuple(sr.epsilon for sr in stages))
     return NonexistenceEvidence(
         scenario=scenario, u_star=u_star, m_star=m_star,
         stages=tuple(stage_rows), u=triple.u, m=triple.m,
@@ -493,19 +495,29 @@ def scenario_obstacle_nonuniqueness() -> ObstacleNonuniquenessEvidence:
 
 
 def solve_problem(scenario: Scenario, tol_pde: float = 1e-8):
-    """The penalty continuation of the scenario's problem along its
-    eps_schedule: continuation_solve (sosmfg), osmfg_continuation (osmfg)
-    or cosmfg_coupled_solve (cosmfg), a stage converged at a residual
-    norm of at most tol_pde. Returns its (solution, stages)."""
+    """The penalty continuation of the scenario's problem: the one
+    stationary.penalty_continuation along its eps_schedule, each stage
+    converged at a residual norm of at most tol_pde and verified by
+    verify_problem at its classification band. sosmfg stages are
+    penalized_coupled_solve, nested on coarser grids by
+    stationary._continuation; osmfg and cosmfg stages are
+    forward_backward_solve with the scenario's obstacle (the zero one
+    for cosmfg) and Hamiltonian. Returns its (solution, stages)."""
     if not isinstance(scenario, Scenario):
         raise TypeError(f"solve_problem takes a Scenario, got {type(scenario).__name__}")
     if scenario.problem == "sosmfg":
-        return continuation_solve(scenario.cost, scenario.rho, scenario.eps_schedule, tol_pde)
-    if scenario.problem == "osmfg":
-        return osmfg_continuation(scenario.cost, scenario.obstacle_op, scenario.m0,
-                                  scenario.timegrid, scenario.eps_schedule, tol_pde)
-    return cosmfg_coupled_solve(scenario.cost, scenario.hamiltonian, scenario.m0,
-                                scenario.timegrid, scenario.eps_schedule, tol_pde)
+        return _continuation(scenario.cost, scenario.rho, scenario.eps_schedule, tol_pde)
+    obstacle_op = scenario.obstacle_op or ObstacleOperator.zero(scenario.grid, scenario.timegrid)
+
+    def solve_stage(eps, warm, strict):
+        return forward_backward_solve(scenario.cost, scenario.m0, scenario.timegrid, eps, tol_pde,
+                                      obstacle_op=obstacle_op, hamiltonian=scenario.hamiltonian,
+                                      warm=warm, strict=strict)
+
+    def verify(sol):
+        return verify_problem(scenario, sol.u, sol.m, sol.delta_band)
+
+    return penalty_continuation(solve_stage, verify, scenario.eps_schedule)
 
 
 def verify_problem(scenario: Scenario, u, m, delta_c: float | None = None):
@@ -531,15 +543,14 @@ def verify_problem(scenario: Scenario, u, m, delta_c: float | None = None):
 def run_scenario_evidence(scenario: Scenario) -> dict:
     """Solve a registry scenario by penalty continuation (solve_problem).
 
-    Returns a dict with the final solution, the verifier report of the
-    last stage, the stage list, the minimum density and the largest mass
-    increase between time slices (0 for the stationary problem).
+    Returns a dict with the problem, its expected outcome, the final
+    solution, the verifier report of the last stage, the minimum density
+    and the largest mass increase between time slices (0 for the
+    stationary problem).
     """
     sol, stages = solve_problem(scenario)
     m_arr = np.atleast_2d(sol.m.values)
     masses = m_arr.sum(axis=1) * scenario.grid.cell_volume
-    return {"name": scenario.name, "problem": scenario.problem,
-            "expected_outcome": scenario.expected_outcome, "solution": sol,
-            "report": stages[-1].report, "stage_reports": stages,
-            "min_density": float(np.min(m_arr)),
+    return {"problem": scenario.problem, "expected_outcome": scenario.expected_outcome,
+            "solution": sol, "report": stages[-1].report, "min_density": float(np.min(m_arr)),
             "mass_monotone_violation": float(np.max(np.diff(masses), initial=0.0))}

@@ -15,8 +15,9 @@ The penalized system is the one-slice case of the time-dependent one,
 and each penalty stage of it is run by the same _coupled._penalized_stage
 (dt = 1, m_0 = rho, lag 0); PenalizedTriple and CoupledNonConvergence
 live in _coupled and are exported here.
-continuation_solve runs the early penalty stages of a strictly monotone
-2D continuation on coarser grids.
+scenarios.solve_problem runs every problem's continuation through
+penalty_continuation, the stationary one via _continuation, which runs
+the early stages of a strictly monotone 2D one on coarser grids.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ __all__ = [
     "CoupledNonConvergence",
     "penalized_coupled_solve",
     "penalty_continuation",
-    "continuation_solve",
     "default_eps_schedule",
     "monotone_iteration_solve",
     "variational_minimize",
@@ -153,10 +153,15 @@ def penalized_coupled_solve(
 
 def default_eps_schedule(start: float = 0.1, factor: float = 4.0, stages: int = 8) -> list[float]:
     """The stages penalties start / factor**j, j = 0..stages-1; ValueError
-    unless start > 0, factor > 1 and stages >= 1."""
+    unless start > 0, factor > 1, stages >= 1 and each factor**j is a float."""
     start = _checked(start, "start", 0, above=True)
     factor = _checked(factor, "factor", 1, above=True)
-    return [start / factor**j for j in range(_count(stages, "stages", 1))]
+    stages = _count(stages, "stages", 1)
+    try:
+        return [start / factor**j for j in range(stages)]
+    except OverflowError:
+        raise ValueError(f"eps_schedule: {factor:g}**{stages - 1} is too large "
+                         "for a float") from None
 
 
 def _checked_schedule(eps_schedule=None) -> list[float]:
@@ -195,16 +200,16 @@ def penalty_continuation(solve_stage, verify, eps_schedule=None):
     return sol, stages
 
 
-def continuation_solve(
-    cost: CostOperator,
-    rho: ScalarField,
-    eps_schedule=None,
-    tol_pde: float = 1e-8,
-    m_init: ScalarField | None = None,
-):
+def _nests(cost: CostOperator, grid, schedule) -> bool:
+    """Whether _continuation runs the early stages on a coarser grid."""
+    return (grid.dim >= 2 and all(n % 2 == 1 and n // 2 >= 15 for n in grid.n_interior)
+            and len(schedule) >= 2 and cost.monotonicity == STRICT_MONOTONE)
+
+
+def _continuation(cost, rho, eps_schedule, tol_pde=1e-8, m_init=None, strict=True):
     """Penalty continuation for the stationary system: warm-started
     penalized_coupled_solve stages along a decreasing schedule, the
-    first from m_init.
+    first from m_init, the last strict only when strict.
 
     On 2D grids the early stages run on coarser grids (nested iteration,
     as in full multigrid) when every axis has n = 2 n_c + 1 nodes with
@@ -223,25 +228,15 @@ def continuation_solve(
     nest: one fine stage from a coarse 2D osmfg start did not converge.
     Coarse stages are warm-up stages like every stage but the last, so
     only the final fine stage can raise; a cost or m_init off the grid
-    of rho raises ValueError before any stage.
+    of rho, or a schedule that _checked_schedule rejects, raises
+    ValueError before any stage.
 
     Returns (solution, stages): the final PenalizedTriple and one
     StageReport per stage, with the verify_mixed report of its (u, m)
     on the grid the stage ran on.
     """
     _on_grid(rho.grid, None, cost, m_init)
-    return _continuation(cost, rho, _checked_schedule(eps_schedule), tol_pde, m_init, strict=True)
-
-
-def _nests(cost: CostOperator, grid, schedule) -> bool:
-    """Whether continuation_solve runs the early stages on a coarser grid."""
-    return (grid.dim >= 2 and all(n % 2 == 1 and n // 2 >= 15 for n in grid.n_interior)
-            and len(schedule) >= 2 and cost.monotonicity == STRICT_MONOTONE)
-
-
-def _continuation(cost, rho, schedule, tol_pde, m_init, strict):
-    """continuation_solve on a checked schedule, its last stage strict
-    only when strict."""
+    schedule = _checked_schedule(eps_schedule)
 
     def verify(triple):
         return verify_mixed(triple.u, triple.m, cost, rho, delta_c=triple.delta_band)
@@ -406,8 +401,8 @@ def uniqueness_probe(
     seed = _count(seed, "seed", 0)
     grid = rho.grid
     m_base = _shifted_factor(grid, 0.0, 1.0)(rho.values)
-    results = [continuation_solve(cost, rho, eps_schedule,
-                                  m_init=ScalarField(grid, s * m_base))[0].m.values
-               for s in np.random.default_rng(seed).uniform(0.0, 2.0, n_starts)]
+    solves = (_continuation(cost, rho, eps_schedule, m_init=ScalarField(grid, s * m_base))
+              for s in np.random.default_rng(seed).uniform(0.0, 2.0, n_starts))
+    results = [sol.m.values for sol, _ in solves]
     return max(0.0, *(float(np.max(np.abs(a - b)))
                       for i, a in enumerate(results) for b in results[i + 1:]))

@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from mfgstop import _coupled, density, obstacle
-from mfgstop.control import cosmfg_coupled_solve
-from mfgstop.evolutive import osmfg_continuation
 from mfgstop.obstacle import _base_operator, _space_time_operator
-from mfgstop.scenarios import scenario_standard
-from mfgstop.stationary import continuation_solve
+from mfgstop.scenarios import Scenario, scenario_standard, solve_problem
 
 
 KEPT = (_base_operator, _space_time_operator, _coupled._jacobian_assembler,
@@ -25,41 +22,51 @@ def fresh_factors_and_orders():
         cache.cache_clear()
 
 
+def as_scenario(cost, source, timegrid=None, eps_schedule=None, *, obstacle_op=None,
+                hamiltonian=None) -> Scenario:
+    """The problem a test passes to solve_problem: sosmfg with rho =
+    source without a timegrid, else osmfg (cosmfg with a hamiltonian)
+    from m0 = source, along eps_schedule (None: the default one)."""
+    stationary = timegrid is None
+    return Scenario(name="test", grid=source.grid, cost=cost, expected_outcome="unknown",
+                    problem="sosmfg" if stationary else "cosmfg" if hamiltonian else "osmfg",
+                    rho=source if stationary else None, m0=None if stationary else source,
+                    timegrid=timegrid, obstacle_op=obstacle_op, hamiltonian=hamiltonian,
+                    eps_schedule=eps_schedule)
+
+
 @pytest.fixture(scope="session")
 def monotone_1d_solution():
     sc = scenario_standard("monotone_1d")
-    sol, reports = continuation_solve(sc.cost, sc.rho, list(sc.eps_schedule))
+    sol, reports = solve_problem(sc)
     return sc, sol.u, sol.m, reports
 
 
 @pytest.fixture(scope="session")
 def monotone_2d_solution():
     sc = scenario_standard("monotone_2d")
-    sol, reports = continuation_solve(sc.cost, sc.rho, list(sc.eps_schedule))
+    sol, reports = solve_problem(sc)
     return sc, sol.u, sol.m, reports
 
 
 @pytest.fixture(scope="session")
 def evolutive_psi0_solution():
     sc = scenario_standard("evolutive_psi0")
-    sol, stage_reports = osmfg_continuation(sc.cost, sc.obstacle_op, sc.m0,
-                                            sc.timegrid, list(sc.eps_schedule))
+    sol, stage_reports = solve_problem(sc)
     return sc, sol, stage_reports[-1].report, stage_reports
 
 
 @pytest.fixture(scope="session")
 def evolutive_heat_g_solution():
     sc = scenario_standard("evolutive_heat_g")
-    sol, stage_reports = osmfg_continuation(sc.cost, sc.obstacle_op, sc.m0,
-                                            sc.timegrid, list(sc.eps_schedule))
+    sol, stage_reports = solve_problem(sc)
     return sc, sol, stage_reports[-1].report, stage_reports
 
 
 @pytest.fixture(scope="session")
 def control_solution():
     sc = scenario_standard("control_smoothnorm")
-    sol, stages = cosmfg_coupled_solve(sc.cost, sc.hamiltonian, sc.m0,
-                                       sc.timegrid, list(sc.eps_schedule))
+    sol, stages = solve_problem(sc)
     return sc, sol, stages[-1].report
 
 

@@ -9,19 +9,14 @@ import time
 
 import numpy as np
 
-from mfgstop.control import (
-    Hamiltonian,
-    control_objective,
-    cosmfg_coupled_solve,
-    face_drift,
-)
+from mfgstop.control import Hamiltonian, control_objective, face_drift
 from mfgstop.density import (
     FaceVelocities,
     KillingData,
     solve_density_on_set,
     solve_density_parabolic,
 )
-from mfgstop.evolutive import ObstacleOperator, osmfg_continuation
+from mfgstop.evolutive import ObstacleOperator
 from mfgstop.grid import NodeMask, ScalarField, build_grid, inner
 from mfgstop.obstacle import solve_obstacle_stationary
 from mfgstop.scenarios import (
@@ -29,13 +24,14 @@ from mfgstop.scenarios import (
     scenario_nonexistence,
     scenario_nonuniqueness,
     scenario_standard,
+    solve_problem,
 )
 from mfgstop.stationary import (
-    continuation_solve,
     monotone_iteration_solve,
     uniqueness_probe,
     variational_minimize,
 )
+from conftest import as_scenario
 from oracles import killed_density, obstacle_oracle, operator, penalized_obstacle
 from test_evolutive import continuation_from
 from test_stationary import euler_lagrange_certificate
@@ -134,7 +130,7 @@ def test_c05_mixed_solution_existence(monotone_1d_solution, monotone_2d_solution
     for label, (sc, u, m, reports) in (("monotone_1d", monotone_1d_solution),
                                        ("monotone_2d", monotone_2d_solution)):
         start = time.time()
-        _, fresh_reports = continuation_solve(sc.cost, sc.rho, list(sc.eps_schedule))
+        _, fresh_reports = solve_problem(sc)
         elapsed = time.time() - start
         rep = fresh_reports[-1].report
         for key, value in rep.to_dict().items():
@@ -165,7 +161,7 @@ def test_c06_uniqueness_under_strict_monotonicity(evolutive_psi0_solution,
     gap = uniqueness_probe(sc.cost, sc.rho, n_starts=5, seed=106)
     assert gap <= 1e-5
 
-    # the evolutive probe: the stages of osmfg_continuation, the first
+    # the evolutive probe: the stages of its continuation, the first
     # from the start, at five scales drawn as uniqueness_probe draws them
     ev = evolutive_psi0_solution[0]
     gap_ev = scaled_start_gap(
@@ -174,7 +170,7 @@ def test_c06_uniqueness_under_strict_monotonicity(evolutive_psi0_solution,
         ev.m0, ev.timegrid, np.random.default_rng(106).uniform(0.0, 2.0, 5))
     assert gap_ev <= 1e-4
 
-    # control analogue, the stages of cosmfg_coupled_solve; the cached
+    # control analogue, the stages of its continuation; the cached
     # solution is the unit-scale start
     sc_c, sol_base, _ = control_solution
     zero = ObstacleOperator.zero(sc_c.m0.grid, sc_c.timegrid)
@@ -229,7 +225,7 @@ def test_c09_monotone_iteration_smallest_solution():
     assert m_viol <= 1e-10
     assert u_viol <= 1e-10
     u_fix, m_fix, n_solver = monotone_iteration_solve(sc.cost, sc.rho)
-    sol, _ = continuation_solve(sc.cost, sc.rho, list(sc.eps_schedule))
+    sol, _ = solve_problem(sc)
     m_cont = sol.m
     assert np.all(m_fix.values <= m_cont.values + 1e-6)
     report(9, f"{n_solver} iterations, monotonicity violations <= "
@@ -259,8 +255,8 @@ def test_c12_control_reduction_fenchel_objective(evolutive_psi0_solution,
                                                  control_solution, lu_factors):
     sc, sol_o, _, _ = evolutive_psi0_solution
     ham0 = Hamiltonian.smoothed_norm(ScalarField.zeros(sc.grid))
-    sol_c, _ = cosmfg_coupled_solve(sc.cost, ham0, sc.m0, sc.timegrid,
-                                    list(sc.eps_schedule))
+    sol_c, _ = solve_problem(as_scenario(sc.cost, sc.m0, sc.timegrid, sc.eps_schedule,
+                                         hamiltonian=ham0))
     red_u = float(np.max(np.abs(sol_c.u.array() - sol_o.u.array())))
     red_m = float(np.max(np.abs(sol_c.m.array() - sol_o.m.array())))
     assert max(red_u, red_m) <= 1e-8
@@ -313,7 +309,7 @@ def test_c13_structural_invariants_all_scenarios(monotone_1d_solution,
     for sc, u, m, reports in (monotone_1d_solution, monotone_2d_solution):
         assert m.values.min() >= -1e-12
         assert np.min(sc.rho.values - operator(sc.grid) @ m.values) >= -1e-9
-        sol, _ = continuation_solve(sc.cost, sc.rho, list(sc.eps_schedule))
+        sol, _ = solve_problem(sc)
         u2, m2 = sol.u, sol.m
         assert np.array_equal(m2.values, m.values)
         assert np.array_equal(u2.values, u.values)
@@ -333,8 +329,7 @@ def test_c13_structural_invariants_all_scenarios(monotone_1d_solution,
         assert marr.min() >= -1e-12
         masses = marr.sum(axis=1) * sc.grid.cell_volume
         assert np.all(np.diff(masses) <= 1e-12)
-        sol2, _ = osmfg_continuation(sc.cost, sc.obstacle_op, sc.m0, sc.timegrid,
-                                     list(sc.eps_schedule))
+        sol2, _ = solve_problem(sc)
         assert np.array_equal(sol2.m.array(), marr)
         assert np.array_equal(sol2.u.array(), sol.u.array())
         checked.append(sc.name)
@@ -344,8 +339,7 @@ def test_c13_structural_invariants_all_scenarios(monotone_1d_solution,
     assert marr.min() >= -1e-12
     masses = marr.sum(axis=1) * sc_c.grid.cell_volume
     assert np.all(np.diff(masses) <= 1e-12)
-    sol_c2, _ = cosmfg_coupled_solve(sc_c.cost, sc_c.hamiltonian, sc_c.m0,
-                                     sc_c.timegrid, list(sc_c.eps_schedule))
+    sol_c2, _ = solve_problem(sc_c)
     assert np.array_equal(sol_c2.m.array(), marr)
     checked.append(sc_c.name)
     report(13, f"positivity, subsolution, mass monotonicity, bitwise determinism "

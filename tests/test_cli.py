@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfgstop import _coupled, cli, evolutive, obstacle
+from mfgstop import _coupled, cli, evolutive, obstacle, scenarios
 from mfgstop.cli import main
 from mfgstop.grid import (
     FieldTrajectory,
@@ -606,7 +606,7 @@ def test_stage_nonconvergence_reports_its_stage(tmp_path, monkeypatch):
     # only the last stage of a continuation is strict, so stage 1 of 3
     # fails only when its solve is made strict, here with a one-step
     # Newton that cannot reach its tolerance
-    solve = evolutive.forward_backward_solve
+    solve = scenarios.forward_backward_solve
     stage_epsilons = []
 
     def second_stage_fails(cost, m0, timegrid, epsilon, tol_pde, **kwargs):
@@ -617,7 +617,7 @@ def test_stage_nonconvergence_reports_its_stage(tmp_path, monkeypatch):
             patch.setattr(_coupled, "_MAX_OUTER", 1)
             return solve(cost, m0, timegrid, epsilon, 1e-16, **{**kwargs, "strict": True})
 
-    monkeypatch.setattr(evolutive, "forward_backward_solve", second_stage_fails)
+    monkeypatch.setattr(scenarios, "forward_backward_solve", second_stage_fails)
     out = tmp_path / "osm"
     cfg = write_config(tmp_path, {**OSMFG_RUN, "output_dir": str(out),
                                   "eps_schedule": {"start": 0.1, "factor": 4.0, "stages": 3}})
@@ -628,8 +628,7 @@ def test_stage_nonconvergence_reports_its_stage(tmp_path, monkeypatch):
     stage_epsilons.clear()
     run = cli.load_config(cfg)
     with pytest.raises(CoupledNonConvergence) as err:
-        evolutive.osmfg_continuation(run.cost, run.obstacle_op, run.m0, run.timegrid,
-                                     run.eps_schedule, run.tol_pde)
+        scenarios.solve_problem(run, run.tol_pde)
     assert err.value.stage == 1
 
 
@@ -667,6 +666,7 @@ NAN, INF = float("nan"), float("inf")
     ({**OSMFG, "timegrid": {"horizon": 10**400, "n_steps": 4}}, "too large"),
     ({"eps_schedule": [1e-1, NAN, 1e-3]}, "eps_schedule"),
     ({"eps_schedule": {"start": INF, "factor": 4.0, "stages": 3}}, "eps_schedule.start"),
+    ({"eps_schedule": {"start": 0.1, "factor": 1e300, "stages": 3}}, "eps_schedule must be"),
     ({"tolerances": {"outer": 1e-9, "pde": NAN, "acceptance": {"r_duality": 1e-6}}},
      "tolerances.pde"),
     ({"tolerances": {"outer": 1e-9, "pde": 0.0, "acceptance": {"r_duality": 1e-6}}},
@@ -693,7 +693,8 @@ NAN, INF = float("nan"), float("inf")
         "monotone-iteration-on-monotone-cost", "variational-on-anti-monotone-cost",
         "variational-on-nonlocal-cost",
         "nan-horizon", "inf-horizon", "inf-n_steps", "huge-horizon", "nan-eps-entry",
-        "inf-eps-start", "nan-pde-tol", "zero-pde-tol", "negative-pde-tol", "inf-outer-tol",
+        "inf-eps-start", "overflowing-schedule", "nan-pde-tol", "zero-pde-tol",
+        "negative-pde-tol", "inf-outer-tol",
         "inf-acceptance", "nan-cost-a", "inf-cost-f0", "nan-m0-value", "nan-grid-bound", "unknown-problem",
         "field-spec-not-an-object", "unknown-field-kind", "unknown-obstacle-kind",
         "unknown-hamiltonian-kind", "empty-acceptance", "zero-threshold"])

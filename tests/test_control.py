@@ -8,7 +8,6 @@ from mfgstop._coupled import _hamiltonian_state, forward_backward_solve
 from mfgstop.control import (
     Hamiltonian,
     control_objective,
-    cosmfg_coupled_solve,
     face_drift,
     verify_cosmfg,
 )
@@ -22,8 +21,9 @@ from mfgstop.grid import (
     build_grid,
     build_timegrid,
 )
-from mfgstop.scenarios import gaussian_density, scenario_standard
+from mfgstop.scenarios import gaussian_density, scenario_standard, solve_problem
 from mfgstop.stationary import default_eps_schedule
+from conftest import as_scenario
 from oracles import parabolic_obstacle
 
 
@@ -68,7 +68,7 @@ def test_hamiltonian_convexity_midpoints(setup):
 def hjb_value(cost, ham, grid, tg, eps):
     # from a zero density the density stays zero, so the value equation
     # of one strict stage is the penalized HJB obstacle problem for f(0)
-    sol, _ = cosmfg_coupled_solve(cost, ham, ScalarField.zeros(grid), tg, [eps])
+    sol, _ = solve_problem(as_scenario(cost, ScalarField.zeros(grid), tg, [eps], hamiltonian=ham))
     return sol.u
 
 
@@ -118,8 +118,8 @@ def test_hjb_grid_refinement_self_convergence():
 def test_cosmfg_reduction_to_osmfg(evolutive_psi0_solution):
     sc, sol_o, _, _ = evolutive_psi0_solution
     ham0 = Hamiltonian.smoothed_norm(ScalarField.zeros(sc.grid))
-    sol_c, _ = cosmfg_coupled_solve(sc.cost, ham0, sc.m0, sc.timegrid,
-                                         list(sc.eps_schedule))
+    sol_c, _ = solve_problem(as_scenario(sc.cost, sc.m0, sc.timegrid, sc.eps_schedule,
+                                         hamiltonian=ham0))
     assert np.max(np.abs(sol_c.u.array() - sol_o.u.array())) <= 1e-8
     assert np.max(np.abs(sol_c.m.array() - sol_o.m.array())) <= 1e-8
 
@@ -128,7 +128,8 @@ def test_never_stop_instance_is_drifted_flow(setup):
     grid, tg, m0 = setup
     cost = CostOperator.local_power(grid, 0.0, 1.0, ScalarField.constant(grid, -1.0))
     ham = Hamiltonian.smoothed_norm(ScalarField.constant(grid, 1.0))
-    sol, _ = cosmfg_coupled_solve(cost, ham, m0, tg, default_eps_schedule(stages=4))
+    sol, _ = solve_problem(as_scenario(cost, m0, tg, default_eps_schedule(stages=4),
+                                       hamiltonian=ham))
     assert np.all(sol.u.array()[:-1] < 0)
     drifted = solve_density_parabolic(m0, None, tg, face_drift(ham, sol.u))
     assert np.max(np.abs(sol.m.array() - drifted.array())) <= 1e-9
@@ -227,8 +228,8 @@ def test_each_residual_evaluates_the_hamiltonian_once(setup, monkeypatch):
     monkeypatch.setattr(_coupled, "_frozen_system", counted_system)
     cost = CostOperator.local_power(grid, 1.0, 1.0, ScalarField.constant(grid, -0.5))
     ham = Hamiltonian.smoothed_norm(ScalarField.constant(grid, 1.0))
-    _, stages = cosmfg_coupled_solve(cost, ham, m0, build_timegrid(0.5, 4),
-                                     default_eps_schedule(stages=3))
+    _, stages = solve_problem(as_scenario(cost, m0, build_timegrid(0.5, 4),
+                                          default_eps_schedule(stages=3), hamiltonian=ham))
     assert len(stages) == 3 and counts["jacobian"] > len(stages)
     assert counts["state"] == counts["residual"] + len(stages), counts
 
@@ -331,8 +332,8 @@ def test_control_stages_take_at_most_three_passes(scale, newton_targets):
     # the drift were lagged)
     sc = scenario_standard("control_smoothnorm")
     m0 = ScalarField(sc.grid, scale * sc.m0.values)
-    _, stages = cosmfg_coupled_solve(sc.cost, sc.hamiltonian, m0, sc.timegrid,
-                                     list(sc.eps_schedule))
+    _, stages = solve_problem(as_scenario(sc.cost, m0, sc.timegrid, sc.eps_schedule,
+                                          hamiltonian=sc.hamiltonian))
     assert len(stages) == 8 and len(newton_targets) == 8
     for stage, target in zip((sr.solution for sr in stages), newton_targets):
         assert stage.converged
@@ -376,7 +377,8 @@ def test_verifier_zero_initial_density(setup):
     cost = CostOperator.local_power(grid, 1.0, 1.0, ScalarField.constant(grid, -0.5))
     ham = Hamiltonian.smoothed_norm(ScalarField.constant(grid, 1.0))
     zero = ScalarField.zeros(grid)
-    sol, stages = cosmfg_coupled_solve(cost, ham, zero, tg, default_eps_schedule(stages=3))
+    sol, stages = solve_problem(as_scenario(cost, zero, tg, default_eps_schedule(stages=3),
+                                            hamiltonian=ham))
     report = stages[-1].report
     assert np.max(np.abs(sol.m.array())) == 0.0
     assert report.r_contact == 0.0

@@ -5,14 +5,10 @@ import scipy.sparse.linalg as spla
 
 from mfgstop import _coupled
 from mfgstop._coupled import PenalizedTriple, _ramp, forward_backward_solve
-from mfgstop.control import Hamiltonian, cosmfg_coupled_solve
+from mfgstop.control import Hamiltonian
 from mfgstop.costs import CostOperator
 from mfgstop.density import solve_density_parabolic
-from mfgstop.evolutive import (
-    ObstacleOperator,
-    osmfg_continuation,
-    verify_mixed_evolutive,
-)
+from mfgstop.evolutive import ObstacleOperator, verify_mixed_evolutive
 from mfgstop.grid import (
     FieldTrajectory,
     ScalarField,
@@ -21,14 +17,14 @@ from mfgstop.grid import (
     elliptic_matrix,
 )
 from mfgstop.obstacle import _shifted_factor
-from mfgstop.scenarios import gaussian_density, scenario_standard
+from mfgstop.scenarios import gaussian_density, scenario_standard, solve_problem
 from mfgstop.stationary import (
     CoupledNonConvergence,
-    continuation_solve,
     default_eps_schedule,
     penalized_coupled_solve,
     penalty_continuation,
 )
+from conftest import as_scenario
 from oracles import operator
 
 
@@ -210,7 +206,7 @@ def test_negative_cost_decouples_to_pure_heat(setup):
     grid, tg, m0 = setup
     cost = CostOperator.local_power(grid, 0.0, 1.0, ScalarField.constant(grid, -1.0))
     op = ObstacleOperator.zero(grid, tg)
-    sol, _ = osmfg_continuation(cost, op, m0, tg, [1e-4])
+    sol, _ = solve_problem(as_scenario(cost, m0, tg, [1e-4], obstacle_op=op))
     heat = solve_density_parabolic(m0, None, tg)
     assert np.max(np.abs(sol.m.array() - heat.array())) <= 1e-8
     assert np.all(sol.u.array()[:-1] < 0)
@@ -221,7 +217,7 @@ def test_positive_cost_kills_mass(setup):
     eps = 1e-5
     cost = CostOperator.local_power(grid, 0.0, 1.0, ScalarField.constant(grid, 0.5))
     op = ObstacleOperator.zero(grid, tg)
-    sol, _ = osmfg_continuation(cost, op, m0, tg, [eps])
+    sol, _ = solve_problem(as_scenario(cost, m0, tg, [eps], obstacle_op=op))
     # value stays within the penalized collapse of the obstacle
     assert np.max(np.abs(sol.u.array())) <= eps * 0.5 + 1e-10
     assert np.max(sol.m.array()[-1]) <= 1e-3 * np.max(m0.values)
@@ -254,7 +250,8 @@ def test_zero_initial_density_trivial(setup):
     grid, tg, _ = setup
     cost = CostOperator.local_power(grid, 1.0, 1.0, ScalarField.constant(grid, -0.5))
     op = ObstacleOperator.zero(grid, tg)
-    sol, _ = osmfg_continuation(cost, op, ScalarField.zeros(grid), tg, [1e-4])
+    sol, _ = solve_problem(as_scenario(cost, ScalarField.zeros(grid), tg, [1e-4],
+                                       obstacle_op=op))
     assert np.max(np.abs(sol.m.array())) == 0.0
     report = verify_mixed_evolutive(sol.u, sol.m, cost, op, ScalarField.zeros(grid),
                                     delta_c=sol.delta_band)
@@ -285,7 +282,8 @@ def test_long_horizon_approaches_stationary_profile():
     rho_like = gaussian_density(grid, sigma=0.12, mass=0.4)
     cost = CostOperator.local_power(grid, 1.0, 1.0, ScalarField.constant(grid, -0.25))
     op = ObstacleOperator.zero(grid, tg)
-    sol, _ = osmfg_continuation(cost, op, rho_like, tg, default_eps_schedule(stages=6))
+    sol, _ = solve_problem(as_scenario(cost, rho_like, tg, default_eps_schedule(stages=6),
+                                       obstacle_op=op))
     mid = sol.m.array()[60]
     # stationary analogue without the zero-order terms and without a source:
     # mass drains, so the long-run profile approaches zero
@@ -298,7 +296,7 @@ def test_two_dimensional_forward_backward():
     m0 = gaussian_density(grid, sigma=0.15)
     cost = CostOperator.local_power(grid, 1.0, 1.0, ScalarField.constant(grid, -0.5))
     op = ObstacleOperator.zero(grid, tg)
-    sol, _ = osmfg_continuation(cost, op, m0, tg, [1e-3])
+    sol, _ = solve_problem(as_scenario(cost, m0, tg, [1e-3], obstacle_op=op))
     rep = verify_mixed_evolutive(sol.u, sol.m, cost, op, m0, delta_c=sol.delta_band)
     assert rep.r_continuation <= 1e-10
     assert rep.r_subsolution <= 1e-10
@@ -354,8 +352,8 @@ def test_heat_g_stages_take_at_most_three_passes(scale, newton_targets):
     # under 3% perturbations when psi was lagged)
     sc = scenario_standard("evolutive_heat_g")
     m0 = ScalarField(sc.grid, scale * sc.m0.values)
-    _, stages = osmfg_continuation(sc.cost, sc.obstacle_op, m0, sc.timegrid,
-                                   list(sc.eps_schedule))
+    _, stages = solve_problem(as_scenario(sc.cost, m0, sc.timegrid, sc.eps_schedule,
+                                          obstacle_op=sc.obstacle_op))
     assert len(stages) == 8 and len(newton_targets) == 8
     for stage, target in zip((sr.solution for sr in stages), newton_targets):
         assert stage.converged
@@ -401,10 +399,11 @@ def stage_call(solver, moved):
         return other if name == moved else grid
 
     cost = CostOperator.local_power(on("cost"), 1.0, 1.0, ScalarField.constant(on("cost"), -0.5))
-    if solver in ("penalized_coupled_solve", "continuation_solve"):
+    if solver in ("penalized_coupled_solve", "solve_problem-sosmfg"):
         rho = ScalarField.constant(on("rho"), 1.0)
-        if solver == "continuation_solve":
-            return lambda: continuation_solve(cost, rho, default_eps_schedule(stages=2))
+        if solver == "solve_problem-sosmfg":
+            schedule = default_eps_schedule(stages=2)
+            return lambda: solve_problem(as_scenario(cost, rho, None, schedule))
         warm = None
         if moved in ("warm.u", "warm.m"):
             warm = PenalizedTriple(
@@ -420,10 +419,12 @@ def stage_call(solver, moved):
         op = ObstacleOperator.heat_source(
             CostOperator.local_power(other, 0.5, 1.0, ScalarField.zeros(other)))
     ham = Hamiltonian.smoothed_norm(ScalarField.constant(on("hamiltonian"), 1.0))
-    if solver == "osmfg_continuation":
-        return lambda: osmfg_continuation(cost, op, m0, tg, default_eps_schedule(stages=2))
-    if solver == "cosmfg_coupled_solve":
-        return lambda: cosmfg_coupled_solve(cost, ham, m0, tg, default_eps_schedule(stages=2))
+    if solver == "solve_problem-osmfg":
+        return lambda: solve_problem(as_scenario(cost, m0, tg, default_eps_schedule(stages=2),
+                                                 obstacle_op=op))
+    if solver == "solve_problem-cosmfg":
+        return lambda: solve_problem(as_scenario(cost, m0, tg, default_eps_schedule(stages=2),
+                                                 hamiltonian=ham))
     warm = None
     if moved in ("warm.u", "warm.m"):
         warm = PenalizedTriple(
@@ -439,8 +440,8 @@ STAGE_CASES = (
     [("penalized_coupled_solve", moved) for moved in ("cost", "rho", "m_init", "warm.u", "warm.m")]
     + [("forward_backward_solve", moved) for moved in ("cost", "m0", "warm.u", "warm.m", "psi",
                                                          "psi-time", "g_cost", "hamiltonian")]
-    + [("continuation_solve", "cost"), ("osmfg_continuation", "psi"),
-       ("osmfg_continuation", "psi-time"), ("cosmfg_coupled_solve", "hamiltonian")])
+    + [("solve_problem-sosmfg", "cost"), ("solve_problem-osmfg", "psi"),
+       ("solve_problem-osmfg", "psi-time"), ("solve_problem-cosmfg", "hamiltonian")])
 
 
 @pytest.mark.parametrize("solver, moved", STAGE_CASES, ids=[f"{s}-{m}" for s, m in STAGE_CASES])

@@ -9,10 +9,10 @@ import pytest
 
 from mfgstop import _coupled, obstacle, stationary
 from mfgstop._coupled import forward_backward_solve
-from mfgstop.control import Hamiltonian, cosmfg_coupled_solve, verify_cosmfg
+from mfgstop.control import Hamiltonian, verify_cosmfg
 from mfgstop.costs import CostOperator
 from mfgstop.density import KillingData, solve_density_on_set, solve_density_parabolic
-from mfgstop.evolutive import ObstacleOperator, osmfg_continuation, verify_mixed_evolutive
+from mfgstop.evolutive import ObstacleOperator, verify_mixed_evolutive
 from mfgstop.grid import (
     FieldTrajectory,
     NodeMask,
@@ -21,14 +21,15 @@ from mfgstop.grid import (
     build_grid,
     build_timegrid,
 )
+from mfgstop.scenarios import solve_problem
 from mfgstop.stationary import (
     PenalizedTriple,
-    continuation_solve,
     default_eps_schedule,
     penalized_coupled_solve,
     uniqueness_probe,
     verify_mixed,
 )
+from conftest import as_scenario
 
 NAN, INF = float("nan"), float("inf")
 G = build_grid(1, (0.0, 1.0), 9)
@@ -72,6 +73,13 @@ CASES = {
     "CostOperator.nonlocal_affine": [
         ("c0", "coefficient c0", lambda v: CostOperator.nonlocal_affine(G, v, 1.0, RHO), None),
         ("c1", "coefficient c1", lambda v: CostOperator.nonlocal_affine(G, 1.0, v, RHO), None)],
+    "CostOperator fields": [
+        ("f0", "f0", lambda v: CostOperator.local_power(G, 1.0, 1.0, field(v)), None),
+        ("weight", "weight", lambda v: CostOperator.nonlocal_affine(G, 1.0, 1.0, field(v)), None),
+        ("base", "base", lambda v: CostOperator.local_affine_shifted(G, field(v), RHO), None),
+        ("m_ref", "m_ref", lambda v: CostOperator.local_affine_shifted(G, RHO, field(v)), None)],
+    "ObstacleOperator.constant": [
+        ("psi", "psi", lambda v: ObstacleOperator.constant(trajectory(v)), None)],
     "KillingData": [
         ("alpha", "alpha", lambda v: KillingData(trajectory(v), 0.1), 1.5),
         ("epsilon", "epsilon", lambda v: KillingData(M, v), 0.0)],
@@ -96,21 +104,27 @@ CASES = {
                                                                 obstacle_op=ZERO_OBSTACLE), 0.0),
         ("tol_pde", "tol_pde", lambda v: forward_backward_solve(COST, RHO, TG, 0.1, v,
                                                                 obstacle_op=ZERO_OBSTACLE), -1.0)],
-    "continuation_solve": [
-        ("rho", "rho", lambda v: continuation_solve(COST, field(v)), -1.0),
-        ("eps_schedule", "eps_schedule", lambda v: continuation_solve(COST, RHO, [0.1, v]), 0.2),
-        ("tol_pde", "tol_pde", lambda v: continuation_solve(COST, RHO, None, v), 0.0)],
-    "osmfg_continuation": [
-        ("m0", "m0", lambda v: osmfg_continuation(COST, ZERO_OBSTACLE, field(v), TG), -1.0),
+    "solve_problem-sosmfg": [
+        ("rho", "rho", lambda v: solve_problem(as_scenario(COST, field(v))), -1.0),
         ("eps_schedule", "eps_schedule",
-         lambda v: osmfg_continuation(COST, ZERO_OBSTACLE, RHO, TG, [v]), -1.0),
+         lambda v: solve_problem(as_scenario(COST, RHO, None, [0.1, v])), 0.2),
+        ("tol_pde", "tol_pde", lambda v: solve_problem(as_scenario(COST, RHO), v), 0.0)],
+    "solve_problem-osmfg": [
+        ("m0", "m0",
+         lambda v: solve_problem(as_scenario(COST, field(v), TG, obstacle_op=ZERO_OBSTACLE)),
+         -1.0),
+        ("eps_schedule", "eps_schedule",
+         lambda v: solve_problem(as_scenario(COST, RHO, TG, [v], obstacle_op=ZERO_OBSTACLE)),
+         -1.0),
         ("tol_pde", "tol_pde",
-         lambda v: osmfg_continuation(COST, ZERO_OBSTACLE, RHO, TG, None, v), 0.0)],
-    "cosmfg_coupled_solve": [
-        ("m0", "m0", lambda v: cosmfg_coupled_solve(COST, H, field(v), TG), -1.0),
+         lambda v: solve_problem(as_scenario(COST, RHO, TG, obstacle_op=ZERO_OBSTACLE), v), 0.0)],
+    "solve_problem-cosmfg": [
+        ("m0", "m0", lambda v: solve_problem(as_scenario(COST, field(v), TG, hamiltonian=H)),
+         -1.0),
         ("eps_schedule", "eps_schedule",
-         lambda v: cosmfg_coupled_solve(COST, H, RHO, TG, [v]), 0.0),
-        ("tol_pde", "tol_pde", lambda v: cosmfg_coupled_solve(COST, H, RHO, TG, None, v), 0.0)],
+         lambda v: solve_problem(as_scenario(COST, RHO, TG, [v], hamiltonian=H)), 0.0),
+        ("tol_pde", "tol_pde",
+         lambda v: solve_problem(as_scenario(COST, RHO, TG, hamiltonian=H), v), 0.0)],
     "uniqueness_probe": [
         ("rho", "rho", lambda v: uniqueness_probe(COST, field(v)), -1.0),
         ("n_starts", "n_starts", lambda v: uniqueness_probe(COST, RHO, v), 1),
@@ -214,10 +228,12 @@ def test_a_cost_built_directly_is_checked_like_its_factories():
 
 
 @pytest.mark.parametrize("start, factor, stages", [(0.1, 0.0, 3), (0.1, 1.0, 1), (0.1, 0.5, 1),
-                                                   (0.0, 4.0, 3), (0.1, 4.0, 0)])
+                                                   (0.0, 4.0, 3), (0.1, 4.0, 0), (0.1, 1e300, 3)])
 def test_default_eps_schedule_rejects_what_gives_no_decreasing_penalties(start, factor, stages):
-    # a zero factor raised ZeroDivisionError, and a factor <= 1 with one
-    # stage gave a schedule that no check saw
+    # a zero factor raised ZeroDivisionError, a factor <= 1 with one
+    # stage gave a schedule that no check saw, and 1e300**2 raised
+    # OverflowError
     with pytest.raises(ValueError):
         default_eps_schedule(start, factor, stages)
     assert default_eps_schedule(0.1, 4.0, 1) == [0.1]
+

@@ -15,7 +15,7 @@ from mfgstop._coupled import (
 )
 from mfgstop.control import Hamiltonian, face_drift
 from mfgstop.costs import CostOperator
-from mfgstop.evolutive import ObstacleOperator, osmfg_continuation
+from mfgstop.evolutive import ObstacleOperator
 from mfgstop.grid import (
     FieldTrajectory,
     ScalarField,
@@ -37,7 +37,8 @@ from mfgstop.obstacle import (
     semismooth_newton,
     solve_obstacle_stationary,
 )
-from mfgstop.scenarios import gaussian_density, raised_cosine_bump
+from mfgstop.scenarios import gaussian_density, raised_cosine_bump, solve_problem
+from conftest import as_scenario
 from oracles import (
     drift_reference,
     obstacle_candidates,
@@ -47,7 +48,6 @@ from oracles import (
 )
 from mfgstop.stationary import (
     CoupledNonConvergence,
-    continuation_solve,
     penalized_coupled_solve,
     penalty_continuation,
     variational_minimize,
@@ -313,7 +313,7 @@ def test_every_factorization_uses_the_symmetric_ordering(monkeypatch):
     tg = build_timegrid(0.3, 2)
     counts = [0]
     for solve in (
-        lambda: continuation_solve(cost, raised_cosine_bump(g), [1e-1, 1e-2, 1e-3]),
+        lambda: solve_problem(as_scenario(cost, raised_cosine_bump(g), None, [1e-1, 1e-2, 1e-3])),
         lambda: forward_backward_solve(cost, gaussian_density(g, sigma=0.15), tg, 1e-3,
                                        obstacle_op=ObstacleOperator.zero(g, tg)),
         lambda: solve_obstacle_stationary(ScalarField(g, rng.uniform(-2.0, 2.0, n)),
@@ -370,13 +370,13 @@ def test_cold_and_warm_order_cache_give_bitwise_identical_runs(monkeypatch, prob
     schedule = [1e-1, 1e-2, 1e-3]
     if problem == "sosmfg":
         def run():
-            return continuation_solve(cost, raised_cosine_bump(g), schedule)[0]
+            return solve_problem(as_scenario(cost, raised_cosine_bump(g), None, schedule))[0]
     else:
         tg = build_timegrid(0.5, 3)
 
         def run():
-            return osmfg_continuation(cost, ObstacleOperator.zero(g, tg),
-                                      gaussian_density(g, sigma=0.15), tg, schedule)[0]
+            return solve_problem(as_scenario(cost, gaussian_density(g, sigma=0.15), tg, schedule,
+                                             obstacle_op=ObstacleOperator.zero(g, tg)))[0]
     # the autouse fixture of conftest starts the test without kept
     # assemblers, so the first run is cold
     specs = recorded_orderings(monkeypatch)
@@ -453,14 +453,15 @@ def test_registered_orders_fill_like_a_fresh_ordering(monkeypatch, problem):
         tg = build_timegrid(1.0, 3)
         cost = CostOperator.local_power(g, 1.0, 1.0, ScalarField.constant(g, -0.5))
         monkeypatch.setattr(_coupled, "_schur_step", lambda *args: args[-1]())
-        osmfg_continuation(cost, ObstacleOperator.zero(g, tg), gaussian_density(g), tg)
+        solve_problem(as_scenario(cost, gaussian_density(g), tg,
+                                  obstacle_op=ObstacleOperator.zero(g, tg)))
     else:
         # at f0 = -0.005 the continuation factors 18 times on kept
         # orders; an even node count on the first axis does not nest the
         # continuation on a coarser grid
         g = wide_grid()
         cost = CostOperator.local_power(g, 1.0, 1.0, ScalarField.constant(g, -0.005))
-        continuation_solve(cost, raised_cosine_bump(g))
+        solve_problem(as_scenario(cost, raised_cosine_bump(g)))
     assert len(fills) >= 10
     assert any(zeros_stored) == (problem == "osmfg_15x15_k3")
     assert sum(fill for fill, _ in fills) <= 1.05 * sum(fresh for _, fresh in fills)
@@ -1155,7 +1156,7 @@ def test_schur_step_restarts_a_missed_gmres_cycle_instead_of_falling_back(band_f
     # block system, with no fallback. Then on a 31x31 stationary
     # continuation no step falls back: every factorization, by banded
     # Cholesky or LU, is of an N x N block. The stages run on this grid,
-    # one penalized_coupled_solve each, where continuation_solve would nest
+    # one penalized_coupled_solve each, where solve_problem would nest
     n = 60
     slope = np.arange(float(n))
     rng = np.random.default_rng(43)
@@ -1372,7 +1373,8 @@ def test_time_dependent_block_solve_keeps_the_newton_counts(monkeypatch, obstacl
           ObstacleOperator.heat_source(CostOperator.local_power(g, 0.5, 2.0, ScalarField.zeros(g))))
 
     def run():
-        return osmfg_continuation(cost, op, gaussian_density(g, sigma=0.15), tg)
+        return solve_problem(as_scenario(cost, gaussian_density(g, sigma=0.15), tg,
+                                         obstacle_op=op))
 
     schur, steps = _coupled._schur_step, []
 

@@ -24,8 +24,9 @@ from mfgstop.grid import (
     coarsen,
 )
 from mfgstop.obstacle import solve_obstacle_stationary
-from mfgstop.scenarios import gaussian_density, raised_cosine_bump
-from mfgstop.stationary import continuation_solve, variational_minimize
+from mfgstop.scenarios import gaussian_density, raised_cosine_bump, solve_problem
+from mfgstop.stationary import variational_minimize
+from conftest import as_scenario
 
 GRID = build_grid(1, (0.0, 1.0), 7)
 OTHER = build_grid(1, (0.0, 2.0), 7)
@@ -147,7 +148,7 @@ def test_coarsen_maps_only_fields_of_its_two_grids():
 
 
 @pytest.mark.parametrize("moved", ["cost", "m_init"])
-def test_continuation_solve_checks_before_any_stage(moved, monkeypatch):
+def test_stationary_continuation_checks_before_any_stage(moved, monkeypatch):
     # 31 x 31 nests: every stage but the last would run on coarser grids
     fine = build_grid(2, ((0.0, 1.0),) * 2, (31, 31))
     other = build_grid(2, ((0.0, 2.0),) * 2, (31, 31))
@@ -160,7 +161,10 @@ def test_continuation_solve_checks_before_any_stage(moved, monkeypatch):
     monkeypatch.setattr(stationary, "penalized_coupled_solve",
                         lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
     with pytest.raises(ValueError, match=MISMATCH):
-        continuation_solve(cost, rho, m_init=m_init)
+        if moved == "cost":
+            solve_problem(as_scenario(cost, rho))
+        else:  # only the uniqueness probe passes a start
+            stationary._continuation(cost, rho, None, m_init=m_init)
     assert calls == []
 
 

@@ -21,8 +21,10 @@ sources with ast:
 - the Hamiltonian data of the controlled system has one source, and the
   Jacobian and the drifted density steps take their drift from its one
   stencil layout;
-- every verifier takes its residuals from the one residual core, and
-  every coupled Newton solve runs in the one penalty stage;
+- every verifier takes its residuals from the one residual core, every
+  coupled Newton solve runs in the one penalty stage, and the one penalty
+  continuation is entered only by scenarios.solve_problem and the
+  stationary nesting below it;
 - time is stepped in one loop, _coupled._sweep;
 - the CLI builds no problem object of its own, and the problem dispatch
   takes the one problem record, scenarios.Scenario;
@@ -510,6 +512,21 @@ def test_every_coupled_newton_runs_in_the_one_penalized_stage():
     for name in STAGE_SOLVERS:
         assert not list(_references(functions[name], name, {"semismooth_newton"})), name
         assert list(_references(functions[name], name, {"_penalized_stage"})), name
+
+
+# the one penalty continuation: scenarios.solve_problem is the entry of
+# every problem's continuation, and stationary._continuation, below it,
+# nests the stationary one on coarser grids; the time-dependent modules
+# build on no stationary solver
+def test_the_penalty_continuation_has_one_entry():
+    callers = {where for module in MODULES
+               for where, _ in _references(_tree(module), module, {"penalty_continuation"})}
+    assert callers == {"stationary._continuation", "scenarios.solve_problem"}, callers
+    for module in ("evolutive", "control"):
+        imported = [node.module for node in ast.walk(_tree(module))
+                    if isinstance(node, ast.ImportFrom)
+                    and (node.module or "").split(".")[-1] == "stationary"]
+        assert imported == [], module
 
 
 # what tests/oracles.py may import from the package: the grid's data

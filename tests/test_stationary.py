@@ -11,10 +11,10 @@ from mfgstop.scenarios import (
     run_scenario_evidence,
     scenario_nonexistence,
     scenario_standard,
+    solve_problem,
 )
 from mfgstop.stationary import (
     CoupledNonConvergence,
-    continuation_solve,
     default_eps_schedule,
     monotone_iteration_solve,
     penalized_coupled_solve,
@@ -23,6 +23,7 @@ from mfgstop.stationary import (
     variational_minimize,
     verify_mixed,
 )
+from conftest import as_scenario
 from oracles import operator
 
 
@@ -106,7 +107,7 @@ def test_nonlocal_self_consistency_residuals(grid, rho, case):
 
 def test_continuation_zero_source(grid):
     cost = local_cost(grid, -0.5)
-    sol, reports = continuation_solve(cost, ScalarField.zeros(grid))
+    sol, reports = solve_problem(as_scenario(cost, ScalarField.zeros(grid)))
     m = sol.m
     assert np.max(np.abs(m.values)) == 0.0
     assert all(sr.report.max_residual <= 1e-8 for sr in reports)
@@ -114,7 +115,7 @@ def test_continuation_zero_source(grid):
 
 def test_continuation_single_stage_equals_single_solve(grid, rho):
     cost = local_cost(grid, -0.5)
-    sol, reports = continuation_solve(cost, rho, [1e-3])
+    sol, reports = solve_problem(as_scenario(cost, rho, None, [1e-3]))
     u1, m1 = sol.u, sol.m
     triple = penalized_coupled_solve(cost, rho, 1e-3)
     assert np.array_equal(m1.values, triple.m.values)
@@ -129,7 +130,7 @@ def test_continuation_rejects_bad_schedule(grid, rho):
     nan, inf = float("nan"), float("inf")
     for schedule in ([1e-3, 1e-3], [], [nan], [0.1, nan], [nan, 0.1], [inf, 0.1], [0.1, -1.0]):
         with pytest.raises(ValueError, match="finite penalties"):
-            continuation_solve(cost, rho, schedule)
+            solve_problem(as_scenario(cost, rho, None, schedule))
     for epsilon in (nan, inf, 0.0):
         with pytest.raises(ValueError, match="positive and finite"):
             penalized_coupled_solve(cost, rho, epsilon)
@@ -146,18 +147,20 @@ def test_nan_rho_is_rejected_strict_or_not(grid, rho):
                                     strict=strict)
 
 
-def test_a_warm_up_stage_with_a_nan_residual_raises(grid, rho):
+def test_a_warm_up_stage_with_a_nan_residual_raises():
     # a non-strict stage may end short of tol_pde, but not at a NaN
-    # residual, from which the next stage would start
-    cost = CostOperator.local_power(grid, 1.0, 1.0, ScalarField.constant(grid, np.nan))
+    # residual, from which the next stage would start; the cost is
+    # finite, but its Newton step overflows (residuals 2.03e234, then NaN)
+    g = build_grid(1, (0.0, 1.0), 15)
+    cost = CostOperator.local_power(g, 1e308, 50, ScalarField.zeros(g))
     with pytest.raises(CoupledNonConvergence) as err:
-        penalized_coupled_solve(cost, rho, 0.1, strict=False)
+        penalized_coupled_solve(cost, raised_cosine_bump(g), 0.1, strict=False)
     assert np.isnan(err.value.residual_history[-1])
 
 
 def test_continuation_contact_residuals_decrease(grid, rho):
     cost = local_cost(grid, -0.005)
-    _, reports = continuation_solve(cost, rho, default_eps_schedule(stages=10))
+    _, reports = solve_problem(as_scenario(cost, rho, None, default_eps_schedule(stages=10)))
     r_dual = [sr.report.r_duality for sr in reports]
     assert r_dual[-1] <= 1e-6
     assert r_dual[-1] <= r_dual[0] + 1e-12
@@ -190,7 +193,7 @@ def test_monotone_iteration_requires_anti_monotone(grid, rho):
 def test_monotone_iteration_below_continuation(grid, rho):
     sc = scenario_standard("anti_monotone_1d")
     u_it, m_it, n_iter = monotone_iteration_solve(sc.cost, sc.rho)
-    sol, _ = continuation_solve(sc.cost, sc.rho, list(sc.eps_schedule))
+    sol, _ = solve_problem(sc)
     m_cont = sol.m
     assert n_iter <= 50
     assert np.all(m_it.values <= m_cont.values + 1e-6)
@@ -301,7 +304,7 @@ def test_verify_mixed_trivial_pair(grid, rho):
 def test_duality_identity_on_converged_solution(grid, rho):
     for f0 in (-0.5, -0.005):
         cost = local_cost(grid, f0)
-        sol, reports = continuation_solve(cost, rho, default_eps_schedule(stages=10))
+        sol, reports = solve_problem(as_scenario(cost, rho, None, default_eps_schedule(stages=10)))
         u, m = sol.u, sol.m
         assert abs(inner(cost(m), m) - inner(u, rho)) <= 1e-6
         assert reports[-1].report.r_duality <= 1e-6
@@ -350,7 +353,7 @@ def test_stalled_newton_stops_early(grid, rho):
 
 def test_every_density_passes_subsolution(grid, rho):
     for f0 in (-0.5, -0.02, -0.005):
-        sol, _ = continuation_solve(local_cost(grid, f0), rho)
+        sol, _ = solve_problem(as_scenario(local_cost(grid, f0), rho))
         m = sol.m
         assert np.min(rho.values - operator(grid) @ m.values) >= -1e-9
         assert m.values.min() >= -1e-12
@@ -384,7 +387,8 @@ def test_2d_continuation_without_penalty_factors_a_once(monkeypatch, band_factor
 
     monkeypatch.setattr(_coupled, "_schur_step", recording_schur)
     monkeypatch.setattr(_coupled, "_shifted_factor", recording_shifted_factor)
-    sol, stages = continuation_solve(cost, raised_cosine_bump(g, peak=2.0), [1e-1, 1e-2, 1e-3])
+    sol, stages = solve_problem(as_scenario(cost, raised_cosine_bump(g, peak=2.0), None,
+                                            [1e-1, 1e-2, 1e-3]))
     base = _shifted_factor(g, 0.0, 1.0)
     blocks = list(zip(factors[::2], factors[1::2]))
     assert np.max(sol.u.values) < 0.0
@@ -401,7 +405,7 @@ def test_2d_continuation_without_penalty_factors_a_once(monkeypatch, band_factor
 
 def flat_continuation(cost, rho, schedule=None):
     # every stage on rho's grid: penalty_continuation over one
-    # penalized_coupled_solve per stage, verified as continuation_solve
+    # penalized_coupled_solve per stage, verified as solve_problem
     # verifies
     return penalty_continuation(
         lambda eps, warm, strict: penalized_coupled_solve(cost, rho, eps, strict=strict, warm=warm),
@@ -427,7 +431,7 @@ def test_nested_continuation_matches_the_flat_one(cost_kind, peak):
     g = grid_2d(31)
     rho = raised_cosine_bump(g, peak=peak)
     cost = local_cost(g, -0.5) if cost_kind == "local" else strictly_monotone_nonlocal(g, rho)
-    nested, stages = continuation_solve(cost, rho)
+    nested, stages = solve_problem(as_scenario(cost, rho))
     flat, flat_stages = flat_continuation(cost, rho)
     assert [sr.stage for sr in stages] == list(range(8))
     assert [sr.report.grid["n_interior"] for sr in stages] == [[15, 15]] * 7 + [[31, 31]]
@@ -442,7 +446,7 @@ def test_nested_continuation_matches_the_flat_one(cost_kind, peak):
 
 def test_nesting_recurses_to_the_15x15_grid():
     g = grid_2d(63)
-    sol, stages = continuation_solve(local_cost(g, -0.5), raised_cosine_bump(g))
+    sol, stages = solve_problem(as_scenario(local_cost(g, -0.5), raised_cosine_bump(g)))
     assert [sr.report.grid["n_interior"][0] for sr in stages] == [15] * 6 + [31, 63]
     assert sol.u.grid == g and stages[-1].report.max_residual <= 1e-8
 
@@ -460,7 +464,7 @@ def test_continuation_stays_flat_where_it_does_not_nest(case):
             }.get(case, local_cost(grid, -0.5))
     rho = raised_cosine_bump(grid)
     schedule = [1e-3] if case == "one_stage" else None
-    sol, stages = continuation_solve(cost, rho, schedule)
+    sol, stages = solve_problem(as_scenario(cost, rho, None, schedule))
     flat, flat_stages = flat_continuation(cost, rho, schedule)
     for name in ("u", "m", "alpha"):
         assert getattr(sol, name).values.tobytes() == getattr(flat, name).values.tobytes()
@@ -475,7 +479,7 @@ def test_nested_continuation_raises_at_the_fine_stage_only(monkeypatch):
     g = grid_2d(31)
     monkeypatch.setattr(_coupled, "_MAX_OUTER", 1)
     with pytest.raises(CoupledNonConvergence) as err:
-        continuation_solve(local_cost(g, -0.5), raised_cosine_bump(g), None, 1e-16)
+        solve_problem(as_scenario(local_cost(g, -0.5), raised_cosine_bump(g)), 1e-16)
     assert err.value.stage == 7
 
 
@@ -500,7 +504,7 @@ def test_nested_solve_finds_its_factors_and_orders_kept(monkeypatch):
     counts = []
     for _ in range(2):
         del orderings[:]
-        continuation_solve(cost, rho)
+        solve_problem(as_scenario(cost, rho))
         for name in ("monotone_1d", "anti_monotone_1d"):
             run_scenario_evidence(scenario_standard(name))
         scenario_nonexistence()
