@@ -61,7 +61,8 @@ class FaceVelocities:
 
     Axis k carries a read-only (K, *face shape) array, the face shape
     being the grid's with axis k extended by one: faces between
-    consecutive nodes plus the two boundary faces.
+    consecutive nodes plus the two boundary faces. A NaN or infinite
+    velocity raises ValueError (grid._checked).
     """
 
     grid: Grid
@@ -77,6 +78,7 @@ class FaceVelocities:
             c = np.array(comp, dtype=float, copy=True)
             if c.shape != shape:
                 raise ValueError(f"axis {axis} faces must have shape {shape}, got {c.shape}")
+            _checked(c, f"components[{axis}]")
             c.setflags(write=False)
             comps.append(c)
         object.__setattr__(self, "components", tuple(comps))

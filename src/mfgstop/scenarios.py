@@ -68,19 +68,32 @@ def raised_cosine_bump(grid: Grid, peak: float = 1.0) -> ScalarField:
 
 
 def gaussian_density(grid: Grid, sigma: float = 0.1, mass: float = 1.0) -> ScalarField:
-    """Gaussian bump at the domain centre, normalized to a discrete mass;
-    NaN where sigma is too narrow to leave mass on the grid."""
+    """Gaussian bump at the domain centre, normalized to a discrete mass.
+    ValueError unless sigma is positive and finite and mass finite
+    (grid._checked), and naming sigma where it is too narrow to leave
+    mass on the grid, so that the normalized field would not be finite."""
+    sigma = _checked(sigma, "sigma", 0, above=True)
+    mass = _checked(mass, "mass")
     coords = grid.coordinates()
     centre = np.array([(a + b) / 2 for a, b in grid.bounds])
     r2 = np.sum((coords - centre) ** 2, axis=1)
-    vals = np.exp(-r2 / (2 * sigma**2))
-    total = np.sum(vals) * grid.cell_volume
-    return ScalarField(grid, vals * (mass / total))
+    with np.errstate(all="ignore"):
+        vals = np.exp(-r2 / (2 * sigma**2))
+        vals = vals * (mass / (np.sum(vals) * grid.cell_volume))
+    return ScalarField(grid, _checked(vals, f"the gaussian of sigma={sigma:g} on this grid"))
+
+
+# the fields each problem needs besides its grid and cost
+_NEEDS = {"sosmfg": ("rho",), "osmfg": ("timegrid", "m0"),
+          "cosmfg": ("timegrid", "m0", "hamiltonian")}
 
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """A fully specified problem: grids, data, penalty schedule, and the expected outcome."""
+    """A fully specified problem: grids, data, penalty schedule, and the
+    expected outcome. A problem outside sosmfg, osmfg and cosmfg, or
+    without the fields it needs (sosmfg rho; osmfg timegrid and m0;
+    cosmfg those and a hamiltonian), raises ValueError naming it."""
 
     name: str
     problem: str  # "sosmfg" | "osmfg" | "cosmfg"
@@ -93,6 +106,13 @@ class Scenario:
     obstacle_op: ObstacleOperator | None = None
     hamiltonian: Hamiltonian | None = None
     eps_schedule: tuple[float, ...] = field(default_factory=lambda: tuple(default_eps_schedule()))
+
+    def __post_init__(self):
+        if self.problem not in _NEEDS:
+            raise ValueError(f"problem must be one of {sorted(_NEEDS)}, got {self.problem!r}")
+        missing = [name for name in _NEEDS[self.problem] if getattr(self, name) is None]
+        if missing:
+            raise ValueError(f"problem {self.problem!r} needs {' and '.join(missing)}")
 
 
 # ---------------------------------------------------------------------------
@@ -142,25 +162,27 @@ def _reject_non_finite(node, where: str = "config"):
 
 
 def _build_field(grid, spec, what: str) -> ScalarField:
-    """The field spec on grid; ValueError unless every value is finite
-    (a gaussian too narrow for the grid is NaN)."""
+    """The field spec on grid; ValueError unless every value is finite:
+    each kind checks its numbers, and a gaussian of sigma 0 or too narrow
+    for the grid (gaussian_density) holds no finite values."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"{what}: field spec must be an object with a 'kind'")
     kind = spec["kind"]
-    with np.errstate(all="ignore"):
-        if kind == "constant":
-            built = ScalarField.constant(grid, _checked(_require(spec, "value", what),
-                                                        f"{what}.value"))
-        elif kind == "raised_cosine":
-            built = raised_cosine_bump(grid, peak=_checked(spec.get("peak", 1.0), f"{what}.peak"))
-        elif kind == "gaussian":
-            built = gaussian_density(grid, sigma=_checked(spec.get("sigma", 0.1), f"{what}.sigma"),
-                                     mass=_checked(spec.get("mass", 1.0), f"{what}.mass"))
-        elif kind == "values":
-            built = ScalarField(grid, _numbers(_require(spec, "values", what), f"{what}.values"))
-        else:
-            raise ConfigError(f"{what}: unknown field kind {kind!r}")
-    _checked(built.values, what)
+    if kind == "constant":
+        built = ScalarField.constant(grid, _checked(_require(spec, "value", what), f"{what}.value"))
+    elif kind == "raised_cosine":
+        built = raised_cosine_bump(grid, peak=_checked(spec.get("peak", 1.0), f"{what}.peak"))
+    elif kind == "gaussian":
+        sigma = _checked(spec.get("sigma", 0.1), f"{what}.sigma", 0)
+        mass = _checked(spec.get("mass", 1.0), f"{what}.mass")
+        try:
+            built = gaussian_density(grid, sigma=sigma, mass=mass)
+        except ValueError:
+            raise ValueError(f"{what} must hold finite values") from None
+    elif kind == "values":
+        built = ScalarField(grid, _numbers(_require(spec, "values", what), f"{what}.values"))
+    else:
+        raise ConfigError(f"{what}: unknown field kind {kind!r}")
     return built
 
 
@@ -192,8 +214,8 @@ def problem_from_config(raw: dict, name: str = "config",
     unknown kind, a bad penalty schedule)."""
     _reject_non_finite(raw)
     problem = _require(raw, "problem")
-    if problem not in ("cosmfg", "osmfg", "sosmfg"):
-        raise ConfigError("problem must be one of ['cosmfg', 'osmfg', 'sosmfg']")
+    if problem not in _NEEDS:
+        raise ConfigError(f"problem must be one of {sorted(_NEEDS)}")
     gspec = _require(raw, "grid")
     n_interior = _require(gspec, "n_interior", "grid")
     for k in n_interior if isinstance(n_interior, list) else [n_interior]:

@@ -131,9 +131,13 @@ def penalized_coupled_solve(
     (u, m). The cost, m_init and the warm start must lie on the grid of
     rho, or ValueError is raised before any Newton step (grid._on_grid),
     as it is for a rho that is not nonnegative and finite.
-    The solve has converged when its residual norm is at most tol_pde;
-    strict=False returns the last iterate with converged=False instead
-    of raising (used for warm-up continuation stages).
+    A strict solve runs Newton to min(tol_pde, 1e-10) (1 + max |f|) and
+    has converged when its residual norm is at most tol_pde, or raises
+    CoupledNonConvergence. strict=False makes a warm-up continuation
+    stage: Newton stops at the looser
+    max(_coupled._WARM_UP epsilon, min(tol_pde, 1e-10)) (1 + max |f|),
+    and the last iterate is returned, with converged saying whether it
+    met that target, instead of raising.
     """
     grid = _on_grid(rho.grid, None, cost, m_init, getattr(warm, "u", None),
                     getattr(warm, "m", None))
@@ -183,7 +187,11 @@ def penalty_continuation(solve_stage, verify, eps_schedule=None):
     solve_stage(eps, warm, strict) per penalty of the checked schedule
     (default_eps_schedule() for None), warm-started from the previous
     stage's solution (None at the first) and strict at the last stage
-    only, each verified by verify(solution).
+    only, each verified by verify(solution). Only the last stage is
+    certified: the earlier ones are warm-up stages, which stop Newton at
+    max(_coupled._WARM_UP eps, min(tol_pde, 1e-10)) (1 + max |f|), not
+    at the strict min(tol_pde, 1e-10) (1 + max |f|), so their reports
+    show residuals at the size of that looser target.
 
     Returns (final solution, [StageReport]); a CoupledNonConvergence is
     re-raised with its stage index.

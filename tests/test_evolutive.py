@@ -361,6 +361,42 @@ def test_heat_g_stages_take_at_most_three_passes(scale, newton_targets):
         assert stage.iterations <= 12
 
 
+def warm_up_case(name):
+    # a registry scenario, or the 2D osmfg 9x9, K = 3, zero obstacle
+    if name in ("evolutive_psi0", "control_smoothnorm"):
+        return scenario_standard(name)
+    grid, tg = build_grid(2, ((0.0, 1.0), (0.0, 1.0)), (9, 9)), build_timegrid(1.0, 3)
+    cost = CostOperator.local_power(grid, 1.0, 1.0, ScalarField.constant(grid, -0.5))
+    return as_scenario(cost, gaussian_density(grid), tg,
+                       obstacle_op=ObstacleOperator.zero(grid, tg))
+
+
+@pytest.mark.parametrize("name", ["evolutive_psi0", "control_smoothnorm", "osmfg_2d_9x9"])
+def test_warm_up_stages_stop_at_a_penalty_scaled_target(name, newton_targets, monkeypatch):
+    # a warm-up stage only starts the next, smaller penalty, so it stops
+    # Newton at _WARM_UP epsilon (1 + max |f|); _WARM_UP = 0 runs every
+    # stage to the strict target. The last stage, the certified one,
+    # takes the same target and steps either way, and the answer moves
+    # at round-off only
+    sc = warm_up_case(name)
+    runs = []
+    for warm_up in (_coupled._WARM_UP, 0.0):
+        monkeypatch.setattr(_coupled, "_WARM_UP", warm_up)
+        sol, stages = solve_problem(sc)
+        runs.append((sol, [sr.solution for sr in stages], newton_targets[:]))
+        newton_targets.clear()
+    (loose, loose_stages, loose_targets), (tight, tight_stages, tight_targets) = runs
+    assert np.max(np.abs(loose.u.array() - tight.u.array())) <= 1e-12
+    assert np.max(np.abs(loose.m.array() - tight.m.array())) <= 1e-12
+    assert loose_targets[-1] == tight_targets[-1]
+    assert loose_stages[-1].iterations == tight_stages[-1].iterations
+    assert max(tight_targets) < min(loose_targets[:-1])
+    assert (sum(stage.iterations for stage in loose_stages)
+            < sum(stage.iterations for stage in tight_stages))
+    for stage, target in zip(loose_stages[:-1], loose_targets):
+        assert stage.converged and stage.residual_history[-1] <= target
+
+
 def test_nonconvergence_reports_newton_norms(setup, monkeypatch):
     # the history of a time-dependent solve is that of its Newton: the
     # residual norm of the start, then one norm per step

@@ -11,7 +11,12 @@ from mfgstop import _coupled, obstacle, stationary
 from mfgstop._coupled import forward_backward_solve
 from mfgstop.control import Hamiltonian, verify_cosmfg
 from mfgstop.costs import CostOperator
-from mfgstop.density import KillingData, solve_density_on_set, solve_density_parabolic
+from mfgstop.density import (
+    FaceVelocities,
+    KillingData,
+    solve_density_on_set,
+    solve_density_parabolic,
+)
 from mfgstop.evolutive import ObstacleOperator, verify_mixed_evolutive
 from mfgstop.grid import (
     FieldTrajectory,
@@ -21,7 +26,7 @@ from mfgstop.grid import (
     build_grid,
     build_timegrid,
 )
-from mfgstop.scenarios import solve_problem
+from mfgstop.scenarios import gaussian_density, solve_problem
 from mfgstop.stationary import (
     PenalizedTriple,
     default_eps_schedule,
@@ -47,6 +52,13 @@ def field(value) -> ScalarField:
     values = RHO.values.copy()
     values[4] = value
     return ScalarField(G, values)
+
+
+def faces(value) -> tuple:
+    """The face velocities of G on TG, 0.5 but value at one face."""
+    values = np.full((TG.n_steps,) + G.face_shape(0), 0.5)
+    values[0, 4] = value
+    return (values,)
 
 
 def trajectory(value) -> FieldTrajectory:
@@ -80,6 +92,11 @@ CASES = {
         ("m_ref", "m_ref", lambda v: CostOperator.local_affine_shifted(G, RHO, field(v)), None)],
     "ObstacleOperator.constant": [
         ("psi", "psi", lambda v: ObstacleOperator.constant(trajectory(v)), None)],
+    "gaussian_density": [
+        ("sigma", "sigma", lambda v: gaussian_density(G, v), 0.0),
+        ("mass", "mass", lambda v: gaussian_density(G, 0.1, v), None)],
+    "FaceVelocities": [
+        ("components", "components", lambda v: FaceVelocities(G, TG, faces(v)), None)],
     "KillingData": [
         ("alpha", "alpha", lambda v: KillingData(trajectory(v), 0.1), 1.5),
         ("epsilon", "epsilon", lambda v: KillingData(M, v), 0.0)],
@@ -167,6 +184,15 @@ def no_newton(monkeypatch):
 def test_a_bad_number_is_rejected_by_name_before_any_newton_step(no_newton, call, label, value):
     with pytest.raises(ValueError, match=rf"(^|\W){label}\W"):
         call(value)
+
+
+@pytest.mark.parametrize("sigma, n", [(1e-200, 9), (1e-5, 10)])
+def test_a_gaussian_too_narrow_for_its_grid_is_rejected_by_its_sigma(sigma, n):
+    # sigma**2 is 0.0 at 1e-200, and on 10 nodes, none at the centre,
+    # sigma 1e-5 leaves no mass at any node: the normalized field was
+    # all NaN, with RuntimeWarnings
+    with pytest.raises(ValueError, match=rf"sigma={sigma:g} .* must hold finite values$"):
+        gaussian_density(build_grid(1, (0.0, 1.0), n), sigma)
 
 
 @pytest.mark.parametrize("value", [True, "1", None, 10**400], ids=["bool", "str", "None", "huge"])

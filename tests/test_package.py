@@ -22,7 +22,8 @@ sources with ast:
   Jacobian and the drifted density steps take their drift from its one
   stencil layout;
 - every verifier takes its residuals from the one residual core, every
-  coupled Newton solve runs in the one penalty stage, and the one penalty
+  coupled Newton solve runs in the one penalty stage, which alone reads
+  the warm-up factor of its Newton target, and the one penalty
   continuation is entered only by scenarios.solve_problem and the
   stationary nesting below it;
 - time is stepped in one loop, _coupled._sweep;
@@ -512,6 +513,14 @@ def test_every_coupled_newton_runs_in_the_one_penalized_stage():
     for name in STAGE_SOLVERS:
         assert not list(_references(functions[name], name, {"semismooth_newton"})), name
         assert list(_references(functions[name], name, {"_penalized_stage"})), name
+
+
+def test_only_the_penalized_stage_reads_the_warm_up_factor():
+    # the warm-up Newton target is set in one place: _WARM_UP is bound
+    # once in _coupled and read once, by _penalized_stage
+    found = sorted(where for module in MODULES
+                   for where, _ in _references(_tree(module), module, {"_WARM_UP"}))
+    assert found == ["_coupled", "_coupled._penalized_stage"], found
 
 
 # the one penalty continuation: scenarios.solve_problem is the entry of

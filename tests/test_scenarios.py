@@ -115,6 +115,30 @@ def test_the_problem_dispatch_takes_only_a_scenario(call):
         call(duck)
 
 
+# a problem its fields do not fit used to reach a solver or a verifier
+# that failed on a missing field: AttributeError on the rho-only
+# monotone_1d as osmfg or as an unknown problem, KeyError 'pairing' when
+# verify_problem sent an unknown problem to the cosmfg verifier
+@pytest.mark.parametrize("name, problem, call", [
+    ("monotone_1d", "osmfg", lambda sc, _: scenarios.solve_problem(sc)),
+    ("monotone_1d", "bogus", lambda sc, _: scenarios.solve_problem(sc)),
+    ("evolutive_psi0", "bogus", lambda sc, sol: scenarios.verify_problem(sc, sol.u, sol.m)),
+], ids=["solve-sosmfg-as-osmfg", "solve-bogus", "verify-bogus"])
+def test_a_problem_that_its_fields_do_not_fit_is_a_value_error(evolutive_psi0_solution, name,
+                                                                problem, call):
+    with pytest.raises(ValueError, match=f"'{problem}'"):
+        call(dataclasses.replace(scenario_standard(name), problem=problem),
+             evolutive_psi0_solution[1])
+
+
+@pytest.mark.parametrize("name, problem, missing", [
+    ("evolutive_psi0", "sosmfg", "rho"), ("evolutive_psi0", "cosmfg", "hamiltonian"),
+    ("monotone_1d", "cosmfg", "timegrid and m0 and hamiltonian")])
+def test_a_scenario_names_the_fields_its_problem_needs(name, problem, missing):
+    with pytest.raises(ValueError, match=f"^problem '{problem}' needs {missing}$"):
+        dataclasses.replace(scenario_standard(name), problem=problem)
+
+
 def test_unknown_scenario_rejected():
     with pytest.raises(ValueError):
         scenario_standard("bogus")

@@ -392,15 +392,15 @@ def test_2d_continuation_without_penalty_factors_a_once(monkeypatch, band_factor
     base = _shifted_factor(g, 0.0, 1.0)
     blocks = list(zip(factors[::2], factors[1::2]))
     assert np.max(sol.u.values) < 0.0
-    assert [s.iterations for s in stages] == [3, 3, 1] and len(steps) == 4
-    assert len(factors) == 2 * len(steps) and len(blocks) == 4
+    assert [s.iterations for s in stages] == [2, 3, 1] and len(steps) == 3
+    assert len(factors) == 2 * len(steps) and len(blocks) == 3
     assert all(solve_u is base for solve_u, _ in blocks)
-    assert [solve_m is base for _, solve_m in blocks] == [False, False, False, True]
+    assert [solve_m is base for _, solve_m in blocks] == [False, False, True]
     assert all(band is _base_operator(g, 1.0).band for band, _ in band_factors)
     factored = [not np.any(d) for _, d in band_factors]
     assert factored[0] and factored.count(True) == 1
-    # A and the three density blocks with a rate
-    assert len(factored) == 1 + 3 and lu_factors == []
+    # A and the two density blocks with a rate
+    assert len(factored) == 1 + 2 and lu_factors == []
 
 
 def flat_continuation(cost, rho, schedule=None):
